@@ -43,6 +43,18 @@ fn bench_compress(c: &mut Criterion) {
     g.bench_function("bzip_decompress", |b| {
         b.iter(|| compress::Method::Bzip.decompress(&bz).unwrap())
     });
+    // One full `DEFAULT_BLOCK` of the same kind of bytes: the rotation
+    // sort at the size the store's large payloads present it with.
+    let chunks = Pyramid::build(&plasma(512, 512, 9), 4).chunks_for_region(
+        Rect::new(0, 0, 512, 512),
+        4,
+        None,
+    );
+    let mut block = wavelet::encode_chunks(&chunks);
+    block.truncate(compress::bzip::DEFAULT_BLOCK);
+    assert_eq!(block.len(), compress::bzip::DEFAULT_BLOCK);
+    g.throughput(Throughput::Bytes(block.len() as u64));
+    g.bench_function("bzip_compress_100k", |b| b.iter(|| compress::Method::Bzip.compress(&block)));
     g.finish();
 }
 

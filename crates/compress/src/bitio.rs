@@ -4,9 +4,10 @@
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits accumulated in `cur`, 0..8.
+    /// Bits not yet in `buf`: the low `nbits` bits of `acc`, 0..8 between
+    /// calls. Whatever sits above them is stale.
     nbits: u32,
-    cur: u8,
+    acc: u64,
 }
 
 impl BitWriter {
@@ -17,15 +18,12 @@ impl BitWriter {
     /// Append the low `n` bits of `v` (MSB of those bits first). `n <= 32`.
     pub fn put(&mut self, v: u32, n: u32) {
         assert!(n <= 32);
-        for i in (0..n).rev() {
-            let bit = (v >> i) & 1;
-            self.cur = (self.cur << 1) | bit as u8;
-            self.nbits += 1;
-            if self.nbits == 8 {
-                self.buf.push(self.cur);
-                self.cur = 0;
-                self.nbits = 0;
-            }
+        // At most 7 + 32 live bits: the shift loses only stale ones.
+        self.acc = self.acc << n | (v as u64 & ((1 << n) - 1));
+        self.nbits += n;
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.buf.push((self.acc >> self.nbits) as u8);
         }
     }
 
@@ -37,8 +35,7 @@ impl BitWriter {
     /// Flush (zero-padding the final byte) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
-            self.cur <<= 8 - self.nbits;
-            self.buf.push(self.cur);
+            self.buf.push((self.acc << (8 - self.nbits)) as u8);
         }
         self.buf
     }
@@ -100,6 +97,32 @@ mod tests {
         assert_eq!(r.get(16), Some(0xDEAD));
         assert_eq!(r.get(1), Some(1));
         assert_eq!(r.get(10), Some(0x3FF));
+    }
+
+    #[test]
+    fn put_matches_bit_at_a_time() {
+        // Every width at every byte phase, with bits set above the `n`
+        // that `put` must ignore.
+        let mut w = BitWriter::new();
+        let mut bits = Vec::new();
+        let mut v = 0x9E37_79B9u32;
+        for round in 0..8 {
+            for n in 0..=32u32 {
+                v = v.wrapping_mul(1_664_525).wrapping_add(1_013_904_223 + round);
+                w.put(v, n);
+                bits.extend((0..n).rev().map(|i| (v >> i) & 1));
+                assert_eq!(w.bit_len(), bits.len());
+            }
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), bits.len().div_ceil(8));
+        let mut r = BitReader::new(&bytes);
+        for &bit in &bits {
+            assert_eq!(r.get_bit(), Some(bit));
+        }
+        while let Some(pad) = r.get_bit() {
+            assert_eq!(pad, 0);
+        }
     }
 
     #[test]

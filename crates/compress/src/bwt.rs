@@ -1,47 +1,116 @@
 //! Burrows–Wheeler transform, forward and inverse.
 //!
-//! Forward: rotations are sorted via a prefix-doubling suffix array of the
-//! doubled input (`O(n log^2 n)`, no sentinel needed); the output is the
-//! last column plus the primary index (the row holding the original
-//! string). Inverse: the standard LF-mapping reconstruction.
+//! Forward: the `n` cyclic rotations are sorted directly by prefix
+//! doubling (no doubled copy, no sentinel). A radix sort orders them by
+//! their first four bytes; each later round `h = 4, 8, ..` re-sorts only
+//! the groups of rotations still equal in their first `h` bytes, by the
+//! group of the rotation `h` places on, and the sort stops once no group
+//! has two members: one or two rounds on noisy data, `log2 n` rounds of
+//! comparison sorts (`O(n log^2 n)`) only when most of the block repeats.
+//! The output is the last column plus the primary index (the row holding
+//! the original string). Inverse: the standard LF-mapping reconstruction.
 
 use crate::CodecError;
 
-/// Prefix-doubling suffix array over `s`.
-pub fn suffix_array(s: &[u8]) -> Vec<u32> {
-    let n = s.len();
-    if n == 0 {
-        return Vec::new();
+/// Bits per digit of the opening radix sort: three digits cover the
+/// 32-bit key.
+const DIGIT_BITS: u32 = 11;
+
+/// `sorted` holds `key << 32 | start` for the rotations that belong at
+/// `order[lo..]`, in key order. Place them, number each run of equal keys
+/// by the position it begins at, and list the runs of two or more in
+/// `open` as `lo..hi` ranges of `order`.
+fn place(
+    sorted: &[u64],
+    lo: usize,
+    order: &mut [u32],
+    group: &mut [u32],
+    open: &mut Vec<(usize, usize)>,
+) {
+    let mut run = lo;
+    for (pos, &item) in (lo..).zip(sorted) {
+        if item >> 32 != sorted[run - lo] >> 32 {
+            if pos - run > 1 {
+                open.push((run, pos));
+            }
+            run = pos;
+        }
+        order[pos] = item as u32;
+        group[item as u32 as usize] = run as u32;
     }
-    let mut sa: Vec<u32> = (0..n as u32).collect();
-    let mut rank: Vec<i64> = s.iter().map(|&b| b as i64).collect();
-    let mut tmp = vec![0i64; n];
-    let mut k = 1usize;
-    loop {
-        let key = |i: u32| -> (i64, i64) {
-            let i = i as usize;
-            let second = if i + k < n { rank[i + k] } else { -1 };
-            (rank[i], second)
-        };
-        sa.sort_unstable_by_key(|&i| key(i));
-        tmp[sa[0] as usize] = 0;
-        for w in 1..n {
-            let prev = sa[w - 1];
-            let cur = sa[w];
-            tmp[cur as usize] = tmp[prev as usize] + i64::from(key(prev) != key(cur));
-        }
-        rank.copy_from_slice(&tmp);
-        if rank[sa[n - 1] as usize] as usize == n - 1 {
-            break;
-        }
-        k *= 2;
-        if k >= n {
-            // All ranks distinct at the next doubling by construction.
-            sa.sort_unstable_by_key(|&i| rank[i as usize]);
-            break;
-        }
+    let hi = lo + sorted.len();
+    if hi - run > 1 {
+        open.push((run, hi));
     }
-    sa
+}
+
+/// Sort the cyclic rotations of `data` (at least one byte, fewer than
+/// 2^32). Returns `(order, group)`: the rotation starts in sorted order,
+/// and for each start the position in `order` of the first rotation equal
+/// to it. Rotations are equal only when the block is periodic; they sit
+/// together in `order`, in no particular order among themselves.
+fn sort_rotations(data: &[u8]) -> (Vec<u32>, Vec<u32>) {
+    let n = data.len();
+
+    // Round 0: radix-sort `first four bytes << 32 | start`, least
+    // significant digit of the bytes first. The key of rotation i is that
+    // of rotation i + 1 shifted down a byte, with data[i] on top.
+    let mut key = (0..4).fold(0u32, |key, k| key << 8 | data[k % n] as u32);
+    let mut items = vec![0u64; n];
+    for i in (0..n).rev() {
+        key = (data[i] as u32) << 24 | key >> 8;
+        items[i] = (key as u64) << 32 | i as u64;
+    }
+    let mut spare = vec![0u64; n];
+    for shift in (32..64).step_by(DIGIT_BITS as usize) {
+        let digit = |item: u64| (item >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        let mut next = [0u32; 1 << DIGIT_BITS];
+        for &item in &items {
+            next[digit(item)] += 1;
+        }
+        let mut acc = 0u32;
+        for slot in &mut next {
+            acc += std::mem::replace(slot, acc);
+        }
+        for &item in &items {
+            let slot = &mut next[digit(item)];
+            spare[*slot as usize] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut items, &mut spare);
+    }
+    drop(spare);
+
+    // `group[s]` numbers a group by where it begins in `order`, so a group
+    // that splits renumbers nobody outside itself.
+    let mut order = vec![0u32; n];
+    let mut group = vec![0u32; n];
+    let mut open = Vec::new();
+    place(&items, 0, &mut order, &mut group, &mut open);
+
+    // Round h: the members of an open group agree on h bytes, so the group
+    // of the rotation h places on orders them by the next h. A group number
+    // always agrees with the true order, so reading one that an earlier
+    // group of the same round has already refined is harmless; a group's
+    // own keys are all read before any of its numbers is rewritten.
+    let mut keyed = items;
+    let mut still_open = Vec::new();
+    let mut h = 4;
+    while !open.is_empty() && h < n {
+        for &(lo, hi) in &open {
+            keyed.clear();
+            keyed.extend(order[lo..hi].iter().map(|&s| {
+                let i = s as usize + h;
+                (group[if i >= n { i - n } else { i }] as u64) << 32 | s as u64
+            }));
+            keyed.sort_unstable();
+            place(&keyed, lo, &mut order, &mut group, &mut still_open);
+        }
+        std::mem::swap(&mut open, &mut still_open);
+        still_open.clear();
+        h *= 2;
+    }
+    (order, group)
 }
 
 /// Forward BWT: returns `(last_column, primary_index)`.
@@ -50,24 +119,17 @@ pub fn forward(data: &[u8]) -> (Vec<u8>, usize) {
     if n == 0 {
         return (Vec::new(), 0);
     }
-    if n == 1 {
-        return (data.to_vec(), 0);
-    }
-    // Rotation order = order of suffixes of data+data that start in [0, n).
-    let mut doubled = Vec::with_capacity(2 * n);
-    doubled.extend_from_slice(data);
-    doubled.extend_from_slice(data);
-    let sa = suffix_array(&doubled);
-    let mut last = Vec::with_capacity(n);
-    let mut primary = 0usize;
-    for &start in sa.iter().filter(|&&i| (i as usize) < n) {
-        let start = start as usize;
-        if start == 0 {
-            primary = last.len();
-        }
-        last.push(data[(start + n - 1) % n]);
-    }
-    debug_assert_eq!(last.len(), n);
+    assert!(u32::try_from(n).is_ok(), "BWT block of {n} bytes exceeds 32-bit indices");
+    let (order, group) = sort_rotations(data);
+    let last = order.iter().map(|&start| data[(start as usize + n - 1) % n]).collect();
+    // Equal rotations share a last byte, so only the primary index sees
+    // their order. The stream format was fixed by a sorter that emitted
+    // them in descending start order, which puts rotation 0 last in its
+    // group.
+    let primary = order
+        .iter()
+        .rposition(|&start| group[start as usize] == group[0])
+        .expect("rotation 0 is in its own group");
     (last, primary)
 }
 
@@ -171,16 +233,6 @@ mod tests {
         let (last, _) = forward(&data);
         let runs = |s: &[u8]| s.windows(2).filter(|w| w[0] == w[1]).count();
         assert!(runs(&last) > runs(&data) * 2, "{} vs {}", runs(&last), runs(&data));
-    }
-
-    #[test]
-    fn suffix_array_is_sorted() {
-        let data = b"mississippi";
-        let sa = suffix_array(data);
-        for w in sa.windows(2) {
-            assert!(data[w[0] as usize..] < data[w[1] as usize..]);
-        }
-        assert_eq!(sa.len(), data.len());
     }
 
     #[test]

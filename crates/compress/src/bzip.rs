@@ -8,8 +8,8 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::{bwt, huffman, mtf, rle, CodecError};
 
 /// Default block size (bytes). Real bzip2 uses 100k-900k; 100k keeps the
-/// O(n log^2 n) rotation sort fast while preserving the compression
-/// behavior.
+/// rotation sort's working set (about 24 bytes per input byte) in cache
+/// while preserving the compression behavior.
 pub const DEFAULT_BLOCK: usize = 100_000;
 
 const MAGIC: [u8; 4] = *b"RBZ1";
@@ -100,10 +100,16 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             .ok_or_else(|| CodecError::corrupt("truncated Huffman table"))?;
         pos += 256;
         let bits_len = get_varint(data, &mut pos)? as usize;
-        let bits = data
-            .get(pos..pos + bits_len)
+        let bits = pos
+            .checked_add(bits_len)
+            .and_then(|end| data.get(pos..end))
             .ok_or_else(|| CodecError::corrupt("truncated block payload"))?;
         pos += bits_len;
+        // Every symbol costs at least one bit, so the header cannot ask
+        // for more symbols (or memory) than the payload could hold.
+        if zlen > bits_len * 8 {
+            return Err(CodecError::corrupt("symbol count exceeds block payload"));
+        }
         let dec = huffman::Decoder::new(lengths)?;
         let mut r = BitReader::new(bits);
         let mut z = Vec::with_capacity(zlen);

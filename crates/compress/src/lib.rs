@@ -7,7 +7,7 @@
 //! (Bzip2)**. Both are implemented here from scratch:
 //!
 //! - [`lzw`]: variable-width-code LZW (9–12 bits, CLEAR/EOF codes);
-//! - [`bzip`]: BWT ([`bwt`], prefix-doubling suffix array) → move-to-front
+//! - [`bzip`]: BWT ([`bwt`], radix + prefix-doubling rotation sort) → move-to-front
 //!   ([`mtf`]) → zero run-length ([`rle`]) → canonical Huffman
 //!   ([`huffman`]), blocked at 100 kB;
 //! - [`Method`] is the run-time-selectable interface, and

@@ -77,3 +77,40 @@ fn decompressors_reject_garbage_without_panicking() {
         let _ = method.decompress(&packed);
     }
 }
+
+/// An `RBZ1` stream of one block whose header claims `zlen` symbols and
+/// `bits_len` payload bytes, followed by `payload`.
+fn bzip_block_header(zlen: u64, bits_len: u64, payload: &[u8]) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut out = b"RBZ1".to_vec();
+    varint(&mut out, 1); // blocks
+    varint(&mut out, 1 << 30); // original length
+    varint(&mut out, 0); // primary index
+    varint(&mut out, zlen);
+    out.extend([8u8; 256]); // a complete code: every symbol 8 bits
+    varint(&mut out, bits_len);
+    out.extend_from_slice(payload);
+    out
+}
+
+#[test]
+fn bzip_rejects_a_symbol_count_its_payload_cannot_hold() {
+    // 300 bytes that ask for a 1 GiB symbol buffer: refused from the
+    // header, before any allocation sized by it.
+    let payload = [0x5Au8; 32];
+    let packed = bzip_block_header(1 << 30, payload.len() as u64, &payload);
+    assert!(packed.len() < 320);
+    let err = bzip::decompress(&packed).expect_err("1 GiB of symbols in 32 bytes");
+    assert!(err.message().contains("symbol count"), "{err}");
+    // One symbol per bit is the most a payload can hold; one more is not.
+    let err = bzip::decompress(&bzip_block_header(257, 32, &payload)).expect_err("257 > 256");
+    assert!(err.message().contains("symbol count"), "{err}");
+    // A payload length that overflows the offset is a truncation.
+    assert!(bzip::decompress(&bzip_block_header(1, u64::MAX, &payload)).is_err());
+}

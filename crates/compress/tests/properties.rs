@@ -53,20 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn suffix_array_is_sorted_permutation(data in proptest::collection::vec(any::<u8>(), 1..512)) {
-        let sa = bwt::suffix_array(&data);
-        prop_assert_eq!(sa.len(), data.len());
-        let mut seen = vec![false; data.len()];
-        for &i in &sa {
-            prop_assert!(!seen[i as usize]);
-            seen[i as usize] = true;
-        }
-        for w in sa.windows(2) {
-            prop_assert!(data[w[0] as usize..] <= data[w[1] as usize..]);
-        }
-    }
-
-    #[test]
     fn mtf_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
         prop_assert_eq!(mtf::decode(&mtf::encode(&data)), data);
     }

@@ -142,17 +142,22 @@ impl Profiler {
     /// its own independent simulation, so this is embarrassingly parallel;
     /// results are merged in deterministic job order afterwards.
     ///
-    /// Workers pull flat job ids from a shared counter and decode them
-    /// into `(input, config, point)` on the fly — the grid's points are
+    /// Workers pull tickets from a shared counter and decode them into
+    /// `(input, config, point)` on the fly — the grid's points are
     /// computed once and shared by reference, never cloned per job — and
     /// buffer results locally, so the only cross-thread synchronization is
-    /// the counter; buffers are merged after join.
+    /// the counter; buffers are merged after join. Tickets walk the sweep
+    /// point-major: runs of one configuration tend to share state the
+    /// runner caches on first use (visapp's prepared payloads), so workers
+    /// side by side take different configurations rather than queue for
+    /// the same cold entry.
     pub fn run_parallel(&self, runner: &(dyn ProfileRunner + Sync), threads: usize) -> PerfDb {
         let threads = threads.max(1);
         let points = self.grid.points();
         let npoints = points.len();
         let nconfigs = self.configs.len();
-        let total = self.inputs.len() * nconfigs * npoints;
+        let npairs = self.inputs.len() * nconfigs;
+        let total = npairs * npoints;
         // Job id layout (insertion order of the sequential sweep):
         // id = (input_i * nconfigs + config_i) * npoints + point_i.
         let decode = |id: usize| {
@@ -160,6 +165,7 @@ impl Profiler {
             let (input_i, config_i) = (pair / nconfigs, pair % nconfigs);
             (&self.inputs[input_i], &self.configs[config_i], &points[point_i])
         };
+        let id_of = |ticket: usize| (ticket % npairs) * npoints + ticket / npairs;
         let next = std::sync::atomic::AtomicUsize::new(0);
         let mut results: Vec<Vec<(usize, QosReport)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
@@ -167,10 +173,11 @@ impl Profiler {
                     s.spawn(|| {
                         let mut local: Vec<(usize, QosReport)> = Vec::new();
                         loop {
-                            let id = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if id >= total {
+                            let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if ticket >= total {
                                 break;
                             }
+                            let id = id_of(ticket);
                             let (input, config, point) = decode(id);
                             local.push((id, runner.run(config, point, input)));
                         }

@@ -999,23 +999,37 @@ mod tests {
         // two halves must always agree.
         let cell = Adaptive::new((0u64, 0u64));
         let writer = cell.clone();
-        let stop = Arc::new(AtomicU64::new(0));
-        let stop_r = stop.clone();
-        let reader = std::thread::spawn(move || {
-            let mut reads = 0u64;
-            while stop_r.load(Ordering::Acquire) == 0 {
-                let (a, b) = *cell.get();
-                assert_eq!(a, b, "torn read: halves diverged");
-                reads += 1;
+        let (stop, torn, reads) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        // The sets must race the reads for the check to mean anything, and
+        // on a one- or two-core host 10 000 sets can finish before the
+        // reader is first scheduled: start writing only once it has read,
+        // and keep writing until it has read a thousand times.
+        let sets = std::thread::scope(|s| {
+            s.spawn(|| {
+                while stop.load(Ordering::Acquire) == 0 {
+                    let (a, b) = *cell.get();
+                    if a != b {
+                        torn.store(1, Ordering::Release);
+                        break;
+                    }
+                    reads.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            while reads.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
             }
-            reads
+            let mut sets = 0u64;
+            while torn.load(Ordering::Acquire) == 0
+                && (sets < 10_000 || reads.load(Ordering::Relaxed) < 1_000)
+            {
+                sets += 1;
+                writer.set((sets, sets));
+            }
+            stop.store(1, Ordering::Release);
+            sets
         });
-        for i in 1..=10_000u64 {
-            writer.set((i, i));
-        }
-        stop.store(1, Ordering::Release);
-        let reads = reader.join().unwrap();
-        assert!(reads > 0);
-        assert_eq!(writer.version(), 10_000);
+        assert_eq!(torn.into_inner(), 0, "torn read: halves diverged");
+        assert!(reads.into_inner() >= 1_000);
+        assert_eq!(writer.version(), sets);
     }
 }

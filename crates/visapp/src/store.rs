@@ -10,7 +10,7 @@
 //! timing does (which the simulation charges separately).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use compress::Method;
 use parking_lot::Mutex;
@@ -31,13 +31,17 @@ pub struct Prepared {
 /// Cache key: `(image, region, level, excluded region, method)`.
 type PrepareKey = (usize, Rect, usize, Rect, Method);
 
+/// A cache entry: empty while the first request for its key is still
+/// compressing, which later requests for that key wait on.
+type PrepareSlot = Arc<OnceLock<Arc<Prepared>>>;
+
 /// The image store.
 pub struct ImageStore {
     pyramids: Vec<Pyramid>,
     width: usize,
     height: usize,
     levels: usize,
-    cache: Mutex<HashMap<PrepareKey, Arc<Prepared>>>,
+    cache: Mutex<HashMap<PrepareKey, PrepareSlot>>,
 }
 
 impl ImageStore {
@@ -100,22 +104,31 @@ impl ImageStore {
         method: Method,
     ) -> Arc<Prepared> {
         let key = (image_id, region, level, exclude, method);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            return hit.clone();
-        }
-        let pyr = &self.pyramids[image_id];
-        let excl = if exclude.is_empty() { None } else { Some(exclude) };
-        let chunks = pyr.chunks_for_region(region, level, excl);
-        let ncoeffs: usize = chunks.iter().map(|c| c.len()).sum();
-        let raw = encode_chunks(&chunks);
-        let raw_bytes = raw.len();
-        let payload = method.compress(&raw);
-        let prepared = Arc::new(Prepared { payload, raw_bytes, ncoeffs });
-        self.cache.lock().insert(key, prepared.clone());
-        prepared
+        // The map lock covers only the lookup; the slot serializes the
+        // work per key, so concurrent misses on one key compress it once.
+        let slot = {
+            let mut cache = self.cache.lock();
+            let slot = cache.entry(key).or_default();
+            if let Some(hit) = slot.get() {
+                return hit.clone();
+            }
+            slot.clone()
+        };
+        slot.get_or_init(|| {
+            let pyr = &self.pyramids[image_id];
+            let excl = if exclude.is_empty() { None } else { Some(exclude) };
+            let chunks = pyr.chunks_for_region(region, level, excl);
+            let ncoeffs: usize = chunks.iter().map(|c| c.len()).sum();
+            let raw = encode_chunks(&chunks);
+            let raw_bytes = raw.len();
+            let payload = method.compress(&raw);
+            Arc::new(Prepared { payload, raw_bytes, ncoeffs })
+        })
+        .clone()
     }
 
-    /// Number of distinct prepared payloads cached (for tests/stats).
+    /// Number of distinct payloads cached or being prepared (for
+    /// tests/stats).
     pub fn cache_len(&self) -> usize {
         self.cache.lock().len()
     }
@@ -160,6 +173,28 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         s.prepare(0, r, 2, Rect::empty(), Method::Lzw);
         assert_eq!(s.cache_len(), 2);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_prepare_it_once() {
+        // A payload big enough that eight threads released together
+        // overlap inside `prepare`.
+        let s = ImageStore::generate(1, 256, 4, 7);
+        let r = Rect::new(0, 0, 256, 256);
+        let gate = std::sync::Barrier::new(8);
+        let got: Vec<Arc<Prepared>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        s.prepare(0, r, 4, Rect::empty(), Method::Bzip)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("prepare panicked")).collect()
+        });
+        assert_eq!(s.cache_len(), 1);
+        assert!(got.iter().all(|p| Arc::ptr_eq(p, &got[0])));
     }
 
     #[test]

@@ -29,6 +29,14 @@ for t in 1 4; do
     SIMNET_THREADS=$t cargo test -q
 done
 
+stage "compress byte identity (release)"
+# `bwt::forward` is held byte for byte to the sorter it replaced, which
+# lives on as the oracle in crates/compress/tests/bwt_reference.rs. The
+# oracle sorts a doubled 100 kB block ~18 times over; optimized, the
+# full-block cases take a second instead of a minute. --release also
+# runs the codec arithmetic with overflow checks off, as it ships.
+cargo test -q -p compress --release
+
 stage "arbiter smoke"
 # Saturation smoke: a 200-application arbiter storm must hold the
 # arbiter invariant oracles (tier-ordered shedding, no eviction without
