@@ -18,16 +18,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use adapt_core::{AdaptiveRuntime, PerfDb, ResourceScheduler, ResourceVector};
+use adapt_core::PerfDb;
 use obs::Obs;
 use sandbox::{Limits, LimitsHandle, SandboxStats};
+use simnet::det::{Fnv64, SplitMix64};
 use simnet::{DrainMode, Sim, SimTime};
-use visapp::load::SplitMix64;
-use visapp::scenario::{client_cpu_key, client_net_key, viz_spec, PROFILE_INPUT};
-use visapp::{
-    AdaptSetup, Client, ClientOpts, LoadGenOpts, QosProfile, Server, StatsHandle, UserModel,
-    VizConfig,
-};
+use visapp::{adaptive_client, client_opts, LoadGenOpts, QosProfile, Server, StatsHandle};
 
 use crate::admission::{AdmissionDecision, Pricer};
 use crate::app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind};
@@ -262,26 +258,18 @@ impl StormReport {
     /// queue-depth peaks (drain-strategy-dependent), floats, and anything
     /// wall-clock.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         for a in &self.apps {
-            mix(a.id as u64);
-            mix(a.state.code());
-            mix(a.tier_admitted as u64);
-            mix(a.tier_final as u64);
-            mix(a.weight as u64);
-            mix(a.arrival_us);
-            mix(a.strikes as u64);
-            mix(a.shed_count as u64);
-            mix(a.progress);
-            mix(a.finish_us.map_or(u64::MAX, |t| t));
+            h.write_u64(a.id as u64);
+            h.write_u64(a.state.code());
+            h.write_u64(a.tier_admitted as u64);
+            h.write_u64(a.tier_final as u64);
+            h.write_u64(a.weight as u64);
+            h.write_u64(a.arrival_us);
+            h.write_u64(a.strikes as u64);
+            h.write_u64(a.shed_count as u64);
+            h.write_u64(a.progress);
+            h.write_u64(a.finish_us.map_or(u64::MAX, |t| t));
         }
         let c = &self.counters;
         for v in [
@@ -296,11 +284,11 @@ impl StormReport {
             c.violations,
             c.backfilled,
         ] {
-            mix(v);
+            h.write_u64(v);
         }
-        mix(self.end.as_us());
-        mix(self.events_handled);
-        h
+        h.write_u64(self.end.as_us());
+        h.write_u64(self.events_handled);
+        h.finish()
     }
 
     /// Apps that ended the run in `state`.
@@ -381,46 +369,24 @@ pub fn run_storm_with_specs(
         let hc = sim.add_host(&format!("app{}", spec.id), 1.0, 1 << 30);
         sim.set_link(hc, arb_host, 12_500_000.0, 200);
         let limits = LimitsHandle::new(Limits::unconstrained());
-        let stats = SandboxStats::new(lopts.monitor_window_us);
         let actor: Box<AppActor> = match spec.kind {
             WorkloadKind::Session => {
                 let hs = server_hosts[i % server_hosts.len()];
                 sim.set_link(hc, hs, opts.link_bps, opts.link_latency_us);
-                let scheduler = ResourceScheduler::new_shared(
-                    db.clone(),
-                    spec.profile.preferences(),
-                    PROFILE_INPUT,
-                );
-                let mut start = ResourceVector::default();
-                start.set(client_cpu_key(), 1.0);
-                start.set(client_net_key(), opts.link_bps);
-                let mut runtime = AdaptiveRuntime::try_configure(
-                    viz_spec(&sc),
-                    scheduler,
-                    lopts.monitor_window_us,
-                    &start,
-                )
-                .unwrap_or_else(|e| panic!("app {}: initial configuration failed: {e}", spec.id));
-                runtime.set_obs(&obs);
-                runtime.monitor.min_trigger_gap_us = lopts.trigger_gap_us;
-                let initial = VizConfig::from_configuration(runtime.current());
-                let adapt = AdaptSetup {
-                    runtime,
-                    sandbox_stats: stats.clone(),
-                    cpu_key: client_cpu_key(),
-                    net_key: client_net_key(),
-                    period_us: lopts.period_us,
-                };
-                let copts = ClientOpts::new(server_ids[i % server_ids.len()])
-                    .with_n_images(opts.n_images)
-                    .with_initial(initial)
-                    .with_user(UserModel::center(lopts.img_size, lopts.img_size))
-                    .with_geometry(store.cover_radius(), store.dims(), store.levels())
-                    .with_think_time(Some(think[i]));
                 let handle = StatsHandle::new();
                 handle.attach_obs(&obs);
+                let (client, stats) = adaptive_client(
+                    &sc,
+                    db.clone(),
+                    spec.profile.preferences(),
+                    &Limits::unconstrained(),
+                    lopts.period_us,
+                    client_opts(&sc, &store, server_ids[i % server_ids.len()])
+                        .with_think_time(Some(think[i])),
+                    handle.clone(),
+                    &obs,
+                );
                 session_handles.insert(spec.id, handle.clone());
-                let client = Client::new(copts, handle.clone(), Some(adapt));
                 Box::new(AppActor::session(
                     spec.id,
                     arb_id,
@@ -456,7 +422,7 @@ pub fn run_storm_with_specs(
                     spec.rogue,
                     worker,
                     limits,
-                    stats,
+                    SandboxStats::new(lopts.monitor_window_us),
                 ))
             }
         };

@@ -35,8 +35,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use adapt_bench::arbiter::{bench_opts as opts, HOSTS};
 use adapt_core::PerfDb;
-use arbiter::{run_storm, AppState, StormOpts, StormReport};
+use arbiter::{run_storm, AppState, StormReport};
 use simnet::DrainMode;
 use visapp::model_db;
 
@@ -44,31 +45,8 @@ use visapp::model_db;
 const SWEEP: [usize; 6] = [8, 16, 32, 64, 128, 256];
 const FAST_SWEEP: [usize; 2] = [8, 32];
 
-/// Cluster hosts; the arrival rate below saturates them at the sweep's
-/// upper points.
-const HOSTS: usize = 4;
-
-/// Mean Poisson inter-arrival gap, microseconds.
-const MEAN_GAP_US: u64 = 10_000;
-
-/// One rogue app per this many (rogues ignore their envelope, so the
-/// policing ladder fires under load).
-const ROGUE_EVERY: usize = 6;
-
-const SEED: u64 = 42;
-
 /// Gold p99 must stay below this at every sweep point (seconds).
 const GOLD_P99_BOUND_S: f64 = 5.0;
-
-fn opts(apps: usize, drain: DrainMode) -> StormOpts {
-    let mut o = StormOpts::new(apps)
-        .with_seed(SEED)
-        .with_cluster_hosts(HOSTS)
-        .with_rogue_every(ROGUE_EVERY)
-        .with_drain_mode(drain);
-    o.mean_gap_us = MEAN_GAP_US;
-    o
-}
 
 struct Point {
     apps: usize,

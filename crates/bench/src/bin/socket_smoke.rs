@@ -17,54 +17,11 @@
 //! Exit status: 0 with the FNV digest of the decision sequence on
 //! stdout, 1 on divergence.
 
-use adapt_core::{Constraint, Objective, Preference, PreferenceList};
-use sandbox::{LimitSchedule, Limits};
-use simnet::SimTime;
-use visapp::{
-    build_db, decision_sequence, run_adaptive, run_adaptive_wired, socket_mirror_hook,
-    MirrorBackend, Scenario,
-};
-
-fn scenario() -> Scenario {
-    Scenario {
-        n_images: 30,
-        img_size: 64,
-        levels: 3,
-        monitor_window_us: 500_000,
-        trigger_gap_us: 200_000,
-        ..Scenario::default()
-    }
-}
-
-fn prefs() -> PreferenceList {
-    PreferenceList::single(Preference::new(
-        vec![Constraint::at_least("resolution", 3.0)],
-        Objective::minimize("transmit_time"),
-    ))
-}
-
-fn fnv64(lines: &[String]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use adapt_bench::socket::{decision_digest, smoke_session};
+use visapp::{decision_sequence, socket_mirror_hook, MirrorBackend};
 
 fn main() {
-    let sc = scenario();
-    let store = sc.build_store();
-    let start = Limits::cpu(0.05).with_net(60_000.0);
-    let schedule =
-        LimitSchedule::new().at(SimTime::from_secs(2), Limits::cpu(0.05).with_net(2_000.0));
-
-    let db = build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2);
-    let stock = run_adaptive(&sc, &store, db, prefs(), start, Some(schedule.clone()));
+    let stock = smoke_session(None);
     let reference = decision_sequence(&stock.stats);
 
     let mut failed = false;
@@ -76,9 +33,7 @@ fn main() {
                 continue;
             }
         };
-        let db = build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2);
-        let wired =
-            run_adaptive_wired(&sc, &store, db, prefs(), start, Some(schedule.clone()), hook);
+        let wired = smoke_session(Some(hook));
         let report = handle.finish();
         let wired_seq = decision_sequence(&wired.stats);
         if wired_seq != reference || wired.end != stock.end {
@@ -104,5 +59,5 @@ fn main() {
         std::process::exit(1);
     }
     assert!(reference.len() >= 2, "the scenario must exercise runtime adaptation");
-    println!("{:016x}", fnv64(&reference));
+    println!("{:016x}", decision_digest(&reference));
 }

@@ -22,8 +22,8 @@ use compress::Method;
 use sandbox::{LimitSchedule, Limits};
 use simnet::SimTime;
 use visapp::{
-    build_db, client_cpu_key, client_net_key, run_adaptive, run_static, ImageStore, RunStats,
-    Scenario, VizConfig, PROFILE_INPUT,
+    build_db, client_cpu_key, client_net_key, run_adaptive_shared, run_static, ImageStore,
+    RunStats, Scenario, VizConfig, PROFILE_INPUT,
 };
 
 /// The output of one adaptation experiment.
@@ -85,7 +85,8 @@ pub fn fig7a(
     ));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(cpu_share).with_net(lo_bps));
     let start = Limits::cpu(cpu_share).with_net(hi_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let adaptive =
+        run_adaptive_shared(sc, store, Arc::new(db), prefs, start, Some(schedule())).stats;
     let dr = sc.img_size / 2; // the scheduler's typical pick
     let mut static_runs = Vec::new();
     for method in [Method::Lzw, Method::Bzip] {
@@ -133,7 +134,8 @@ pub fn fig7b(
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(lo_share).with_net(fixed_bps));
     let start = Limits::cpu(hi_share).with_net(fixed_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let adaptive =
+        run_adaptive_shared(sc, store, Arc::new(db), prefs, start, Some(schedule())).stats;
     let mut static_runs = Vec::new();
     for (label, level) in [(format!("level {l_hi}"), l_hi), (format!("level {l_lo}"), l_lo)] {
         let cfg = VizConfig { dr: dr as usize, level: level as usize, method: Method::Lzw };
@@ -197,7 +199,8 @@ pub fn fig7cd(
     ));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(lo_share).with_net(fixed_bps));
     let start = Limits::cpu(hi_share).with_net(fixed_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let adaptive =
+        run_adaptive_shared(sc, store, Arc::new(db), prefs, start, Some(schedule())).stats;
     let mut static_runs = Vec::new();
     for dr in [dr_big, dr_small] {
         let cfg = VizConfig { dr: dr as usize, level: level as usize, method: Method::Lzw };

@@ -15,7 +15,7 @@ use adapt_core::{Configuration, Constraint, Objective, Preference, PreferenceLis
 use compress::Method;
 use sandbox::Limits;
 use visapp::{
-    build_db, run_adaptive, run_static, ImageStore, LoadSpec, RunStats, Scenario, VizConfig,
+    build_db, run_adaptive_shared, run_static, ImageStore, LoadSpec, RunStats, Scenario, VizConfig,
 };
 
 use crate::figs::profiles::Series;
@@ -96,8 +96,15 @@ pub fn extload(
         Objective::maximize("resolution"),
     ))
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
-    let adaptive =
-        run_adaptive(&loaded, store, db, prefs, Limits::cpu(1.0).with_net(500_000.0), None).stats;
+    let adaptive = run_adaptive_shared(
+        &loaded,
+        store,
+        Arc::new(db),
+        prefs,
+        Limits::cpu(1.0).with_net(500_000.0),
+        None,
+    )
+    .stats;
     let static_fine = run_static(
         &loaded,
         store,

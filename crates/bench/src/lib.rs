@@ -18,8 +18,10 @@
 //! | 7(b) Experiment 2: adapt resolution | `figs::adaptation::fig7b` |
 //! | 7(c,d) Experiment 3: adapt fovea size | `figs::adaptation::fig7cd` |
 
+pub mod arbiter;
 pub mod figs;
 pub mod load;
+pub mod socket;
 pub mod toy;
 
 /// Print a simple aligned table.

@@ -1,0 +1,64 @@
+//! The committed digests are behavioural contracts. The opt-in
+//! `CI_BENCH=1` gate regenerates whole BENCH files; this test pins the
+//! cheap rows of each in tier-1, through the same option builders the
+//! bench binaries use, so a refactor that moves one bit fails `cargo
+//! test` rather than a nightly.
+
+use std::sync::Arc;
+
+use adapt_bench::socket::{decision_digest, smoke_session};
+use simnet::DrainMode;
+use visapp::{decision_sequence, model_db, run_load, socket_mirror_hook, MirrorBackend};
+
+#[test]
+fn bench_load_digests_are_pinned() {
+    // BENCH_load.json, `deterministic.sweep[].digest`.
+    let pinned = [
+        (1usize, 0xdfcd_20c7_ac69_2672_u64),
+        (10, 0x7361_551e_1ed7_e8fb),
+        (100, 0xa2bc_bcf4_6c88_c4ce),
+    ];
+    let db = Arc::new(model_db(&adapt_bench::load::bench_opts(1)));
+    for (sessions, digest) in pinned {
+        let got = run_load(&adapt_bench::load::bench_opts(sessions), &db).digest();
+        assert_eq!(got, digest, "{sessions} sessions: {got:016x}");
+    }
+}
+
+#[test]
+fn bench_arbiter_digests_are_pinned() {
+    // BENCH_arbiter.json, `deterministic.sweep[].digest`.
+    let pinned = [
+        (8usize, 0xd43d_c384_96de_7923_u64),
+        (16, 0x4f94_0ae2_03e1_782a),
+        (32, 0xa73b_3fa9_88b8_b84b),
+    ];
+    let opts = |apps| adapt_bench::arbiter::bench_opts(apps, DrainMode::Batched);
+    let db = Arc::new(model_db(&opts(8).load_opts()));
+    for (apps, digest) in pinned {
+        let got = arbiter::run_storm(&opts(apps), &db).digest();
+        assert_eq!(got, digest, "{apps} apps: {got:016x}");
+    }
+}
+
+#[test]
+fn socket_smoke_decision_digest_is_pinned_and_matches_its_simnet_twin() {
+    // What `socket_smoke` prints (and CI compares across SIMNET_THREADS).
+    const PINNED: u64 = 0x0e1a_884c_0669_1ccc;
+    let stock = smoke_session(None);
+    let got = decision_digest(&decision_sequence(&stock.stats));
+    assert_eq!(got, PINNED, "simnet: {got:016x}");
+
+    let (hook, handle) = match socket_mirror_hook(MirrorBackend::Tcp) {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("tcp twin skipped: {e}");
+            return;
+        }
+    };
+    let wired = smoke_session(Some(hook));
+    handle.finish();
+    let got = decision_digest(&decision_sequence(&wired.stats));
+    assert_eq!(got, PINNED, "tcp: {got:016x}");
+    assert_eq!(wired.end, stock.end);
+}

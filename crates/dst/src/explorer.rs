@@ -2,13 +2,13 @@
 //! through the fault space, checking every oracle, cross-checking drain
 //! modes, and shrinking failures to minimal repros.
 
-use visapp::load::SplitMix64;
+use simnet::det::{Fnv64, SplitMix64};
 
 use crate::oracle::Violation;
 use crate::repro::Repro;
 use crate::shrink::{self, ShrinkResult};
 use crate::space::{FaultSpace, TrialPlan};
-use crate::trial::{Fnv, TrialContext};
+use crate::trial::TrialContext;
 
 /// Explorer configuration.
 #[derive(Debug, Clone)]
@@ -105,7 +105,7 @@ impl Explorer {
     pub fn run(&self, ctx: &TrialContext) -> ExploreReport {
         let o = &self.opts;
         let mut seeds = SplitMix64::new(o.master_seed);
-        let mut digest = Fnv::new();
+        let mut digest = Fnv64::new();
         let mut failures: Vec<Failure> = Vec::new();
         let mut trials_run = 0;
         for i in 0..o.trials {

@@ -4,8 +4,7 @@
 //! The expensive inputs — image store, profiled performance database,
 //! preference list — depend only on the base geometry, not on the plan,
 //! so one [`TrialContext`] is built per explorer run and shared by every
-//! trial (the database clones structurally; clones share the query
-//! index).
+//! trial (the database behind one `Arc`).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -13,9 +12,10 @@ use std::sync::Arc;
 use adapt_core::{Constraint, Objective, PerfDb, Preference, PreferenceList, RefineEngine};
 use arbiter::{AppState, StormOpts};
 use sandbox::{LimitSchedule, Limits};
+use simnet::det::Fnv64;
 use simnet::{DrainMode, ExplorePlan, SimTime};
 use visapp::{
-    build_db, model_db, run_adaptive_until, BreakerOpts, ImageStore, RunOutcome, Scenario,
+    build_db, model_db, run_session, BreakerOpts, Driver, ImageStore, RunOutcome, Scenario,
     PROFILE_INPUT,
 };
 
@@ -115,7 +115,7 @@ const STORM_HOSTS: usize = 2;
 pub struct TrialContext {
     base: Scenario,
     store: Arc<ImageStore>,
-    db: PerfDb,
+    db: Arc<PerfDb>,
     prefs: PreferenceList,
     decisions: DecisionContext,
     /// Shared pricing database for overload-axis storm trials (analytic
@@ -143,7 +143,7 @@ impl TrialContext {
             ..Scenario::default()
         };
         let store = base.build_store();
-        let db = build_db(&base, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 1);
+        let db = Arc::new(build_db(&base, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 1));
         // Minimizing *per-round* response time steers the scheduler toward
         // small fovea increments, so images take several request/reply
         // rounds. Multi-round images are what give late duplicate replies
@@ -227,14 +227,14 @@ impl TrialContext {
         let schedule = LimitSchedule::new()
             .at(SimTime::from_secs(1), Limits::cpu(0.05).with_net(2_000.0))
             .at(SimTime::from_secs(3), Limits::cpu(0.05).with_net(60_000.0));
-        let out = run_adaptive_until(
+        let out = run_session(
             &sc,
             &self.store,
-            self.db.clone(),
-            self.prefs.clone(),
+            Driver::Adaptive(self.db.clone(), self.prefs.clone()),
             Limits::cpu(0.05).with_net(60_000.0),
             Some(schedule),
-            SimTime::from_secs(TRIAL_HORIZON_SECS),
+            Some(SimTime::from_secs(TRIAL_HORIZON_SECS)),
+            None,
         );
         let digest = digest_outcome(&out);
         // Drift-armed plans fold the run through the refine engine
@@ -242,7 +242,7 @@ impl TrialContext {
         // the bus the `model_drift` oracle reads. Detection only: the
         // trial never re-profiles, it just witnesses the alarm.
         if plan.drift_threshold_x1000 > 0 {
-            let mut engine = RefineEngine::from_db(self.db.clone(), PROFILE_INPUT);
+            let mut engine = RefineEngine::new(obs::Adaptive::new(self.db.clone()), PROFILE_INPUT);
             engine.set_threshold(plan.drift_threshold_x1000 as f64 / 1000.0);
             engine.set_min_streak(DRIFT_MIN_STREAK);
             engine.set_obs(&out.obs);
@@ -298,7 +298,7 @@ impl Default for TrialContext {
 /// and the end time. Floats are deliberately excluded so the digest is
 /// exact.
 pub fn digest_outcome(out: &RunOutcome) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     let rounds = obs::EventFilter::any().source(obs::Source::App).kind("round");
     for ev in out.obs.events_filtered(&rounds) {
         h.write_u64(ev.at_us);
@@ -322,62 +322,4 @@ pub fn digest_outcome(out: &RunOutcome) -> u64 {
     h.write_u64(out.stats.dup_replies_dropped);
     h.write_u64(out.end.as_us());
     h.finish()
-}
-
-/// Minimal FNV-1a 64 hasher (no external deps; stable across platforms).
-pub struct Fnv(u64);
-
-impl Fnv {
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub fn write_str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        // Length terminator so "ab"+"c" != "a"+"bc".
-        self.write_u64(s.len() as u64);
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_order_sensitive() {
-        let mut a = Fnv::new();
-        a.write_u64(1);
-        a.write_u64(2);
-        let mut b = Fnv::new();
-        b.write_u64(2);
-        b.write_u64(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.write_str("ab");
-        c.write_str("c");
-        let mut d = Fnv::new();
-        d.write_str("a");
-        d.write_str("bc");
-        assert_ne!(c.finish(), d.finish());
-    }
 }

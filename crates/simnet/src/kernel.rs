@@ -32,6 +32,7 @@ use rand::{Rng, SeedableRng};
 use crate::accounting::{Accounting, Dir, Snapshot, Transfer};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
+use crate::det::SplitMix64;
 use crate::fault::DropReason;
 use crate::link::{FlowSched, Link, LinkMode};
 use crate::message::Message;
@@ -295,36 +296,6 @@ impl std::hash::Hasher for TimeHasher {
     }
 }
 
-/// SplitMix64 for the explore-mode perturbation streams. Self-contained
-/// (no `rand` involvement) so committed exploration baselines cannot
-/// drift with a crate upgrade — the same property the load generator's
-/// seeded streams rely on.
-#[derive(Debug, Clone, Copy)]
-struct Mix64(u64);
-
-impl Mix64 {
-    fn new(seed: u64) -> Self {
-        Mix64(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`; `0` when `n == 0`.
-    fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
-
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
         self.t == other.t && self.seq == other.seq
@@ -359,7 +330,7 @@ pub struct Sim {
     /// Drained, empty buckets kept for reuse (capacity recycling).
     spare_buckets: Vec<VecDeque<Queued>>,
     /// Explore-mode timer-skew stream (advanced once per timer push).
-    explore_rng: Mix64,
+    explore_rng: SplitMix64,
     /// Explore-mode batches drained so far (salts per-batch permutation).
     explore_batches: u64,
     queue_len: usize,
@@ -432,7 +403,7 @@ impl Sim {
             times: BinaryHeap::new(),
             buckets: HashMap::default(),
             spare_buckets: Vec::new(),
-            explore_rng: Mix64::new(0),
+            explore_rng: SplitMix64::new(0),
             explore_batches: 0,
             queue_len: 0,
             peak_queue_depth: 0,
@@ -1003,7 +974,7 @@ impl Sim {
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
         assert!(self.is_idle(), "set_drain_mode requires an empty event queue");
         if let DrainMode::Explore(plan) = mode {
-            self.explore_rng = Mix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000);
+            self.explore_rng = SplitMix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000);
             self.explore_batches = 0;
         }
         self.mode = mode;
@@ -1084,7 +1055,7 @@ impl Sim {
                 // Per-batch stream: keyed by (plan seed, timestamp, batch
                 // ordinal) so the permutation of one batch is independent
                 // of how many events earlier batches held.
-                let mut rng = Mix64::new(
+                let mut rng = SplitMix64::new(
                     plan.seed ^ t.as_us().rotate_left(17) ^ self.explore_batches.rotate_left(41),
                 );
                 let slice = batch.make_contiguous();

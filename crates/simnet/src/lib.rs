@@ -63,6 +63,7 @@
 pub mod accounting;
 pub mod actor;
 pub mod cpu;
+pub mod det;
 pub mod fault;
 pub mod kernel;
 pub mod link;

@@ -380,8 +380,13 @@ impl Client {
     /// - `<prefix>.breaker.failure_threshold`, `<prefix>.breaker.recovery_timeout_us`
     ///   (u64) plus a `ResetBreaker` target at `<prefix>.breaker` — only
     ///   when a breaker is armed
+    /// - the adaptive runtime's own knobs (`steering.min_dwell_us`,
+    ///   `scheduler.prefs`, unprefixed) — only on an adaptive client
     pub fn register_control(&self, prefix: &str, router: &CommandRouter) {
         let reg = router.registry();
+        if let Some(a) = &self.adapt {
+            a.runtime.register_knobs(reg);
+        }
         reg.register_knob(
             format!("{prefix}.retry.multiplier"),
             FnKnob::new(

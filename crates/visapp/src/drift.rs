@@ -21,7 +21,7 @@ use adapt_core::refine::{DriftAlarm, RefineEngine, SwapReport};
 use adapt_core::{Objective, Preference, PreferenceList};
 use sandbox::Limits;
 
-use crate::scenario::{build_db, profile_point, run_adaptive_shared, Scenario, PROFILE_INPUT};
+use crate::scenario::{build_db, profile_runner, run_adaptive_shared, Scenario, PROFILE_INPUT};
 
 /// Storm shape: how many epochs, when and how hard the link skews, and
 /// the refine engine's gates.
@@ -159,14 +159,7 @@ pub fn run_drift_storm(sc: &Scenario, opts: &DriftStormOpts) -> DriftStormReport
             // Re-profile against the environment as it is NOW (skewed):
             // that is the whole point — the refreshed slice models the
             // world, not the stale profile.
-            let prof_sc =
-                Scenario { n_images: 2.min(live.n_images), verify: false, ..live.clone() };
-            let prof_store = store.clone();
-            let runner =
-                move |c: &adapt_core::Configuration, r: &adapt_core::ResourceVector, _i: &str| {
-                    profile_point(&prof_sc, &prof_store, c, r)
-                };
-            engine.reprofile(out.end.as_us(), &runner)
+            engine.reprofile(out.end.as_us(), &profile_runner(&live, &store))
         };
         points_reprofiled += swaps.iter().map(|s| s.points).sum::<usize>();
         epochs.push(EpochReport {

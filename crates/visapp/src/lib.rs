@@ -16,9 +16,12 @@
 //! - [`resilience`]: retry backoff and the circuit breaker that keep the
 //!   client live over lossy links and across server crashes;
 //! - [`stats`]: measured QoS records;
-//! - [`scenario`]: full deployments (static/adaptive), the profiling
-//!   runner, and performance-database construction — the basis of every
-//!   reproduced figure;
+//! - [`scenario`]: the one session runner ([`run_session`], static or
+//!   adaptive by its [`Driver`]), the one adaptive-session recipe
+//!   ([`adaptive_client`]) the load generator and the arbiter storm also
+//!   build their sessions with, the profiling runner, and
+//!   performance-database construction — the basis of every reproduced
+//!   figure;
 //! - [`user_model`]: synthetic fovea behavior;
 //! - [`wire`], [`socket`]: the protocol's byte-level codec and the
 //!   socket-mirror harness that replays a session over real loopback
@@ -45,10 +48,10 @@ pub use load::{
 };
 pub use resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
 pub use scenario::{
-    build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key, profile_point,
-    run_adaptive, run_adaptive_shared, run_adaptive_until, run_adaptive_wired, run_competing,
-    run_static, run_static_until, viz_spec, CommandAt, LoadSpec, RunOutcome, Scenario, CLIENT_HOST,
-    PROFILE_INPUT, SERVER_HOST,
+    adaptive_client, build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key,
+    client_opts, profile_point, run_adaptive_shared, run_competing, run_session, run_static,
+    viz_spec, CommandAt, Driver, LoadSpec, RunOutcome, Scenario, CLIENT_HOST, PROFILE_INPUT,
+    SERVER_HOST,
 };
 pub use server::{Reporter, Server};
 pub use socket::{
@@ -67,9 +70,9 @@ pub mod prelude {
     };
     pub use crate::resilience::{BreakerOpts, BreakerState, RetryPolicy};
     pub use crate::scenario::{
-        build_db, client_cpu_key, client_net_key, profile_point, run_adaptive, run_adaptive_until,
-        run_adaptive_wired, run_competing, run_static, run_static_until, CommandAt, LoadSpec,
-        RunOutcome, Scenario, CLIENT_HOST, PROFILE_INPUT, SERVER_HOST,
+        build_db, client_cpu_key, client_net_key, profile_point, run_adaptive_shared,
+        run_competing, run_session, run_static, CommandAt, Driver, LoadSpec, RunOutcome, Scenario,
+        CLIENT_HOST, PROFILE_INPUT, SERVER_HOST,
     };
     pub use crate::server::Server;
     pub use crate::socket::{decision_sequence, socket_mirror_hook, MirrorBackend};

@@ -6,14 +6,16 @@
 //! scenarios cannot: how the event kernel behaves when hundreds of
 //! monitors tick on the same 10 ms grid (the batched drain path in
 //! [`simnet::kernel`]), and how memory grows when every session carries
-//! its own [`AdaptiveRuntime`] but all of them share one interned
-//! [`PerfDb`] behind an [`Arc`] (via
-//! [`ResourceScheduler::new_shared`]).
+//! its own [`adapt_core::AdaptiveRuntime`] but all of them share one
+//! interned [`PerfDb`] behind an [`Arc`] (via
+//! [`adapt_core::ResourceScheduler::new_shared`]).
 //!
 //! Determinism: everything — arrival times, think times, per-session QoS
-//! profiles — derives from [`LoadGenOpts::seed`] through the workspace's
-//! seeded RNG, and the simulation itself consults no wall clock. Two runs
-//! with the same options produce byte-identical [`LoadReport::digest`]s.
+//! profiles — derives from [`LoadGenOpts::seed`] through
+//! [`SplitMix64`] (not the `rand` crate: the committed `BENCH_load.json`
+//! baseline must stay comparable across builds), and the simulation
+//! itself consults no wall clock. Two runs with the same options produce
+//! byte-identical [`LoadReport::digest`]s.
 //!
 //! Aggregate observability rides the shared [`Obs`] bus:
 //!
@@ -28,56 +30,18 @@
 use std::sync::Arc;
 
 use adapt_core::{
-    AdaptiveRuntime, Constraint, Objective, PerfDb, Preference, PreferenceList, Profiler,
-    QosReport, ResourceGrid, ResourceScheduler, ResourceVector, MONITOR_PERIOD_US,
+    Constraint, Objective, PerfDb, Preference, PreferenceList, Profiler, QosReport, ResourceGrid,
+    ResourceVector, MONITOR_PERIOD_US,
 };
 use obs::{Event, MetricId, Obs, Source};
-use sandbox::{Limits, LimitsHandle, SandboxStats, Sandboxed};
+use sandbox::{Limits, LimitsHandle, Sandboxed};
+use simnet::det::{Fnv64, SplitMix64};
 use simnet::{Actor, Ctx, DrainMode, Sim, SimTime};
 
-use crate::client::{AdaptSetup, Client, ClientOpts, VizConfig};
-use crate::scenario::{client_cpu_key, client_net_key, viz_spec, Scenario, PROFILE_INPUT};
+use crate::scenario::{
+    adaptive_client, client_cpu_key, client_net_key, client_opts, viz_spec, Scenario, PROFILE_INPUT,
+};
 use crate::stats::StatsHandle;
-use crate::user_model::UserModel;
-
-/// Self-contained splitmix64 stream. The load mix (arrivals, think
-/// times, profile assignment) deliberately does *not* use the `rand`
-/// crate: the committed `BENCH_load.json` baseline must stay comparable
-/// across builds, and an external crate's stream is free to change
-/// between versions.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi]` (inclusive). The modulo bias is irrelevant
-    /// at think-time ranges (~2^16 out of 2^64).
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            lo
-        } else {
-            lo + self.next_u64() % (hi - lo + 1)
-        }
-    }
-}
 
 /// How session start times are laid out.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -356,28 +320,20 @@ impl LoadReport {
     /// drain strategy (a sharded run's peak is the sum of per-shard
     /// peaks), not the computation.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         for s in &self.sessions {
-            mix(s.session as u64);
-            mix(s.arrival_us);
-            mix(s.think_time_us);
-            mix(s.finished_us.map_or(u64::MAX, |t| t));
-            mix(s.rounds);
-            mix(s.images);
-            mix(s.switches);
-            mix(s.wire_bytes);
+            h.write_u64(s.session as u64);
+            h.write_u64(s.arrival_us);
+            h.write_u64(s.think_time_us);
+            h.write_u64(s.finished_us.map_or(u64::MAX, |t| t));
+            h.write_u64(s.rounds);
+            h.write_u64(s.images);
+            h.write_u64(s.switches);
+            h.write_u64(s.wire_bytes);
         }
-        mix(self.end.as_us());
-        mix(self.events_handled);
-        h
+        h.write_u64(self.end.as_us());
+        h.write_u64(self.events_handled);
+        h.finish()
     }
 }
 
@@ -454,14 +410,14 @@ impl Actor for LoadWatcher {
 /// the per-run `Obs` rides inside it.
 ///
 /// The database is taken by `Arc` and **shared** into every session's
-/// scheduler ([`ResourceScheduler::new_shared`]) — memory for the
+/// scheduler ([`adapt_core::ResourceScheduler::new_shared`]) — memory for the
 /// performance data is O(1) in the session count, which
 /// `bench/load_bench` demonstrates against the O(N) per-session-clone
 /// alternative.
 pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     assert!(opts.sessions > 0, "need at least one session");
     assert!(!opts.profiles.is_empty(), "need at least one QoS profile");
-    let sc = opts.scenario();
+    let sc = Arc::new(opts.scenario());
     sc.validate().expect("invalid load scenario");
     let store = sc.build_store();
     let obs = Obs::new();
@@ -501,49 +457,23 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
         // Session state is built lazily at its arrival time, inside the
         // simulation: the runtime's initial scheduler decision happens
         // "on admission", exactly like a real session joining the pool.
-        let spec = viz_spec(&sc);
+        let sc = sc.clone();
         let db = db.clone();
         let obs_c = obs.clone();
         let store_c = store.clone();
         let prefs = profiles[i].preferences();
         let server_id = server_ids[i % server_ids.len()];
-        let (think_us, window, gap, period) =
-            (think[i], opts.monitor_window_us, opts.trigger_gap_us, opts.period_us);
-        let (n_images, img_size, link_bps) = (opts.n_images, opts.img_size, opts.link_bps);
+        let (think_us, period) = (think[i], opts.period_us);
         // Pinned to the client host so a sharded run builds the session on
         // the shard that owns it.
         sim.at_on(hc, SimTime::from_us(arrivals[i]), move |s| {
-            let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-            let mut start = ResourceVector::default();
-            start.set(client_cpu_key(), 1.0);
-            start.set(client_net_key(), link_bps);
-            let mut runtime = AdaptiveRuntime::try_configure(spec, scheduler, window, &start)
-                .unwrap_or_else(|e| panic!("session {i}: initial configuration failed: {e}"));
-            runtime.set_obs(&obs_c);
-            runtime.monitor.min_trigger_gap_us = gap;
-            let initial = VizConfig::from_configuration(runtime.current());
-            let sandbox_stats = SandboxStats::new(window);
-            let adapt = AdaptSetup {
-                runtime,
-                sandbox_stats: sandbox_stats.clone(),
-                cpu_key: client_cpu_key(),
-                net_key: client_net_key(),
-                period_us: period,
-            };
-            let copts = ClientOpts::new(server_id)
-                .with_n_images(n_images)
-                .with_initial(initial)
-                .with_user(UserModel::center(img_size, img_size))
-                .with_geometry(store_c.cover_radius(), store_c.dims(), store_c.levels())
-                .with_think_time(Some(think_us));
-            let client = Client::new(copts, handle, Some(adapt));
+            let unconstrained = Limits::unconstrained();
+            let copts = client_opts(&sc, &store_c, server_id).with_think_time(Some(think_us));
+            let (client, sandbox_stats) =
+                adaptive_client(&sc, db, prefs, &unconstrained, period, copts, handle, &obs_c);
             s.spawn(
                 hc,
-                Box::new(Sandboxed::new(
-                    client,
-                    LimitsHandle::new(Limits::unconstrained()),
-                    sandbox_stats,
-                )),
+                Box::new(Sandboxed::new(client, LimitsHandle::new(unconstrained), sandbox_stats)),
             );
             obs_c.publish(
                 Event::new(s.now().as_us(), Source::Load, "session_start").with("session", i),

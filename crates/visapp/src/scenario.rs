@@ -3,8 +3,9 @@
 //! runner that populates the performance database.
 //!
 //! This is the experiment harness layer: Figures 4-7 are all produced by
-//! composing [`run_static`], [`run_adaptive`], and [`build_db`] with
-//! different parameters and resource schedules.
+//! composing [`run_session`] (through its fronts [`run_static`] and
+//! [`run_adaptive_shared`]) and [`build_db`] with different parameters
+//! and resource schedules.
 
 use std::sync::Arc;
 
@@ -293,34 +294,53 @@ pub struct RunOutcome {
     pub control: CommandRouter,
 }
 
-/// Debug hooks: `VISAPP_EVENT_LIMIT=<n>` installs a runaway-loop backstop,
-/// `VISAPP_TRACE=1` enables kernel tracing (printed on the backstop panic).
-fn apply_debug_env(sim: &mut Sim) {
-    if let Ok(v) = std::env::var("VISAPP_EVENT_LIMIT") {
-        if let Ok(n) = v.parse::<u64>() {
-            sim.set_event_limit(Some(n));
-        }
-    }
-    if std::env::var("VISAPP_TRACE").is_ok_and(|v| v == "1") {
-        sim.trace.set_enabled(true);
-    }
-}
-
 /// The scenario's client options against `server_id` (builder form).
-fn client_opts(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    server_id: simnet::ActorId,
-    config: VizConfig,
-) -> ClientOpts {
+pub fn client_opts(sc: &Scenario, store: &ImageStore, server_id: simnet::ActorId) -> ClientOpts {
     ClientOpts::new(server_id)
         .with_n_images(sc.n_images)
-        .with_initial(config)
         .with_user(UserModel::center(sc.img_size, sc.img_size))
         .with_geometry(store.cover_radius(), store.dims(), store.levels())
         .with_request_timeout(sc.request_timeout_us)
         .with_retry(sc.retry)
         .with_breaker(sc.breaker)
+}
+
+/// The one adaptive-session recipe: scheduler over the shared database →
+/// initial decision at the resources `start` grants (what admission
+/// control / reservation would have granted) → monitoring runtime →
+/// client. Returns the client and the sandbox progress estimates its
+/// monitor reads; the caller wraps both in the sandbox it runs under.
+/// [`run_session`], the load generator and the arbiter storm all build
+/// their sessions here.
+#[allow(clippy::too_many_arguments)]
+pub fn adaptive_client(
+    sc: &Scenario,
+    db: Arc<PerfDb>,
+    prefs: PreferenceList,
+    start: &Limits,
+    period_us: u64,
+    opts: ClientOpts,
+    stats: StatsHandle,
+    obs: &Obs,
+) -> (Client, SandboxStats) {
+    let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
+    let mut resources = ResourceVector::default();
+    resources.set(client_cpu_key(), start.cpu_share.unwrap_or(1.0));
+    resources.set(client_net_key(), start.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps));
+    let mut runtime =
+        AdaptiveRuntime::try_configure(viz_spec(sc), scheduler, sc.monitor_window_us, &resources)
+            .unwrap_or_else(|e| panic!("initial configuration failed: {e}"));
+    runtime.set_obs(obs);
+    runtime.monitor.min_trigger_gap_us = sc.trigger_gap_us;
+    let sandbox_stats = SandboxStats::new(sc.monitor_window_us);
+    let adapt = AdaptSetup {
+        runtime,
+        sandbox_stats: sandbox_stats.clone(),
+        cpu_key: client_cpu_key(),
+        net_key: client_net_key(),
+        period_us,
+    };
+    (Client::new(opts, stats, Some(adapt)), sandbox_stats)
 }
 
 /// Install the scenario's scheduled control commands: each dispatches
@@ -335,17 +355,12 @@ fn install_commands(sim: &mut Sim, router: &CommandRouter, commands: &[CommandAt
     }
 }
 
-fn assemble(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    config: VizConfig,
-    limits: LimitsHandle,
-    stats_handle: &StatsHandle,
-    adapt: Option<AdaptSetup>,
-    obs: &Obs,
-) -> (Sim, CommandRouter) {
+/// The one client/server topology: [`CLIENT_HOST`] and [`SERVER_HOST`],
+/// the link between them with its mode, loss and fault plan, and the
+/// server, bandwidth-capped through its own sandbox when the scenario
+/// says so. Clients are the caller's to spawn.
+fn topology(sc: &Scenario, store: &Arc<ImageStore>, obs: &Obs) -> (Sim, simnet::ActorId) {
     sc.validate().expect("invalid scenario");
-    stats_handle.attach_obs(obs);
     let mut sim = Sim::new();
     sim.set_drain_mode(sc.drain_mode);
     sim.attach_obs(obs);
@@ -361,8 +376,6 @@ fn assemble(
     if let Some(plan) = &sc.fault_plan {
         plan.install(&mut sim);
     }
-
-    // Server, optionally bandwidth-capped via its own sandbox.
     let server = Server::new(store.clone()).with_obs(obs);
     let server_id = match sc.server_net_cap {
         Some(cap) => {
@@ -371,29 +384,83 @@ fn assemble(
         }
         None => sim.spawn(hs, Box::new(server)),
     };
-
-    let opts = client_opts(sc, store, server_id, config).with_verify_store(if sc.verify {
-        Some(store.clone())
-    } else {
-        None
-    });
-    let router = CommandRouter::new(ConfigRegistry::new()).with_obs(obs);
-    if let Some(a) = &adapt {
-        a.runtime.register_knobs(router.registry());
-    }
-    let client = Client::new(opts, stats_handle.clone(), adapt);
-    client.register_control("client", &router);
-    sim.spawn(
-        hc,
-        Box::new(Sandboxed::new(client, limits, SandboxStats::new(sc.monitor_window_us))),
-    );
-    install_loads(&mut sim, hc, &sc.competing_load);
-    install_commands(&mut sim, &router, &sc.commands);
-    (sim, router)
+    (sim, server_id)
 }
 
-/// Run a fixed (non-adaptive) configuration. `schedule` varies the
-/// client's virtual-execution-environment limits over time.
+/// What configures the client of a [`run_session`].
+pub enum Driver {
+    /// One configuration for the whole run.
+    Fixed(VizConfig),
+    /// Performance database + preferences drive run-time reconfiguration.
+    /// The scheduler prices against exactly the `Arc` handed in (no
+    /// record clone), so a refine loop can hand each epoch its current,
+    /// possibly hot-swapped, database.
+    Adaptive(Arc<PerfDb>, PreferenceList),
+}
+
+/// Run one client session against one server: the single body behind
+/// every single-session experiment. `schedule` varies the client's
+/// virtual-execution-environment limits over time. `until` stops the
+/// simulation at a horizon even when events remain — chaos and
+/// simulation-test runs need it: against a peer that crashed and never
+/// restarts, the client's breaker probes re-arm forever, so the event
+/// queue never drains on its own. `wire` interposes a
+/// [`simnet::WireHook`] on every transmitted message; a hook that returns
+/// its input verbatim reproduces the unhooked run exactly, which is how
+/// the socket-mirror harness (`crate::socket`) proves a real loopback
+/// connection leaves the decision sequence unchanged.
+pub fn run_session(
+    sc: &Scenario,
+    store: &Arc<ImageStore>,
+    driver: Driver,
+    initial_limits: Limits,
+    schedule: Option<LimitSchedule>,
+    until: Option<SimTime>,
+    wire: Option<simnet::WireHook>,
+) -> RunOutcome {
+    let obs = Obs::new();
+    let stats_handle = StatsHandle::new();
+    stats_handle.attach_obs(&obs);
+    let (mut sim, server_id) = topology(sc, store, &obs);
+    sim.set_wire_hook(wire);
+    let opts = client_opts(sc, store, server_id);
+    let (client, sandbox_stats) = match driver {
+        Driver::Fixed(config) => {
+            let opts =
+                opts.with_initial(config).with_verify_store(sc.verify.then(|| store.clone()));
+            (Client::new(opts, stats_handle.clone(), None), SandboxStats::new(sc.monitor_window_us))
+        }
+        Driver::Adaptive(db, prefs) => {
+            assert!(!sc.verify, "verification requires a fixed configuration");
+            adaptive_client(
+                sc,
+                db,
+                prefs,
+                &initial_limits,
+                MONITOR_PERIOD_US,
+                opts,
+                stats_handle.clone(),
+                &obs,
+            )
+        }
+    };
+    let control = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
+    client.register_control("client", &control);
+    let limits = LimitsHandle::new(initial_limits);
+    sim.spawn(CLIENT_HOST, Box::new(Sandboxed::new(client, limits.clone(), sandbox_stats)));
+    install_loads(&mut sim, CLIENT_HOST, &sc.competing_load);
+    install_commands(&mut sim, &control, &sc.commands);
+    if let Some(sched) = schedule {
+        sched.install(&mut sim, &limits);
+    }
+    match until {
+        Some(horizon) => sim.run_until(horizon),
+        None => sim.run_until_idle(),
+    }
+    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+}
+
+/// Run a fixed (non-adaptive) configuration to completion.
 pub fn run_static(
     sc: &Scenario,
     store: &Arc<ImageStore>,
@@ -401,59 +468,11 @@ pub fn run_static(
     initial_limits: Limits,
     schedule: Option<LimitSchedule>,
 ) -> RunOutcome {
-    let obs = Obs::new();
-    let stats_handle = StatsHandle::new();
-    let limits = LimitsHandle::new(initial_limits);
-    let (mut sim, control) = assemble(sc, store, config, limits.clone(), &stats_handle, None, &obs);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    sim.run_until_idle();
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    run_session(sc, store, Driver::Fixed(config), initial_limits, schedule, None, None)
 }
 
-/// Like [`run_static`] but stops the simulation at `horizon` even when
-/// events remain. Chaos runs need this: against a peer that crashed and
-/// never restarts, the client's breaker probes re-arm forever, so the
-/// event queue never drains on its own.
-pub fn run_static_until(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    config: VizConfig,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-    horizon: SimTime,
-) -> RunOutcome {
-    let obs = Obs::new();
-    let stats_handle = StatsHandle::new();
-    let limits = LimitsHandle::new(initial_limits);
-    let (mut sim, control) = assemble(sc, store, config, limits.clone(), &stats_handle, None, &obs);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    sim.run_until(horizon);
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
-}
-
-/// Run the adaptive application: performance database + preferences drive
-/// run-time reconfiguration while `schedule` varies resources.
-pub fn run_adaptive(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    db: PerfDb,
-    prefs: PreferenceList,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-) -> RunOutcome {
-    run_adaptive_inner(sc, store, Arc::new(db), prefs, initial_limits, schedule, None, None)
-}
-
-/// Like [`run_adaptive`] but over a shared database snapshot: no record
-/// clone, the scheduler prices against exactly the `Arc` handed in. The
-/// refine epoch loop (`crate::drift`) uses this so each epoch runs
-/// against the engine's current (possibly hot-swapped) database.
+/// Run the adaptive application to completion over a shared database
+/// snapshot.
 pub fn run_adaptive_shared(
     sc: &Scenario,
     store: &Arc<ImageStore>,
@@ -462,124 +481,7 @@ pub fn run_adaptive_shared(
     initial_limits: Limits,
     schedule: Option<LimitSchedule>,
 ) -> RunOutcome {
-    run_adaptive_inner(sc, store, db, prefs, initial_limits, schedule, None, None)
-}
-
-/// Like [`run_adaptive`], but with a [`simnet::WireHook`] interposed on
-/// every transmitted message. A hook that returns its input verbatim
-/// reproduces [`run_adaptive`] exactly; the socket-mirror harness
-/// (`crate::socket`) uses this to detour each message through a real
-/// loopback connection and prove the decision sequence is unchanged.
-pub fn run_adaptive_wired(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    db: PerfDb,
-    prefs: PreferenceList,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-    wire: simnet::WireHook,
-) -> RunOutcome {
-    run_adaptive_inner(sc, store, Arc::new(db), prefs, initial_limits, schedule, None, Some(wire))
-}
-
-/// Like [`run_adaptive`] but stops the simulation at `horizon` even when
-/// events remain. The simulation-test explorer needs this for crash
-/// trials: against a peer that never restarts, breaker probes re-arm
-/// forever and the queue never drains on its own.
-pub fn run_adaptive_until(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    db: PerfDb,
-    prefs: PreferenceList,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-    horizon: SimTime,
-) -> RunOutcome {
-    run_adaptive_inner(
-        sc,
-        store,
-        Arc::new(db),
-        prefs,
-        initial_limits,
-        schedule,
-        Some(horizon),
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_inner(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    db: Arc<PerfDb>,
-    prefs: PreferenceList,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-    horizon: Option<SimTime>,
-    wire: Option<simnet::WireHook>,
-) -> RunOutcome {
-    assert!(!sc.verify, "verification requires a fixed configuration");
-    sc.validate().expect("invalid scenario");
-    let obs = Obs::new();
-    let spec = viz_spec(sc);
-    let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-    // Initial resource estimate from the starting limits (what admission
-    // control / reservation would have granted).
-    let l = initial_limits;
-    let mut start = ResourceVector::default();
-    start.set(client_cpu_key(), l.cpu_share.unwrap_or(1.0));
-    start.set(client_net_key(), l.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps));
-    let mut runtime = AdaptiveRuntime::try_configure(spec, scheduler, sc.monitor_window_us, &start)
-        .unwrap_or_else(|e| panic!("initial configuration failed: {e}"));
-    runtime.set_obs(&obs);
-    runtime.monitor.min_trigger_gap_us = sc.trigger_gap_us;
-    let control = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
-    runtime.register_knobs(control.registry());
-    let initial_cfg = VizConfig::from_configuration(runtime.current());
-    let sandbox_stats = SandboxStats::new(sc.monitor_window_us);
-    let adapt = AdaptSetup {
-        runtime,
-        sandbox_stats: sandbox_stats.clone(),
-        cpu_key: client_cpu_key(),
-        net_key: client_net_key(),
-        period_us: MONITOR_PERIOD_US,
-    };
-
-    let stats_handle = StatsHandle::new();
-    stats_handle.attach_obs(&obs);
-    let limits = LimitsHandle::new(l);
-    let mut sim = Sim::new();
-    sim.set_drain_mode(sc.drain_mode);
-    sim.set_wire_hook(wire);
-    sim.attach_obs(&obs);
-    let hc = sim.add_host("client", sc.client_speed, 1 << 30);
-    let hs = sim.add_host("server", sc.server_speed, 1 << 30);
-    sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    sim.set_link_mode(hc, hs, sc.link_mode);
-    sim.set_link_mode(hs, hc, sc.link_mode);
-    if let Some((p, seed)) = sc.link_loss {
-        sim.set_link_loss(hc, hs, p, seed);
-        sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));
-    }
-    if let Some(plan) = &sc.fault_plan {
-        plan.install(&mut sim);
-    }
-    let server_id = sim.spawn(hs, Box::new(Server::new(store.clone()).with_obs(&obs)));
-    let opts = client_opts(sc, store, server_id, initial_cfg);
-    let client = Client::new(opts, stats_handle.clone(), Some(adapt));
-    client.register_control("client", &control);
-    sim.spawn(hc, Box::new(Sandboxed::new(client, limits.clone(), sandbox_stats)));
-    install_loads(&mut sim, hc, &sc.competing_load);
-    install_commands(&mut sim, &control, &sc.commands);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    match horizon {
-        Some(h) => sim.run_until(h),
-        None => sim.run_until_idle(),
-    }
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    run_session(sc, store, Driver::Adaptive(db, prefs), initial_limits, schedule, None, None)
 }
 
 /// Run several independent clients concurrently against one server, each
@@ -591,33 +493,18 @@ pub fn run_competing(
     store: &Arc<ImageStore>,
     clients: &[(VizConfig, Limits)],
 ) -> Vec<RunStats> {
-    sc.validate().expect("invalid scenario");
-    let mut sim = Sim::new();
-    sim.set_drain_mode(sc.drain_mode);
-    let hc = sim.add_host("client", sc.client_speed, 1 << 30);
-    let hs = sim.add_host("server", sc.server_speed, 1 << 30);
-    sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    sim.set_link_mode(hc, hs, sc.link_mode);
-    sim.set_link_mode(hs, hc, sc.link_mode);
-    if let Some((p, seed)) = sc.link_loss {
-        sim.set_link_loss(hc, hs, p, seed);
-        sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));
-    }
-    if let Some(plan) = &sc.fault_plan {
-        plan.install(&mut sim);
-    }
-    let server_id = sim.spawn(hs, Box::new(Server::new(store.clone())));
+    // Only the stats are returned, so the kernel and server report into
+    // an `Obs` nobody reads.
+    let (mut sim, server_id) = topology(sc, store, &Obs::new());
     let mut handles = Vec::new();
     for (config, limits) in clients {
         let stats_handle = StatsHandle::new();
-        let opts = client_opts(sc, store, server_id, *config).with_verify_store(if sc.verify {
-            Some(store.clone())
-        } else {
-            None
-        });
+        let opts = client_opts(sc, store, server_id)
+            .with_initial(*config)
+            .with_verify_store(sc.verify.then(|| store.clone()));
         let client = Client::new(opts, stats_handle.clone(), None);
         sim.spawn(
-            hc,
+            CLIENT_HOST,
             Box::new(Sandboxed::new(
                 client,
                 LimitsHandle::new(*limits),
@@ -626,7 +513,7 @@ pub fn run_competing(
         );
         handles.push(stats_handle);
     }
-    apply_debug_env(&mut sim);
+    install_loads(&mut sim, CLIENT_HOST, &sc.competing_load);
     sim.run_until_idle();
     handles.iter().map(|h| h.take()).collect()
 }
@@ -663,6 +550,27 @@ pub fn profile_point(
     ])
 }
 
+/// The runner every profiling sweep hands the [`Profiler`]:
+/// [`profile_point`] over a shorter workload than the experiments
+/// (2 images) — per-image metrics are what the database stores.
+pub(crate) fn profile_runner(
+    sc: &Scenario,
+    store: &Arc<ImageStore>,
+) -> impl Fn(&Configuration, &ResourceVector, &str) -> QosReport + Sync {
+    let prof_sc = Scenario { n_images: 2.min(sc.n_images), verify: false, ..sc.clone() };
+    let store = store.clone();
+    move |config, resources, _input| profile_point(&prof_sc, &store, config, resources)
+}
+
+/// All configurations of the scenario's spec over a CPU-share x bandwidth
+/// grid.
+fn grid_profiler(sc: &Scenario, cpu_shares: &[f64], bandwidths: &[f64]) -> Profiler {
+    let grid = ResourceGrid::new()
+        .with_axis(client_cpu_key(), cpu_shares)
+        .with_axis(client_net_key(), bandwidths);
+    Profiler::new(viz_spec(sc).configurations(), grid, vec![PROFILE_INPUT.into()])
+}
+
 /// Like [`build_db`] but with sensitivity-driven refinement: wherever
 /// adjacent samples differ by more than `threshold` (relative), midpoints
 /// are added, concentrating samples around cliffs and crossovers. This is
@@ -677,18 +585,9 @@ pub fn build_db_refined(
     threshold: f64,
     threads: usize,
 ) -> PerfDb {
-    let prof_sc = Scenario { n_images: 2.min(sc.n_images), verify: false, ..sc.clone() };
-    let spec = viz_spec(sc);
-    let grid = ResourceGrid::new()
-        .with_axis(client_cpu_key(), cpu_shares)
-        .with_axis(client_net_key(), bandwidths);
-    let profiler = Profiler::new(spec.configurations(), grid, vec![PROFILE_INPUT.into()])
-        .with_sensitivity(adapt_core::SensitivityOpts { threshold, max_rounds: 2 });
-    let store = store.clone();
-    let runner = move |config: &Configuration, resources: &ResourceVector, _input: &str| {
-        profile_point(&prof_sc, &store, config, resources)
-    };
-    profiler.run_parallel(&runner, threads)
+    grid_profiler(sc, cpu_shares, bandwidths)
+        .with_sensitivity(adapt_core::SensitivityOpts { threshold, max_rounds: 2 })
+        .run_parallel(&profile_runner(sc, store), threads)
 }
 
 /// Build the performance database for a scenario by sweeping all
@@ -700,17 +599,5 @@ pub fn build_db(
     bandwidths: &[f64],
     threads: usize,
 ) -> PerfDb {
-    // Profiling uses a shorter workload than the experiments (2 images):
-    // per-image metrics are what the database stores.
-    let prof_sc = Scenario { n_images: 2.min(sc.n_images), verify: false, ..sc.clone() };
-    let spec = viz_spec(sc);
-    let grid = ResourceGrid::new()
-        .with_axis(client_cpu_key(), cpu_shares)
-        .with_axis(client_net_key(), bandwidths);
-    let profiler = Profiler::new(spec.configurations(), grid, vec![PROFILE_INPUT.into()]);
-    let store = store.clone();
-    let runner = move |config: &Configuration, resources: &ResourceVector, _input: &str| {
-        profile_point(&prof_sc, &store, config, resources)
-    };
-    profiler.run_parallel(&runner, threads)
+    grid_profiler(sc, cpu_shares, bandwidths).run_parallel(&profile_runner(sc, store), threads)
 }

@@ -149,13 +149,14 @@ fn chaos_crash_without_restart_strands_no_resources() {
     // workload, then stop the sim by bounding wall progress: the client
     // probes at recovery_timeout cadence, so after the crash the sim's
     // event queue never empties. Use run_until for a bounded horizon.
-    let outcome = visapp::scenario::run_static_until(
+    let outcome = visapp::run_session(
         &sc,
         &store,
-        cfg,
+        visapp::Driver::Fixed(cfg),
         Limits::unconstrained(),
         None,
-        SimTime::from_secs(5),
+        Some(SimTime::from_secs(5)),
+        None,
     );
     let stats = outcome.stats;
     assert!(stats.finished_at.is_none(), "cannot finish against a dead server");

@@ -14,7 +14,7 @@ use obs::{Command, EventFilter};
 use sandbox::Limits;
 use simnet::{FaultPlan, SimTime};
 use visapp::{
-    run_static_until, BreakerOpts, RetryPolicy, RunOutcome, Scenario, VizConfig, SERVER_HOST,
+    run_session, BreakerOpts, Driver, RetryPolicy, RunOutcome, Scenario, VizConfig, SERVER_HOST,
 };
 
 /// A server that dies at 50 ms and never comes back, with a breaker that
@@ -48,7 +48,8 @@ fn dead_server_scenario() -> Scenario {
 fn run(sc: &Scenario) -> RunOutcome {
     let store = sc.build_store();
     let cfg = VizConfig { dr: 16, level: 3, method: Method::Lzw };
-    run_static_until(sc, &store, cfg, Limits::unconstrained(), None, SimTime::from_secs(5))
+    let horizon = Some(SimTime::from_secs(5));
+    run_session(sc, &store, Driver::Fixed(cfg), Limits::unconstrained(), None, horizon, None)
 }
 
 /// `Command::Set` on the breaker's recovery timeout while the breaker is

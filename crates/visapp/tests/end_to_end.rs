@@ -10,7 +10,7 @@ use compress::Method;
 use sandbox::{LimitSchedule, Limits};
 use simnet::SimTime;
 use visapp::{
-    build_db, client_cpu_key, client_net_key, run_adaptive, run_static, Scenario, VizConfig,
+    build_db, client_cpu_key, client_net_key, run_adaptive_shared, run_static, Scenario, VizConfig,
     PROFILE_INPUT,
 };
 
@@ -189,7 +189,7 @@ fn adaptive_client_switches_compression_on_bandwidth_drop() {
     let start = Limits::cpu(0.05).with_net(60_000.0);
     let schedule =
         LimitSchedule::new().at(SimTime::from_secs(2), Limits::cpu(0.05).with_net(2_000.0));
-    let out = run_adaptive(&sc, &store, db, prefs, start, Some(schedule));
+    let out = run_adaptive_shared(&sc, &store, Arc::new(db), prefs, start, Some(schedule));
     let hist = &out.stats.config_history;
     assert_eq!(hist[0].1.get("c"), Some(Method::Lzw.code()), "starts with lzw");
     let last = &hist.last().unwrap().1;
@@ -225,8 +225,14 @@ fn adaptive_client_degrades_resolution_under_deadline() {
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
     let schedule =
         LimitSchedule::new().at(SimTime::from_ms(300), Limits::cpu(0.05).with_net(100_000.0));
-    let out =
-        run_adaptive(&sc, &store, db, prefs, Limits::cpu(1.0).with_net(100_000.0), Some(schedule));
+    let out = run_adaptive_shared(
+        &sc,
+        &store,
+        Arc::new(db),
+        prefs,
+        Limits::cpu(1.0).with_net(100_000.0),
+        Some(schedule),
+    );
     let hist = &out.stats.config_history;
     assert_eq!(hist[0].1.get("l"), Some(3), "starts at the finest level");
     let final_l = hist.last().unwrap().1.get("l");
@@ -397,6 +403,51 @@ fn competing_process_slows_an_unpoliced_client() {
 }
 
 #[test]
+fn adaptive_session_honours_the_server_bandwidth_cap() {
+    // One runner body: the server's sandbox cap applies to an adaptive
+    // session exactly as it does to a static one.
+    let sc = Scenario { n_images: 4, img_size: 128, levels: 3, ..Scenario::default() };
+    let store = sc.build_store();
+    let db = Arc::new(build_db(&sc, &store, &[1.0], &[1_000_000.0], 2));
+    // Full resolution, so each image is many times the cap's burst.
+    let prefs = PreferenceList::single(Preference::new(
+        vec![Constraint::at_least("resolution", 3.0)],
+        Objective::minimize("transmit_time"),
+    ));
+    let transmit = |sc: &Scenario| {
+        // The client's own link share is generous, so the server's cap is
+        // what binds.
+        let start = Limits::cpu(1.0).with_net(1_000_000.0);
+        run_adaptive_shared(sc, &store, db.clone(), prefs.clone(), start, None)
+            .stats
+            .avg_transmit_secs()
+    };
+    let uncapped = transmit(&sc);
+    let capped = transmit(&Scenario { server_net_cap: Some(50_000.0), ..sc.clone() });
+    assert!(capped > uncapped, "50 kB/s server cap must slow replies: {capped} vs {uncapped}");
+}
+
+#[test]
+fn competing_load_slows_a_run_competing_client() {
+    let quiet = Scenario { n_images: 2, img_size: 64, levels: 3, ..Scenario::default() };
+    let loud = Scenario {
+        competing_load: vec![visapp::LoadSpec {
+            start_us: 0,
+            weight: 4.0,
+            duration_us: 600_000_000,
+        }],
+        ..quiet.clone()
+    };
+    let store = quiet.build_store();
+    let cfg = VizConfig { dr: 16, level: 3, method: Method::Bzip };
+    let finish = |sc: &Scenario| {
+        let stats = visapp::run_competing(sc, &store, &[(cfg, Limits::unconstrained())]);
+        stats[0].finished_at.expect("client finished")
+    };
+    assert!(finish(&loud) > finish(&quiet), "the load on the client host must cost CPU time");
+}
+
+#[test]
 fn adaptation_reacts_to_genuine_contention_not_just_cap_changes() {
     // The paper's motivating situation: another application starts on the
     // client's machine. No sandbox limit changes — the monitoring agent
@@ -428,7 +479,14 @@ fn adaptation_reacts_to_genuine_contention_not_just_cap_changes() {
     ))
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
     // NOTE: no LimitSchedule — the only disturbance is the competing load.
-    let out = run_adaptive(&sc, &store, db, prefs, Limits::cpu(1.0).with_net(100_000.0), None);
+    let out = run_adaptive_shared(
+        &sc,
+        &store,
+        Arc::new(db),
+        prefs,
+        Limits::cpu(1.0).with_net(100_000.0),
+        None,
+    );
     let hist = &out.stats.config_history;
     assert_eq!(hist[0].1.get("l"), Some(3), "starts at the finest level");
     assert_eq!(

@@ -10,13 +10,14 @@
 //! can only come from codec or framing infidelity — so sequence equality
 //! is a bit-level correctness proof for the socket backend.
 
+use std::sync::Arc;
+
 use adapt_core::{Constraint, Objective, Preference, PreferenceList};
 use compress::Method;
 use sandbox::{LimitSchedule, Limits};
 use simnet::SimTime;
 use visapp::{
-    build_db, decision_sequence, run_adaptive, run_adaptive_wired, socket_mirror_hook,
-    MirrorBackend, Scenario,
+    build_db, decision_sequence, run_session, socket_mirror_hook, Driver, MirrorBackend, Scenario,
 };
 
 /// The miniature bandwidth-collapse experiment: starts on LZW at
@@ -47,15 +48,18 @@ fn drop_limits() -> (Limits, LimitSchedule) {
     (start, schedule)
 }
 
-fn run_session(backend: MirrorBackend) {
+fn check_backend(backend: MirrorBackend) {
     let sc = drop_scenario();
     let store = sc.build_store();
     let (start, schedule) = drop_limits();
 
-    // Reference run: pure simnet. PerfDb construction is deterministic,
-    // so building it twice yields identical databases.
-    let db = build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2);
-    let stock = run_adaptive(&sc, &store, db, drop_prefs(), start, Some(schedule.clone()));
+    // Reference run: pure simnet.
+    let db = Arc::new(build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2));
+    let run = |wire| {
+        let driver = Driver::Adaptive(db.clone(), drop_prefs());
+        run_session(&sc, &store, driver, start, Some(schedule.clone()), None, wire)
+    };
+    let stock = run(None);
 
     // Wired run: identical inputs, every message over a real socket.
     let (hook, handle) = match socket_mirror_hook(backend) {
@@ -65,8 +69,7 @@ fn run_session(backend: MirrorBackend) {
             return;
         }
     };
-    let db = build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2);
-    let wired = run_adaptive_wired(&sc, &store, db, drop_prefs(), start, Some(schedule), hook);
+    let wired = run(Some(hook));
     let report = handle.finish();
 
     // The whole point: byte-serialization through the socket must not
@@ -101,11 +104,11 @@ fn run_session(backend: MirrorBackend) {
 
 #[test]
 fn adaptive_session_over_tcp_matches_simnet_decisions() {
-    run_session(MirrorBackend::Tcp);
+    check_backend(MirrorBackend::Tcp);
 }
 
 #[test]
 #[cfg(unix)]
 fn adaptive_session_over_uds_matches_simnet_decisions_or_skips() {
-    run_session(MirrorBackend::Uds);
+    check_backend(MirrorBackend::Uds);
 }

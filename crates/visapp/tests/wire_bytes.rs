@@ -4,11 +4,14 @@
 //! here, not in a digest three layers up.
 
 use compress::Method;
+use simnet::det::Fnv64;
 use visapp::store::ImageStore;
 use wavelet::Rect;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[test]

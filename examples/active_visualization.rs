@@ -12,6 +12,8 @@
 //! cargo run --release --example active_visualization
 //! ```
 
+use std::sync::Arc;
+
 use adaptive_framework::prelude::*;
 
 /// When the run completed, from the bus's `App` `finished` event.
@@ -52,7 +54,7 @@ fn main() {
     let start = Limits::cpu(0.05).with_net(60_000.0);
     let drop = LimitSchedule::new().at(SimTime::from_secs(2), Limits::cpu(0.05).with_net(2_000.0));
     println!("\nrunning the adaptive client ...");
-    let adaptive = run_adaptive(&sc, &store, db, prefs, start, Some(drop.clone()));
+    let adaptive = run_adaptive_shared(&sc, &store, Arc::new(db), prefs, start, Some(drop.clone()));
     let obs = &adaptive.obs;
 
     println!("configuration history:");

@@ -22,6 +22,8 @@
 //!    refused (audited as `config_reject`/`pinned`) and the run keeps the
 //!    original preferences.
 
+use std::sync::Arc;
+
 use adaptive_framework::prelude::*;
 
 fn scenario() -> Scenario {
@@ -38,9 +40,7 @@ fn scenario() -> Scenario {
 fn main() {
     let sc = scenario();
     let store = sc.build_store();
-    // PerfDb is move-in; profiling is deterministic, so rebuilding per run
-    // yields identical databases.
-    let mk_db = || build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2);
+    let db = Arc::new(build_db(&sc, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 2));
     let prefs = PreferenceList::single(Preference::new(
         vec![Constraint::at_least("resolution", 3.0)],
         Objective::minimize("transmit_time"),
@@ -48,8 +48,9 @@ fn main() {
     let start = Limits::cpu(0.05).with_net(60_000.0);
     let drop_bw =
         || LimitSchedule::new().at(SimTime::from_secs(2), Limits::cpu(0.05).with_net(2_000.0));
-    let run =
-        |sc: &Scenario| run_adaptive(sc, &store, mk_db(), prefs.clone(), start, Some(drop_bw()));
+    let run = |sc: &Scenario| {
+        run_adaptive_shared(sc, &store, db.clone(), prefs.clone(), start, Some(drop_bw()))
+    };
     let final_level =
         |out: &RunOutcome| out.stats.config_history.last().expect("config history").1.expect("l");
 

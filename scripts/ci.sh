@@ -22,9 +22,9 @@ stage "tests (SIMNET_THREADS matrix)"
 # `DrainMode::Sharded { threads: 0, .. }` resolution, so =1 exercises
 # the sequential fallback and =4 the parallel epoch loop. Digest
 # equality between the two is what the sharded determinism tests check.
-# Note: the chaos fault-injection scenarios (visapp `chaos_*` tests) run
-# as part of `cargo test -q`; they used to be a dedicated stage, which
-# ran the whole visapp suite a second time for nothing.
+# The root manifest's `default-members` makes bare `cargo test -q` the
+# whole workspace, so the chaos fault-injection scenarios (visapp
+# `chaos_*` tests) and the digest-contract test run here.
 for t in 1 4; do
     SIMNET_THREADS=$t cargo test -q
 done

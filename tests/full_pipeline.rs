@@ -4,6 +4,8 @@
 //! `adaptive_framework::prelude`, and run-time behaviour is asserted off
 //! the obs event bus — the same surface production consumers read.
 
+use std::sync::Arc;
+
 use adaptive_framework::prelude::*;
 
 #[test]
@@ -128,7 +130,14 @@ fn adaptive_run_reports_through_the_obs_bus() {
         Objective::minimize("transmit_time"),
     ))
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
-    let out = run_adaptive(&sc, &store, db, prefs, Limits::cpu(0.05).with_net(60_000.0), None);
+    let out = run_adaptive_shared(
+        &sc,
+        &store,
+        Arc::new(db),
+        prefs,
+        Limits::cpu(0.05).with_net(60_000.0),
+        None,
+    );
 
     // The scheduler reported at least one decision, and every decision
     // carries the fields downstream oracles key on.
