@@ -19,6 +19,7 @@ use adapt_core::{
     Configuration, Objective, PerfDb, PerfRecord, PredictMode, Preference, PreferenceList,
     QosReport, ResourceKey, ResourceScheduler, ResourceVector, ValidityRegion,
 };
+use obs::json::Json;
 
 const CONFIGS: i64 = 4;
 const SAMPLES: usize = 9;
@@ -245,27 +246,26 @@ fn main() {
     });
 
     let entry = |before: f64, after: f64| {
-        serde_json::json!({
-            "before_ops_per_sec": before,
-            "after_ops_per_sec": after,
-            "speedup": after / before,
-        })
+        Json::obj([
+            ("before_ops_per_sec", before.into()),
+            ("after_ops_per_sec", after.into()),
+            ("speedup", (after / before).into()),
+        ])
     };
-    let report = serde_json::json!({
-        "database": {
-            "configs": CONFIGS,
-            "axes": 2,
-            "samples_per_axis": SAMPLES,
-            "records": db.len(),
-        },
-        "benches": {
-            "perfdb_interpolate": entry(interp_before, interp_after),
-            "perfdb_nearest": entry(nearest_before, nearest_after),
-            "scheduler_choose": entry(choose_before, choose_after),
-            "validity_region": entry(region_before, region_after),
-        },
-    });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
+    let database = Json::obj([
+        ("configs", CONFIGS.into()),
+        ("axes", Json::U64(2)),
+        ("samples_per_axis", Json::U64(SAMPLES as u64)),
+        ("records", Json::U64(db.len() as u64)),
+    ]);
+    let benches = Json::obj([
+        ("perfdb_interpolate", entry(interp_before, interp_after)),
+        ("perfdb_nearest", entry(nearest_before, nearest_after)),
+        ("scheduler_choose", entry(choose_before, choose_after)),
+        ("validity_region", entry(region_before, region_after)),
+    ]);
+    let report = Json::obj([("database", database), ("benches", benches)]);
+    let text = format!("{report:#}");
     std::fs::write(&out_path, &text).expect("write benchmark report");
     println!("{text}");
     eprintln!("wrote {out_path}");

@@ -10,10 +10,9 @@
 //! ```
 //!
 //! Outputs in `out_dir/`:
-//! - `spec.json` — the parsed, validated `TunableSpec` (consumed by
-//!   applications embedding the framework);
 //! - `spec.normal.tun` — the normalized annotation source (render of the
-//!   parse; stable formatting for diffing);
+//!   parse; stable formatting for diffing, and the form applications
+//!   embedding the framework read back with `dsl::parse`);
 //! - `db_template.json` — the performance-database template: resource
 //!   axes to sample, configurations to profile, metrics to record;
 //! - `configurations.txt` — one configuration key per line (the driver
@@ -50,10 +49,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let template = spec.perf_db_template();
-    let writes: [(&str, String); 4] = [
-        ("spec.json", serde_json::to_string_pretty(&spec).expect("spec serializes")),
+    let writes: [(&str, String); 3] = [
         ("spec.normal.tun", dsl::render(&spec)),
-        ("db_template.json", serde_json::to_string_pretty(&template).expect("template serializes")),
+        ("db_template.json", template.to_json()),
         (
             "configurations.txt",
             template.configurations.iter().map(|c| c.key()).collect::<Vec<_>>().join("\n"),

@@ -11,10 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Kinds of resources a system component exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceKind {
     /// CPU share, fraction of one full processor in (0, 1].
     CpuShare,
@@ -52,7 +50,7 @@ impl ResourceKind {
 }
 
 /// One resource of one system component, e.g. `client.cpu`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceKey {
     pub component: String,
     pub kind: ResourceKind,
@@ -93,25 +91,9 @@ impl fmt::Display for ResourceKey {
 
 /// A point in the multidimensional resource space: measured availability
 /// or a testbed setting.
-///
-/// Serialized as a list of `(key, value)` pairs (JSON objects cannot have
-/// structured keys).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(into = "Vec<(ResourceKey, f64)>", from = "Vec<(ResourceKey, f64)>")]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceVector {
     values: BTreeMap<ResourceKey, f64>,
-}
-
-impl From<ResourceVector> for Vec<(ResourceKey, f64)> {
-    fn from(v: ResourceVector) -> Self {
-        v.values.into_iter().collect()
-    }
-}
-
-impl From<Vec<(ResourceKey, f64)>> for ResourceVector {
-    fn from(pairs: Vec<(ResourceKey, f64)>) -> Self {
-        ResourceVector { values: pairs.into_iter().collect() }
-    }
 }
 
 impl ResourceVector {
@@ -200,7 +182,7 @@ impl fmt::Display for ResourceVector {
 }
 
 /// A host in the execution environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSpec {
     pub name: String,
     /// Relative speed vs the reference machine (for testbed emulation of
@@ -209,7 +191,7 @@ pub struct HostSpec {
 }
 
 /// The execution environment declared by the tunability annotations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionEnv {
     pub hosts: Vec<HostSpec>,
     /// Declared links as `(host_a, host_b)` name pairs.
@@ -331,17 +313,5 @@ mod tests {
         assert!(env.validate_key(&ResourceKey::cpu("client")).is_ok());
         assert!(env.validate_key(&ResourceKey::cpu("elsewhere")).is_err());
         assert_eq!(env.host("server").unwrap().speed, 0.74);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let v = ResourceVector::new(&[(ResourceKey::cpu("c"), 0.4)]);
-        let json = serde_json::to_string(&v).unwrap();
-        // Builds linked against the offline serde_json stub cannot
-        // deserialize; the round-trip is only checkable with the real crate.
-        let Ok(back) = serde_json::from_str::<ResourceVector>(&json) else {
-            return;
-        };
-        assert_eq!(back, v);
     }
 }

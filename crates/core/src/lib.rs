@@ -63,7 +63,7 @@ pub use env::{ExecutionEnv, HostSpec, ResourceKey, ResourceKind, ResourceVector}
 pub use error::{Error, Result};
 pub use monitor::{MonitoringAgent, Trigger, ValidityRegion, Violation, MONITOR_PERIOD_US};
 pub use param::{Configuration, ControlParam, ControlSpace, ParamDomain};
-pub use perfdb::{PerfDb, PerfRecord, PredictMode};
+pub use perfdb::{PerfDb, PerfDbLoadError, PerfRecord, PredictMode};
 pub use profiler::{ProfileRunner, Profiler, ResourceGrid, SensitivityOpts};
 pub use qos::{
     Constraint, Objective, Preference, PreferenceList, PrefsKnob, QosMetricDef, QosReport, Sense,

@@ -11,8 +11,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use simnet::SimTime;
 
 use crate::env::{ResourceKey, ResourceVector};
@@ -109,23 +107,10 @@ impl WindowStat {
 
 /// The resource region within which the currently active configuration
 /// remains valid (chosen by the scheduler, checked by the monitor).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(into = "Vec<(ResourceKey, f64, f64)>", from = "Vec<(ResourceKey, f64, f64)>")]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidityRegion {
     /// Per-resource inclusive `(min, max)` bounds.
     pub ranges: BTreeMap<ResourceKey, (f64, f64)>,
-}
-
-impl From<ValidityRegion> for Vec<(ResourceKey, f64, f64)> {
-    fn from(v: ValidityRegion) -> Self {
-        v.ranges.into_iter().map(|(k, (lo, hi))| (k, lo, hi)).collect()
-    }
-}
-
-impl From<Vec<(ResourceKey, f64, f64)>> for ValidityRegion {
-    fn from(triples: Vec<(ResourceKey, f64, f64)>) -> Self {
-        ValidityRegion { ranges: triples.into_iter().map(|(k, lo, hi)| (k, (lo, hi))).collect() }
-    }
 }
 
 impl ValidityRegion {

@@ -43,14 +43,15 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 
-use serde::{Deserialize, Serialize};
+use obs::json::{self, Json};
+use simnet::det::Fnv64;
 
-use crate::env::{ResourceKey, ResourceVector};
+use crate::env::{ResourceKey, ResourceKind, ResourceVector};
 use crate::param::Configuration;
 use crate::qos::{QosReport, Sense};
 
 /// One profiled measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfRecord {
     pub config: Configuration,
     /// Resource conditions the testbed enforced for this run.
@@ -110,15 +111,13 @@ const EMPTY_CELL: u32 = u32::MAX;
 /// let t = p.get("transmit_time").unwrap();
 /// assert!(t > 2.0 && t < 4.0);
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct PerfDb {
     records: Vec<PerfRecord>,
     /// Lazily built query index; `None` means dirty. Interior mutability
     /// lets `&self` queries build it on demand; any mutation resets it.
-    #[serde(skip)]
     index: RwLock<Option<Arc<Index>>>,
     /// Optional profiling hook timing every `predict` call.
-    #[serde(skip)]
     obs: Option<ObsHook>,
 }
 
@@ -467,14 +466,143 @@ impl PerfDb {
         total
     }
 
-    /// Serialize to pretty JSON (the on-disk database artifact).
+    /// Serialize to the on-disk database artifact: pretty JSON, an
+    /// envelope `{"format", "version", "fnv64", "records"}` whose FNV-1a
+    /// checksum covers the one-line rendering of `records`. Only the
+    /// records are stored; the query index and the obs hook are rebuilt
+    /// by the process that loads the file. The text ends at the closing
+    /// brace, so every strict prefix of it is a detectably truncated file.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("PerfDb serialization cannot fail")
+        format!("{:#}", envelope(Json::arr(self.records.iter().map(record_to_json))))
     }
 
-    pub fn from_json(s: &str) -> Result<PerfDb, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Load a database saved by [`to_json`](PerfDb::to_json). Never
+    /// panics on hostile input: every way the text can be wrong maps to
+    /// a [`PerfDbLoadError`] variant.
+    pub fn from_json(s: &str) -> Result<PerfDb, PerfDbLoadError> {
+        use PerfDbLoadError::*;
+        let doc = json::parse(s).map_err(Syntax)?;
+        let format = doc.get("format").and_then(Json::as_str);
+        if format != Some(FORMAT) {
+            return Err(NotPerfDb(format!("\"format\" is {format:?}, not {FORMAT:?}")));
+        }
+        match doc.get("version").and_then(Json::as_u64) {
+            Some(VERSION) => {}
+            Some(other) => return Err(UnsupportedVersion(other)),
+            None => return Err(NotPerfDb("\"version\" is missing or not an integer".into())),
+        }
+        let stored = doc.get("fnv64").and_then(Json::as_str);
+        let stored = stored.and_then(|hex| u64::from_str_radix(hex, 16).ok());
+        let records = doc.get("records");
+        let (Some(stored), Some(records), Some(items)) =
+            (stored, records, records.and_then(Json::as_arr))
+        else {
+            return Err(NotPerfDb("\"fnv64\" or \"records\" is missing or mistyped".into()));
+        };
+        let computed = checksum(records);
+        if stored != computed {
+            return Err(ChecksumMismatch { stored, computed });
+        }
+        let mut db = PerfDb::new();
+        for (index, item) in items.iter().enumerate() {
+            let rec = record_from_json(item).map_err(|reason| InvalidRecord { index, reason })?;
+            db.records.push(rec);
+        }
+        Ok(db)
     }
+}
+
+/// The `"format"` and `"version"` a saved database declares.
+const FORMAT: &str = "adapt-perfdb";
+const VERSION: u64 = 1;
+
+/// Why [`PerfDb::from_json`] refused a file.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PerfDbLoadError {
+    /// Not well-formed JSON (truncated, trailing data, duplicate keys, a
+    /// number too large for an `f64`, ...).
+    Syntax(json::ParseError),
+    /// Well-formed JSON that is not a performance-database envelope: a
+    /// wrong or missing `"format"`, or a missing or mistyped key.
+    NotPerfDb(String),
+    /// An envelope of a version this build does not read.
+    UnsupportedVersion(u64),
+    /// The records are not the ones the file was saved with.
+    ChecksumMismatch { stored: u64, computed: u64 },
+    /// Record `index` is malformed or holds a value the database cannot
+    /// represent (negative resource, unknown resource kind, ...).
+    InvalidRecord { index: usize, reason: String },
+}
+
+impl std::fmt::Display for PerfDbLoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use PerfDbLoadError::*;
+        match self {
+            Syntax(e) => write!(f, "not JSON: {e}"),
+            NotPerfDb(why) => write!(f, "not a performance database: {why}"),
+            UnsupportedVersion(v) => write!(f, "database version {v}; this build reads {VERSION}"),
+            ChecksumMismatch { stored, computed } => {
+                write!(f, "records checksum to {computed:016x}, the file says {stored:016x}")
+            }
+            InvalidRecord { index, reason } => write!(f, "record {index}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for PerfDbLoadError {}
+
+/// The saved document around `records`, checksum included.
+fn envelope(records: Json) -> Json {
+    Json::obj([
+        ("format", FORMAT.into()),
+        ("version", VERSION.into()),
+        ("fnv64", format!("{:016x}", checksum(&records)).into()),
+        ("records", records),
+    ])
+}
+
+fn checksum(records: &Json) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(records.to_string().as_bytes());
+    h.finish()
+}
+
+fn record_to_json(r: &PerfRecord) -> Json {
+    let resource = |(k, v): (&ResourceKey, f64)| {
+        Json::arr([Json::from(k.component.as_str()), k.kind.name().into(), v.into()])
+    };
+    Json::obj([
+        ("config", Json::obj(r.config.iter().map(|(name, v)| (name, v.into())))),
+        ("input", r.input.as_str().into()),
+        ("resources", Json::arr(r.resources.iter().map(resource))),
+        ("metrics", Json::obj(r.metrics.iter().map(|(name, v)| (name, v.into())))),
+    ])
+}
+
+/// Checks every value before handing it to the constructors that assert
+/// on it ([`ResourceVector::set`], [`QosReport::set`]).
+fn record_from_json(r: &Json) -> Result<PerfRecord, String> {
+    let field = |name: &str| r.get(name).ok_or_else(|| format!("'{name}' is missing"));
+    let mut config = Configuration::default();
+    for (name, v) in field("config")?.as_obj().ok_or("'config' is not an object")? {
+        config.set(name, v.as_i64().ok_or_else(|| format!("parameter {name} = {v}"))?);
+    }
+    let mut resources = ResourceVector::default();
+    for triple in field("resources")?.as_arr().ok_or("'resources' is not an array")? {
+        let bad = || format!("resource {triple} is not [component, kind, value >= 0]");
+        let Some([component, kind, value]) = triple.as_arr() else { return Err(bad()) };
+        let key = ResourceKey::new(
+            component.as_str().ok_or_else(bad)?,
+            kind.as_str().and_then(ResourceKind::parse).ok_or_else(bad)?,
+        );
+        resources.set(key, value.as_f64().filter(|v| *v >= 0.0).ok_or_else(bad)?);
+    }
+    let input = field("input")?.as_str().ok_or("'input' is not a string")?.to_string();
+    let mut metrics = QosReport::default();
+    for (name, v) in field("metrics")?.as_obj().ok_or("'metrics' is not an object")? {
+        metrics.set(name, v.as_f64().ok_or_else(|| format!("metric {name} = {v}"))?);
+    }
+    Ok(PerfRecord { config, resources, input, metrics })
 }
 
 /// Reference linear-scan implementation (the pre-index code path), kept as
@@ -1283,19 +1411,132 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let db = grid_db();
+        let mut db = grid_db();
+        // Values and names the format has to carry exactly.
+        db.add(PerfRecord {
+            config: Configuration::new(&[("c", -3), ("big", i64::MAX)]),
+            resources: ResourceVector::new(&[
+                (ResourceKey::cpu("edge.node \"µ\""), 1.0 / 3.0),
+                (ResourceKey::mem("client"), 0.0),
+                (ResourceKey::net("client"), 1.6e19),
+            ]),
+            input: "img \\ é\n".into(),
+            metrics: QosReport::new(&[("t", -0.0), ("tiny", 5e-324), ("neg", -1e-7)]),
+        });
         let json = db.to_json();
-        // Builds linked against the offline serde_json stub cannot
-        // deserialize; the round-trip is only checkable with the real crate.
-        let Ok(back) = PerfDb::from_json(&json) else {
-            return;
+        let back = PerfDb::from_json(&json).expect("a saved database reloads");
+        assert_eq!(back.records(), db.records());
+        let bits =
+            |r: &PerfRecord| -> Vec<u64> { r.metrics.iter().map(|(_, v)| v.to_bits()).collect() };
+        assert_eq!(bits(&back.records()[18]), bits(&db.records()[18]), "-0.0 keeps its sign");
+        assert_eq!(back.to_json(), json, "saving is a fixed point");
+        let q = ResourceVector::new(&[(cpu_key(), 0.35), (net_key(), 700_000.0)]);
+        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
+            let c = Configuration::new(&[("c", 1)]);
+            assert_eq!(back.predict(&c, "img", &q, mode), db.predict(&c, "img", &q, mode));
+        }
+        assert_eq!(PerfDb::from_json(&PerfDb::new().to_json()).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn corrupt_envelopes_map_to_typed_errors() {
+        use PerfDbLoadError::*;
+        let good = grid_db().to_json();
+        let load = |text: String| PerfDb::from_json(&text).unwrap_err();
+        let syntax = |text: String| match load(text) {
+            Syntax(e) => e.msg,
+            other => panic!("expected a syntax error, got {other:?}"),
         };
-        assert_eq!(back.len(), db.len());
-        let q = ResourceVector::new(&[(cpu_key(), 0.5), (net_key(), 500_000.0)]);
+        assert_eq!(load(good.replace("\"version\": 1", "\"version\": 2")), UnsupportedVersion(2));
+        assert!(matches!(load(good.replace(FORMAT, "adapt-perfdc")), NotPerfDb(_)));
+        assert!(matches!(load(good.replace("\"version\": 1,", "")), NotPerfDb(_)));
+        assert!(matches!(load(good.replace("\"fnv64\"", "\"crc\"")), NotPerfDb(_)));
+        assert!(matches!(load("[]".into()), NotPerfDb(_)));
+        assert_eq!(syntax(format!("{good}garbage")), "trailing data");
         assert_eq!(
-            back.predict(&Configuration::new(&[("c", 1)]), "img", &q, PredictMode::Interpolate),
-            db.predict(&Configuration::new(&[("c", 1)]), "img", &q, PredictMode::Interpolate)
+            syntax(good.replace("\"version\": 1", "\"version\": 1, \"version\": 1")),
+            "duplicate object key"
         );
+        assert_eq!(syntax(good.replacen("0.2", "1e999", 1)), "number out of range");
+        assert!(matches!(load(good.replacen("0.2", "0.3", 1)), ChecksumMismatch { .. }));
+        assert!(load(good.replacen("0.2", "0.3", 1)).to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn invalid_records_are_errors_not_assertion_failures() {
+        let good = parse_records(&grid_db().to_json());
+        let with = |field: &str, value: &str| -> String {
+            // Record 1 with one field replaced by `value` (JSON text).
+            let mut records = good.clone();
+            let Json::Obj(members) = &mut records[1] else { unreachable!() };
+            members.retain(|(k, _)| k != field);
+            if !value.is_empty() {
+                members.push((field.into(), json::parse(value).unwrap()));
+            }
+            envelope(Json::Arr(records)).to_string()
+        };
+        assert!(PerfDb::from_json(&with("input", "\"img\"")).is_ok(), "the harness itself loads");
+        for (field, value) in [
+            ("resources", r#"[["client", "cpu", -0.5]]"#),
+            ("resources", r#"[["client", "disk", 0.5]]"#),
+            ("resources", r#"[["client", "cpu", "0.5"]]"#),
+            ("resources", r#"[["client", "cpu"]]"#),
+            ("resources", r#"[[7, "cpu", 0.5]]"#),
+            ("resources", r#"{"client.cpu": 0.5}"#),
+            ("config", r#"{"c": 1.5}"#),
+            ("config", r#"{"c": 18446744073709551615}"#),
+            ("config", "[]"),
+            ("metrics", r#"{"transmit_time": null}"#),
+            ("metrics", r#"{"transmit_time": "fast"}"#),
+            ("input", "3"),
+            ("input", ""),
+        ] {
+            match PerfDb::from_json(&with(field, value)) {
+                Err(PerfDbLoadError::InvalidRecord { index: 1, .. }) => {}
+                other => panic!("{field} = {value:?}: {other:?}"),
+            }
+        }
+        let not_records = envelope(Json::arr(["record"])).to_string();
+        assert!(matches!(
+            PerfDb::from_json(&not_records),
+            Err(PerfDbLoadError::InvalidRecord { index: 0, .. })
+        ));
+    }
+
+    fn parse_records(text: &str) -> Vec<Json> {
+        json::parse(text).unwrap().get("records").and_then(Json::as_arr).unwrap().to_vec()
+    }
+
+    /// The PR 9 truncation-fuzz pattern applied to storage: no damaged
+    /// file panics the loader, and none loads as a different database.
+    #[test]
+    fn truncated_and_bit_flipped_files_never_load_as_something_else() {
+        let mut db = PerfDb::new();
+        db.add(rec(&[("c", 1)], 0.2, 100_000.0, 60.0));
+        db.add(rec(&[("c", 2)], 0.5, 500_000.0, 30.2));
+        let text = db.to_json();
+        for end in 0..text.len() {
+            assert!(PerfDb::from_json(&text[..end]).is_err(), "{end}-byte prefix loaded");
+        }
+        let mut survivors = 0;
+        for i in 0..text.len() {
+            for bit in 0..8 {
+                let mut bytes = text.clone().into_bytes();
+                bytes[i] ^= 1 << bit;
+                // A flip that leaves UTF-8 cannot even reach the loader.
+                let Ok(flipped) = String::from_utf8(bytes) else { continue };
+                if let Ok(loaded) = PerfDb::from_json(&flipped) {
+                    assert_eq!(loaded.records(), db.records(), "byte {i} bit {bit}");
+                    survivors += 1;
+                }
+            }
+        }
+        // Only case flips of the checksum's hex letters are harmless.
+        let hex_letters = format!("{:016x}", checksum(&Json::Arr(parse_records(&text))))
+            .bytes()
+            .filter(u8::is_ascii_alphabetic)
+            .count();
+        assert_eq!(survivors, hex_letters);
     }
 
     #[test]

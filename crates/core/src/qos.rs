@@ -9,10 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Whether smaller or larger metric values are better.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     LowerIsBetter,
     HigherIsBetter,
@@ -29,7 +27,7 @@ impl Sense {
 }
 
 /// Declaration of one application quality metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosMetricDef {
     pub name: String,
     pub sense: Sense,
@@ -47,7 +45,7 @@ impl QosMetricDef {
 }
 
 /// Measured metric values from one run or one prediction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QosReport {
     values: BTreeMap<String, f64>,
 }
@@ -110,7 +108,7 @@ impl fmt::Display for QosReport {
 }
 
 /// An allowed value range on one metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     pub metric: String,
     pub min: Option<f64>,
@@ -164,7 +162,7 @@ impl Constraint {
 
 /// The optimization objective: maximize or minimize a single metric
 /// (the paper's "relatively restricted form" of objective function).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Objective {
     pub metric: String,
     pub sense: Sense,
@@ -191,7 +189,7 @@ impl Objective {
 }
 
 /// One user preference: constraints plus an objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Preference {
     pub constraints: Vec<Constraint>,
     pub objective: Objective,
@@ -216,7 +214,7 @@ impl Preference {
 
 /// Preferences in decreasing order of desirability; the scheduler tries
 /// each in turn until one is satisfiable (§6).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreferenceList {
     pub prefs: Vec<Preference>,
 }
@@ -510,21 +508,5 @@ mod tests {
         assert!(knob.write(obs::ConfigValue::U64(3)).is_err());
         assert!(knob.write(obs::ConfigValue::Str("nonsense".into())).is_err());
         assert_eq!(Knob::version(&knob), 1);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = PreferenceList::single(Preference::new(
-            vec![Constraint::at_most("transmit_time", 10.0)],
-            Objective::maximize("resolution"),
-        ))
-        .then(Preference::new(vec![], Objective::minimize("transmit_time")));
-        let json = serde_json::to_string(&p).unwrap();
-        // Builds linked against the offline serde_json stub cannot
-        // deserialize; the round-trip is only checkable with the real crate.
-        let Ok(back) = serde_json::from_str::<PreferenceList>(&json) else {
-            return;
-        };
-        assert_eq!(back, p);
     }
 }

@@ -9,13 +9,11 @@
 //! expressions too, determining "whether or not transitions from/to a
 //! specific task configuration are possible".
 
-use serde::{Deserialize, Serialize};
-
 use crate::env::ResourceKey;
 use crate::param::Configuration;
 
 /// A boolean expression over control parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Guard {
     True,
     /// `param == value`
@@ -57,7 +55,7 @@ impl Guard {
 }
 
 /// One tunable module (the `task` construct).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     pub name: String,
     /// Control parameters affecting this module.
@@ -114,7 +112,7 @@ impl TaskSpec {
 }
 
 /// The task DAG: the family of execution paths.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     pub tasks: Vec<TaskSpec>,
     /// Edges as `(from, to)` task-name pairs.
@@ -228,7 +226,7 @@ impl TaskGraph {
 /// Application-visible actions to run when a transition fires (the code
 /// inside the `transition` construct). Interpreted by the application's
 /// steering glue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransitionAction {
     /// Notify a remote host that `param` changed (e.g. tell the server the
     /// new compression method).
@@ -239,7 +237,7 @@ pub enum TransitionAction {
 
 /// A transition specification: when the configuration changes and `guard`
 /// holds for the *new* configuration, run `actions`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionSpec {
     /// Parameters whose change triggers this transition (empty = any).
     pub on_params: Vec<String>,
@@ -375,20 +373,5 @@ mod tests {
         let tg = TransitionSpec::on(&[], vec![]).with_guard(Guard::Ge("l".into(), 4));
         assert!(tg.triggered_by(&old, &new_c));
         assert!(!tg.triggered_by(&old, &new_l));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = Guard::And(vec![
-            Guard::Eq("c".into(), 1),
-            Guard::Or(vec![Guard::Le("l".into(), 4), Guard::True]),
-        ]);
-        let json = serde_json::to_string(&g).unwrap();
-        // Builds linked against the offline serde_json stub cannot
-        // deserialize; the round-trip is only checkable with the real crate.
-        let Ok(back) = serde_json::from_str::<Guard>(&json) else {
-            return;
-        };
-        assert_eq!(back, g);
     }
 }

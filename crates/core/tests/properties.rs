@@ -226,7 +226,7 @@ proptest! {
     }
 
     #[test]
-    fn perfdb_serde_roundtrip(
+    fn perfdb_json_roundtrip(
         points in proptest::collection::vec((0.05f64..1.0, 1e4f64..1e6, 0.0f64..100.0), 1..10),
     ) {
         let mut db = PerfDb::new();
@@ -238,12 +238,23 @@ proptest! {
                 metrics: QosReport::new(&[("t", t)]),
             });
         }
-        // Builds linked against the offline serde_json stub cannot
-        // deserialize; the round-trip is only checkable with the real crate.
-        let Ok(back) = PerfDb::from_json(&db.to_json()) else {
-            return Ok(());
-        };
+        let back = PerfDb::from_json(&db.to_json()).expect("a saved database reloads");
         prop_assert_eq!(back.records(), db.records());
+        // Bit-identical predictions at every point of the sampled lattice
+        // (the cross product of the sampled axis values), both modes.
+        let cfg = Configuration::new(&[("x", 1)]);
+        let bits = |db: &PerfDb, q: &ResourceVector, mode| {
+            db.predict(&cfg, "w", q, mode)
+                .map(|r| r.iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect::<Vec<_>>())
+        };
+        for &(cv, _, _) in &points {
+            for &(_, nv, _) in &points {
+                let q = ResourceVector::new(&[(cpu(), cv), (net(), nv)]);
+                for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
+                    prop_assert_eq!(bits(&back, &q, mode), bits(&db, &q, mode));
+                }
+            }
+        }
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! A repro records one failing [`TrialPlan`] plus the violated invariant,
 //! as JSON, and replays verbatim: parsing the file and running the plan
-//! reproduces the exact trial the explorer saw. The JSON is emitted and
-//! parsed by hand — the plan is all integers, and keeping the format
-//! dependency-free means a repro replays anywhere the crate builds.
+//! reproduces the exact trial the explorer saw. The plan is all unsigned
+//! integers, which [`obs::json`] keeps exact at the full 64 bits.
 
-use std::fmt::Write as _;
+use obs::json::{self, Json};
 
 use crate::space::TrialPlan;
 
@@ -44,80 +43,59 @@ impl Repro {
         self
     }
 
-    /// Serialize to the committed file format.
+    /// Serialize to the committed file format: the pretty form of
+    /// [`obs::json`], newline-terminated.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
         let p = &self.plan;
-        let mut down = String::new();
-        for (i, (a, b)) in p.down.iter().enumerate() {
-            if i > 0 {
-                down.push_str(", ");
-            }
-            let _ = write!(down, "[{a}, {b}]");
-        }
         let triples = |list: &[(u64, u64, u64)]| {
-            let mut s = String::new();
-            for (i, (a, b, c)) in list.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "[{a}, {b}, {c}]");
-            }
-            s
+            Json::arr(list.iter().map(|&(a, b, c)| Json::arr([a, b, c])))
         };
-        let _ = write!(
-            s,
-            "{{\n  \"version\": {},\n  \"violation\": {},\n  \"detail\": {},\n  \"digest\": {},\n  \"plan\": {{\n",
-            self.version,
-            quote(&self.violation),
-            quote(&self.detail),
-            self.digest
-        );
-        let _ = writeln!(s, "    \"trial_seed\": {},", p.trial_seed);
-        let _ = writeln!(s, "    \"schedule_seed\": {},", p.schedule_seed);
-        let _ = writeln!(s, "    \"timer_skew_us\": {},", p.timer_skew_us);
-        let _ = writeln!(s, "    \"loss_pct\": {},", p.loss_pct);
-        let _ = writeln!(s, "    \"jitter_us\": {},", p.jitter_us);
-        let _ = writeln!(s, "    \"down\": [{down}],");
-        let _ = writeln!(s, "    \"crash_at_ms\": {},", p.crash_at_ms);
-        let _ = writeln!(s, "    \"restart_at_ms\": {},", p.restart_at_ms);
-        let _ = writeln!(s, "    \"n_images\": {},", p.n_images);
-        let _ = writeln!(s, "    \"timeout_ms\": {},", p.timeout_ms);
-        let _ = writeln!(s, "    \"surges\": [{}],", triples(&p.surges));
-        let _ = writeln!(s, "    \"dips\": [{}],", triples(&p.dips));
-        let _ = writeln!(s, "    \"knobs\": [{}],", triples(&p.knobs));
-        let _ = writeln!(s, "    \"drift_threshold_x1000\": {}", p.drift_threshold_x1000);
-        s.push_str("  }\n}\n");
-        s
+        let plan = Json::obj([
+            ("trial_seed", p.trial_seed.into()),
+            ("schedule_seed", p.schedule_seed.into()),
+            ("timer_skew_us", p.timer_skew_us.into()),
+            ("loss_pct", p.loss_pct.into()),
+            ("jitter_us", p.jitter_us.into()),
+            ("down", Json::arr(p.down.iter().map(|&(a, b)| Json::arr([a, b])))),
+            ("crash_at_ms", p.crash_at_ms.into()),
+            ("restart_at_ms", p.restart_at_ms.into()),
+            ("n_images", p.n_images.into()),
+            ("timeout_ms", p.timeout_ms.into()),
+            ("surges", triples(&p.surges)),
+            ("dips", triples(&p.dips)),
+            ("knobs", triples(&p.knobs)),
+            ("drift_threshold_x1000", p.drift_threshold_x1000.into()),
+        ]);
+        let doc = Json::obj([
+            ("version", self.version.into()),
+            ("violation", self.violation.as_str().into()),
+            ("detail", self.detail.as_str().into()),
+            ("digest", self.digest.into()),
+            ("plan", plan),
+        ]);
+        format!("{doc:#}\n")
     }
 
-    /// Parse a repro file. Strict about structure, lenient about
-    /// whitespace and key order.
+    /// Parse a repro file. Strict about structure (unknown keys are
+    /// errors), lenient about whitespace and key order.
     pub fn from_json(text: &str) -> Result<Repro, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let mut version = None;
         let mut violation = None;
         let mut detail = String::new();
         // Legacy files carry no digest; zero means "not pinned".
         let mut digest = 0;
-        let mut plan: Option<TrialPlan> = None;
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
+        let mut plan = None;
+        for (key, v) in members(&doc, "repro")? {
             match key.as_str() {
-                "version" => version = Some(p.u64()?),
-                "violation" => violation = Some(p.string()?),
-                "detail" => detail = p.string()?,
-                "digest" => digest = p.u64()?,
-                "plan" => plan = Some(p.plan()?),
+                "version" => version = Some(uint(key, v)?),
+                "violation" => violation = Some(string(key, v)?),
+                "detail" => detail = string(key, v)?,
+                "digest" => digest = uint(key, v)?,
+                "plan" => plan = Some(plan_from_json(v)?),
                 other => return Err(format!("unknown key '{other}'")),
             }
-            if !p.comma_or(b'}')? {
-                break;
-            }
         }
-        p.end()?;
         let version = version.ok_or("missing 'version'")?;
         if version != 1 {
             return Err(format!("unsupported repro version {version}"));
@@ -132,217 +110,63 @@ impl Repro {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn members<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    v.as_obj().ok_or_else(|| format!("{what} is not an object"))
 }
 
-/// Minimal scanner over the repro grammar: objects, `[a, b]` pair
-/// arrays, unsigned integers, and escaped strings.
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
+fn uint(key: &str, v: &Json) -> Result<u64, String> {
+    v.as_u64().ok_or_else(|| format!("'{key}' is not an unsigned integer"))
 }
 
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
+fn string(key: &str, v: &Json) -> Result<String, String> {
+    v.as_str().map(str::to_string).ok_or_else(|| format!("'{key}' is not a string"))
+}
+
+/// `[[a, b], ...]` (`N` = 2, the down windows) or `[[a, b, c], ...]`
+/// (`N` = 3, surge / dip / knob lists).
+fn windows<const N: usize>(key: &str, v: &Json) -> Result<Vec<[u64; N]>, String> {
+    let bad = || format!("'{key}' is not a list of {N}-integer windows");
+    let mut out = Vec::new();
+    for window in v.as_arr().ok_or_else(bad)? {
+        let items = window.as_arr().filter(|items| items.len() == N).ok_or_else(bad)?;
+        let mut w = [0; N];
+        for (slot, item) in w.iter_mut().zip(items) {
+            *slot = item.as_u64().ok_or_else(bad)?;
         }
+        out.push(w);
     }
+    Ok(out)
+}
 
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.i += 1;
-                Ok(())
+fn plan_from_json(v: &Json) -> Result<TrialPlan, String> {
+    // Every axis a file does not mention stays off, so files written
+    // before the overload, knob and drift axes existed keep parsing.
+    let mut plan = TrialPlan { n_images: 2, timeout_ms: 250, ..TrialPlan::default() };
+    let triples = |key: &str, v: &Json| -> Result<Vec<(u64, u64, u64)>, String> {
+        Ok(windows::<3>(key, v)?.into_iter().map(|[a, b, c]| (a, b, c)).collect())
+    };
+    for (key, v) in members(v, "'plan'")? {
+        match key.as_str() {
+            "trial_seed" => plan.trial_seed = uint(key, v)?,
+            "schedule_seed" => plan.schedule_seed = uint(key, v)?,
+            "timer_skew_us" => plan.timer_skew_us = uint(key, v)?,
+            "loss_pct" => plan.loss_pct = uint(key, v)?,
+            "jitter_us" => plan.jitter_us = uint(key, v)?,
+            "down" => {
+                plan.down = windows::<2>(key, v)?.into_iter().map(|[a, b]| (a, b)).collect();
             }
-            got => Err(format!("expected '{}' at byte {}, got {got:?}", c as char, self.i)),
+            "crash_at_ms" => plan.crash_at_ms = uint(key, v)?,
+            "restart_at_ms" => plan.restart_at_ms = uint(key, v)?,
+            "n_images" => plan.n_images = uint(key, v)?,
+            "timeout_ms" => plan.timeout_ms = uint(key, v)?,
+            "surges" => plan.surges = triples(key, v)?,
+            "dips" => plan.dips = triples(key, v)?,
+            "knobs" => plan.knobs = triples(key, v)?,
+            "drift_threshold_x1000" => plan.drift_threshold_x1000 = uint(key, v)?,
+            other => return Err(format!("unknown plan key '{other}'")),
         }
     }
-
-    /// After a member: consume `,` (returning true) or `close`
-    /// (returning false).
-    fn comma_or(&mut self, close: u8) -> Result<bool, String> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(got) if got == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            got => Err(format!("expected ',' or '{}', got {got:?}", close as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i).ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex =
-                                self.b.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        }
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
-                }
-                c => out.push(c as char),
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected integer at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    /// `[[a, b], ...]` — the down-window list.
-    fn pair_array(&mut self) -> Result<Vec<(u64, u64)>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            self.expect(b'[')?;
-            let a = self.u64()?;
-            self.expect(b',')?;
-            let b = self.u64()?;
-            self.expect(b']')?;
-            out.push((a, b));
-            if !self.comma_or(b']')? {
-                return Ok(out);
-            }
-        }
-    }
-
-    /// `[[a, b, c], ...]` — surge / dip window lists.
-    fn triple_array(&mut self) -> Result<Vec<(u64, u64, u64)>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            self.expect(b'[')?;
-            let a = self.u64()?;
-            self.expect(b',')?;
-            let b = self.u64()?;
-            self.expect(b',')?;
-            let c = self.u64()?;
-            self.expect(b']')?;
-            out.push((a, b, c));
-            if !self.comma_or(b']')? {
-                return Ok(out);
-            }
-        }
-    }
-
-    fn plan(&mut self) -> Result<TrialPlan, String> {
-        self.expect(b'{')?;
-        let mut plan = TrialPlan {
-            trial_seed: 0,
-            schedule_seed: 0,
-            timer_skew_us: 0,
-            loss_pct: 0,
-            jitter_us: 0,
-            down: Vec::new(),
-            crash_at_ms: 0,
-            restart_at_ms: 0,
-            n_images: 2,
-            timeout_ms: 250,
-            // Overload, knob, and drift axes default off so older repro
-            // files (which lack the keys) keep parsing.
-            surges: Vec::new(),
-            dips: Vec::new(),
-            knobs: Vec::new(),
-            drift_threshold_x1000: 0,
-        };
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "trial_seed" => plan.trial_seed = self.u64()?,
-                "schedule_seed" => plan.schedule_seed = self.u64()?,
-                "timer_skew_us" => plan.timer_skew_us = self.u64()?,
-                "loss_pct" => plan.loss_pct = self.u64()?,
-                "jitter_us" => plan.jitter_us = self.u64()?,
-                "down" => plan.down = self.pair_array()?,
-                "crash_at_ms" => plan.crash_at_ms = self.u64()?,
-                "restart_at_ms" => plan.restart_at_ms = self.u64()?,
-                "n_images" => plan.n_images = self.u64()?,
-                "timeout_ms" => plan.timeout_ms = self.u64()?,
-                "surges" => plan.surges = self.triple_array()?,
-                "dips" => plan.dips = self.triple_array()?,
-                "knobs" => plan.knobs = self.triple_array()?,
-                "drift_threshold_x1000" => plan.drift_threshold_x1000 = self.u64()?,
-                other => return Err(format!("unknown plan key '{other}'")),
-            }
-            if !self.comma_or(b'}')? {
-                return Ok(plan);
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.ws();
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing data at byte {}", self.i))
-        }
-    }
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -412,7 +236,8 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let plan = FaultSpace::quiet().sample(1);
-        let repro = Repro::new(plan, "breaker_illegal", "tab\there \"quoted\" \\ back\nline");
+        let repro =
+            Repro::new(plan, "breaker_illegal", "tab\there \"quoted\" \\ back\nline µs \r é");
         let parsed = Repro::from_json(&repro.to_json()).expect("parses");
         assert_eq!(parsed.detail, repro.detail);
     }

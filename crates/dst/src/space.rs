@@ -315,7 +315,7 @@ impl FaultSpace {
 
 /// One fully-determined trial: every fault and perturbation pinned to an
 /// integer. Serialized verbatim into repro files.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrialPlan {
     /// The seed this plan was sampled from (also seeds the fault RNG).
     pub trial_seed: u64,

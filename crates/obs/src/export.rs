@@ -3,39 +3,11 @@
 
 use crate::bus::EventBus;
 use crate::event::{Event, Value};
+use crate::json::{Json, Quoted};
 use crate::metrics::{Data, Registry};
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Format a float as a JSON number; non-finite values become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Serialize every metric (in registration order) plus bus totals as
 /// pretty-printed JSON. The output is deterministic for deterministic
@@ -46,21 +18,21 @@ pub(crate) fn export_json(registry: &Registry, bus: &EventBus) -> String {
     let mut hists = Vec::new();
     for m in registry.iter() {
         match &m.data {
-            Data::Counter(c) => counters.push(format!("    {}: {c}", json_str(&m.name))),
-            Data::Gauge(g) => gauges.push(format!("    {}: {}", json_str(&m.name), json_f64(*g))),
+            Data::Counter(c) => counters.push(format!("    {}: {c}", Quoted(&m.name))),
+            Data::Gauge(g) => gauges.push(format!("    {}: {}", Quoted(&m.name), Json::F64(*g))),
             Data::Histogram(h) => {
                 let s = h.stats();
                 hists.push(format!(
                     "    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                      \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                    json_str(&m.name),
+                    Quoted(&m.name),
                     s.count,
-                    json_f64(s.sum),
-                    json_f64(s.min),
-                    json_f64(s.max),
-                    json_f64(s.p50),
-                    json_f64(s.p95),
-                    json_f64(s.p99),
+                    Json::F64(s.sum),
+                    Json::F64(s.min),
+                    Json::F64(s.max),
+                    Json::F64(s.p50),
+                    Json::F64(s.p95),
+                    Json::F64(s.p99),
                 ));
             }
         }
@@ -210,7 +182,7 @@ pub(crate) fn export_otlp_spans(registry: &Registry, spans: &[SpanRecord]) -> St
             trace = format_args!("{:032x}", 1),
             span = hex_span_id(s.span_id),
             parent = s.parent_id.map(hex_span_id).unwrap_or_default(),
-            name = json_str(name),
+            name = Quoted(name),
             start = s.start_ns,
             end = s.end_ns,
         ));

@@ -43,6 +43,7 @@ pub mod bus;
 pub mod control;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod span;
 

@@ -14,6 +14,17 @@ stage() {
 }
 trap 'echo "FAILED in stage: $CURRENT_STAGE" >&2' ERR
 
+stage "no stub serializer"
+# obs::json is the workspace's one text codec. The offline stand-ins it
+# replaced serialized a placeholder and could not deserialize at all;
+# this keeps them (or anything that would pull them back) from drifting
+# into a manifest, the lock file or a source file.
+if grep -rIl --include='*.rs' --include='Cargo.toml' --include='Cargo.lock' serde \
+    Cargo.toml Cargo.lock crates src tests examples vendor; then
+    echo "the files above mention serde: use obs::json" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 

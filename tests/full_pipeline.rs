@@ -52,29 +52,39 @@ fn database_persists_to_disk_and_reloads() {
     let config = Configuration::new(&[("dR", 16), ("c", 1), ("l", 3)]);
     let point = ResourceVector::new(&[(client_cpu_key(), 0.5), (client_net_key(), 50_000.0)]);
     let metrics = profile_point(&sc, &store, &config, &point);
-    let mut db = PerfDb::new();
+    // The analytic model database every load bench shares, plus one
+    // record of really profiled (irregular) values.
+    let mut db = model_db(&LoadGenOpts::default());
     db.add(PerfRecord {
         config: config.clone(),
         resources: point.clone(),
-        input: PROFILE_INPUT.into(),
+        input: "profiled".into(),
         metrics: metrics.clone(),
     });
 
-    let json = db.to_json();
-    // Builds linked against the offline serde_json stub (the dependency-
-    // free mirror workspace) serialize to a placeholder that cannot
-    // reload; the round-trip half of this test only makes sense where the
-    // real serializer is present.
-    if PerfDb::from_json(&json).is_err() {
-        return;
-    }
     let path = std::env::temp_dir().join("adaptive_framework_perfdb_test.json");
-    std::fs::write(&path, json).unwrap();
+    std::fs::write(&path, db.to_json()).unwrap();
     let loaded = PerfDb::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded.len(), 1);
-    let p = loaded.predict(&config, PROFILE_INPUT, &point, PredictMode::Interpolate).unwrap();
+    assert_eq!(loaded.records(), db.records());
+    let p = loaded.predict(&config, "profiled", &point, PredictMode::Interpolate).unwrap();
     assert_eq!(p, metrics);
+    // Bit-identical predictions at every lattice point, in both modes.
+    let bits = |db: &PerfDb, r: &PerfRecord, mode| -> Vec<u64> {
+        let p = db.predict(&r.config, &r.input, &r.resources, mode).expect("a sampled point");
+        p.iter().map(|(_, v)| v.to_bits()).collect()
+    };
+    for r in db.records() {
+        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
+            assert_eq!(
+                bits(&loaded, r, mode),
+                bits(&db, r, mode),
+                "{} at {}",
+                r.config,
+                r.resources
+            );
+        }
+    }
 }
 
 #[test]
