@@ -7,21 +7,34 @@
 use std::sync::Arc;
 
 use adapt_bench::socket::{decision_digest, smoke_session};
-use simnet::DrainMode;
+use simnet::{DrainMode, ExplorePlan};
 use visapp::{decision_sequence, model_db, run_load, socket_mirror_hook, MirrorBackend};
 
 #[test]
 fn bench_load_digests_are_pinned() {
-    // BENCH_load.json, `deterministic.sweep[].digest`.
+    // BENCH_load.json, `deterministic.sweep[].{digest, peak_queue_depth}`
+    // (the digest folds in `events` but deliberately not the peak).
     let pinned = [
-        (1usize, 0xdfcd_20c7_ac69_2672_u64),
-        (10, 0x7361_551e_1ed7_e8fb),
-        (100, 0xa2bc_bcf4_6c88_c4ce),
+        (1usize, 0xdfcd_20c7_ac69_2672_u64, 4usize),
+        (10, 0x7361_551e_1ed7_e8fb, 19),
+        (100, 0xa2bc_bcf4_6c88_c4ce, 114),
     ];
     let db = Arc::new(model_db(&adapt_bench::load::bench_opts(1)));
-    for (sessions, digest) in pinned {
-        let got = run_load(&adapt_bench::load::bench_opts(sessions), &db).digest();
+    for (sessions, digest, peak) in pinned {
+        let report = run_load(&adapt_bench::load::bench_opts(sessions), &db);
+        let got = report.digest();
         assert_eq!(got, digest, "{sessions} sessions: {got:016x}");
+        assert_eq!(report.peak_queue_depth, peak, "{sessions} sessions");
+    }
+}
+
+#[test]
+fn kernel_storm_counts_are_pinned_in_every_sequential_mode() {
+    // BENCH_load.json, `timing.kernel_storm.{events, peak_queue_depth}`.
+    for mode in [DrainMode::Heap, DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
+        let r = adapt_bench::load::kernel_storm(1000, 64, 10, mode);
+        assert_eq!(r.events, 641_000, "{mode:?}");
+        assert_eq!(r.peak_queue_depth, 64_000, "{mode:?}");
     }
 }
 

@@ -131,6 +131,7 @@ pub struct AdaptiveRuntime {
     pub monitor: MonitoringAgent,
     pub scheduler: ResourceScheduler,
     steering: SteeringAgent,
+    /// Raised before a bus was attached; `set_obs` publishes and empties it.
     events: Vec<AdaptationEvent>,
     /// Upper bound on guard-negotiation retries per boundary.
     pub max_negotiations: usize,
@@ -198,13 +199,13 @@ impl AdaptiveRuntime {
     }
 
     /// Publish all adaptation telemetry into `obs`: every
-    /// [`AdaptationEvent`] as a structured bus event (events recorded
-    /// before attachment are backfilled, so the bus is always a superset
-    /// of the legacy log), tick counts on the `"monitor.ticks"` counter,
-    /// and scheduler/database decision latencies as histograms.
+    /// [`AdaptationEvent`] as a structured bus event (those raised before
+    /// attachment are published now; the runtime keeps no copy afterwards),
+    /// tick counts on the `"monitor.ticks"` counter, and scheduler/database
+    /// decision latencies as histograms.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.scheduler.set_obs(obs);
-        for ev in &self.events {
+        for ev in self.events.drain(..) {
             obs.publish(ev.to_obs());
         }
         self.obs_ctx = Some(RuntimeObs {
@@ -221,10 +222,10 @@ impl AdaptiveRuntime {
     }
 
     fn push_event(&mut self, ev: AdaptationEvent) {
-        if let Some(o) = &self.obs_ctx {
-            o.obs.publish(ev.to_obs());
+        match &self.obs_ctx {
+            Some(o) => o.obs.publish(ev.to_obs()),
+            None => self.events.push(ev),
         }
-        self.events.push(ev);
     }
 
     pub fn current(&self) -> &Configuration {
@@ -604,6 +605,7 @@ mod tests {
         rt.at_boundary(SimTime::from_secs(28));
         let kinds: Vec<&'static str> = obs.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["decide", "trigger", "decide", "switch"]);
+        assert!(rt.events.is_empty(), "the bus is the only copy once attached");
         // Never-mutated preferences: no decide event carries a
         // pref_version field, so legacy event streams stay byte-identical.
         for ev in obs.events_filtered(&obs::EventFilter::decisions()) {

@@ -21,9 +21,7 @@
 //! re-emits them chopped/delayed to enforce resource limits — all without
 //! the kernel knowing.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -32,12 +30,17 @@ use rand::{Rng, SeedableRng};
 use crate::accounting::{Accounting, Dir, Snapshot, Transfer};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
-use crate::det::SplitMix64;
 use crate::fault::DropReason;
 use crate::link::{FlowSched, Link, LinkMode};
 use crate::message::Message;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
+
+mod queue;
+mod shard;
+
+use queue::EventQueue;
+use shard::{ShardCtx, ShardPlan};
 
 /// Default one-way latency for messages between actors on the same host.
 pub const DEFAULT_LOCAL_LATENCY_US: u64 = 5;
@@ -79,11 +82,8 @@ pub(crate) struct ActorState {
 }
 
 impl ActorState {
-    /// A placeholder standing in for an actor owned by another shard (or
-    /// by the parent during a sharded run): correct host for routing, not
-    /// alive, empty queues. Cross-shard `Sent` accounting accumulates here
-    /// and is merged into the real actor by [`Sim::absorb_shards`].
-    fn skeleton(host: HostId) -> Self {
+    /// A freshly spawned, idle, live actor on `host`.
+    fn new(host: HostId) -> Self {
         ActorState {
             host,
             fifo: VecDeque::new(),
@@ -96,7 +96,7 @@ impl ActorState {
             compute_started: SimTime::ZERO,
             sleep_started: SimTime::ZERO,
             acct: Accounting::default(),
-            alive: false,
+            alive: true,
             crashed: false,
             incarnation: 0,
         }
@@ -133,45 +133,6 @@ pub(crate) enum Ev {
     /// [`DrainMode::Sharded`] runs (see [`Sim::at_on`]); plain [`Sim::at`]
     /// scripts carry `None` and cannot be partitioned across shards.
     Script(Option<HostId>, Box<dyn FnOnce(&mut Sim) + Send>),
-}
-
-struct HeapEntry {
-    t: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-/// A bucketed event plus the time it was pushed. The push time is what a
-/// sequential run's global sequence number encodes (pushes happen in
-/// nondecreasing time order), so carrying it lets a sharded run splice
-/// cross-shard deliveries into a destination bucket at the position the
-/// sequential run would have given them.
-pub(crate) struct Queued {
-    pub(crate) push_t: SimTime,
-    pub(crate) ev: Ev,
-}
-
-/// Sharding state carried by a shard's sub-simulation during a
-/// [`DrainMode::Sharded`] run (see `crate::shard`).
-pub(crate) struct ShardCtx {
-    pub(crate) my_shard: usize,
-    pub(crate) shard_of_host: std::sync::Arc<Vec<usize>>,
-    /// Minimum latency over explicit cross-shard links (the conservative
-    /// lookahead); `None` when no explicit link crosses a shard boundary,
-    /// in which case any cross-shard send is an error.
-    pub(crate) l_cross: Option<u64>,
-    /// Deliveries destined to other shards, exchanged at epoch barriers.
-    pub(crate) outbox: Vec<OutEntry>,
-    pub(crate) out_seq: u64,
-}
-
-/// One cross-shard delivery awaiting injection at the next barrier.
-pub(crate) struct OutEntry {
-    pub(crate) dst_shard: usize,
-    pub(crate) deliver_t: SimTime,
-    pub(crate) push_t: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) ev: Ev,
 }
 
 /// Schedule-perturbation budget for [`DrainMode::Explore`].
@@ -217,8 +178,9 @@ impl ExplorePlan {
 /// queues (thousands of concurrent sessions); [`DrainMode::Heap`] is the
 /// original one-entry-at-a-time binary heap, kept as the measurable
 /// baseline for the batched path (see `bench/src/bin/load_bench.rs`).
-/// [`DrainMode::Explore`] layers a seeded schedule perturbation on the
-/// batched drain for simulation-test exploration (see `adapt-dst`).
+/// [`DrainMode::Explore`] is the batched queue under a seeded
+/// [`ExplorePlan`], for simulation-test exploration (see `adapt-dst`);
+/// [`DrainMode::Batched`] is that same queue under the identity plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainMode {
     /// Pop entries one at a time from a `(time, seq)`-ordered binary heap.
@@ -232,8 +194,8 @@ pub enum DrainMode {
     /// per event.
     #[default]
     Batched,
-    /// The batched drain plus a deterministic schedule perturbation: each
-    /// same-timestamp bucket is Fisher-Yates-permuted by a per-batch
+    /// The batched queue under a deterministic schedule perturbation: each
+    /// same-timestamp bucket is Fisher-Yates-permuted by a per-bucket
     /// stream derived from the plan seed, and timer fires are skewed by a
     /// bounded extra delay. Every ordering it produces is a legal
     /// `(time, insertion)` schedule of *some* execution — the exploration
@@ -258,83 +220,12 @@ pub enum DrainMode {
     Sharded { threads: usize, shards: usize },
 }
 
-/// How many drained buckets to keep for reuse. Matches the number of
-/// distinct timestamps typically live at once (current batch spillover
-/// plus the next few timer grids).
-const SPARE_BUCKETS: usize = 4;
-
-/// Multiply-shift hasher for the batched-mode bucket map. Bucket keys are
-/// `SimTime` (one `u64`), hashed on every event push, so the default
-/// SipHash would dominate the batched path's per-event cost; a single
-/// multiply + xor-shift mixes the 64 timestamp bits well enough for a
-/// table whose keys are distinct pending timestamps (typically a handful).
-#[derive(Debug, Clone, Copy, Default)]
-struct TimeHasherBuilder;
-
-#[derive(Debug, Default)]
-struct TimeHasher(u64);
-
-impl std::hash::BuildHasher for TimeHasherBuilder {
-    type Hasher = TimeHasher;
-    fn build_hasher(&self) -> TimeHasher {
-        TimeHasher(0)
-    }
-}
-
-impl std::hash::Hasher for TimeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
     now: SimTime,
-    seq: u64,
     mode: DrainMode,
-    heap: BinaryHeap<HeapEntry>,
-    /// Batched-mode queue: min-heap of distinct pending timestamps …
-    times: BinaryHeap<Reverse<SimTime>>,
-    /// … and the FIFO bucket of events at each of them. A timestamp is in
-    /// `times` iff it has a bucket; a bucket is removed exactly when its
-    /// `times` entry is popped, so neither duplicates nor stale entries
-    /// can accumulate.
-    buckets: HashMap<SimTime, VecDeque<Queued>, TimeHasherBuilder>,
-    /// Drained, empty buckets kept for reuse (capacity recycling).
-    spare_buckets: Vec<VecDeque<Queued>>,
-    /// Explore-mode timer-skew stream (advanced once per timer push).
-    explore_rng: SplitMix64,
-    /// Explore-mode batches drained so far (salts per-batch permutation).
-    explore_batches: u64,
-    queue_len: usize,
-    peak_queue_depth: usize,
+    /// Pending events, in the representation `mode` selects.
+    queue: EventQueue,
     /// Largest single-shard peak seen while absorbing a sharded drain
     /// (0 until a sharded run completes).
     peak_shard_queue_depth: usize,
@@ -397,16 +288,8 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
             mode: DrainMode::default(),
-            heap: BinaryHeap::new(),
-            times: BinaryHeap::new(),
-            buckets: HashMap::default(),
-            spare_buckets: Vec::new(),
-            explore_rng: SplitMix64::new(0),
-            explore_batches: 0,
-            queue_len: 0,
-            peak_queue_depth: 0,
+            queue: EventQueue::new(DrainMode::default()),
             peak_shard_queue_depth: 0,
             hosts: Vec::new(),
             links: HashMap::new(),
@@ -457,31 +340,10 @@ impl Sim {
     /// target actors spawned before the run).
     pub fn spawn(&mut self, host: HostId, actor: Box<dyn Actor>) -> ActorId {
         assert!(host.0 < self.hosts.len(), "unknown host {host}");
-        if let Some(ctx) = self.shard_ctx.as_ref() {
-            assert!(
-                ctx.shard_of_host[host.0] == ctx.my_shard,
-                "sharded run: cannot spawn on foreign host {host} from shard {}",
-                ctx.my_shard
-            );
-        }
+        self.assert_host_local(host, "spawn");
         let id = ActorId(self.actors.len());
         self.actors.push(Some(actor));
-        self.states.push(ActorState {
-            host,
-            fifo: VecDeque::new(),
-            inbox: VecDeque::new(),
-            running: Running::Idle,
-            weight: 1.0,
-            cpu_cap: None,
-            mem_limit: None,
-            mem_penalty_k: 4.0,
-            compute_started: SimTime::ZERO,
-            sleep_started: SimTime::ZERO,
-            acct: Accounting::default(),
-            alive: true,
-            crashed: false,
-            incarnation: 0,
-        });
+        self.states.push(ActorState::new(host));
         let t = self.now;
         self.push(t, Ev::Start(id));
         id
@@ -735,16 +597,16 @@ impl Sim {
     }
 
     /// Install a runaway-loop backstop: the simulation panics (with the
-    /// tail of the trace, if tracing is enabled) after handling this many
-    /// events. Useful for debugging livelocked actor protocols.
+    /// newest kernel events from the attached obs bus, if there is one)
+    /// after handling this many events. Useful for debugging livelocked
+    /// actor protocols.
     pub fn set_event_limit(&mut self, limit: Option<u64>) {
         self.event_limit = limit;
     }
 
     /// Route every kernel trace event onto `obs`'s shared event bus as a
-    /// structured `Source::Simnet` event (see [`crate::trace`]). This is
-    /// independent of [`Trace::set_enabled`], which only controls the
-    /// legacy in-memory log.
+    /// structured `Source::Simnet` event (see [`crate::trace`]): the only
+    /// place kernel events are recorded.
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
         self.trace.attach_obs(obs);
     }
@@ -837,19 +699,9 @@ impl Sim {
 
     /// Process events until the queue is exhausted.
     pub fn run_until_idle(&mut self) {
-        match self.mode {
-            DrainMode::Heap => {
-                while let Some(entry) = self.heap.pop() {
-                    debug_assert!(entry.t >= self.now);
-                    self.queue_len -= 1;
-                    self.now = entry.t;
-                    self.handle(entry.ev);
-                }
-            }
-            DrainMode::Batched | DrainMode::Explore(_) => self.drain_batched_until_idle(),
-            DrainMode::Sharded { threads, shards } => {
-                crate::shard::run_sharded_until_idle(self, threads, shards);
-            }
+        match self.shard_plan() {
+            Some(plan) => shard::run_until_idle(self, &plan),
+            None => self.drain(SimTime::MAX),
         }
     }
 
@@ -859,71 +711,37 @@ impl Sim {
     /// (or one thread) support bounded driving; multi-shard runs panic —
     /// they support [`Sim::run_until_idle`] only.
     pub fn run_until(&mut self, t: SimTime) {
-        match self.mode {
-            DrainMode::Heap => {
-                while let Some(entry) = self.heap.peek() {
-                    if entry.t > t {
-                        break;
-                    }
-                    let entry = self.heap.pop().unwrap();
-                    self.queue_len -= 1;
-                    self.now = entry.t;
-                    self.handle(entry.ev);
-                }
-            }
-            DrainMode::Batched | DrainMode::Explore(_) => self.drain_batched_until(t),
-            DrainMode::Sharded { threads, shards } => {
-                assert!(
-                    crate::shard::resolves_sequential(self, threads, shards),
-                    "DrainMode::Sharded supports run_until_idle only when the run \
-                     partitions into multiple shards"
-                );
-                self.drain_batched_until(t);
-            }
-        }
+        assert!(
+            self.shard_plan().is_none(),
+            "DrainMode::Sharded supports run_until_idle only when the run \
+             partitions into multiple shards"
+        );
+        self.drain(t);
         if t > self.now {
             self.now = t;
         }
     }
 
-    /// Sequential batched drain to idle (shared by [`DrainMode::Batched`],
-    /// [`DrainMode::Explore`], sharded sub-simulations, and sharded runs
-    /// that resolve to a single shard).
-    pub(crate) fn drain_batched_until_idle(&mut self) {
-        while let Some((t, batch)) = self.pop_batch() {
+    /// How a [`DrainMode::Sharded`] run would partition right now; `None`
+    /// in every other mode and when the request resolves to one shard or
+    /// one thread, where the sequential drain produces the same schedule.
+    fn shard_plan(&self) -> Option<ShardPlan> {
+        match self.mode {
+            DrainMode::Sharded { threads, shards } => shard::compute_plan(self, threads, shards),
+            _ => None,
+        }
+    }
+
+    /// The drain loop: handle every event at or before `bound` in queue
+    /// order, leaving the clock at the last one handled. Every way of
+    /// driving a simulation (to idle, to a time, a shard's epoch) is this
+    /// loop with a different bound.
+    fn drain(&mut self, bound: SimTime) {
+        while let Some((t, ev)) = self.queue.pop(bound) {
             debug_assert!(t >= self.now);
             self.now = t;
-            self.drain_batch(batch);
+            self.handle(ev);
         }
-    }
-
-    fn drain_batched_until(&mut self, t: SimTime) {
-        while let Some(&Reverse(bt)) = self.times.peek() {
-            if bt > t {
-                break;
-            }
-            let (bt, batch) = self.pop_batch().unwrap();
-            self.now = bt;
-            self.drain_batch(batch);
-        }
-    }
-
-    /// Process every batch strictly before `h` (the epoch horizon), leaving
-    /// the clock at the last processed batch.
-    pub(crate) fn drain_batched_before(&mut self, h: SimTime) {
-        while let Some(&Reverse(bt)) = self.times.peek() {
-            if bt >= h {
-                break;
-            }
-            let (bt, batch) = self.pop_batch().unwrap();
-            self.now = bt;
-            self.drain_batch(batch);
-        }
-    }
-
-    /// Earliest pending event time (bucketed modes).
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.times.peek().map(|&Reverse(t)| t)
     }
 
     /// Process events for `dur_us` more microseconds of simulated time.
@@ -934,12 +752,12 @@ impl Sim {
 
     /// True when no further events are pending.
     pub fn is_idle(&self) -> bool {
-        self.queue_len == 0
+        self.queue.len() == 0
     }
 
     /// Number of events currently queued.
     pub fn queue_depth(&self) -> usize {
-        self.queue_len
+        self.queue.len()
     }
 
     /// Deepest the event queue has ever been in this simulation.
@@ -948,7 +766,7 @@ impl Sim {
     /// peaks — an upper bound inflated by shard count. For saturation
     /// diagnostics prefer [`Sim::peak_shard_queue_depth`].
     pub fn peak_queue_depth(&self) -> usize {
-        self.peak_queue_depth
+        self.queue.peak()
     }
 
     /// Deepest any *single* shard's event queue got during a sharded
@@ -957,7 +775,7 @@ impl Sim {
     /// sharded run), this does not grow with shard count.
     pub fn peak_shard_queue_depth(&self) -> usize {
         if self.peak_shard_queue_depth == 0 {
-            self.peak_queue_depth
+            self.queue.peak()
         } else {
             self.peak_shard_queue_depth
         }
@@ -972,11 +790,7 @@ impl Sim {
     /// is empty (typically right after [`Sim::new`], before spawning), so
     /// events never have to migrate between representations.
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        assert!(self.is_idle(), "set_drain_mode requires an empty event queue");
-        if let DrainMode::Explore(plan) = mode {
-            self.explore_rng = SplitMix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000);
-            self.explore_batches = 0;
-        }
+        self.queue.set_mode(mode);
         self.mode = mode;
     }
 
@@ -984,121 +798,37 @@ impl Sim {
     // Internals
     // ------------------------------------------------------------------
 
-    fn push(&mut self, t: SimTime, ev: Ev) {
-        // Explore mode: skew timer fires by a bounded, seeded extra delay
-        // (clock skew / timer coalescing). Skew is only ever added, so a
-        // skewed timer never lands in the past.
-        let t = match self.mode {
-            DrainMode::Explore(plan)
-                if plan.seed != 0 && plan.timer_skew_us != 0 && matches!(ev, Ev::Timer { .. }) =>
-            {
-                t + self.explore_rng.below(plan.timer_skew_us + 1)
-            }
-            _ => t,
-        };
+    fn push(&mut self, t: SimTime, mut ev: Ev) {
         // Sharded sub-run: deliveries addressed to a foreign shard go to
         // the outbox (exchanged at the next barrier) instead of the local
-        // queue. Only `Deliver` can cross shards: timers, wakes, and CPU
-        // events are host-local by construction.
+        // queue.
         if let Some(ctx) = self.shard_ctx.as_mut() {
-            if let Ev::Deliver { dst, .. } = &ev {
-                let dst_shard = ctx.shard_of_host[self.states[dst.0].host.0];
-                if dst_shard != ctx.my_shard {
-                    let seq = ctx.out_seq;
-                    ctx.out_seq += 1;
-                    ctx.outbox.push(OutEntry {
-                        dst_shard,
-                        deliver_t: t,
-                        push_t: self.now,
-                        seq,
-                        ev,
-                    });
-                    return;
-                }
-            }
+            let Some(local) = ctx.intercept(&self.states, t, self.now, ev) else { return };
+            ev = local;
         }
-        self.queue_len += 1;
-        if self.queue_len > self.peak_queue_depth {
-            self.peak_queue_depth = self.queue_len;
-        }
-        match self.mode {
-            DrainMode::Heap => {
-                let seq = self.seq;
-                self.seq += 1;
-                self.heap.push(HeapEntry { t, seq, ev });
-            }
-            DrainMode::Batched | DrainMode::Explore(_) | DrainMode::Sharded { .. } => {
-                let push_t = self.now;
-                match self.buckets.entry(t) {
-                    Entry::Occupied(mut e) => e.get_mut().push_back(Queued { push_t, ev }),
-                    Entry::Vacant(e) => {
-                        // Reuse a drained bucket so a storm of same-time
-                        // events pays its deque growth only once.
-                        let bucket = self.spare_buckets.pop().unwrap_or_default();
-                        e.insert(bucket).push_back(Queued { push_t, ev });
-                        self.times.push(Reverse(t));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Remove and return the whole bucket at the earliest pending time. In
-    /// explore mode the bucket is permuted first, so same-timestamp events
-    /// are handled in a seeded order instead of insertion order.
-    fn pop_batch(&mut self) -> Option<(SimTime, VecDeque<Queued>)> {
-        let Reverse(t) = self.times.pop()?;
-        let mut batch = self.buckets.remove(&t).expect("times entry without bucket");
-        if let DrainMode::Explore(plan) = self.mode {
-            if plan.seed != 0 && batch.len() > 1 {
-                self.explore_batches += 1;
-                // Per-batch stream: keyed by (plan seed, timestamp, batch
-                // ordinal) so the permutation of one batch is independent
-                // of how many events earlier batches held.
-                let mut rng = SplitMix64::new(
-                    plan.seed ^ t.as_us().rotate_left(17) ^ self.explore_batches.rotate_left(41),
-                );
-                let slice = batch.make_contiguous();
-                for i in (1..slice.len()).rev() {
-                    let j = rng.below(i as u64 + 1) as usize;
-                    slice.swap(i, j);
-                }
-            }
-        }
-        Some((t, batch))
-    }
-
-    /// Handle every event of one batch in insertion (= sequence) order.
-    /// Handlers that push new events at the current time create a fresh
-    /// bucket, drained after this one — exactly the heap-mode order, where
-    /// newly pushed events always carry a higher sequence number.
-    fn drain_batch(&mut self, mut batch: VecDeque<Queued>) {
-        while let Some(q) = batch.pop_front() {
-            self.queue_len -= 1;
-            self.handle(q.ev);
-        }
-        if self.spare_buckets.len() < SPARE_BUCKETS {
-            self.spare_buckets.push(batch);
-        }
+        self.queue.push(t, self.now, ev);
     }
 
     fn handle(&mut self, ev: Ev) {
         self.events_handled += 1;
         if let Some(limit) = self.event_limit {
             if self.events_handled > limit {
-                let tail: Vec<String> = self
-                    .trace
-                    .recorded()
-                    .iter()
-                    .rev()
-                    .filter(|(_, e)| !matches!(e, TraceEvent::TimerFired { .. }))
-                    .take(40)
-                    .map(|(t, e)| format!("{t} {e:?}"))
-                    .collect();
+                let tail = match self.trace.obs() {
+                    None => "no obs attached".to_string(),
+                    Some(obs) => obs
+                        .events_filtered(&obs::EventFilter::any().source(obs::Source::Simnet))
+                        .iter()
+                        .rev()
+                        .filter_map(|e| TraceEvent::from_obs(e))
+                        .filter(|(_, e)| !matches!(e, TraceEvent::TimerFired { .. }))
+                        .take(40)
+                        .map(|(t, e)| format!("{t} {e:?}"))
+                        .collect::<Vec<_>>()
+                        .join("\n"),
+                };
                 panic!(
-                    "event limit {limit} exceeded at {} — runaway loop? trace tail (newest first):\n{}",
-                    self.now,
-                    tail.join("\n")
+                    "event limit {limit} exceeded at {} — runaway loop? trace tail (newest first):\n{tail}",
+                    self.now
                 );
             }
         }
@@ -1396,246 +1126,6 @@ impl Sim {
             f(&mut actor, &mut ctx);
         }
         self.actors[a.0] = Some(actor);
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-run machinery (see `crate::shard` for the epoch engine)
-    // ------------------------------------------------------------------
-
-    fn assert_host_local(&self, host: HostId, what: &str) {
-        if let Some(ctx) = self.shard_ctx.as_ref() {
-            assert!(
-                ctx.shard_of_host[host.0] == ctx.my_shard,
-                "sharded run: {what}({host}) targets a foreign shard — schedule it with \
-                 at_on({host}, ..) so it runs on the owning shard"
-            );
-        }
-    }
-
-    pub(crate) fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Every explicit directed link as `(src, dst, latency_us)`.
-    pub(crate) fn link_edges(&self) -> Vec<(usize, usize, u64)> {
-        self.links.iter().map(|(&(a, b), l)| (a, b, l.latency_us)).collect()
-    }
-
-    pub(crate) fn observer_set(&self) -> &HashSet<usize> {
-        &self.observer_hosts
-    }
-
-    /// Split this simulation into `plan.n_shards` sub-simulations, one per
-    /// shard: each takes its hosts, actors, per-src-host link state, and
-    /// the pending events routed to it; foreign hosts and actor states are
-    /// replaced by skeletons (correct host/topology info, empty queues) so
-    /// actor indices stay globally aligned. The parent keeps skeletons and
-    /// is restored by [`Sim::absorb_shards`].
-    pub(crate) fn partition_into(&mut self, plan: &crate::shard::ShardPlan) -> Vec<Sim> {
-        debug_assert!(self.heap.is_empty(), "sharded mode queues into buckets");
-        let n = plan.n_shards;
-        let host_of: Vec<usize> = self.states.iter().map(|s| s.host.0).collect();
-        let mut subs: Vec<Sim> = (0..n)
-            .map(|i| {
-                let mut s = Sim::new();
-                s.now = self.now;
-                s.event_limit = self.event_limit;
-                s.default_bw_bps = self.default_bw_bps;
-                s.default_latency_us = self.default_latency_us;
-                s.local_latency_us = self.local_latency_us;
-                s.next_flow_id = self.next_flow_id;
-                s.wire_hook = self.wire_hook.clone();
-                s.trace.set_enabled(self.trace.is_enabled());
-                if let Some(o) = self.trace.obs() {
-                    let o = o.clone();
-                    s.trace.attach_obs(&o);
-                }
-                s.shard_ctx = Some(ShardCtx {
-                    my_shard: i,
-                    shard_of_host: plan.shard_of_host.clone(),
-                    l_cross: plan.l_cross,
-                    outbox: Vec::new(),
-                    out_seq: 0,
-                });
-                s
-            })
-            .collect();
-        for h in 0..self.hosts.len() {
-            let owner = plan.shard_of_host[h];
-            let speed = self.hosts[h].sched.speed();
-            let mem = self.hosts[h].mem_capacity;
-            let name = self.hosts[h].name.clone();
-            for (i, sub) in subs.iter_mut().enumerate() {
-                if i == owner {
-                    let placeholder =
-                        Host { name: name.clone(), sched: CpuSched::new(speed), mem_capacity: mem };
-                    sub.hosts.push(std::mem::replace(&mut self.hosts[h], placeholder));
-                } else {
-                    sub.hosts.push(Host {
-                        name: name.clone(),
-                        sched: CpuSched::new(speed),
-                        mem_capacity: mem,
-                    });
-                }
-            }
-        }
-        for a in 0..self.states.len() {
-            let host = self.states[a].host;
-            let owner = plan.shard_of_host[host.0];
-            for (i, sub) in subs.iter_mut().enumerate() {
-                if i == owner {
-                    sub.actors.push(self.actors[a].take());
-                    sub.states
-                        .push(std::mem::replace(&mut self.states[a], ActorState::skeleton(host)));
-                } else {
-                    sub.actors.push(None);
-                    sub.states.push(ActorState::skeleton(host));
-                }
-            }
-        }
-        // Per-src-host link state moves to the shard owning the source.
-        for (key, link) in std::mem::take(&mut self.links) {
-            subs[plan.shard_of_host[key.0]].links.insert(key, link);
-        }
-        for (key, fs) in std::mem::take(&mut self.flow_scheds) {
-            subs[plan.shard_of_host[key.0]].flow_scheds.insert(key, fs);
-        }
-        for (id, fl) in std::mem::take(&mut self.inflight) {
-            subs[plan.shard_of_host[host_of[fl.0 .0]]].inflight.insert(id, fl);
-        }
-        for (key, l) in std::mem::take(&mut self.loss) {
-            subs[plan.shard_of_host[key.0]].loss.insert(key, l);
-        }
-        for (key, j) in std::mem::take(&mut self.jitter) {
-            subs[plan.shard_of_host[key.0]].jitter.insert(key, j);
-        }
-        for key in std::mem::take(&mut self.down_links) {
-            subs[plan.shard_of_host[key.0]].down_links.insert(key);
-        }
-        // Route pending events to their owning shard, preserving order.
-        while let Some((t, mut batch)) = self.pop_batch() {
-            while let Some(q) = batch.pop_front() {
-                self.queue_len -= 1;
-                let host = match &q.ev {
-                    Ev::Start(a) | Ev::Restart(a) => host_of[a.0],
-                    Ev::CpuNext { host, .. } => *host,
-                    Ev::FlowNext { src, .. } => *src,
-                    Ev::Deliver { dst, .. } => host_of[dst.0],
-                    Ev::Timer { actor, .. } | Ev::Wake { actor } => host_of[actor.0],
-                    Ev::Script(Some(h), _) => h.0,
-                    Ev::Script(None, _) => panic!(
-                        "sharded run: a script scheduled with Sim::at has no host affinity \
-                         and cannot be partitioned — schedule it with Sim::at_on"
-                    ),
-                };
-                subs[plan.shard_of_host[host]].enqueue_partitioned(t, q);
-            }
-        }
-        debug_assert_eq!(self.queue_len, 0);
-        subs
-    }
-
-    /// Append a routed event during partitioning (no interception, no
-    /// explore skew — order within each shard is the parent's order).
-    fn enqueue_partitioned(&mut self, t: SimTime, q: Queued) {
-        self.queue_len += 1;
-        if self.queue_len > self.peak_queue_depth {
-            self.peak_queue_depth = self.queue_len;
-        }
-        match self.buckets.entry(t) {
-            Entry::Occupied(mut e) => e.get_mut().push_back(q),
-            Entry::Vacant(e) => {
-                e.insert(VecDeque::new()).push_back(q);
-                self.times.push(Reverse(t));
-            }
-        }
-    }
-
-    /// Splice one barrier delivery into the bucket at `deliver_t`, at the
-    /// position its push time gives it relative to the local events the
-    /// sequential run interleaves it with. Bucket entries are pushed in
-    /// nondecreasing push-time order, so a binary search finds the slot; an
-    /// exact push-time collision means the sequential order was ambiguous
-    /// and is counted in [`Sim::ambiguous_ties`].
-    pub(crate) fn inject_barrier(&mut self, deliver_t: SimTime, push_t: SimTime, ev: Ev) {
-        debug_assert!(deliver_t >= self.now, "barrier delivery in the past");
-        self.queue_len += 1;
-        if self.queue_len > self.peak_queue_depth {
-            self.peak_queue_depth = self.queue_len;
-        }
-        let spare = self.spare_buckets.pop().unwrap_or_default();
-        let bucket = match self.buckets.entry(deliver_t) {
-            Entry::Occupied(e) => {
-                self.spare_buckets.push(spare);
-                e.into_mut()
-            }
-            Entry::Vacant(e) => {
-                self.times.push(Reverse(deliver_t));
-                e.insert(spare)
-            }
-        };
-        let pos = bucket.partition_point(|q| q.push_t <= push_t);
-        if pos > 0 && bucket[pos - 1].push_t == push_t {
-            self.ambiguous_ties += 1;
-        }
-        bucket.insert(pos, Queued { push_t, ev });
-    }
-
-    /// Take the cross-shard deliveries accumulated since the last barrier.
-    pub(crate) fn take_outbox(&mut self) -> Vec<OutEntry> {
-        self.shard_ctx.as_mut().map(|c| std::mem::take(&mut c.outbox)).unwrap_or_default()
-    }
-
-    /// Fold the sub-simulations of a completed sharded run back into the
-    /// parent: hosts, pre-run actors and their state, link state, traces
-    /// (merged in `(time, shard)` order), and accounting recorded for
-    /// foreign actors (cross-shard `Sent` transfers land on skeletons and
-    /// are merged into the real actor here). Actors spawned during the run
-    /// are shard-local and are dropped.
-    pub(crate) fn absorb_shards(&mut self, mut subs: Vec<Sim>, plan: &crate::shard::ShardPlan) {
-        let n_pre = self.states.len();
-        let mut merged_trace: Vec<(SimTime, usize, TraceEvent)> = Vec::new();
-        let mut peak_sum = 0usize;
-        for (si, sub) in subs.iter_mut().enumerate() {
-            debug_assert_eq!(sub.queue_len, 0, "absorbing a shard with pending events");
-            self.events_handled += sub.events_handled;
-            self.seq += sub.seq;
-            self.ambiguous_ties += sub.ambiguous_ties;
-            peak_sum += sub.peak_queue_depth;
-            self.peak_shard_queue_depth = self.peak_shard_queue_depth.max(sub.peak_queue_depth);
-            if sub.now > self.now {
-                self.now = sub.now;
-            }
-            for (t, ev) in sub.trace.take_recorded() {
-                merged_trace.push((t, si, ev));
-            }
-            self.links.extend(std::mem::take(&mut sub.links));
-            self.flow_scheds.extend(std::mem::take(&mut sub.flow_scheds));
-            self.inflight.extend(std::mem::take(&mut sub.inflight));
-            self.loss.extend(std::mem::take(&mut sub.loss));
-            self.jitter.extend(std::mem::take(&mut sub.jitter));
-            self.down_links.extend(std::mem::take(&mut sub.down_links));
-            self.next_flow_id = self.next_flow_id.max(sub.next_flow_id);
-        }
-        self.peak_queue_depth = self.peak_queue_depth.max(peak_sum);
-        for h in 0..self.hosts.len() {
-            let owner = plan.shard_of_host[h];
-            std::mem::swap(&mut self.hosts[h], &mut subs[owner].hosts[h]);
-        }
-        for a in 0..n_pre {
-            let owner = plan.shard_of_host[self.states[a].host.0];
-            self.actors[a] = subs[owner].actors[a].take();
-            std::mem::swap(&mut self.states[a], &mut subs[owner].states[a]);
-            for (si, sub) in subs.iter_mut().enumerate() {
-                if si != owner {
-                    self.states[a].acct.merge_foreign(&mut sub.states[a].acct);
-                }
-            }
-        }
-        merged_trace.sort_by_key(|&(t, si, _)| (t, si));
-        for (t, _, ev) in merged_trace {
-            self.trace.append_recorded(t, ev);
-        }
     }
 }
 
@@ -2147,6 +1637,13 @@ mod drain_tests {
     }
 
     fn storm(mode: DrainMode) -> (Vec<(SimTime, usize, u64)>, SimTime, u64) {
+        storm_driven(mode, Sim::run_until_idle)
+    }
+
+    fn storm_driven(
+        mode: DrainMode,
+        drive: impl FnOnce(&mut Sim),
+    ) -> (Vec<(SimTime, usize, u64)>, SimTime, u64) {
         let mut sim = Sim::new();
         sim.set_drain_mode(mode);
         let h = sim.add_host("h", 1.0, 1 << 30);
@@ -2170,9 +1667,26 @@ mod drain_tests {
                 }),
             ));
         }
-        sim.run_until_idle();
+        drive(&mut sim);
         let l = log.lock().unwrap().clone();
         (l, sim.now(), sim.events_handled())
+    }
+
+    #[test]
+    fn bounded_driving_matches_idle_driving_in_every_mode() {
+        // The period is 10 ms, so 7 ms steps land both on and off the
+        // timer grid.
+        for mode in [DrainMode::Heap, DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
+            let (idle_log, idle_end, idle_events) = storm(mode);
+            let (log, _, events) = storm_driven(mode, |sim| {
+                while !sim.is_idle() {
+                    sim.run_for(dur::ms(7));
+                }
+                assert!(sim.now() >= idle_end);
+            });
+            assert_eq!(log, idle_log, "{mode:?}");
+            assert_eq!(events, idle_events, "{mode:?}");
+        }
     }
 
     #[test]
@@ -2206,6 +1720,9 @@ mod drain_tests {
             assert!(sim.is_idle());
             assert_eq!(sim.queue_depth(), 0, "{mode:?}");
             assert_eq!(sim.peak_queue_depth(), 10, "{mode:?}");
+            // The peak belongs to the simulation, not the representation.
+            sim.set_drain_mode(DrainMode::Heap);
+            assert_eq!(sim.peak_queue_depth(), 10, "{mode:?} -> Heap");
         }
     }
 
@@ -2274,6 +1791,34 @@ mod drain_tests {
             log.iter().any(|(t, _, _)| t.as_us() % 10_000 != 0),
             "500us skew left every fire on the 10 ms grid"
         );
+    }
+
+    /// Two actors that bounce one message forever: a runaway loop.
+    struct PingPong {
+        peer: Option<ActorId>,
+    }
+    impl Actor for PingPong {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(peer) = self.peer {
+                ctx.send(peer, Message::signal(0, 8));
+            }
+        }
+        fn on_message(&mut self, from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
+            ctx.send(from, msg);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MsgSent")]
+    fn event_limit_panic_shows_the_bus_tail() {
+        let obs = obs::Obs::new();
+        let mut sim = Sim::new();
+        sim.attach_obs(&obs);
+        sim.set_event_limit(Some(50));
+        let h = sim.add_host("h", 1.0, 1 << 30);
+        let a = sim.spawn(h, Box::new(PingPong { peer: None }));
+        sim.spawn(h, Box::new(PingPong { peer: Some(a) }));
+        sim.run_until_idle();
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod fault;
 pub mod kernel;
 pub mod link;
 pub mod message;
-pub(crate) mod shard;
 pub mod time;
 pub mod trace;
 

@@ -1,12 +1,11 @@
-//! Kernel event tracing, bridged onto the unified observability bus.
+//! Kernel event tracing onto the unified observability bus.
 //!
-//! Historically this module kept its own `Vec<(SimTime, TraceEvent)>`;
-//! that log still exists as a deprecated shim, but the supported surface
-//! is now an attached [`obs::Obs`] context: [`Trace::attach_obs`] (or
+//! The kernel keeps no event log of its own: [`Trace::attach_obs`] (or
 //! `Sim::attach_obs`) routes every kernel event onto the shared
-//! ring-buffered bus as a structured `Source::Simnet` event, where it can
-//! be filtered, subscribed to, rendered, and exported alongside the
-//! monitor/scheduler/steering/application telemetry.
+//! ring-buffered bus of an [`obs::Obs`] context as a structured
+//! `Source::Simnet` event, where it can be filtered, subscribed to,
+//! rendered, and exported alongside the monitor/scheduler/steering/
+//! application telemetry. With nothing attached, events are discarded.
 
 use crate::actor::{ActorId, HostId};
 use crate::fault::DropReason;
@@ -192,28 +191,14 @@ impl TraceEvent {
     }
 }
 
-/// The kernel's trace sink: an optional legacy in-memory log plus an
-/// optional attached obs context.
+/// The kernel's trace sink: an optional attached obs context.
 #[derive(Debug, Default)]
 pub struct Trace {
-    enabled: bool,
-    events: Vec<(SimTime, TraceEvent)>,
     obs: Option<Obs>,
 }
 
 impl Trace {
-    /// Turn the legacy in-memory log on or off. Bus publication is
-    /// controlled solely by [`attach_obs`](Trace::attach_obs).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Route every kernel event onto `obs`'s event bus (in addition to the
-    /// legacy log, if enabled).
+    /// Route every kernel event onto `obs`'s event bus.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.obs = Some(obs.clone());
     }
@@ -223,32 +208,9 @@ impl Trace {
         self.obs.as_ref()
     }
 
-    /// Kernel-internal view of the legacy log (diagnostics on runaway
-    /// loops); the supported external surface is the obs bus.
-    pub(crate) fn recorded(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Take the legacy log for merging a sharded run's per-shard traces
-    /// (the merged events re-enter via [`Trace::append_recorded`], which
-    /// must not re-publish to the bus — shards publish live).
-    pub(crate) fn take_recorded(&mut self) -> Vec<(SimTime, TraceEvent)> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Append an already-published event to the legacy log only.
-    pub(crate) fn append_recorded(&mut self, t: SimTime, ev: TraceEvent) {
-        if self.enabled {
-            self.events.push((t, ev));
-        }
-    }
-
     pub(crate) fn emit(&mut self, t: SimTime, ev: TraceEvent) {
         if let Some(obs) = &self.obs {
             obs.publish(ev.to_obs(t));
-        }
-        if self.enabled {
-            self.events.push((t, ev));
         }
     }
 }
@@ -257,23 +219,6 @@ impl Trace {
 mod tests {
     use super::*;
     use obs::EventFilter;
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut tr = Trace::default();
-        tr.emit(SimTime::ZERO, TraceEvent::ComputeEnd { actor: ActorId(0) });
-        assert!(tr.take_recorded().is_empty());
-    }
-
-    #[test]
-    fn enabled_trace_records_and_takes() {
-        let mut tr = Trace::default();
-        tr.set_enabled(true);
-        tr.emit(SimTime::from_us(1), TraceEvent::ComputeEnd { actor: ActorId(0) });
-        let evs = tr.take_recorded();
-        assert_eq!(evs.len(), 1);
-        assert!(tr.take_recorded().is_empty(), "take clears the shard-merge log");
-    }
 
     #[test]
     fn bus_render_is_line_per_event() {
@@ -294,7 +239,6 @@ mod tests {
         let mut tr = Trace::default();
         tr.attach_obs(&obs);
         tr.emit(SimTime::from_us(3), TraceEvent::HostCrash { host: HostId(1) });
-        assert!(tr.take_recorded().is_empty());
         let evs = obs.events_filtered(&EventFilter::any().source(Source::Simnet));
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, "host_crash");

@@ -25,6 +25,18 @@ if grep -rIl --include='*.rs' --include='Cargo.toml' --include='Cargo.lock' serd
     exit 1
 fi
 
+stage "one event queue"
+# kernel/queue.rs owns the pending-event structure: one insert per
+# representation, one splice, and Sim has one drain loop over it. This
+# keeps a second insert or drain path (or a heap held outside the queue)
+# from drifting back into the kernel.
+if grep -rnE 'fn enqueue_partitioned|fn drain_batched_' crates/simnet/src ||
+    grep -rn 'BinaryHeap<HeapEntry>' crates/simnet/src |
+    grep -v '^crates/simnet/src/kernel/queue\.rs:'; then
+    echo "the lines above duplicate kernel/queue.rs: go through EventQueue" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
@@ -86,8 +98,9 @@ stage "control-plane smoke"
 cargo run --release -q --example preference_flip
 
 stage "clippy"
-# The pre-obs shims (Trace::events/take/render, StatsHandle::with_mut,
-# AdaptiveRuntime::configure/events, FaultPlan::loss/...) are deleted;
+# The pre-obs shims (Trace::events/take/render, Trace::set_enabled,
+# StatsHandle::with_mut, AdaptiveRuntime::configure/events,
+# FaultPlan::loss/...) are deleted;
 # -D deprecated keeps any future soft-deprecated entry point out of the
 # workspace's own code from day one.
 cargo clippy --workspace --all-targets -- -D warnings
