@@ -23,7 +23,7 @@ use obs::Obs;
 use sandbox::{Limits, LimitsHandle, SandboxStats};
 use simnet::det::{Fnv64, SplitMix64};
 use simnet::{DrainMode, Sim, SimTime};
-use visapp::{adaptive_client, client_opts, LoadGenOpts, QosProfile, Server, StatsHandle};
+use visapp::{client_opts, LoadGenOpts, QosProfile, Server, SessionClass, StatsHandle};
 
 use crate::admission::{AdmissionDecision, Pricer};
 use crate::app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind};
@@ -364,6 +364,7 @@ pub fn run_storm_with_specs(
 
     let mut session_handles: BTreeMap<AppId, StatsHandle> = BTreeMap::new();
     let mut bulk_cells: BTreeMap<AppId, BulkCell> = BTreeMap::new();
+    let mut classes: BTreeMap<QosProfile, SessionClass> = BTreeMap::new();
 
     for (i, spec) in specs.iter().enumerate() {
         let hc = sim.add_host(&format!("app{}", spec.id), 1.0, 1 << 30);
@@ -375,11 +376,14 @@ pub fn run_storm_with_specs(
                 sim.set_link(hc, hs, opts.link_bps, opts.link_latency_us);
                 let handle = StatsHandle::new();
                 handle.attach_obs(&obs);
-                let (client, stats) = adaptive_client(
-                    &sc,
-                    db.clone(),
-                    spec.profile.preferences(),
-                    &Limits::unconstrained(),
+                // One initial scheduler decision per distinct profile:
+                // every session of a profile starts unconstrained over
+                // the same database.
+                let class = classes.entry(spec.profile).or_insert_with(|| {
+                    let prefs = spec.profile.preferences();
+                    SessionClass::new(&sc, db.clone(), prefs, &Limits::unconstrained())
+                });
+                let (client, stats) = class.client(
                     lopts.period_us,
                     client_opts(&sc, &store, server_ids[i % server_ids.len()])
                         .with_think_time(Some(think[i])),

@@ -2,7 +2,8 @@
 //! `CI_BENCH=1` gate regenerates whole BENCH files; this test pins the
 //! cheap rows of each in tier-1, through the same option builders the
 //! bench binaries use, so a refactor that moves one bit fails `cargo
-//! test` rather than a nightly.
+//! test` rather than a nightly. The 10k-session load row is `#[ignore]`d
+//! here and run optimized by its own `scripts/ci.sh` stage.
 
 use std::sync::Arc;
 
@@ -18,6 +19,7 @@ fn bench_load_digests_are_pinned() {
         (1usize, 0xdfcd_20c7_ac69_2672_u64, 4usize),
         (10, 0x7361_551e_1ed7_e8fb, 19),
         (100, 0xa2bc_bcf4_6c88_c4ce, 114),
+        (1000, 0x7401_5125_6f48_9eaf, 1064),
     ];
     let db = Arc::new(model_db(&adapt_bench::load::bench_opts(1)));
     for (sessions, digest, peak) in pinned {
@@ -26,6 +28,21 @@ fn bench_load_digests_are_pinned() {
         assert_eq!(got, digest, "{sessions} sessions: {got:016x}");
         assert_eq!(report.peak_queue_depth, peak, "{sessions} sessions");
     }
+}
+
+/// The 10k row is the `load_steady` benchmark workload. About a second
+/// in release, a minute unoptimized: `scripts/ci.sh` runs it with
+/// `--release -- --ignored`.
+#[test]
+#[ignore = "10k sessions: run in release by scripts/ci.sh"]
+fn bench_load_10k_digest_is_pinned() {
+    let opts = adapt_bench::load::bench_opts(10_000);
+    let report = run_load(&opts, &Arc::new(model_db(&adapt_bench::load::bench_opts(1))));
+    let got = report.digest();
+    assert_eq!(got, 0x08a1_b3eb_58e2_2b63, "{got:016x}");
+    assert_eq!(report.peak_queue_depth, 10_401);
+    assert_eq!(report.requests_total, 60_002);
+    assert_eq!(report.events_handled, 660_676);
 }
 
 #[test]

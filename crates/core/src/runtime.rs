@@ -169,6 +169,23 @@ impl AdaptiveRuntime {
         initial_resources: &ResourceVector,
     ) -> Result<AdaptiveRuntime> {
         let decision = scheduler.choose(initial_resources).ok_or(Error::NoSatisfiableConfig)?;
+        Ok(Self::with_decision(spec, scheduler, window_us, initial_resources, decision))
+    }
+
+    /// Build the runtime around an initial `decision` the caller already
+    /// holds: everything [`try_configure`](Self::try_configure) does after
+    /// its `choose`. `decision` must be what `scheduler.choose(
+    /// initial_resources)` returns. A fresh scheduler's decision is a pure
+    /// function of `(db, prefs, input, resources)`, so sessions that share
+    /// those (a session class, see `visapp::SessionClass`) compute it once
+    /// and hand each runtime a clone.
+    pub fn with_decision(
+        spec: TunableSpec,
+        scheduler: ResourceScheduler,
+        window_us: u64,
+        initial_resources: &ResourceVector,
+        decision: Decision,
+    ) -> AdaptiveRuntime {
         let watched = spec.tasks.monitored_resources(&decision.config);
         let watched =
             if watched.is_empty() { initial_resources.keys().cloned().collect() } else { watched };
@@ -195,7 +212,7 @@ impl AdaptiveRuntime {
             pref_version: decision.pref_version,
             db_version: decision.db_version,
         });
-        Ok(rt)
+        rt
     }
 
     /// Publish all adaptation telemetry into `obs`: every

@@ -18,7 +18,7 @@
 //! - [`stats`]: measured QoS records;
 //! - [`scenario`]: the one session runner ([`run_session`], static or
 //!   adaptive by its [`Driver`]), the one adaptive-session recipe
-//!   ([`adaptive_client`]) the load generator and the arbiter storm also
+//!   ([`SessionClass`]) the load generator and the arbiter storm also
 //!   build their sessions with, the profiling runner, and
 //!   performance-database construction — the basis of every reproduced
 //!   figure;
@@ -48,9 +48,9 @@ pub use load::{
 };
 pub use resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
 pub use scenario::{
-    adaptive_client, build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key,
-    client_opts, profile_point, run_adaptive_shared, run_competing, run_session, run_static,
-    viz_spec, CommandAt, Driver, LoadSpec, RunOutcome, Scenario, CLIENT_HOST, PROFILE_INPUT,
+    build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key, client_opts,
+    profile_point, run_adaptive_shared, run_competing, run_session, run_static, viz_spec,
+    CommandAt, Driver, LoadSpec, RunOutcome, Scenario, SessionClass, CLIENT_HOST, PROFILE_INPUT,
     SERVER_HOST,
 };
 pub use server::{Reporter, Server};

@@ -10,6 +10,16 @@
 //! interned [`PerfDb`] behind an [`Arc`] (via
 //! [`adapt_core::ResourceScheduler::new_shared`]).
 //!
+//! The harness's own bookkeeping is proportional to the work that
+//! happens, not to the session count. Sessions of one QoS profile form a
+//! [`SessionClass`]: their initial scheduler decision is made once per
+//! class before the run, and each session's runtime starts from a clone
+//! (publishing its own `decide` event on admission). The watcher visits
+//! only the sessions live at each sample — a cursor over the sorted
+//! arrivals, a session-ordered list of arrived-not-yet-done sessions —
+//! so 10 000 sessions of which ~60 are live at once cost ~60 reads per
+//! tick.
+//!
 //! Determinism: everything — arrival times, think times, per-session QoS
 //! profiles — derives from [`LoadGenOpts::seed`] through
 //! [`SplitMix64`] (not the `rand` crate: the committed `BENCH_load.json`
@@ -22,7 +32,7 @@
 //! - `load.sessions_active` (gauge) — arrived minus finished sessions,
 //!   sampled by the watcher actor each period;
 //! - `load.requests_total` (counter) — request/reply rounds completed
-//!   across all sessions;
+//!   across all sessions, folded in by the watcher as of each sample;
 //! - `runtime.tick` (histogram) — per-tick adaptation-loop latency,
 //!   aggregated across every session's runtime;
 //! - [`Source::Load`] events `session_start` / `session_done`.
@@ -39,7 +49,7 @@ use simnet::det::{Fnv64, SplitMix64};
 use simnet::{Actor, Ctx, DrainMode, Sim, SimTime};
 
 use crate::scenario::{
-    adaptive_client, client_cpu_key, client_net_key, client_opts, viz_spec, Scenario, PROFILE_INPUT,
+    client_cpu_key, client_net_key, client_opts, viz_spec, Scenario, SessionClass, PROFILE_INPUT,
 };
 use crate::stats::StatsHandle;
 
@@ -81,7 +91,7 @@ impl ArrivalProcess {
 
 /// Per-session QoS preference profile — the "different users want
 /// different things" axis of the load mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QosProfile {
     /// Maximize resolution subject to a transmit-time bound; fall back to
     /// minimizing transmit time (the paper's Figure 6 user).
@@ -337,9 +347,15 @@ impl LoadReport {
     }
 }
 
-/// Periodic sampler: folds all per-session stats into the aggregate
-/// `load.*` metrics and emits `session_done` events. Re-arms its timer
-/// only while sessions are still running, so the simulation drains.
+/// Periodic sampler: folds per-session stats into the aggregate `load.*`
+/// metrics and emits `session_done` events. Re-arms its timer only while
+/// sessions are still running, so the simulation drains.
+///
+/// A tick costs O(live sessions), not O(sessions): `arrivals` is sorted
+/// (see [`ArrivalProcess::times`]), so the sessions that have arrived by
+/// `now` are a prefix and `next_arrival` is a cursor over it; `live` holds
+/// the arrived sessions not yet reported done, in session order, each with
+/// the number of its rounds already folded into `load.requests_total`.
 struct LoadWatcher {
     handles: Vec<StatsHandle>,
     arrivals: Vec<u64>,
@@ -347,16 +363,20 @@ struct LoadWatcher {
     obs: Obs,
     sessions_active: MetricId,
     requests_total: MetricId,
-    reported_rounds: u64,
-    done_reported: Vec<bool>,
+    next_arrival: usize,
+    live: Vec<(usize, usize)>,
 }
 
 impl LoadWatcher {
     fn sample(&mut self, now: SimTime) {
         let now_us = now.as_us();
-        let mut finished = 0usize;
-        let mut rounds = 0u64;
-        for (i, h) in self.handles.iter().enumerate() {
+        while self.arrivals.get(self.next_arrival).is_some_and(|&t| t <= now_us) {
+            self.live.push((self.next_arrival, 0));
+            self.next_arrival += 1;
+        }
+        let (handles, obs) = (&self.handles, &self.obs);
+        let mut new_rounds = 0u64;
+        self.live.retain_mut(|(i, folded)| {
             // Only observations strictly before the sample time count: the
             // shared-memory stats are written by other actors, and events
             // at exactly `now` race with this timer in the sequential
@@ -364,31 +384,27 @@ impl LoadWatcher {
             // pure function of simulated time, so a sharded run (where the
             // watcher samples after whole worker epochs) folds the exact
             // same series.
-            let (done_at, n_rounds) = h.with(|s| {
-                let done = s.finished_at.filter(|&t| t < now);
-                (done, s.rounds.partition_point(|r| r.finished < now) as u64)
+            let (done_at, fresh) = handles[*i].with(|s| {
+                let fresh = s.rounds[*folded..].iter().take_while(|r| r.finished < now).count();
+                (s.finished_at.filter(|&t| t < now), fresh)
             });
-            rounds += n_rounds;
+            *folded += fresh;
+            new_rounds += fresh as u64;
             if let Some(t) = done_at {
-                finished += 1;
-                if !self.done_reported[i] {
-                    self.done_reported[i] = true;
-                    self.obs.publish(
-                        Event::new(t.as_us(), Source::Load, "session_done")
-                            .with("session", i)
-                            .with("rounds", n_rounds),
-                    );
-                }
+                obs.publish(
+                    Event::new(t.as_us(), Source::Load, "session_done")
+                        .with("session", *i)
+                        .with("rounds", *folded as u64),
+                );
             }
-        }
-        let arrived = self.arrivals.iter().filter(|&&t| t <= now_us).count();
-        self.obs.set(self.sessions_active, (arrived - finished) as f64);
-        self.obs.inc(self.requests_total, rounds - self.reported_rounds);
-        self.reported_rounds = rounds;
+            done_at.is_none()
+        });
+        self.obs.set(self.sessions_active, self.live.len() as f64);
+        self.obs.inc(self.requests_total, new_rounds);
     }
 
     fn all_done(&self) -> bool {
-        self.done_reported.iter().all(|&d| d)
+        self.next_arrival == self.arrivals.len() && self.live.is_empty()
     }
 }
 
@@ -415,6 +431,16 @@ impl Actor for LoadWatcher {
 /// `bench/load_bench` demonstrates against the O(N) per-session-clone
 /// alternative.
 pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
+    run_load_watched(opts, db, |watcher| Box::new(watcher))
+}
+
+/// [`run_load`] with the watcher actor passed through `wrap` before it is
+/// spawned (the tests wrap it in a recorder).
+fn run_load_watched(
+    opts: &LoadGenOpts,
+    db: &Arc<PerfDb>,
+    wrap: impl FnOnce(LoadWatcher) -> Box<dyn Actor>,
+) -> LoadReport {
     assert!(opts.sessions > 0, "need at least one session");
     assert!(!opts.profiles.is_empty(), "need at least one QoS profile");
     let sc = Arc::new(opts.scenario());
@@ -430,8 +456,15 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     let arrivals = opts.arrival.times(opts.sessions, &mut rng);
     let (lo, hi) = opts.think_time_us;
     let think: Vec<u64> = (0..opts.sessions).map(|_| rng.range(lo, hi)).collect();
-    let profiles: Vec<QosProfile> =
-        (0..opts.sessions).map(|i| opts.profiles[i % opts.profiles.len()]).collect();
+    // One admission decision per session class, made before the run: every
+    // session of a profile starts unconstrained over the same database, so
+    // its initial scheduler decision is the class's.
+    let unconstrained = Limits::unconstrained();
+    let classes: Vec<Arc<SessionClass>> = opts
+        .profiles
+        .iter()
+        .map(|p| Arc::new(SessionClass::new(&sc, db.clone(), p.preferences(), &unconstrained)))
+        .collect();
 
     let mut sim = Sim::new();
     sim.set_drain_mode(opts.drain_mode);
@@ -454,23 +487,21 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
         handle.attach_obs(&obs);
         handles.push(handle.clone());
 
-        // Session state is built lazily at its arrival time, inside the
-        // simulation: the runtime's initial scheduler decision happens
-        // "on admission", exactly like a real session joining the pool.
+        // The session itself (scheduler, runtime, client) is built lazily
+        // at its arrival time, inside the simulation, around its class's
+        // decision: its `decide` event is published on admission, exactly
+        // like a real session joining the pool.
+        let class = classes[i % classes.len()].clone();
         let sc = sc.clone();
-        let db = db.clone();
         let obs_c = obs.clone();
         let store_c = store.clone();
-        let prefs = profiles[i].preferences();
         let server_id = server_ids[i % server_ids.len()];
         let (think_us, period) = (think[i], opts.period_us);
         // Pinned to the client host so a sharded run builds the session on
         // the shard that owns it.
         sim.at_on(hc, SimTime::from_us(arrivals[i]), move |s| {
-            let unconstrained = Limits::unconstrained();
             let copts = client_opts(&sc, &store_c, server_id).with_think_time(Some(think_us));
-            let (client, sandbox_stats) =
-                adaptive_client(&sc, db, prefs, &unconstrained, period, copts, handle, &obs_c);
+            let (client, sandbox_stats) = class.client(period, copts, handle, &obs_c);
             s.spawn(
                 hc,
                 Box::new(Sandboxed::new(client, LimitsHandle::new(unconstrained), sandbox_stats)),
@@ -486,17 +517,18 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     // observer lets a sharded run give it a shard of its own, sampled
     // after the worker shards each epoch.
     sim.mark_observer(watcher_host);
+    debug_assert!(arrivals.is_sorted(), "the watcher's arrival cursor needs sorted arrivals");
     sim.spawn(
         watcher_host,
-        Box::new(LoadWatcher {
+        wrap(LoadWatcher {
             handles: handles.clone(),
             arrivals: arrivals.clone(),
             period_us: opts.period_us,
             obs: obs.clone(),
             sessions_active,
             requests_total,
-            reported_rounds: 0,
-            done_reported: vec![false; opts.sessions],
+            next_arrival: 0,
+            live: Vec::new(),
         }),
     );
 
@@ -508,7 +540,7 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
         let stats = h.take();
         let summary = SessionSummary {
             session: i,
-            profile: profiles[i],
+            profile: opts.profiles[i % opts.profiles.len()],
             arrival_us: arrivals[i],
             think_time_us: think[i],
             finished_us: stats.finished_at.map(|t| t.as_us()),
@@ -606,6 +638,225 @@ mod tests {
             assert_eq!(batched.end, sharded.end, "threads={threads}");
             assert_eq!(batched.events_handled, sharded.events_handled, "threads={threads}");
         }
+    }
+
+    /// The full-scan sampler [`LoadWatcher`] replaced, kept as its oracle:
+    /// every tick visits every handle, counts its rounds from the start,
+    /// re-counts the arrivals and scans `done_reported`. It publishes into
+    /// an `Obs` of its own.
+    struct ScanOracle {
+        handles: Vec<StatsHandle>,
+        arrivals: Vec<u64>,
+        obs: Obs,
+        sessions_active: MetricId,
+        requests_total: MetricId,
+        reported_rounds: u64,
+        done_reported: Vec<bool>,
+    }
+
+    impl ScanOracle {
+        fn sample(&mut self, now: SimTime) {
+            let now_us = now.as_us();
+            let mut finished = 0usize;
+            let mut rounds = 0u64;
+            for (i, h) in self.handles.iter().enumerate() {
+                let (done_at, n_rounds) = h.with(|s| {
+                    let done = s.finished_at.filter(|&t| t < now);
+                    (done, s.rounds.partition_point(|r| r.finished < now) as u64)
+                });
+                rounds += n_rounds;
+                if let Some(t) = done_at {
+                    finished += 1;
+                    if !self.done_reported[i] {
+                        self.done_reported[i] = true;
+                        self.obs.publish(
+                            Event::new(t.as_us(), Source::Load, "session_done")
+                                .with("session", i)
+                                .with("rounds", n_rounds),
+                        );
+                    }
+                }
+            }
+            let arrived = self.arrivals.iter().filter(|&&t| t <= now_us).count();
+            self.obs.set(self.sessions_active, (arrived - finished) as f64);
+            self.obs.inc(self.requests_total, rounds - self.reported_rounds);
+            self.reported_rounds = rounds;
+        }
+
+        fn all_done(&self) -> bool {
+            self.done_reported.iter().all(|&d| d)
+        }
+    }
+
+    /// `(now_us, load.sessions_active, load.requests_total)` after a tick.
+    type Tick = (u64, f64, u64);
+    /// `(at_us, session, rounds)` of a `session_done` event.
+    type Done = (u64, u64, u64);
+
+    /// What one sampler published over a run.
+    #[derive(Debug, Default, PartialEq)]
+    struct Trace {
+        ticks: Vec<Tick>,
+        done: Vec<Done>,
+    }
+
+    fn done_events(obs: &Obs) -> Vec<Done> {
+        obs.events_filtered(&obs::EventFilter::any().source(Source::Load).kind("session_done"))
+            .iter()
+            .map(|e| (e.at_us, e.u64_field("session").unwrap(), e.u64_field("rounds").unwrap()))
+            .collect()
+    }
+
+    /// The watcher actor and its oracle on one timer: both sample the same
+    /// handles at the same instants, the watcher re-arms.
+    struct Twin {
+        watcher: LoadWatcher,
+        oracle: ScanOracle,
+        traces: Arc<std::sync::Mutex<(Trace, Trace)>>,
+    }
+
+    impl Actor for Twin {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.watcher.on_start(ctx);
+        }
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+            let now = ctx.now();
+            self.oracle.sample(now);
+            self.watcher.on_timer(tag, ctx);
+            assert_eq!(self.watcher.all_done(), self.oracle.all_done(), "at {now}");
+            let tick = |obs: &Obs, active, requests| -> Tick {
+                (now.as_us(), obs.gauge_value(active), obs.counter_value(requests))
+            };
+            let (w, o) = (&self.watcher, &self.oracle);
+            let mut traces = self.traces.lock().unwrap();
+            traces.0.ticks.push(tick(&w.obs, w.sessions_active, w.requests_total));
+            traces.1.ticks.push(tick(&o.obs, o.sessions_active, o.requests_total));
+        }
+    }
+
+    /// Run `opts` with the oracle riding the watcher's timer; returns the
+    /// report and the `(watcher, oracle)` traces.
+    fn run_twinned(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> (LoadReport, Trace, Trace) {
+        let traces = Arc::new(std::sync::Mutex::new((Trace::default(), Trace::default())));
+        let (shared, oracle_obs) = (traces.clone(), Obs::new());
+        let obs = oracle_obs.clone();
+        let report = run_load_watched(opts, db, move |watcher| {
+            let oracle = ScanOracle {
+                handles: watcher.handles.clone(),
+                arrivals: watcher.arrivals.clone(),
+                sessions_active: obs.gauge("load.sessions_active"),
+                requests_total: obs.counter("load.requests_total"),
+                obs,
+                reported_rounds: 0,
+                done_reported: vec![false; watcher.handles.len()],
+            };
+            Box::new(Twin { watcher, oracle, traces: shared })
+        });
+        let (mut watcher, mut oracle) = std::mem::take(&mut *traces.lock().unwrap());
+        watcher.done = done_events(&report.obs);
+        oracle.done = done_events(&oracle_obs);
+        (report, watcher, oracle)
+    }
+
+    #[test]
+    fn watcher_matches_the_full_scan_oracle() {
+        let modes = [
+            DrainMode::Batched,
+            DrainMode::Heap,
+            DrainMode::Sharded { threads: 1, shards: 0 },
+            DrainMode::Sharded { threads: 2, shards: 0 },
+            DrainMode::Sharded { threads: 4, shards: 0 },
+        ];
+        let arrivals = [
+            ArrivalProcess::Poisson { mean_gap_us: 20_000 },
+            ArrivalProcess::Simultaneous,
+            ArrivalProcess::Uniform { gap_us: 0 },
+            // Arrivals exactly on tick instants count as arrived.
+            ArrivalProcess::Uniform { gap_us: MONITOR_PERIOD_US },
+        ];
+        // The 10 ms period splits every session over many ticks; under
+        // the 1 s one, sessions arrive and finish between two ticks.
+        for period_us in [MONITOR_PERIOD_US, 1_000_000] {
+            for arrival in arrivals {
+                let opts = LoadGenOpts { period_us, ..tiny(12).with_arrival(arrival) };
+                let db = Arc::new(model_db(&opts));
+                let mut batched: Option<Trace> = None;
+                for mode in modes {
+                    let what = format!("{arrival:?}, period {period_us}, {mode:?}");
+                    let (report, watcher, oracle) =
+                        run_twinned(&opts.clone().with_drain_mode(mode), &db);
+                    assert_eq!(watcher, oracle, "{what}");
+                    assert_eq!(watcher.done.len(), 12, "{what}");
+                    assert_eq!(watcher.ticks.last().unwrap().1, 0.0, "{what}");
+                    assert_eq!(watcher.ticks.last().unwrap().2, report.requests_total, "{what}");
+                    // The series is a function of simulated time alone.
+                    let first = batched.get_or_insert(watcher);
+                    assert_eq!(*first, oracle, "{what}: differs from Batched");
+                }
+                if period_us > MONITOR_PERIOD_US {
+                    let report = run_load(&opts, &db);
+                    assert!(
+                        report.sessions.iter().any(|s| {
+                            s.arrival_us / period_us == s.finished_us.unwrap() / period_us
+                        }),
+                        "{arrival:?}: a session must arrive and finish between two ticks"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn watcher_reads_scale_with_live_sessions_not_sessions() {
+        // 400 sessions, one every 50 ms: a handful live at any time. The
+        // full-scan sampler read every handle on every tick (ticks x 400).
+        let opts =
+            tiny(400).with_servers(16).with_arrival(ArrivalProcess::Uniform { gap_us: 50_000 });
+        let db = Arc::new(model_db(&opts));
+        let handles = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let grabbed = handles.clone();
+        let report = run_load_watched(&opts, &db, move |watcher| {
+            *grabbed.lock().unwrap() = watcher.handles.clone();
+            Box::new(watcher)
+        });
+        // Every `StatsHandle::with` of the run: the watcher's, plus one per
+        // image from each client.
+        let reads: u64 = handles.lock().unwrap().iter().map(StatsHandle::reads).sum();
+        let ticks = report.end.as_us() / opts.period_us;
+        let mut edges: Vec<(u64, i64)> = report
+            .sessions
+            .iter()
+            .flat_map(|s| [(s.arrival_us, 1), (s.finished_us.unwrap(), -1)])
+            .collect();
+        edges.sort_unstable();
+        let mut live = 0i64;
+        let peak_live = edges
+            .iter()
+            .map(|&(_, d)| {
+                live += d;
+                live
+            })
+            .max()
+            .unwrap() as u64;
+        assert!(ticks > 1_000 && peak_live < 40, "ticks {ticks}, peak live {peak_live}");
+        assert!(
+            reads <= 4 * ticks * peak_live,
+            "{reads} reads over {ticks} ticks with at most {peak_live} sessions live"
+        );
+        assert!(reads < ticks * 400 / 4, "{reads} reads: the watcher scans every session");
+    }
+
+    #[test]
+    fn every_session_publishes_its_own_initial_decision() {
+        let opts = tiny(7);
+        let db = Arc::new(model_db(&opts));
+        let report = run_load(&opts, &db);
+        assert_eq!(report.switches_total, 0);
+        let decides = report
+            .obs
+            .events_filtered(&obs::EventFilter::any().source(Source::Scheduler).kind("decide"));
+        assert_eq!(decides.len(), 7, "one shared decision, still one decide event per session");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use adapt_core::{
-    AdaptiveRuntime, Configuration, ControlParam, ControlSpace, ExecutionEnv, PerfDb,
+    AdaptiveRuntime, Configuration, ControlParam, ControlSpace, Decision, ExecutionEnv, PerfDb,
     PreferenceList, Profiler, QosMetricDef, QosReport, ResourceGrid, ResourceKey,
     ResourceScheduler, ResourceVector, TaskGraph, TaskSpec, TransitionAction, TransitionSpec,
     TunableSpec, MONITOR_PERIOD_US,
@@ -305,42 +305,81 @@ pub fn client_opts(sc: &Scenario, store: &ImageStore, server_id: simnet::ActorId
         .with_breaker(sc.breaker)
 }
 
-/// The one adaptive-session recipe: scheduler over the shared database →
-/// initial decision at the resources `start` grants (what admission
-/// control / reservation would have granted) → monitoring runtime →
-/// client. Returns the client and the sandbox progress estimates its
-/// monitor reads; the caller wraps both in the sandbox it runs under.
-/// [`run_session`], the load generator and the arbiter storm all build
-/// their sessions here.
-#[allow(clippy::too_many_arguments)]
-pub fn adaptive_client(
-    sc: &Scenario,
+/// The one adaptive-session recipe, split into what a *class* of sessions
+/// shares and what each session owns. A class is every session with the
+/// same scenario, database, preferences and start resources: the
+/// tunability spec, the scheduler inputs, the resources `start` grants
+/// (what admission control / reservation would have granted) and the
+/// scheduler's initial [`Decision`] at them, computed once here. That is
+/// safe because a fresh scheduler's decision is a pure function of
+/// `(db, prefs, input, resources)`. [`SessionClass::client`] then builds
+/// one session: its own scheduler over the shared database → monitoring
+/// runtime around a clone of the class decision → client. [`run_session`]
+/// builds one class per call, the load generator one per QoS profile, the
+/// arbiter storm one per distinct profile.
+pub struct SessionClass {
+    spec: TunableSpec,
     db: Arc<PerfDb>,
     prefs: PreferenceList,
-    start: &Limits,
-    period_us: u64,
-    opts: ClientOpts,
-    stats: StatsHandle,
-    obs: &Obs,
-) -> (Client, SandboxStats) {
-    let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-    let mut resources = ResourceVector::default();
-    resources.set(client_cpu_key(), start.cpu_share.unwrap_or(1.0));
-    resources.set(client_net_key(), start.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps));
-    let mut runtime =
-        AdaptiveRuntime::try_configure(viz_spec(sc), scheduler, sc.monitor_window_us, &resources)
-            .unwrap_or_else(|e| panic!("initial configuration failed: {e}"));
-    runtime.set_obs(obs);
-    runtime.monitor.min_trigger_gap_us = sc.trigger_gap_us;
-    let sandbox_stats = SandboxStats::new(sc.monitor_window_us);
-    let adapt = AdaptSetup {
-        runtime,
-        sandbox_stats: sandbox_stats.clone(),
-        cpu_key: client_cpu_key(),
-        net_key: client_net_key(),
-        period_us,
-    };
-    (Client::new(opts, stats, Some(adapt)), sandbox_stats)
+    resources: ResourceVector,
+    decision: Decision,
+    monitor_window_us: u64,
+    trigger_gap_us: u64,
+}
+
+impl SessionClass {
+    /// Panics when no preference is satisfiable at the start resources.
+    pub fn new(sc: &Scenario, db: Arc<PerfDb>, prefs: PreferenceList, start: &Limits) -> Self {
+        let mut resources = ResourceVector::default();
+        resources.set(client_cpu_key(), start.cpu_share.unwrap_or(1.0));
+        resources.set(client_net_key(), start.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps));
+        let decision = ResourceScheduler::new_shared(db.clone(), prefs.clone(), PROFILE_INPUT)
+            .choose(&resources)
+            .unwrap_or_else(|| {
+                panic!("initial configuration failed: {}", adapt_core::Error::NoSatisfiableConfig)
+            });
+        SessionClass {
+            spec: viz_spec(sc),
+            db,
+            prefs,
+            resources,
+            decision,
+            monitor_window_us: sc.monitor_window_us,
+            trigger_gap_us: sc.trigger_gap_us,
+        }
+    }
+
+    /// Build one session of this class. Returns the client and the
+    /// sandbox progress estimates its monitor reads; the caller wraps both
+    /// in the sandbox it runs under.
+    pub fn client(
+        &self,
+        period_us: u64,
+        opts: ClientOpts,
+        stats: StatsHandle,
+        obs: &Obs,
+    ) -> (Client, SandboxStats) {
+        let scheduler =
+            ResourceScheduler::new_shared(self.db.clone(), self.prefs.clone(), PROFILE_INPUT);
+        let mut runtime = AdaptiveRuntime::with_decision(
+            self.spec.clone(),
+            scheduler,
+            self.monitor_window_us,
+            &self.resources,
+            self.decision.clone(),
+        );
+        runtime.set_obs(obs);
+        runtime.monitor.min_trigger_gap_us = self.trigger_gap_us;
+        let sandbox_stats = SandboxStats::new(self.monitor_window_us);
+        let adapt = AdaptSetup {
+            runtime,
+            sandbox_stats: sandbox_stats.clone(),
+            cpu_key: client_cpu_key(),
+            net_key: client_net_key(),
+            period_us,
+        };
+        (Client::new(opts, stats, Some(adapt)), sandbox_stats)
+    }
 }
 
 /// Install the scenario's scheduled control commands: each dispatches
@@ -432,11 +471,7 @@ pub fn run_session(
         }
         Driver::Adaptive(db, prefs) => {
             assert!(!sc.verify, "verification requires a fixed configuration");
-            adaptive_client(
-                sc,
-                db,
-                prefs,
-                &initial_limits,
+            SessionClass::new(sc, db, prefs, &initial_limits).client(
                 MONITOR_PERIOD_US,
                 opts,
                 stats_handle.clone(),
@@ -600,4 +635,40 @@ pub fn build_db(
     threads: usize,
 ) -> PerfDb {
     grid_profiler(sc, cpu_shares, bandwidths).run_parallel(&profile_runner(sc, store), threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::load::{model_db, LoadGenOpts, QosProfile};
+
+    #[test]
+    fn class_decision_is_a_fresh_schedulers_choice() {
+        let opts = LoadGenOpts::new(1);
+        let sc = opts.scenario();
+        let db = Arc::new(model_db(&opts));
+        // What `run_load` and the arbiter storm start sessions with, and a
+        // constrained envelope of the kind `run_session` is handed.
+        let constrained = Limits {
+            cpu_share: Some(0.5),
+            net_recv_bps: Some(sc.link_bps / 4.0),
+            ..Limits::unconstrained()
+        };
+        for profile in [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput] {
+            for (start, cpu, net) in
+                [(Limits::unconstrained(), 1.0, sc.link_bps), (constrained, 0.5, sc.link_bps / 4.0)]
+            {
+                let class = SessionClass::new(&sc, db.clone(), profile.preferences(), &start);
+                let resources =
+                    ResourceVector::new(&[(client_cpu_key(), cpu), (client_net_key(), net)]);
+                let fresh =
+                    ResourceScheduler::new_shared(db.clone(), profile.preferences(), PROFILE_INPUT)
+                        .choose(&resources)
+                        .expect("satisfiable");
+                // `Decision: PartialEq` covers config, predicted, rank,
+                // validity, best_effort, pref_version and db_version.
+                assert_eq!(class.decision, fresh, "{profile:?} at {resources}");
+            }
+        }
+    }
 }

@@ -149,6 +149,10 @@ struct StatsObs {
 pub struct StatsHandle {
     stats: Arc<Mutex<RunStats>>,
     obs: Arc<Mutex<Option<StatsObs>>>,
+    /// Calls to [`with`](StatsHandle::with) across every clone, for the
+    /// load watcher's scaling guard.
+    #[cfg(test)]
+    reads: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl StatsHandle {
@@ -176,10 +180,17 @@ impl StatsHandle {
     }
 
     pub fn with<R>(&self, f: impl FnOnce(&RunStats) -> R) -> R {
+        #[cfg(test)]
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         f(&self.stats.lock().unwrap())
     }
 
-    /// Extract the final stats (clones the records).
+    #[cfg(test)]
+    pub(crate) fn reads(&self) -> u64 {
+        self.reads.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Extract the final stats, leaving the handle's records empty.
     pub fn take(&self) -> RunStats {
         std::mem::take(&mut self.stats.lock().unwrap())
     }

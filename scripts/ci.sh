@@ -60,6 +60,13 @@ stage "compress byte identity (release)"
 # runs the codec arithmetic with overflow checks off, as it ships.
 cargo test -q -p compress --release
 
+stage "10k load digest (release)"
+# The 10 000-session row of BENCH_load.json (the `load_steady` benchmark
+# workload): digest, peak queue depth, request and event counts. About a
+# second optimized, so it is pinned here on every run; the opt-in bench
+# gate still regenerates the whole file.
+cargo test -q --release -p adapt-bench --test digest_contract -- --ignored
+
 stage "arbiter smoke"
 # Saturation smoke: a 200-application arbiter storm must hold the
 # arbiter invariant oracles (tier-ordered shedding, no eviction without
