@@ -1,9 +1,8 @@
 //! The arbiter control-plane wire protocol.
 //!
 //! Control traffic rides the same simulated network as application data:
-//! every app host has an explicit (non-zero-latency) link to the arbiter
-//! host, so a sharded drain partitions cleanly and control messages are
-//! ordered by the kernel like any other traffic.
+//! every app host has an explicit link to the arbiter host, so control
+//! messages are ordered by the kernel like any other traffic.
 //!
 //! Tags live far above the visapp protocol tags (1..=6) and the client's
 //! timer tags, and far below the sandbox's reserved continuation range,

@@ -2,11 +2,11 @@
 //! visapp sessions plus synthetic bulk workers — competing for a
 //! simulated cluster on one deterministic simulation.
 //!
-//! Topology: every app gets its own host, linked (non-zero latency, so a
-//! sharded drain can partition) to both the arbiter host and a server
-//! host. The arbiter's [`HostVmm`] ledger is the *capacity model* — apps
-//! physically run on their own hosts, and the admitted envelope is
-//! enforced by each app's own sandbox via the limits the wrapper applies.
+//! Topology: every app gets its own host, linked to both the arbiter host
+//! and a server host. The arbiter's [`HostVmm`] ledger is the *capacity
+//! model* — apps physically run on their own hosts, and the admitted
+//! envelope is enforced by each app's own sandbox via the limits the
+//! wrapper applies.
 //!
 //! Everything derives from [`StormOpts::seed`] through [`SplitMix64`]:
 //! arrivals (surge-modulated Poisson), tiers, weights, demands, rogue
@@ -233,7 +233,6 @@ pub struct StormReport {
     pub end: SimTime,
     pub events_handled: u64,
     pub peak_queue_depth: usize,
-    pub peak_shard_queue_depth: usize,
     /// Time-averaged committed/capacity ratio over the policed interval.
     pub utilization: f64,
     /// Committed/capacity restricted to the busy period (admission queue
@@ -498,7 +497,6 @@ pub fn run_storm_with_specs(
         end: sim.now(),
         events_handled: sim.events_handled(),
         peak_queue_depth: sim.peak_queue_depth(),
-        peak_shard_queue_depth: sim.peak_shard_queue_depth(),
         utilization: ledger.utilization(),
         busy_utilization: ledger.busy_utilization(),
         counters,

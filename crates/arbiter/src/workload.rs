@@ -36,8 +36,8 @@ const TAG_REPORT: u64 = 902;
 const TAG_UNIT: u64 = 1;
 
 /// Shared bulk-worker state, read by the wrapper (done detection) and the
-/// storm harness (progress accounting). Written only by actors on the
-/// worker's own shard.
+/// storm harness (progress accounting). Written only by the worker and
+/// its wrapper.
 #[derive(Debug, Default)]
 pub struct BulkState {
     pub units_done: u64,

@@ -49,11 +49,7 @@ fn storm_digest_stable_across_drains_and_reruns() {
     let base = full_mix();
     let db = storm_db(&base);
     let reference = run_storm(&base, &db).digest();
-    let modes = [
-        ("heap", DrainMode::Heap),
-        ("batched-rerun", DrainMode::Batched),
-        ("sharded", DrainMode::Sharded { threads: 2, shards: 4 }),
-    ];
+    let modes = [("heap", DrainMode::Heap), ("batched-rerun", DrainMode::Batched)];
     for (name, mode) in modes {
         let opts = full_mix().with_drain_mode(mode);
         let got = run_storm(&opts, &db).digest();

@@ -4,7 +4,6 @@
 //! produced them.
 
 use arbiter::StormOpts;
-use simnet::DrainMode;
 
 /// Cluster hosts; the arrival rate below saturates them at the sweep's
 /// upper points.
@@ -20,12 +19,11 @@ const ROGUE_EVERY: usize = 6;
 const SEED: u64 = 42;
 
 /// The storm `arbiter_bench` runs at `apps` applications.
-pub fn bench_opts(apps: usize, drain: DrainMode) -> StormOpts {
+pub fn bench_opts(apps: usize) -> StormOpts {
     let mut o = StormOpts::new(apps)
         .with_seed(SEED)
         .with_cluster_hosts(HOSTS)
-        .with_rogue_every(ROGUE_EVERY)
-        .with_drain_mode(drain);
+        .with_rogue_every(ROGUE_EVERY);
     o.mean_gap_us = MEAN_GAP_US;
     o
 }

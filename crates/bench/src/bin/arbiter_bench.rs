@@ -15,9 +15,7 @@
 //!   queue non-empty — packing efficiency under saturation, free of
 //!   arrival-ramp and drain-down dilution), the violation rate per
 //!   admitted app, and per-tier p99 session response times;
-//! * **determinism** — the storm digest, with every point re-run under
-//!   `DrainMode::Sharded { threads: 4 }` and asserted digest-identical
-//!   to the batched run.
+//! * **determinism** — the storm digest.
 //!
 //! The `"deterministic"` object is a pure function of seeds and is what
 //! `scripts/bench_gate.sh` compares against the committed baseline; the
@@ -38,7 +36,6 @@ use std::time::Instant;
 use adapt_bench::arbiter::{bench_opts as opts, HOSTS};
 use adapt_core::PerfDb;
 use arbiter::{run_storm, AppState, StormReport};
-use simnet::DrainMode;
 use visapp::model_db;
 
 /// Offered-load sweep: total applications per storm.
@@ -51,25 +48,13 @@ const GOLD_P99_BOUND_S: f64 = 5.0;
 struct Point {
     apps: usize,
     report: StormReport,
-    sharded_digest: u64,
     wall_secs: f64,
-    sharded_wall_secs: f64,
 }
 
 fn run_point(apps: usize, db: &Arc<PerfDb>) -> Point {
     let t = Instant::now();
-    let report = run_storm(&opts(apps, DrainMode::Batched), db);
-    let wall_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let sharded = run_storm(&opts(apps, DrainMode::Sharded { threads: 4, shards: 0 }), db);
-    let sharded_wall_secs = t.elapsed().as_secs_f64();
-    let sharded_digest = sharded.digest();
-    assert_eq!(
-        report.digest(),
-        sharded_digest,
-        "sharded drain diverged from batched at {apps} apps"
-    );
-    Point { apps, report, sharded_digest, wall_secs, sharded_wall_secs }
+    let report = run_storm(&opts(apps), db);
+    Point { apps, report, wall_secs: t.elapsed().as_secs_f64() }
 }
 
 fn p99_of(report: &StormReport, tier: u8) -> Option<f64> {
@@ -81,7 +66,7 @@ fn main() {
     let fast = std::env::var("ARBITER_BENCH_FAST").is_ok_and(|v| v == "1");
     let sweep: &[usize] = if fast { &FAST_SWEEP } else { &SWEEP };
 
-    let db = Arc::new(model_db(&opts(SWEEP[0], DrainMode::Batched).load_opts()));
+    let db = Arc::new(model_db(&opts(SWEEP[0]).load_opts()));
     println!("pricing database: {} records (analytic model), shared across every storm", db.len());
 
     let mut points = Vec::new();
@@ -145,7 +130,7 @@ fn main() {
              \"overload_opens\": {}, \"overload_closes\": {}, \"end_us\": {}, \
              \"utilization\": {:.4}, \"busy_utilization\": {:.4}, \
              \"violation_rate\": {:.4}, \
-             \"digest\": \"{:016x}\", \"digest_matches_sharded\": {}",
+             \"digest\": \"{:016x}\"",
             p.apps,
             c.admitted,
             c.queued,
@@ -165,7 +150,6 @@ fn main() {
             r.busy_utilization,
             c.violations as f64 / admitted as f64,
             r.digest(),
-            r.digest() == p.sharded_digest,
         );
         for tier in 0u8..3 {
             if let Some(p99) = p99_of(r, tier) {
@@ -184,11 +168,9 @@ fn main() {
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"apps\": {}, \"wall_secs\": {:.4}, \"sharded_wall_secs\": {:.4}, \
-             \"events_per_sec\": {:.0}}}{}",
+            "    {{\"apps\": {}, \"wall_secs\": {:.4}, \"events_per_sec\": {:.0}}}{}",
             p.apps,
             p.wall_secs,
-            p.sharded_wall_secs,
             p.report.events_handled as f64 / p.wall_secs.max(1e-9),
             if i + 1 < points.len() { "," } else { "" }
         );

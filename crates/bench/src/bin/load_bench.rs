@@ -7,21 +7,12 @@
 //!    N ∈ {1, 10, 100, 1000, 10000} concurrent adaptive sessions sharing
 //!    one `Arc<PerfDb>`: requests, kernel events, peak queue depth,
 //!    adaptation ticks, and the deterministic run digest per N.
-//! 2. **Sharded sweep** — the same session counts under
-//!    `DrainMode::Sharded { threads: 4, shards: 0 }`; every row's digest
-//!    must equal the sequential row's (asserted here, recorded in the
-//!    JSON), plus a 100k-session sharded-only scale point.
-//! 3. **Kernel storm** — 1000 timestamp-aligned periodic actors driven
+//!    (The 100 000-session row is pinned by the `#[ignore]`d
+//!    `bench_load_100k_digest_is_pinned` in `tests/digest_contract.rs`.)
+//! 2. **Kernel storm** — 1000 timestamp-aligned periodic actors driven
 //!    once under the batched drain and once under the binary-heap drain;
 //!    the throughput ratio is the batching payoff (≥ 5x, asserted).
-//! 4. **Sharded storm** — the same storm spread over 8 unlinked hosts,
-//!    sequential vs `Sharded` at 1/2/4/8 threads; the 4-thread speedup
-//!    is the sharding payoff (≥ 2.5x, asserted when the host has ≥ 4
-//!    cores — on fewer cores it is recorded informationally alongside
-//!    `host_cores`) and the full curve is `threads_vs_throughput`.
-//! 5. **Sweep threads curve** — the 10k-session sweep at 1/2/4/8
-//!    threads.
-//! 6. **Memory** — total performance-database bytes for the largest
+//! 3. **Memory** — total performance-database bytes for the largest
 //!    sweep sharing one database versus per-session clones.
 //!
 //! The `"deterministic"` object is a pure function of seeds and is what
@@ -31,23 +22,15 @@
 //!
 //! Usage: `load_bench [output.json]` (default `BENCH_load.json`).
 //! `LOAD_BENCH_FAST=1` shrinks the sweep for smoke runs and skips the
-//! speedup assertions.
+//! speedup assertion.
 
-use adapt_bench::load::{
-    bench_load_json, host_cores, kernel_storm, kernel_storm_multi, sweep, sweep_threads_curve,
-    sweep_with, LoadBenchData, StormResult, ThreadsPoint,
-};
+use adapt_bench::load::{bench_load_json, kernel_storm, sweep, StormResult};
 use adapt_bench::print_table;
 use simnet::DrainMode;
 
 const STORM_ACTORS: usize = 1000;
 const STORM_FANOUT: u64 = 64;
 const STORM_ROUNDS: u64 = 10;
-const STORM_HOSTS: usize = 8;
-/// The multi-host storm runs longer so per-epoch setup cost cannot
-/// dominate the thread-scaling measurement.
-const MULTI_ROUNDS: u64 = 40;
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Best-of-3: take the fastest run per configuration so a scheduler
 /// hiccup on the CI host cannot flip the comparison.
@@ -79,33 +62,6 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-
-    println!("\nsharded sweep (Sharded {{ threads: 4, shards: 0 }})...");
-    let sharded_rows = sweep_with(session_counts, DrainMode::Sharded { threads: 4, shards: 0 });
-    for (seq, sh) in rows.iter().zip(&sharded_rows) {
-        assert_eq!(
-            seq.digest, sh.digest,
-            "sharded sweep at {} sessions diverged from the sequential digest",
-            seq.sessions
-        );
-        println!(
-            "  {} sessions: digest {:016x} matches sequential, wall {:.3}s (seq {:.3}s)",
-            seq.sessions, sh.digest, sh.wall_secs, seq.wall_secs
-        );
-    }
-    let sharded_extra = if fast {
-        Vec::new()
-    } else {
-        println!("\n100k-session scale point (sharded only)...");
-        let extra = sweep_with(&[100_000], DrainMode::Sharded { threads: 4, shards: 0 });
-        for r in &extra {
-            println!(
-                "  {} sessions: {} requests, {} events, wall {:.1}s",
-                r.sessions, r.requests, r.events, r.wall_secs
-            );
-        }
-        extra
-    };
 
     println!("\nkernel storm: {STORM_ACTORS} aligned actors x {STORM_FANOUT} timers...");
     // Warm up both paths once so allocator state doesn't favor either.
@@ -145,88 +101,7 @@ fn main() {
         );
     }
 
-    println!("\nsharded storm: {STORM_ACTORS} actors over {STORM_HOSTS} hosts x {MULTI_ROUNDS} rounds...");
-    let _ = kernel_storm_multi(STORM_HOSTS, STORM_ACTORS, STORM_FANOUT, 2, DrainMode::Batched);
-    let multi_seq = best_of_3(|| {
-        kernel_storm_multi(
-            STORM_HOSTS,
-            STORM_ACTORS,
-            STORM_FANOUT,
-            MULTI_ROUNDS,
-            DrainMode::Batched,
-        )
-    });
-    let storm_threads: Vec<ThreadsPoint> = THREAD_COUNTS
-        .iter()
-        .map(|&threads| {
-            let r = best_of_3(|| {
-                kernel_storm_multi(
-                    STORM_HOSTS,
-                    STORM_ACTORS,
-                    STORM_FANOUT,
-                    MULTI_ROUNDS,
-                    DrainMode::Sharded { threads, shards: 0 },
-                )
-            });
-            assert_eq!(r.events, multi_seq.events, "sharded storm must process the same events");
-            ThreadsPoint { threads, events: r.events, wall_secs: r.wall_secs }
-        })
-        .collect();
-    print_table(
-        "sharded storm",
-        &["threads", "wall_s", "events/s", "speedup"],
-        &storm_threads
-            .iter()
-            .map(|p| {
-                vec![
-                    p.threads.to_string(),
-                    format!("{:.4}", p.wall_secs),
-                    format!("{:.0}", p.events_per_sec()),
-                    format!("{:.2}x", multi_seq.wall_secs / p.wall_secs.max(1e-12)),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    println!("\nsweep threads curve ({} sessions)...", rows.last().map_or(0, |r| r.sessions));
-    let sweep_threads_sessions = rows.last().map_or(10, |r| r.sessions);
-    let sweep_threads = sweep_threads_curve(sweep_threads_sessions, &THREAD_COUNTS);
-    print_table(
-        "sweep threads",
-        &["threads", "wall_s"],
-        &sweep_threads
-            .iter()
-            .map(|p| vec![p.threads.to_string(), format!("{:.3}", p.wall_secs)])
-            .collect::<Vec<_>>(),
-    );
-
-    let data = LoadBenchData {
-        rows: &rows,
-        sharded_rows: &sharded_rows,
-        sharded_extra: &sharded_extra,
-        batched: &batched,
-        heap: &heap,
-        storm_actors: STORM_ACTORS,
-        storm_hosts: STORM_HOSTS,
-        multi_seq: &multi_seq,
-        storm_threads: &storm_threads,
-        sweep_threads_sessions,
-        sweep_threads: &sweep_threads,
-    };
-    let storm_speedup = data.storm_speedup();
-    let cores = host_cores();
-    println!("\nsharded storm speedup at 4 threads: {storm_speedup:.2}x ({cores} core(s))");
-    if !fast && cores >= 4 {
-        assert!(
-            storm_speedup >= 2.5,
-            "sharded drain must be >= 2.5x sequential on the multi-host storm at 4 threads, \
-             got {storm_speedup:.2}x on {cores} cores"
-        );
-    } else if cores < 4 {
-        println!("(speedup assertion skipped: needs >= 4 cores, host has {cores})");
-    }
-
-    let json = bench_load_json(&data);
+    let json = bench_load_json(&rows, &batched, &heap, STORM_ACTORS);
     std::fs::write(&out, &json).expect("write bench output");
     println!("\nwrote {out}");
 }

@@ -10,10 +10,6 @@
 //! (OS-assigned); a UDS bind failure downgrades that backend to a
 //! skip, never a failure.
 //!
-//! `SIMNET_THREADS` flows into the kernel's sharded-drain resolution
-//! exactly as in the tier-1 tests; CI runs this binary under both `=1`
-//! and `=4` and requires the printed decision digests to match.
-//!
 //! Exit status: 0 with the FNV digest of the decision sequence on
 //! stdout, 1 on divergence.
 

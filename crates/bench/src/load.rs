@@ -79,54 +79,6 @@ pub fn kernel_storm(actors: usize, fanout: u64, rounds: u64, mode: DrainMode) ->
     }
 }
 
-/// Like [`kernel_storm`], but the actors are spread over `hosts`
-/// unlinked hosts so [`DrainMode::Sharded`] can split the run: with no
-/// links between hosts, auto-sharding bins the hosts across threads and
-/// the whole storm runs as one barrier-free parallel epoch.
-pub fn kernel_storm_multi(
-    hosts: usize,
-    actors: usize,
-    fanout: u64,
-    rounds: u64,
-    mode: DrainMode,
-) -> StormResult {
-    let mut sim = Sim::new();
-    sim.set_drain_mode(mode);
-    let host_ids: Vec<_> =
-        (0..hosts).map(|i| sim.add_host(&format!("storm{i}"), 1.0, 1 << 30)).collect();
-    for i in 0..actors {
-        sim.spawn(
-            host_ids[i % hosts],
-            Box::new(StormActor { period_us: 1_000, fanout, rounds_left: rounds }),
-        );
-    }
-    let start = Instant::now();
-    sim.run_until_idle();
-    StormResult {
-        events: sim.events_handled(),
-        peak_queue_depth: sim.peak_queue_depth(),
-        wall_secs: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// One point of a threads-vs-throughput curve.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadsPoint {
-    pub threads: usize,
-    pub events: u64,
-    pub wall_secs: f64,
-}
-
-impl ThreadsPoint {
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// One row of the session sweep.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
@@ -180,41 +132,13 @@ pub fn bench_opts(sessions: usize) -> LoadGenOpts {
 /// Run the session sweep: one shared model database, one `run_load` per
 /// session count.
 pub fn sweep(session_counts: &[usize]) -> Vec<SweepRow> {
-    sweep_with(session_counts, DrainMode::Batched)
-}
-
-/// [`sweep`] under an explicit drain mode (the sharded rows of
-/// `BENCH_load.json` use `DrainMode::Sharded { threads: 4, shards: 0 }`).
-pub fn sweep_with(session_counts: &[usize], mode: DrainMode) -> Vec<SweepRow> {
     let db = Arc::new(model_db(&bench_opts(1)));
     session_counts
         .iter()
         .map(|&n| {
             let start = Instant::now();
-            let report = run_load(&bench_opts(n).with_drain_mode(mode), &db);
+            let report = run_load(&bench_opts(n), &db);
             SweepRow::from_report(n, &report, start.elapsed().as_secs_f64())
-        })
-        .collect()
-}
-
-/// Threads-vs-throughput curve over the session sweep at one session
-/// count: the same workload under `Sharded { threads, shards: 0 }` for
-/// each requested thread count (threads = 1 is the sequential fallback).
-pub fn sweep_threads_curve(sessions: usize, thread_counts: &[usize]) -> Vec<ThreadsPoint> {
-    let db = Arc::new(model_db(&bench_opts(1)));
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let start = Instant::now();
-            let report = run_load(
-                &bench_opts(sessions).with_drain_mode(DrainMode::Sharded { threads, shards: 0 }),
-                &db,
-            );
-            ThreadsPoint {
-                threads,
-                events: report.events_handled,
-                wall_secs: start.elapsed().as_secs_f64(),
-            }
         })
         .collect()
 }
@@ -288,131 +212,38 @@ fn deterministic_payload_from(rows: &[SweepRow]) -> String {
     )
 }
 
-/// Everything `bench_load_json` serializes. Collected by the
-/// `load_bench` binary; see its docs for how each piece is measured.
-pub struct LoadBenchData<'a> {
-    /// Sequential (`Batched`) session sweep — the gated baseline rows.
-    pub rows: &'a [SweepRow],
-    /// The same session counts under `Sharded { threads: 4, shards: 0 }`;
-    /// digests are compared row-for-row against `rows`.
-    pub sharded_rows: &'a [SweepRow],
-    /// Sharded-only scale points with no sequential twin (the 100k row).
-    pub sharded_extra: &'a [SweepRow],
-    /// Single-host aligned storm under each sequential drain.
-    pub batched: &'a StormResult,
-    pub heap: &'a StormResult,
-    pub storm_actors: usize,
-    /// Multi-host storm: sequential run and the sharded threads curve.
-    pub storm_hosts: usize,
-    pub multi_seq: &'a StormResult,
-    pub storm_threads: &'a [ThreadsPoint],
-    /// Sharded threads curve over the large session sweep.
-    pub sweep_threads_sessions: usize,
-    pub sweep_threads: &'a [ThreadsPoint],
-}
-
-/// Cores visible to this process. Emitted as a *string* in the bench
-/// JSON so `bench_compare.py` reports it without gating it (the
-/// committed baseline and a CI runner are different machines); the
-/// sharded-storm speedup is only meaningful relative to this.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-impl LoadBenchData<'_> {
-    /// Sequential-vs-4-threads speedup on the multi-host storm (the
-    /// one-sided-gated headline number; 0 when no 4-thread point exists).
-    pub fn storm_speedup(&self) -> f64 {
-        self.storm_threads
-            .iter()
-            .find(|p| p.threads == 4)
-            .map(|p| self.multi_seq.wall_secs / p.wall_secs.max(1e-12))
-            .unwrap_or(0.0)
-    }
-}
-
-fn threads_curve_json(points: &[ThreadsPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"threads\": {}, \"wall_secs\": {:.4}, \"events_per_sec\": {:.0}}}",
-                p.threads,
-                p.wall_secs,
-                p.events_per_sec()
-            )
-        })
-        .collect();
-    format!("[\n    {}\n  ]", rows.join(",\n    "))
-}
-
-/// Full `BENCH_load.json`: the deterministic sweep (sequential and
-/// sharded, with row-for-row digest equality) plus wall-clock timing
-/// (kernel storm throughput per drain mode, the sharded storm threads
-/// curve, and per-sweep wall time). Only fields under `"deterministic"`
+/// Full `BENCH_load.json`: the deterministic sweep plus wall-clock timing
+/// (the single-host aligned storm of `storm_actors` actors under each
+/// drain, and per-sweep wall time). Only fields under `"deterministic"`
 /// are gated by CI; `speedup` keys gate one-sided.
-pub fn bench_load_json(d: &LoadBenchData<'_>) -> String {
-    let deterministic = deterministic_payload_from(d.rows);
-    let sharded_det: Vec<String> = d
-        .sharded_rows
-        .iter()
-        .map(|r| {
-            let twin = d.rows.iter().find(|s| s.sessions == r.sessions);
-            let matches = twin.is_some_and(|s| s.digest == r.digest);
-            format!(
-                "{{\"sessions\": {}, \"events\": {}, \"digest\": \"{:016x}\", \
-                 \"digest_matches_sequential\": {}}}",
-                r.sessions, r.events, r.digest, matches
-            )
-        })
-        .chain(d.sharded_extra.iter().map(|r| {
-            format!(
-                "{{\"sessions\": {}, \"requests\": {}, \"images\": {}, \"events\": {}, \
-                 \"digest\": \"{:016x}\"}}",
-                r.sessions, r.requests, r.images, r.events, r.digest
-            )
-        }))
-        .collect();
-    let wall: Vec<String> = d
-        .rows
+pub fn bench_load_json(
+    rows: &[SweepRow],
+    batched: &StormResult,
+    heap: &StormResult,
+    storm_actors: usize,
+) -> String {
+    let wall: Vec<String> = rows
         .iter()
         .map(|r| format!("{{\"sessions\": {}, \"wall_secs\": {:.4}}}", r.sessions, r.wall_secs))
         .collect();
-    let speedup = if d.heap.wall_secs > 0.0 {
-        d.heap.wall_secs / d.batched.wall_secs.max(1e-12)
-    } else {
-        0.0
-    };
+    let speedup =
+        if heap.wall_secs > 0.0 { heap.wall_secs / batched.wall_secs.max(1e-12) } else { 0.0 };
     format!(
-        "{{\n\"bench\": \"load\",\n\"deterministic\": {{\n  \"sequential\": {},\n  \
-         \"sharded_sweep\": [\n    {}\n  ]\n}},\n\"timing\": {{\n  \"kernel_storm\": \
+        "{{\n\"bench\": \"load\",\n\"deterministic\": {{\n  \"sequential\": {}\n}},\n\
+         \"timing\": {{\n  \"kernel_storm\": \
          {{\"actors\": {}, \"events\": {}, \"peak_queue_depth\": {}, \
          \"batched_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \
          \"batched_wall_secs\": {:.4}, \"heap_wall_secs\": {:.4}, \"speedup\": {:.2}}},\n  \
-         \"sharded_storm\": {{\"hosts\": {}, \"actors\": {}, \"events\": {}, \
-         \"host_cores\": \"{}\", \"sequential_wall_secs\": {:.4}, \"speedup\": {:.2}, \
-         \"threads_vs_throughput\": {}}},\n  \
-         \"sweep_threads\": {{\"sessions\": {}, \"threads_vs_throughput\": {}}},\n  \
          \"sweep_wall\": [\n    {}\n  ]\n}}\n}}\n",
-        deterministic,
-        sharded_det.join(",\n    "),
-        d.storm_actors,
-        d.batched.events,
-        d.batched.peak_queue_depth,
-        d.batched.events_per_sec(),
-        d.heap.events_per_sec(),
-        d.batched.wall_secs,
-        d.heap.wall_secs,
+        deterministic_payload_from(rows),
+        storm_actors,
+        batched.events,
+        batched.peak_queue_depth,
+        batched.events_per_sec(),
+        heap.events_per_sec(),
+        batched.wall_secs,
+        heap.wall_secs,
         speedup,
-        d.storm_hosts,
-        d.storm_actors,
-        d.multi_seq.events,
-        host_cores(),
-        d.multi_seq.wall_secs,
-        d.storm_speedup(),
-        threads_curve_json(d.storm_threads),
-        d.sweep_threads_sessions,
-        threads_curve_json(d.sweep_threads),
         wall.join(",\n    ")
     )
 }

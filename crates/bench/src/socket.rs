@@ -37,7 +37,7 @@ pub fn smoke_session(wire: Option<WireHook>) -> RunOutcome {
 }
 
 /// FNV-1a over the decision lines, newline-terminated: the digest
-/// `socket_smoke` prints and CI compares across `SIMNET_THREADS`.
+/// `socket_smoke` prints and `tests/digest_contract.rs` pins.
 pub fn decision_digest(lines: &[String]) -> u64 {
     let mut h = Fnv64::new();
     for line in lines {

@@ -2,8 +2,9 @@
 //! `CI_BENCH=1` gate regenerates whole BENCH files; this test pins the
 //! cheap rows of each in tier-1, through the same option builders the
 //! bench binaries use, so a refactor that moves one bit fails `cargo
-//! test` rather than a nightly. The 10k-session load row is `#[ignore]`d
-//! here and run optimized by its own `scripts/ci.sh` stage.
+//! test` rather than a nightly. The 10k- and 100k-session load rows are
+//! `#[ignore]`d here and run optimized by `scripts/ci.sh`: the 10k row by
+//! its own per-push stage, the 100k row inside the opt-in bench gate.
 
 use std::sync::Arc;
 
@@ -30,19 +31,35 @@ fn bench_load_digests_are_pinned() {
     }
 }
 
+/// One large `bench_opts` row: digest, events, requests, images, peak.
+fn assert_load_row(sessions: usize, pinned: (u64, u64, u64, u64, usize)) {
+    let opts = adapt_bench::load::bench_opts(sessions);
+    let report = run_load(&opts, &Arc::new(model_db(&adapt_bench::load::bench_opts(1))));
+    let got = (
+        report.digest(),
+        report.events_handled,
+        report.requests_total,
+        report.images_total,
+        report.peak_queue_depth,
+    );
+    assert_eq!(got, pinned, "{sessions} sessions: digest {:016x}", got.0);
+}
+
 /// The 10k row is the `load_steady` benchmark workload. About a second
-/// in release, a minute unoptimized: `scripts/ci.sh` runs it with
-/// `--release -- --ignored`.
+/// in release, a minute unoptimized: `scripts/ci.sh` runs it by name with
+/// `--release -- --ignored --exact`.
 #[test]
 #[ignore = "10k sessions: run in release by scripts/ci.sh"]
 fn bench_load_10k_digest_is_pinned() {
-    let opts = adapt_bench::load::bench_opts(10_000);
-    let report = run_load(&opts, &Arc::new(model_db(&adapt_bench::load::bench_opts(1))));
-    let got = report.digest();
-    assert_eq!(got, 0x08a1_b3eb_58e2_2b63, "{got:016x}");
-    assert_eq!(report.peak_queue_depth, 10_401);
-    assert_eq!(report.requests_total, 60_002);
-    assert_eq!(report.events_handled, 660_676);
+    assert_load_row(10_000, (0x08a1_b3eb_58e2_2b63, 660_676, 60_002, 20_000, 10_401));
+}
+
+/// The scale point of the sweep: half a minute in release, so it runs
+/// only inside the opt-in bench gate (`CI_BENCH=1`).
+#[test]
+#[ignore = "100k sessions: run in release by the CI_BENCH=1 bench gate"]
+fn bench_load_100k_digest_is_pinned() {
+    assert_load_row(100_000, (0x7971_3b82_d76c_eb2b, 6_606_024, 600_002, 200_000, 104_001));
 }
 
 #[test]
@@ -63,7 +80,7 @@ fn bench_arbiter_digests_are_pinned() {
         (16, 0x4f94_0ae2_03e1_782a),
         (32, 0xa73b_3fa9_88b8_b84b),
     ];
-    let opts = |apps| adapt_bench::arbiter::bench_opts(apps, DrainMode::Batched);
+    let opts = adapt_bench::arbiter::bench_opts;
     let db = Arc::new(model_db(&opts(8).load_opts()));
     for (apps, digest) in pinned {
         let got = arbiter::run_storm(&opts(apps), &db).digest();
@@ -73,7 +90,7 @@ fn bench_arbiter_digests_are_pinned() {
 
 #[test]
 fn socket_smoke_decision_digest_is_pinned_and_matches_its_simnet_twin() {
-    // What `socket_smoke` prints (and CI compares across SIMNET_THREADS).
+    // What `socket_smoke` prints.
     const PINNED: u64 = 0x0e1a_884c_0669_1ccc;
     let stock = smoke_session(None);
     let got = decision_digest(&decision_sequence(&stock.stats));

@@ -117,23 +117,14 @@ impl Explorer {
             let mut violation = out.violations.into_iter().next();
             if violation.is_none() && o.cross_check_every != 0 && i % o.cross_check_every == 0 {
                 // Cross-drain oracle: the identity variant of this plan
-                // must behave identically under heap, batched, and the
-                // sharded parallel drain.
+                // must behave identically under the heap and batched drains.
                 let heap = ctx.run_with_drain(&plan, simnet::DrainMode::Heap);
                 let batched = ctx.run_with_drain(&plan, simnet::DrainMode::Batched);
-                let sharded =
-                    ctx.run_with_drain(&plan, simnet::DrainMode::Sharded { threads: 0, shards: 0 });
                 digest.write_u64(heap.digest);
                 digest.write_u64(batched.digest);
-                digest.write_u64(sharded.digest);
                 if heap.digest != batched.digest {
                     violation = Some(Violation::DrainDivergence {
                         heap: heap.digest,
-                        batched: batched.digest,
-                    });
-                } else if sharded.digest != batched.digest {
-                    violation = Some(Violation::ShardDivergence {
-                        sharded: sharded.digest,
                         batched: batched.digest,
                     });
                 }

@@ -31,9 +31,6 @@ pub enum Violation {
     /// The same trial produced different digests under heap vs batched
     /// drain order.
     DrainDivergence { heap: u64, batched: u64 },
-    /// The same trial produced different digests under the sharded
-    /// parallel drain vs the sequential batched drain.
-    ShardDivergence { sharded: u64, batched: u64 },
     /// Overload shedding took a victim from a tier more important than
     /// the least-important tier still running — shedding must drain the
     /// lowest-priority (numerically highest) occupied tier first.
@@ -64,7 +61,6 @@ impl Violation {
             Violation::DegradeOrder { .. } => "degrade_order",
             Violation::InvalidDecision { .. } => "invalid_decision",
             Violation::DrainDivergence { .. } => "drain_divergence",
-            Violation::ShardDivergence { .. } => "shard_divergence",
             Violation::ShedOrder { .. } => "shed_order",
             Violation::EvictWithoutViolation { .. } => "evict_without_violation",
             Violation::ConfigAuditIncomplete { .. } => "config_audit_incomplete",
@@ -91,9 +87,6 @@ impl fmt::Display for Violation {
             }
             Violation::DrainDivergence { heap, batched } => {
                 write!(f, "drain_divergence: heap digest {heap:#x} != batched {batched:#x}")
-            }
-            Violation::ShardDivergence { sharded, batched } => {
-                write!(f, "shard_divergence: sharded digest {sharded:#x} != batched {batched:#x}")
             }
             Violation::ShedOrder { at_us, app, tier, running_tier } => write!(
                 f,

@@ -2,7 +2,7 @@
 //! [`FaultSpace::overload`] run the multi-application arbiter storm,
 //! hold the arbiter oracles (tier-ordered shedding, no clean
 //! evictions), and stay deterministic — including the periodic
-//! heap/batched/sharded cross-drain digest check.
+//! heap/batched cross-drain digest check.
 
 use adapt_dst::{Explorer, ExplorerOpts, FaultSpace, TrialContext};
 

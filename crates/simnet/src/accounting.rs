@@ -100,27 +100,6 @@ impl Accounting {
         self.mem_used = self.mem_used.saturating_sub(bytes);
     }
 
-    /// Fold counters recorded on a foreign-shard skeleton into the real
-    /// actor's record after a sharded run. Only transfer accounting can
-    /// accumulate on a skeleton (`Sent` entries for cross-shard messages,
-    /// recorded at the source shard); CPU/memory state lives with the
-    /// owner. The transfer logs are merged in delivery-time order, ties
-    /// keeping this record's entries first, and re-bounded.
-    pub(crate) fn merge_foreign(&mut self, other: &mut Accounting) {
-        if other.msgs_sent == 0 && other.msgs_recv == 0 {
-            return;
-        }
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_recv += other.bytes_recv;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_recv += other.msgs_recv;
-        let mut merged: Vec<Transfer> =
-            self.transfers.drain(..).chain(other.transfers.drain(..)).collect();
-        merged.sort_by_key(|t| t.delivered);
-        let excess = merged.len().saturating_sub(TRANSFER_LOG_CAP);
-        self.transfers.extend(merged.into_iter().skip(excess));
-    }
-
     /// Average CPU share obtained over the compute wall time so far:
     /// `cpu_time / compute_wall`. `None` when the actor has not computed.
     pub fn mean_cpu_share(&self) -> Option<f64> {

@@ -36,11 +36,12 @@ impl std::fmt::Display for HostId {
 /// A simulated process. All methods have empty default bodies so actors
 /// implement only the events they care about.
 ///
-/// Actors are `Send`: under [`DrainMode::Sharded`](crate::kernel::DrainMode)
-/// each host group's actors are moved onto a worker thread for the length
-/// of an epoch, so actor state must not contain thread-bound types
-/// (`Rc`, `RefCell`, raw pointers). Use `Arc<Mutex<..>>` for shared
-/// handles instead.
+/// Actors are `Send`, which is what makes a whole
+/// [`Sim`](crate::kernel::Sim) `Send`. The kernel itself is
+/// single-threaded and never moves an actor between threads; the bound is
+/// kept because relaxing a public bound is a decision of its own, and it
+/// means actor state holds no thread-bound types (`Rc`, `RefCell`, raw
+/// pointers) — share handles through `Arc<Mutex<..>>`.
 pub trait Actor: Send {
     /// Invoked once when the simulation starts (time zero) or, for actors
     /// spawned later, at spawn time.

@@ -294,19 +294,16 @@ impl FaultPlan {
             let seed = derive_seed(self.seed, 0x717e, j.src.0 as u64, j.dst.0 as u64);
             sim.set_link_jitter(j.src, j.dst, j.max_us, seed);
         }
-        // Down-window and crash scripts are pinned to the host owning the
-        // faulted state (the link's source, the crashing host) so a
-        // sharded run executes them on the owning shard.
         for w in &self.windows {
             let (src, dst) = (w.src, w.dst);
-            sim.at_on(src, w.from, move |s| s.set_link_down(src, dst, true));
-            sim.at_on(src, w.until, move |s| s.set_link_down(src, dst, false));
+            sim.at(w.from, move |s| s.set_link_down(src, dst, true));
+            sim.at(w.until, move |s| s.set_link_down(src, dst, false));
         }
         for c in &self.crashes {
             let host = c.host;
-            sim.at_on(host, c.at, move |s| s.crash_host(host));
+            sim.at(c.at, move |s| s.crash_host(host));
             if let Some(r) = c.restart_at {
-                sim.at_on(host, r, move |s| s.restart_host(host));
+                sim.at(r, move |s| s.restart_host(host));
             }
         }
     }

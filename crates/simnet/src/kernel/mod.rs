@@ -37,10 +37,8 @@ use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 
 mod queue;
-mod shard;
 
 use queue::EventQueue;
-use shard::{ShardCtx, ShardPlan};
 
 /// Default one-way latency for messages between actors on the same host.
 pub const DEFAULT_LOCAL_LATENCY_US: u64 = 5;
@@ -129,10 +127,8 @@ pub(crate) enum Ev {
     Wake {
         actor: ActorId,
     },
-    /// A scheduled script. The optional host pins the script to a shard in
-    /// [`DrainMode::Sharded`] runs (see [`Sim::at_on`]); plain [`Sim::at`]
-    /// scripts carry `None` and cannot be partitioned across shards.
-    Script(Option<HostId>, Box<dyn FnOnce(&mut Sim) + Send>),
+    /// A scheduled script (see [`Sim::at`]).
+    Script(Box<dyn FnOnce(&mut Sim) + Send>),
 }
 
 /// Schedule-perturbation budget for [`DrainMode::Explore`].
@@ -201,23 +197,6 @@ pub enum DrainMode {
     /// `(time, insertion)` schedule of *some* execution — the exploration
     /// never invents impossible interleavings, only reachable ones.
     Explore(ExplorePlan),
-    /// Partition the simulation into per-host-group shards, each drained
-    /// by its own batched loop on a worker thread, with conservative
-    /// lookahead: the safe horizon is the minimum latency of any explicit
-    /// cross-shard link, and cross-shard deliveries are exchanged at
-    /// barrier epochs in a deterministic `(push time, shard, sequence)`
-    /// merge order so the run reproduces the sequential [`Batched`]
-    /// schedule bit-for-bit (see `DESIGN.md` §14).
-    ///
-    /// `threads == 0` resolves from the `SIMNET_THREADS` environment
-    /// variable (falling back to the machine's available parallelism);
-    /// `shards == 0` auto-shards by link-topology components. A run that
-    /// resolves to one shard or one thread falls back to the sequential
-    /// batched drain, which by construction produces the same schedule.
-    /// Multi-shard runs support [`Sim::run_until_idle`] only.
-    ///
-    /// [`Batched`]: DrainMode::Batched
-    Sharded { threads: usize, shards: usize },
 }
 
 /// The simulation: hosts, links, actors, and the event queue.
@@ -226,9 +205,6 @@ pub struct Sim {
     mode: DrainMode,
     /// Pending events, in the representation `mode` selects.
     queue: EventQueue,
-    /// Largest single-shard peak seen while absorbing a sharded drain
-    /// (0 until a sharded run completes).
-    peak_shard_queue_depth: usize,
     hosts: Vec<Host>,
     links: HashMap<(usize, usize), Link>,
     /// Links operating in fluid fair-share mode.
@@ -251,14 +227,6 @@ pub struct Sim {
     pub trace: Trace,
     events_handled: u64,
     event_limit: Option<u64>,
-    /// Hosts whose shard runs in the second phase of every sharded epoch,
-    /// after all worker shards reach the barrier (see [`Sim::mark_observer`]).
-    observer_hosts: HashSet<usize>,
-    /// Set while this `Sim` is one shard of a [`DrainMode::Sharded`] run.
-    shard_ctx: Option<ShardCtx>,
-    /// Same-instant cross-shard collisions observed while splicing barrier
-    /// deliveries (see [`Sim::ambiguous_ties`]).
-    ambiguous_ties: u64,
     /// Optional wire interposition: every transmitted message passes
     /// through this hook before entering the (simulated) network. `None`
     /// (the default) costs one branch; see [`Sim::set_wire_hook`].
@@ -290,7 +258,6 @@ impl Sim {
             now: SimTime::ZERO,
             mode: DrainMode::default(),
             queue: EventQueue::new(DrainMode::default()),
-            peak_shard_queue_depth: 0,
             hosts: Vec::new(),
             links: HashMap::new(),
             flow_scheds: HashMap::new(),
@@ -307,9 +274,6 @@ impl Sim {
             trace: Trace::default(),
             events_handled: 0,
             event_limit: None,
-            observer_hosts: HashSet::new(),
-            shard_ctx: None,
-            ambiguous_ties: 0,
             wire_hook: None,
         }
     }
@@ -332,20 +296,15 @@ impl Sim {
         HostId(self.hosts.len() - 1)
     }
 
-    /// Spawn an actor on `host`. Its `on_start` runs at the current time.
-    ///
-    /// During a sharded run, scripts may only spawn on hosts of their own
-    /// shard; actors spawned mid-run are shard-local and are not retained
-    /// in the parent simulation after the run (cross-shard sends must
-    /// target actors spawned before the run).
+    /// Spawn an actor on `host`. Its `on_start` runs at the current time
+    /// (after every event already queued at that time), so a script may
+    /// spawn mid-run.
     pub fn spawn(&mut self, host: HostId, actor: Box<dyn Actor>) -> ActorId {
         assert!(host.0 < self.hosts.len(), "unknown host {host}");
-        self.assert_host_local(host, "spawn");
         let id = ActorId(self.actors.len());
         self.actors.push(Some(actor));
         self.states.push(ActorState::new(host));
-        let t = self.now;
-        self.push(t, Ev::Start(id));
+        self.queue.push(self.now, Ev::Start(id));
         id
     }
 
@@ -363,16 +322,6 @@ impl Sim {
         bw_bytes_per_sec: f64,
         latency_us: u64,
     ) {
-        if let Some(ctx) = self.shard_ctx.as_ref() {
-            if ctx.shard_of_host[src.0] != ctx.shard_of_host[dst.0] {
-                assert!(
-                    ctx.l_cross.is_some_and(|l| latency_us >= l),
-                    "sharded run: cannot add cross-shard link {src}->{dst} with latency \
-                     {latency_us}us below the lookahead horizon {:?}us",
-                    ctx.l_cross
-                );
-            }
-        }
         self.links.insert((src.0, dst.0), Link::new(bw_bytes_per_sec, latency_us));
     }
 
@@ -534,7 +483,6 @@ impl Sim {
     /// [`Sim::kill`], crashed actors can be revived by
     /// [`Sim::restart_host`]. Traced as [`TraceEvent::HostCrash`].
     pub fn crash_host(&mut self, host: HostId) {
-        self.assert_host_local(host, "crash_host");
         let mut any = false;
         for i in 0..self.states.len() {
             if self.states[i].host != host || !self.states[i].alive {
@@ -565,7 +513,6 @@ impl Sim {
     /// re-runs `on_start`, modeling a process restart). Actors removed with
     /// [`Sim::kill`] stay dead. Traced as [`TraceEvent::HostRestart`].
     pub fn restart_host(&mut self, host: HostId) {
-        self.assert_host_local(host, "restart_host");
         let mut any = false;
         for i in 0..self.states.len() {
             let st = &mut self.states[i];
@@ -575,8 +522,7 @@ impl Sim {
             any = true;
             st.alive = true;
             st.crashed = false;
-            let t = self.now;
-            self.push(t, Ev::Restart(ActorId(i)));
+            self.queue.push(self.now, Ev::Restart(ActorId(i)));
         }
         if any {
             self.trace.emit(self.now, TraceEvent::HostRestart { host });
@@ -658,84 +604,32 @@ impl Sim {
     // ------------------------------------------------------------------
 
     /// Schedule `f` to run at absolute time `t` with full control of the
-    /// simulation (used by experiment scripts to vary resources).
-    ///
-    /// Scripts scheduled this way carry no host affinity, so a
-    /// [`DrainMode::Sharded`] run that resolves to more than one shard
-    /// cannot partition them and panics at run start — use [`Sim::at_on`]
-    /// there.
+    /// simulation (used by experiment scripts to vary resources). It runs
+    /// after every event already queued at `t`, on the thread driving the
+    /// simulation; the `Send` bound only keeps a `Sim` that holds the
+    /// script `Send` (see [`Actor`]).
     pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim) + Send + 'static) {
         assert!(t >= self.now, "cannot schedule in the past ({t} < {})", self.now);
-        self.push(t, Ev::Script(None, Box::new(f)));
-    }
-
-    /// Schedule `f` at absolute time `t`, pinned to `host`: in a sharded
-    /// run the script executes on (and must only touch the resources of)
-    /// the shard owning `host`. Equivalent to [`Sim::at`] otherwise.
-    pub fn at_on(&mut self, host: HostId, t: SimTime, f: impl FnOnce(&mut Sim) + Send + 'static) {
-        assert!(t >= self.now, "cannot schedule in the past ({t} < {})", self.now);
-        assert!(host.0 < self.hosts.len(), "unknown host {host}");
-        self.push(t, Ev::Script(Some(host), Box::new(f)));
-    }
-
-    /// Mark `host`'s shard as an observer: in a [`DrainMode::Sharded`] run
-    /// it executes in a second phase of each epoch, after every worker
-    /// shard has reached the barrier. Use this for monitoring components
-    /// that read other actors' state through shared memory (e.g. the load
-    /// generator's watcher), so their reads see a deterministic snapshot.
-    pub fn mark_observer(&mut self, host: HostId) {
-        assert!(host.0 < self.hosts.len(), "unknown host {host}");
-        self.observer_hosts.insert(host.0);
-    }
-
-    /// Same-instant cross-shard collisions seen by the last sharded run:
-    /// barrier deliveries whose push time exactly equalled that of another
-    /// event in the destination bucket. The sequential order of such pairs
-    /// is ambiguous (either order is a legal batched schedule); a run with
-    /// zero ties is guaranteed bit-for-bit equal to the sequential run.
-    pub fn ambiguous_ties(&self) -> u64 {
-        self.ambiguous_ties
+        self.queue.push(t, Ev::Script(Box::new(f)));
     }
 
     /// Process events until the queue is exhausted.
     pub fn run_until_idle(&mut self) {
-        match self.shard_plan() {
-            Some(plan) => shard::run_until_idle(self, &plan),
-            None => self.drain(SimTime::MAX),
-        }
+        self.drain(SimTime::MAX);
     }
 
     /// Process events up to and including time `t`; the clock ends at `t`.
-    ///
-    /// In [`DrainMode::Sharded`], only runs that resolve to a single shard
-    /// (or one thread) support bounded driving; multi-shard runs panic —
-    /// they support [`Sim::run_until_idle`] only.
     pub fn run_until(&mut self, t: SimTime) {
-        assert!(
-            self.shard_plan().is_none(),
-            "DrainMode::Sharded supports run_until_idle only when the run \
-             partitions into multiple shards"
-        );
         self.drain(t);
         if t > self.now {
             self.now = t;
         }
     }
 
-    /// How a [`DrainMode::Sharded`] run would partition right now; `None`
-    /// in every other mode and when the request resolves to one shard or
-    /// one thread, where the sequential drain produces the same schedule.
-    fn shard_plan(&self) -> Option<ShardPlan> {
-        match self.mode {
-            DrainMode::Sharded { threads, shards } => shard::compute_plan(self, threads, shards),
-            _ => None,
-        }
-    }
-
     /// The drain loop: handle every event at or before `bound` in queue
-    /// order, leaving the clock at the last one handled. Every way of
-    /// driving a simulation (to idle, to a time, a shard's epoch) is this
-    /// loop with a different bound.
+    /// order, leaving the clock at the last one handled. Both ways of
+    /// driving a simulation (to idle, to a time) are this loop with a
+    /// different bound.
     fn drain(&mut self, bound: SimTime) {
         while let Some((t, ev)) = self.queue.pop(bound) {
             debug_assert!(t >= self.now);
@@ -760,25 +654,11 @@ impl Sim {
         self.queue.len()
     }
 
-    /// Deepest the event queue has ever been in this simulation.
-    ///
-    /// Under [`DrainMode::Sharded`] this is the *sum* of the per-shard
-    /// peaks — an upper bound inflated by shard count. For saturation
-    /// diagnostics prefer [`Sim::peak_shard_queue_depth`].
+    /// Deepest the event queue has ever been in this simulation. The same
+    /// number under every [`DrainMode`] whose schedule is the reference
+    /// one (`Heap`, `Batched`, the identity `Explore` plan).
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak()
-    }
-
-    /// Deepest any *single* shard's event queue got during a sharded
-    /// drain, or the plain peak when no sharded drain has run. Unlike
-    /// [`Sim::peak_queue_depth`] (which sums per-shard peaks after a
-    /// sharded run), this does not grow with shard count.
-    pub fn peak_shard_queue_depth(&self) -> usize {
-        if self.peak_shard_queue_depth == 0 {
-            self.queue.peak()
-        } else {
-            self.peak_shard_queue_depth
-        }
     }
 
     /// The active [`DrainMode`].
@@ -797,17 +677,6 @@ impl Sim {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    fn push(&mut self, t: SimTime, mut ev: Ev) {
-        // Sharded sub-run: deliveries addressed to a foreign shard go to
-        // the outbox (exchanged at the next barrier) instead of the local
-        // queue.
-        if let Some(ctx) = self.shard_ctx.as_mut() {
-            let Some(local) = ctx.intercept(&self.states, t, self.now, ev) else { return };
-            ev = local;
-        }
-        self.queue.push(t, self.now, ev);
-    }
 
     fn handle(&mut self, ev: Ev) {
         self.events_handled += 1;
@@ -905,7 +774,7 @@ impl Sim {
                     self.pump(actor);
                 }
             }
-            Ev::Script(_, f) => f(self),
+            Ev::Script(f) => f(self),
         }
     }
 
@@ -936,7 +805,7 @@ impl Sim {
     fn schedule_next_cpu(&mut self, host: usize) {
         if let Some(t) = self.hosts[host].sched.next_completion() {
             let epoch = self.hosts[host].sched.epoch;
-            self.push(t, Ev::CpuNext { host, epoch });
+            self.queue.push(t, Ev::CpuNext { host, epoch });
         }
     }
 
@@ -953,7 +822,7 @@ impl Sim {
         for id in done {
             if let Some((s, d, msg, queued, jitter_us)) = self.inflight.remove(&id) {
                 let t = now + latency + jitter_us;
-                self.push(t, Ev::Deliver { src: s, dst: d, msg, queued });
+                self.queue.push(t, Ev::Deliver { src: s, dst: d, msg, queued });
             }
         }
     }
@@ -962,7 +831,7 @@ impl Sim {
         if let Some(fs) = self.flow_scheds.get(&(src, dst)) {
             if let Some(t) = fs.next_completion() {
                 let epoch = fs.epoch;
-                self.push(t, Ev::FlowNext { src, dst, epoch });
+                self.queue.push(t, Ev::FlowNext { src, dst, epoch });
             }
         }
     }
@@ -1018,7 +887,7 @@ impl Sim {
                     st.running = Running::Sleep;
                     st.sleep_started = self.now;
                     let t = self.now + us;
-                    self.push(t, Ev::Wake { actor: a });
+                    self.queue.push(t, Ev::Wake { actor: a });
                     return;
                 }
                 Some(Action::Continue { tag }) => {
@@ -1046,19 +915,6 @@ impl Sim {
         let hs = self.states[src.0].host.0;
         let hd = self.states[dst.0].host.0;
         let bytes = msg.wire_bytes;
-        if let Some(ctx) = self.shard_ctx.as_ref() {
-            // Cross-shard traffic must ride an explicit link: the link's
-            // latency is what makes the conservative lookahead safe. A
-            // send over an implicit default link would undermine the
-            // horizon, so it is an error rather than a silent hazard.
-            if ctx.shard_of_host[hd] != ctx.my_shard && !self.links.contains_key(&(hs, hd)) {
-                panic!(
-                    "sharded run: {src} ({}) sent to {dst} ({}) across shards without an \
-                     explicit link — add one with set_link, or co-shard the hosts",
-                    self.hosts[hs].name, self.hosts[hd].name
-                );
-            }
-        }
         self.trace.emit(self.now, TraceEvent::MsgSent { src, dst, bytes });
         if hs != hd && self.down_links.contains(&(hs, hd)) {
             // The link is inside a scheduled down window: nothing gets
@@ -1114,7 +970,7 @@ impl Sim {
             link.schedule(self.now, bytes).deliver
         } + jitter_us;
         let queued = self.now;
-        self.push(deliver_at, Ev::Deliver { src, dst, msg, queued });
+        self.queue.push(deliver_at, Ev::Deliver { src, dst, msg, queued });
     }
 
     /// Take the actor out of its slot, run `f` with a [`Ctx`], put it back.
@@ -1180,7 +1036,7 @@ impl Ctx<'_> {
         let t = self.sim.now + delay_us;
         let id = self.id;
         let incarnation = self.sim.states[id.0].incarnation;
-        self.sim.push(t, Ev::Timer { actor: id, tag, incarnation });
+        self.sim.queue.push(t, Ev::Timer { actor: id, tag, incarnation });
     }
 
     /// Allocate simulated memory.

@@ -40,16 +40,6 @@ impl Ord for HeapEntry {
     }
 }
 
-/// A bucketed event plus the time it was pushed. The push time is what a
-/// sequential run's global sequence number encodes (pushes happen in
-/// nondecreasing time order), so carrying it lets a sharded run splice
-/// cross-shard deliveries into a destination bucket at the position the
-/// sequential run would have given them.
-pub(super) struct Queued {
-    pub(super) push_t: SimTime,
-    pub(super) ev: Ev,
-}
-
 /// How many drained buckets to keep for reuse. Matches the number of
 /// distinct timestamps typically live at once (current batch spillover
 /// plus the next few timer grids).
@@ -95,15 +85,15 @@ struct Buckets {
     /// `times` iff it has a bucket; a bucket is removed exactly when its
     /// `times` entry is popped, so neither duplicates nor stale entries
     /// can accumulate.
-    buckets: HashMap<SimTime, VecDeque<Queued>, TimeHasherBuilder>,
+    buckets: HashMap<SimTime, VecDeque<Ev>, TimeHasherBuilder>,
     /// Drained, empty buckets kept for reuse (capacity recycling).
-    spare: Vec<VecDeque<Queued>>,
+    spare: Vec<VecDeque<Ev>>,
     /// The bucket being popped, already removed from `buckets`: an event
     /// pushed at `batch_t` meanwhile opens a fresh bucket, drained after
     /// this one — exactly the heap order, where newly pushed events always
     /// carry a higher sequence number. Empty whenever a pop has returned
     /// `None`, i.e. between drains.
-    batch: VecDeque<Queued>,
+    batch: VecDeque<Ev>,
     batch_t: SimTime,
     plan: ExplorePlan,
     /// Timer-skew stream (advanced once per skewed timer push).
@@ -128,7 +118,7 @@ impl Buckets {
 
     /// The bucket at `t`, opened (from a recycled one, so a storm of
     /// same-time events pays its deque growth only once) if `t` is new.
-    fn bucket_at(&mut self, t: SimTime) -> &mut VecDeque<Queued> {
+    fn bucket_at(&mut self, t: SimTime) -> &mut VecDeque<Ev> {
         match self.buckets.entry(t) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
@@ -141,11 +131,11 @@ impl Buckets {
     /// Next event at or before `bound`: the front of the open batch, or of
     /// the next bucket once that is exhausted.
     #[inline]
-    fn pop(&mut self, bound: SimTime) -> Option<(SimTime, Queued)> {
+    fn pop(&mut self, bound: SimTime) -> Option<(SimTime, Ev)> {
         if self.batch.is_empty() && !self.open_next(bound) {
             return None;
         }
-        self.batch.pop_front().map(|q| (self.batch_t, q))
+        self.batch.pop_front().map(|ev| (self.batch_t, ev))
     }
 
     /// Recycle the exhausted batch and open the earliest bucket, if its
@@ -189,14 +179,11 @@ enum Repr {
 
 impl Repr {
     /// The one place a [`DrainMode`] picks a representation: `Batched`
-    /// (and `Sharded`, whose shards and sequential fallback are batched)
     /// *is* the bucket queue under the identity plan.
     fn for_mode(mode: DrainMode) -> Self {
         match mode {
             DrainMode::Heap => Repr::Heap { heap: BinaryHeap::new(), seq: 0 },
-            DrainMode::Batched | DrainMode::Sharded { .. } => {
-                Repr::Buckets(Buckets::new(ExplorePlan::default()))
-            }
+            DrainMode::Batched => Repr::Buckets(Buckets::new(ExplorePlan::default())),
             DrainMode::Explore(plan) => Repr::Buckets(Buckets::new(plan)),
         }
     }
@@ -231,15 +218,8 @@ impl EventQueue {
         self.peak
     }
 
-    /// Fold in a depth reached elsewhere on this queue's behalf (the
-    /// summed per-shard peaks of a sharded drain).
-    pub(super) fn raise_peak(&mut self, depth: usize) {
-        self.peak = self.peak.max(depth);
-    }
-
     /// Queue `ev` for time `t`, after everything already queued at `t`.
-    /// `push_t` is the caller's clock (see [`Queued`]).
-    pub(super) fn push(&mut self, t: SimTime, push_t: SimTime, ev: Ev) {
+    pub(super) fn push(&mut self, t: SimTime, ev: Ev) {
         self.len += 1;
         self.peak = self.peak.max(self.len);
         match &mut self.repr {
@@ -259,38 +239,7 @@ impl EventQueue {
                 } else {
                     t
                 };
-                b.bucket_at(t).push_back(Queued { push_t, ev });
-            }
-        }
-    }
-
-    /// Splice a barrier delivery into the bucket at `t`, at the position
-    /// its push time gives it relative to the local events the sequential
-    /// run interleaves it with. Bucket entries are pushed in nondecreasing
-    /// push-time order, so a binary search finds the slot. Returns `true`
-    /// on an exact push-time collision: the sequential order of that pair
-    /// was ambiguous (see `Sim::ambiguous_ties`).
-    pub(super) fn splice(&mut self, t: SimTime, push_t: SimTime, ev: Ev) -> bool {
-        let Repr::Buckets(b) = &mut self.repr else {
-            unreachable!("sharded sub-simulations queue into buckets");
-        };
-        debug_assert!(b.batch.is_empty(), "splice during a drain");
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        let bucket = b.bucket_at(t);
-        let pos = bucket.partition_point(|q| q.push_t <= push_t);
-        let tie = pos > 0 && bucket[pos - 1].push_t == push_t;
-        bucket.insert(pos, Queued { push_t, ev });
-        tie
-    }
-
-    /// Earliest pending event time. Not meaningful from inside a drain.
-    pub(super) fn next_time(&self) -> Option<SimTime> {
-        match &self.repr {
-            Repr::Heap { heap, .. } => heap.peek().map(|e| e.t),
-            Repr::Buckets(b) => {
-                debug_assert!(b.batch.is_empty(), "next_time during a drain");
-                b.times.peek().map(|&Reverse(t)| t)
+                b.bucket_at(t).push_back(ev);
             }
         }
     }
@@ -306,23 +255,8 @@ impl EventQueue {
                 let e = heap.pop()?;
                 (e.t, e.ev)
             }
-            Repr::Buckets(b) => {
-                let (t, q) = b.pop(bound)?;
-                (t, q.ev)
-            }
+            Repr::Buckets(b) => b.pop(bound)?,
         };
-        self.len -= 1;
-        Some(popped)
-    }
-
-    /// [`EventQueue::pop`] without a bound, keeping the push time:
-    /// partitioning moves pending events, [`Queued`] and all, into the
-    /// shards' queues.
-    pub(super) fn pop_queued(&mut self) -> Option<(SimTime, Queued)> {
-        let Repr::Buckets(b) = &mut self.repr else {
-            unreachable!("sharded mode queues into buckets");
-        };
-        let popped = b.pop(SimTime::MAX)?;
         self.len -= 1;
         Some(popped)
     }
@@ -359,7 +293,7 @@ mod tests {
         };
         for (delays, pops, bound) in script {
             for &d in delays {
-                q.push(now + d, now, Ev::Wake { actor: ActorId(next_id) });
+                q.push(now + d, Ev::Wake { actor: ActorId(next_id) });
                 next_id += 1;
                 depth.push((q.len(), q.peak()));
             }
@@ -371,7 +305,6 @@ mod tests {
         }
         while pop(&mut q, &mut now, SimTime::MAX) {}
         assert_eq!(q.len(), 0);
-        assert_eq!(q.next_time(), None);
         assert_eq!(popped.len(), next_id);
         (popped, depth)
     }

@@ -23,12 +23,10 @@
 //!
 //! Everything is deterministic: events are ordered by
 //! `(time, sequence-number)` and no wall-clock or OS randomness is
-//! consulted. The drain is single-threaded by default;
-//! [`DrainMode::Sharded`] partitions the event queue into
-//! per-host-group shards drained on a scoped thread pool with
-//! conservative lookahead and a deterministic barrier merge, and is
-//! required to reproduce the sequential run bit for bit (see
-//! `DESIGN.md` §14).
+//! consulted. The drain is single-threaded: [`DrainMode`] only picks the
+//! queue's data structure (`Heap` is the reference order, `Batched` the
+//! default) or a seeded perturbation of it (`Explore`); `DESIGN.md` §14
+//! records why there is no parallel drain.
 //!
 //! ## Quick example
 //!

@@ -3,8 +3,8 @@
 //! A [`Message`] separates the *simulated* wire size (which determines link
 //! transmission time) from the actual Rust payload carried for the benefit of
 //! the receiving actor. The payload is an `Arc<dyn Any + Send + Sync>` so the
-//! simulator core stays application-agnostic while messages remain portable
-//! across shard worker threads; applications downcast with
+//! simulator core stays application-agnostic (the `Send + Sync` keeps
+//! `Message`, and so a whole `Sim`, `Send`); applications downcast with
 //! [`Message::body`].
 
 use std::any::Any;

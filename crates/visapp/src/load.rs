@@ -307,13 +307,8 @@ pub struct LoadReport {
     pub end: SimTime,
     /// Events the kernel processed.
     pub events_handled: u64,
-    /// High-water mark of the pending-event queue. Under a sharded drain
-    /// this is the sum of per-shard peaks (inflated by shard count).
+    /// High-water mark of the pending-event queue.
     pub peak_queue_depth: usize,
-    /// Deepest any single shard's queue got (equals `peak_queue_depth`
-    /// for sequential drains) — the shard-count-independent saturation
-    /// diagnostic.
-    pub peak_shard_queue_depth: usize,
     pub requests_total: u64,
     pub images_total: u64,
     pub switches_total: u64,
@@ -325,10 +320,11 @@ impl LoadReport {
     /// FNV-1a hash over every simulation-derived observable: per-session
     /// rounds/images/switches/bytes/finish times plus kernel totals. Two
     /// same-seed runs must agree on this digest exactly; wall-clock
-    /// measurements are deliberately excluded, and so is
-    /// `peak_queue_depth`/`peak_shard_queue_depth` — they describe the
-    /// drain strategy (a sharded run's peak is the sum of per-shard
-    /// peaks), not the computation.
+    /// measurements are deliberately excluded. So is `peak_queue_depth`:
+    /// it describes the queue rather than what the sessions did, the
+    /// committed digests were defined without it, and every place that
+    /// pins a digest (`BENCH_load.json`, `digest_contract.rs`) pins the
+    /// peak next to it.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::new();
         for s in &self.sessions {
@@ -379,11 +375,10 @@ impl LoadWatcher {
         self.live.retain_mut(|(i, folded)| {
             // Only observations strictly before the sample time count: the
             // shared-memory stats are written by other actors, and events
-            // at exactly `now` race with this timer in the sequential
+            // at exactly `now` race with this watcher's own timer in the
             // `(time, seq)` order. The strict filter makes each sample a
-            // pure function of simulated time, so a sharded run (where the
-            // watcher samples after whole worker epochs) folds the exact
-            // same series.
+            // pure function of simulated time (and defines the committed
+            // digests: a round finishing at `now` is folded one tick later).
             let (done_at, fresh) = handles[*i].with(|s| {
                 let fresh = s.rounds[*folded..].iter().take_while(|r| r.finished < now).count();
                 (s.finished_at.filter(|&t| t < now), fresh)
@@ -497,9 +492,7 @@ fn run_load_watched(
         let store_c = store.clone();
         let server_id = server_ids[i % server_ids.len()];
         let (think_us, period) = (think[i], opts.period_us);
-        // Pinned to the client host so a sharded run builds the session on
-        // the shard that owns it.
-        sim.at_on(hc, SimTime::from_us(arrivals[i]), move |s| {
+        sim.at(SimTime::from_us(arrivals[i]), move |s| {
             let copts = client_opts(&sc, &store_c, server_id).with_think_time(Some(think_us));
             let (client, sandbox_stats) = class.client(period, copts, handle, &obs_c);
             s.spawn(
@@ -513,10 +506,6 @@ fn run_load_watched(
     }
 
     let watcher_host = sim.add_host("loadgen", 1.0, 1 << 30);
-    // The watcher only reads shared memory; marking its host as an
-    // observer lets a sharded run give it a shard of its own, sampled
-    // after the worker shards each epoch.
-    sim.mark_observer(watcher_host);
     debug_assert!(arrivals.is_sorted(), "the watcher's arrival cursor needs sorted arrivals");
     sim.spawn(
         watcher_host,
@@ -559,7 +548,6 @@ fn run_load_watched(
         end: sim.now(),
         events_handled: sim.events_handled(),
         peak_queue_depth: sim.peak_queue_depth(),
-        peak_shard_queue_depth: sim.peak_shard_queue_depth(),
         requests_total: requests,
         images_total: images,
         switches_total: switches,
@@ -618,26 +606,6 @@ mod tests {
         let batched = run_load(&opts.clone().with_drain_mode(DrainMode::Batched), &db);
         let heap = run_load(&opts.clone().with_drain_mode(DrainMode::Heap), &db);
         assert_eq!(batched.digest(), heap.digest(), "drain mode must not change semantics");
-    }
-
-    #[test]
-    fn sharded_matches_batched_across_thread_counts() {
-        let opts = tiny(8);
-        let db = Arc::new(model_db(&opts));
-        let batched = run_load(&opts.clone().with_drain_mode(DrainMode::Batched), &db);
-        for threads in [1usize, 2, 4, 8] {
-            let sharded = run_load(
-                &opts.clone().with_drain_mode(DrainMode::Sharded { threads, shards: 0 }),
-                &db,
-            );
-            assert_eq!(
-                batched.digest(),
-                sharded.digest(),
-                "sharded drain diverged at threads={threads}"
-            );
-            assert_eq!(batched.end, sharded.end, "threads={threads}");
-            assert_eq!(batched.events_handled, sharded.events_handled, "threads={threads}");
-        }
     }
 
     /// The full-scan sampler [`LoadWatcher`] replaced, kept as its oracle:
@@ -761,13 +729,7 @@ mod tests {
 
     #[test]
     fn watcher_matches_the_full_scan_oracle() {
-        let modes = [
-            DrainMode::Batched,
-            DrainMode::Heap,
-            DrainMode::Sharded { threads: 1, shards: 0 },
-            DrainMode::Sharded { threads: 2, shards: 0 },
-            DrainMode::Sharded { threads: 4, shards: 0 },
-        ];
+        let modes = [DrainMode::Batched, DrainMode::Heap];
         let arrivals = [
             ArrivalProcess::Poisson { mean_gap_us: 20_000 },
             ArrivalProcess::Simultaneous,

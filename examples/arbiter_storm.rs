@@ -10,9 +10,9 @@
 //! lowest tiers first, degrades the survivors, and recovers everything
 //! in reverse order once the dip passes.
 //!
-//! The storm is deterministic: the same seed replayed under the
-//! batched and sharded kernel drains must produce the same digest,
-//! which this example asserts.
+//! The storm is deterministic: the same seed always produces the
+//! digest this example prints (`arbiter/tests/saturation.rs` holds it
+//! across reruns and kernel drain modes).
 //!
 //! ```text
 //! cargo run --release --example arbiter_storm
@@ -40,15 +40,10 @@ fn main() {
     let db = Arc::new(model_db(&opts.load_opts()));
     println!("database: {} records, shared by all {} apps via Arc\n", db.len(), opts.apps);
 
-    println!("running {} apps (batched drain)...", opts.apps);
-    let batched = run_storm(&opts.clone().with_drain_mode(DrainMode::Batched), &db);
-    println!("running the same storm again (sharded drain, 4 threads)...");
-    let sharded =
-        run_storm(&opts.clone().with_drain_mode(DrainMode::Sharded { threads: 4, shards: 0 }), &db);
-    assert_eq!(batched.digest(), sharded.digest(), "drain modes must agree");
-    println!("digest {:016x} — identical under both drain modes\n", batched.digest());
+    println!("running {} apps...", opts.apps);
+    let r = run_storm(&opts, &db);
+    println!("digest {:016x}\n", r.digest());
 
-    let r = &batched;
     let c = &r.counters;
     println!("== admission ==");
     println!("admitted:           {} (of {} offered)", c.admitted, opts.apps);

@@ -27,9 +27,9 @@ fi
 
 stage "one event queue"
 # kernel/queue.rs owns the pending-event structure: one insert per
-# representation, one splice, and Sim has one drain loop over it. This
-# keeps a second insert or drain path (or a heap held outside the queue)
-# from drifting back into the kernel.
+# representation, and Sim has one drain loop over it. This keeps a second
+# insert or drain path (or a heap held outside the queue) from drifting
+# back into the kernel.
 if grep -rnE 'fn enqueue_partitioned|fn drain_batched_' crates/simnet/src ||
     grep -rn 'BinaryHeap<HeapEntry>' crates/simnet/src |
     grep -v '^crates/simnet/src/kernel/queue\.rs:'; then
@@ -37,20 +37,26 @@ if grep -rnE 'fn enqueue_partitioned|fn drain_batched_' crates/simnet/src ||
     exit 1
 fi
 
+stage "no parallel drain"
+# The kernel drains on one thread (DESIGN.md §14 has the measurement that
+# deleted the parallel mode). This keeps the mode, its environment
+# variable, its pinned-script and observer entry points and its module
+# from drifting back. benchmark/ is not searched: its README still names
+# the mode, and a PR may not edit it.
+gone='DrainMode::Sharded|SIMNET_THREADS|fn at_on|fn mark_observer|mod shard'
+if grep -rnE "$gone" crates src tests examples scripts .github | grep -vF "$gone"; then
+    echo "the lines above bring back the deleted parallel drain" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
-stage "tests (SIMNET_THREADS matrix)"
-# Tier-1 tests run under both thread settings: SIMNET_THREADS feeds
-# `DrainMode::Sharded { threads: 0, .. }` resolution, so =1 exercises
-# the sequential fallback and =4 the parallel epoch loop. Digest
-# equality between the two is what the sharded determinism tests check.
+stage "tests"
 # The root manifest's `default-members` makes bare `cargo test -q` the
 # whole workspace, so the chaos fault-injection scenarios (visapp
 # `chaos_*` tests) and the digest-contract test run here.
-for t in 1 4; do
-    SIMNET_THREADS=$t cargo test -q
-done
+cargo test -q
 
 stage "compress byte identity (release)"
 # `bwt::forward` is held byte for byte to the sorter it replaced, which
@@ -62,39 +68,32 @@ cargo test -q -p compress --release
 
 stage "10k load digest (release)"
 # The 10 000-session row of BENCH_load.json (the `load_steady` benchmark
-# workload): digest, peak queue depth, request and event counts. About a
-# second optimized, so it is pinned here on every run; the opt-in bench
-# gate still regenerates the whole file.
-cargo test -q --release -p adapt-bench --test digest_contract -- --ignored
+# workload): digest, peak queue depth, request, image and event counts.
+# About a second optimized, so it is pinned here on every run, by name:
+# its 100 000-session sibling takes half a minute and runs inside the
+# opt-in bench gate below.
+cargo test -q --release -p adapt-bench --test digest_contract \
+    bench_load_10k_digest_is_pinned -- --ignored --exact
 
 stage "arbiter smoke"
 # Saturation smoke: a 200-application arbiter storm must hold the
 # arbiter invariant oracles (tier-ordered shedding, no eviction without
-# a policing violation) and digest identically whichever way the
-# sharded drain's `threads: 0` resolves.
+# a policing violation) and reproduce its pinned digest.
 cargo build --release -q -p adapt-bench
-d1="$(SIMNET_THREADS=1 ./target/release/arbiter_smoke)"
-d4="$(SIMNET_THREADS=4 ./target/release/arbiter_smoke)"
-if [ "$d1" != "$d4" ]; then
-    echo "arbiter_smoke: digest diverged: threads=1 $d1 != threads=4 $d4" >&2
+d="$(./target/release/arbiter_smoke)"
+if [ "$d" != "ddaebe899ee15c20" ]; then
+    echo "arbiter_smoke: digest $d != pinned ddaebe899ee15c20" >&2
     exit 1
 fi
-echo "arbiter_smoke: digest $d1 stable across SIMNET_THREADS={1,4}"
+echo "arbiter_smoke: digest $d matches the pinned one"
 
 stage "socket smoke"
 # Real-socket transport smoke: one adaptive session replayed over
 # loopback TCP (and UDS where available; a UDS bind failure is a skip,
 # not an error) must make exactly the same adaptive decisions as the
-# pure-simnet run — and the decision digest must not depend on how the
-# sharded drain resolves, so the same SIMNET_THREADS={1,4} matrix as the
-# tier-1 tests applies.
-s1="$(SIMNET_THREADS=1 ./target/release/socket_smoke)"
-s4="$(SIMNET_THREADS=4 ./target/release/socket_smoke)"
-if [ "$s1" != "$s4" ]; then
-    echo "socket_smoke: decision digest diverged: threads=1 $s1 != threads=4 $s4" >&2
-    exit 1
-fi
-echo "socket_smoke: decision digest $s1 stable across SIMNET_THREADS={1,4}"
+# pure-simnet run. The decision digest it prints is pinned by
+# crates/bench/tests/digest_contract.rs (simnet and TCP twin).
+./target/release/socket_smoke
 
 stage "control-plane smoke"
 # Live-reconfiguration smoke: the preference_flip example asserts the
@@ -126,13 +125,7 @@ cargo fmt --check
 # Opt-in because it rebuilds the workspace under a different cfg.
 if [ "${CI_DST_CANARY:-0}" = "1" ]; then
     stage "dst canary"
-    # Same two-point SIMNET_THREADS matrix as the tier-1 tests: the
-    # explorer's every-16th-trial cross-check replays under the sharded
-    # drain, so the canary must stay green whichever way `threads: 0`
-    # resolves.
-    for t in 1 4; do
-        SIMNET_THREADS=$t RUSTFLAGS="--cfg dst_canary" cargo test -q --release -p adapt-dst
-    done
+    RUSTFLAGS="--cfg dst_canary" cargo test -q --release -p adapt-dst
 fi
 
 # Model-drift canary: the adapt-dst suite compiled with the planted
@@ -141,9 +134,7 @@ fi
 # must replay bit-for-bit (digest-pinned) under every drain mode.
 if [ "${CI_DST_DRIFT:-0}" = "1" ]; then
     stage "dst drift canary"
-    for t in 1 4; do
-        SIMNET_THREADS=$t RUSTFLAGS="--cfg dst_drift" cargo test -q --release -p adapt-dst
-    done
+    RUSTFLAGS="--cfg dst_drift" cargo test -q --release -p adapt-dst
 fi
 
 # Coverage floor: opt-in, requires cargo-llvm-cov. The --workspace scope
@@ -154,11 +145,12 @@ if [ "${CI_COV:-0}" = "1" ]; then
 fi
 
 # Benchmark regression gate: opt-in because it rebuilds and re-runs
-# every BENCH_*.json generator (several minutes of wall time — the
-# load sweep now climbs to 100k sessions and runs a sharded
-# threads-vs-throughput curve; see DESIGN.md §14).
+# every BENCH_*.json generator and the 100 000-session load row (about
+# half a minute optimized; its digest and counts are pinned by the test).
 if [ "${CI_BENCH:-0}" = "1" ]; then
     stage "bench gate"
+    cargo test -q --release -p adapt-bench --test digest_contract \
+        bench_load_100k_digest_is_pinned -- --ignored --exact
     scripts/bench_gate.sh
 fi
 
