@@ -109,7 +109,7 @@ pub fn required_rank(tier: Tier) -> usize {
 }
 
 /// What pricing one grant against the database produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PricedGrant {
     pub config_key: String,
     pub rank: usize,
@@ -121,18 +121,21 @@ pub struct PricedGrant {
 /// sharing the same `Arc<PerfDb>` — the cluster does not clone the record
 /// store per app or per profile.
 pub struct Pricer {
-    schedulers: BTreeMap<&'static str, ResourceScheduler>,
+    schedulers: BTreeMap<QosProfile, ResourceScheduler>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pricings computed on this thread (a storm runs on its caller's).
+    pub(crate) static PRICINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Pricer {
     pub fn new(db: &Arc<PerfDb>) -> Self {
-        let mut schedulers = BTreeMap::new();
-        for profile in [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput] {
-            schedulers.insert(
-                profile.name(),
-                ResourceScheduler::new_shared(db.clone(), profile.preferences(), PROFILE_INPUT),
-            );
-        }
+        let schedulers = [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput]
+            .into_iter()
+            .map(|p| (p, ResourceScheduler::new_shared(db.clone(), p.preferences(), PROFILE_INPUT)))
+            .collect();
         Pricer { schedulers }
     }
 
@@ -148,35 +151,30 @@ impl Pricer {
     /// Price `spec`'s demand scaled by `fraction`. `None` when no
     /// configuration satisfies the tier's rank requirement at that grant.
     pub fn price(&self, spec: &AppSpec, fraction: f64) -> Option<PricedGrant> {
-        let v = Self::grant_vector(spec.demand_cpu, spec.demand_net).scaled(fraction);
-        let scheduler = self
-            .schedulers
-            .get(spec.profile.name())
-            .unwrap_or_else(|| panic!("no scheduler for profile {}", spec.profile.name()));
-        let decision = scheduler.choose(&v)?;
-        if decision.preference_rank > required_rank(spec.tier) {
-            return None;
-        }
-        Some(PricedGrant { config_key: decision.config.key(), rank: decision.preference_rank })
+        self.price_any(spec, fraction).filter(|p| p.rank <= required_rank(spec.tier))
     }
 
     /// Price `spec` at `fraction` ignoring the tier rank requirement.
     /// Used for forced degradation during overload, where the app does not
     /// get a say: any configuration valid at the shrunken grant will do.
     pub fn price_any(&self, spec: &AppSpec, fraction: f64) -> Option<PricedGrant> {
+        #[cfg(test)]
+        PRICINGS.with(|n| n.set(n.get() + 1));
         let v = Self::grant_vector(spec.demand_cpu, spec.demand_net).scaled(fraction);
-        let scheduler = self.schedulers.get(spec.profile.name())?;
-        let decision = scheduler.choose(&v)?;
-        Some(PricedGrant { config_key: decision.config.key(), rank: decision.preference_rank })
+        // Admission reads the key and the rank, never a validity region.
+        let selection = self.schedulers[&spec.profile].select(&v)?;
+        Some(PricedGrant { config_key: selection.config.key(), rank: selection.preference_rank })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use adapt_core::{Configuration, Objective, PerfRecord, Preference, PreferenceList, QosReport};
+    use proptest::prelude::*;
     use visapp::{model_db, LoadGenOpts};
 
-    fn spec(tier: Tier, cpu: f64, net: f64, profile: QosProfile) -> AppSpec {
+    pub(crate) fn spec(tier: Tier, cpu: f64, net: f64, profile: QosProfile) -> AppSpec {
         AppSpec {
             id: 0,
             kind: crate::app::WorkloadKind::Session,
@@ -197,9 +195,8 @@ mod tests {
     /// transmit times are tiny and predictions clamp at the sampled grid
     /// edge), so rank fallback has to be exercised against hand-built
     /// records.
-    fn starved_db() -> adapt_core::PerfDb {
-        use adapt_core::{Configuration, PerfRecord, QosReport};
-        let mut db = adapt_core::PerfDb::new();
+    pub(crate) fn starved_db() -> PerfDb {
+        let mut db = PerfDb::new();
         for &c in &[1i64, 2] {
             for &cpu_v in &[0.25, 1.0] {
                 for &net_v in &[10_000.0, 1_000_000.0] {
@@ -249,6 +246,64 @@ mod tests {
         for frac in FAIR_SHARE_FRACTIONS {
             let g = pricer.price(&s, frac).expect("throughput profile always prices");
             assert!(!g.config_key.is_empty());
+        }
+    }
+
+    /// Figure 6(a)'s bandwidth crossover, as in `adapt_core::scheduler`'s
+    /// own tests: config 1 sends 2 MB for 5 cpu-s, config 2 sends 0.4 MB
+    /// for 20 cpu-s, and which one is faster flips near 107 kB/s.
+    fn crossover_db() -> PerfDb {
+        let mut db = PerfDb::new();
+        for (c, bytes, cpu_s) in [(1i64, 2e6, 5.0), (2, 0.4e6, 20.0)] {
+            for &cpu_v in &[0.25, 0.5, 1.0] {
+                for &net_v in &[50_000.0, 200_000.0, 500_000.0, 1_000_000.0] {
+                    db.add(PerfRecord {
+                        config: Configuration::new(&[("c", c)]),
+                        resources: ResourceVector::new(&[
+                            (client_cpu_key(), cpu_v),
+                            (client_net_key(), net_v),
+                        ]),
+                        input: PROFILE_INPUT.into(),
+                        metrics: QosReport::new(&[
+                            ("transmit_time", bytes / net_v + cpu_s / cpu_v),
+                            ("resolution", c as f64),
+                        ]),
+                    });
+                }
+            }
+        }
+        db
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `select` is `choose` minus the region: same configuration,
+        /// prediction and rank wherever `choose` answers, `None` exactly
+        /// where it does not. The ranges straddle every database's grid
+        /// (bandwidth log-uniformly), so clamped, interpolated,
+        /// fallback-rank and unsatisfiable points all occur.
+        #[test]
+        fn selection_front_agrees_with_choose(cpu in 0.05f64..1.5, log_net in 3.5f64..7.5) {
+            let profiles = [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput];
+            // No fallback level: unsatisfiable at low cpu or bandwidth.
+            let strict = PreferenceList::single(Preference::new(
+                vec![adapt_core::Constraint::at_most("transmit_time", 15.0)],
+                Objective::maximize("resolution"),
+            ));
+            let mut cases: Vec<(Arc<PerfDb>, PreferenceList)> =
+                vec![(Arc::new(crossover_db()), strict)];
+            for db in [crossover_db(), starved_db(), model_db(&LoadGenOpts::new(1))] {
+                let db = Arc::new(db);
+                cases.extend(profiles.map(|p| (db.clone(), p.preferences())));
+            }
+            let v = Pricer::grant_vector(cpu, 10f64.powf(log_net));
+            for (db, prefs) in cases {
+                let s = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
+                let want = s.choose(&v).map(|d| (d.config, d.predicted, d.preference_rank));
+                let got = s.select(&v).map(|s| (s.config, s.predicted, s.preference_rank));
+                prop_assert_eq!(got, want);
+            }
         }
     }
 

@@ -214,9 +214,40 @@ impl Metrics {
     }
 }
 
+/// One fair-share offer: a fraction of the declared demand that prices at
+/// the app's tier, as the reservation to place and the grant it priced to.
+#[derive(Debug, Clone, PartialEq)]
+struct Offer {
+    fraction: f64,
+    res: Reservation,
+    priced: PricedGrant,
+}
+
+/// `spec`'s offers, parallel to [`FAIR_SHARE_FRACTIONS`]: `None` where the
+/// scaled grant does not price at the app's tier.
+fn price_offers(pricer: &Pricer, spec: &AppSpec) -> [Option<Offer>; FAIR_SHARE_FRACTIONS.len()] {
+    FAIR_SHARE_FRACTIONS.map(|fraction| {
+        let priced = pricer.price(spec, fraction)?;
+        Some(Offer { fraction, res: Arbiter::scaled(demand(spec), fraction), priced })
+    })
+}
+
+/// The declared demand as the reservation a full grant would install.
+fn demand(spec: &AppSpec) -> Reservation {
+    Reservation { cpu_share: spec.demand_cpu, net_bps: spec.demand_net, mem_bytes: spec.demand_mem }
+}
+
 /// Live record for one app the arbiter has heard from.
 struct Rec {
     actor: ActorId,
+    /// Priced once, at request; every later placement attempt (each
+    /// police tick retries the blocked head and its backfill candidates)
+    /// only looks for room. A price is a pure function of the spec, which
+    /// is immutable for the run, and of the pricer, whose database and
+    /// preference lists nothing outside it can reach, so the answers
+    /// cannot go stale. If the pricer ever takes a hot-swappable
+    /// database, re-price here.
+    offers: [Option<Offer>; FAIR_SHARE_FRACTIONS.len()],
     state: AppState,
     tier_admitted: Tier,
     tier_now: Tier,
@@ -403,20 +434,22 @@ impl Arbiter {
 
     /// Hosts ordered for placement: most residual CPU first, index breaks
     /// ties.
-    fn host_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.vmms.len()).collect();
+    fn host_order(vmms: &[HostVmm]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..vmms.len()).collect();
         order.sort_by(|&a, &b| {
-            self.vmms[b]
+            vmms[b]
                 .cpu_available()
-                .partial_cmp(&self.vmms[a].cpu_available())
+                .partial_cmp(&vmms[a].cpu_available())
                 .expect("cpu_available is finite")
                 .then(a.cmp(&b))
         });
         order
     }
 
-    fn place(&mut self, name: &str, res: Reservation) -> Option<usize> {
-        self.host_order().into_iter().find(|&h| self.vmms[h].admit(name, res).is_ok())
+    /// Over the ledger alone, so a caller can hold an app's record while
+    /// placing it.
+    fn place(vmms: &mut [HostVmm], name: &str, res: Reservation) -> Option<usize> {
+        Self::host_order(vmms).into_iter().find(|&h| vmms[h].admit(name, res).is_ok())
     }
 
     /// Install `res` for `name` on `host` unconditionally. Only for
@@ -435,31 +468,23 @@ impl Arbiter {
         vmm.mem_capacity = mem;
     }
 
-    /// Try every fair-share fraction against every host. Returns the
-    /// placement with the reservation already installed.
-    fn try_place(&mut self, spec: &AppSpec) -> Option<(usize, Reservation, f64, PricedGrant)> {
-        let name = Self::res_name(spec.id);
-        for frac in FAIR_SHARE_FRACTIONS {
-            let Some(priced) = self.pricer.price(spec, frac) else { continue };
-            let res = Self::scaled(
-                Reservation {
-                    cpu_share: spec.demand_cpu,
-                    net_bps: spec.demand_net,
-                    mem_bytes: spec.demand_mem,
-                },
-                frac,
-            );
-            if let Some(h) = self.place(&name, res) {
-                return Some((h, res, frac, priced));
-            }
-        }
-        None
+    /// Try each of the app's offers, best fraction first, against every
+    /// host. Returns the host and the offer whose reservation is now
+    /// installed.
+    fn try_place(&mut self, id: AppId) -> Option<(usize, Offer)> {
+        let name = Self::res_name(id);
+        self.recs[&id].offers.iter().flatten().find_map(|offer| {
+            Self::place(&mut self.vmms, &name, offer.res).map(|h| (h, offer.clone()))
+        })
     }
 
     fn overload_active(&self) -> bool {
         self.breaker.state() != BreakerState::Closed || !self.shed_stack.is_empty()
     }
 
+    /// Mirror `id`'s row into the shared ledger. Every site that changes a
+    /// field the row carries (state, tiers, strikes, shed count, finish
+    /// time) calls this itself; nothing sweeps the records afterwards.
     fn sync_ledger(&self, id: AppId) {
         let spec = self.spec(id);
         let entry = match self.recs.get(&id) {
@@ -489,17 +514,15 @@ impl Arbiter {
 
     // ---- admission ----------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)] // the placement tuple from try_place, splatted
     fn admit_app(
         &mut self,
         id: AppId,
         host: usize,
-        res: Reservation,
-        fraction: f64,
-        priced: PricedGrant,
+        offer: Offer,
         now: SimTime,
         ctx: &mut Ctx<'_>,
     ) -> AdmissionDecision {
+        let Offer { fraction, res, priced } = offer;
         let grace = self.opts.grace_us;
         let rec = self.recs.get_mut(&id).expect("admitting an app that never requested");
         let latency_us = now.as_us().saturating_sub(rec.first_req_us);
@@ -574,6 +597,7 @@ impl Arbiter {
             id,
             Rec {
                 actor: from,
+                offers: price_offers(&self.pricer, &spec),
                 state: AppState::Pending,
                 tier_admitted: spec.tier,
                 tier_now: spec.tier,
@@ -593,7 +617,8 @@ impl Arbiter {
                 finish_us: None,
             },
         );
-        let decision = if self.pricer.price(&spec, 1.0).is_none() {
+        // The first fraction is the full demand.
+        let decision = if self.recs[&id].offers[0].is_none() {
             self.reject_app(
                 id,
                 RejectReason::QosUnsatisfiable { rank_required: required_rank(spec.tier) },
@@ -611,8 +636,8 @@ impl Arbiter {
                 ctx,
             )
         } else if !self.overload_active() {
-            match self.try_place(&spec) {
-                Some((h, res, frac, priced)) => self.admit_app(id, h, res, frac, priced, now, ctx),
+            match self.try_place(id) {
+                Some((h, offer)) => self.admit_app(id, h, offer, now, ctx),
                 None => self.enqueue(id, now, ctx),
             }
         } else {
@@ -658,12 +683,11 @@ impl Arbiter {
         }
         while let Some(&key) = self.queue.iter().next() {
             let id = key.3;
-            let spec = self.spec(id).clone();
-            if let Some((h, res, frac, priced)) = self.try_place(&spec) {
+            if let Some((h, offer)) = self.try_place(id) {
                 self.queue.remove(&key);
                 self.hol_head = None;
                 self.hol_skips = 0;
-                let d = self.admit_app(id, h, res, frac, priced, now, ctx);
+                let d = self.admit_app(id, h, offer, now, ctx);
                 self.ledger().decisions.push(d);
                 continue;
             }
@@ -676,7 +700,7 @@ impl Arbiter {
                 let d = self.reject_app(
                     id,
                     RejectReason::DemandExceedsCluster {
-                        demand_cpu: spec.demand_cpu,
+                        demand_cpu: self.spec(id).demand_cpu,
                         host_capacity: self.base_threshold,
                     },
                     now,
@@ -698,12 +722,11 @@ impl Arbiter {
                     if self.hol_skips >= backfill_depth {
                         break;
                     }
-                    let bspec = self.spec(k.3).clone();
-                    if let Some((h, res, frac, priced)) = self.try_place(&bspec) {
+                    if let Some((h, offer)) = self.try_place(k.3) {
                         self.queue.remove(&k);
                         self.hol_skips += 1;
                         self.obs.inc(self.m.backfilled, 1);
-                        let d = self.admit_app(k.3, h, res, frac, priced, now, ctx);
+                        let d = self.admit_app(k.3, h, offer, now, ctx);
                         self.ledger().decisions.push(d);
                     }
                 }
@@ -958,7 +981,7 @@ impl Arbiter {
             return false;
         }
         let name = Self::res_name(id);
-        let Some(host) = self.place(&name, res) else { return false };
+        let Some(host) = Self::place(&mut self.vmms, &name, res) else { return false };
         self.shed_stack.pop();
         let grace = self.opts.grace_us;
         let rec = self.recs.get_mut(&id).expect("shed app exists");
@@ -1093,9 +1116,6 @@ impl Arbiter {
         self.overload_step(now, ctx);
         self.drain_queue(now, ctx);
 
-        for id in self.recs.keys().copied().collect::<Vec<_>>() {
-            self.sync_ledger(id);
-        }
         if self.terminal < self.specs.len() {
             ctx.set_timer(self.opts.police_period_us, TAG_POLICE);
         }
@@ -1149,6 +1169,96 @@ impl Actor for Arbiter {
                 }
             }
             other => panic!("arbiter: unexpected message tag {other}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::tests::{spec, starved_db};
+    use crate::admission::PRICINGS;
+    use crate::storm::{gen_specs, run_storm, StormOpts};
+    use obs::EventFilter;
+    use visapp::{model_db, LoadGenOpts, QosProfile};
+
+    #[test]
+    fn offers_are_a_fresh_pricers_answers() {
+        let opts = LoadGenOpts::new(1);
+        // On `starved_db` a 10 kB/s demand only satisfies Interactive's
+        // fallback preference: gold gets no offer, bronze a rank >= 1 one.
+        let cases = [
+            (Arc::new(model_db(&opts)), 0.5, opts.link_bps / 2.0),
+            (Arc::new(starved_db()), 1.0, 10_000.0),
+        ];
+        for (db, cpu, net) in cases {
+            let pricer = Pricer::new(&db);
+            for profile in [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput] {
+                for tier in 0..N_TIERS {
+                    let spec = spec(tier, cpu, net, profile);
+                    let fresh = Pricer::new(&db);
+                    let want = FAIR_SHARE_FRACTIONS.map(|fraction| {
+                        fresh.price(&spec, fraction).map(|priced| Offer {
+                            fraction,
+                            res: Arbiter::scaled(demand(&spec), fraction),
+                            priced,
+                        })
+                    });
+                    assert_eq!(price_offers(&pricer, &spec), want, "{profile:?} tier {tier}");
+                }
+            }
+        }
+        let pricer = Pricer::new(&Arc::new(starved_db()));
+        let gold = spec(0, 1.0, 10_000.0, QosProfile::Interactive);
+        assert_eq!(price_offers(&pricer, &gold), [None, None, None]);
+        let bronze = AppSpec { tier: 2, ..gold };
+        assert!(price_offers(&pricer, &bronze)
+            .iter()
+            .all(|o| o.as_ref().is_some_and(|o| o.priced.rank >= 1)));
+    }
+
+    /// The parent priced inside `try_place`, so every police tick re-priced
+    /// the blocked head and its backfill candidates: ~15 000 pricings for a
+    /// 256-app storm whose apps and degrades ask ~780 distinct questions.
+    #[test]
+    fn storm_prices_each_app_once() {
+        let mut opts = StormOpts::new(96)
+            .with_seed(5)
+            .with_cluster_hosts(2)
+            .with_surges(vec![(500_000, 500_000, 4.0)])
+            .with_dips(vec![(1_500_000, 800_000, 0.4)])
+            .with_rogue_every(7);
+        opts.mean_gap_us = 10_000;
+        let db = Arc::new(model_db(&opts.load_opts()));
+        PRICINGS.with(|n| n.set(0));
+        let r = run_storm(&opts, &db);
+        let pricings = PRICINGS.with(|n| n.get());
+
+        assert_eq!(r.obs.events_dropped(), 0, "the degrade count below needs every event");
+        let degrades = r
+            .obs
+            .events_filtered(&EventFilter::any().source(Source::Arbiter).kind("degrade"))
+            .len();
+        assert!(r.counters.queued > 0 && r.counters.backfilled > 0, "must saturate");
+        assert!(r.counters.shed > 0 && degrades > 0, "the dip must shed and degrade");
+        let bound = (FAIR_SHARE_FRACTIONS.len() * opts.apps + degrades) as u64;
+        assert!(
+            pricings <= bound,
+            "{pricings} pricings for {} apps, {degrades} degrades",
+            opts.apps
+        );
+
+        // Fewer pricings, same answers: every admission carries what a
+        // fresh pricer says about its spec at the fraction it was granted.
+        let specs = gen_specs(&opts);
+        let fresh = Pricer::new(&db);
+        for d in &r.decisions {
+            if let AdmissionDecision::Admitted { app, grant, fraction, config_key, rank, .. } = d {
+                let spec = &specs[*app as usize];
+                assert_eq!(*grant, Arbiter::scaled(demand(spec), *fraction), "app {app}");
+                let priced = PricedGrant { config_key: config_key.clone(), rank: *rank };
+                assert_eq!(fresh.price(spec, *fraction), Some(priced), "app {app}");
+            }
         }
     }
 }

@@ -79,6 +79,9 @@ fn bench_arbiter_digests_are_pinned() {
         (8usize, 0xd43d_c384_96de_7923_u64),
         (16, 0x4f94_0ae2_03e1_782a),
         (32, 0xa73b_3fa9_88b8_b84b),
+        (64, 0xd0be_727a_2d3f_a055),
+        (128, 0x3c3f_4d40_915f_5bc9),
+        (256, 0x1e2b_724b_6146_3973),
     ];
     let opts = adapt_bench::arbiter::bench_opts;
     let db = Arc::new(model_db(&opts(8).load_opts()));

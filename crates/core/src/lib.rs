@@ -70,7 +70,7 @@ pub use qos::{
 };
 pub use refine::{DriftAlarm, RefineEngine, SwapReport};
 pub use runtime::{AdaptationEvent, AdaptiveRuntime};
-pub use scheduler::{Decision, ResourceScheduler};
+pub use scheduler::{Decision, ResourceScheduler, Selection};
 pub use spec::{PerfDbTemplate, TunableSpec};
 pub use steering::{BoundaryOutcome, ReconfigureRequest, SteeringAgent, SwitchEvent};
 pub use task::{Guard, TaskGraph, TaskSpec, TransitionAction, TransitionSpec};

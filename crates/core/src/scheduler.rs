@@ -21,8 +21,10 @@
 //! the full prediction row at each probe), so a `DecisionCtx` shares a
 //! per-decision memo: the candidate list is fetched from the database
 //! index once, and each distinct probe's prediction row is computed once
-//! and reused across `choose_excluding`, the region walk, and the
-//! per-probe optimality checks.
+//! and reused across the selection loop, the region walk, and the
+//! per-probe optimality checks. A decision is those two halves in order:
+//! `choose_excluding` = selection + region; [`ResourceScheduler::select`]
+//! is the selection alone, for callers that need no region.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,6 +64,18 @@ pub struct Decision {
     /// refine hot-swap (see `crate::refine`), so audit tooling can tell
     /// which decisions ran on stale predictions.
     pub db_version: u64,
+}
+
+/// What [`ResourceScheduler::select`] answers: a [`Decision`]'s first
+/// three fields, without the validity region that only a monitor reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    pub config: Configuration,
+    /// Metrics the database predicts for this choice.
+    pub predicted: QosReport,
+    /// Index into the preference list that was satisfiable (0 = most
+    /// preferred).
+    pub preference_rank: usize,
 }
 
 /// The resource scheduler.
@@ -121,6 +135,16 @@ struct DecisionCtx {
     eligible: Vec<bool>,
     /// probe point -> predictions for each config (parallel to `configs`).
     memo: HashMap<Vec<u64>, Vec<Option<QosReport>>>,
+}
+
+/// What the selection loop settled: the winning candidate's index into
+/// `ctx.configs`, its rank and prediction, and the context to walk its
+/// validity region with.
+struct Selected {
+    ctx: DecisionCtx,
+    chosen: usize,
+    rank: usize,
+    predicted: QosReport,
 }
 
 /// Memo key: the probe's values, bit-exact. All probes within one decision
@@ -283,6 +307,22 @@ impl ResourceScheduler {
         self.choose_excluding(resources, &[])
     }
 
+    /// The selection half of [`choose`](Self::choose) alone: which
+    /// configuration wins at `resources`, what the database predicts for
+    /// it, and at which preference rank. For callers that never hand the
+    /// answer to a monitor (admission pricing reads the key and the rank):
+    /// the validity-region walk is most of a decision's cost. Untimed;
+    /// `"scheduler.choose"` keeps measuring whole decisions.
+    pub fn select(&self, resources: &ResourceVector) -> Option<Selection> {
+        let Selected { mut ctx, chosen, rank, predicted } =
+            self.select_ctx(&self.db(), self.prefs.get(), resources, &[])?;
+        Some(Selection {
+            config: ctx.configs.swap_remove(chosen),
+            predicted,
+            preference_rank: rank,
+        })
+    }
+
     /// Choose, excluding configurations that e.g. failed steering-guard
     /// negotiation (§6.3).
     pub fn choose_excluding(
@@ -301,47 +341,55 @@ impl ResourceScheduler {
         let prefs = self.prefs.get();
         let db_version = self.db_version();
         let db = self.db();
+        let Selected { mut ctx, chosen, rank, predicted } =
+            self.select_ctx(&db, prefs, resources, excluded)?;
+        let validity =
+            self.validity_region_ctx(&db, &mut ctx, chosen, &prefs.prefs[rank], resources);
+        Some(Decision {
+            config: ctx.configs.swap_remove(chosen),
+            predicted,
+            preference_rank: rank,
+            validity,
+            best_effort: false,
+            pref_version,
+            db_version,
+        })
+    }
+
+    /// The one selection loop: fetch the candidates, predict the row at
+    /// `resources`, and walk the preference ranks until one has a
+    /// satisfying eligible candidate, taking that rank's objective-best.
+    /// The context comes back with the row memoized, so a region walk
+    /// that follows re-predicts nothing at the center point.
+    fn select_ctx(
+        &self,
+        db: &PerfDb,
+        prefs: &PreferenceList,
+        resources: &ResourceVector,
+        excluded: &[Configuration],
+    ) -> Option<Selected> {
         let configs = db.configs(&self.input);
         let eligible: Vec<bool> = configs.iter().map(|c| !excluded.contains(c)).collect();
         if !eligible.contains(&true) {
             return None;
         }
         let mut ctx = DecisionCtx { configs, eligible, memo: HashMap::new() };
-        for (rank, pref) in prefs.prefs.iter().enumerate() {
-            let preds =
-                memoized(&mut ctx.memo, &ctx.configs, &db, &self.input, self.mode, resources);
-            let mut best: Option<usize> = None;
-            for (i, pred) in preds.iter().enumerate() {
-                if !ctx.eligible[i] {
-                    continue;
+        let preds = memoized(&mut ctx.memo, &ctx.configs, db, &self.input, self.mode, resources);
+        let (rank, chosen, predicted) =
+            prefs.prefs.iter().enumerate().find_map(|(rank, pref)| {
+                let mut best: Option<(usize, &QosReport)> = None;
+                for (i, pred) in preds.iter().enumerate() {
+                    let Some(pred) = pred else { continue };
+                    if ctx.eligible[i]
+                        && pref.satisfied_by(pred)
+                        && best.is_none_or(|(_, b)| pref.objective.better(pred, b))
+                    {
+                        best = Some((i, pred));
+                    }
                 }
-                let Some(pred) = pred else { continue };
-                if !pref.satisfied_by(pred) {
-                    continue;
-                }
-                let better = match best.and_then(|b| preds[b].as_ref()) {
-                    None => true,
-                    Some(best_pred) => pref.objective.better(pred, best_pred),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            if let Some(bi) = best {
-                let Some(predicted) = preds[bi].clone() else { continue };
-                let validity = self.validity_region_ctx(&db, &mut ctx, bi, pref, resources);
-                return Some(Decision {
-                    config: ctx.configs.swap_remove(bi),
-                    predicted,
-                    preference_rank: rank,
-                    validity,
-                    best_effort: false,
-                    pref_version,
-                    db_version,
-                });
-            }
-        }
-        None
+                best.map(|(i, pred)| (rank, i, pred.clone()))
+            })?;
+        Some(Selected { ctx, chosen, rank, predicted })
     }
 
     /// The best-effort fallback chain: the full preference walk first,
