@@ -2,15 +2,22 @@
 //! `CI_BENCH=1` gate regenerates whole BENCH files; this test pins the
 //! cheap rows of each in tier-1, through the same option builders the
 //! bench binaries use, so a refactor that moves one bit fails `cargo
-//! test` rather than a nightly. The 10k- and 100k-session load rows are
-//! `#[ignore]`d here and run optimized by `scripts/ci.sh`: the 10k row by
-//! its own per-push stage, the 100k row inside the opt-in bench gate.
+//! test` rather than a nightly. The 10k- and 100k-session load rows and
+//! the 500-session collapse row are `#[ignore]`d here and run optimized by
+//! `scripts/ci.sh`: the 10k load and the collapse rows by their own
+//! per-push stages, the 100k row inside the opt-in bench gate.
 
 use std::sync::Arc;
 
 use adapt_bench::socket::{decision_digest, smoke_session};
-use simnet::{DrainMode, ExplorePlan};
-use visapp::{decision_sequence, model_db, run_load, socket_mirror_hook, MirrorBackend};
+use adapt_core::PreferenceList;
+use sandbox::{LimitSchedule, Limits};
+use simnet::det::{Fnv64, SplitMix64};
+use simnet::{DrainMode, ExplorePlan, SimTime};
+use visapp::{
+    build_db, decision_sequence, model_db, run_adaptive_shared, run_load, socket_mirror_hook,
+    MirrorBackend, Scenario,
+};
 
 #[test]
 fn bench_load_digests_are_pinned() {
@@ -60,6 +67,61 @@ fn bench_load_10k_digest_is_pinned() {
 #[ignore = "100k sessions: run in release by the CI_BENCH=1 bench gate"]
 fn bench_load_100k_digest_is_pinned() {
     assert_load_row(100_000, (0x7971_3b82_d76c_eb2b, 6_606_024, 600_002, 200_000, 104_001));
+}
+
+/// The first `sessions` sessions of the `session_collapse` benchmark
+/// workload at seed 7, digested as it digests them: adaptive sessions on
+/// the paper's 2 s monitor window (`Scenario::default()`) whose bandwidth
+/// collapses to 30–60 kB/s at 0.6–1.6 s and recovers 9 s later. Each
+/// folds its finish time, image and round counts, wire bytes and every
+/// configuration switch (time and key), so it holds what the monitor's
+/// triggers decided over a long window.
+fn collapse_digest(sessions: usize) -> u64 {
+    const HIGH_BPS: f64 = 500_000.0;
+    let sc = Scenario { n_images: 20, img_size: 256, levels: 4, seed: 7, ..Scenario::default() };
+    let store = sc.build_store();
+    let bandwidths = [30_000.0, 60_000.0, 125_000.0, 250_000.0, 500_000.0];
+    let db = Arc::new(build_db(&sc, &store, &[0.25, 0.5, 1.0], &bandwidths, 1));
+    let prefs = PreferenceList::parse_directive("resolution>=4, minimize:transmit_time")
+        .expect("well-formed preference directive");
+    let mut rng = SplitMix64::new(7 ^ 0x5E55_10C0);
+    let mut h = Fnv64::new();
+    for _ in 0..sessions {
+        let at = SimTime::from_us(rng.range(600_000, 1_600_000));
+        let low_bps = 30_000.0 + rng.next_f64() * 30_000.0;
+        let schedule = LimitSchedule::new()
+            .at(at, Limits::net(low_bps))
+            .at(at + 9_000_000, Limits::net(HIGH_BPS));
+        let limits = Limits::net(HIGH_BPS);
+        let out =
+            run_adaptive_shared(&sc, &store, db.clone(), prefs.clone(), limits, Some(schedule));
+        let stats = &out.stats;
+        h.write_u64(stats.finished_at.map_or(u64::MAX, |t| t.as_us()));
+        h.write_u64(stats.images.len() as u64);
+        h.write_u64(stats.rounds.len() as u64);
+        h.write_u64(stats.total_wire_bytes());
+        for (t, config) in &stats.config_history {
+            h.write_u64(t.as_us());
+            config.key().bytes().for_each(|b| h.write_u64(b.into()));
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn collapse_sessions_digest_is_pinned() {
+    let got = collapse_digest(20);
+    assert_eq!(got, 0xf8d0_2944_7bbc_77b7, "{got:016x}");
+}
+
+/// All 500 sessions of one `session_collapse` repetition: the benchmark's
+/// own digest. A second or two optimized, set-up included, so
+/// `scripts/ci.sh` runs it by name with `--release -- --ignored --exact`.
+#[test]
+#[ignore = "500 sessions: run in release by scripts/ci.sh"]
+fn collapse_500_sessions_digest_is_pinned() {
+    let got = collapse_digest(500);
+    assert_eq!(got, 0x562f_8327_5af9_4b0d, "{got:016x}");
 }
 
 #[test]

@@ -8,7 +8,18 @@
 //! resource availability falls out of a range". The raw observations come
 //! from the same machinery as the sandbox's progress estimator
 //! (`sandbox::SandboxStats`) or directly from `simnet` accounting.
+//!
+//! Almost every check finds nothing to report, so that case is O(1) in
+//! the window length: each [`WindowStat`] keeps a running sum beside its
+//! samples, and [`MonitoringAgent::check`] first asks whether every
+//! running mean is clearly inside its range. A running sum is not
+//! bit-equal to a re-sum, so that test may only answer "inside"; every
+//! other case — near a bound, a stale or non-finite window, samples
+//! pushed out of time order — runs the exact re-sum, which is the only
+//! source of the estimates and violations a [`Trigger`] carries.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use simnet::SimTime;
@@ -18,17 +29,45 @@ use crate::env::{ResourceKey, ResourceVector};
 /// The monitoring agent's default period: 10 ms, as in the paper.
 pub const MONITOR_PERIOD_US: u64 = 10_000;
 
+/// A window re-sums its running sum exactly once the sum has more than
+/// twice as many terms as the window holds samples, and at least this
+/// many. That bounds the sum's rounding error and amortises the re-sum to
+/// O(1) per push.
+const MIN_RESUM_TERMS: usize = 128;
+
 /// A sliding-window mean over timestamped samples.
 #[derive(Debug, Clone)]
 pub struct WindowStat {
     window_us: u64,
     samples: VecDeque<(SimTime, f64)>,
+    /// Running sum of the retained values: added on push, subtracted on
+    /// eviction, recomputed by [`WindowStat::resum`].
+    sum: f64,
+    /// Terms of `sum`: the values it was last recomputed from, then every
+    /// value added or subtracted since.
+    terms: usize,
+    /// Σ|v| over those terms; it bounds `sum`'s rounding error.
+    abs_mass: f64,
+    /// Every retained timestamp is at least the one before it.
+    ordered: bool,
+    /// Samples visited by the reads that walk the window.
+    #[cfg(test)]
+    visited: Cell<usize>,
 }
 
 impl WindowStat {
     pub fn new(window_us: u64) -> Self {
         assert!(window_us > 0);
-        WindowStat { window_us, samples: VecDeque::new() }
+        WindowStat {
+            window_us,
+            samples: VecDeque::new(),
+            sum: 0.0,
+            terms: 0,
+            abs_mass: 0.0,
+            ordered: true,
+            #[cfg(test)]
+            visited: Cell::new(0),
+        }
     }
 
     fn cutoff(&self, now: SimTime) -> SimTime {
@@ -36,7 +75,13 @@ impl WindowStat {
     }
 
     pub fn push(&mut self, t: SimTime, v: f64) {
+        if self.samples.back().is_some_and(|&(last, _)| t < last) {
+            self.ordered = false;
+        }
         self.samples.push_back((t, v));
+        self.sum += v;
+        self.terms += 1;
+        self.abs_mass += v.abs();
         self.prune(t);
     }
 
@@ -47,13 +92,57 @@ impl WindowStat {
     /// or call this with the current time.
     pub fn prune(&mut self, now: SimTime) {
         let cutoff = self.cutoff(now);
-        while let Some(&(ts, _)) = self.samples.front() {
+        while let Some(&(ts, v)) = self.samples.front() {
             if ts < cutoff {
                 self.samples.pop_front();
+                self.sum -= v;
+                self.terms += 1;
+                self.abs_mass += v.abs();
             } else {
                 break;
             }
         }
+        if self.terms > (2 * self.samples.len()).max(MIN_RESUM_TERMS) {
+            self.resum();
+        }
+    }
+
+    /// Recompute the running sum from the retained samples, and whether
+    /// they are in time order.
+    fn resum(&mut self) {
+        (self.sum, self.terms, self.abs_mass) = (0.0, self.samples.len(), 0.0);
+        for &(_, v) in &self.samples {
+            self.sum += v;
+            self.abs_mass += v.abs();
+        }
+        self.ordered =
+            self.samples.iter().zip(self.samples.iter().skip(1)).all(|(a, b)| a.0 <= b.0);
+    }
+
+    /// The running mean of the retained samples and a bound on its
+    /// distance from what [`WindowStat::mean_at`]`(now)` returns, in O(1).
+    /// `None` unless `mean_at(now)` averages every retained sample (they
+    /// were pushed in time order and the oldest is inside the window as of
+    /// `now`) and both numbers are finite.
+    ///
+    /// The bound, with unit roundoff `u`: `sum` is a recursive
+    /// floating-point sum of `terms` values whose magnitudes add up to
+    /// `abs_mass`, and `mean_at` sums `n` of those values, so the two lie
+    /// within `2·terms·u·abs_mass` and `2n·u·abs_mass` of the real sum (the
+    /// classic `γ_k` bound, for `k` far below `1/u`); dividing each by `n`
+    /// adds at most `u·abs_mass/n` more. The band is twice the total, which
+    /// also covers the roundings of computing it and of the caller's one
+    /// addition or subtraction, plus `f64::MIN_POSITIVE` for underflow.
+    fn quick_mean(&self, now: SimTime) -> Option<(f64, f64)> {
+        let &(oldest, _) = self.samples.front()?;
+        if !self.ordered || oldest < self.cutoff(now) {
+            return None;
+        }
+        let n = self.samples.len();
+        let k = (self.terms + n + 2) as f64;
+        let band = 2.0 * f64::EPSILON * k * self.abs_mass / n as f64 + f64::MIN_POSITIVE;
+        let mean = self.sum / n as f64;
+        (mean.is_finite() && band.is_finite()).then_some((mean, band))
     }
 
     /// Mean over every retained sample, regardless of age. This is the
@@ -63,6 +152,8 @@ impl WindowStat {
         if self.samples.is_empty() {
             None
         } else {
+            #[cfg(test)]
+            self.visited.set(self.visited.get() + self.samples.len());
             Some(self.samples.iter().map(|(_, v)| v).sum::<f64>() / self.samples.len() as f64)
         }
     }
@@ -73,6 +164,8 @@ impl WindowStat {
         let cutoff = self.cutoff(now);
         let (mut sum, mut n) = (0.0, 0usize);
         for &(ts, v) in self.samples.iter().rev() {
+            #[cfg(test)]
+            self.visited.set(self.visited.get() + 1);
             if ts < cutoff {
                 break;
             }
@@ -136,8 +229,8 @@ impl ValidityRegion {
         let mut out = Vec::new();
         for (key, &(min, max)) in &self.ranges {
             let Some(v) = estimate.get(key) else { continue };
-            let lo_ok = !min.is_finite() || v >= min - hysteresis * min.abs().max(1e-12);
-            let hi_ok = !max.is_finite() || v <= max + hysteresis * max.abs().max(1e-12);
+            let lo_ok = !min.is_finite() || v >= lowest(min, hysteresis);
+            let hi_ok = !max.is_finite() || v <= highest(max, hysteresis);
             if !lo_ok || !hi_ok {
                 out.push(Violation { key: key.clone(), value: v, range: (min, max) });
             }
@@ -148,6 +241,16 @@ impl ValidityRegion {
     pub fn contains(&self, estimate: &ResourceVector) -> bool {
         self.violations(estimate, 0.0).is_empty()
     }
+}
+
+/// The lowest value a finite minimum admits under `hysteresis`.
+fn lowest(min: f64, hysteresis: f64) -> f64 {
+    min - hysteresis * min.abs().max(1e-12)
+}
+
+/// The highest value a finite maximum admits under `hysteresis`.
+fn highest(max: f64, hysteresis: f64) -> f64 {
+    max + hysteresis * max.abs().max(1e-12)
 }
 
 /// One out-of-range resource observation.
@@ -241,11 +344,15 @@ impl MonitoringAgent {
 
     /// Feed one observation. Ignored unless `key` is watched.
     pub fn observe(&mut self, t: SimTime, key: &ResourceKey, value: f64) {
-        if !self.watched.contains(key) {
-            return;
+        // `stats` only ever holds watched keys, so a hit needs no check
+        // and no key clone; only a key's first sample pays for both.
+        if let Some(s) = self.stats.get_mut(key) {
+            s.push(t, value);
+        } else if self.watched.contains(key) {
+            let mut s = WindowStat::new(self.window_us);
+            s.push(t, value);
+            self.stats.insert(key.clone(), s);
         }
-        let w = self.window_us;
-        self.stats.entry(key.clone()).or_insert_with(|| WindowStat::new(w)).push(t, value);
     }
 
     /// Last-known availability estimate (window means over all retained
@@ -294,6 +401,9 @@ impl MonitoringAgent {
                 return None;
             }
         }
+        if self.clearly_inside(t) {
+            return None;
+        }
         let estimate = self.estimate_at(t);
         let stale = self.stale_keys(t);
         if estimate.is_empty() && stale.is_empty() {
@@ -305,6 +415,22 @@ impl MonitoringAgent {
         }
         self.last_trigger = Some(t);
         Some(Trigger { at: t, violations, estimate, stale })
+    }
+
+    /// True only if the exact path of `check(t)` would find every observed
+    /// resource fresh and inside its hysteresis-widened range, judged from
+    /// the running window means without walking a window or allocating.
+    /// `false` means "not sure", never "outside".
+    fn clearly_inside(&self, t: SimTime) -> bool {
+        self.stats.iter().all(|(key, s)| {
+            let Some((mean, band)) = s.quick_mean(t) else { return false };
+            let Some(&(min, max)) = self.validity.ranges.get(key) else { return true };
+            // The estimate the exact path would test is `mean_at(t)` floored
+            // at zero, within `band` of this.
+            let v = mean.max(0.0);
+            (!min.is_finite() || v - band >= lowest(min, self.hysteresis))
+                && (!max.is_finite() || v + band <= highest(max, self.hysteresis))
+        })
     }
 }
 
@@ -391,7 +517,8 @@ mod tests {
         let mut m = MonitoringAgent::new(vec![cpu()], 1_000_000);
         m.set_validity(ValidityRegion::new().with_range(cpu(), 0.5, 1.0));
         m.hysteresis = 0.10;
-        // 0.47 is below 0.5 but within 10% of the range width (0.05).
+        // 0.47 is below 0.5 but within 10% of the violated bound itself
+        // (down to 0.45; `ValidityRegion::violations`).
         m.observe(t(0), &cpu(), 0.47);
         assert!(m.check(t(10_000)).is_none());
         // 0.30 is far below.
@@ -400,6 +527,60 @@ mod tests {
         m2.hysteresis = 0.10;
         m2.observe(t(0), &cpu(), 0.30);
         assert!(m2.check(t(10_000)).is_some());
+    }
+
+    #[test]
+    fn quiet_check_cost_does_not_grow_with_the_window() {
+        // Samples walked by an in-range check, and by one that finds the
+        // CPU out of range, with `samples` observations per window.
+        let visits = |samples: u64| {
+            let net = ResourceKey::net("client");
+            let window = samples * MONITOR_PERIOD_US;
+            let mut m = MonitoringAgent::new(vec![cpu(), net.clone()], window);
+            m.min_trigger_gap_us = 0;
+            let region = ValidityRegion::new().with_range(cpu(), 0.5, 1.0);
+            m.set_validity(region.with_range(net.clone(), 1e5, 1e6));
+            let mut now = t(0);
+            for i in 0..3 * samples {
+                now = t(i * MONITOR_PERIOD_US);
+                m.observe(now, &cpu(), 0.7 + 0.01 * (i % 7) as f64);
+                m.observe(now, &net, 5e5 + (i % 3) as f64);
+            }
+            let walked = |m: &MonitoringAgent| m.stats.values().map(|s| s.visited.get()).sum();
+            let before: usize = walked(&m);
+            assert!(m.check(now).is_none(), "in range");
+            let quiet = walked(&m) - before;
+            m.set_validity(ValidityRegion::new().with_range(cpu(), 0.9, 1.0));
+            assert!(m.check(now).is_some(), "out of range");
+            (quiet, walked(&m) - before - quiet)
+        };
+        let ((quiet_10, fired_10), (quiet_1000, fired_1000)) = (visits(10), visits(1_000));
+        assert_eq!((quiet_10, quiet_1000), (0, 0), "a quiet check walks no window");
+        assert!(fired_1000 > fired_10 && fired_10 > 0, "the exact path does walk them");
+    }
+
+    #[test]
+    fn quiet_check_recovers_from_disorder_and_nan() {
+        // An out-of-order sample and a NaN send every check down the exact
+        // path; once both have left the window and the running sum has been
+        // re-summed, quiet checks walk nothing again.
+        let mut m = MonitoringAgent::new(vec![cpu()], 100_000);
+        m.min_trigger_gap_us = 0;
+        m.set_validity(ValidityRegion::new().with_range(cpu(), 0.5, 1.0));
+        m.observe(t(20_000), &cpu(), 0.7);
+        m.observe(t(10_000), &cpu(), 0.7);
+        m.observe(t(30_000), &cpu(), f64::NAN);
+        let walks: Vec<usize> = (4..100)
+            .map(|i| {
+                let now = t(i * 10_000);
+                m.observe(now, &cpu(), 0.7);
+                let before = m.stats[&cpu()].visited.get();
+                m.check(now);
+                m.stats[&cpu()].visited.get() - before
+            })
+            .collect();
+        assert!(walks[0] > 0, "disordered window: exact path");
+        assert_eq!(walks[walks.len() - 10..], [0; 10], "clean again: fast path");
     }
 
     #[test]

@@ -34,12 +34,37 @@ pub struct NetSample {
     pub inbound: bool,
 }
 
+/// Bytes and busy transfer time of the retained net samples of one
+/// direction.
+#[derive(Debug, Clone, Copy, Default)]
+struct NetSums {
+    bytes: u64,
+    busy_us: u64,
+}
+
 /// Sliding-window estimator over CPU and network samples.
+///
+/// Reads are O(1) between pushes. The network estimate's integer sums are
+/// kept as running sums, exact because they are integers. The CPU share
+/// sums real-valued `cpu_us`, where a running sum would drift from a
+/// re-sum, so it is re-summed instead, once per change of the CPU window.
+/// Both describe the *retained* samples: eviction pops from the front
+/// while the front has expired, and outbound samples carry a `processed`
+/// in the future (the sandbox's send delay), so an expired sample can sit
+/// behind an unexpired one until the front moves.
 #[derive(Debug)]
 pub struct ProgressEstimator {
     window_us: u64,
     cpu: VecDeque<CpuSample>,
     net: VecDeque<NetSample>,
+    /// `[outbound, inbound]`: added on push, subtracted on eviction.
+    net_sums: [NetSums; 2],
+    /// [`ProgressEstimator::cpu_share`] of the retained CPU samples, or
+    /// `None` when the CPU window changed since it was last computed.
+    cpu_share_memo: Option<Option<f64>>,
+    /// Samples visited by the reads that walk a window.
+    #[cfg(test)]
+    visited: usize,
 }
 
 impl ProgressEstimator {
@@ -47,7 +72,15 @@ impl ProgressEstimator {
     /// agent processes "raw data within a history window" sampled at 10 ms.
     pub fn new(window_us: u64) -> Self {
         assert!(window_us > 0);
-        ProgressEstimator { window_us, cpu: VecDeque::new(), net: VecDeque::new() }
+        ProgressEstimator {
+            window_us,
+            cpu: VecDeque::new(),
+            net: VecDeque::new(),
+            net_sums: [NetSums::default(); 2],
+            cpu_share_memo: None,
+            #[cfg(test)]
+            visited: 0,
+        }
     }
 
     pub fn window_us(&self) -> u64 {
@@ -56,11 +89,15 @@ impl ProgressEstimator {
 
     pub fn push_cpu(&mut self, s: CpuSample) {
         self.cpu.push_back(s);
+        self.cpu_share_memo = None;
         self.evict(s.end);
     }
 
     pub fn push_net(&mut self, s: NetSample) {
         self.net.push_back(s);
+        let sums = &mut self.net_sums[s.inbound as usize];
+        sums.bytes += s.bytes;
+        sums.busy_us += s.processed.since(s.queued);
         self.evict(s.processed);
     }
 
@@ -69,13 +106,17 @@ impl ProgressEstimator {
         while let Some(s) = self.cpu.front() {
             if s.end < cutoff {
                 self.cpu.pop_front();
+                self.cpu_share_memo = None;
             } else {
                 break;
             }
         }
-        while let Some(s) = self.net.front() {
+        while let Some(&s) = self.net.front() {
             if s.processed < cutoff {
                 self.net.pop_front();
+                let sums = &mut self.net_sums[s.inbound as usize];
+                sums.bytes -= s.bytes;
+                sums.busy_us -= s.processed.since(s.queued);
             } else {
                 break;
             }
@@ -85,32 +126,30 @@ impl ProgressEstimator {
     /// Estimated CPU share obtained over the samples in the window:
     /// total CPU time received / total wall time wanting the CPU.
     /// `None` with no samples (the application did not try to compute).
-    pub fn cpu_share(&self) -> Option<f64> {
+    pub fn cpu_share(&mut self) -> Option<f64> {
+        if let Some(share) = self.cpu_share_memo {
+            return share;
+        }
+        #[cfg(test)]
+        {
+            self.visited += self.cpu.len();
+        }
         let mut wall = 0.0;
         let mut cpu = 0.0;
         for s in &self.cpu {
             wall += s.end.since(s.start) as f64;
             cpu += s.cpu_us;
         }
-        if wall > 0.0 {
-            Some((cpu / wall).min(1.0))
-        } else {
-            None
-        }
+        let share = if wall > 0.0 { Some((cpu / wall).min(1.0)) } else { None };
+        self.cpu_share_memo = Some(share);
+        share
     }
 
     /// Estimated effective bandwidth (bytes/second) over inbound (or, with
     /// `inbound == false`, outbound) transfers in the window: total bytes /
     /// total busy transfer time. `None` without samples.
     pub fn bandwidth_bps(&self, inbound: bool) -> Option<f64> {
-        let mut bytes = 0u64;
-        let mut busy_us = 0u64;
-        for s in &self.net {
-            if s.inbound == inbound {
-                bytes += s.bytes;
-                busy_us += s.processed.since(s.queued);
-            }
-        }
+        let NetSums { bytes, busy_us } = self.net_sums[inbound as usize];
         if busy_us > 0 && bytes > 0 {
             Some(bytes as f64 / (busy_us as f64 / 1e6))
         } else {
@@ -179,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_estimator_returns_none() {
-        let p = ProgressEstimator::new(1_000);
+        let mut p = ProgressEstimator::new(1_000);
         assert!(p.cpu_share().is_none());
         assert!(p.bandwidth_bps(true).is_none());
         assert!(p.is_empty());
@@ -214,6 +253,35 @@ mod tests {
         let mut p = ProgressEstimator::new(1_000_000);
         p.push_cpu(CpuSample { start: t(0), end: t(100), cpu_us: 150.0 });
         assert_eq!(p.cpu_share(), Some(1.0));
+    }
+
+    #[test]
+    fn reads_cost_the_same_at_any_window_length() {
+        // Samples walked with `samples` 10 ms periods per window: by the
+        // monitor's two reads after a message that changed only the net
+        // window, and by the CPU read after a new CPU sample.
+        let visits = |samples: u64| {
+            let mut p = ProgressEstimator::new(samples * 10_000);
+            let mut end = t(0);
+            for i in 1..=3 * samples {
+                end = t(i * 10_000);
+                p.push_cpu(CpuSample { start: t(end.0 - 10_000), end, cpu_us: 8_000.0 });
+                let queued = t(end.0 - 5_000);
+                p.push_net(NetSample { queued, processed: end, bytes: 4_096, inbound: true });
+            }
+            p.cpu_share();
+            let before = p.visited;
+            p.push_net(NetSample { queued: end, processed: end, bytes: 512, inbound: false });
+            assert!(p.bandwidth_bps(true).is_some());
+            let bandwidth = p.visited - before;
+            assert!((p.cpu_share().unwrap() - 0.8).abs() < 1e-12);
+            let quiet = p.visited - before;
+            p.push_cpu(CpuSample { start: end, end, cpu_us: 0.0 });
+            p.cpu_share();
+            (bandwidth, quiet, p.visited - before - quiet)
+        };
+        assert_eq!(visits(10), (0, 0, 12));
+        assert_eq!(visits(1_000), (0, 0, 1_002));
     }
 
     #[test]

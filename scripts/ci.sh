@@ -75,6 +75,14 @@ stage "10k load digest (release)"
 cargo test -q --release -p adapt-bench --test digest_contract \
     bench_load_10k_digest_is_pinned -- --ignored --exact
 
+stage "500-session collapse digest (release)"
+# One whole repetition of the `session_collapse` benchmark workload:
+# adaptive sessions on the paper's 2 s monitor window through a bandwidth
+# collapse and recovery, pinned to the benchmark's own digest. Tier-1
+# holds its first 20 sessions; all 500 take a second or two optimized.
+cargo test -q --release -p adapt-bench --test digest_contract \
+    collapse_500_sessions_digest_is_pinned -- --ignored --exact
+
 stage "arbiter smoke"
 # Saturation smoke: a 200-application arbiter storm must hold the
 # arbiter invariant oracles (tier-ordered shedding, no eviction without
