@@ -2,8 +2,17 @@
 //!
 //! Regenerates every figure of the paper's evaluation (Figures 3-7) from
 //! the reimplemented system. Each `figs::*` function returns plain data
-//! (so tests and Criterion benches can reuse it); the `figures` binary
-//! prints the series the paper plots.
+//! (so its unit tests can assert the figure's shape); the `figures`
+//! binary prints the series the paper plots.
+//!
+//! The crate's tests hold the workload-level contracts:
+//! `tests/digest_contract.rs` pins the load sweep, the arbiter sweep and
+//! saturation storm, the socket twin, the session-collapse workload and
+//! the explorer digests through the option builders in [`load`],
+//! [`arbiter`] and [`socket`]; `tests/overhead_floors.rs` asserts the
+//! wall-clock floors of the hot paths; `tests/ablations.rs` shows what
+//! breaks when a design mechanism is switched off. Performance numbers
+//! come from `benchmark/` (`BENCHMARK.json`) alone.
 //!
 //! | Paper figure | Function |
 //! |---|---|

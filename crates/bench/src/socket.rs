@@ -1,8 +1,8 @@
-//! The socket-smoke session, shared by the `socket_smoke` binary and the
-//! digest-contract test: one adaptive bandwidth-collapse run (LZW at
-//! 60 KB/s, the link drops to 2 KB/s at t = 2 s, the client must switch
-//! to Bzip), optionally with every message detoured through a
-//! [`simnet::WireHook`].
+//! The socket-smoke session the digest-contract test replays on pure
+//! simnet and through every real socket backend: one adaptive
+//! bandwidth-collapse run (LZW at 60 KB/s, the link drops to 2 KB/s at
+//! t = 2 s, the client must switch to Bzip), optionally with every
+//! message detoured through a [`simnet::WireHook`].
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ pub fn smoke_session(wire: Option<WireHook>) -> RunOutcome {
 }
 
 /// FNV-1a over the decision lines, newline-terminated: the digest
-/// `socket_smoke` prints and `tests/digest_contract.rs` pins.
+/// `tests/digest_contract.rs` pins.
 pub fn decision_digest(lines: &[String]) -> u64 {
     let mut h = Fnv64::new();
     for line in lines {

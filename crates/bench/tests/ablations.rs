@@ -1,6 +1,7 @@
 //! Quality-side ablations for the framework's design choices: each test
-//! disables one mechanism and shows what breaks (the cost side lives in
-//! `benches/ablations.rs`).
+//! disables one mechanism and shows what breaks. The cost side is timed by
+//! `benchmark/` (`core.perfdb.predict_ns`, `core.monitor.check_ns`,
+//! `core.scheduler.choose_us`; DESIGN.md §5 maps each row).
 
 #![allow(clippy::type_complexity)]
 

@@ -1,16 +1,18 @@
-//! The committed digests are behavioural contracts. The opt-in
-//! `CI_BENCH=1` gate regenerates whole BENCH files; this test pins the
-//! cheap rows of each in tier-1, through the same option builders the
-//! bench binaries use, so a refactor that moves one bit fails `cargo
-//! test` rather than a nightly. The 10k- and 100k-session load rows and
-//! the 500-session collapse row are `#[ignore]`d here and run optimized by
-//! `scripts/ci.sh`: the 10k load and the collapse rows by their own
-//! per-push stages, the 100k row inside the opt-in bench gate.
+//! The committed digests are behavioural contracts, and this file is
+//! where the workload-level ones live: each row is pinned through the
+//! option builders (`adapt_bench::{load, arbiter, socket}`) that define
+//! it, so a refactor that moves one bit fails `cargo test`. The cheap rows
+//! run in tier-1. The 10k- and 100k-session load rows, the 500-session
+//! collapse row and the 1 000-trial explorer rows are `#[ignore]`d;
+//! `scripts/ci.sh` runs them optimized with
+//! `cargo test -q --release -p adapt-bench -- --ignored --test-threads=1`.
 
 use std::sync::Arc;
 
 use adapt_bench::socket::{decision_digest, smoke_session};
 use adapt_core::PreferenceList;
+use adapt_dst::{Explorer, ExplorerOpts, FaultSpace, TrialContext};
+use arbiter::StormOpts;
 use sandbox::{LimitSchedule, Limits};
 use simnet::det::{Fnv64, SplitMix64};
 use simnet::{DrainMode, ExplorePlan, SimTime};
@@ -19,54 +21,53 @@ use visapp::{
     MirrorBackend, Scenario,
 };
 
-#[test]
-fn bench_load_digests_are_pinned() {
-    // BENCH_load.json, `deterministic.sweep[].{digest, peak_queue_depth}`
-    // (the digest folds in `events` but deliberately not the peak).
-    let pinned = [
-        (1usize, 0xdfcd_20c7_ac69_2672_u64, 4usize),
-        (10, 0x7361_551e_1ed7_e8fb, 19),
-        (100, 0xa2bc_bcf4_6c88_c4ce, 114),
-        (1000, 0x7401_5125_6f48_9eaf, 1064),
-    ];
-    let db = Arc::new(model_db(&adapt_bench::load::bench_opts(1)));
-    for (sessions, digest, peak) in pinned {
-        let report = run_load(&adapt_bench::load::bench_opts(sessions), &db);
-        let got = report.digest();
-        assert_eq!(got, digest, "{sessions} sessions: {got:016x}");
-        assert_eq!(report.peak_queue_depth, peak, "{sessions} sessions");
-    }
-}
-
-/// One large `bench_opts` row: digest, events, requests, images, peak.
-fn assert_load_row(sessions: usize, pinned: (u64, u64, u64, u64, usize)) {
+/// One `bench_opts` load row: digest, events, requests, images, peak
+/// queue depth and adaptation ticks. The digest folds every session's
+/// rounds, images, switches, bytes and finish time plus the end time and
+/// the event count, but neither the peak nor the ticks, so both are
+/// pinned beside it.
+fn assert_load_row(sessions: usize, pinned: (u64, u64, u64, u64, usize, u64)) {
     let opts = adapt_bench::load::bench_opts(sessions);
     let report = run_load(&opts, &Arc::new(model_db(&adapt_bench::load::bench_opts(1))));
+    let ticks =
+        report.obs.lookup("runtime.tick").map_or(0, |id| report.obs.histogram_stats(id).count);
     let got = (
         report.digest(),
         report.events_handled,
         report.requests_total,
         report.images_total,
         report.peak_queue_depth,
+        ticks,
     );
     assert_eq!(got, pinned, "{sessions} sessions: digest {:016x}", got.0);
 }
 
+#[test]
+fn bench_load_digests_are_pinned() {
+    assert_load_row(1, (0xdfcd_20c7_ac69_2672, 138, 8, 2, 4, 48));
+    assert_load_row(10, (0x7361_551e_1ed7_e8fb, 1_717, 62, 20, 19, 1_173));
+    assert_load_row(100, (0xa2bc_bcf4_6c88_c4ce, 55_426, 602, 200, 114, 51_045));
+    assert_load_row(1_000, (0x7401_5125_6f48_9eaf, 247_076, 6_002, 2_000, 1_064, 210_466));
+    // The one database every row shares (one `Arc`, however many sessions).
+    assert_eq!(model_db(&adapt_bench::load::bench_opts(1)).approx_bytes(), 106_744);
+}
+
 /// The 10k row is the `load_steady` benchmark workload. About a second
-/// in release, a minute unoptimized: `scripts/ci.sh` runs it by name with
-/// `--release -- --ignored --exact`.
+/// in release, a minute unoptimized.
 #[test]
 #[ignore = "10k sessions: run in release by scripts/ci.sh"]
 fn bench_load_10k_digest_is_pinned() {
-    assert_load_row(10_000, (0x08a1_b3eb_58e2_2b63, 660_676, 60_002, 20_000, 10_401));
+    assert_load_row(10_000, (0x08a1_b3eb_58e2_2b63, 660_676, 60_002, 20_000, 10_401, 355_270));
 }
 
-/// The scale point of the sweep: half a minute in release, so it runs
-/// only inside the opt-in bench gate (`CI_BENCH=1`).
+/// The scale point of the sweep: half a minute and 1.4 GB in release.
 #[test]
-#[ignore = "100k sessions: run in release by the CI_BENCH=1 bench gate"]
+#[ignore = "100k sessions: run in release by scripts/ci.sh"]
 fn bench_load_100k_digest_is_pinned() {
-    assert_load_row(100_000, (0x7971_3b82_d76c_eb2b, 6_606_024, 600_002, 200_000, 104_001));
+    assert_load_row(
+        100_000,
+        (0x7971_3b82_d76c_eb2b, 6_606_024, 600_002, 200_000, 104_001, 3_551_935),
+    );
 }
 
 /// The first `sessions` sessions of the `session_collapse` benchmark
@@ -115,8 +116,7 @@ fn collapse_sessions_digest_is_pinned() {
 }
 
 /// All 500 sessions of one `session_collapse` repetition: the benchmark's
-/// own digest. A second or two optimized, set-up included, so
-/// `scripts/ci.sh` runs it by name with `--release -- --ignored --exact`.
+/// own digest. A second or two optimized, set-up included.
 #[test]
 #[ignore = "500 sessions: run in release by scripts/ci.sh"]
 fn collapse_500_sessions_digest_is_pinned() {
@@ -126,7 +126,8 @@ fn collapse_500_sessions_digest_is_pinned() {
 
 #[test]
 fn kernel_storm_counts_are_pinned_in_every_sequential_mode() {
-    // BENCH_load.json, `timing.kernel_storm.{events, peak_queue_depth}`.
+    // 1 000 aligned actors x 64 timers x 10 rounds; `overhead_floors.rs`
+    // times the same storm under the batched and heap drains.
     for mode in [DrainMode::Heap, DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
         let r = adapt_bench::load::kernel_storm(1000, 64, 10, mode);
         assert_eq!(r.events, 641_000, "{mode:?}");
@@ -136,41 +137,127 @@ fn kernel_storm_counts_are_pinned_in_every_sequential_mode() {
 
 #[test]
 fn bench_arbiter_digests_are_pinned() {
-    // BENCH_arbiter.json, `deterministic.sweep[].digest`.
+    // The offered-load sweep at 4 hosts: per point the storm digest (every
+    // app's fate, every admission and policing counter, the end time and
+    // the event count), then whole-run and busy-period utilization and
+    // the p99 response of tiers 0 (gold), 1 and 2, in seconds, at four
+    // decimals. No point opens the overload breaker.
+    #[rustfmt::skip]
     let pinned = [
-        (8usize, 0xd43d_c384_96de_7923_u64),
-        (16, 0x4f94_0ae2_03e1_782a),
-        (32, 0xa73b_3fa9_88b8_b84b),
-        (64, 0xd0be_727a_2d3f_a055),
-        (128, 0x3c3f_4d40_915f_5bc9),
-        (256, 0x1e2b_724b_6146_3973),
+        (8usize, 0xd43d_c384_96de_7923_u64, ["0.1233", "0.0000", "0.0813", "0.1277", "0.1530"]),
+        (16,     0x4f94_0ae2_03e1_782a,     ["0.2549", "0.9219", "0.0813", "0.1532", "0.1559"]),
+        (32,     0xa73b_3fa9_88b8_b84b,     ["0.4057", "0.9101", "0.0813", "0.1560", "0.2061"]),
+        (64,     0xd0be_727a_2d3f_a055,     ["0.6569", "0.9227", "0.1533", "0.1552", "0.1585"]),
+        (128,    0x3c3f_4d40_915f_5bc9,     ["0.6831", "0.9205", "0.2048", "0.2714", "0.2550"]),
+        (256,    0x1e2b_724b_6146_3973,     ["0.7272", "0.9213", "0.2039", "0.2944", "0.3052"]),
     ];
     let opts = adapt_bench::arbiter::bench_opts;
     let db = Arc::new(model_db(&opts(8).load_opts()));
-    for (apps, digest) in pinned {
-        let got = arbiter::run_storm(&opts(apps), &db).digest();
+    for (apps, digest, shape) in pinned {
+        let r = arbiter::run_storm(&opts(apps), &db);
+        let got = r.digest();
         assert_eq!(got, digest, "{apps} apps: {got:016x}");
+        assert_eq!((r.overload_opens, r.overload_closes), (0, 0), "{apps} apps");
+        let p99 = |tier| r.p99_response_s.iter().find(|(t, _)| *t == tier).map(|(_, s)| *s);
+        let p99s = [0, 1, 2].map(|tier| p99(tier).expect("every tier finishes an app"));
+        let got = [r.utilization, r.busy_utilization].into_iter().chain(p99s);
+        assert_eq!(got.map(|v| format!("{v:.4}")).collect::<Vec<_>>(), shape, "{apps} apps");
+        // The acceptance shape: gold stays responsive at every point, and
+        // the cluster is at least 80 % busy at the knee.
+        assert!(p99s[0] < 5.0, "gold p99 {}s at {apps} apps", p99s[0]);
+        if apps == 256 {
+            assert!(r.busy_utilization >= 0.8, "knee busy utilization {}", r.busy_utilization);
+        }
     }
+}
+
+/// The saturation storm: 200 apps on 4 hosts, a dip to 40 % capacity at
+/// 0.5–0.6 s and one rogue in five, enough to queue, backfill, open the
+/// overload breaker, shed, recover and walk the whole policing ladder.
+/// It must hold the arbiter oracles (tier-ordered shedding, no eviction
+/// without a policing violation) and reproduce its digest.
+#[test]
+fn arbiter_saturation_storm_holds_the_oracles_and_its_digest() {
+    let opts = StormOpts::new(200)
+        .with_seed(0xC1)
+        .with_cluster_hosts(4)
+        .with_rogue_every(5)
+        .with_dips(vec![(500_000, 600_000, 0.4)]);
+    let report = arbiter::run_storm(&opts, &Arc::new(model_db(&opts.load_opts())));
+    let violations = adapt_dst::check_arbiter(&report.obs);
+    assert!(violations.is_empty(), "{violations:?}");
+    let got = report.digest();
+    assert_eq!(got, 0xddae_be89_9ee1_5c20, "{got:016x}");
 }
 
 #[test]
 fn socket_smoke_decision_digest_is_pinned_and_matches_its_simnet_twin() {
-    // What `socket_smoke` prints.
+    // One bandwidth-collapse session on pure simnet, then with every
+    // message round-tripped through each real socket backend: the kernel
+    // owns virtual time, so any divergence is codec or framing
+    // infidelity. A backend that cannot bind here is skipped.
     const PINNED: u64 = 0x0e1a_884c_0669_1ccc;
     let stock = smoke_session(None);
-    let got = decision_digest(&decision_sequence(&stock.stats));
+    let reference = decision_sequence(&stock.stats);
+    assert!(reference.len() >= 2, "the scenario must exercise runtime adaptation");
+    let got = decision_digest(&reference);
     assert_eq!(got, PINNED, "simnet: {got:016x}");
 
-    let (hook, handle) = match socket_mirror_hook(MirrorBackend::Tcp) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("tcp twin skipped: {e}");
-            return;
-        }
-    };
-    let wired = smoke_session(Some(hook));
-    handle.finish();
-    let got = decision_digest(&decision_sequence(&wired.stats));
-    assert_eq!(got, PINNED, "tcp: {got:016x}");
-    assert_eq!(wired.end, stock.end);
+    for backend in [MirrorBackend::Tcp, MirrorBackend::Uds] {
+        let (hook, handle) = match socket_mirror_hook(backend) {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("{} twin skipped: {e}", backend.name());
+                continue;
+            }
+        };
+        let wired = smoke_session(Some(hook));
+        handle.finish();
+        assert_eq!(decision_sequence(&wired.stats), reference, "{}", backend.name());
+        assert_eq!(wired.end, stock.end, "{}", backend.name());
+    }
+}
+
+/// The explorer as the nightly sweep runs it, minus shrinking: the
+/// default master seed, the first `trials` trials of each fault space
+/// (default, knob commands, refine drift), every trial checked by every
+/// oracle. A correct build violates nothing.
+fn assert_explorer_digests(trials: u64, pinned: [u64; 3]) {
+    let ctx = TrialContext::new();
+    let spaces = [FaultSpace::default(), FaultSpace::knobs(), FaultSpace::drift()];
+    for ((axis, space), digest) in ["default", "knob", "drift"].into_iter().zip(spaces).zip(pinned)
+    {
+        let opts = ExplorerOpts {
+            trials,
+            space,
+            shrink: false,
+            max_failures: usize::MAX,
+            ..ExplorerOpts::default()
+        };
+        let report = Explorer::new(opts).run(&ctx);
+        let failures: Vec<String> =
+            report.failures.iter().map(|f| f.violation.to_string()).collect();
+        assert!(failures.is_empty(), "{axis} axis: {failures:?}");
+        assert_eq!(report.trials_run, trials, "{axis} axis");
+        assert_eq!(report.digest, digest, "{axis} axis: {:016x}", report.digest);
+    }
+}
+
+/// A prefix of each axis: two seconds unoptimized.
+#[test]
+fn dst_explorer_prefix_digests_are_pinned() {
+    assert_explorer_digests(
+        64,
+        [0xdb17_5fd3_d3b2_0fab, 0xcc5b_91eb_cc91_f7b8, 0x616d_1c80_a786_b078],
+    );
+}
+
+/// A thousand trials per axis: four seconds optimized.
+#[test]
+#[ignore = "3 000 explorer trials: run in release by scripts/ci.sh"]
+fn dst_explorer_digests_are_pinned() {
+    assert_explorer_digests(
+        1_000,
+        [0x8054_9ef4_94c8_fbe0, 0x6569_0f1e_c340_5a14, 0xa618_91b1_ab81_2021],
+    );
 }

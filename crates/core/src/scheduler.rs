@@ -6,7 +6,7 @@
 //! metrics) are used to prune candidate configurations. Of the
 //! configurations that remain, a simple multidimensional optimization
 //! approach is used to pick the one that best satisfies the user-specified
-//! objective criterion. When resource conditions do not fit the records in
+//! objective (...). When resource conditions do not fit the records in
 //! the performance database, interpolation (or even extrapolation) of the
 //! representative data is used ... If no candidate configurations exist,
 //! the next preferred user constraint is examined."

@@ -290,8 +290,7 @@ impl Obs {
         export::render(&self.events())
     }
 
-    /// Export all metrics and bus totals as deterministic JSON
-    /// (`BENCH_obs.json`-compatible).
+    /// Export all metrics and bus totals as deterministic JSON.
     pub fn export_json(&self) -> String {
         export::export_json(&self.metrics(), &self.bus())
     }

@@ -3,8 +3,9 @@
 //! arbiter storm, and the simulation-test explorer.
 //!
 //! Both are self-contained on purpose (no `rand`, no `std::hash`): every
-//! committed baseline (`BENCH_{load,arbiter,dst}.json`, the DST repros)
-//! is a function of these exact bit streams, and an external crate's
+//! pinned digest (the load, arbiter and explorer rows of
+//! `crates/bench/tests/digest_contract.rs`, the DST repros) is a function
+//! of these exact bit streams, and an external crate's
 //! stream or hasher is free to change between versions.
 
 /// splitmix64 stream.

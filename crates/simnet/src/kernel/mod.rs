@@ -173,7 +173,7 @@ impl ExplorePlan {
 /// [`DrainMode::Batched`] is the default and the fast path for deep
 /// queues (thousands of concurrent sessions); [`DrainMode::Heap`] is the
 /// original one-entry-at-a-time binary heap, kept as the measurable
-/// baseline for the batched path (see `bench/src/bin/load_bench.rs`).
+/// baseline for the batched path (see `crates/bench/tests/overhead_floors.rs`).
 /// [`DrainMode::Explore`] is the batched queue under a seeded
 /// [`ExplorePlan`], for simulation-test exploration (see `adapt-dst`);
 /// [`DrainMode::Batched`] is that same queue under the identity plan.

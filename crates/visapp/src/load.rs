@@ -1,8 +1,8 @@
 //! Scale-out load generation: N concurrent adaptive client sessions
 //! against a pool of servers, on one deterministic simulation.
 //!
-//! This is the harness behind `load_bench` and the CI load-regression
-//! test. It exists to answer the scaling questions the single-client
+//! This is the harness behind the `load_steady` benchmark workload and the
+//! pinned load rows of `crates/bench/tests/digest_contract.rs`. It exists to answer the scaling questions the single-client
 //! scenarios cannot: how the event kernel behaves when hundreds of
 //! monitors tick on the same 10 ms grid (the batched drain path in
 //! [`simnet::kernel`]), and how memory grows when every session carries
@@ -22,8 +22,8 @@
 //!
 //! Determinism: everything — arrival times, think times, per-session QoS
 //! profiles — derives from [`LoadGenOpts::seed`] through
-//! [`SplitMix64`] (not the `rand` crate: the committed `BENCH_load.json`
-//! baseline must stay comparable across builds), and the simulation
+//! [`SplitMix64`] (not the `rand` crate: the pinned load digests must
+//! stay comparable across builds), and the simulation
 //! itself consults no wall clock. Two runs with the same options produce
 //! byte-identical [`LoadReport::digest`]s.
 //!
@@ -323,8 +323,7 @@ impl LoadReport {
     /// measurements are deliberately excluded. So is `peak_queue_depth`:
     /// it describes the queue rather than what the sessions did, the
     /// committed digests were defined without it, and every place that
-    /// pins a digest (`BENCH_load.json`, `digest_contract.rs`) pins the
-    /// peak next to it.
+    /// pins a digest (`digest_contract.rs`) pins the peak next to it.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::new();
         for s in &self.sessions {
@@ -422,9 +421,8 @@ impl Actor for LoadWatcher {
 ///
 /// The database is taken by `Arc` and **shared** into every session's
 /// scheduler ([`adapt_core::ResourceScheduler::new_shared`]) — memory for the
-/// performance data is O(1) in the session count, which
-/// `bench/load_bench` demonstrates against the O(N) per-session-clone
-/// alternative.
+/// performance data is O(1) in the session count, where a per-session
+/// clone would be O(N) (`sessions_share_one_perfdb_allocation`).
 pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     run_load_watched(opts, db, |watcher| Box::new(watcher))
 }

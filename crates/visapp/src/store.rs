@@ -10,10 +10,9 @@
 //! timing does (which the simulation charges separately).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use compress::Method;
-use parking_lot::Mutex;
 use wavelet::image::photo;
 use wavelet::{encode_chunks, Pyramid, Rect};
 
@@ -107,7 +106,7 @@ impl ImageStore {
         // The map lock covers only the lookup; the slot serializes the
         // work per key, so concurrent misses on one key compress it once.
         let slot = {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.lock().unwrap();
             let slot = cache.entry(key).or_default();
             if let Some(hit) = slot.get() {
                 return hit.clone();
@@ -130,7 +129,7 @@ impl ImageStore {
     /// Number of distinct payloads cached or being prepared (for
     /// tests/stats).
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache.lock().unwrap().len()
     }
 }
 

@@ -16,10 +16,11 @@ use visapp::{
     run_static, BreakerOpts, RetryPolicy, RunStats, Scenario, VizConfig, CLIENT_HOST, SERVER_HOST,
 };
 
-/// The acceptance scenario: lossy link + down window + server restart.
-fn chaos_scenario(seed: u64) -> Scenario {
+/// The acceptance scenario over `n_images` images: lossy link + down
+/// window + server restart.
+fn chaos_scenario(seed: u64, n_images: usize) -> Scenario {
     Scenario {
-        n_images: 8,
+        n_images,
         img_size: 64,
         levels: 3,
         seed: 7,
@@ -83,7 +84,7 @@ fn fingerprint(s: &RunStats) -> Vec<String> {
 
 #[test]
 fn chaos_acceptance_scenario_completes_with_breaker_cycle() {
-    let sc = chaos_scenario(0xc4a05);
+    let sc = chaos_scenario(0xc4a05, 8);
     let stats = run_chaos(&sc);
 
     // 1. The workload completes end-to-end despite loss, the down window,
@@ -124,12 +125,40 @@ fn chaos_acceptance_scenario_completes_with_breaker_cycle() {
 fn chaos_acceptance_scenario_is_deterministic() {
     // Two runs from identical seeds are observably identical, event for
     // event — the bedrock of fault reproduction.
-    let a = fingerprint(&run_chaos(&chaos_scenario(0xc4a05)));
-    let b = fingerprint(&run_chaos(&chaos_scenario(0xc4a05)));
+    let a = fingerprint(&run_chaos(&chaos_scenario(0xc4a05, 8)));
+    let b = fingerprint(&run_chaos(&chaos_scenario(0xc4a05, 8)));
     assert_eq!(a, b, "identical seeds must replay identically");
     // And a different fault seed perturbs the run (the plan is live).
-    let c = fingerprint(&run_chaos(&chaos_scenario(0xc4a06)));
+    let c = fingerprint(&run_chaos(&chaos_scenario(0xc4a06, 8)));
     assert_ne!(a, c, "different fault seed left no trace on the run");
+}
+
+#[test]
+fn chaos_twelve_image_run_is_pinned() {
+    // The run `examples/chaos.rs` walks through: the acceptance faults
+    // over 12 images, long enough to span every fault window.
+    let stats = run_chaos(&chaos_scenario(0xc4a05, 12));
+    let got = (
+        stats.finished_at.map(|t| t.as_us()),
+        stats.images.len(),
+        stats.rounds.len(),
+        stats.config_history.len() - 1,
+        (stats.retries, stats.timeouts),
+        (stats.breaker_opens, stats.breaker_closes),
+        stats.dup_replies_dropped,
+    );
+    // Finish time, images, rounds, switches, (retries, timeouts),
+    // (breaker opens, closes), duplicate replies dropped.
+    assert_eq!(got, (Some(6_471_202), 12, 24, 14, (48, 48), (11, 7), 2));
+    // Each of the 7 trips degrades to the lowest-cost configuration and
+    // each re-close restores the saved one, from the first trip (the loss
+    // alone, before the link-down window) to the last restore.
+    for (i, (_, config)) in stats.config_history.iter().enumerate() {
+        let want = if i % 2 == 0 { "c=1,dR=16,l=3" } else { "c=1,dR=32,l=1" };
+        assert_eq!(config.key(), want, "history entry {i}");
+    }
+    let at = |i: usize| stats.config_history[i].0.as_us();
+    assert_eq!((at(1), at(14)), (255_746, 6_196_334));
 }
 
 #[test]
@@ -140,7 +169,7 @@ fn chaos_crash_without_restart_strands_no_resources() {
     // the only remaining activity... which themselves stop once the sim
     // runs out of scheduled events. We bound the run with an event limit
     // via the breaker: no restart => the run ends un-finished.
-    let mut sc = chaos_scenario(0x9d);
+    let mut sc = chaos_scenario(0x9d, 8);
     sc.fault_plan = Some(FaultPlan::new(0x9d).with_crash(SERVER_HOST, SimTime::from_ms(50), None));
     let store = sc.build_store();
     let cfg = VizConfig { dr: 16, level: 3, method: Method::Lzw };

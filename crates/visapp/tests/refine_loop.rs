@@ -38,19 +38,16 @@ fn drift_storm_detects_reprofiles_and_recovers() {
 
     // The skewed epoch is detected, and detection happens IN the first
     // skewed epoch (latency 0 epochs) with the planted 8x skew.
-    let (epoch, at_us) = report.detection.expect("planted skew must be detected");
-    assert_eq!(epoch, opts.from_epoch, "detected in the first skewed epoch");
-    assert!(at_us > 0);
-    assert!(
-        report.residual_at_detection.unwrap() > opts.threshold,
-        "detection evidence: residual {:?} above threshold",
-        report.residual_at_detection
-    );
+    let x1000 = |r: Option<f64>| (r.expect("a residual") * 1000.0).round() as u64;
+    let detected = Some((opts.from_epoch, 325_128));
+    assert_eq!(report.detection, detected, "detected in the first skewed epoch");
+    assert!(report.residual_at_detection.unwrap() > opts.threshold);
+    assert_eq!(x1000(report.residual_at_detection), 712, "residual at detection, /1000");
 
-    // Detection triggered a targeted re-profile and exactly one hot-swap
-    // batch per alarming epoch.
-    assert!(report.rebuilds >= 1, "sustained drift must rebuild the database");
-    assert!(report.points_reprofiled > 0);
+    // Detection triggered a targeted re-profile: one hot-swap batch per
+    // alarming epoch, one stale slice and one grid point per batch.
+    let slices: usize = report.epochs.iter().map(|e| e.swaps.len()).sum();
+    assert_eq!((report.rebuilds, slices, report.points_reprofiled), (4, 4, 4));
 
     // The re-profiled model matches the skewed world: the final epoch's
     // worst residual is back inside the threshold.
@@ -61,6 +58,18 @@ fn drift_storm_detects_reprofiles_and_recovers() {
         "post-swap residual {:?} must sit inside the threshold",
         last.worst_residual
     );
+    assert_eq!(x1000(report.residual_final), 12, "final residual, /1000");
+
+    // What closing the loop bought: the worst mean transmit time of an
+    // epoch still priced against a stale slice, against the final epoch.
+    let stale = report
+        .epochs
+        .iter()
+        .filter(|e| !e.alarms.is_empty())
+        .map(|e| e.avg_transmit_secs)
+        .fold(0.0_f64, f64::max);
+    let us = |secs: f64| (secs * 1e6).round() as u64;
+    assert_eq!((us(stale), us(last.avg_transmit_secs)), (234_319, 107_841));
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //!
 //! Runs the acceptance fault scenario — 30% bidirectional packet loss, a
 //! 500 ms link-down window, and a server crash/restart — twice with the
-//! same seeds to demonstrate deterministic replay, and writes the
+//! same seeds to demonstrate deterministic replay, and prints the
 //! resilience counters (switches, retries, timeouts, breaker cycles,
-//! duplicate replies dropped) to `BENCH_faults.json`.
+//! duplicate replies dropped). `chaos_twelve_image_run_is_pinned` in
+//! `crates/visapp/tests/chaos.rs` pins every one of them.
 //!
 //! Everything printed here is read off the run's [`Obs`] handle — the
 //! unified observability layer — rather than the raw `RunStats` record:
@@ -12,7 +13,7 @@
 //! `config` events for the configuration history.
 //!
 //! ```text
-//! cargo run --release --example chaos [output.json]
+//! cargo run --release --example chaos
 //! ```
 
 use adaptive_framework::prelude::*;
@@ -96,7 +97,6 @@ fn finished_secs(obs: &Obs) -> Option<f64> {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_faults.json".to_string());
     let seed = 0xc4a05u64;
     let sc = chaos_scenario(seed);
 
@@ -112,30 +112,12 @@ fn main() {
         && finished_secs(&a) == finished_secs(&b)
         && config_history(&a) == config_history(&b);
     println!("deterministic replay: {deterministic}");
-    assert!(finished_secs(&a).is_some(), "chaos run must complete end-to-end");
+    let finished = finished_secs(&a).expect("chaos run must complete end-to-end");
 
     println!("\nconfiguration history (degrade + restore visible):");
     for (t_us, c) in &config_history(&a) {
         println!("  {:>10}us  {c}", t_us);
     }
 
-    let finished = finished_secs(&a).unwrap_or(f64::NAN);
-    let json = format!(
-        "{{\n  \"scenario\": {{\n    \"loss\": 0.30,\n    \"link_down_ms\": [400, 900],\n    \
-         \"server_crash_ms\": 1200,\n    \"server_restart_ms\": 1500,\n    \"seed\": {seed}\n  }},\n  \
-         \"deterministic_replay\": {deterministic},\n  \"finished_secs\": {finished:.6},\n  \
-         \"images\": {},\n  \"rounds\": {},\n  \"switches\": {},\n  \"retries\": {},\n  \
-         \"timeouts\": {},\n  \"breaker_opens\": {},\n  \"breaker_closes\": {},\n  \
-         \"dup_replies_dropped\": {}\n}}\n",
-        counter(&a, "visapp.images"),
-        counter(&a, "visapp.rounds"),
-        counter(&a, "visapp.switches"),
-        counter(&a, "visapp.retries"),
-        counter(&a, "visapp.timeouts"),
-        counter(&a, "visapp.breaker_opens"),
-        counter(&a, "visapp.breaker_closes"),
-        counter(&a, "visapp.dup_replies_dropped"),
-    );
-    std::fs::write(&out_path, json).expect("write benchmark output");
-    println!("\nwrote {out_path}");
+    println!("\nfinished at {finished:.6}s");
 }
