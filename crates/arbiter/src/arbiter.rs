@@ -714,7 +714,7 @@ impl Arbiter {
                 self.hol_head = Some(id);
                 self.hol_skips = 0;
             }
-            let backfill_depth = self.backfill_depth.load().min(usize::MAX as u64) as usize;
+            let backfill_depth = self.backfill_depth.get().min(usize::MAX as u64) as usize;
             if self.hol_skips < backfill_depth {
                 let behind: Vec<_> =
                     self.queue.iter().skip(1).take(backfill_depth).copied().collect();
@@ -977,7 +977,7 @@ impl Arbiter {
     fn try_recover_top(&mut self, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
         let Some(&id) = self.shed_stack.last() else { return true };
         let res = self.recs[&id].base_grant;
-        if self.committed() + res.cpu_share * self.recover_margin.load() > self.capacity() + EPS {
+        if self.committed() + res.cpu_share * self.recover_margin.get() > self.capacity() + EPS {
             return false;
         }
         let name = Self::res_name(id);
@@ -1013,7 +1013,7 @@ impl Arbiter {
             (r.base_grant, r.grant, r.host)
         };
         let extra = (base.cpu_share - grant.cpu_share).max(0.0);
-        if self.committed() + extra * self.recover_margin.load() > self.capacity() + EPS {
+        if self.committed() + extra * self.recover_margin.get() > self.capacity() + EPS {
             return;
         }
         let name = Self::res_name(id);
@@ -1215,6 +1215,52 @@ mod tests {
         assert!(price_offers(&pricer, &bronze)
             .iter()
             .all(|o| o.as_ref().is_some_and(|o| o.priced.rank >= 1)));
+    }
+
+    /// A NaN margin or threshold would make every comparison against it
+    /// false: recovery headroom checks always pass, drift never alarms.
+    #[test]
+    fn non_finite_knob_values_are_refused_and_audited() {
+        use obs::{Command, CommandOutcome, CommandRouter, ConfigValue};
+        let obs = Obs::new();
+        let opts = ArbiterOpts::default();
+        let margin = opts.recover_margin;
+        let arbiter = Arbiter::new(
+            Vec::new(),
+            Pricer::new(&Arc::new(starved_db())),
+            1,
+            1e6,
+            1 << 30,
+            Vec::new(),
+            opts,
+            obs.clone(),
+            LedgerHandle::default(),
+        );
+        let refine = adapt_core::RefineEngine::from_db(starved_db(), "img");
+        let registry = ConfigRegistry::new();
+        arbiter.register_knobs(&registry);
+        refine.register_knobs(&registry);
+        let router = CommandRouter::new(registry).with_obs(&obs);
+        let keys = [
+            ("arbiter.recover_margin", margin),
+            ("refine.drift_threshold", adapt_core::refine::DEFAULT_DRIFT_THRESHOLD),
+        ];
+        for (key, live) in keys {
+            let err = router.dispatch(7, "user", Command::set(key, f64::NAN)).unwrap_err();
+            assert_eq!(err.reason(), "bad_value", "{key}");
+            let got = router.dispatch(8, "user", Command::Get { key: key.into() }).unwrap();
+            let want = CommandOutcome::Value { key: key.into(), value: ConfigValue::F64(live) };
+            assert_eq!(got, want, "{key} unchanged");
+        }
+        let audit = obs.events_filtered(&EventFilter::control_audit());
+        let rejects: Vec<_> = audit
+            .iter()
+            .map(|e| (e.kind, e.str_field("key"), e.str_field("attempted"), e.str_field("reason")))
+            .collect();
+        assert_eq!(
+            rejects,
+            keys.map(|(key, _)| ("config_reject", Some(key), Some("NaN"), Some("bad_value")))
+        );
     }
 
     /// The parent priced inside `try_place`, so every police tick re-priced

@@ -34,6 +34,8 @@
 //! visapp sessions and synthetic bulk workers, with arrival surges and
 //! capacity dips, on one deterministic simulation.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod app;
 pub mod arbiter;

@@ -27,6 +27,8 @@
 //! | 7(b) Experiment 2: adapt resolution | `figs::adaptation::fig7b` |
 //! | 7(c,d) Experiment 3: adapt fovea size | `figs::adaptation::fig7cd` |
 
+#![forbid(unsafe_code)]
+
 pub mod arbiter;
 pub mod figs;
 pub mod load;

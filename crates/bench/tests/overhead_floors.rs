@@ -3,12 +3,15 @@
 //! sides alternately, keeps the fastest of `RUNS` runs of each (noise
 //! only ever slows a run down) and asserts the ratio of the two bests.
 //! Each floor is 80 % of the ratio measured when the claim was made,
-//! except the disabled-exporter one, which is the claim itself:
+//! except the disabled-exporter one, which is the claim itself. The two
+//! `Adaptive` checks read a scalar, which is stored as bits in one
+//! `AtomicU64`; their ratios were 0.7546 and 1.0058 when the claim was
+//! made, with the value behind a boxed pointer:
 //!
 //! | check | measured | floor |
 //! |---|---|---|
-//! | `Adaptive::get` against a plain read | 0.7546 | 0.60 |
-//! | a never-mutated `Adaptive` against a mutated one | 1.0058 | 0.80 |
+//! | `Adaptive::get` against a plain read | 0.65–0.84 (median 0.78) | 0.60 |
+//! | a never-mutated `Adaptive` against a mutated one | 0.95–1.01 | 0.80 |
 //! | spans with exporters disabled against no exporter | 0.9931 | 0.95 |
 //! | spans with retention enabled against no exporter | 0.4287 | 0.34 |
 //! | batched drain against heap drain, 1 000 aligned actors | 6.25 | 5.0 |
@@ -88,7 +91,7 @@ fn adaptive_get_keeps_pace_with_a_plain_read() {
     assert_floor(
         "Adaptive::get against a plain read",
         0.60,
-        || reads(|| *black_box(&handle).get()),
+        || reads(|| black_box(&handle).get()),
         || reads(|| *black_box(&plain)),
     );
 }
@@ -102,8 +105,8 @@ fn an_idle_control_plane_costs_a_read_nothing() {
     assert_floor(
         "never-mutated against mutated Adaptive::get",
         0.80,
-        || reads(|| *black_box(&idle).get()),
-        || reads(|| *black_box(&mutated).get()),
+        || reads(|| black_box(&idle).get()),
+        || reads(|| black_box(&mutated).get()),
     );
     assert_eq!(idle.version(), 0, "the idle handle was never mutated");
 }

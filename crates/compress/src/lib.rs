@@ -15,6 +15,8 @@
 //!   which is what produces the Figure 6(a) crossover: B compresses better
 //!   but costs ~10x the CPU of A.
 
+#![forbid(unsafe_code)]
+
 pub mod bitio;
 pub mod bwt;
 pub mod bzip;

@@ -44,6 +44,8 @@
 //!   fallible constructor in the workspace reports through;
 //! - [`prelude`]: one-line import of the common vocabulary types.
 
+#![forbid(unsafe_code)]
+
 pub mod dsl;
 pub mod env;
 pub mod error;
@@ -65,9 +67,7 @@ pub use monitor::{MonitoringAgent, Trigger, ValidityRegion, Violation, MONITOR_P
 pub use param::{Configuration, ControlParam, ControlSpace, ParamDomain};
 pub use perfdb::{PerfDb, PerfDbLoadError, PerfRecord, PredictMode};
 pub use profiler::{ProfileRunner, Profiler, ResourceGrid, SensitivityOpts};
-pub use qos::{
-    Constraint, Objective, Preference, PreferenceList, PrefsKnob, QosMetricDef, QosReport, Sense,
-};
+pub use qos::{Constraint, Objective, Preference, PreferenceList, QosMetricDef, QosReport, Sense};
 pub use refine::{DriftAlarm, RefineEngine, SwapReport};
 pub use runtime::{AdaptationEvent, AdaptiveRuntime};
 pub use scheduler::{Decision, ResourceScheduler, Selection};
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::param::Configuration;
     pub use crate::perfdb::{PerfDb, PerfRecord, PredictMode};
     pub use crate::profiler::{Profiler, ResourceGrid};
-    pub use crate::qos::{Constraint, Objective, Preference, PreferenceList, PrefsKnob, QosReport};
+    pub use crate::qos::{Constraint, Objective, Preference, PreferenceList, QosReport};
     pub use crate::refine::{DriftAlarm, RefineEngine, SwapReport};
     pub use crate::runtime::{AdaptationEvent, AdaptiveRuntime};
     pub use crate::scheduler::{Decision, ResourceScheduler};

@@ -8,6 +8,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+use obs::{ConfigValue, FnKnob, KnobError};
 
 /// Whether smaller or larger metric values are better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,43 +329,22 @@ impl PreferenceList {
     }
 }
 
-/// Live-tunable preference lists: wraps an [`obs::Adaptive`] handle as a
-/// `scheduler.prefs` registry knob that reads and writes the textual
-/// directive grammar, so a typed `Command::Set` can flip user preferences
-/// mid-run. (A newtype because the orphan rule forbids implementing the
-/// foreign `Knob` trait directly on the foreign `Adaptive` type.)
-#[derive(Debug, Clone)]
-pub struct PrefsKnob(obs::Adaptive<PreferenceList>);
-
-impl PrefsKnob {
-    pub fn new(handle: obs::Adaptive<PreferenceList>) -> Self {
-        PrefsKnob(handle)
-    }
-}
-
-impl obs::Knob for PrefsKnob {
-    fn read(&self) -> obs::ConfigValue {
-        obs::ConfigValue::Str(self.0.get().to_directive())
-    }
-
-    fn write(&self, value: obs::ConfigValue) -> Result<obs::ConfigValue, obs::KnobError> {
-        let Some(directive) = value.as_str() else {
-            return Err(obs::KnobError::TypeMismatch { expected: "prefs", got: value.type_name() });
-        };
-        let parsed =
-            PreferenceList::parse_directive(directive).map_err(obs::KnobError::BadValue)?;
-        let old = self.0.get().to_directive();
-        self.0.set(parsed);
-        Ok(obs::ConfigValue::Str(old))
-    }
-
-    fn type_name(&self) -> &'static str {
-        "prefs"
-    }
-
-    fn version(&self) -> u64 {
-        self.0.version()
-    }
+/// The `scheduler.prefs` registry knob over a live preference handle: it
+/// reads and writes the textual directive grammar, so a typed
+/// `Command::Set` can flip user preferences mid-run.
+pub(crate) fn prefs_knob(handle: obs::Adaptive<Arc<PreferenceList>>) -> FnKnob<PreferenceList> {
+    FnKnob::new(
+        handle,
+        "prefs",
+        |p: &PreferenceList| ConfigValue::Str(p.to_directive()),
+        |p, v| {
+            let directive = v
+                .as_str()
+                .ok_or(KnobError::TypeMismatch { expected: "prefs", got: v.type_name() })?;
+            *p = PreferenceList::parse_directive(directive).map_err(KnobError::BadValue)?;
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -492,21 +474,28 @@ mod tests {
     #[test]
     fn prefs_knob_reads_and_writes_directives() {
         use obs::Knob;
-        let handle = obs::Adaptive::new(PreferenceList::single(Preference::new(
+        let handle = obs::Adaptive::new(Arc::new(PreferenceList::single(Preference::new(
             vec![],
             Objective::minimize("transmit_time"),
-        )));
-        let knob = PrefsKnob::new(handle.clone());
-        assert_eq!(knob.read(), obs::ConfigValue::Str("minimize:transmit_time".into()));
-        let old =
-            knob.write(obs::ConfigValue::Str("resolution>=3,maximize:resolution".into())).unwrap();
-        assert_eq!(old, obs::ConfigValue::Str("minimize:transmit_time".into()));
+        ))));
+        let knob = prefs_knob(handle.clone());
+        assert_eq!(knob.type_name(), "prefs");
+        assert_eq!(knob.read(), ConfigValue::Str("minimize:transmit_time".into()));
+        let old = knob.write(ConfigValue::Str("resolution>=3,maximize:resolution".into())).unwrap();
+        assert_eq!(old, ConfigValue::Str("minimize:transmit_time".into()));
         assert_eq!(handle.get().prefs[0].objective, Objective::maximize("resolution"));
         assert_eq!(Knob::version(&knob), 1);
 
-        // Wrong type and unparseable directives are rejected without mutating.
-        assert!(knob.write(obs::ConfigValue::U64(3)).is_err());
-        assert!(knob.write(obs::ConfigValue::Str("nonsense".into())).is_err());
+        // Wrong type and unparseable directives are rejected without
+        // mutating, with the reasons the audit trail records.
+        assert_eq!(
+            knob.write(ConfigValue::U64(3)),
+            Err(KnobError::TypeMismatch { expected: "prefs", got: "u64" })
+        );
+        assert_eq!(
+            knob.write(ConfigValue::Str("nonsense".into())),
+            Err(KnobError::BadValue(PreferenceList::parse_directive("nonsense").unwrap_err()))
+        );
         assert_eq!(Knob::version(&knob), 1);
     }
 }

@@ -194,7 +194,7 @@ impl RefineEngine {
 
     /// Snapshot of the engine's current database.
     pub fn db(&self) -> Arc<PerfDb> {
-        Arc::clone(self.db.get())
+        self.db.get()
     }
 
     /// The shared database handle (clones see hot-swaps).
@@ -322,8 +322,8 @@ impl RefineEngine {
         measured: f64,
         pred: f64,
     ) -> Option<DriftAlarm> {
-        let threshold = self.threshold.load();
-        let min_streak = self.min_streak.load().max(1);
+        let threshold = self.threshold.get();
+        let min_streak = self.min_streak.get().max(1);
         let r = (measured - pred).abs() / pred.abs().max(1e-9);
         let cell = self.cells.entry((config.clone(), metric)).or_default();
         cell.ewma =
@@ -581,11 +581,18 @@ mod tests {
             let share = r.get(&cpu()).unwrap();
             QosReport::new(&[("transmit_time", 2.0 / share), ("response_time", 2.0 / share)])
         };
+        let old_db = Arc::downgrade(&sched.db());
+        let in_flight = sched.db();
         let reports = eng.reprofile(123, &runner);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0], SwapReport { config: "c=1".into(), points: 2, removed: 2 });
         assert_eq!(eng.rebuilds(), 1);
         assert!(eng.stale().is_empty());
+
+        // The replaced model lives exactly as long as its last snapshot.
+        assert!(old_db.upgrade().is_some(), "an in-flight decision keeps its snapshot");
+        drop(in_flight);
+        assert!(old_db.upgrade().is_none(), "the swap freed the old model");
 
         // The scheduler sees the refreshed slice through the shared
         // handle, and its next decision is version-stamped.

@@ -290,7 +290,7 @@ impl AdaptiveRuntime {
         registry.register_knob("steering.min_dwell_us", self.steering.min_dwell_handle());
         registry.register_knob(
             "scheduler.prefs",
-            crate::qos::PrefsKnob::new(self.scheduler.prefs_handle()),
+            crate::qos::prefs_knob(self.scheduler.prefs_handle()),
         );
     }
 

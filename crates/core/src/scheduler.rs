@@ -90,7 +90,7 @@ pub struct Selection {
 #[derive(Debug)]
 pub struct ResourceScheduler {
     /// The performance database behind a live-tunable handle. Every
-    /// decision snapshots it once (a single atomic load), so a refine
+    /// decision snapshots it once (one `Arc` clone), so a refine
     /// hot-swap ([`db_handle`](Self::db_handle) + `Adaptive::set`) takes
     /// effect atomically at the next decision: a racing swap yields a
     /// decision priced wholly against the old or wholly against the new
@@ -105,7 +105,7 @@ pub struct ResourceScheduler {
     /// config knob and a `Command::Set` re-ranks preferences mid-run.
     /// Decisions snapshot the list once per `choose`, so a racing flip
     /// yields either wholly-old or wholly-new rankings, never a mix.
-    prefs: Adaptive<PreferenceList>,
+    prefs: Adaptive<Arc<PreferenceList>>,
     pub mode: PredictMode,
     /// Workload key to consult in the database.
     pub input: String,
@@ -183,7 +183,7 @@ impl ResourceScheduler {
         ResourceScheduler {
             db: Adaptive::new(db),
             db_base_version: 0,
-            prefs: Adaptive::new(prefs),
+            prefs: Adaptive::new(Arc::new(prefs)),
             mode: PredictMode::Interpolate,
             input: input.into(),
             obs: None,
@@ -193,7 +193,7 @@ impl ResourceScheduler {
     /// Snapshot of the current performance database. The `Arc` stays
     /// valid across a concurrent refine hot-swap (it just goes stale).
     pub fn db(&self) -> Arc<PerfDb> {
-        Arc::clone(self.db.get())
+        self.db.get()
     }
 
     /// The live-tunable database handle. The refine engine
@@ -209,22 +209,22 @@ impl ResourceScheduler {
         self.db.version().saturating_sub(self.db_base_version)
     }
 
-    /// Snapshot of the current preference list. The reference stays valid
-    /// (pointing at the snapshot it was read from) even across a
-    /// concurrent [`set_prefs`](Self::set_prefs).
-    pub fn prefs(&self) -> &PreferenceList {
+    /// Snapshot of the current preference list. The `Arc` stays valid
+    /// across a concurrent [`set_prefs`](Self::set_prefs) (it just goes
+    /// stale).
+    pub fn prefs(&self) -> Arc<PreferenceList> {
         self.prefs.get()
     }
 
     /// Replace the preference list mid-run; takes effect atomically at the
     /// next decision. Returns the new preference version.
     pub fn set_prefs(&self, prefs: PreferenceList) -> u64 {
-        self.prefs.set(prefs)
+        self.prefs.set(Arc::new(prefs))
     }
 
     /// The live-tunable preference handle, for registering as the
     /// `scheduler.prefs` config knob.
-    pub fn prefs_handle(&self) -> Adaptive<PreferenceList> {
+    pub fn prefs_handle(&self) -> Adaptive<Arc<PreferenceList>> {
         self.prefs.clone()
     }
 
@@ -283,12 +283,12 @@ impl ResourceScheduler {
     /// this call only wires the decision span.
     pub fn set_obs(&mut self, obs: &obs::Obs) {
         let cur = self.db.get();
-        if Arc::strong_count(cur) == 1 {
-            // Sole owner: republish a re-hooked copy through the live
-            // handle. The republication is bookkeeping, not a refine
-            // swap, so the version baseline moves with it and
-            // `db_version()` stays 0.
-            let mut db = (**cur).clone();
+        // Sole owner: the cell and the snapshot `cur` are the only two
+        // references. Republish a re-hooked copy through the live handle.
+        // The republication is bookkeeping, not a refine swap, so the
+        // version baseline moves with it and `db_version()` stays 0.
+        if Arc::strong_count(&cur) == 2 {
+            let mut db = (*cur).clone();
             db.set_obs(obs);
             self.db_base_version = self.db.set(Arc::new(db));
         }
@@ -315,7 +315,7 @@ impl ResourceScheduler {
     /// `"scheduler.choose"` keeps measuring whole decisions.
     pub fn select(&self, resources: &ResourceVector) -> Option<Selection> {
         let Selected { mut ctx, chosen, rank, predicted } =
-            self.select_ctx(&self.db(), self.prefs.get(), resources, &[])?;
+            self.select_ctx(&self.db(), &self.prefs(), resources, &[])?;
         Some(Selection {
             config: ctx.configs.swap_remove(chosen),
             predicted,
@@ -342,7 +342,7 @@ impl ResourceScheduler {
         let db_version = self.db_version();
         let db = self.db();
         let Selected { mut ctx, chosen, rank, predicted } =
-            self.select_ctx(&db, prefs, resources, excluded)?;
+            self.select_ctx(&db, &prefs, resources, excluded)?;
         let validity =
             self.validity_region_ctx(&db, &mut ctx, chosen, &prefs.prefs[rank], resources);
         Some(Decision {
@@ -608,6 +608,28 @@ mod tests {
 
     fn min_time_prefs() -> PreferenceList {
         PreferenceList::single(Preference::new(vec![], Objective::minimize("transmit_time")))
+    }
+
+    #[test]
+    fn set_obs_hooks_only_a_database_it_owns_alone() {
+        let r = ResourceVector::new(&[(cpu(), 1.0), (net(), 1_000_000.0)]);
+        let predicts = |obs: &obs::Obs| {
+            obs.lookup("perfdb.predict").map_or(0, |id| obs.histogram_stats(id).count)
+        };
+
+        let sole = obs::Obs::new();
+        let s = ResourceScheduler::new(crossover_db(), min_time_prefs(), "img").with_obs(&sole);
+        s.choose(&r).unwrap();
+        assert!(predicts(&sole) > 0, "a database owned alone is re-hooked");
+        assert_eq!(s.db_version(), 0, "re-hooking is not a refine swap");
+
+        let shared = obs::Obs::new();
+        let db = Arc::new(crossover_db());
+        let s = ResourceScheduler::new_shared(Arc::clone(&db), min_time_prefs(), "img")
+            .with_obs(&shared);
+        s.choose(&r).unwrap();
+        assert_eq!(predicts(&shared), 0, "a database owned elsewhere too is left alone");
+        assert!(Arc::ptr_eq(&s.db(), &db));
     }
 
     #[test]

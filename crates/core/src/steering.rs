@@ -83,7 +83,7 @@ impl SteeringAgent {
 
     /// Current minimum dwell time in microseconds (0 = disabled).
     pub fn min_dwell_us(&self) -> u64 {
-        self.min_dwell.load()
+        self.min_dwell.get()
     }
 
     /// Set the minimum dwell time (takes effect at the next boundary).
@@ -121,7 +121,7 @@ impl SteeringAgent {
         // configuration) pins the current config for `min_dwell_us`. The
         // request stays pending — later, possibly superseded, it applies
         // at the first boundary past the dwell.
-        let dwell = self.min_dwell.load();
+        let dwell = self.min_dwell.get();
         if dwell > 0 && self.history.len() > 1 {
             if let Some(req) = &self.pending {
                 if req.config != self.current {

@@ -47,6 +47,8 @@
 //! oracle turns a sustained-drift alarm into a violation, and the
 //! explorer captures, shrinks, and digest-pins the incident as a repro.
 
+#![forbid(unsafe_code)]
+
 pub mod explorer;
 pub mod oracle;
 pub mod repro;

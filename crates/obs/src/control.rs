@@ -1,18 +1,20 @@
-//! Live control plane: lock-free runtime-tunable configuration.
+//! Live control plane: runtime-tunable configuration.
 //!
 //! The paper's dynamic-preference negotiation (§4) needs user preferences
 //! and policy knobs to change *mid-run*; everything in this module exists
 //! to make that cheap, typed, and auditable:
 //!
-//! * [`Adaptive<T>`] — an arc-swap-style shared handle. `get()` is a
-//!   single atomic load (wait-free, no lock, no reference counting on the
-//!   read path), so hot loops can re-read a knob every iteration.
-//!   Mutation goes through `set()`, which is serialized and retains every
-//!   superseded value until the last handle drops, keeping outstanding
-//!   `&T` borrows valid.
-//! * [`Knob`] / [`ConfigValue`] — the dynamic typing layer. Each handle
-//!   (or a closure-projected field of one, see [`FnKnob`]) registers
-//!   under a stable dotted name in a [`ConfigRegistry`].
+//! * [`Adaptive<T>`] — a shared, runtime-tunable value. A [`Scalar`]
+//!   (`u64`, `f64`, `bool`) is stored as bits in one `AtomicU64`, so
+//!   `get()` is a single atomic load and hot loops can re-read a knob
+//!   every iteration. A structured payload is an `Arc<U>` behind a
+//!   `Mutex`, and `get()` returns an `Arc` snapshot that stays valid
+//!   (and goes stale) across later `set()`s. `set()` frees the value it
+//!   replaces as soon as no snapshot holds it, so a knob can be turned
+//!   forever in constant memory.
+//! * [`Knob`] / [`ConfigValue`] — the dynamic typing layer. Each scalar
+//!   handle (or a closure-projected field of a payload, see [`FnKnob`])
+//!   registers under a stable dotted name in a [`ConfigRegistry`].
 //! * [`CommandRouter`] — dispatches a typed [`Command`]
 //!   (`Set`/`Get`/`ListConfig`/`ResetBreaker`/`PinConfig`/`Unpin`) to the
 //!   registered knobs and publishes an audit [`Event`] on the obs bus for
@@ -25,16 +27,16 @@
 //!
 //! # Memory ordering
 //!
-//! `Adaptive::set` publishes the new boxed value with a `Release` swap
-//! and bumps the version counter with `Release`; `Adaptive::get` reads
-//! the pointer with `Acquire`. A reader that observes the new pointer
-//! therefore observes the fully-initialized value behind it — values are
-//! immutable once published, so old-or-new is the only possible outcome
-//! of a racing `get`, never a torn mix.
+//! `Adaptive::set` stores the new value, then bumps the version counter
+//! with `Release`; `Adaptive::version` reads it with `Acquire`. A reader
+//! that observes version `n` therefore observes the value of the `n`-th
+//! `set` or a later one. A scalar is one atomic word and a payload `Arc`
+//! is replaced under the lock, so a racing `get` returns the old value or
+//! the new one, never a torn mix.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::{Event, Obs, Source};
@@ -43,123 +45,153 @@ use crate::{Event, Obs, Source};
 // Adaptive<T>
 // ---------------------------------------------------------------------------
 
-struct AdaptiveInner<T> {
-    /// The live value. Always points at a leaked `Box<T>` owned by this
-    /// inner (either still current or parked in `retired`).
-    current: AtomicPtr<T>,
-    /// Mutation count; 0 means "never mutated since construction".
-    version: AtomicU64,
-    /// Every superseded value, kept alive until the handle drops so that
-    /// `get()` can hand out `&T` without any read-side bookkeeping.
-    /// Control-plane mutation rates are human-scale; the retained list is
-    /// bounded by the number of `set` calls, not by reads.
-    retired: Mutex<Vec<*mut T>>,
+mod sealed {
+    pub trait Sealed {}
 }
 
-// SAFETY: the raw pointers inside are only ever created from `Box<T>` and
-// only freed in `Drop`; sharing the container across threads shares `&T`
-// reads (needs `T: Sync`) and moves boxed `T`s (needs `T: Send`).
-unsafe impl<T: Send> Send for AdaptiveInner<T> {}
-unsafe impl<T: Send + Sync> Sync for AdaptiveInner<T> {}
+/// What an [`Adaptive`] can hold: a [`Scalar`], stored as bits in one
+/// `AtomicU64`, or an `Arc<U>`, stored behind a `Mutex` and read as a
+/// snapshot. Sealed.
+pub trait Tunable: sealed::Sealed + Sized {
+    #[doc(hidden)]
+    type Slot;
+    #[doc(hidden)]
+    fn into_slot(self) -> Self::Slot;
+    #[doc(hidden)]
+    fn load(slot: &Self::Slot) -> Self;
+    #[doc(hidden)]
+    fn swap(slot: &Self::Slot, value: Self) -> Self;
+}
 
-impl<T> Drop for AdaptiveInner<T> {
-    fn drop(&mut self) {
-        // SAFETY: every pointer here came from `Box::into_raw` and is
-        // dropped exactly once — `current` and the `retired` list are
-        // disjoint by construction.
-        unsafe {
-            drop(Box::from_raw(self.current.load(Ordering::Acquire)));
-            for p in self.retired.get_mut().unwrap_or_else(|e| e.into_inner()).drain(..) {
-                drop(Box::from_raw(p));
+/// The scalar knob types: `u64`, `f64` and `bool`. Sealed.
+pub trait Scalar: sealed::Sealed + Copy + Into<ConfigValue> {
+    #[doc(hidden)]
+    fn to_bits(self) -> u64;
+    #[doc(hidden)]
+    fn from_bits(bits: u64) -> Self;
+    #[doc(hidden)]
+    fn from_config(value: &ConfigValue) -> Option<Self>;
+}
+
+macro_rules! scalar {
+    ($($t:ty: $as:ident, $to:path, |$bits:ident| $from:expr;)*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Scalar for $t {
+            fn to_bits(self) -> u64 {
+                $to(self)
+            }
+            fn from_bits($bits: u64) -> Self {
+                $from
+            }
+            fn from_config(value: &ConfigValue) -> Option<Self> {
+                value.$as()
             }
         }
+    )*};
+}
+
+scalar! {
+    u64: as_u64, u64::from, |bits| bits;
+    f64: as_f64, f64::to_bits, |bits| f64::from_bits(bits);
+    bool: as_bool, u64::from, |bits| bits != 0;
+}
+
+impl<S: Scalar> Tunable for S {
+    type Slot = AtomicU64;
+    fn into_slot(self) -> AtomicU64 {
+        AtomicU64::new(self.to_bits())
+    }
+    fn load(slot: &AtomicU64) -> Self {
+        S::from_bits(slot.load(Ordering::Acquire))
+    }
+    fn swap(slot: &AtomicU64, value: Self) -> Self {
+        S::from_bits(slot.swap(value.to_bits(), Ordering::AcqRel))
     }
 }
 
-/// A lock-free, shareable, runtime-tunable value.
+impl<U> sealed::Sealed for Arc<U> {}
+/// The lock is held for one `Arc` clone or one replace, neither of which
+/// can leave the slot half-written, so a poisoned lock is recovered.
+impl<U> Tunable for Arc<U> {
+    type Slot = Mutex<Arc<U>>;
+    fn into_slot(self) -> Self::Slot {
+        Mutex::new(self)
+    }
+    fn load(slot: &Self::Slot) -> Self {
+        slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+    fn swap(slot: &Self::Slot, value: Self) -> Self {
+        std::mem::replace(&mut *slot.lock().unwrap_or_else(|e| e.into_inner()), value)
+    }
+}
+
+struct Inner<T: Tunable> {
+    slot: T::Slot,
+    /// Mutation count; 0 means "never mutated since construction".
+    version: AtomicU64,
+}
+
+/// A shareable, runtime-tunable value: a [`Scalar`] or an `Arc<U>`
+/// payload (see [`Tunable`]).
 ///
 /// Clones share the same cell: a `set` through any clone is visible to
-/// every other clone's next `get`. Reads are a single `Acquire` load.
+/// every other clone's next `get`.
 ///
 /// ```
 /// use obs::Adaptive;
+/// use std::sync::Arc;
 ///
 /// let knob = Adaptive::new(250_000u64);
 /// let reader = knob.clone();
-/// assert_eq!(*reader.get(), 250_000);
+/// assert_eq!(reader.get(), 250_000);
 /// knob.set(400_000);
-/// assert_eq!(*reader.get(), 400_000);
+/// assert_eq!(reader.get(), 400_000);
 /// assert_eq!(reader.version(), 1);
+///
+/// let policy = Adaptive::new(Arc::new(String::from("old")));
+/// let snapshot = policy.get();
+/// policy.set(Arc::new(String::from("new")));
+/// assert_eq!((snapshot.as_str(), policy.get().as_str()), ("old", "new"));
 /// ```
-pub struct Adaptive<T> {
-    inner: Arc<AdaptiveInner<T>>,
+pub struct Adaptive<T: Tunable> {
+    inner: Arc<Inner<T>>,
 }
 
-impl<T> Clone for Adaptive<T> {
+impl<T: Tunable> Clone for Adaptive<T> {
     fn clone(&self) -> Self {
         Adaptive { inner: Arc::clone(&self.inner) }
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Adaptive<T> {
+impl<T: Tunable + fmt::Debug> fmt::Debug for Adaptive<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Adaptive")
-            .field("value", self.get())
+            .field("value", &self.get())
             .field("version", &self.version())
             .finish()
     }
 }
 
-impl<T: Default> Default for Adaptive<T> {
-    fn default() -> Self {
-        Adaptive::new(T::default())
-    }
-}
-
-impl<T: PartialEq> PartialEq for Adaptive<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.get() == other.get()
-    }
-}
-
-impl<T> Adaptive<T> {
+impl<T: Tunable> Adaptive<T> {
     /// Wrap `value` in a fresh handle at version 0.
     pub fn new(value: T) -> Self {
-        Adaptive {
-            inner: Arc::new(AdaptiveInner {
-                current: AtomicPtr::new(Box::into_raw(Box::new(value))),
-                version: AtomicU64::new(0),
-                retired: Mutex::new(Vec::new()),
-            }),
-        }
+        Adaptive { inner: Arc::new(Inner { slot: value.into_slot(), version: AtomicU64::new(0) }) }
     }
 
-    /// Read the live value. One `Acquire` atomic load; wait-free.
-    ///
-    /// The borrow is tied to this handle, and superseded values are
-    /// retained until the last clone drops, so the reference stays valid
-    /// across concurrent `set` calls (it just goes stale).
-    pub fn get(&self) -> &T {
-        // SAFETY: `current` always points at a live leaked Box owned by
-        // `inner`; superseded boxes are retired, not freed, until Drop.
-        unsafe { &*self.inner.current.load(Ordering::Acquire) }
-    }
-
-    /// Copy the live value out (convenience for `Copy` knobs).
-    pub fn load(&self) -> T
-    where
-        T: Copy,
-    {
-        *self.get()
+    /// The live value: one `Acquire` load for a scalar; for a payload, an
+    /// `Arc` snapshot that later `set`s leave untouched.
+    pub fn get(&self) -> T {
+        T::load(&self.inner.slot)
     }
 
     /// Publish `value` as the new live value and bump the version.
-    /// Returns the version the write landed as.
+    /// Returns the version the write landed as. The replaced value is
+    /// freed here unless a snapshot still holds it.
     pub fn set(&self, value: T) -> u64 {
-        let fresh = Box::into_raw(Box::new(value));
-        let old = self.inner.current.swap(fresh, Ordering::AcqRel);
-        self.inner.retired.lock().unwrap_or_else(|e| e.into_inner()).push(old);
-        self.inner.version.fetch_add(1, Ordering::Release) + 1
+        let replaced = T::swap(&self.inner.slot, value);
+        let version = self.inner.version.fetch_add(1, Ordering::Release) + 1;
+        drop(replaced);
+        version
     }
 
     /// How many times this cell has been mutated (0 = pristine).
@@ -354,101 +386,66 @@ pub trait Knob: Send + Sync {
     fn version(&self) -> u64;
 }
 
-impl Knob for Adaptive<u64> {
+/// Every scalar handle is a knob of its own type. A non-finite `f64` is
+/// refused as a bad value: no threshold or margin means anything at NaN.
+impl<S: Scalar> Knob for Adaptive<S> {
     fn read(&self) -> ConfigValue {
-        ConfigValue::U64(self.load())
+        self.get().into()
     }
     fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
-        let v = value
-            .as_u64()
-            .ok_or(KnobError::TypeMismatch { expected: "u64", got: value.type_name() })?;
-        let old = self.load();
+        let old = self.read();
+        let v = S::from_config(&value)
+            .ok_or(KnobError::TypeMismatch { expected: old.type_name(), got: value.type_name() })?;
+        if matches!(value, ConfigValue::F64(x) if !x.is_finite()) {
+            return Err(KnobError::BadValue(format!("{value} is not finite")));
+        }
         self.set(v);
-        Ok(ConfigValue::U64(old))
+        Ok(old)
     }
     fn type_name(&self) -> &'static str {
-        "u64"
+        self.read().type_name()
     }
     fn version(&self) -> u64 {
         Adaptive::version(self)
     }
 }
 
-impl Knob for Adaptive<f64> {
-    fn read(&self) -> ConfigValue {
-        ConfigValue::F64(self.load())
-    }
-    fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
-        let v = value
-            .as_f64()
-            .ok_or(KnobError::TypeMismatch { expected: "f64", got: value.type_name() })?;
-        let old = self.load();
-        self.set(v);
-        Ok(ConfigValue::F64(old))
-    }
-    fn type_name(&self) -> &'static str {
-        "f64"
-    }
-    fn version(&self) -> u64 {
-        Adaptive::version(self)
-    }
-}
-
-impl Knob for Adaptive<bool> {
-    fn read(&self) -> ConfigValue {
-        ConfigValue::Bool(self.load())
-    }
-    fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
-        let v = value
-            .as_bool()
-            .ok_or(KnobError::TypeMismatch { expected: "bool", got: value.type_name() })?;
-        let old = self.load();
-        self.set(v);
-        Ok(ConfigValue::Bool(old))
-    }
-    fn type_name(&self) -> &'static str {
-        "bool"
-    }
-    fn version(&self) -> u64 {
-        Adaptive::version(self)
-    }
-}
-
-/// Closure-projected knob: exposes one dynamically-typed facet of a
-/// structured [`Adaptive`] value (e.g. the `max_timeout_us` field of a
-/// retry policy) under its own registry key.
+/// Closure-projected knob over an `Arc<U>` payload: exposes one
+/// dynamically-typed facet of it (e.g. the `max_timeout_us` field of a
+/// retry policy, or a preference list as its directive string) under its
+/// own registry key.
 ///
-/// A write clones the current structure, applies the projection, and
+/// A write clones the current payload, applies the projection, and
 /// republishes the whole value — readers still see old-or-new atomically.
-pub struct FnKnob<T: Clone> {
-    handle: Adaptive<T>,
+pub struct FnKnob<U> {
+    handle: Adaptive<Arc<U>>,
     type_name: &'static str,
-    read: Box<dyn Fn(&T) -> ConfigValue + Send + Sync>,
+    read: Box<dyn Fn(&U) -> ConfigValue + Send + Sync>,
     #[allow(clippy::type_complexity)]
-    write: Box<dyn Fn(&mut T, ConfigValue) -> Result<(), KnobError> + Send + Sync>,
+    write: Box<dyn Fn(&mut U, ConfigValue) -> Result<(), KnobError> + Send + Sync>,
 }
 
-impl<T: Clone> FnKnob<T> {
+impl<U> FnKnob<U> {
     pub fn new(
-        handle: Adaptive<T>,
+        handle: Adaptive<Arc<U>>,
         type_name: &'static str,
-        read: impl Fn(&T) -> ConfigValue + Send + Sync + 'static,
-        write: impl Fn(&mut T, ConfigValue) -> Result<(), KnobError> + Send + Sync + 'static,
+        read: impl Fn(&U) -> ConfigValue + Send + Sync + 'static,
+        write: impl Fn(&mut U, ConfigValue) -> Result<(), KnobError> + Send + Sync + 'static,
     ) -> Self {
         FnKnob { handle, type_name, read: Box::new(read), write: Box::new(write) }
     }
 }
 
-impl<T: Clone + Send + Sync> Knob for FnKnob<T> {
+impl<U: Clone + Send + Sync> Knob for FnKnob<U> {
     fn read(&self) -> ConfigValue {
-        (self.read)(self.handle.get())
+        (self.read)(&self.handle.get())
     }
     fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
-        let old = self.read();
-        let mut next = self.handle.get().clone();
+        let old = self.handle.get();
+        let mut next = U::clone(&old);
         (self.write)(&mut next, value)?;
-        self.handle.set(next);
-        Ok(old)
+        self.handle.set(Arc::new(next));
+        Ok((self.read)(&old))
     }
     fn type_name(&self) -> &'static str {
         self.type_name
@@ -817,28 +814,61 @@ mod tests {
     fn adaptive_get_set_version() {
         let a = Adaptive::new(7u64);
         let b = a.clone();
-        assert_eq!(*a.get(), 7);
+        assert_eq!(a.get(), 7);
         assert_eq!(a.version(), 0);
         assert_eq!(b.set(9), 1);
-        assert_eq!(*a.get(), 9);
+        assert_eq!(a.get(), 9);
         assert_eq!(a.version(), 1);
     }
 
     #[test]
-    fn adaptive_borrow_survives_set() {
-        let a = Adaptive::new(String::from("old"));
-        let borrowed = a.get();
-        a.set(String::from("new"));
-        // The pre-set borrow still reads the retained old value; a fresh
-        // read sees the new one.
-        assert_eq!(borrowed, "old");
-        assert_eq!(a.get(), "new");
+    fn adaptive_scalars_round_trip_their_bits() {
+        let f = Adaptive::new(-0.0f64);
+        assert!(f.get().is_sign_negative());
+        f.set(f64::MIN_POSITIVE);
+        assert_eq!(f.get(), f64::MIN_POSITIVE);
+        let b = Adaptive::new(true);
+        b.set(false);
+        assert!(!b.get());
+        let u = Adaptive::new(u64::MAX);
+        assert_eq!(u.get(), u64::MAX);
+    }
+
+    #[test]
+    fn adaptive_set_frees_what_it_replaces() {
+        static DROPS: AtomicU64 = AtomicU64::new(0);
+        struct Counted(u64);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        const N: u64 = 1_000_000;
+        let a = Adaptive::new(Arc::new(Counted(0)));
+        for k in 1..=N {
+            a.set(Arc::new(Counted(k)));
+        }
+        assert_eq!(DROPS.load(Ordering::Relaxed), N, "every replaced value is freed");
+        assert_eq!(a.get().0, N, "the live one is not");
+        drop(a);
+        assert_eq!(DROPS.load(Ordering::Relaxed), N + 1, "the handle frees the live value");
+
+        // A snapshot outlives the set that replaces its value, reads the
+        // old value, and is that value's last owner.
+        let b = Adaptive::new(Arc::new(Counted(0)));
+        let snapshot = b.get();
+        b.set(Arc::new(Counted(1)));
+        assert_eq!((snapshot.0, b.get().0), (0, 1));
+        assert_eq!(DROPS.load(Ordering::Relaxed), N + 1);
+        assert_eq!(Arc::strong_count(&snapshot), 1);
+        drop(snapshot);
+        assert_eq!(DROPS.load(Ordering::Relaxed), N + 2);
     }
 
     #[test]
     fn adaptive_non_copy_values() {
-        let a = Adaptive::new(vec![1, 2, 3]);
-        a.set(vec![4]);
+        let a = Adaptive::new(Arc::new(vec![1, 2, 3]));
+        a.set(Arc::new(vec![4]));
         assert_eq!(a.get().as_slice(), &[4]);
         assert_eq!(a.version(), 1);
     }
@@ -896,7 +926,7 @@ mod tests {
             factor: f64,
             cap_us: u64,
         }
-        let handle = Adaptive::new(Policy { factor: 2.0, cap_us: 100 });
+        let handle = Adaptive::new(Arc::new(Policy { factor: 2.0, cap_us: 100 }));
         let knob = FnKnob::new(
             handle.clone(),
             "u64",
@@ -910,7 +940,7 @@ mod tests {
         );
         assert_eq!(knob.read(), ConfigValue::U64(100));
         assert_eq!(knob.write(ConfigValue::U64(250)).unwrap(), ConfigValue::U64(100));
-        assert_eq!(handle.get(), &Policy { factor: 2.0, cap_us: 250 });
+        assert_eq!(*handle.get(), Policy { factor: 2.0, cap_us: 250 });
         assert_eq!(handle.version(), 1);
     }
 
@@ -995,41 +1025,53 @@ mod tests {
 
     #[test]
     fn concurrent_get_under_racing_set_is_old_or_new() {
-        // Threaded smoke for the tear-freedom claim: a wide value whose
-        // two halves must always agree.
-        let cell = Adaptive::new((0u64, 0u64));
-        let writer = cell.clone();
-        let (stop, torn, reads) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        // The sets must race the reads for the check to mean anything, and
-        // on a one- or two-core host 10 000 sets can finish before the
-        // reader is first scheduled: start writing only once it has read,
-        // and keep writing until it has read a thousand times.
-        let sets = std::thread::scope(|s| {
-            s.spawn(|| {
-                while stop.load(Ordering::Acquire) == 0 {
-                    let (a, b) = *cell.get();
-                    if a != b {
-                        torn.store(1, Ordering::Release);
-                        break;
-                    }
-                    reads.fetch_add(1, Ordering::Relaxed);
+        // Four readers race one writer whose k-th `set` publishes payload
+        // k. Each reader's versions and payloads never go backwards, a
+        // payload read right after version v is at least v, and the wide
+        // payload's two halves always agree.
+        const SETS: u64 = 1_000_000;
+        fn hammer<T: Tunable>(
+            cell: &Adaptive<T>,
+            publish: impl Fn(u64) -> T,
+            read: impl Fn(T) -> u64 + Sync,
+        ) where
+            Adaptive<T>: Sync,
+        {
+            let started = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        started.fetch_add(1, Ordering::Release);
+                        let (mut last_v, mut last_p) = (0, 0);
+                        while last_v < SETS {
+                            let v = cell.version();
+                            let p = read(cell.get());
+                            assert!(v >= last_v && p >= last_p, "a read went backwards");
+                            assert!(p >= v, "payload {p} read after version {v}");
+                            (last_v, last_p) = (v, p);
+                        }
+                    });
+                }
+                // On a one- or two-core host the sets could all finish
+                // before a reader is first scheduled: start writing only
+                // once every reader is running.
+                while started.load(Ordering::Acquire) < 4 {
+                    std::thread::yield_now();
+                }
+                for k in 1..=SETS {
+                    cell.set(publish(k));
                 }
             });
-            while reads.load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
-            }
-            let mut sets = 0u64;
-            while torn.load(Ordering::Acquire) == 0
-                && (sets < 10_000 || reads.load(Ordering::Relaxed) < 1_000)
-            {
-                sets += 1;
-                writer.set((sets, sets));
-            }
-            stop.store(1, Ordering::Release);
-            sets
-        });
-        assert_eq!(torn.into_inner(), 0, "torn read: halves diverged");
-        assert!(reads.into_inner() >= 1_000);
-        assert_eq!(writer.version(), sets);
+            assert_eq!(cell.version(), SETS);
+        }
+        hammer(&Adaptive::new(0u64), |k| k, |p| p);
+        hammer(
+            &Adaptive::new(Arc::new((0u64, 0u64))),
+            |k| Arc::new((k, k)),
+            |p| {
+                assert_eq!(p.0, p.1, "torn read: halves diverged");
+                p.0
+            },
+        );
     }
 }

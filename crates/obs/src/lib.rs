@@ -39,6 +39,8 @@
 //! assert!(obs.export_json().contains("\"monitor.ticks\": 1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod control;
 pub mod event;
@@ -238,7 +240,7 @@ impl Obs {
 
     /// Is span-trace retention currently on?
     pub fn span_export_enabled(&self) -> bool {
-        self.inner.span_export.load()
+        self.inner.span_export.get()
     }
 
     /// Turn span-trace retention on or off. Spans opened while off leave

@@ -17,7 +17,7 @@ fn fifty_thousand_dispatches_leave_fifty_thousand_audit_events() {
             .dispatch(i, "bench", Command::set("bench.counter", i + 1))
             .expect("set on a registered u64 knob");
     }
-    assert_eq!(knob.load(), DISPATCHES, "every dispatch landed");
+    assert_eq!(knob.get(), DISPATCHES, "every dispatch landed");
     assert_eq!(knob.version(), DISPATCHES, "one version per mutation");
     let audit = obs.events_filtered(&EventFilter::control_audit());
     assert_eq!(audit.len() as u64, DISPATCHES, "one audit event per mutation");

@@ -26,6 +26,8 @@
 //! wraps its own actor — which is what makes the profile-database testbed
 //! and run-time reservations cheap (§6.2).
 
+#![forbid(unsafe_code)]
+
 pub mod bucket;
 pub mod limits;
 pub mod progress;

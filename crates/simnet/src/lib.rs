@@ -58,6 +58,8 @@
 //! assert!(sim.now() > SimTime::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accounting;
 pub mod actor;
 pub mod cpu;

@@ -20,6 +20,8 @@
 //! Everything is non-blocking: `send` queues and flushes what the kernel
 //! accepts, `try_recv` returns `Ok(None)` rather than waiting.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod frame;
 pub mod retry;

@@ -303,7 +303,7 @@ pub struct Client {
     retry_rng: StdRng,
     /// Live retransmission schedule: the control plane can retune the
     /// backoff of a running client through `client.retry.*` knobs.
-    retry: Adaptive<RetryPolicy>,
+    retry: Adaptive<Arc<RetryPolicy>>,
     breaker: Option<CircuitBreaker>,
     /// The configuration to restore when an open breaker re-closes.
     saved_cfg: Option<VizConfig>,
@@ -320,7 +320,7 @@ impl Client {
             None => opts.initial,
         };
         let retry_rng = StdRng::seed_from_u64(opts.retry.seed);
-        let retry = Adaptive::new(opts.retry);
+        let retry = Adaptive::new(Arc::new(opts.retry));
         let breaker = opts.breaker.as_ref().map(CircuitBreaker::new);
         Client {
             cfg,
@@ -498,7 +498,7 @@ impl Client {
         let server = self.opts.server;
         self.post(ctx, Envelope::to(server, msg));
         if let Some(base) = self.opts.request_timeout_us {
-            let policy = self.retry.load();
+            let policy = self.retry.get();
             let timeout = policy.timeout_us(base, self.attempt, &mut self.retry_rng);
             ctx.set_timer(timeout, TAG_RETRY_BASE + self.round_no);
         }

@@ -27,6 +27,8 @@
 //!   socket-mirror harness that replays a session over real loopback
 //!   sockets via the pluggable `adapt-transport` layer.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod costs;
 pub mod drift;

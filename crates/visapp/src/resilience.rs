@@ -93,12 +93,12 @@ impl CircuitBreaker {
 
     /// Live failure threshold (consecutive failures that trip the breaker).
     pub fn failure_threshold(&self) -> u32 {
-        self.failure_threshold.load().clamp(1, u32::MAX as u64) as u32
+        self.failure_threshold.get().clamp(1, u32::MAX as u64) as u32
     }
 
     /// Live recovery timeout (open-window length before a half-open probe).
     pub fn recovery_timeout_us(&self) -> u64 {
-        self.recovery_timeout.load()
+        self.recovery_timeout.get()
     }
 
     /// Handle for registering `failure_threshold` as a config knob.
@@ -158,7 +158,7 @@ impl CircuitBreaker {
         self.probe_inflight = false;
         match self.state {
             BreakerState::Closed => {
-                if u64::from(self.consecutive_failures) >= self.failure_threshold.load().max(1) {
+                if u64::from(self.consecutive_failures) >= self.failure_threshold.get().max(1) {
                     self.state = BreakerState::Open;
                     self.opened_at = now;
                     true
@@ -192,7 +192,7 @@ impl CircuitBreaker {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => !self.probe_inflight,
             BreakerState::Open => {
-                if now.since(self.opened_at) >= self.recovery_timeout.load() {
+                if now.since(self.opened_at) >= self.recovery_timeout.get() {
                     self.state = BreakerState::HalfOpen;
                     self.probe_inflight = true;
                     true

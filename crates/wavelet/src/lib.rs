@@ -19,6 +19,8 @@
 //! - [`progressive`] provides the compact zigzag-varint wire encoding fed
 //!   to the `compress` crate's LZW / BWT pipelines.
 
+#![forbid(unsafe_code)]
+
 pub mod haar;
 pub mod image;
 pub mod progressive;

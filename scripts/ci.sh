@@ -67,6 +67,22 @@ if grep -rnE "$gone" Cargo.toml Cargo.lock crates src tests examples scripts ven
     exit 1
 fi
 
+stage "no unsafe"
+# Library code is safe Rust and the compiler checks it: every crate root
+# carries #![forbid(unsafe_code)]. The one `unsafe` left is the counting
+# allocator of the zero-allocation audit, a test binary.
+if grep -rnw --include='*.rs' unsafe crates src tests examples vendor |
+    grep -v '^crates/obs/tests/zero_alloc\.rs:'; then
+    echo "the lines above use unsafe outside the zero-allocation audit" >&2
+    exit 1
+fi
+for root in crates/*/src/lib.rs src/lib.rs; do
+    if ! grep -qxF '#![forbid(unsafe_code)]' "$root"; then
+        echo "$root lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+
 stage "build"
 cargo build --release
 

@@ -27,6 +27,8 @@
 //! adaptive_framework::prelude::*;` pulls in the common vocabulary of
 //! every layer (plus the [`obs`] observability handle) in one line.
 
+#![forbid(unsafe_code)]
+
 pub use adapt_core as adapt;
 pub use arbiter;
 pub use compress;
