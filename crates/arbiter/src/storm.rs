@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use adapt_core::PerfDb;
+use obs::det::{Fnv64, SplitMix64};
 use obs::Obs;
 use sandbox::{Limits, LimitsHandle, SandboxStats};
-use simnet::det::{Fnv64, SplitMix64};
 use simnet::{DrainMode, Sim, SimTime};
 use visapp::{client_opts, LoadGenOpts, QosProfile, Server, SessionClass, StatsHandle};
 

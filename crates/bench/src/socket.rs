@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use adapt_core::{Constraint, Objective, Preference, PreferenceList};
+use obs::det::Fnv64;
 use sandbox::{LimitSchedule, Limits};
-use simnet::det::Fnv64;
 use simnet::{SimTime, WireHook};
 use visapp::{build_db, run_session, Driver, RunOutcome, Scenario};
 

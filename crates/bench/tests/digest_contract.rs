@@ -13,8 +13,8 @@ use adapt_bench::socket::{decision_digest, smoke_session};
 use adapt_core::PreferenceList;
 use adapt_dst::{Explorer, ExplorerOpts, FaultSpace, TrialContext};
 use arbiter::StormOpts;
+use obs::det::{Fnv64, SplitMix64};
 use sandbox::{LimitSchedule, Limits};
-use simnet::det::{Fnv64, SplitMix64};
 use simnet::{DrainMode, ExplorePlan, SimTime};
 use visapp::{
     build_db, decision_sequence, model_db, run_adaptive_shared, run_load, socket_mirror_hook,

@@ -173,8 +173,7 @@ pub fn inverse(last: &[u8], primary: usize) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     fn roundtrip(data: &[u8]) {
         let (last, primary) = forward(data);
@@ -211,17 +210,17 @@ mod tests {
 
     #[test]
     fn random_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = SplitMix64::new(8);
         for len in [3usize, 17, 256, 4096, 40_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             roundtrip(&data);
         }
     }
 
     #[test]
     fn low_entropy_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let data: Vec<u8> = (0..20_000).map(|_| rng.gen_range(b'a'..b'e')).collect();
+        let mut rng = SplitMix64::new(9);
+        let data: Vec<u8> = (0..20_000).map(|_| b'a' + rng.below(4) as u8).collect();
         roundtrip(&data);
     }
 

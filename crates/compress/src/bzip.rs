@@ -130,8 +130,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
@@ -164,17 +163,17 @@ mod tests {
 
     #[test]
     fn random_data_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = SplitMix64::new(21);
         for len in [1usize, 255, 4096, 150_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             roundtrip(&data);
         }
     }
 
     #[test]
     fn multi_block_boundaries() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let data: Vec<u8> = (0..2500).map(|_| rng.gen_range(b'a'..b'h')).collect();
+        let mut rng = SplitMix64::new(22);
+        let data: Vec<u8> = (0..2500).map(|_| b'a' + rng.below(7) as u8).collect();
         for block in [1usize, 7, 1000, 2499, 2500, 2501, 10_000] {
             let c = compress_with_block(&data, block);
             assert_eq!(decompress(&c).unwrap(), data, "block={block}");

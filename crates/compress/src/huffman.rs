@@ -200,8 +200,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     fn roundtrip(data: &[u8]) {
         let mut freqs = vec![0u64; 256];
@@ -236,9 +235,9 @@ mod tests {
 
     #[test]
     fn random_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::new(5);
         for len in [1usize, 10, 1000, 50_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             roundtrip(&data);
         }
     }
@@ -272,8 +271,8 @@ mod tests {
 
     #[test]
     fn kraft_inequality_holds() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let freqs: Vec<u64> = (0..256).map(|_| rng.gen_range(0..1000)).collect();
+        let mut rng = SplitMix64::new(11);
+        let freqs: Vec<u64> = (0..256).map(|_| rng.below(1000)).collect();
         let lengths = build_lengths(&freqs);
         let maxl = *lengths.iter().max().unwrap() as u32;
         let kraft: u64 =

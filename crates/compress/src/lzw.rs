@@ -157,8 +157,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
@@ -201,18 +200,18 @@ mod tests {
     fn width_boundary_lengths() {
         // Exercise lengths around the 9->10->11->12-bit width transitions
         // and around dictionary resets, where off-by-one bugs live.
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = SplitMix64::new(99);
         for len in 200..=280 {
-            let data: Vec<u8> = (0..len * 13).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len * 13).map(|_| rng.next_u64() as u8).collect();
             roundtrip(&data);
         }
     }
 
     #[test]
     fn random_data_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SplitMix64::new(42);
         for len in [1, 2, 100, 4096, 100_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             roundtrip(&data);
         }
     }
@@ -221,15 +220,15 @@ mod tests {
     fn dictionary_reset_path() {
         // Enough distinct digrams to overflow the 12-bit code space and
         // force CLEAR emission.
-        let mut rng = StdRng::seed_from_u64(7);
-        let data: Vec<u8> = (0..200_000).map(|_| rng.gen_range(0..16u8)).collect();
+        let mut rng = SplitMix64::new(7);
+        let data: Vec<u8> = (0..200_000).map(|_| rng.below(16) as u8).collect();
         roundtrip(&data);
     }
 
     #[test]
     fn random_compresses_worse_than_structured() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let random: Vec<u8> = (0..10_000).map(|_| rng.gen()).collect();
+        let mut rng = SplitMix64::new(3);
+        let random: Vec<u8> = (0..10_000).map(|_| rng.next_u64() as u8).collect();
         let structured = b"the quick brown fox jumps over the lazy dog ".repeat(250);
         let cr = compress(&random).len() as f64 / random.len() as f64;
         let cs = compress(&structured[..10_000]).len() as f64 / 10_000.0;

@@ -36,14 +36,13 @@ pub fn decode(data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     #[test]
     fn roundtrip_random() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         for len in [0usize, 1, 100, 10_000] {
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             assert_eq!(decode(&encode(&data)), data);
         }
     }
@@ -66,12 +65,12 @@ mod tests {
 
     #[test]
     fn clustered_data_skews_small() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix64::new(6);
         // Clustered: long runs of few symbols (BWT-like).
         let mut data = Vec::new();
         for _ in 0..200 {
-            let b: u8 = rng.gen_range(b'a'..b'f');
-            data.extend(std::iter::repeat_n(b, rng.gen_range(5..20)));
+            let b = b'a' + rng.below(5) as u8;
+            data.extend(std::iter::repeat_n(b, 5 + rng.below(15) as usize));
         }
         let enc = encode(&data);
         let small = enc.iter().filter(|&&v| v < 8).count();

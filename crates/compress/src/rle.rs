@@ -79,8 +79,7 @@ pub fn decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     fn roundtrip(data: &[u8]) {
         assert_eq!(decode(&encode(data)).unwrap(), data);
@@ -105,10 +104,10 @@ mod tests {
 
     #[test]
     fn random_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(13);
+        let mut rng = SplitMix64::new(13);
         for _ in 0..20 {
-            let data: Vec<u8> = (0..rng.gen_range(0..5000))
-                .map(|_| if rng.gen_bool(0.7) { 0 } else { rng.gen() })
+            let data: Vec<u8> = (0..rng.below(5000))
+                .map(|_| if rng.next_f64() < 0.7 { 0 } else { rng.next_u64() as u8 })
                 .collect();
             roundtrip(&data);
         }
@@ -116,8 +115,8 @@ mod tests {
 
     #[test]
     fn incompressible_data_grows_little() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let data: Vec<u8> = (0..10_000).map(|_| rng.gen_range(1..=255u8)).collect();
+        let mut rng = SplitMix64::new(14);
+        let data: Vec<u8> = (0..10_000).map(|_| rng.range(1, 255) as u8).collect();
         let enc = encode(&data);
         assert_eq!(enc.len(), data.len(), "no zeros, no overhead");
     }

@@ -43,8 +43,8 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 
+use obs::det::Fnv64;
 use obs::json::{self, Json};
-use simnet::det::Fnv64;
 
 use crate::env::{ResourceKey, ResourceKind, ResourceVector};
 use crate::param::Configuration;

@@ -2,7 +2,7 @@
 //! through the fault space, checking every oracle, cross-checking drain
 //! modes, and shrinking failures to minimal repros.
 
-use simnet::det::{Fnv64, SplitMix64};
+use obs::det::{Fnv64, SplitMix64};
 
 use crate::oracle::Violation;
 use crate::repro::Repro;

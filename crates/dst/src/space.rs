@@ -7,7 +7,7 @@
 //! fields, so a plan round-trips losslessly through the repro file format
 //! and replays byte-identically.
 
-use simnet::det::SplitMix64;
+use obs::det::SplitMix64;
 use simnet::{FaultPlan, SimTime};
 use visapp::{CLIENT_HOST, SERVER_HOST};
 

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use adapt_core::{Constraint, Objective, PerfDb, Preference, PreferenceList, RefineEngine};
 use arbiter::{AppState, StormOpts};
+use obs::det::Fnv64;
 use sandbox::{LimitSchedule, Limits};
-use simnet::det::Fnv64;
 use simnet::{DrainMode, ExplorePlan, SimTime};
 use visapp::{
     build_db, model_db, run_session, BreakerOpts, Driver, ImageStore, RunOutcome, Scenario,

@@ -1,12 +1,17 @@
 //! The workspace's deterministic primitives: one seeded stream and one
-//! digest, shared by the kernel's explore mode, the load generator, the
-//! arbiter storm, and the simulation-test explorer.
+//! digest. Every seeded draw in the workspace goes through
+//! [`SplitMix64`] — the kernel's loss and jitter maps and explore mode,
+//! retry jitter, the synthetic image generators, the load generator, the
+//! arbiter storm, the simulation-test explorer — and every committed
+//! digest through [`Fnv64`]. They live here, at the bottom of the
+//! dependency graph, so that crates with no business depending on the
+//! simulator (`wavelet`) share the one path.
 //!
-//! Both are self-contained on purpose (no `rand`, no `std::hash`): every
-//! pinned digest (the load, arbiter and explorer rows of
-//! `crates/bench/tests/digest_contract.rs`, the DST repros) is a function
-//! of these exact bit streams, and an external crate's
-//! stream or hasher is free to change between versions.
+//! Both are self-contained on purpose (no external RNG crate, no
+//! `std::hash`): every pinned digest (the load, arbiter and explorer rows
+//! of `crates/bench/tests/digest_contract.rs`, the DST repros, the
+//! `wire_bytes` hashes) is a function of these exact bit streams, and an
+//! external crate's stream or hasher is free to change between versions.
 
 /// splitmix64 stream.
 #[derive(Debug, Clone)]

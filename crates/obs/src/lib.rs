@@ -15,7 +15,9 @@
 //! * span-style profiling hooks ([`Obs::span`]) that time a scope on the
 //!   wall clock and fold the elapsed microseconds into a histogram;
 //! * a deterministic JSON exporter ([`Obs::export_json`]) and a
-//!   human-readable [`Obs::render`] that subsumes the old `Trace::render`.
+//!   human-readable [`Obs::render`] that subsumes the old `Trace::render`;
+//! * the workspace's deterministic primitives ([`det`]): the one seeded
+//!   stream and the one digest every crate draws and hashes with.
 //!
 //! The handle is cheaply cloneable (an `Arc`) and thread-safe; a simulation,
 //! its client, and its adaptive runtime all share one instance.
@@ -43,6 +45,7 @@
 
 pub mod bus;
 pub mod control;
+pub mod det;
 pub mod event;
 pub mod export;
 pub mod json;

@@ -24,8 +24,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use obs::det::SplitMix64;
 
 use crate::accounting::{Accounting, Dir, Snapshot, Transfer};
 use crate::actor::{Action, Actor, ActorId, HostId};
@@ -214,9 +213,9 @@ pub struct Sim {
     inflight: HashMap<u64, (ActorId, ActorId, Message, SimTime, u64)>,
     next_flow_id: u64,
     /// Per-directed-link message loss: probability and a deterministic RNG.
-    loss: HashMap<(usize, usize), (f64, StdRng)>,
+    loss: HashMap<(usize, usize), (f64, SplitMix64)>,
     /// Per-directed-link latency jitter: max extra us and a deterministic RNG.
-    jitter: HashMap<(usize, usize), (u64, StdRng)>,
+    jitter: HashMap<(usize, usize), (u64, SplitMix64)>,
     /// Directed links currently inside a scheduled down window.
     down_links: HashSet<(usize, usize)>,
     default_bw_bps: f64,
@@ -372,7 +371,7 @@ impl Sim {
         if p == 0.0 {
             self.loss.remove(&(src.0, dst.0));
         } else {
-            self.loss.insert((src.0, dst.0), (p, StdRng::seed_from_u64(seed)));
+            self.loss.insert((src.0, dst.0), (p, SplitMix64::new(seed)));
         }
     }
 
@@ -383,7 +382,7 @@ impl Sim {
         if max_us == 0 {
             self.jitter.remove(&(src.0, dst.0));
         } else {
-            self.jitter.insert((src.0, dst.0), (max_us, StdRng::seed_from_u64(seed)));
+            self.jitter.insert((src.0, dst.0), (max_us, SplitMix64::new(seed)));
         }
     }
 
@@ -927,7 +926,7 @@ impl Sim {
             return;
         }
         if let Some((p, rng)) = self.loss.get_mut(&(hs, hd)) {
-            if rng.gen::<f64>() < *p {
+            if rng.next_f64() < *p {
                 // The message still occupied the wire (sender-side cost),
                 // but never arrives.
                 if hs != hd {
@@ -946,9 +945,11 @@ impl Sim {
             }
         }
         // Latency jitter is sampled per message at transmit time so the
-        // random stream is independent of delivery interleaving.
+        // random stream is independent of delivery interleaving. `max` is
+        // at least 1 (`set_link_jitter` removes the entry at 0), so `range`
+        // always draws.
         let jitter_us = match self.jitter.get_mut(&(hs, hd)) {
-            Some((max, rng)) => rng.gen_range(0..=*max),
+            Some((max, rng)) => rng.range(0, *max),
             None => 0,
         };
         if hs != hd && self.flow_scheds.contains_key(&(hs, hd)) {

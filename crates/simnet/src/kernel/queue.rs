@@ -12,8 +12,9 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
+use obs::det::SplitMix64;
+
 use super::{DrainMode, Ev, ExplorePlan};
-use crate::det::SplitMix64;
 use crate::time::SimTime;
 
 struct HeapEntry {

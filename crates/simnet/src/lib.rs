@@ -63,7 +63,6 @@
 pub mod accounting;
 pub mod actor;
 pub mod cpu;
-pub mod det;
 pub mod fault;
 pub mod kernel;
 pub mod link;

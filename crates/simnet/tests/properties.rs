@@ -126,8 +126,7 @@ proptest! {
     #[test]
     fn deterministic_replay(seed in any::<u64>()) {
         fn run(seed: u64) -> (u64, f64) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rng = obs::det::SplitMix64::new(seed);
             struct Echo;
             impl Actor for Echo {
                 fn on_message(&mut self, from: ActorId, m: Message, ctx: &mut Ctx<'_>) {
@@ -149,11 +148,11 @@ proptest! {
                 }
             }
             let mut sim = Sim::new();
-            let h1 = sim.add_host("a", 0.5 + rng.gen::<f64>(), 1 << 30);
-            let h2 = sim.add_host("b", 0.5 + rng.gen::<f64>(), 1 << 30);
-            sim.set_link(h1, h2, 100_000.0 + rng.gen::<f64>() * 1e6, rng.gen_range(10..1000));
+            let h1 = sim.add_host("a", 0.5 + rng.next_f64(), 1 << 30);
+            let h2 = sim.add_host("b", 0.5 + rng.next_f64(), 1 << 30);
+            sim.set_link(h1, h2, 100_000.0 + rng.next_f64() * 1e6, rng.range(10, 999));
             let e = sim.spawn(h2, Box::new(Echo));
-            let d = sim.spawn(h1, Box::new(Driver { peer: e, n: rng.gen_range(1..20) }));
+            let d = sim.spawn(h1, Box::new(Driver { peer: e, n: rng.range(1, 19) as u32 }));
             sim.run_until_idle();
             let snap = sim.snapshot(d);
             (sim.now().as_us(), snap.cpu_time_us + snap.bytes_recv as f64)

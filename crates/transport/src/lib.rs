@@ -4,18 +4,16 @@
 //! scheduler, and steering agent negotiate configurations over whatever
 //! channel connects the components. This crate makes that explicit with a
 //! [`Transport`] trait over typed [`Envelope`]s (destination + payload +
-//! optional deadline) and two implementations:
+//! optional deadline), implemented by [`SocketTransport`]: real loopback
+//! I/O over TCP (or a Unix domain socket where available) with
+//! length-prefixed [`frame`]s, a pluggable [`WireCodec`] that reconstructs
+//! typed `simnet::Message` payloads so `Message::decode` keeps working on
+//! the receiving side, per-connection obs counters, and
+//! reconnect-with-backoff driven by [`RetryPolicy`].
 //!
-//! - [`SimTransport`] — an adapter over the deterministic simnet send
-//!   path. Every envelope flushed through it becomes exactly the
-//!   `Ctx::send` / `Ctx::send_now` call the application would have made
-//!   directly, at the same call site and in the same order, so committed
-//!   run digests stay bit-for-bit unchanged.
-//! - [`SocketTransport`] — real loopback I/O over TCP (or a Unix domain
-//!   socket where available) with length-prefixed [`frame`]s, a pluggable
-//!   [`WireCodec`] that reconstructs typed `simnet::Message` payloads so
-//!   `Message::decode` keeps working on the receiving side, per-connection
-//!   obs counters, and reconnect-with-backoff driven by [`RetryPolicy`].
+//! Inside the simulator the actors send through `simnet::Ctx` directly
+//! (`send`, or `send_now` for control-plane traffic); the socket mirror in
+//! `visapp::socket` replays such a session's messages over this crate.
 //!
 //! Everything is non-blocking: `send` queues and flushes what the kernel
 //! accepts, `try_recv` returns `Ok(None)` rather than waiting.
@@ -25,13 +23,11 @@
 pub mod codec;
 pub mod frame;
 pub mod retry;
-pub mod sim;
 pub mod socket;
 
 pub use codec::{ByteReader, ByteWriter, CodecError, WireCodec};
 pub use frame::{decode_frame, encode_frame, Frame, FrameError, HEADER_BYTES, MAX_FRAME_BYTES};
 pub use retry::RetryPolicy;
-pub use sim::SimTransport;
 pub use socket::{SocketAddrSpec, SocketListener, SocketTransport};
 
 use simnet::{ActorId, Message};
@@ -50,20 +46,12 @@ pub struct Envelope {
     pub msg: Message,
     /// Optional deadline, microseconds of simulation time.
     pub deadline_us: Option<u64>,
-    /// Bypass the sender's serial action queue (the simnet `send_now`
-    /// path, used for control-plane traffic such as monitoring reports).
-    pub immediate: bool,
 }
 
 impl Envelope {
-    /// An ordinary envelope: queued behind the sender's earlier actions.
+    /// An envelope with no deadline.
     pub fn to(dst: ActorId, msg: Message) -> Self {
-        Envelope { to: dst, msg, deadline_us: None, immediate: false }
-    }
-
-    /// A control-plane envelope delivered ahead of the action queue.
-    pub fn immediate(dst: ActorId, msg: Message) -> Self {
-        Envelope { to: dst, msg, deadline_us: None, immediate: true }
+        Envelope { to: dst, msg, deadline_us: None }
     }
 
     /// Attach a delivery deadline (simulation microseconds).

@@ -4,8 +4,7 @@
 //! Moved here from `visapp::resilience` so the transport layer does not
 //! depend on the application; visapp re-exports it unchanged.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use obs::det::SplitMix64;
 
 /// Retransmission timing: exponential backoff with multiplicative jitter.
 ///
@@ -34,11 +33,12 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The timeout for retry `attempt` (0 = first transmission) of a
     /// request whose base timeout is `base_us`.
-    pub fn timeout_us(&self, base_us: u64, attempt: u32, rng: &mut StdRng) -> u64 {
+    pub fn timeout_us(&self, base_us: u64, attempt: u32, rng: &mut SplitMix64) -> u64 {
         let scaled = (base_us as f64 * self.multiplier.max(1.0).powi(attempt.min(32) as i32))
             .min(self.max_timeout_us as f64);
         let factor = if self.jitter_frac > 0.0 {
-            rng.gen_range(1.0 - self.jitter_frac..=1.0 + self.jitter_frac)
+            let (lo, hi) = (1.0 - self.jitter_frac, 1.0 + self.jitter_frac);
+            lo + rng.next_f64() * (hi - lo)
         } else {
             1.0
         };
@@ -49,12 +49,11 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn backoff_grows_and_caps() {
         let p = RetryPolicy { jitter_frac: 0.0, ..RetryPolicy::default() };
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         assert_eq!(p.timeout_us(100_000, 0, &mut rng), 100_000);
         assert_eq!(p.timeout_us(100_000, 1, &mut rng), 200_000);
         assert_eq!(p.timeout_us(100_000, 2, &mut rng), 400_000);
@@ -65,8 +64,8 @@ mod tests {
     #[test]
     fn jitter_stays_within_bounds_and_is_deterministic() {
         let p = RetryPolicy { jitter_frac: 0.25, ..RetryPolicy::default() };
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
+        let mut a = SplitMix64::new(7);
+        let mut b = SplitMix64::new(7);
         for attempt in 0..8 {
             let ta = p.timeout_us(100_000, attempt, &mut a);
             let tb = p.timeout_us(100_000, attempt, &mut b);
@@ -75,5 +74,18 @@ mod tests {
             assert!((ta as f64) >= nominal * 0.75 - 1.0, "attempt {attempt}: {ta}");
             assert!((ta as f64) <= nominal * 1.25 + 1.0, "attempt {attempt}: {ta}");
         }
+    }
+
+    /// Known answers: the jittered schedule is part of every retrying
+    /// run's digest.
+    #[test]
+    fn jittered_timeouts_are_pinned() {
+        let p = RetryPolicy { jitter_frac: 0.25, ..RetryPolicy::default() };
+        let mut rng = SplitMix64::new(7);
+        let got: Vec<u64> = (0..8).map(|a| p.timeout_us(100_000, a, &mut rng)).collect();
+        assert_eq!(
+            got,
+            [94_491, 151_678, 480_152, 833_172, 1_561_953, 1_749_431, 1_967_953, 1_828_076]
+        );
     }
 }

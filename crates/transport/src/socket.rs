@@ -39,9 +39,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use obs::det::SplitMix64;
 use obs::{MetricId, Obs};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use simnet::ActorId;
 
 use crate::frame::{decode_frame, encode_frame, Frame};
@@ -206,7 +205,7 @@ pub struct SocketTransport {
     rbuf: Vec<u8>,
     wbuf: VecDeque<u8>,
     retry: RetryPolicy,
-    retry_rng: StdRng,
+    retry_rng: SplitMix64,
     attempt: u32,
     next_attempt_at: Option<Instant>,
     counters: Option<Counters>,
@@ -225,7 +224,7 @@ impl SocketTransport {
             codec,
             rbuf: Vec::new(),
             wbuf: VecDeque::new(),
-            retry_rng: StdRng::seed_from_u64(retry.seed),
+            retry_rng: SplitMix64::new(retry.seed),
             retry,
             attempt: 0,
             next_attempt_at: None,
@@ -245,7 +244,7 @@ impl SocketTransport {
 
     /// Use `policy` for reconnect backoff (reseeds the jitter RNG).
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry_rng = StdRng::seed_from_u64(policy.seed);
+        self.retry_rng = SplitMix64::new(policy.seed);
         self.retry = policy;
         self
     }

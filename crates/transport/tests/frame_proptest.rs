@@ -3,11 +3,10 @@
 //! garbage is rejected rather than misparsed.
 
 use adapt_transport::{
-    decode_frame, encode_frame, ByteReader, ByteWriter, CodecError, Frame, SimTransport, Transport,
-    WireCodec, HEADER_BYTES,
+    decode_frame, encode_frame, ByteReader, ByteWriter, CodecError, Frame, WireCodec, HEADER_BYTES,
 };
 use proptest::prelude::*;
-use simnet::{ActorId, Message};
+use simnet::Message;
 
 /// Minimal codec for raw `Vec<u8>` payload messages: byte 0 marks
 /// whether the message was a pure signal or carried a body.
@@ -137,20 +136,5 @@ proptest! {
         let mut bad = encoded.clone();
         bad[0] = 0x7f;
         prop_assert!(codec.decode(7, 64, &bad).is_err());
-    }
-
-    #[test]
-    fn sim_transport_preserves_fifo_order(
-        tags in proptest::collection::vec(0u64..100, 1..32),
-    ) {
-        let mut t = SimTransport::new();
-        for &tag in &tags {
-            t.deliver(ActorId(0), Message::signal(tag, 8));
-        }
-        for &tag in &tags {
-            let env = t.try_recv().unwrap().unwrap();
-            prop_assert_eq!(env.msg.tag, tag);
-        }
-        prop_assert!(t.try_recv().unwrap().is_none());
     }
 }

@@ -15,11 +15,9 @@
 use std::sync::Arc;
 
 use adapt_core::{AdaptiveRuntime, Configuration, ResourceKey};
-use adapt_transport::{Envelope, SimTransport, Transport};
 use compress::Method;
+use obs::det::SplitMix64;
 use obs::{Adaptive, CommandRouter, ConfigValue, FnKnob, KnobError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sandbox::SandboxStats;
 use simnet::{Actor, ActorId, Ctx, Message, SimTime};
 use wavelet::{decode_chunks, Reassembler};
@@ -29,7 +27,6 @@ use crate::protocol::{self, Reply, Request};
 use crate::resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::stats::{ImageRecord, RoundRecord, StatsHandle};
 use crate::store::ImageStore;
-use crate::user_model::UserModel;
 
 /// Timer tag for the monitoring agent (must stay below the sandbox's
 /// reserved range).
@@ -168,7 +165,6 @@ pub struct ClientOpts {
     pub server: ActorId,
     pub n_images: usize,
     pub initial: VizConfig,
-    pub user: UserModel,
     /// Radius covering the whole image.
     pub cover_radius: usize,
     pub img_dims: (usize, usize),
@@ -200,7 +196,6 @@ impl ClientOpts {
             server,
             n_images: 1,
             initial: VizConfig { dr: 32, level: 3, method: Method::Lzw },
-            user: UserModel::center(64, 64),
             cover_radius: 32,
             img_dims: (64, 64),
             max_level: 3,
@@ -219,11 +214,6 @@ impl ClientOpts {
 
     pub fn with_initial(mut self, config: VizConfig) -> Self {
         self.initial = config;
-        self
-    }
-
-    pub fn with_user(mut self, user: UserModel) -> Self {
-        self.user = user;
         self
     }
 
@@ -285,7 +275,6 @@ pub struct Client {
     stats: StatsHandle,
     adapt: Option<AdaptSetup>,
     image_idx: usize,
-    fovea: (usize, usize),
     r: usize,
     prev_r: usize,
     round_no: u64,
@@ -300,17 +289,13 @@ pub struct Client {
     /// the exponential backoff).
     attempt: u32,
     /// Deterministic jitter source for retry timeouts.
-    retry_rng: StdRng,
+    retry_rng: SplitMix64,
     /// Live retransmission schedule: the control plane can retune the
     /// backoff of a running client through `client.retry.*` knobs.
     retry: Adaptive<Arc<RetryPolicy>>,
     breaker: Option<CircuitBreaker>,
     /// The configuration to restore when an open breaker re-closes.
     saved_cfg: Option<VizConfig>,
-    /// Outbound message path. All protocol traffic goes through the
-    /// transport trait; inside the simulator this is a [`SimTransport`]
-    /// flushed at each send site, which replays onto the kernel verbatim.
-    link: SimTransport,
 }
 
 impl Client {
@@ -319,7 +304,7 @@ impl Client {
             Some(a) => VizConfig::from_configuration(a.runtime.current()),
             None => opts.initial,
         };
-        let retry_rng = StdRng::seed_from_u64(opts.retry.seed);
+        let retry_rng = SplitMix64::new(opts.retry.seed);
         let retry = Adaptive::new(Arc::new(opts.retry));
         let breaker = opts.breaker.as_ref().map(CircuitBreaker::new);
         Client {
@@ -328,7 +313,6 @@ impl Client {
             stats,
             adapt,
             image_idx: 0,
-            fovea: (0, 0),
             r: 0,
             prev_r: 0,
             round_no: 0,
@@ -343,16 +327,7 @@ impl Client {
             retry,
             breaker,
             saved_cfg: None,
-            link: SimTransport::new(),
         }
-    }
-
-    /// Queue one envelope on the transport and flush it onto the kernel.
-    /// Flushing at every send site keeps the action stream identical to
-    /// direct `ctx.send` calls (digest-preserving).
-    fn post(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
-        self.link.send(env).expect("sim transport is always open");
-        self.link.flush_into(ctx);
     }
 
     /// Working-set size for viewing one image at `level`: the coefficient
@@ -457,7 +432,6 @@ impl Client {
     }
 
     fn begin_image(&mut self, ctx: &mut Ctx<'_>) {
-        self.fovea = self.opts.user.next_fovea();
         self.r = self.cfg.dr.min(self.opts.cover_radius);
         self.prev_r = 0;
         self.image_started = ctx.now();
@@ -486,17 +460,18 @@ impl Client {
     }
 
     fn send_request(&mut self, ctx: &mut Ctx<'_>) {
+        // The fovea stays at the image centre (the experiments' setting).
+        let (w, h) = self.opts.img_dims;
         let msg = protocol::request_msg(Request {
             image_id: self.image_idx,
-            cx: self.fovea.0,
-            cy: self.fovea.1,
+            cx: w / 2,
+            cy: h / 2,
             r: self.r,
             prev_r: self.prev_r,
             level: self.cfg.level,
             round: self.round_no,
         });
-        let server = self.opts.server;
-        self.post(ctx, Envelope::to(server, msg));
+        ctx.send(self.opts.server, msg);
         if let Some(base) = self.opts.request_timeout_us {
             let policy = self.retry.get();
             let timeout = policy.timeout_us(base, self.attempt, &mut self.retry_rng);
@@ -545,8 +520,7 @@ impl Client {
                     adapt_core::TransitionAction::NotifyHost { host, param } => {
                         if host == "server" && param == "c" && method_changed {
                             let msg = protocol::set_compression_msg(self.cfg.method);
-                            let server = self.opts.server;
-                            self.post(ctx, Envelope::to(server, msg));
+                            ctx.send(self.opts.server, msg);
                         }
                     }
                     adapt_core::TransitionAction::SetLocal { .. } => {
@@ -593,8 +567,7 @@ impl Client {
             if let Some(a) = &self.adapt {
                 self.stats.record_adapt_summary(a.runtime.monitor.estimate());
             }
-            let server = self.opts.server;
-            self.post(ctx, Envelope::to(server, Message::signal(protocol::TAG_DISCONNECT, 32)));
+            ctx.send(self.opts.server, Message::signal(protocol::TAG_DISCONNECT, 32));
         }
     }
 }
@@ -603,8 +576,7 @@ impl Actor for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let initial = self.cfg.to_configuration();
         self.stats.record_config(ctx.now(), initial);
-        let (server, method) = (self.opts.server, self.cfg.method);
-        self.post(ctx, Envelope::to(server, protocol::connect_msg(method)));
+        ctx.send(self.opts.server, protocol::connect_msg(self.cfg.method));
         if let Some(a) = &self.adapt {
             ctx.set_timer(a.period_us, TAG_MONITOR);
         }
@@ -789,8 +761,7 @@ impl Actor for Client {
                 // may have crashed and lost our session since we last
                 // spoke: re-announce the compression method before
                 // re-asking for the round.
-                let (server, method) = (self.opts.server, self.cfg.method);
-                self.post(ctx, Envelope::to(server, protocol::connect_msg(method)));
+                ctx.send(self.opts.server, protocol::connect_msg(self.cfg.method));
                 self.stats.record_retry();
                 self.send_request(ctx);
             } else {

@@ -22,7 +22,6 @@
 //!   build their sessions with, the profiling runner, and
 //!   performance-database construction — the basis of every reproduced
 //!   figure;
-//! - [`user_model`]: synthetic fovea behavior;
 //! - [`wire`], [`socket`]: the protocol's byte-level codec and the
 //!   socket-mirror harness that replays a session over real loopback
 //!   sockets via the pluggable `adapt-transport` layer.
@@ -40,7 +39,6 @@ pub mod server;
 pub mod socket;
 pub mod stats;
 pub mod store;
-pub mod user_model;
 pub mod wire;
 
 pub use client::{AdaptSetup, Client, ClientOpts, ConfigError, VizConfig};
@@ -61,7 +59,6 @@ pub use socket::{
 };
 pub use stats::{ImageRecord, RoundRecord, RunStats, StatsHandle};
 pub use store::ImageStore;
-pub use user_model::UserModel;
 pub use wire::{messages_equal, VizCodec};
 
 /// The application-layer vocabulary in one import: `use visapp::prelude::*;`.
@@ -80,7 +77,6 @@ pub mod prelude {
     pub use crate::socket::{decision_sequence, socket_mirror_hook, MirrorBackend};
     pub use crate::stats::{ImageRecord, RoundRecord, RunStats, StatsHandle};
     pub use crate::store::ImageStore;
-    pub use crate::user_model::UserModel;
     pub use crate::wire::{messages_equal, VizCodec};
     pub use obs::{Adaptive, Command, CommandOutcome, CommandRouter, ConfigRegistry, ConfigValue};
 }

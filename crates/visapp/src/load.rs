@@ -22,9 +22,8 @@
 //!
 //! Determinism: everything — arrival times, think times, per-session QoS
 //! profiles — derives from [`LoadGenOpts::seed`] through
-//! [`SplitMix64`] (not the `rand` crate: the pinned load digests must
-//! stay comparable across builds), and the simulation
-//! itself consults no wall clock. Two runs with the same options produce
+//! [`SplitMix64`], the workspace's one seeded stream (`obs::det`), and
+//! the simulation itself consults no wall clock. Two runs with the same options produce
 //! byte-identical [`LoadReport::digest`]s.
 //!
 //! Aggregate observability rides the shared [`Obs`] bus:
@@ -43,9 +42,9 @@ use adapt_core::{
     Constraint, Objective, PerfDb, Preference, PreferenceList, Profiler, QosReport, ResourceGrid,
     ResourceVector, MONITOR_PERIOD_US,
 };
+use obs::det::{Fnv64, SplitMix64};
 use obs::{Event, MetricId, Obs, Source};
 use sandbox::{Limits, LimitsHandle, Sandboxed};
-use simnet::det::{Fnv64, SplitMix64};
 use simnet::{Actor, Ctx, DrainMode, Sim, SimTime};
 
 use crate::scenario::{

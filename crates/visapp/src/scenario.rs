@@ -25,7 +25,6 @@ use crate::resilience::{BreakerOpts, RetryPolicy};
 use crate::server::Server;
 use crate::stats::{RunStats, StatsHandle};
 use crate::store::ImageStore;
-use crate::user_model::UserModel;
 
 /// A background competing process on the client host: kernel-scheduled
 /// (not sandboxed), so it genuinely contends with the client for CPU —
@@ -298,7 +297,6 @@ pub struct RunOutcome {
 pub fn client_opts(sc: &Scenario, store: &ImageStore, server_id: simnet::ActorId) -> ClientOpts {
     ClientOpts::new(server_id)
         .with_n_images(sc.n_images)
-        .with_user(UserModel::center(sc.img_size, sc.img_size))
         .with_geometry(store.cover_radius(), store.dims(), store.levels())
         .with_request_timeout(sc.request_timeout_us)
         .with_retry(sc.retry)

@@ -16,7 +16,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use adapt_transport::{Envelope, SimTransport, Transport};
 use compress::Method;
 use sandbox::SandboxStats;
 use simnet::{Actor, ActorId, Ctx, Message};
@@ -61,10 +60,6 @@ pub struct Server {
     reporter: Option<Reporter>,
     had_clients: bool,
     obs: Option<ServerObs>,
-    /// Outbound message path (see `Client::link`): a [`SimTransport`]
-    /// flushed at each send site so the kernel action stream — and hence
-    /// every committed digest — is identical to direct `ctx` sends.
-    link: SimTransport,
 }
 
 /// Pre-registered metric targets so the request path stays allocation-free.
@@ -87,14 +82,7 @@ impl Server {
             reporter: None,
             had_clients: false,
             obs: None,
-            link: SimTransport::new(),
         }
-    }
-
-    /// Queue one envelope on the transport and flush it onto the kernel.
-    fn post(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
-        self.link.send(env).expect("sim transport is always open");
-        self.link.flush_into(ctx);
     }
 
     /// Attach a monitoring reporter; estimates go to every connected client.
@@ -168,9 +156,8 @@ impl Actor for Server {
                         kind: 0,
                         value: share,
                     });
-                    // Control-plane traffic: ahead of the action queue,
-                    // exactly as the former `ctx.send_now`.
-                    self.post(ctx, Envelope::immediate(client, msg));
+                    // Control-plane traffic: ahead of the action queue.
+                    ctx.send_now(client, msg);
                 }
             }
         }
@@ -227,7 +214,7 @@ impl Actor for Server {
                 if let Some(reply) = cached_hit {
                     self.duplicate_requests += 1;
                     self.count(|h| h.duplicates);
-                    self.post(ctx, Envelope::to(from, protocol::reply_msg(reply)));
+                    ctx.send(from, protocol::reply_msg(reply));
                     return;
                 }
                 self.requests_served += 1;
@@ -256,7 +243,7 @@ impl Actor for Server {
                 }
                 // Charge extraction + compression work, then transmit.
                 ctx.compute(costs::server_reply_work(prepared.ncoeffs, prepared.raw_bytes, method));
-                self.post(ctx, Envelope::to(from, protocol::reply_msg(reply)));
+                ctx.send(from, protocol::reply_msg(reply));
             }
             protocol::TAG_DISCONNECT => {
                 self.sessions.remove(&from);

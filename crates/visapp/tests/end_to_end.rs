@@ -647,7 +647,6 @@ fn remote_monitoring_reports_reach_the_client_runtime() {
     let opts = visapp::ClientOpts::new(server_id)
         .with_n_images(sc.n_images)
         .with_initial(initial)
-        .with_user(visapp::UserModel::center(sc.img_size, sc.img_size))
         .with_geometry(store.cover_radius(), store.dims(), store.levels());
     let client = visapp::Client::new(opts, stats.clone(), Some(adapt));
     sim.spawn(

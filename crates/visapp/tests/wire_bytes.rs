@@ -4,7 +4,7 @@
 //! here, not in a digest three layers up.
 
 use compress::Method;
-use simnet::det::Fnv64;
+use obs::det::Fnv64;
 use visapp::store::ImageStore;
 use wavelet::Rect;
 

@@ -104,8 +104,7 @@ pub fn inv_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use obs::det::SplitMix64;
 
     #[test]
     fn pair_roundtrip_exhaustive_small() {
@@ -129,8 +128,8 @@ mod tests {
 
     #[test]
     fn one_d_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let orig: Vec<i32> = (0..64).map(|_| rng.gen_range(-512..512)).collect();
+        let mut rng = SplitMix64::new(1);
+        let orig: Vec<i32> = (0..64).map(|_| rng.below(1024) as i32 - 512).collect();
         let mut row = orig.clone();
         let mut scratch = Vec::new();
         fwd_1d(&mut row, 64, &mut scratch);
@@ -150,9 +149,9 @@ mod tests {
 
     #[test]
     fn two_d_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let (w, h) = (16, 8);
-        let orig: Vec<i32> = (0..w * h).map(|_| rng.gen_range(0..256)).collect();
+        let orig: Vec<i32> = (0..w * h).map(|_| rng.below(256) as i32).collect();
         let mut data = orig.clone();
         fwd_2d_level(&mut data, w, w, h);
         assert_ne!(data, orig);

@@ -6,8 +6,7 @@
 //! spatial-frequency content (which controls compressibility). All
 //! generators are seeded, so every experiment is reproducible.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use obs::det::SplitMix64;
 
 /// An 8-bit grayscale image, row-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,16 +117,18 @@ pub fn checkerboard(width: usize, height: usize, cell: usize) -> Image {
 
 /// Uniform random noise (incompressible; worst case for the codecs).
 pub fn noise(width: usize, height: usize, seed: u64) -> Image {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut img = Image::blank(width, height);
-    rng.fill(&mut img.data[..]);
+    for b in img.data.iter_mut() {
+        *b = rng.next_u64() as u8;
+    }
     img
 }
 
 /// Multi-octave value noise ("plasma"): smooth large-scale structure with
 /// fine detail, a reasonable stand-in for photographic content.
 pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let octaves = 5usize;
     let mut acc = vec![0.0f64; width * height];
     let mut amplitude = 1.0f64;
@@ -136,7 +137,7 @@ pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
         let cells = 1usize << (o + 2); // 4, 8, 16, ...
         let gw = cells + 2;
         let gh = cells + 2;
-        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.gen::<f64>()).collect();
+        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
         for y in 0..height {
             for x in 0..width {
                 let fx = x as f64 / width as f64 * cells as f64;
@@ -170,10 +171,11 @@ pub fn photo(width: usize, height: usize, seed: u64, amp: i32) -> Image {
     if amp <= 0 {
         return base;
     }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut img = base;
     for v in img.data.iter_mut() {
-        let n = rng.gen_range(-amp..=amp);
+        // Uniform in `[-amp, amp]`; `amp >= 1` here, so `range` draws.
+        let n = rng.range(0, 2 * amp as u64) as i32 - amp;
         *v = (*v as i32 + n).clamp(0, 255) as u8;
     }
     img
@@ -214,6 +216,20 @@ mod tests {
         assert_eq!(plasma(32, 32, 7), plasma(32, 32, 7));
         assert_eq!(noise(32, 32, 7), noise(32, 32, 7));
         assert_ne!(plasma(32, 32, 7), plasma(32, 32, 8));
+    }
+
+    /// Known answers: every store, payload and `wire_bytes` hash starts
+    /// from these generators, so a change to the stream or to how a draw
+    /// maps onto it must show up here first.
+    #[test]
+    fn generators_are_pinned() {
+        let fnv = |img: Image| {
+            let mut h = obs::det::Fnv64::new();
+            h.write(&img.data);
+            h.finish()
+        };
+        assert_eq!(fnv(noise(64, 64, 5)), 0x421e_5334_d752_091d);
+        assert_eq!(fnv(plasma(64, 64, 1)), 0xbbb6_f785_3f77_7850);
     }
 
     #[test]

@@ -67,6 +67,23 @@ if grep -rnE "$gone" Cargo.toml Cargo.lock crates src tests examples scripts ven
     exit 1
 fi
 
+stage "no rand"
+# Every seeded draw goes through obs::det::SplitMix64, the one stream the
+# pinned digests are a function of. This keeps the deleted `rand` stub (or
+# the real crate, whose stream may change between versions) from drifting
+# back into vendor/, a manifest, the lock file or a source file.
+if [ -d vendor/rand ]; then
+    echo "vendor/rand is back: draw from obs::det::SplitMix64" >&2
+    exit 1
+fi
+gone='\buse rand\b|\brand::'
+if grep -rnE --include=Cargo.toml '^[[:space:]]*rand[[:space:]]*[.=]' Cargo.toml crates vendor ||
+    grep -nxF 'name = "rand"' Cargo.lock ||
+    grep -rnE --include='*.rs' "$gone" crates src tests examples vendor | grep -vF "$gone"; then
+    echo "the lines above bring back rand: draw from obs::det::SplitMix64" >&2
+    exit 1
+fi
+
 stage "no unsafe"
 # Library code is safe Rust and the compiler checks it: every crate root
 # carries #![forbid(unsafe_code)]. The one `unsafe` left is the counting
