@@ -116,31 +116,11 @@ impl Profiler {
         self.configs.len() * self.grid.point_count() * self.inputs.len()
     }
 
-    /// Run the whole sweep on the calling thread.
-    pub fn run(&self, runner: &dyn ProfileRunner) -> PerfDb {
-        let mut db = PerfDb::new();
-        for input in &self.inputs {
-            for config in &self.configs {
-                for point in self.grid.points() {
-                    let metrics = runner.run(config, &point, input);
-                    db.add(PerfRecord {
-                        config: config.clone(),
-                        resources: point,
-                        input: input.clone(),
-                        metrics,
-                    });
-                }
-            }
-        }
-        if let Some(opts) = self.sensitivity {
-            self.refine(&mut db, runner, opts);
-        }
-        db
-    }
-
-    /// Run the sweep across `threads` OS threads. Each grid point builds
-    /// its own independent simulation, so this is embarrassingly parallel;
-    /// results are merged in deterministic job order afterwards.
+    /// Run the sweep across `threads` OS threads (`1` is a sequential
+    /// sweep). Each grid point builds its own independent simulation, so
+    /// this is embarrassingly parallel; results are merged in deterministic
+    /// job order afterwards — the order of a nested input → configuration
+    /// → point loop, whatever the thread count.
     ///
     /// Workers pull tickets from a shared counter and decode them into
     /// `(input, config, point)` on the fly — the grid's points are
@@ -343,7 +323,7 @@ mod tests {
         let g = ResourceGrid::new().with_axis(cpu(), &[0.25, 0.5, 1.0]);
         let p = Profiler::new(configs(), g, vec!["img".into()]);
         assert_eq!(p.base_run_count(), 6);
-        let db = p.run(&runner);
+        let db = p.run_parallel(&runner, 1);
         assert_eq!(db.len(), 6);
         let q = ResourceVector::new(&[(cpu(), 0.5)]);
         let pred = db
@@ -361,7 +341,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let g = ResourceGrid::new().with_axis(cpu(), &[0.2, 0.4, 0.6, 0.8, 1.0]);
         let p = Profiler::new(configs(), g, vec!["img".into()]);
-        let seq = p.run(&runner);
+        let seq = p.run_parallel(&runner, 1);
         let par = p.run_parallel(&runner, 4);
         assert_eq!(seq.len(), par.len());
         // Same records in the same deterministic order.
@@ -375,10 +355,10 @@ mod tests {
         // 1/share is steep near 0.1: the 0.1-0.55 interval changes by far
         // more than 25%, so refinement must add midpoints there.
         let g = ResourceGrid::new().with_axis(cpu(), &[0.1, 0.55, 1.0]);
-        let base = Profiler::new(configs(), g.clone(), vec!["img".into()]).run(&runner);
+        let base = Profiler::new(configs(), g.clone(), vec!["img".into()]).run_parallel(&runner, 1);
         let refined = Profiler::new(configs(), g, vec!["img".into()])
             .with_sensitivity(SensitivityOpts { threshold: 0.25, max_rounds: 2 })
-            .run(&runner);
+            .run_parallel(&runner, 1);
         assert!(refined.len() > base.len(), "{} vs {}", refined.len(), base.len());
         let c = Configuration::new(&[("l", 3)]);
         let vals = refined.axis_values(&c, "img", &cpu());
@@ -395,14 +375,15 @@ mod tests {
         let g = ResourceGrid::new().with_axis(cpu(), &[0.1, 0.5, 1.0]);
         let db = Profiler::new(configs(), g, vec!["img".into()])
             .with_sensitivity(SensitivityOpts::default())
-            .run(&flat);
+            .run_parallel(&flat, 1);
         assert_eq!(db.len(), 6, "no refinement for flat metrics");
     }
 
     #[test]
     fn multiple_inputs_profiled_independently() {
         let g = ResourceGrid::new().with_axis(cpu(), &[0.5, 1.0]);
-        let db = Profiler::new(configs(), g, vec!["small".into(), "large".into()]).run(&runner);
+        let db = Profiler::new(configs(), g, vec!["small".into(), "large".into()])
+            .run_parallel(&runner, 1);
         assert_eq!(db.inputs(), vec!["large".to_string(), "small".to_string()]);
         assert_eq!(db.len(), 8);
     }

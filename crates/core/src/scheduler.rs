@@ -392,18 +392,6 @@ impl ResourceScheduler {
         Some(Selected { ctx, chosen, rank, predicted })
     }
 
-    /// The best-effort fallback chain: the full preference walk first,
-    /// then — when nothing satisfies — the least-violating configuration.
-    /// Returns `None` only when no configuration has a prediction at all.
-    pub fn choose_best_effort(
-        &self,
-        resources: &ResourceVector,
-        excluded: &[Configuration],
-    ) -> Option<Decision> {
-        self.choose_excluding(resources, excluded)
-            .or_else(|| self.choose_least_violating(resources, excluded))
-    }
-
     /// When no configuration satisfies any preference: pick the one with
     /// the smallest total relative constraint violation under the
     /// least-demanding (last) preference, ties broken by that preference's
@@ -708,19 +696,19 @@ mod tests {
         let s = ResourceScheduler::new(crossover_db(), prefs, "img");
         let r = ResourceVector::new(&[(cpu(), 0.25), (net(), 50_000.0)]);
         assert!(s.choose(&r).is_none());
-        let d = s.choose_best_effort(&r, &[]).unwrap();
+        let d = s.choose_least_violating(&r, &[]).unwrap();
         assert!(d.best_effort);
         assert_eq!(d.config.get("c"), Some(1));
         assert!(d.validity.ranges.is_empty(), "no region can hold a failing choice");
         // Exclusions are honored in the fallback too.
         let lzw = Configuration::new(&[("c", 1)]);
-        let d2 = s.choose_best_effort(&r, &[lzw]).unwrap();
+        let d2 = s.choose_least_violating(&r, &[lzw]).unwrap();
         assert!(d2.best_effort);
         assert_eq!(d2.config.get("c"), Some(2));
-        // A satisfiable preference passes through the chain unmarked.
+        // A satisfiable preference is answered by `choose`, unmarked.
         let s2 = ResourceScheduler::new(crossover_db(), min_time_prefs(), "img");
         let hi = ResourceVector::new(&[(cpu(), 1.0), (net(), 1_000_000.0)]);
-        let d3 = s2.choose_best_effort(&hi, &[]).unwrap();
+        let d3 = s2.choose(&hi).unwrap();
         assert!(!d3.best_effort);
     }
 

@@ -61,10 +61,25 @@ fn thread_count_does_not_leak_into_refinement() {
     assert!(one.len() > profiler().base_run_count(), "refinement actually ran");
 }
 
+/// The merged order is the nested input → configuration → point loop,
+/// written out here as the reference.
 #[test]
 fn parallel_matches_the_sequential_sweep() {
     let p = profiler();
-    let seq = p.run(&runner);
+    let mut seq = PerfDb::new();
+    for input in &p.inputs {
+        for config in &p.configs {
+            for point in p.grid.points() {
+                let metrics = runner(config, &point, input);
+                seq.add(PerfRecord {
+                    config: config.clone(),
+                    resources: point,
+                    input: input.clone(),
+                    metrics,
+                });
+            }
+        }
+    }
     let par = p.run_parallel(&runner, 8);
     assert_eq!(seq.records(), par.records());
 }

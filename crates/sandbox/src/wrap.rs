@@ -272,7 +272,7 @@ impl<A: Actor> Actor for Sandboxed<A> {
     fn on_message(&mut self, from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
         debug_assert!(!self.busy, "kernel delivered a message to a busy actor");
         let now = ctx.now();
-        let queued = ctx.last_received().map(|t| t.queued).unwrap_or(now);
+        let queued = ctx.last_received().unwrap_or(now);
         let delay = self.recv_delay(now, msg.wire_bytes);
         if delay > 0 {
             self.pending_recv.push_back((from, msg, queued));

@@ -1,52 +1,17 @@
 //! Per-actor resource accounting.
 //!
 //! The kernel maintains one [`Accounting`] record per actor: CPU time
-//! actually received, wall time spent computing or sleeping, bytes moved,
-//! and a bounded log of recent message [`Transfer`]s. The paper's
-//! monitoring agent and the sandbox's progress estimator are built purely
-//! on these observations — they never read the ground-truth resource caps,
-//! mirroring how the original system had to *infer* availability from
-//! application-visible measurements.
+//! actually received, wall time spent computing or sleeping, bytes and
+//! messages moved, memory in use, and when the most recent inbound message
+//! was queued. The paper's monitoring agent and the sandbox's progress
+//! estimator are built purely on these observations — they never read the
+//! ground-truth resource caps, mirroring how the original system had to
+//! *infer* availability from application-visible measurements. Message
+//! traffic itself is published as `msg_sent` / `msg_delivered` events on
+//! an attached obs bus (see [`Sim::attach_obs`](crate::Sim::attach_obs)),
+//! not kept here.
 
-use std::collections::VecDeque;
-
-use crate::actor::ActorId;
 use crate::time::SimTime;
-
-/// Transfer direction relative to the actor owning the record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
-    Sent,
-    Received,
-}
-
-/// One completed message transfer, as observed by an endpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct Transfer {
-    pub peer: ActorId,
-    pub dir: Dir,
-    pub bytes: u64,
-    /// When the message was handed to the network layer.
-    pub queued: SimTime,
-    /// When the last byte arrived at the receiver.
-    pub delivered: SimTime,
-}
-
-impl Transfer {
-    /// Observed end-to-end throughput in bytes/second (None for instant or
-    /// zero-byte transfers).
-    pub fn throughput_bps(&self) -> Option<f64> {
-        let us = self.delivered.since(self.queued);
-        if us == 0 || self.bytes == 0 {
-            None
-        } else {
-            Some(self.bytes as f64 / (us as f64 / 1e6))
-        }
-    }
-}
-
-/// Maximum transfers retained per actor; older entries are dropped.
-pub const TRANSFER_LOG_CAP: usize = 4096;
 
 /// Resource usage record for one actor.
 #[derive(Debug, Default)]
@@ -65,8 +30,10 @@ pub struct Accounting {
     /// Messages sent / received (counts).
     pub msgs_sent: u64,
     pub msgs_recv: u64,
-    /// Bounded log of recent transfers, oldest first.
-    pub transfers: VecDeque<Transfer>,
+    /// When the most recently delivered inbound message was handed to the
+    /// network layer (`None` before the first delivery); read through
+    /// [`Ctx::last_received`](crate::Ctx::last_received).
+    pub(crate) last_received: Option<SimTime>,
     /// Simulated bytes of memory currently allocated by the actor.
     pub mem_used: u64,
     /// High-water mark of `mem_used`.
@@ -74,21 +41,17 @@ pub struct Accounting {
 }
 
 impl Accounting {
-    pub(crate) fn record_transfer(&mut self, t: Transfer) {
-        match t.dir {
-            Dir::Sent => {
-                self.bytes_sent += t.bytes;
-                self.msgs_sent += 1;
-            }
-            Dir::Received => {
-                self.bytes_recv += t.bytes;
-                self.msgs_recv += 1;
-            }
-        }
-        if self.transfers.len() == TRANSFER_LOG_CAP {
-            self.transfers.pop_front();
-        }
-        self.transfers.push_back(t);
+    /// A message of `bytes` from this actor was delivered.
+    pub(crate) fn record_sent(&mut self, bytes: u64) {
+        self.bytes_sent += bytes;
+        self.msgs_sent += 1;
+    }
+
+    /// A message of `bytes`, queued at `queued`, was delivered to this actor.
+    pub(crate) fn record_received(&mut self, bytes: u64, queued: SimTime) {
+        self.bytes_recv += bytes;
+        self.msgs_recv += 1;
+        self.last_received = Some(queued);
     }
 
     pub(crate) fn alloc(&mut self, bytes: u64) {
@@ -98,16 +61,6 @@ impl Accounting {
 
     pub(crate) fn free(&mut self, bytes: u64) {
         self.mem_used = self.mem_used.saturating_sub(bytes);
-    }
-
-    /// Average CPU share obtained over the compute wall time so far:
-    /// `cpu_time / compute_wall`. `None` when the actor has not computed.
-    pub fn mean_cpu_share(&self) -> Option<f64> {
-        if self.compute_wall_us > 0.0 {
-            Some(self.cpu_time_us / self.compute_wall_us)
-        } else {
-            None
-        }
     }
 
     /// A compact point-in-time snapshot (cheap to copy into monitors).
@@ -145,67 +98,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_throughput() {
-        let t = Transfer {
-            peer: ActorId(1),
-            dir: Dir::Sent,
-            bytes: 1_000_000,
-            queued: SimTime::ZERO,
-            delivered: SimTime::from_secs(2),
-        };
-        assert!((t.throughput_bps().unwrap() - 500_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throughput_none_for_instant() {
-        let t = Transfer {
-            peer: ActorId(1),
-            dir: Dir::Sent,
-            bytes: 10,
-            queued: SimTime::from_us(5),
-            delivered: SimTime::from_us(5),
-        };
-        assert!(t.throughput_bps().is_none());
-    }
-
-    #[test]
     fn record_updates_counters() {
         let mut a = Accounting::default();
-        a.record_transfer(Transfer {
-            peer: ActorId(2),
-            dir: Dir::Sent,
-            bytes: 100,
-            queued: SimTime::ZERO,
-            delivered: SimTime::from_us(1),
-        });
-        a.record_transfer(Transfer {
-            peer: ActorId(2),
-            dir: Dir::Received,
-            bytes: 300,
-            queued: SimTime::ZERO,
-            delivered: SimTime::from_us(1),
-        });
+        assert_eq!(a.last_received, None);
+        a.record_sent(100);
+        a.record_received(300, SimTime::from_us(7));
+        a.record_received(20, SimTime::from_us(3));
         assert_eq!(a.bytes_sent, 100);
-        assert_eq!(a.bytes_recv, 300);
+        assert_eq!(a.bytes_recv, 320);
         assert_eq!(a.msgs_sent, 1);
-        assert_eq!(a.msgs_recv, 1);
-        assert_eq!(a.transfers.len(), 2);
-    }
-
-    #[test]
-    fn transfer_log_is_bounded() {
-        let mut a = Accounting::default();
-        for i in 0..(TRANSFER_LOG_CAP + 10) {
-            a.record_transfer(Transfer {
-                peer: ActorId(0),
-                dir: Dir::Sent,
-                bytes: i as u64,
-                queued: SimTime::ZERO,
-                delivered: SimTime::from_us(1),
-            });
-        }
-        assert_eq!(a.transfers.len(), TRANSFER_LOG_CAP);
-        assert_eq!(a.transfers.front().unwrap().bytes, 10);
+        assert_eq!(a.msgs_recv, 2);
+        // The latest delivery's queued time, whatever its order.
+        assert_eq!(a.last_received, Some(SimTime::from_us(3)));
     }
 
     #[test]
@@ -218,14 +122,5 @@ mod tests {
         assert_eq!(a.mem_peak, 150);
         a.free(1000);
         assert_eq!(a.mem_used, 0, "free saturates");
-    }
-
-    #[test]
-    fn mean_cpu_share() {
-        let mut a = Accounting::default();
-        assert!(a.mean_cpu_share().is_none());
-        a.cpu_time_us = 40.0;
-        a.compute_wall_us = 100.0;
-        assert!((a.mean_cpu_share().unwrap() - 0.4).abs() < 1e-12);
     }
 }

@@ -8,12 +8,11 @@
 //! advances. Two runs with the same plan (and the same workload) produce
 //! bit-identical traces.
 //!
-//! Every injected fault is surfaced in the kernel trace:
-//! [`TraceEvent::MsgDropped`], [`TraceEvent::LinkDown`] /
-//! [`TraceEvent::LinkUp`], and [`TraceEvent::HostCrash`] /
-//! [`TraceEvent::HostRestart`](crate::TraceEvent::HostRestart) — and, when
-//! an [`obs::Obs`] context is attached to the simulation, as structured
-//! `Source::Simnet` events on the shared bus.
+//! When an [`obs::Obs`] context is attached to the simulation
+//! ([`Sim::attach_obs`]), every injected fault is published on its bus as
+//! a `Source::Simnet` event: `msg_dropped` (with a `reason` field,
+//! [`DropReason::name`]), `link_down` / `link_up`, and `host_crash` /
+//! `host_restart`.
 //!
 //! ## Determinism
 //!
@@ -22,18 +21,13 @@
 //! fault on one link never perturbs the random sequence of another.
 //! Scheduled faults (down windows, partitions, crashes) are fixed points
 //! on the simulated clock. No wall-clock or OS randomness is involved.
-//!
-//! [`TraceEvent::MsgDropped`]: crate::TraceEvent::MsgDropped
-//! [`TraceEvent::LinkDown`]: crate::TraceEvent::LinkDown
-//! [`TraceEvent::LinkUp`]: crate::TraceEvent::LinkUp
-//! [`TraceEvent::HostCrash`]: crate::TraceEvent::HostCrash
 
 use crate::actor::HostId;
 use crate::kernel::Sim;
 use crate::time::SimTime;
 
-/// Why an injected fault dropped a message (recorded in
-/// [`TraceEvent::MsgDropped`](crate::TraceEvent::MsgDropped)).
+/// Why an injected fault dropped a message (the `reason` field of a
+/// `msg_dropped` event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Probabilistic per-link loss.
@@ -42,6 +36,17 @@ pub enum DropReason {
     LinkDown,
     /// The destination actor's host (or the actor itself) was dead.
     ReceiverDead,
+}
+
+impl DropReason {
+    /// Stable string used in obs event fields.
+    pub fn name(self) -> &'static str {
+        match self {
+            DropReason::Loss => "loss",
+            DropReason::LinkDown => "link_down",
+            DropReason::ReceiverDead => "receiver_dead",
+        }
+    }
 }
 
 /// An invalid fault description, from the `try_with_*` builders.

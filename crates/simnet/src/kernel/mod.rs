@@ -25,15 +25,15 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use obs::det::SplitMix64;
+use obs::{Event, Obs, Source};
 
-use crate::accounting::{Accounting, Dir, Snapshot, Transfer};
+use crate::accounting::{Accounting, Snapshot};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
 use crate::fault::DropReason;
 use crate::link::{FlowSched, Link, LinkMode};
 use crate::message::Message;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
 
 mod queue;
 
@@ -63,9 +63,6 @@ pub(crate) struct ActorState {
     running: Running,
     weight: f64,
     cpu_cap: Option<f64>,
-    mem_limit: Option<u64>,
-    /// Slowdown per unit of memory overcommit (see [`Sim::set_mem_limit`]).
-    mem_penalty_k: f64,
     compute_started: SimTime,
     sleep_started: SimTime,
     pub acct: Accounting,
@@ -88,8 +85,6 @@ impl ActorState {
             running: Running::Idle,
             weight: 1.0,
             cpu_cap: None,
-            mem_limit: None,
-            mem_penalty_k: 4.0,
             compute_started: SimTime::ZERO,
             sleep_started: SimTime::ZERO,
             acct: Accounting::default(),
@@ -223,7 +218,8 @@ pub struct Sim {
     local_latency_us: u64,
     actors: Vec<Option<Box<dyn Actor>>>,
     states: Vec<ActorState>,
-    pub trace: Trace,
+    /// The bus kernel events are published to (see [`Sim::attach_obs`]).
+    obs: Option<Obs>,
     events_handled: u64,
     event_limit: Option<u64>,
     /// Optional wire interposition: every transmitted message passes
@@ -270,7 +266,7 @@ impl Sim {
             local_latency_us: DEFAULT_LOCAL_LATENCY_US,
             actors: Vec::new(),
             states: Vec::new(),
-            trace: Trace::default(),
+            obs: None,
             events_handled: 0,
             event_limit: None,
             wire_hook: None,
@@ -387,17 +383,15 @@ impl Sim {
     }
 
     /// Take the directed `src -> dst` link down (or bring it back up).
-    /// While down, every message transmitted on it is dropped and traced
-    /// as [`TraceEvent::MsgDropped`]. State changes are traced as
-    /// [`TraceEvent::LinkDown`] / [`TraceEvent::LinkUp`].
+    /// While down, every message transmitted on it is dropped
+    /// (`msg_dropped`, reason `link_down`). State changes publish
+    /// `link_down` / `link_up`.
     pub fn set_link_down(&mut self, src: HostId, dst: HostId, down: bool) {
         let key = (src.0, dst.0);
-        if down {
-            if self.down_links.insert(key) {
-                self.trace.emit(self.now, TraceEvent::LinkDown { src, dst });
-            }
-        } else if self.down_links.remove(&key) {
-            self.trace.emit(self.now, TraceEvent::LinkUp { src, dst });
+        let changed = if down { self.down_links.insert(key) } else { self.down_links.remove(&key) };
+        if changed {
+            let kind = if down { "link_down" } else { "link_up" };
+            self.emit(kind, |e| e.with("src", src.0).with("dst", dst.0));
         }
     }
 
@@ -425,7 +419,13 @@ impl Sim {
             self.hosts[host].sched.retune(a, None, Some(cap));
             self.schedule_next_cpu(host);
         }
-        self.trace.emit(self.now, TraceEvent::CapChange { actor: a, cap });
+        self.emit("cap_change", |e| {
+            let e = e.with("actor", a.0);
+            match cap {
+                Some(c) => e.with("cap", c),
+                None => e,
+            }
+        });
     }
 
     /// Set an actor's proportional-share weight.
@@ -437,18 +437,6 @@ impl Sim {
             self.hosts[host].sched.retune(a, Some(weight), None);
             self.schedule_next_cpu(host);
         }
-    }
-
-    /// Limit an actor's simulated physical memory. When its allocation
-    /// exceeds the limit, compute actions are inflated by
-    /// `1 + k * overcommit_fraction`, modeling paging slowdown.
-    pub fn set_mem_limit(&mut self, a: ActorId, limit: Option<u64>) {
-        self.states[a.0].mem_limit = limit;
-    }
-
-    /// Tune the paging-penalty coefficient `k` (default 4.0).
-    pub fn set_mem_penalty_k(&mut self, a: ActorId, k: f64) {
-        self.states[a.0].mem_penalty_k = k.max(0.0);
     }
 
     /// Terminate an actor: any active computation is aborted, queued
@@ -480,7 +468,7 @@ impl Sim {
     /// Crash every actor on `host`: computation is aborted, queues are
     /// cleared, and timers armed before the crash are cancelled. Unlike
     /// [`Sim::kill`], crashed actors can be revived by
-    /// [`Sim::restart_host`]. Traced as [`TraceEvent::HostCrash`].
+    /// [`Sim::restart_host`]. Publishes `host_crash`.
     pub fn crash_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
@@ -503,14 +491,14 @@ impl Sim {
             st.inbox.clear();
         }
         if any {
-            self.trace.emit(self.now, TraceEvent::HostCrash { host });
+            self.emit("host_crash", |e| e.with("host", host.0));
         }
     }
 
     /// Restart a crashed host: every actor that died in a [`Sim::crash_host`]
     /// comes back alive and its [`Actor::on_restart`] runs (by default that
     /// re-runs `on_start`, modeling a process restart). Actors removed with
-    /// [`Sim::kill`] stay dead. Traced as [`TraceEvent::HostRestart`].
+    /// [`Sim::kill`] stay dead. Publishes `host_restart`.
     pub fn restart_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
@@ -524,7 +512,7 @@ impl Sim {
             self.queue.push(self.now, Ev::Restart(ActorId(i)));
         }
         if any {
-            self.trace.emit(self.now, TraceEvent::HostRestart { host });
+            self.emit("host_restart", |e| e.with("host", host.0));
         }
     }
 
@@ -549,11 +537,32 @@ impl Sim {
         self.event_limit = limit;
     }
 
-    /// Route every kernel trace event onto `obs`'s shared event bus as a
-    /// structured `Source::Simnet` event (see [`crate::trace`]): the only
-    /// place kernel events are recorded.
-    pub fn attach_obs(&mut self, obs: &obs::Obs) {
-        self.trace.attach_obs(obs);
+    /// Publish every kernel event onto `obs`'s shared event bus as a
+    /// structured `Source::Simnet` event: the only place kernel events are
+    /// recorded. With nothing attached, no event is built.
+    ///
+    /// | kind | fields |
+    /// |---|---|
+    /// | `compute_start` | `actor`, `work` (f64, work-units) |
+    /// | `compute_end` | `actor` |
+    /// | `msg_sent`, `msg_delivered` | `src`, `dst` (actors), `bytes` |
+    /// | `msg_dropped` | `src`, `dst`, `bytes`, `reason` ([`DropReason::name`]) |
+    /// | `link_down`, `link_up` | `src`, `dst` (hosts) |
+    /// | `host_crash`, `host_restart` | `host` |
+    /// | `timer_fired` | `actor`, `tag` |
+    /// | `cap_change` | `actor`, then `cap` (f64) unless the cap was removed |
+    ///
+    /// Ids and counts are `u64` values.
+    pub fn attach_obs(&mut self, obs: &Obs) {
+        self.obs = Some(obs.clone());
+    }
+
+    /// Publish one kernel event stamped with the current time. `fields`
+    /// runs only when a bus is attached.
+    fn emit(&self, kind: &'static str, fields: impl FnOnce(Event) -> Event) {
+        if let Some(obs) = &self.obs {
+            obs.publish(fields(Event::new(self.now.as_us(), Source::Simnet, kind)));
+        }
     }
 
     pub fn host_of(&self, a: ActorId) -> HostId {
@@ -578,24 +587,6 @@ impl Sim {
         let host = self.states[a.0].host.0;
         self.sync_host(host);
         self.states[a.0].acct.snapshot()
-    }
-
-    /// Run `f` against the full (synced) accounting record of `a`.
-    ///
-    /// Named `read_*`, not `with_*`: the `with_*` prefix is reserved for
-    /// consuming builder steps (`mut self -> Self`); this is a scoped
-    /// accessor.
-    pub fn read_accounting<R>(&mut self, a: ActorId, f: impl FnOnce(&Accounting) -> R) -> R {
-        let host = self.states[a.0].host.0;
-        self.sync_host(host);
-        f(&self.states[a.0].acct)
-    }
-
-    /// Transfers of `a` delivered at or after `since` (most recent last).
-    pub fn transfers_since(&mut self, a: ActorId, since: SimTime) -> Vec<Transfer> {
-        self.read_accounting(a, |acct| {
-            acct.transfers.iter().filter(|t| t.delivered >= since).copied().collect()
-        })
     }
 
     // ------------------------------------------------------------------
@@ -681,16 +672,15 @@ impl Sim {
         self.events_handled += 1;
         if let Some(limit) = self.event_limit {
             if self.events_handled > limit {
-                let tail = match self.trace.obs() {
+                let tail = match &self.obs {
                     None => "no obs attached".to_string(),
                     Some(obs) => obs
-                        .events_filtered(&obs::EventFilter::any().source(obs::Source::Simnet))
+                        .events_filtered(&obs::EventFilter::any().source(Source::Simnet))
                         .iter()
                         .rev()
-                        .filter_map(|e| TraceEvent::from_obs(e))
-                        .filter(|(_, e)| !matches!(e, TraceEvent::TimerFired { .. }))
+                        .filter(|e| e.kind != "timer_fired")
                         .take(40)
-                        .map(|(t, e)| format!("{t} {e:?}"))
+                        .map(|e| format!("{} {} {:?}", SimTime::from_us(e.at_us), e.kind, e.fields))
                         .collect::<Vec<_>>()
                         .join("\n"),
                 };
@@ -726,30 +716,16 @@ impl Sim {
                 }
             }
             Ev::Deliver { src, dst, msg, queued } => {
+                let bytes = msg.wire_bytes;
                 if !self.states[dst.0].alive {
-                    let now = self.now;
-                    self.trace.emit(
-                        now,
-                        TraceEvent::MsgDropped {
-                            src,
-                            dst,
-                            bytes: msg.wire_bytes,
-                            reason: DropReason::ReceiverDead,
-                        },
-                    );
+                    self.emit_drop(src, dst, bytes, DropReason::ReceiverDead);
                     return;
                 }
-                let bytes = msg.wire_bytes;
-                let now = self.now;
-                let t_recv =
-                    Transfer { peer: src, dir: Dir::Received, bytes, queued, delivered: now };
-                self.states[dst.0].acct.record_transfer(t_recv);
-                if src.0 < self.states.len() {
-                    let t_sent =
-                        Transfer { peer: dst, dir: Dir::Sent, bytes, queued, delivered: now };
-                    self.states[src.0].acct.record_transfer(t_sent);
-                }
-                self.trace.emit(now, TraceEvent::MsgDelivered { src, dst, bytes });
+                self.states[dst.0].acct.record_received(bytes, queued);
+                self.states[src.0].acct.record_sent(bytes);
+                self.emit("msg_delivered", |e| {
+                    e.with("src", src.0).with("dst", dst.0).with("bytes", bytes)
+                });
                 let st = &mut self.states[dst.0];
                 if st.running == Running::Idle && st.fifo.is_empty() && st.inbox.is_empty() {
                     self.dispatch(dst, |actor, ctx| actor.on_message(src, msg, ctx));
@@ -760,7 +736,7 @@ impl Sim {
             }
             Ev::Timer { actor, tag, incarnation } => {
                 if self.states[actor.0].alive && self.states[actor.0].incarnation == incarnation {
-                    self.trace.emit(self.now, TraceEvent::TimerFired { actor, tag });
+                    self.emit("timer_fired", |e| e.with("actor", actor.0).with("tag", tag));
                     self.dispatch(actor, |a, ctx| a.on_timer(tag, ctx));
                     self.pump(actor);
                 }
@@ -797,7 +773,7 @@ impl Sim {
         debug_assert_eq!(st.running, Running::Compute);
         st.acct.compute_wall_us += self.now.since(st.compute_started) as f64;
         st.running = Running::Idle;
-        self.trace.emit(self.now, TraceEvent::ComputeEnd { actor: a });
+        self.emit("compute_end", |e| e.with("actor", a.0));
         self.pump(a);
     }
 
@@ -835,18 +811,6 @@ impl Sim {
         }
     }
 
-    /// Paging-slowdown multiplier for an actor's compute actions.
-    fn mem_penalty(&self, a: ActorId) -> f64 {
-        let st = &self.states[a.0];
-        match st.mem_limit {
-            Some(limit) if limit > 0 && st.acct.mem_used > limit => {
-                let over = (st.acct.mem_used - limit) as f64 / limit as f64;
-                1.0 + st.mem_penalty_k * over
-            }
-            _ => 1.0,
-        }
-    }
-
     /// Execute `a`'s action queue until it blocks (compute/sleep) or drains.
     fn pump(&mut self, a: ActorId) {
         loop {
@@ -855,8 +819,7 @@ impl Sim {
             }
             match self.states[a.0].fifo.pop_front() {
                 Some(Action::Compute { work }) => {
-                    let eff = work * self.mem_penalty(a);
-                    if eff <= 1e-9 {
+                    if work <= 1e-9 {
                         continue;
                     }
                     let host = self.states[a.0].host.0;
@@ -867,11 +830,11 @@ impl Sim {
                         let st = &self.states[a.0];
                         (st.weight, st.cpu_cap)
                     };
-                    self.hosts[host].sched.start(a, eff, weight, cap);
+                    self.hosts[host].sched.start(a, work, weight, cap);
                     let st = &mut self.states[a.0];
                     st.running = Running::Compute;
                     st.compute_started = self.now;
-                    self.trace.emit(self.now, TraceEvent::ComputeStart { actor: a, work: eff });
+                    self.emit("compute_start", |e| e.with("actor", a.0).with("work", work));
                     self.schedule_next_cpu(host);
                     return;
                 }
@@ -904,6 +867,15 @@ impl Sim {
         }
     }
 
+    fn emit_drop(&self, src: ActorId, dst: ActorId, bytes: u64, reason: DropReason) {
+        self.emit("msg_dropped", |e| {
+            e.with("src", src.0)
+                .with("dst", dst.0)
+                .with("bytes", bytes)
+                .with("reason", reason.name())
+        });
+    }
+
     /// Put a message on the wire from `src` to `dst`.
     fn transmit(&mut self, src: ActorId, dst: ActorId, msg: Message) {
         assert!(dst.0 < self.states.len(), "send to unknown actor {dst}");
@@ -914,15 +886,11 @@ impl Sim {
         let hs = self.states[src.0].host.0;
         let hd = self.states[dst.0].host.0;
         let bytes = msg.wire_bytes;
-        self.trace.emit(self.now, TraceEvent::MsgSent { src, dst, bytes });
+        self.emit("msg_sent", |e| e.with("src", src.0).with("dst", dst.0).with("bytes", bytes));
         if hs != hd && self.down_links.contains(&(hs, hd)) {
             // The link is inside a scheduled down window: nothing gets
             // through (and nothing occupies the wire).
-            let now = self.now;
-            self.trace.emit(
-                now,
-                TraceEvent::MsgDropped { src, dst, bytes, reason: DropReason::LinkDown },
-            );
+            self.emit_drop(src, dst, bytes, DropReason::LinkDown);
             return;
         }
         if let Some((p, rng)) = self.loss.get_mut(&(hs, hd)) {
@@ -936,11 +904,7 @@ impl Sim {
                         .or_insert_with(|| Link::new(dbw, dlat))
                         .schedule(self.now, bytes);
                 }
-                let now = self.now;
-                self.trace.emit(
-                    now,
-                    TraceEvent::MsgDropped { src, dst, bytes, reason: DropReason::Loss },
-                );
+                self.emit_drop(src, dst, bytes, DropReason::Loss);
                 return;
             }
         }
@@ -1061,23 +1025,13 @@ impl Ctx<'_> {
         self.sim.snapshot(a)
     }
 
-    /// This actor's recent transfers delivered at or after `since`.
-    pub fn transfers_since(&mut self, since: SimTime) -> Vec<Transfer> {
-        let id = self.id;
-        self.sim.transfers_since(id, since)
-    }
-
-    /// The most recent inbound transfer recorded for this actor. Inside
-    /// `on_message` this is the transfer that carried the message being
-    /// handled (delivery records it immediately before dispatch).
-    pub fn last_received(&self) -> Option<Transfer> {
-        self.sim.states[self.id.0]
-            .acct
-            .transfers
-            .iter()
-            .rev()
-            .find(|t| t.dir == Dir::Received)
-            .copied()
+    /// When the most recently delivered inbound message of this actor was
+    /// queued. Inside `on_message` for a message delivered straight to an
+    /// idle actor that is the handled message's own queued time; a message
+    /// that waited in the inbox while the actor was busy sees the time of
+    /// the latest delivery instead.
+    pub fn last_received(&self) -> Option<SimTime> {
+        self.sim.states[self.id.0].acct.last_received
     }
 
     /// Host this actor runs on.
@@ -1325,6 +1279,47 @@ mod tests {
         assert_eq!(got.lock().unwrap().as_slice(), &[SimTime::from_secs(1)]);
     }
 
+    /// Pinned: two messages that wait in the inbox of a computing actor
+    /// both see the queued time of the *latest* delivery (B's), not their
+    /// own — every committed digest was computed with this reading.
+    #[test]
+    fn last_received_is_the_latest_delivery_for_inbox_messages() {
+        type Seen = Arc<Mutex<Vec<(u64, SimTime, Option<SimTime>)>>>;
+        struct Busy {
+            seen: Seen,
+        }
+        impl Actor for Busy {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.compute(1_000_000.0); // busy until t=1s
+            }
+            fn on_message(&mut self, _f: ActorId, m: Message, ctx: &mut Ctx<'_>) {
+                let queued = ctx.last_received();
+                self.seen.lock().unwrap().push((m.tag, ctx.now(), queued));
+            }
+        }
+        struct TwoSends {
+            dst: ActorId,
+        }
+        impl Actor for TwoSends {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send(self.dst, Message::signal(1, 10)); // A, queued at 0
+                ctx.sleep(300);
+                ctx.send(self.dst, Message::signal(2, 10)); // B, queued at 300us
+            }
+        }
+        let mut sim = Sim::new();
+        let h = sim.add_host("ref", 1.0, 1 << 30);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let rcv = sim.spawn(h, Box::new(Busy { seen: seen.clone() }));
+        sim.spawn(h, Box::new(TwoSends { dst: rcv }));
+        sim.run_until_idle();
+        let b_queued = Some(SimTime::from_us(300));
+        assert_eq!(
+            seen.lock().unwrap().as_slice(),
+            &[(1, SimTime::from_secs(1), b_queued), (2, SimTime::from_secs(1), b_queued)]
+        );
+    }
+
     #[test]
     fn sleep_accrues_sleep_wall_time() {
         struct Sleeper;
@@ -1339,31 +1334,6 @@ mod tests {
         sim.run_until_idle();
         let snap = sim.snapshot(a);
         assert!((snap.sleep_wall_us - 250_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_overcommit_inflates_compute() {
-        struct Hog {
-            done: Arc<Mutex<Option<SimTime>>>,
-        }
-        impl Actor for Hog {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.alloc(2_000_000); // 2 MB used vs 1 MB limit
-                ctx.compute(1_000_000.0);
-                ctx.continue_with(0);
-            }
-            fn on_continue(&mut self, _t: u64, ctx: &mut Ctx<'_>) {
-                *self.done.lock().unwrap() = Some(ctx.now());
-            }
-        }
-        let mut sim = Sim::new();
-        let h = sim.add_host("ref", 1.0, 1 << 30);
-        let done = Arc::new(Mutex::new(None));
-        let a = sim.spawn(h, Box::new(Hog { done: done.clone() }));
-        sim.set_mem_limit(a, Some(1_000_000));
-        sim.run_until_idle();
-        // Overcommit fraction 1.0, k=4 -> 5x slowdown -> 5s.
-        assert_eq!(*done.lock().unwrap(), Some(SimTime::from_secs(5)));
     }
 
     #[test]
@@ -1666,7 +1636,9 @@ mod drain_tests {
     }
 
     #[test]
-    #[should_panic(expected = "MsgSent")]
+    #[should_panic(
+        expected = "msg_sent [(\"src\", U64(1)), (\"dst\", U64(0)), (\"bytes\", U64(8))]"
+    )]
     fn event_limit_panic_shows_the_bus_tail() {
         let obs = obs::Obs::new();
         let mut sim = Sim::new();

@@ -8,14 +8,19 @@
 //! simulation:
 //!
 //! - **hosts** with a configurable speed, a fluid proportional-share CPU
-//!   scheduler (with hard share caps — an idealized fair-share OS), and a
-//!   simple memory model with paging penalties;
+//!   scheduler (with hard share caps — an idealized fair-share OS) and a
+//!   per-actor count of allocated memory (the sandbox turns it into a
+//!   paging penalty);
 //! - **links** with bandwidth and latency, FIFO store-and-forward;
 //! - **actors** — event-driven simulated processes that compute, exchange
 //!   messages, sleep, and set timers;
 //! - exact **per-actor accounting** (CPU time received, wall time, bytes
-//!   moved, transfer log) from which higher layers *infer* resource
-//!   availability, exactly as the paper's monitoring agent must;
+//!   moved, the queued time of the latest inbound message) from which
+//!   higher layers *infer* resource availability, exactly as the paper's
+//!   monitoring agent must;
+//! - every kernel event (compute, messages, timers, faults, cap changes)
+//!   published as a `Source::Simnet` event on an attached [`obs::Obs`]
+//!   bus ([`Sim::attach_obs`]), and built only when one is attached;
 //! - an **interposition hook** ([`Ctx::drain_actions`]) that lets a wrapper
 //!   actor capture and rewrite the actions of a wrapped application — the
 //!   simulation analog of the paper's Win32 API interception, used by the
@@ -68,16 +73,14 @@ pub mod kernel;
 pub mod link;
 pub mod message;
 pub mod time;
-pub mod trace;
 
-pub use accounting::{Accounting, Dir, Snapshot, Transfer};
+pub use accounting::{Accounting, Snapshot};
 pub use actor::{Action, Actor, ActorId, HostId};
 pub use fault::{DropReason, FaultError, FaultPlan};
 pub use kernel::{Ctx, DrainMode, ExplorePlan, Sim, WireHook};
 pub use link::{FlowSched, Link, LinkMode};
 pub use message::{DecodeError, Message};
 pub use time::{dur, SimTime};
-pub use trace::{Trace, TraceEvent};
 
 /// The types almost every simnet user needs.
 pub mod prelude {
@@ -87,5 +90,4 @@ pub mod prelude {
     pub use crate::link::LinkMode;
     pub use crate::message::Message;
     pub use crate::time::{dur, SimTime};
-    pub use crate::trace::TraceEvent;
 }

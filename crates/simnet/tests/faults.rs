@@ -5,14 +5,28 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use obs::Obs;
-use simnet::{
-    dur, Actor, ActorId, Ctx, DropReason, FaultPlan, HostId, Message, Sim, SimTime, TraceEvent,
-};
+use obs::{Event, EventFilter, Obs, Source};
+use simnet::{dur, Actor, ActorId, Ctx, DropReason, FaultPlan, HostId, Message, Sim, SimTime};
 
-/// All kernel events published to `obs`, decoded back to trace form.
-fn simnet_events(obs: &Obs) -> Vec<(SimTime, TraceEvent)> {
-    obs.events().iter().filter_map(|e| TraceEvent::from_obs(e)).collect()
+/// All kernel events published to `obs`, in bus order.
+fn simnet_events(obs: &Obs) -> Vec<Arc<Event>> {
+    obs.events_filtered(&EventFilter::any().source(Source::Simnet))
+}
+
+/// How many `msg_dropped` events carry `reason`.
+fn drops(evs: &[Arc<Event>], reason: DropReason) -> usize {
+    evs.iter()
+        .filter(|e| e.kind == "msg_dropped" && e.str_field("reason") == Some(reason.name()))
+        .count()
+}
+
+/// Is there an event of `kind` at `t`?
+fn has_at(evs: &[Arc<Event>], kind: &str, t: SimTime) -> bool {
+    evs.iter().any(|e| e.kind == kind && e.at_us == t.as_us())
+}
+
+fn has(evs: &[Arc<Event>], kind: &str) -> bool {
+    evs.iter().any(|e| e.kind == kind)
 }
 
 /// Sends one message to `dst` every `period_us`, counting replies.
@@ -82,17 +96,9 @@ fn down_window_drops_and_recovers() {
     // Pings at 50..=100 ms fall in the window: 6 of 20 lost.
     assert_eq!(*got.lock().unwrap(), 14);
     let evs = simnet_events(&obs);
-    let drops = evs
-        .iter()
-        .filter(|(_, e)| matches!(e, TraceEvent::MsgDropped { reason: DropReason::LinkDown, .. }))
-        .count();
-    assert_eq!(drops, 6);
-    assert!(evs
-        .iter()
-        .any(|(t, e)| matches!(e, TraceEvent::LinkDown { .. }) && *t == SimTime::from_ms(45)));
-    assert!(evs
-        .iter()
-        .any(|(t, e)| matches!(e, TraceEvent::LinkUp { .. }) && *t == SimTime::from_ms(105)));
+    assert_eq!(drops(&evs, DropReason::LinkDown), 6);
+    assert!(has_at(&evs, "link_down", SimTime::from_ms(45)));
+    assert!(has_at(&evs, "link_up", SimTime::from_ms(105)));
 }
 
 #[test]
@@ -110,11 +116,7 @@ fn loss_is_traced_and_deterministic() {
     let (got2, trace2) = run();
     assert_eq!(got1, got2, "identical plans must give identical outcomes");
     assert_eq!(trace1, trace2, "traces must be bit-identical");
-    let drops = trace1
-        .iter()
-        .filter(|(_, e)| matches!(e, TraceEvent::MsgDropped { reason: DropReason::Loss, .. }))
-        .count();
-    assert!(drops > 0, "50% loss must drop something");
+    assert!(drops(&trace1, DropReason::Loss) > 0, "50% loss must drop something");
     assert!(got1 < 50, "some round trips must fail");
 }
 
@@ -128,9 +130,9 @@ fn jitter_delays_but_delivers_everything() {
         sim.run_until_idle();
         assert_eq!(*got.lock().unwrap(), 20, "jitter must not lose messages");
         simnet_events(&obs)
-            .into_iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::MsgDelivered { .. }))
-            .map(|(t, _)| t)
+            .iter()
+            .filter(|e| e.kind == "msg_delivered")
+            .map(|e| e.at_us)
             .collect::<Vec<_>>()
     };
     let d1 = deliveries(9);
@@ -199,8 +201,8 @@ fn crash_restart_rehydrates_and_cancels_stale_timers() {
     assert_eq!(*starts.lock().unwrap(), 2, "on_start re-ran on restart");
     assert!(!*stale.lock().unwrap(), "pre-crash timer must not fire post-restart");
     let evs = simnet_events(&obs);
-    assert!(evs.iter().any(|(_, e)| matches!(e, TraceEvent::HostCrash { .. })));
-    assert!(evs.iter().any(|(_, e)| matches!(e, TraceEvent::HostRestart { .. })));
+    assert!(has(&evs, "host_crash"));
+    assert!(has(&evs, "host_restart"));
 }
 
 #[test]
@@ -227,12 +229,5 @@ fn messages_to_crashed_host_are_dropped_as_receiver_dead() {
     FaultPlan::new(0).with_crash(hb, SimTime::from_ms(45), None).install(&mut sim);
     sim.run_until_idle();
     assert_eq!(*got.lock().unwrap(), 4);
-    let evs = simnet_events(&obs);
-    let dead_drops = evs
-        .iter()
-        .filter(|(_, e)| {
-            matches!(e, TraceEvent::MsgDropped { reason: DropReason::ReceiverDead, .. })
-        })
-        .count();
-    assert_eq!(dead_drops, 6);
+    assert_eq!(drops(&simnet_events(&obs), DropReason::ReceiverDead), 6);
 }

@@ -1,12 +1,11 @@
-//! # adapt-transport — pluggable message transport for the adaptation loop
+//! # adapt-transport — message transport for the adaptation loop
 //!
 //! The paper's adaptation protocol is transport-agnostic: the monitor,
 //! scheduler, and steering agent negotiate configurations over whatever
-//! channel connects the components. This crate makes that explicit with a
-//! [`Transport`] trait over typed [`Envelope`]s (destination + payload +
-//! optional deadline), implemented by [`SocketTransport`]: real loopback
-//! I/O over TCP (or a Unix domain socket where available) with
-//! length-prefixed [`frame`]s, a pluggable [`WireCodec`] that reconstructs
+//! channel connects the components. This crate carries typed
+//! [`Envelope`]s (destination + payload + optional deadline) over a
+//! [`SocketTransport`]: real loopback I/O over TCP (or a Unix domain
+//! socket where available) with length-prefixed [`frame`]s, a pluggable [`WireCodec`] that reconstructs
 //! typed `simnet::Message` payloads so `Message::decode` keeps working on
 //! the receiving side, per-connection obs counters, and
 //! reconnect-with-backoff driven by [`RetryPolicy`].
@@ -68,8 +67,6 @@ pub enum TransportError {
     NotConnected,
     /// The peer closed the connection cleanly.
     Closed,
-    /// The operation would block; retry after making progress elsewhere.
-    WouldBlock,
     /// A frame on the wire was malformed (framing layer).
     Frame(FrameError),
     /// A well-framed payload failed to decode into a typed message.
@@ -83,7 +80,6 @@ impl std::fmt::Display for TransportError {
         match self {
             TransportError::NotConnected => write!(f, "transport is not connected"),
             TransportError::Closed => write!(f, "peer closed the connection"),
-            TransportError::WouldBlock => write!(f, "operation would block"),
             TransportError::Frame(e) => write!(f, "framing error: {e}"),
             TransportError::Codec(e) => write!(f, "codec error: {e}"),
             TransportError::Io(e) => write!(f, "io error: {e}"),
@@ -118,28 +114,4 @@ impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         TransportError::Io(e)
     }
-}
-
-/// A connection-oriented, non-blocking message transport.
-///
-/// Implementations queue outbound envelopes and surface inbound ones;
-/// neither direction ever blocks the caller. Connection lifecycle is
-/// explicit: [`Transport::connect`] (re)establishes the link,
-/// [`Transport::close`] tears it down, and send/recv report
-/// [`TransportError::NotConnected`] in between.
-pub trait Transport {
-    /// Queue (and opportunistically flush) one envelope.
-    fn send(&mut self, env: Envelope) -> Result<(), TransportError>;
-
-    /// Poll for one inbound envelope; `Ok(None)` means nothing is ready.
-    fn try_recv(&mut self) -> Result<Option<Envelope>, TransportError>;
-
-    /// Is the underlying channel currently usable?
-    fn is_connected(&self) -> bool;
-
-    /// (Re)establish the underlying channel.
-    fn connect(&mut self) -> Result<(), TransportError>;
-
-    /// Tear the channel down; queued inbound envelopes are discarded.
-    fn close(&mut self);
 }

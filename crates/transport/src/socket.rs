@@ -44,7 +44,7 @@ use obs::{MetricId, Obs};
 use simnet::ActorId;
 
 use crate::frame::{decode_frame, encode_frame, Frame};
-use crate::{Envelope, RetryPolicy, Transport, TransportError, WireCodec};
+use crate::{Envelope, RetryPolicy, TransportError, WireCodec};
 
 /// Base backoff for the first reconnect attempt, microseconds.
 const RECONNECT_BASE_US: u64 = 10_000;
@@ -197,7 +197,14 @@ struct Counters {
     decode_errors: MetricId,
 }
 
-/// A [`Transport`] over one real socket connection.
+/// A connection-oriented, non-blocking message transport over one real
+/// socket connection.
+///
+/// Outbound envelopes are queued and inbound ones surfaced; neither
+/// direction ever blocks the caller. Connection lifecycle is explicit:
+/// [`connect`](SocketTransport::connect) (re)establishes the link,
+/// [`close`](SocketTransport::close) tears it down, and send/recv report
+/// [`TransportError::NotConnected`] in between.
 pub struct SocketTransport {
     stream: Option<StreamKind>,
     peer: Option<SocketAddrSpec>,
@@ -236,7 +243,7 @@ impl SocketTransport {
         Self::from_parts(Some(stream), None, codec)
     }
 
-    /// A client-side transport that dials `peer` on [`Transport::connect`]
+    /// A client-side transport that dials `peer` on [`SocketTransport::connect`]
     /// and reconnects with backoff after failures. Not yet connected.
     pub fn dial(peer: SocketAddrSpec, codec: Arc<dyn WireCodec>) -> Self {
         Self::from_parts(None, Some(peer), codec)
@@ -392,10 +399,9 @@ impl SocketTransport {
             }
         }
     }
-}
 
-impl Transport for SocketTransport {
-    fn send(&mut self, env: Envelope) -> Result<(), TransportError> {
+    /// Queue (and opportunistically flush) one envelope.
+    pub fn send(&mut self, env: Envelope) -> Result<(), TransportError> {
         if self.stream.is_none() {
             return Err(TransportError::NotConnected);
         }
@@ -419,7 +425,8 @@ impl Transport for SocketTransport {
         self.flush_wbuf()
     }
 
-    fn try_recv(&mut self) -> Result<Option<Envelope>, TransportError> {
+    /// Poll for one inbound envelope; `Ok(None)` means nothing is ready.
+    pub fn try_recv(&mut self) -> Result<Option<Envelope>, TransportError> {
         // Opportunistically push any back-pressured outbound bytes first.
         if self.stream.is_some() && !self.wbuf.is_empty() {
             self.flush_wbuf()?;
@@ -451,11 +458,13 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn is_connected(&self) -> bool {
+    /// Is the underlying channel currently usable?
+    pub fn is_connected(&self) -> bool {
         self.stream.is_some()
     }
 
-    fn connect(&mut self) -> Result<(), TransportError> {
+    /// (Re)establish the underlying channel.
+    pub fn connect(&mut self) -> Result<(), TransportError> {
         if self.stream.is_some() {
             return Ok(());
         }
@@ -467,7 +476,8 @@ impl Transport for SocketTransport {
         Ok(())
     }
 
-    fn close(&mut self) {
+    /// Tear the channel down; queued inbound envelopes are discarded.
+    pub fn close(&mut self) {
         if let Some(mut s) = self.stream.take() {
             s.shutdown();
         }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use adapt_transport::{
     ByteReader, ByteWriter, CodecError, Envelope, SocketAddrSpec, SocketListener, SocketTransport,
-    Transport, TransportError, WireCodec,
+    TransportError, WireCodec,
 };
 use simnet::{ActorId, Message};
 
@@ -46,7 +46,6 @@ fn recv_within(t: &mut SocketTransport, window: Duration) -> Option<Envelope> {
         match t.try_recv() {
             Ok(Some(env)) => return Some(env),
             Ok(None) => thread::sleep(Duration::from_millis(1)),
-            Err(TransportError::WouldBlock) => thread::sleep(Duration::from_millis(1)),
             Err(e) => panic!("recv failed: {e}"),
         }
     }

@@ -23,7 +23,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adapt_transport::{
-    Envelope, SocketAddrSpec, SocketListener, SocketTransport, Transport, TransportError, WireCodec,
+    Envelope, SocketAddrSpec, SocketListener, SocketTransport, TransportError, WireCodec,
 };
 use simnet::WireHook;
 

@@ -100,6 +100,18 @@ for root in crates/*/src/lib.rs src/lib.rs; do
     fi
 done
 
+stage "one kernel record"
+# The kernel records what a caller reads and publishes each event once:
+# bus events are built directly (no typed TraceEvent mirror), an actor's
+# accounting keeps one inbound timestamp (no transfer log), and paging is
+# the sandbox's model alone. This keeps the deleted names from drifting
+# back into source.
+gone='TraceEvent|TRANSFER_LOG_CAP|transfers_since|set_mem_limit|set_mem_penalty_k'
+if grep -rnE --include='*.rs' "$gone" crates src tests examples | grep -vF "$gone"; then
+    echo "the lines above bring back a deleted kernel record" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
