@@ -9,7 +9,7 @@ use arbiter::{
     WorkloadKind,
 };
 use obs::{EventFilter, Source, Value};
-use simnet::DrainMode;
+use simnet::{DrainMode, ExplorePlan};
 use visapp::{model_db, LoadGenOpts, QosProfile};
 
 fn storm_db(opts: &StormOpts) -> Arc<adapt_core::PerfDb> {
@@ -49,7 +49,10 @@ fn storm_digest_stable_across_drains_and_reruns() {
     let base = full_mix();
     let db = storm_db(&base);
     let reference = run_storm(&base, &db).digest();
-    let modes = [("heap", DrainMode::Heap), ("batched-rerun", DrainMode::Batched)];
+    let modes = [
+        ("identity-explore", DrainMode::Explore(ExplorePlan::new(0))),
+        ("batched-rerun", DrainMode::Batched),
+    ];
     for (name, mode) in modes {
         let opts = full_mix().with_drain_mode(mode);
         let got = run_storm(&opts, &db).digest();

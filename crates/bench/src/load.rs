@@ -1,9 +1,6 @@
-//! Scale-out load workloads: the kernel timer storm (batched vs heap
-//! drain) and the session options of the load sweep, shared by
-//! `tests/digest_contract.rs` (which pins their counts and digests) and
-//! `tests/overhead_floors.rs` (which times the storm).
-
-use std::time::Instant;
+//! Scale-out load workloads: the kernel timer storm and the session
+//! options of the load sweep, shared by `tests/digest_contract.rs` (which
+//! pins their counts and digests).
 
 use simnet::{Actor, Ctx, DrainMode, Sim};
 use visapp::load::LoadGenOpts;
@@ -40,13 +37,11 @@ impl Actor for StormActor {
 pub struct StormResult {
     pub events: u64,
     pub peak_queue_depth: usize,
-    pub wall_secs: f64,
 }
 
 /// Drive `actors` timestamp-aligned periodic actors for `rounds` periods
-/// under `mode` and measure kernel event throughput. Pure kernel work:
-/// no links, no CPU scheduling — the difference between modes is heap
-/// sifting versus bucket appends.
+/// under `mode` and count what the kernel handled. Pure kernel work: no
+/// links, no CPU scheduling — only the event queue.
 pub fn kernel_storm(actors: usize, fanout: u64, rounds: u64, mode: DrainMode) -> StormResult {
     let mut sim = Sim::new();
     sim.set_drain_mode(mode);
@@ -54,13 +49,8 @@ pub fn kernel_storm(actors: usize, fanout: u64, rounds: u64, mode: DrainMode) ->
     for _ in 0..actors {
         sim.spawn(host, Box::new(StormActor { period_us: 1_000, fanout, rounds_left: rounds }));
     }
-    let start = Instant::now();
     sim.run_until_idle();
-    StormResult {
-        events: sim.events_handled(),
-        peak_queue_depth: sim.peak_queue_depth(),
-        wall_secs: start.elapsed().as_secs_f64(),
-    }
+    StormResult { events: sim.events_handled(), peak_queue_depth: sim.peak_queue_depth() }
 }
 
 /// The load-generator options of the session sweep (one seed everywhere,
@@ -82,9 +72,9 @@ mod tests {
     #[test]
     fn storm_modes_process_the_same_events() {
         let b = kernel_storm(50, 4, 5, DrainMode::Batched);
-        let h = kernel_storm(50, 4, 5, DrainMode::Heap);
-        assert_eq!(b.events, h.events);
-        assert_eq!(b.peak_queue_depth, h.peak_queue_depth);
+        let e = kernel_storm(50, 4, 5, DrainMode::Explore(simnet::ExplorePlan::new(0)));
+        assert_eq!(b.events, e.events);
+        assert_eq!(b.peak_queue_depth, e.peak_queue_depth);
         // One on_start event per actor plus fanout timers per round.
         assert_eq!(b.events, 50 + 50 * 4 * 5);
     }

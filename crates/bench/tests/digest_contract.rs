@@ -126,9 +126,8 @@ fn collapse_500_sessions_digest_is_pinned() {
 
 #[test]
 fn kernel_storm_counts_are_pinned_in_every_sequential_mode() {
-    // 1 000 aligned actors x 64 timers x 10 rounds; `overhead_floors.rs`
-    // times the same storm under the batched and heap drains.
-    for mode in [DrainMode::Heap, DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
+    // 1 000 aligned actors x 64 timers x 10 rounds.
+    for mode in [DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
         let r = adapt_bench::load::kernel_storm(1000, 64, 10, mode);
         assert_eq!(r.events, 641_000, "{mode:?}");
         assert_eq!(r.peak_queue_depth, 64_000, "{mode:?}");

@@ -14,7 +14,6 @@
 //! | a never-mutated `Adaptive` against a mutated one | 0.95–1.01 | 0.80 |
 //! | spans with exporters disabled against no exporter | 0.9931 | 0.95 |
 //! | spans with retention enabled against no exporter | 0.4287 | 0.34 |
-//! | batched drain against heap drain, 1 000 aligned actors | 6.25 | 5.0 |
 //!
 //! Timing means nothing unoptimized or beside another busy test, so every
 //! check is `#[ignore]`d; run them with
@@ -23,9 +22,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use adapt_bench::load::kernel_storm;
 use obs::{Adaptive, Command, CommandRouter, ConfigRegistry, Obs};
-use simnet::DrainMode;
 
 /// Runs per side.
 const RUNS: usize = 5;
@@ -149,19 +146,5 @@ fn span_retention_costs_a_bounded_factor() {
             spans(&obs)
         },
         || spans(&baseline),
-    );
-}
-
-#[test]
-#[ignore = "wall-clock: run in release on one test thread"]
-fn batched_drain_beats_the_heap_on_an_aligned_storm() {
-    // 1 000 actors x 64 timers on one 1 ms grid for 10 rounds: 64 000
-    // events share every timestamp (`digest_contract.rs` pins the counts).
-    let storm = |mode| Duration::from_secs_f64(kernel_storm(1_000, 64, 10, mode).wall_secs);
-    assert_floor(
-        "batched against heap drain",
-        5.0,
-        || storm(DrainMode::Batched),
-        || storm(DrainMode::Heap),
     );
 }

@@ -29,9 +29,8 @@
 //! The index is invalidated by a dirty flag on every mutation
 //! ([`PerfDb::add`], [`PerfDb::prune_dominated`], [`PerfDb::merge_similar`])
 //! and rebuilt on the next query, so the profiler's write-heavy phase
-//! stays O(1) per insert. [`PerfDb::predict_scan`] preserves the original
-//! linear-scan implementation as the correctness oracle for property tests
-//! and the before/after benchmarks.
+//! stays O(1) per insert. The tests hold every indexed answer to the
+//! linear scan it replaced (`tests/support/scan_oracle.rs`).
 //!
 //! The §5 footnote's "maximal subset" is implemented by
 //! [`PerfDb::prune_dominated`] (keep configurations that outperform all
@@ -605,197 +604,6 @@ fn record_from_json(r: &Json) -> Result<PerfRecord, String> {
     Ok(PerfRecord { config, resources, input, metrics })
 }
 
-/// Reference linear-scan implementation (the pre-index code path), kept as
-/// the correctness oracle for property tests and the baseline side of the
-/// before/after benchmarks. Not part of the supported API.
-impl PerfDb {
-    fn matching_scan(&self, config: &Configuration, input: &str) -> Vec<&PerfRecord> {
-        self.records.iter().filter(|r| r.input == input && &r.config == config).collect()
-    }
-
-    fn axis_values_scan(
-        &self,
-        config: &Configuration,
-        input: &str,
-        axis: &ResourceKey,
-    ) -> Vec<f64> {
-        let mut vals: Vec<f64> = self
-            .matching_scan(config, input)
-            .iter()
-            .filter_map(|r| r.resources.get(axis))
-            .collect();
-        vals.sort_by(|a, b| a.total_cmp(b));
-        vals.dedup_by(|a, b| (*a - *b).abs() < AXIS_TOL);
-        vals
-    }
-
-    fn axes_scan(&self, config: &Configuration, input: &str) -> Vec<ResourceKey> {
-        let mut set = BTreeSet::new();
-        for r in self.matching_scan(config, input) {
-            for (k, _) in r.resources.iter() {
-                set.insert(k.clone());
-            }
-        }
-        set.into_iter().collect()
-    }
-
-    fn axis_scales_scan(&self, config: &Configuration, input: &str) -> BTreeMap<ResourceKey, f64> {
-        let mut scales = BTreeMap::new();
-        for axis in self.axes_scan(config, input) {
-            let vals = self.axis_values_scan(config, input, &axis);
-            let scale = match (vals.first(), vals.last()) {
-                (Some(&lo), Some(&hi)) if hi > lo => hi - lo,
-                (Some(&lo), _) => lo.abs().max(1.0),
-                _ => 1.0,
-            };
-            scales.insert(axis, scale);
-        }
-        scales
-    }
-
-    /// Linear-scan prediction, bit-for-bit the pre-index implementation.
-    #[doc(hidden)]
-    pub fn predict_scan(
-        &self,
-        config: &Configuration,
-        input: &str,
-        resources: &ResourceVector,
-        mode: PredictMode,
-    ) -> Option<QosReport> {
-        let recs = self.matching_scan(config, input);
-        if recs.is_empty() {
-            return None;
-        }
-        for r in &recs {
-            if same_point(&r.resources, resources) {
-                return Some(r.metrics.clone());
-            }
-        }
-        match mode {
-            PredictMode::Nearest => {
-                let scales = self.axis_scales_scan(config, input);
-                recs.iter()
-                    .min_by(|a, b| {
-                        let da = a.resources.distance(resources, &scales);
-                        let db = b.resources.distance(resources, &scales);
-                        da.total_cmp(&db)
-                    })
-                    .map(|r| r.metrics.clone())
-            }
-            PredictMode::Interpolate => self
-                .multilinear_scan(&recs, config, input, resources)
-                .or_else(|| self.idw_scan(&recs, config, input, resources)),
-        }
-    }
-
-    fn multilinear_scan(
-        &self,
-        recs: &[&PerfRecord],
-        config: &Configuration,
-        input: &str,
-        resources: &ResourceVector,
-    ) -> Option<QosReport> {
-        let axes = self.axes_scan(config, input);
-        if axes.is_empty() || axes.len() > 8 {
-            return None;
-        }
-        let mut brackets: Vec<(f64, f64, f64)> = Vec::with_capacity(axes.len());
-        for axis in &axes {
-            let vals = self.axis_values_scan(config, input, axis);
-            if vals.is_empty() {
-                return None;
-            }
-            let q = resources.get(axis)?.clamp(vals[0], vals[vals.len() - 1]);
-            let hi_idx = vals.partition_point(|&v| v < q - AXIS_TOL);
-            if hi_idx == 0 {
-                brackets.push((vals[0], vals[0], 0.0));
-            } else if (vals[hi_idx.min(vals.len() - 1)] - q).abs() < AXIS_TOL {
-                let v = vals[hi_idx.min(vals.len() - 1)];
-                brackets.push((v, v, 0.0));
-            } else {
-                let lo = vals[hi_idx - 1];
-                let hi = vals[hi_idx];
-                brackets.push((lo, hi, (q - lo) / (hi - lo)));
-            }
-        }
-        let d = axes.len();
-        let mut metric_names = BTreeSet::new();
-        for r in recs {
-            for (m, _) in r.metrics.iter() {
-                metric_names.insert(m.to_string());
-            }
-        }
-        let mut sums: BTreeMap<String, f64> =
-            metric_names.iter().map(|m| (m.clone(), 0.0)).collect();
-        let mut total_w = 0.0;
-        for corner in 0..(1usize << d) {
-            let mut weight = 1.0;
-            let mut point = ResourceVector::default();
-            for (i, axis) in axes.iter().enumerate() {
-                let (lo, hi, t) = brackets[i];
-                let use_hi = corner & (1 << i) != 0;
-                weight *= if use_hi { t } else { 1.0 - t };
-                point.set(axis.clone(), if use_hi { hi } else { lo });
-            }
-            if weight <= 0.0 {
-                continue;
-            }
-            let rec = recs.iter().find(|r| same_point(&r.resources, &point))?;
-            for (m, v) in rec.metrics.iter() {
-                if let Some(s) = sums.get_mut(m) {
-                    *s += weight * v;
-                }
-            }
-            total_w += weight;
-        }
-        if total_w <= 0.0 {
-            return None;
-        }
-        let mut out = QosReport::default();
-        for (m, s) in sums {
-            out.set(&m, s / total_w);
-        }
-        Some(out)
-    }
-
-    fn idw_scan(
-        &self,
-        recs: &[&PerfRecord],
-        config: &Configuration,
-        input: &str,
-        resources: &ResourceVector,
-    ) -> Option<QosReport> {
-        let scales = self.axis_scales_scan(config, input);
-        let mut weighted: Vec<(f64, &PerfRecord)> =
-            recs.iter().map(|r| (r.resources.distance(resources, &scales), *r)).collect();
-        weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let k = weighted.len().min(4);
-        let mut metric_names = BTreeSet::new();
-        for (_, r) in &weighted[..k] {
-            for (m, _) in r.metrics.iter() {
-                metric_names.insert(m.to_string());
-            }
-        }
-        let mut sums: BTreeMap<String, f64> =
-            metric_names.iter().map(|m| (m.clone(), 0.0)).collect();
-        let mut total_w = 0.0;
-        for (d, r) in &weighted[..k] {
-            let w = 1.0 / (d + 1e-9);
-            for (m, v) in r.metrics.iter() {
-                if let Some(s) = sums.get_mut(m) {
-                    *s += w * v;
-                }
-            }
-            total_w += w;
-        }
-        let mut out = QosReport::default();
-        for (m, s) in sums {
-            out.set(&m, s / total_w);
-        }
-        Some(out)
-    }
-}
-
 /// The query index: interned configurations/inputs plus per-pair slices.
 #[derive(Debug)]
 struct Index {
@@ -1231,6 +1039,10 @@ fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/scan_oracle.rs"]
+mod scan_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1601,7 +1413,7 @@ mod tests {
                 ResourceVector::new(&[(cpu_key(), 0.9), (net_key(), 9e5)]),
             ] {
                 let a = db.predict(&c, "img", &q, mode);
-                let b = db.predict_scan(&c, "img", &q, mode);
+                let b = scan_oracle::predict(&db, &c, "img", &q, mode);
                 assert_eq!(a, b, "mode {mode:?} query {q}");
             }
         }
@@ -1635,7 +1447,7 @@ mod tests {
                     (mem.clone(), probe * 1e6),
                 ]);
                 let a = db.predict(&c, "img", &q, mode);
-                let b = db.predict_scan(&c, "img", &q, mode);
+                let b = scan_oracle::predict(&db, &c, "img", &q, mode);
                 assert_eq!(a, b, "mode {mode:?} probe {probe}");
             }
         }

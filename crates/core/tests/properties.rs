@@ -8,6 +8,9 @@ use adapt_core::{
     ResourceVector, Sense,
 };
 
+#[path = "support/scan_oracle.rs"]
+mod scan_oracle;
+
 fn cpu() -> ResourceKey {
     ResourceKey::cpu("client")
 }
@@ -378,7 +381,7 @@ mod index_props {
                     for input in ["a", "b"] {
                         let cfg = Configuration::new(&[("x", c)]);
                         let a = db.predict(&cfg, input, q, mode);
-                        let b = db.predict_scan(&cfg, input, q, mode);
+                        let b = scan_oracle::predict(&db, &cfg, input, q, mode);
                         check_equivalent(&a, &b, &format!("x={c} {input} {q} {mode:?}"))?;
                     }
                 }
@@ -403,7 +406,7 @@ mod index_props {
                 for c in 0..3i64 {
                     let cfg = Configuration::new(&[("x", c)]);
                     let a = db.predict(&cfg, "a", &q, PredictMode::Interpolate);
-                    let b = db.predict_scan(&cfg, "a", &q, PredictMode::Interpolate);
+                    let b = scan_oracle::predict(&db, &cfg, "a", &q, PredictMode::Interpolate);
                     check_equivalent(&a, &b, &format!("x={c} after batch"))?;
                 }
                 // A fresh db built from the same records has never had a
@@ -461,7 +464,7 @@ mod index_props {
                         for iq in ["a", "b"] {
                             let cfgq = Configuration::new(&[("x", cq)]);
                             let a = db.predict(&cfgq, iq, q, mode);
-                            let b = db.predict_scan(&cfgq, iq, q, mode);
+                            let b = scan_oracle::predict(&db, &cfgq, iq, q, mode);
                             check_equivalent(&a, &b, &format!("x={cq} {iq} after swap"))?;
                         }
                     }

@@ -16,9 +16,8 @@
 //! 3. **Invariant oracles** — after each trial, [`oracle`] functions
 //!    replay the observability bus: no duplicate reply is ever applied,
 //!    circuit-breaker transitions are legal, degrade/recover alternate,
-//!    scheduler decisions stay inside the performance database, every
-//!    control-plane mutation is audited ([`oracle::config_audit_complete`]),
-//!    and (periodically) heap vs batched drain digests agree.
+//!    scheduler decisions stay inside the performance database, and every
+//!    control-plane mutation is audited ([`oracle::config_audit_complete`]).
 //! 4. **Shrinking** — a failing trial is delta-debugged ([`shrink`])
 //!    toward the minimal plan that still violates the same invariant,
 //!    and emitted as a self-contained JSON [`Repro`] that replays

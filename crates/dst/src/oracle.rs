@@ -28,9 +28,6 @@ pub enum Violation {
     /// The scheduler decided on a configuration outside the performance
     /// database, or at a preference rank deeper than the list.
     InvalidDecision { at_us: u64, config: String, rank: u64 },
-    /// The same trial produced different digests under heap vs batched
-    /// drain order.
-    DrainDivergence { heap: u64, batched: u64 },
     /// Overload shedding took a victim from a tier more important than
     /// the least-important tier still running — shedding must drain the
     /// lowest-priority (numerically highest) occupied tier first.
@@ -60,7 +57,6 @@ impl Violation {
             Violation::BreakerIllegal { .. } => "breaker_illegal",
             Violation::DegradeOrder { .. } => "degrade_order",
             Violation::InvalidDecision { .. } => "invalid_decision",
-            Violation::DrainDivergence { .. } => "drain_divergence",
             Violation::ShedOrder { .. } => "shed_order",
             Violation::EvictWithoutViolation { .. } => "evict_without_violation",
             Violation::ConfigAuditIncomplete { .. } => "config_audit_incomplete",
@@ -84,9 +80,6 @@ impl fmt::Display for Violation {
             }
             Violation::InvalidDecision { at_us, config, rank } => {
                 write!(f, "invalid_decision: config '{config}' rank {rank} at t={at_us}us")
-            }
-            Violation::DrainDivergence { heap, batched } => {
-                write!(f, "drain_divergence: heap digest {heap:#x} != batched {batched:#x}")
             }
             Violation::ShedOrder { at_us, app, tier, running_tier } => write!(
                 f,

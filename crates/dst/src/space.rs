@@ -150,8 +150,7 @@ impl Default for FaultSpace {
 }
 
 impl FaultSpace {
-    /// A quiet space: no faults, no perturbation. Useful as a baseline
-    /// and for cross-drain digest checks.
+    /// A quiet space: no faults, no perturbation. Useful as a baseline.
     pub fn quiet() -> Self {
         FaultSpace {
             perturb_schedule: false,

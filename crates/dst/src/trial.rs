@@ -210,10 +210,10 @@ impl TrialContext {
         self.run_with_drain(plan, explore)
     }
 
-    /// Run one trial under an explicit drain mode (the cross-drain oracle
-    /// replays the same plan under `Heap` and `Batched` and compares
-    /// digests). Plans carrying overload windows run the multi-app
-    /// arbiter storm; everything else runs the single-app scenario.
+    /// Run one trial under an explicit drain mode (the explorer replays
+    /// every `cross_check_every`th plan under `Batched`). Plans carrying
+    /// overload windows run the multi-app arbiter storm; everything else
+    /// runs the single-app scenario.
     pub fn run_with_drain(&self, plan: &TrialPlan, drain_mode: DrainMode) -> TrialOutcome {
         if plan.has_overload() {
             return self.run_storm_trial(plan, drain_mode);

@@ -1,20 +1,21 @@
 //! Property: drain-mode equivalence. For any trial plan — including ones
-//! with an active fault plan — the heap drain, the batched drain, and the
-//! identity explore schedule (`ExplorePlan::new(0)`, no permutation, no
-//! timer skew) must produce bit-identical behaviour digests. This pins
-//! the contract the explorer's cross-drain oracle relies on: schedule
-//! *perturbation* is the only thing allowed to change observable
-//! behaviour, never the drain implementation itself.
+//! with an active fault plan — the batched drain and the identity explore
+//! schedule (`ExplorePlan::new(0)`, no permutation, no timer skew) must
+//! produce bit-identical behaviour digests. Schedule *perturbation* is the
+//! only thing allowed to change observable behaviour, never which of the
+//! two ways of asking for the unperturbed order a harness used. The
+//! queue's order itself is held to a reference binary heap by the property
+//! test in simnet's `kernel/queue.rs`.
 //!
 //! Written as a seeded sweep rather than a `proptest!` block: each case
-//! runs three full simulations, so the case count must stay small and
-//! the failing seed printable directly.
+//! runs two full simulations, so the case count must stay small and the
+//! failing seed printable directly.
 
 use adapt_dst::{FaultSpace, TrialContext};
 use simnet::{DrainMode, ExplorePlan};
 
 #[test]
-fn heap_batched_and_identity_explore_agree_under_faults() {
+fn batched_and_identity_explore_agree_under_faults() {
     let ctx = TrialContext::new();
     let space = FaultSpace::default();
     for seed in [3u64, 11, 42, 97, 1234, 0xBEEF] {
@@ -24,14 +25,12 @@ fn heap_batched_and_identity_explore_agree_under_faults() {
         plan.loss_pct = plan.loss_pct.clamp(5, 20);
         plan.jitter_us = plan.jitter_us.clamp(500, 3_000);
         assert!(plan.fault_plan().is_some(), "plan must carry active faults");
-        let heap = ctx.run_with_drain(&plan, DrainMode::Heap);
         let batched = ctx.run_with_drain(&plan, DrainMode::Batched);
         let identity = ctx.run_with_drain(&plan, DrainMode::Explore(ExplorePlan::new(0)));
-        assert_eq!(heap.digest, batched.digest, "heap vs batched diverged for seed {seed}");
         assert_eq!(
             batched.digest, identity.digest,
             "identity explore schedule diverged from batched for seed {seed}"
         );
-        assert!(heap.rounds > 0, "trials must make progress (seed {seed})");
+        assert!(batched.rounds > 0, "trials must make progress (seed {seed})");
     }
 }

@@ -21,7 +21,7 @@
 //! re-emits them chopped/delayed to enforce resource limits — all without
 //! the kernel knowing.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use obs::det::SplitMix64;
@@ -31,7 +31,7 @@ use crate::accounting::{Accounting, Snapshot};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
 use crate::fault::DropReason;
-use crate::link::{FlowSched, Link, LinkMode};
+use crate::link::{Faults, Link, LinkState};
 use crate::message::Message;
 use crate::time::SimTime;
 
@@ -41,6 +41,13 @@ use queue::EventQueue;
 
 /// Default one-way latency for messages between actors on the same host.
 pub const DEFAULT_LOCAL_LATENCY_US: u64 = 5;
+
+/// Bandwidth of a link nobody configured: 100 Mbit/s, in bytes/second
+/// (the paper's testbed Ethernet).
+const DEFAULT_BW_BPS: f64 = 12_500_000.0;
+
+/// One-way latency of a link nobody configured, in microseconds.
+const DEFAULT_LATENCY_US: u64 = 100;
 
 /// A host: a named machine with a CPU and memory.
 pub(crate) struct Host {
@@ -102,11 +109,6 @@ pub(crate) enum Ev {
         host: usize,
         epoch: u64,
     },
-    FlowNext {
-        src: usize,
-        dst: usize,
-        epoch: u64,
-    },
     Deliver {
         src: ActorId,
         dst: ActorId,
@@ -159,24 +161,13 @@ impl ExplorePlan {
     }
 }
 
-/// How the kernel drains its event queue.
-///
-/// [`DrainMode::Heap`] and [`DrainMode::Batched`] process events in
-/// identical `(time, insertion)` order, so a run is bit-for-bit identical
-/// under either; they differ only in data structure.
-/// [`DrainMode::Batched`] is the default and the fast path for deep
-/// queues (thousands of concurrent sessions); [`DrainMode::Heap`] is the
-/// original one-entry-at-a-time binary heap, kept as the measurable
-/// baseline for the batched path (see `crates/bench/tests/overhead_floors.rs`).
-/// [`DrainMode::Explore`] is the batched queue under a seeded
-/// [`ExplorePlan`], for simulation-test exploration (see `adapt-dst`);
-/// [`DrainMode::Batched`] is that same queue under the identity plan.
+/// How the kernel drains its event queue: the one batched queue, in
+/// `(time, insertion)` order ([`DrainMode::Batched`], the default) or under
+/// a seeded perturbation of that order ([`DrainMode::Explore`], for
+/// simulation-test exploration; see `adapt-dst`). `Batched` is `Explore`
+/// under the identity plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainMode {
-    /// Pop entries one at a time from a `(time, seq)`-ordered binary heap.
-    /// Every pop sifts the heap: O(log n) comparisons moving whole
-    /// entries, paid once per event.
-    Heap,
     /// Bucket events by timestamp: a min-heap of *distinct* times plus a
     /// FIFO bucket per time. All events at the earliest time are drained
     /// in one pass — timestamp-aligned storms (N sessions' 10 ms monitor
@@ -193,29 +184,26 @@ pub enum DrainMode {
     Explore(ExplorePlan),
 }
 
+impl DrainMode {
+    /// The schedule perturbation this mode applies.
+    fn plan(self) -> ExplorePlan {
+        match self {
+            DrainMode::Batched => ExplorePlan::default(),
+            DrainMode::Explore(plan) => plan,
+        }
+    }
+}
+
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
     now: SimTime,
     mode: DrainMode,
-    /// Pending events, in the representation `mode` selects.
+    /// Pending events, under the plan `mode` selects.
     queue: EventQueue,
     hosts: Vec<Host>,
-    links: HashMap<(usize, usize), Link>,
-    /// Links operating in fluid fair-share mode.
-    flow_scheds: HashMap<(usize, usize), FlowSched>,
-    /// In-flight fair-share transmissions:
-    /// flow id -> (src, dst, msg, queued, jitter_us).
-    inflight: HashMap<u64, (ActorId, ActorId, Message, SimTime, u64)>,
-    next_flow_id: u64,
-    /// Per-directed-link message loss: probability and a deterministic RNG.
-    loss: HashMap<(usize, usize), (f64, SplitMix64)>,
-    /// Per-directed-link latency jitter: max extra us and a deterministic RNG.
-    jitter: HashMap<(usize, usize), (u64, SplitMix64)>,
-    /// Directed links currently inside a scheduled down window.
-    down_links: HashSet<(usize, usize)>,
-    default_bw_bps: f64,
-    default_latency_us: u64,
-    local_latency_us: u64,
+    /// One record per directed host pair that was configured, faulted or
+    /// used: its link and its faults.
+    links: HashMap<(usize, usize), LinkState>,
     actors: Vec<Option<Box<dyn Actor>>>,
     states: Vec<ActorState>,
     /// The bus kernel events are published to (see [`Sim::attach_obs`]).
@@ -252,18 +240,9 @@ impl Sim {
         Sim {
             now: SimTime::ZERO,
             mode: DrainMode::default(),
-            queue: EventQueue::new(DrainMode::default()),
+            queue: EventQueue::new(ExplorePlan::default()),
             hosts: Vec::new(),
             links: HashMap::new(),
-            flow_scheds: HashMap::new(),
-            inflight: HashMap::new(),
-            next_flow_id: 0,
-            loss: HashMap::new(),
-            jitter: HashMap::new(),
-            down_links: HashSet::new(),
-            default_bw_bps: 12_500_000.0, // 100 Mbit/s in bytes/s
-            default_latency_us: 100,
-            local_latency_us: DEFAULT_LOCAL_LATENCY_US,
             actors: Vec::new(),
             states: Vec::new(),
             obs: None,
@@ -309,7 +288,7 @@ impl Sim {
         self.set_link_directed(b, a, bw_bytes_per_sec, latency_us);
     }
 
-    /// Configure one direction of a link.
+    /// Configure one direction of a link. Faults injected on it stay.
     pub fn set_link_directed(
         &mut self,
         src: HostId,
@@ -317,45 +296,13 @@ impl Sim {
         bw_bytes_per_sec: f64,
         latency_us: u64,
     ) {
-        self.links.insert((src.0, dst.0), Link::new(bw_bytes_per_sec, latency_us));
+        self.link_state(src, dst).link = Link::new(bw_bytes_per_sec, latency_us);
     }
 
     /// Change the bandwidth of an existing (or default) link at run time.
-    /// Affects transmissions that start after this call (FIFO mode) or
-    /// immediately reshapes all in-flight flows (fair-share mode).
+    /// Affects transmissions that start after this call.
     pub fn set_link_bandwidth(&mut self, src: HostId, dst: HostId, bw_bytes_per_sec: f64) {
-        let (dbw, dlat) = (self.default_bw_bps, self.default_latency_us);
-        self.links
-            .entry((src.0, dst.0))
-            .or_insert_with(|| Link::new(dbw, dlat))
-            .set_bandwidth(bw_bytes_per_sec);
-        if self.flow_scheds.contains_key(&(src.0, dst.0)) {
-            self.sync_flows(src.0, dst.0);
-            let fs = self.flow_scheds.get_mut(&(src.0, dst.0)).unwrap();
-            fs.set_bandwidth(bw_bytes_per_sec);
-            self.schedule_next_flow(src.0, dst.0);
-        }
-    }
-
-    /// Switch the `src -> dst` link to the given sharing mode. In
-    /// [`LinkMode::FairShare`] every in-flight message progresses at
-    /// `bandwidth / n` simultaneously (fluid per-flow fair queuing)
-    /// instead of FIFO serialization.
-    pub fn set_link_mode(&mut self, src: HostId, dst: HostId, mode: LinkMode) {
-        let key = (src.0, dst.0);
-        match mode {
-            LinkMode::Fifo => {
-                assert!(
-                    self.flow_scheds.get(&key).is_none_or(|f| f.in_flight() == 0),
-                    "cannot switch modes with flows in flight"
-                );
-                self.flow_scheds.remove(&key);
-            }
-            LinkMode::FairShare => {
-                let bw = self.link_capacity_bps(src, dst);
-                self.flow_scheds.entry(key).or_insert_with(|| FlowSched::new(bw));
-            }
-        }
+        self.link_state(src, dst).link.set_bandwidth(bw_bytes_per_sec);
     }
 
     /// Inject message loss on the `src -> dst` link: each message is
@@ -364,22 +311,14 @@ impl Sim {
     /// `p = 0` removes the injection.
     pub fn set_link_loss(&mut self, src: HostId, dst: HostId, p: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range: {p}");
-        if p == 0.0 {
-            self.loss.remove(&(src.0, dst.0));
-        } else {
-            self.loss.insert((src.0, dst.0), (p, SplitMix64::new(seed)));
-        }
+        self.faults(src, dst).loss = (p != 0.0).then(|| (p, SplitMix64::new(seed)));
     }
 
     /// Add uniform random extra delivery latency in `[0, max_us]` to every
     /// message on the directed `src -> dst` link, drawn from a
     /// deterministic RNG seeded by `seed`. `max_us = 0` removes it.
     pub fn set_link_jitter(&mut self, src: HostId, dst: HostId, max_us: u64, seed: u64) {
-        if max_us == 0 {
-            self.jitter.remove(&(src.0, dst.0));
-        } else {
-            self.jitter.insert((src.0, dst.0), (max_us, SplitMix64::new(seed)));
-        }
+        self.faults(src, dst).jitter = (max_us != 0).then(|| (max_us, SplitMix64::new(seed)));
     }
 
     /// Take the directed `src -> dst` link down (or bring it back up).
@@ -387,9 +326,9 @@ impl Sim {
     /// (`msg_dropped`, reason `link_down`). State changes publish
     /// `link_down` / `link_up`.
     pub fn set_link_down(&mut self, src: HostId, dst: HostId, down: bool) {
-        let key = (src.0, dst.0);
-        let changed = if down { self.down_links.insert(key) } else { self.down_links.remove(&key) };
-        if changed {
+        let faults = self.faults(src, dst);
+        if faults.down != down {
+            faults.down = down;
             let kind = if down { "link_down" } else { "link_up" };
             self.emit(kind, |e| e.with("src", src.0).with("dst", dst.0));
         }
@@ -397,13 +336,27 @@ impl Sim {
 
     /// Is the directed `src -> dst` link inside a down window?
     pub fn is_link_down(&self, src: HostId, dst: HostId) -> bool {
-        self.down_links.contains(&(src.0, dst.0))
+        self.links.get(&(src.0, dst.0)).and_then(|s| s.faults.as_ref()).is_some_and(|f| f.down)
     }
 
     /// Full capacity (bytes/second) of the `src -> dst` link, as a
     /// system-wide monitor would report it.
     pub fn link_capacity_bps(&self, src: HostId, dst: HostId) -> f64 {
-        self.links.get(&(src.0, dst.0)).map(|l| l.bw_bytes_per_sec()).unwrap_or(self.default_bw_bps)
+        self.links.get(&(src.0, dst.0)).map_or(DEFAULT_BW_BPS, |s| s.link.bw_bytes_per_sec())
+    }
+
+    /// The record of the directed `src -> dst` pair, created with a
+    /// default link on first use.
+    fn link_state(&mut self, src: HostId, dst: HostId) -> &mut LinkState {
+        self.links
+            .entry((src.0, dst.0))
+            .or_insert_with(|| LinkState::new(Link::new(DEFAULT_BW_BPS, DEFAULT_LATENCY_US)))
+    }
+
+    /// The faults of the directed `src -> dst` pair, created empty on
+    /// first use.
+    fn faults(&mut self, src: HostId, dst: HostId) -> &mut Faults {
+        self.link_state(src, dst).faults.get_or_insert_default()
     }
 
     // ------------------------------------------------------------------
@@ -645,8 +598,7 @@ impl Sim {
     }
 
     /// Deepest the event queue has ever been in this simulation. The same
-    /// number under every [`DrainMode`] whose schedule is the reference
-    /// one (`Heap`, `Batched`, the identity `Explore` plan).
+    /// number under `Batched` and the identity `Explore` plan.
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak()
     }
@@ -658,9 +610,9 @@ impl Sim {
 
     /// Select the event-queue drain strategy. Only allowed while the queue
     /// is empty (typically right after [`Sim::new`], before spawning), so
-    /// events never have to migrate between representations.
+    /// no queued event was ordered under another plan.
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        self.queue.set_mode(mode);
+        self.queue.set_plan(mode.plan());
         self.mode = mode;
     }
 
@@ -707,12 +659,6 @@ impl Sim {
                 if self.hosts[host].sched.epoch == epoch {
                     self.sync_host(host);
                     self.schedule_next_cpu(host);
-                }
-            }
-            Ev::FlowNext { src, dst, epoch } => {
-                if self.flow_scheds.get(&(src, dst)).is_some_and(|f| f.epoch == epoch) {
-                    self.sync_flows(src, dst);
-                    self.schedule_next_flow(src, dst);
                 }
             }
             Ev::Deliver { src, dst, msg, queued } => {
@@ -781,33 +727,6 @@ impl Sim {
         if let Some(t) = self.hosts[host].sched.next_completion() {
             let epoch = self.hosts[host].sched.epoch;
             self.queue.push(t, Ev::CpuNext { host, epoch });
-        }
-    }
-
-    /// Advance a fair-share link to `now`, scheduling deliveries for every
-    /// flow that completed.
-    fn sync_flows(&mut self, src: usize, dst: usize) {
-        let now = self.now;
-        let latency =
-            self.links.get(&(src, dst)).map(|l| l.latency_us).unwrap_or(self.default_latency_us);
-        let done = match self.flow_scheds.get_mut(&(src, dst)) {
-            Some(fs) => fs.advance(now),
-            None => return,
-        };
-        for id in done {
-            if let Some((s, d, msg, queued, jitter_us)) = self.inflight.remove(&id) {
-                let t = now + latency + jitter_us;
-                self.queue.push(t, Ev::Deliver { src: s, dst: d, msg, queued });
-            }
-        }
-    }
-
-    fn schedule_next_flow(&mut self, src: usize, dst: usize) {
-        if let Some(fs) = self.flow_scheds.get(&(src, dst)) {
-            if let Some(t) = fs.next_completion() {
-                let epoch = fs.epoch;
-                self.queue.push(t, Ev::FlowNext { src, dst, epoch });
-            }
         }
     }
 
@@ -883,59 +802,24 @@ impl Sim {
             Some(hook) => hook(src, dst, msg),
             None => msg,
         };
-        let hs = self.states[src.0].host.0;
-        let hd = self.states[dst.0].host.0;
+        let hs = self.states[src.0].host;
+        let hd = self.states[dst.0].host;
         let bytes = msg.wire_bytes;
         self.emit("msg_sent", |e| e.with("src", src.0).with("dst", dst.0).with("bytes", bytes));
-        if hs != hd && self.down_links.contains(&(hs, hd)) {
-            // The link is inside a scheduled down window: nothing gets
-            // through (and nothing occupies the wire).
-            self.emit_drop(src, dst, bytes, DropReason::LinkDown);
-            return;
-        }
-        if let Some((p, rng)) = self.loss.get_mut(&(hs, hd)) {
-            if rng.next_f64() < *p {
-                // The message still occupied the wire (sender-side cost),
-                // but never arrives.
-                if hs != hd {
-                    let (dbw, dlat) = (self.default_bw_bps, self.default_latency_us);
-                    self.links
-                        .entry((hs, hd))
-                        .or_insert_with(|| Link::new(dbw, dlat))
-                        .schedule(self.now, bytes);
-                }
-                self.emit_drop(src, dst, bytes, DropReason::Loss);
-                return;
+        let now = self.now;
+        let fate = if hs == hd {
+            // A host's pair with itself has a record only if it was faulted.
+            match self.links.get_mut(&(hs.0, hd.0)) {
+                Some(state) => state.carry(now, bytes, Some(DEFAULT_LOCAL_LATENCY_US)),
+                None => Ok(now + DEFAULT_LOCAL_LATENCY_US),
             }
-        }
-        // Latency jitter is sampled per message at transmit time so the
-        // random stream is independent of delivery interleaving. `max` is
-        // at least 1 (`set_link_jitter` removes the entry at 0), so `range`
-        // always draws.
-        let jitter_us = match self.jitter.get_mut(&(hs, hd)) {
-            Some((max, rng)) => rng.range(0, *max),
-            None => 0,
-        };
-        if hs != hd && self.flow_scheds.contains_key(&(hs, hd)) {
-            // Fluid fair-share path: register the flow; delivery happens
-            // when its last byte leaves the wire, plus latency (and jitter).
-            self.sync_flows(hs, hd);
-            let id = self.next_flow_id;
-            self.next_flow_id += 1;
-            self.inflight.insert(id, (src, dst, msg, self.now, jitter_us));
-            self.flow_scheds.get_mut(&(hs, hd)).unwrap().start(id, bytes);
-            self.schedule_next_flow(hs, hd);
-            return;
-        }
-        let deliver_at = if hs == hd {
-            self.now + self.local_latency_us
         } else {
-            let (dbw, dlat) = (self.default_bw_bps, self.default_latency_us);
-            let link = self.links.entry((hs, hd)).or_insert_with(|| Link::new(dbw, dlat));
-            link.schedule(self.now, bytes).deliver
-        } + jitter_us;
-        let queued = self.now;
-        self.queue.push(deliver_at, Ev::Deliver { src, dst, msg, queued });
+            self.link_state(hs, hd).carry(now, bytes, None)
+        };
+        match fate {
+            Ok(at) => self.queue.push(at, Ev::Deliver { src, dst, msg, queued: now }),
+            Err(reason) => self.emit_drop(src, dst, bytes, reason),
+        }
     }
 
     /// Take the actor out of its slot, run `f` with a [`Ctx`], put it back.
@@ -1503,7 +1387,7 @@ mod drain_tests {
     fn bounded_driving_matches_idle_driving_in_every_mode() {
         // The period is 10 ms, so 7 ms steps land both on and off the
         // timer grid.
-        for mode in [DrainMode::Heap, DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
+        for mode in [DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
             let (idle_log, idle_end, idle_events) = storm(mode);
             let (log, _, events) = storm_driven(mode, |sim| {
                 while !sim.is_idle() {
@@ -1517,13 +1401,6 @@ mod drain_tests {
     }
 
     #[test]
-    fn batched_and_heap_modes_are_bit_identical() {
-        let a = storm(DrainMode::Heap);
-        let b = storm(DrainMode::Batched);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn default_mode_is_batched() {
         let sim = Sim::new();
         assert_eq!(sim.drain_mode(), DrainMode::Batched);
@@ -1531,7 +1408,7 @@ mod drain_tests {
 
     #[test]
     fn queue_depth_tracks_pending_events() {
-        for mode in [DrainMode::Heap, DrainMode::Batched] {
+        for mode in [DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(3))] {
             let mut sim = Sim::new();
             sim.set_drain_mode(mode);
             let _h = sim.add_host("h", 1.0, 1 << 30);
@@ -1547,15 +1424,15 @@ mod drain_tests {
             assert!(sim.is_idle());
             assert_eq!(sim.queue_depth(), 0, "{mode:?}");
             assert_eq!(sim.peak_queue_depth(), 10, "{mode:?}");
-            // The peak belongs to the simulation, not the representation.
-            sim.set_drain_mode(DrainMode::Heap);
-            assert_eq!(sim.peak_queue_depth(), 10, "{mode:?} -> Heap");
+            // The peak belongs to the simulation, not the plan.
+            sim.set_drain_mode(DrainMode::Explore(ExplorePlan::new(5)));
+            assert_eq!(sim.peak_queue_depth(), 10, "{mode:?} -> Explore");
         }
     }
 
     #[test]
     fn same_timestamp_events_keep_insertion_order() {
-        for mode in [DrainMode::Heap, DrainMode::Batched] {
+        for mode in [DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
             let mut sim = Sim::new();
             sim.set_drain_mode(mode);
             let _h = sim.add_host("h", 1.0, 1 << 30);
@@ -1579,12 +1456,9 @@ mod drain_tests {
     }
 
     #[test]
-    fn explore_identity_plan_matches_batched_and_heap() {
-        let heap = storm(DrainMode::Heap);
+    fn explore_identity_plan_matches_batched() {
         let batched = storm(DrainMode::Batched);
-        let explore = storm(DrainMode::Explore(ExplorePlan::new(0)));
-        assert_eq!(heap, batched);
-        assert_eq!(batched, explore);
+        assert_eq!(batched, storm(DrainMode::Explore(ExplorePlan::new(0))));
     }
 
     #[test]
@@ -1656,7 +1530,7 @@ mod drain_tests {
         let mut sim = Sim::new();
         let _h = sim.add_host("h", 1.0, 1 << 30);
         sim.at(SimTime::from_ms(1), |_s| {});
-        sim.set_drain_mode(DrainMode::Heap);
+        sim.set_drain_mode(DrainMode::Explore(ExplorePlan::new(1)));
     }
 }
 
@@ -1750,113 +1624,5 @@ mod kill_tests {
         });
         sim.run_until_idle();
         assert_eq!(*fired.lock().unwrap(), 1, "only the pre-kill timer fires");
-    }
-}
-
-#[cfg(test)]
-mod fairshare_tests {
-    use super::*;
-    use crate::link::LinkMode;
-    use std::sync::Arc;
-    use std::sync::Mutex;
-
-    struct Blast {
-        dst: ActorId,
-        bytes: u64,
-        at_us: u64,
-    }
-    impl Actor for Blast {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.sleep(self.at_us);
-            ctx.send(self.dst, Message::signal(0, self.bytes));
-        }
-    }
-
-    struct Sink {
-        got: Arc<Mutex<Vec<(SimTime, u64)>>>,
-    }
-    impl Actor for Sink {
-        fn on_message(&mut self, _f: ActorId, m: Message, ctx: &mut Ctx<'_>) {
-            self.got.lock().unwrap().push((ctx.now(), m.wire_bytes));
-        }
-    }
-
-    fn two_flows(mode: LinkMode) -> Vec<(SimTime, u64)> {
-        let mut sim = Sim::new();
-        let h1 = sim.add_host("a", 1.0, 1 << 30);
-        let h2 = sim.add_host("b", 1.0, 1 << 30);
-        sim.set_link(h1, h2, 1_000_000.0, 0);
-        sim.set_link_mode(h1, h2, mode);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let sink = sim.spawn(h2, Box::new(Sink { got: got.clone() }));
-        sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 1_000_000, at_us: 0 }));
-        sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 1_000_000, at_us: 0 }));
-        sim.run_until_idle();
-        let v = got.lock().unwrap().clone();
-        v
-    }
-
-    #[test]
-    fn fair_share_finishes_flows_together() {
-        let fifo = two_flows(LinkMode::Fifo);
-        assert_eq!(fifo[0].0, SimTime::from_secs(1));
-        assert_eq!(fifo[1].0, SimTime::from_secs(2));
-        let fair = two_flows(LinkMode::FairShare);
-        assert_eq!(fair[0].0, SimTime::from_secs(2));
-        assert_eq!(fair[1].0, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn fair_share_single_flow_matches_fifo() {
-        for mode in [LinkMode::Fifo, LinkMode::FairShare] {
-            let mut sim = Sim::new();
-            let h1 = sim.add_host("a", 1.0, 1 << 30);
-            let h2 = sim.add_host("b", 1.0, 1 << 30);
-            sim.set_link(h1, h2, 2_000_000.0, 500);
-            sim.set_link_mode(h1, h2, mode);
-            let got = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.spawn(h2, Box::new(Sink { got: got.clone() }));
-            sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 1_000_000, at_us: 0 }));
-            sim.run_until_idle();
-            assert_eq!(got.lock().unwrap()[0].0, SimTime::from_us(500_500), "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn late_joiner_shares_fairly() {
-        let mut sim = Sim::new();
-        let h1 = sim.add_host("a", 1.0, 1 << 30);
-        let h2 = sim.add_host("b", 1.0, 1 << 30);
-        sim.set_link(h1, h2, 1_000_000.0, 0);
-        sim.set_link_mode(h1, h2, LinkMode::FairShare);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let sink = sim.spawn(h2, Box::new(Sink { got: got.clone() }));
-        sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 1_000_000, at_us: 0 }));
-        sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 250_000, at_us: 500_000 }));
-        sim.run_until_idle();
-        let got = got.lock().unwrap();
-        // Joiner (250K at half rate from 0.5s) finishes at 1.0s; the big
-        // flow's remaining 250K then runs alone: 1.25s.
-        assert_eq!(got[0], (SimTime::from_secs(1), 250_000));
-        assert_eq!(got[1], (SimTime::from_us(1_250_000), 1_000_000));
-    }
-
-    #[test]
-    fn bandwidth_change_reshapes_in_flight_flows() {
-        let mut sim = Sim::new();
-        let h1 = sim.add_host("a", 1.0, 1 << 30);
-        let h2 = sim.add_host("b", 1.0, 1 << 30);
-        sim.set_link(h1, h2, 1_000_000.0, 0);
-        sim.set_link_mode(h1, h2, LinkMode::FairShare);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let sink = sim.spawn(h2, Box::new(Sink { got: got.clone() }));
-        sim.spawn(h1, Box::new(Blast { dst: sink, bytes: 1_000_000, at_us: 0 }));
-        // Halve the bandwidth halfway through: 0.5s at 1 MB/s, then
-        // 500K remaining at 0.5 MB/s -> 1s more -> total 1.5s.
-        sim.at(SimTime::from_ms(500), move |s| {
-            s.set_link_bandwidth(HostId(0), HostId(1), 500_000.0)
-        });
-        sim.run_until_idle();
-        assert_eq!(got.lock().unwrap()[0].0, SimTime::from_us(1_500_000));
     }
 }

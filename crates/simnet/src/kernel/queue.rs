@@ -1,45 +1,17 @@
-//! The kernel's pending-event structure: one [`EventQueue`] holding the
-//! one representation its [`DrainMode`] selects.
-//!
-//! - **Heap** — a `(time, seq)`-ordered binary heap: the reference order
-//!   every other drain is checked against.
-//! - **Buckets** — a min-heap of *distinct* pending timestamps plus a FIFO
-//!   bucket per timestamp, under an [`ExplorePlan`]. The identity plan
-//!   pops in exactly the heap's order; any other plan skews timer fires
-//!   on push and permutes each bucket when it is opened.
+//! The kernel's pending-event structure: one [`EventQueue`], a min-heap of
+//! *distinct* pending timestamps plus a FIFO bucket per timestamp, under an
+//! [`ExplorePlan`]. The identity plan pops in `(time, insertion)` order; any
+//! other plan skews timer fires on push and permutes each bucket when it is
+//! opened.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use obs::det::SplitMix64;
 
-use super::{DrainMode, Ev, ExplorePlan};
+use super::{Ev, ExplorePlan};
 use crate::time::SimTime;
-
-struct HeapEntry {
-    t: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
 
 /// How many drained buckets to keep for reuse. Matches the number of
 /// distinct timestamps typically live at once (current batch spillover
@@ -79,7 +51,9 @@ impl std::hash::Hasher for TimeHasher {
     }
 }
 
-struct Buckets {
+/// Pending events in `(time, insertion)` order (perturbed only by a
+/// non-identity [`ExplorePlan`]).
+pub(super) struct EventQueue {
     /// Min-heap of distinct pending timestamps …
     times: BinaryHeap<Reverse<SimTime>>,
     /// … and the FIFO bucket of events at each of them. A timestamp is in
@@ -91,9 +65,9 @@ struct Buckets {
     spare: Vec<VecDeque<Ev>>,
     /// The bucket being popped, already removed from `buckets`: an event
     /// pushed at `batch_t` meanwhile opens a fresh bucket, drained after
-    /// this one — exactly the heap order, where newly pushed events always
-    /// carry a higher sequence number. Empty whenever a pop has returned
-    /// `None`, i.e. between drains.
+    /// this one — exactly insertion order, since a newly pushed event
+    /// always comes after everything already queued. Empty whenever a pop
+    /// has returned `None`, i.e. between drains.
     batch: VecDeque<Ev>,
     batch_t: SimTime,
     plan: ExplorePlan,
@@ -101,11 +75,14 @@ struct Buckets {
     skew_rng: SplitMix64,
     /// Buckets permuted so far (salts the per-bucket permutation).
     batches: u64,
+    len: usize,
+    /// Deepest `len` has ever been.
+    peak: usize,
 }
 
-impl Buckets {
-    fn new(plan: ExplorePlan) -> Self {
-        Buckets {
+impl EventQueue {
+    pub(super) fn new(plan: ExplorePlan) -> Self {
+        EventQueue {
             times: BinaryHeap::new(),
             buckets: HashMap::default(),
             spare: Vec::new(),
@@ -114,7 +91,57 @@ impl Buckets {
             plan,
             skew_rng: SplitMix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000),
             batches: 0,
+            len: 0,
+            peak: 0,
         }
+    }
+
+    /// Switch plans. Only while empty, so no queued event was skewed or
+    /// permuted under another plan; the peak is a property of the
+    /// simulation and survives the switch.
+    pub(super) fn set_plan(&mut self, plan: ExplorePlan) {
+        assert_eq!(self.len, 0, "set_drain_mode requires an empty event queue");
+        let peak = self.peak;
+        *self = EventQueue { peak, ..EventQueue::new(plan) };
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(super) fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// Queue `ev` for time `t`, after everything already queued at `t`.
+    pub(super) fn push(&mut self, t: SimTime, ev: Ev) {
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        // Non-identity plan: skew timer fires by a bounded, seeded extra
+        // delay (clock skew / timer coalescing). Skew is only ever added,
+        // so a skewed timer never lands in the past.
+        let t = if !self.plan.is_identity()
+            && self.plan.timer_skew_us != 0
+            && matches!(ev, Ev::Timer { .. })
+        {
+            t + self.skew_rng.below(self.plan.timer_skew_us + 1)
+        } else {
+            t
+        };
+        self.bucket_at(t).push_back(ev);
+    }
+
+    /// Remove the next event if its time is at or before `bound`: the
+    /// front of the open batch, or of the next bucket once that is
+    /// exhausted.
+    #[inline]
+    pub(super) fn pop(&mut self, bound: SimTime) -> Option<(SimTime, Ev)> {
+        if self.batch.is_empty() && !self.open_next(bound) {
+            return None;
+        }
+        let ev = self.batch.pop_front()?;
+        self.len -= 1;
+        Some((self.batch_t, ev))
     }
 
     /// The bucket at `t`, opened (from a recycled one, so a storm of
@@ -127,16 +154,6 @@ impl Buckets {
                 e.insert(self.spare.pop().unwrap_or_default())
             }
         }
-    }
-
-    /// Next event at or before `bound`: the front of the open batch, or of
-    /// the next bucket once that is exhausted.
-    #[inline]
-    fn pop(&mut self, bound: SimTime) -> Option<(SimTime, Ev)> {
-        if self.batch.is_empty() && !self.open_next(bound) {
-            return None;
-        }
-        self.batch.pop_front().map(|ev| (self.batch_t, ev))
     }
 
     /// Recycle the exhausted batch and open the earliest bucket, if its
@@ -173,96 +190,6 @@ impl Buckets {
     }
 }
 
-enum Repr {
-    Heap { heap: BinaryHeap<HeapEntry>, seq: u64 },
-    Buckets(Buckets),
-}
-
-impl Repr {
-    /// The one place a [`DrainMode`] picks a representation: `Batched`
-    /// *is* the bucket queue under the identity plan.
-    fn for_mode(mode: DrainMode) -> Self {
-        match mode {
-            DrainMode::Heap => Repr::Heap { heap: BinaryHeap::new(), seq: 0 },
-            DrainMode::Batched => Repr::Buckets(Buckets::new(ExplorePlan::default())),
-            DrainMode::Explore(plan) => Repr::Buckets(Buckets::new(plan)),
-        }
-    }
-}
-
-/// Pending events in `(time, insertion)` order (perturbed only by a
-/// non-identity [`ExplorePlan`]).
-pub(super) struct EventQueue {
-    repr: Repr,
-    len: usize,
-    /// Deepest `len` has ever been.
-    peak: usize,
-}
-
-impl EventQueue {
-    pub(super) fn new(mode: DrainMode) -> Self {
-        EventQueue { repr: Repr::for_mode(mode), len: 0, peak: 0 }
-    }
-
-    /// Switch representation. Only while empty, so events never migrate;
-    /// the peak is a property of the simulation and survives the switch.
-    pub(super) fn set_mode(&mut self, mode: DrainMode) {
-        assert_eq!(self.len, 0, "set_drain_mode requires an empty event queue");
-        self.repr = Repr::for_mode(mode);
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(super) fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Queue `ev` for time `t`, after everything already queued at `t`.
-    pub(super) fn push(&mut self, t: SimTime, ev: Ev) {
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        match &mut self.repr {
-            Repr::Heap { heap, seq } => {
-                heap.push(HeapEntry { t, seq: *seq, ev });
-                *seq += 1;
-            }
-            Repr::Buckets(b) => {
-                // Non-identity plan: skew timer fires by a bounded, seeded
-                // extra delay (clock skew / timer coalescing). Skew is only
-                // ever added, so a skewed timer never lands in the past.
-                let t = if !b.plan.is_identity()
-                    && b.plan.timer_skew_us != 0
-                    && matches!(ev, Ev::Timer { .. })
-                {
-                    t + b.skew_rng.below(b.plan.timer_skew_us + 1)
-                } else {
-                    t
-                };
-                b.bucket_at(t).push_back(ev);
-            }
-        }
-    }
-
-    /// Remove the next event if its time is at or before `bound`.
-    #[inline]
-    pub(super) fn pop(&mut self, bound: SimTime) -> Option<(SimTime, Ev)> {
-        let popped = match &mut self.repr {
-            Repr::Heap { heap, .. } => {
-                if heap.peek()?.t > bound {
-                    return None;
-                }
-                let e = heap.pop()?;
-                (e.t, e.ev)
-            }
-            Repr::Buckets(b) => b.pop(bound)?,
-        };
-        self.len -= 1;
-        Some(popped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,23 +205,78 @@ mod tests {
     /// `(len, peak)` after every operation.
     type Observed = (Vec<(SimTime, usize)>, Vec<(usize, usize)>);
 
-    fn run(mode: DrainMode, script: &[Round]) -> Observed {
-        let mut q = EventQueue::new(mode);
+    /// The two operations a script drives, on the queue or on the
+    /// reference.
+    trait Queue {
+        fn push(&mut self, t: SimTime, id: usize);
+        fn pop(&mut self, bound: SimTime) -> Option<(SimTime, usize)>;
+        fn len(&self) -> usize;
+        fn peak(&self) -> usize;
+    }
+
+    impl Queue for EventQueue {
+        fn push(&mut self, t: SimTime, id: usize) {
+            EventQueue::push(self, t, Ev::Wake { actor: ActorId(id) });
+        }
+        fn pop(&mut self, bound: SimTime) -> Option<(SimTime, usize)> {
+            match EventQueue::pop(self, bound)? {
+                (t, Ev::Wake { actor }) => Some((t, actor.0)),
+                _ => unreachable!("scripts push only wakes"),
+            }
+        }
+        fn len(&self) -> usize {
+            EventQueue::len(self)
+        }
+        fn peak(&self) -> usize {
+            EventQueue::peak(self)
+        }
+    }
+
+    /// The reference order: a binary heap of `(time, insertion number)`,
+    /// one entry per event.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        pushed: u64,
+        peak: usize,
+    }
+
+    impl Queue for Reference {
+        fn push(&mut self, t: SimTime, id: usize) {
+            self.heap.push(Reverse((t, self.pushed, id)));
+            self.pushed += 1;
+            self.peak = self.peak.max(self.heap.len());
+        }
+        fn pop(&mut self, bound: SimTime) -> Option<(SimTime, usize)> {
+            if self.heap.peek()?.0 .0 > bound {
+                return None;
+            }
+            self.heap.pop().map(|Reverse((t, _, id))| (t, id))
+        }
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+        fn peak(&self) -> usize {
+            self.peak
+        }
+    }
+
+    fn run(mut q: impl Queue, script: &[Round]) -> Observed {
         let mut now = SimTime::ZERO;
         let mut next_id = 0;
         let (mut popped, mut depth) = (Vec::new(), Vec::new());
-        let mut pop = |q: &mut EventQueue, now: &mut SimTime, bound: SimTime| {
+        let mut pop = |q: &mut dyn Queue, now: &mut SimTime, bound: SimTime| {
             let got = q.pop(bound);
-            if let Some((t, Ev::Wake { actor })) = got {
+            if let Some((t, id)) = got {
                 assert!(t >= *now && t <= bound);
                 *now = t;
-                popped.push((t, actor.0));
+                popped.push((t, id));
             }
             got.is_some()
         };
         for (delays, pops, bound) in script {
             for &d in delays {
-                q.push(now + d, Ev::Wake { actor: ActorId(next_id) });
+                q.push(now + d, next_id);
                 next_id += 1;
                 depth.push((q.len(), q.peak()));
             }
@@ -319,18 +301,18 @@ mod tests {
             ),
             seed in 1u64..u64::MAX,
         ) {
-            let heap = run(DrainMode::Heap, &script);
-            prop_assert_eq!(&heap, &run(DrainMode::Batched, &script));
-            prop_assert_eq!(&heap, &run(DrainMode::Explore(ExplorePlan::new(0)), &script));
+            // The identity plan pops exactly the reference heap's order.
+            let reference = run(Reference::default(), &script);
+            prop_assert_eq!(&reference, &run(EventQueue::new(ExplorePlan::new(0)), &script));
 
             // A seeded plan reorders events only among those sharing a
             // timestamp, and does so reproducibly.
-            let seeded = run(DrainMode::Explore(ExplorePlan::new(seed)), &script);
-            prop_assert_eq!(&seeded, &run(DrainMode::Explore(ExplorePlan::new(seed)), &script));
-            prop_assert_eq!(&seeded.1, &heap.1);
+            let seeded = run(EventQueue::new(ExplorePlan::new(seed)), &script);
+            prop_assert_eq!(&seeded, &run(EventQueue::new(ExplorePlan::new(seed)), &script));
+            prop_assert_eq!(&seeded.1, &reference.1);
             let times = |o: &Observed| o.0.iter().map(|&(t, _)| t).collect::<Vec<_>>();
-            prop_assert_eq!(times(&seeded), times(&heap));
-            let (mut a, mut b) = (seeded.0, heap.0);
+            prop_assert_eq!(times(&seeded), times(&reference));
+            let (mut a, mut b) = (seeded.0, reference.0);
             a.sort_unstable();
             b.sort_unstable();
             prop_assert_eq!(a, b);

@@ -11,7 +11,9 @@
 //!   scheduler (with hard share caps — an idealized fair-share OS) and a
 //!   per-actor count of allocated memory (the sandbox turns it into a
 //!   paging penalty);
-//! - **links** with bandwidth and latency, FIFO store-and-forward;
+//! - **links** with bandwidth and latency, FIFO store-and-forward, one
+//!   record per directed host pair holding the link and its injected
+//!   faults (loss, jitter, down windows);
 //! - **actors** — event-driven simulated processes that compute, exchange
 //!   messages, sleep, and set timers;
 //! - exact **per-actor accounting** (CPU time received, wall time, bytes
@@ -28,8 +30,8 @@
 //!
 //! Everything is deterministic: events are ordered by
 //! `(time, sequence-number)` and no wall-clock or OS randomness is
-//! consulted. The drain is single-threaded: [`DrainMode`] only picks the
-//! queue's data structure (`Heap` is the reference order, `Batched` the
+//! consulted. The drain is single-threaded over one event queue:
+//! [`DrainMode`] picks its `(time, insertion)` order (`Batched`, the
 //! default) or a seeded perturbation of it (`Explore`); `DESIGN.md` §14
 //! records why there is no parallel drain.
 //!
@@ -78,7 +80,7 @@ pub use accounting::{Accounting, Snapshot};
 pub use actor::{Action, Actor, ActorId, HostId};
 pub use fault::{DropReason, FaultError, FaultPlan};
 pub use kernel::{Ctx, DrainMode, ExplorePlan, Sim, WireHook};
-pub use link::{FlowSched, Link, LinkMode};
+pub use link::Link;
 pub use message::{DecodeError, Message};
 pub use time::{dur, SimTime};
 
@@ -87,7 +89,6 @@ pub mod prelude {
     pub use crate::actor::{Action, Actor, ActorId, HostId};
     pub use crate::fault::{DropReason, FaultError, FaultPlan};
     pub use crate::kernel::{Ctx, DrainMode, ExplorePlan, Sim};
-    pub use crate::link::LinkMode;
     pub use crate::message::Message;
     pub use crate::time::{dur, SimTime};
 }

@@ -11,7 +11,13 @@
 //! change; in-flight bytes finish at the old rate. Per-application bandwidth
 //! *limits* (the paper's sandbox network shaping) are imposed above this
 //! layer by the `sandbox` crate via token-bucket send delays.
+//!
+//! The kernel keeps one `LinkState` per directed host pair: the link and
+//! every fault injected on it, found with one lookup per message.
 
+use obs::det::SplitMix64;
+
+use crate::fault::DropReason;
 use crate::time::SimTime;
 
 /// A directed network link between two hosts.
@@ -71,6 +77,72 @@ impl Link {
         self.busy_until = tx_end;
         self.bytes_carried += bytes;
         TxSchedule { depart, tx_end, deliver: tx_end + self.latency_us }
+    }
+}
+
+/// Everything the kernel keeps about one directed host pair: its link and
+/// the faults injected on it.
+#[derive(Debug)]
+pub(crate) struct LinkState {
+    pub link: Link,
+    /// Out of line: most pairs never carry a fault, and a load run keeps
+    /// two pairs per session.
+    pub faults: Option<Box<Faults>>,
+}
+
+/// The faults on one directed host pair. Each pair owns its seeded
+/// streams, so a fault on one pair never perturbs the draws of another.
+#[derive(Debug, Default)]
+pub(crate) struct Faults {
+    /// Loss probability and its stream.
+    pub loss: Option<(f64, SplitMix64)>,
+    /// Largest extra latency (at least 1 us) and its stream.
+    pub jitter: Option<(u64, SplitMix64)>,
+    /// Inside a scheduled down window.
+    pub down: bool,
+}
+
+impl LinkState {
+    pub fn new(link: Link) -> Self {
+        LinkState { link, faults: None }
+    }
+
+    /// The fate of a `bytes`-byte message put on this pair at `now`: when
+    /// it is delivered, or why it is dropped. `local_us` is the latency of
+    /// a host's pair with itself, which has no wire and no down window but
+    /// still draws loss and jitter.
+    pub fn carry(
+        &mut self,
+        now: SimTime,
+        bytes: u64,
+        local_us: Option<u64>,
+    ) -> Result<SimTime, DropReason> {
+        let mut jitter_us = 0;
+        if let Some(f) = &mut self.faults {
+            if f.down && local_us.is_none() {
+                // Nothing gets through, and nothing occupies the wire.
+                return Err(DropReason::LinkDown);
+            }
+            if let Some((p, rng)) = &mut f.loss {
+                if rng.next_f64() < *p {
+                    // The message still occupied the wire, but never arrives.
+                    if local_us.is_none() {
+                        self.link.schedule(now, bytes);
+                    }
+                    return Err(DropReason::Loss);
+                }
+            }
+            // Drawn per message at transmit time, so the stream does not
+            // depend on how deliveries interleave.
+            if let Some((max, rng)) = &mut f.jitter {
+                jitter_us = rng.range(0, *max);
+            }
+        }
+        let at = match local_us {
+            Some(us) => now + us,
+            None => self.link.schedule(now, bytes).deliver,
+        };
+        Ok(at + jitter_us)
     }
 }
 
@@ -138,175 +210,5 @@ mod tests {
     #[should_panic]
     fn zero_bandwidth_rejected() {
         let _ = Link::new(0.0, 0);
-    }
-}
-
-/// How concurrent messages share a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinkMode {
-    /// Store-and-forward FIFO: messages serialize in arrival order (the
-    /// default; models a single shared medium with packet-sized fairness
-    /// averaged out).
-    #[default]
-    Fifo,
-    /// Fluid processor-sharing: all in-flight messages progress
-    /// simultaneously at `bandwidth / n` (models per-flow fair queuing).
-    FairShare,
-}
-
-/// One in-flight transmission under fair sharing.
-#[derive(Debug, Clone)]
-struct Flow {
-    id: u64,
-    remaining: f64,
-}
-
-/// Fluid fair-share scheduler for one directed link: the network twin of
-/// the CPU's GPS model. All flows progress at `bandwidth / flows.len()`;
-/// rates change only at flow start/completion events.
-#[derive(Debug)]
-pub struct FlowSched {
-    /// Bytes per microsecond.
-    bandwidth: f64,
-    flows: Vec<Flow>,
-    last: SimTime,
-    /// Bumped whenever rates change; stale events are ignored by epoch.
-    pub epoch: u64,
-}
-
-impl FlowSched {
-    pub fn new(bw_bytes_per_sec: f64) -> Self {
-        assert!(bw_bytes_per_sec > 0.0);
-        FlowSched {
-            bandwidth: bw_bytes_per_sec / 1e6,
-            flows: Vec::new(),
-            last: SimTime::ZERO,
-            epoch: 0,
-        }
-    }
-
-    pub fn set_bandwidth(&mut self, bw_bytes_per_sec: f64) {
-        assert!(bw_bytes_per_sec > 0.0);
-        self.bandwidth = bw_bytes_per_sec / 1e6;
-        self.epoch += 1;
-    }
-
-    pub fn bw_bytes_per_sec(&self) -> f64 {
-        self.bandwidth * 1e6
-    }
-
-    fn rate(&self) -> f64 {
-        if self.flows.is_empty() {
-            0.0
-        } else {
-            self.bandwidth / self.flows.len() as f64
-        }
-    }
-
-    /// Advance the fluid model to `now`; returns the ids of flows whose
-    /// last byte has left the wire.
-    pub fn advance(&mut self, now: SimTime) -> Vec<u64> {
-        let dt = now.since(self.last) as f64;
-        self.last = now;
-        let rate = self.rate();
-        let mut done = Vec::new();
-        if dt > 0.0 && rate > 0.0 {
-            for f in &mut self.flows {
-                f.remaining -= rate * dt;
-            }
-        }
-        self.flows.retain(|f| {
-            if f.remaining <= 1e-9 {
-                done.push(f.id);
-                false
-            } else {
-                true
-            }
-        });
-        if !done.is_empty() {
-            self.epoch += 1;
-        }
-        done
-    }
-
-    /// Start a flow of `bytes` (id must be unique). Caller must `advance`
-    /// to `now` first.
-    pub fn start(&mut self, id: u64, bytes: u64) {
-        self.flows.push(Flow { id, remaining: (bytes as f64).max(1.0) });
-        self.epoch += 1;
-    }
-
-    /// When the earliest in-flight flow will finish.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        let rate = self.rate();
-        if rate <= 0.0 {
-            return None;
-        }
-        self.flows
-            .iter()
-            .map(|f| {
-                let us = (f.remaining / rate).ceil() as u64;
-                self.last + us.max(1)
-            })
-            .min()
-    }
-
-    pub fn in_flight(&self) -> usize {
-        self.flows.len()
-    }
-}
-
-#[cfg(test)]
-mod flow_tests {
-    use super::*;
-
-    #[test]
-    fn single_flow_matches_fifo_timing() {
-        let mut fs = FlowSched::new(1_000_000.0);
-        fs.advance(SimTime::ZERO);
-        fs.start(1, 500_000);
-        assert_eq!(fs.next_completion(), Some(SimTime::from_us(500_000)));
-        let done = fs.advance(SimTime::from_us(500_000));
-        assert_eq!(done, vec![1]);
-    }
-
-    #[test]
-    fn concurrent_flows_share_bandwidth() {
-        let mut fs = FlowSched::new(1_000_000.0);
-        fs.advance(SimTime::ZERO);
-        fs.start(1, 1_000_000);
-        fs.start(2, 1_000_000);
-        // Each at 0.5 MB/s: both finish at t=2s (vs FIFO: 1s and 2s).
-        assert_eq!(fs.next_completion(), Some(SimTime::from_secs(2)));
-        let done = fs.advance(SimTime::from_secs(2));
-        assert_eq!(done.len(), 2);
-    }
-
-    #[test]
-    fn late_joiner_slows_the_first_flow() {
-        let mut fs = FlowSched::new(1_000_000.0);
-        fs.advance(SimTime::ZERO);
-        fs.start(1, 1_000_000);
-        // After 0.5s alone, 500K remain; the joiner halves the rate.
-        fs.advance(SimTime::from_ms(500));
-        fs.start(2, 250_000);
-        // Flow 2 (250K at 0.5 MB/s) finishes first at t=1.0s.
-        assert_eq!(fs.next_completion(), Some(SimTime::from_secs(1)));
-        let done = fs.advance(SimTime::from_secs(1));
-        assert_eq!(done, vec![2]);
-        // Flow 1: 250K left, alone again -> t=1.25s.
-        assert_eq!(fs.next_completion(), Some(SimTime::from_us(1_250_000)));
-    }
-
-    #[test]
-    fn work_conservation() {
-        let mut fs = FlowSched::new(2_000_000.0);
-        fs.advance(SimTime::ZERO);
-        fs.start(1, 600_000);
-        fs.start(2, 600_000);
-        fs.start(3, 600_000);
-        // Total 1.8 MB at 2 MB/s aggregate -> all done by 0.9s.
-        let done = fs.advance(SimTime::from_us(900_000));
-        assert_eq!(done.len(), 3);
     }
 }

@@ -160,6 +160,52 @@ fn partition_cuts_cross_links_only() {
     assert!(!sim.is_link_down(ha, hb), "partition heals");
 }
 
+/// Every link setter on one directed pair, and on a host's link to itself:
+/// loss, jitter and a down window on `a <-> b`, the link replaced and
+/// re-rated mid-run (faults survive both), and loss, jitter and a down
+/// window on `a -> a` (local messages draw loss and jitter but ignore the
+/// window). Pinned: the kernel events per kind and an FNV-1a digest of the
+/// rendered bus.
+#[test]
+fn link_setters_compose_on_one_pair_and_are_pinned() {
+    let mut sim = Sim::new();
+    let obs = Obs::new();
+    sim.attach_obs(&obs);
+    let ha = sim.add_host("a", 1.0, 1 << 30);
+    let hb = sim.add_host("b", 1.0, 1 << 30);
+    sim.set_link(ha, hb, 1_000_000.0, 100);
+    let counters = || (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
+    let ((rsent, rgot), (lsent, lgot)) = (counters(), counters());
+    let remote = sim.spawn(hb, Box::new(Echo));
+    let local = sim.spawn(ha, Box::new(Echo));
+    for (dst, sent, got) in [(remote, &rsent, &rgot), (local, &lsent, &lgot)] {
+        let (sent, got) = (sent.clone(), got.clone());
+        sim.spawn(ha, Box::new(Pinger { dst, period_us: dur::ms(10), sent, got, rounds: 40 }));
+    }
+    FaultPlan::new(11)
+        .with_loss(ha, hb, 0.25)
+        .with_jitter(ha, hb, 3_000)
+        .with_link_down(ha, hb, SimTime::from_ms(120), SimTime::from_ms(170))
+        .with_loss_directed(ha, ha, 0.2)
+        .with_jitter(ha, ha, 400)
+        .with_link_down(ha, ha, SimTime::from_ms(50), SimTime::from_ms(300))
+        .install(&mut sim);
+    sim.at(SimTime::from_ms(200), move |s| s.set_link(ha, hb, 200_000.0, 300));
+    sim.at(SimTime::from_ms(300), move |s| s.set_link_bandwidth(hb, ha, 50_000.0));
+    sim.run_until_idle();
+
+    assert_eq!(sim.link_capacity_bps(ha, hb), 200_000.0);
+    assert_eq!(sim.link_capacity_bps(hb, ha), 50_000.0);
+    assert_eq!(sim.link_capacity_bps(ha, ha), 12_500_000.0);
+    let evs = simnet_events(&obs);
+    let got = [*rgot.lock().unwrap(), *lgot.lock().unwrap()];
+    let dropped = [DropReason::Loss, DropReason::LinkDown].map(|r| drops(&evs, r));
+    assert_eq!((got, dropped), ([19, 31], [25, 5]));
+    let mut h = obs::det::Fnv64::new();
+    h.write_str(&obs.render());
+    assert_eq!(format!("{:016x}", h.finish()), "58c3bc739dcb9d0c");
+}
+
 /// Counts restarts; sets a timer that must NOT survive the crash.
 struct CrashDummy {
     starts: Arc<Mutex<u32>>,

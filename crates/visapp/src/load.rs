@@ -596,15 +596,6 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "seed must reach arrivals/think times");
     }
 
-    #[test]
-    fn heap_and_batched_drain_agree() {
-        let opts = tiny(4);
-        let db = Arc::new(model_db(&opts));
-        let batched = run_load(&opts.clone().with_drain_mode(DrainMode::Batched), &db);
-        let heap = run_load(&opts.clone().with_drain_mode(DrainMode::Heap), &db);
-        assert_eq!(batched.digest(), heap.digest(), "drain mode must not change semantics");
-    }
-
     /// The full-scan sampler [`LoadWatcher`] replaced, kept as its oracle:
     /// every tick visits every handle, counts its rounds from the start,
     /// re-counts the arrivals and scans `done_reported`. It publishes into
@@ -726,7 +717,6 @@ mod tests {
 
     #[test]
     fn watcher_matches_the_full_scan_oracle() {
-        let modes = [DrainMode::Batched, DrainMode::Heap];
         let arrivals = [
             ArrivalProcess::Poisson { mean_gap_us: 20_000 },
             ArrivalProcess::Simultaneous,
@@ -740,19 +730,12 @@ mod tests {
             for arrival in arrivals {
                 let opts = LoadGenOpts { period_us, ..tiny(12).with_arrival(arrival) };
                 let db = Arc::new(model_db(&opts));
-                let mut batched: Option<Trace> = None;
-                for mode in modes {
-                    let what = format!("{arrival:?}, period {period_us}, {mode:?}");
-                    let (report, watcher, oracle) =
-                        run_twinned(&opts.clone().with_drain_mode(mode), &db);
-                    assert_eq!(watcher, oracle, "{what}");
-                    assert_eq!(watcher.done.len(), 12, "{what}");
-                    assert_eq!(watcher.ticks.last().unwrap().1, 0.0, "{what}");
-                    assert_eq!(watcher.ticks.last().unwrap().2, report.requests_total, "{what}");
-                    // The series is a function of simulated time alone.
-                    let first = batched.get_or_insert(watcher);
-                    assert_eq!(*first, oracle, "{what}: differs from Batched");
-                }
+                let what = format!("{arrival:?}, period {period_us}");
+                let (report, watcher, oracle) = run_twinned(&opts, &db);
+                assert_eq!(watcher, oracle, "{what}");
+                assert_eq!(watcher.done.len(), 12, "{what}");
+                assert_eq!(watcher.ticks.last().unwrap().1, 0.0, "{what}");
+                assert_eq!(watcher.ticks.last().unwrap().2, report.requests_total, "{what}");
                 if period_us > MONITOR_PERIOD_US {
                     let report = run_load(&opts, &db);
                     assert!(

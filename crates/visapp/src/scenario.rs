@@ -18,7 +18,7 @@ use adapt_core::{
 use compress::Method;
 use obs::{Command, CommandRouter, ConfigRegistry, Obs};
 use sandbox::{LimitSchedule, Limits, LimitsHandle, SandboxStats, Sandboxed};
-use simnet::{DrainMode, FaultPlan, HostId, LinkMode, Sim, SimTime};
+use simnet::{DrainMode, FaultPlan, HostId, Sim, SimTime};
 
 use crate::client::{AdaptSetup, Client, ClientOpts, VizConfig};
 use crate::resilience::{BreakerOpts, RetryPolicy};
@@ -108,8 +108,6 @@ pub struct Scenario {
     /// host crashes) installed on top of `link_loss`. Host references use
     /// [`CLIENT_HOST`] / [`SERVER_HOST`].
     pub fault_plan: Option<FaultPlan>,
-    /// How concurrent messages share the client-server link.
-    pub link_mode: LinkMode,
     /// Kernel event-queue drain strategy. The default
     /// ([`DrainMode::Batched`]) is what every experiment uses; the
     /// simulation-test explorer (`adapt-dst`) sets
@@ -152,7 +150,6 @@ impl Default for Scenario {
             retry: RetryPolicy::default(),
             breaker: None,
             fault_plan: None,
-            link_mode: LinkMode::Fifo,
             drain_mode: DrainMode::Batched,
             commands: Vec::new(),
         }
@@ -393,7 +390,7 @@ fn install_commands(sim: &mut Sim, router: &CommandRouter, commands: &[CommandAt
 }
 
 /// The one client/server topology: [`CLIENT_HOST`] and [`SERVER_HOST`],
-/// the link between them with its mode, loss and fault plan, and the
+/// the link between them with its loss and fault plan, and the
 /// server, bandwidth-capped through its own sandbox when the scenario
 /// says so. Clients are the caller's to spawn.
 fn topology(sc: &Scenario, store: &Arc<ImageStore>, obs: &Obs) -> (Sim, simnet::ActorId) {
@@ -404,8 +401,6 @@ fn topology(sc: &Scenario, store: &Arc<ImageStore>, obs: &Obs) -> (Sim, simnet::
     let hc = sim.add_host("client", sc.client_speed, 1 << 30);
     let hs = sim.add_host("server", sc.server_speed, 1 << 30);
     sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    sim.set_link_mode(hc, hs, sc.link_mode);
-    sim.set_link_mode(hs, hc, sc.link_mode);
     if let Some((p, seed)) = sc.link_loss {
         sim.set_link_loss(hc, hs, p, seed);
         sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));

@@ -673,33 +673,3 @@ fn remote_monitoring_reports_reach_the_client_runtime() {
         "sandboxed server must slow replies"
     );
 }
-
-#[test]
-fn fair_share_links_equalize_competing_clients() {
-    // Two identical clients saturating a narrow link. Under FIFO one
-    // client's big reply can monopolize the wire; under fluid fair sharing
-    // both make simultaneous progress and finish close together.
-    use simnet::LinkMode;
-    let base = Scenario {
-        n_images: 2,
-        img_size: 64,
-        levels: 3,
-        link_bps: 50_000.0, // narrow shared link
-        ..Scenario::default()
-    };
-    let store = base.build_store();
-    let cfg = VizConfig { dr: 32, level: 3, method: Method::Raw };
-    let pair = [(cfg, Limits::unconstrained()), (cfg, Limits::unconstrained())];
-    for mode in [LinkMode::Fifo, LinkMode::FairShare] {
-        let sc = Scenario { link_mode: mode, ..base.clone() };
-        let stats = visapp::run_competing(&sc, &store, &pair);
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.images.len(), 2, "{mode:?} client {i}");
-        }
-        let ends: Vec<f64> = stats.iter().map(|s| s.finished_at.unwrap().as_secs_f64()).collect();
-        let spread = (ends[0] - ends[1]).abs() / ends[0].max(ends[1]);
-        if mode == LinkMode::FairShare {
-            assert!(spread < 0.25, "fair share keeps clients together: {ends:?}");
-        }
-    }
-}

@@ -1,5 +1,5 @@
 //! A full distributed deployment: admission control, per-tenant policing,
-//! fair-share networking, server-side monitoring reports, and a lossy
+//! a shared network link, server-side monitoring reports, and a lossy
 //! link with retransmission — every §5/§6 mechanism in one scene.
 //!
 //! ```text
@@ -20,14 +20,13 @@ fn main() {
     }
 
     // --- Deployment: both admitted viewers run concurrently, policed to
-    // their reservations, over a narrow fair-share link that also loses
+    // their reservations, over one narrow shared link that also loses
     // 8% of messages (retransmission recovers).
     let sc = Scenario {
         n_images: 4,
         img_size: 128,
         levels: 3,
         link_bps: 60_000.0,
-        link_mode: LinkMode::FairShare,
         link_loss: Some((0.08, 7)),
         request_timeout_us: Some(800_000),
         ..Scenario::default()
@@ -35,7 +34,7 @@ fn main() {
     let store = sc.build_store();
     let cfg = VizConfig { dr: 32, level: 3, method: Method::Lzw };
     let limits = Limits::cpu(0.45);
-    println!("\nrunning two policed viewers over a lossy fair-share link ...");
+    println!("\nrunning two policed viewers over a lossy shared link ...");
     let stats = run_competing(&sc, &store, &[(cfg, limits), (cfg, limits)]);
     for (i, s) in stats.iter().enumerate() {
         println!(
@@ -51,7 +50,7 @@ fn main() {
     let ends: Vec<f64> = stats.iter().map(|s| s.finished_at.unwrap().as_secs_f64()).collect();
     let spread = (ends[0] - ends[1]).abs() / ends[0].max(ends[1]);
     println!(
-        "  finish-time spread {:.1}% (fair sharing plus per-tenant retransmission luck)",
+        "  finish-time spread {:.1}% (FIFO link order plus per-tenant retransmission luck)",
         spread * 100.0
     );
 

@@ -2,9 +2,8 @@
 //!
 //! Drives the `visapp::load` generator — 200 concurrent client sessions
 //! with Poisson arrivals, per-session think times and QoS profiles, a
-//! server pool, and one shared `Arc<PerfDb>` — under both event-queue
-//! drain modes, and shows that the batched kernel changes performance,
-//! not semantics: the two runs produce the same deterministic digest.
+//! server pool, and one shared `Arc<PerfDb>` — twice, and shows that the
+//! run is deterministic: the rerun reproduces the digest.
 //!
 //! Everything printed is read off the run's [`Obs`] handle: the
 //! `load.*` aggregate metrics, the `runtime.tick` adapt-latency
@@ -32,17 +31,13 @@ fn main() {
         opts.sessions
     );
 
-    println!("running {} sessions (batched drain)...", opts.sessions);
-    let batched = run_load(&opts.clone().with_drain_mode(DrainMode::Batched), &db);
-    println!("running the same storm again (heap drain)...");
-    let heap = run_load(&opts.clone().with_drain_mode(DrainMode::Heap), &db);
-    assert_eq!(batched.digest(), heap.digest(), "drain modes must be observationally identical");
-    println!(
-        "digest {:016x} — identical under both drain modes (semantics preserved)\n",
-        batched.digest()
-    );
+    println!("running {} sessions...", opts.sessions);
+    let report = run_load(&opts, &db);
+    println!("running the same storm again...");
+    let rerun = run_load(&opts, &db);
+    assert_eq!(report.digest(), rerun.digest(), "a rerun must be observationally identical");
+    println!("digest {:016x} — identical on the rerun (deterministic)\n", report.digest());
 
-    let report = &batched;
     let obs = &report.obs;
     println!("== aggregate ==");
     println!("sim end:            {:.2} s", report.end.as_secs_f64());

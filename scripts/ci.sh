@@ -26,12 +26,12 @@ if grep -rIl --include='*.rs' --include='Cargo.toml' --include='Cargo.lock' serd
 fi
 
 stage "one event queue"
-# kernel/queue.rs owns the pending-event structure: one insert per
+# kernel/queue.rs owns the pending-event structure: one insert, one
 # representation, and Sim has one drain loop over it. This keeps a second
 # insert or drain path (or a heap held outside the queue) from drifting
 # back into the kernel.
 if grep -rnE 'fn enqueue_partitioned|fn drain_batched_' crates/simnet/src ||
-    grep -rn 'BinaryHeap<HeapEntry>' crates/simnet/src |
+    grep -rn 'BinaryHeap' crates/simnet/src |
     grep -v '^crates/simnet/src/kernel/queue\.rs:'; then
     echo "the lines above duplicate kernel/queue.rs: go through EventQueue" >&2
     exit 1
@@ -109,6 +109,18 @@ stage "one kernel record"
 gone='TraceEvent|TRANSFER_LOG_CAP|transfers_since|set_mem_limit|set_mem_penalty_k'
 if grep -rnE --include='*.rs' "$gone" crates src tests examples | grep -vF "$gone"; then
     echo "the lines above bring back a deleted kernel record" >&2
+    exit 1
+fi
+
+stage "one link model"
+# The kernel drains one queue representation and keeps one FIFO record
+# per directed host pair (link, loss, jitter, down window); the reference
+# heap and the linear-scan predictor live in test code under other names.
+# This keeps the deleted heap drain, fair-share link mode, shadow link
+# maps, cross-drain oracle and public scan predictor from drifting back.
+gone='DrainMode::Heap|LinkMode|FlowSched|FlowNext|set_link_mode|flow_scheds|down_links|DrainDivergence|predict_scan'
+if grep -rnE --include='*.rs' "$gone" crates src tests examples | grep -vF "$gone"; then
+    echo "the lines above bring back a deleted queue representation or link model" >&2
     exit 1
 fi
 
