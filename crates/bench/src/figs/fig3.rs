@@ -114,6 +114,18 @@ mod tests {
         }
     }
 
+    /// The sampler's CPU-time reads, bit for bit: an FNV-1a digest of
+    /// every `(t, share)` point of the trace.
+    #[test]
+    fn fig3a_trace_is_pinned() {
+        let mut h = obs::det::Fnv64::new();
+        for p in fig3a() {
+            h.write_u64(p.t_secs.to_bits());
+            h.write_u64(p.observed_share.to_bits());
+        }
+        assert_eq!(format!("{:016x}", h.finish()), "3bbed87d7ab30f5c");
+    }
+
     #[test]
     fn fig3b_matches_expected_within_two_percent() {
         let rows = fig3b(5.0);

@@ -166,6 +166,12 @@ fn faulted_crossing_run_is_pinned() {
         (run.end_us, run.events_handled, format!("{:016x}", h.finish())),
         (75018, 312, "e09736f81ff2ae03".into())
     );
+    let mut h = obs::det::Fnv64::new();
+    h.write_str(&format!("{:?}", run.logs));
+    for s in &run.snaps {
+        h.write_u64(s.cpu_time_us.to_bits());
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "12cd5f4243468571");
 }
 
 // ---------------------------------------------------------------------
