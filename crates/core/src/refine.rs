@@ -192,7 +192,7 @@ impl RefineEngine {
         registry.register_knob("refine.min_streak", self.min_streak.clone());
     }
 
-    /// Snapshot of the engine's current database.
+    /// A snapshot of the engine's current database.
     pub fn db(&self) -> Arc<PerfDb> {
         self.db.get()
     }
@@ -213,7 +213,7 @@ impl RefineEngine {
         self.cells.get(&(config.to_string(), metric)).filter(|c| c.samples > 0).map(|c| c.ewma)
     }
 
-    /// Snapshot of every cell's EWMA residual as `(config, metric,
+    /// A snapshot of every cell's EWMA residual as `(config, metric,
     /// ewma)`, in sorted `(config, metric)` order (cells with no samples
     /// are skipped).
     pub fn residuals(&self) -> Vec<(String, &'static str, f64)> {

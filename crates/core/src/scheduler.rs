@@ -190,7 +190,7 @@ impl ResourceScheduler {
         }
     }
 
-    /// Snapshot of the current performance database. The `Arc` stays
+    /// A snapshot of the current performance database. The `Arc` stays
     /// valid across a concurrent refine hot-swap (it just goes stale).
     pub fn db(&self) -> Arc<PerfDb> {
         self.db.get()
@@ -209,7 +209,7 @@ impl ResourceScheduler {
         self.db.version().saturating_sub(self.db_base_version)
     }
 
-    /// Snapshot of the current preference list. The `Arc` stays valid
+    /// A snapshot of the current preference list. The `Arc` stays valid
     /// across a concurrent [`set_prefs`](Self::set_prefs) (it just goes
     /// stale).
     pub fn prefs(&self) -> Arc<PreferenceList> {
@@ -331,7 +331,7 @@ impl ResourceScheduler {
         excluded: &[Configuration],
     ) -> Option<Decision> {
         let _span = self.obs.as_ref().map(|h| h.obs.span(h.choose_span));
-        // Snapshot version before the list: if a concurrent flip lands in
+        // Read the version before the list: if a concurrent flip lands in
         // between, we report the older version with the older list rather
         // than a new version number against stale preferences. The same
         // discipline applies to the database: one snapshot per decision,

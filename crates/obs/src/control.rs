@@ -626,7 +626,7 @@ pub enum Command {
     Set { key: String, value: ConfigValue },
     /// Read the knob registered under `key`.
     Get { key: String },
-    /// Snapshot every registered knob, key-sorted.
+    /// Copy out every registered knob, key-sorted.
     ListConfig,
     /// Ask the breaker registered under `key` to probe/close at its next
     /// legal instant.

@@ -219,12 +219,12 @@ impl Obs {
         self.bus().unsubscribe(sub);
     }
 
-    /// Snapshot of the retained event ring, oldest first.
+    /// A snapshot of the retained event ring, oldest first.
     pub fn events(&self) -> Vec<Arc<Event>> {
         self.bus().snapshot()
     }
 
-    /// Snapshot of retained events matching `filter`, oldest first.
+    /// A snapshot of retained events matching `filter`, oldest first.
     pub fn events_filtered(&self, filter: &EventFilter) -> Vec<Arc<Event>> {
         self.bus().snapshot_filtered(filter)
     }

@@ -2,8 +2,8 @@
 //!
 //! Figure 3(a) of the paper shows a Performance Monitor trace of an
 //! application's CPU usage while the testbed varies its share.
-//! [`UsageSampler`] reproduces that: an independent actor that samples a
-//! target actor's accounting every interval and records the observed CPU
+//! [`UsageSampler`] reproduces that: an independent actor that reads a
+//! target actor's CPU time every interval and records the observed CPU
 //! share (CPU time received / interval) into a shared time series.
 
 use simnet::{Actor, ActorId, Ctx, SimTime};
@@ -99,9 +99,9 @@ impl Actor for UsageSampler {
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
         let _span = self.obs.as_ref().map(|h| h.obs.span(h.sample_span));
-        let snap = ctx.snapshot_of(self.target);
-        let share = (snap.cpu_time_us - self.last_cpu_us) / self.interval_us as f64;
-        self.last_cpu_us = snap.cpu_time_us;
+        let cpu_us = ctx.cpu_time_of(self.target);
+        let share = (cpu_us - self.last_cpu_us) / self.interval_us as f64;
+        self.last_cpu_us = cpu_us;
         self.series.push(ctx.now(), share);
         if let Some(h) = &self.obs {
             h.obs.set(h.cpu_share, share);

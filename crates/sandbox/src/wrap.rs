@@ -113,16 +113,10 @@ impl<A: Actor> Sandboxed<A> {
         &self.inner
     }
 
-    fn drain_inner(&mut self, ctx: &mut Ctx<'_>) {
-        for a in ctx.drain_actions() {
-            self.queue.push_back(a);
-        }
-    }
-
     fn mem_penalty(&self, ctx: &mut Ctx<'_>) -> f64 {
         match self.limits.get().mem_bytes {
             Some(limit) if limit > 0 => {
-                let used = ctx.my_snapshot().mem_used;
+                let used = ctx.mem_used();
                 if used > limit {
                     1.0 + MEM_PENALTY_K * ((used - limit) as f64 / limit as f64)
                 } else {
@@ -175,8 +169,7 @@ impl<A: Actor> Sandboxed<A> {
             bytes: msg.wire_bytes,
             inbound: true,
         });
-        self.inner.on_message(from, msg, ctx);
-        self.drain_inner(ctx);
+        self.queue.extend(ctx.intercept(|c| self.inner.on_message(from, msg, c)));
     }
 
     /// Issue intercepted actions to the kernel until something blocking is
@@ -233,8 +226,7 @@ impl<A: Actor> Sandboxed<A> {
                     }
                 }
                 Some(Action::Continue { tag }) => {
-                    self.inner.on_continue(tag, ctx);
-                    self.drain_inner(ctx);
+                    self.queue.extend(ctx.intercept(|c| self.inner.on_continue(tag, c)));
                 }
                 None => {
                     if let Some((from, msg, queued)) = self.pending_recv.pop_front() {
@@ -250,8 +242,7 @@ impl<A: Actor> Sandboxed<A> {
 
 impl<A: Actor> Actor for Sandboxed<A> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.inner.on_start(ctx);
-        self.drain_inner(ctx);
+        self.queue.extend(ctx.intercept(|c| self.inner.on_start(c)));
         self.issue(ctx);
     }
 
@@ -264,8 +255,7 @@ impl<A: Actor> Actor for Sandboxed<A> {
         self.pending_recv.clear();
         self.send_bucket = None;
         self.recv_bucket = None;
-        self.inner.on_restart(ctx);
-        self.drain_inner(ctx);
+        self.queue.extend(ctx.intercept(|c| self.inner.on_restart(c)));
         self.issue(ctx);
     }
 
@@ -288,18 +278,9 @@ impl<A: Actor> Actor for Sandboxed<A> {
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
         assert!(tag < TAG_BASE, "application timers must use tags below TAG_BASE");
         // Timers fire even while our own actions (a compute chunk and its
-        // continuation) are outstanding in the kernel queue. Those must be
-        // preserved: drain them first, collect what the application
-        // enqueues, then restore ours.
-        let preserved = ctx.drain_actions();
-        self.inner.on_timer(tag, ctx);
-        let produced = ctx.drain_actions();
-        for a in preserved {
-            ctx.push_action(a);
-        }
-        for a in produced {
-            self.queue.push_back(a);
-        }
+        // continuation) are outstanding in the kernel queue. Those stay in
+        // place: only what the application enqueues is taken.
+        self.queue.extend(ctx.intercept(|c| self.inner.on_timer(tag, c)));
         if !self.busy {
             self.issue(ctx);
         }
@@ -346,8 +327,7 @@ impl<A: Actor> Actor for Sandboxed<A> {
                 // An application continuation re-emitted verbatim (should
                 // not normally happen — the queue handles them — but be
                 // forgiving).
-                self.inner.on_continue(t, ctx);
-                self.drain_inner(ctx);
+                self.queue.extend(ctx.intercept(|c| self.inner.on_continue(t, c)));
                 if !self.busy {
                     self.issue(ctx);
                 }
@@ -671,6 +651,45 @@ mod tests {
         );
         sim.run_until_idle();
         assert_eq!(*fired.lock().unwrap(), 1);
+    }
+
+    #[test]
+    fn issued_send_stays_ahead_of_later_work() {
+        // A send the wrapper has already issued sits in the kernel queue
+        // when a continuation re-enters the application; intercepting that
+        // handler must not pull the send back behind the queued compute.
+        struct App {
+            dst: ActorId,
+        }
+        impl Actor for App {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send(self.dst, Message::signal(0, 64));
+                ctx.continue_with(1);
+                ctx.compute(100_000.0);
+            }
+            fn on_continue(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+                if tag == 1 {
+                    ctx.continue_with(2);
+                }
+            }
+        }
+        struct Sink {
+            got: Arc<Mutex<Option<SimTime>>>,
+        }
+        impl Actor for Sink {
+            fn on_message(&mut self, _f: ActorId, _m: Message, ctx: &mut Ctx<'_>) {
+                *self.got.lock().unwrap() = Some(ctx.now());
+            }
+        }
+        let mut sim = Sim::new();
+        let h = sim.add_host("ref", 1.0, 1 << 30);
+        let got = Arc::new(Mutex::new(None));
+        let sink = sim.spawn(h, Box::new(Sink { got: got.clone() }));
+        let lh = LimitsHandle::new(Limits::unconstrained());
+        sim.spawn(h, Box::new(Sandboxed::new(App { dst: sink }, lh, SandboxStats::default())));
+        sim.run_until_idle();
+        // Local latency only: the send did not wait for the 0.1 s compute.
+        assert_eq!(*got.lock().unwrap(), Some(SimTime::from_us(5)));
     }
 
     #[test]

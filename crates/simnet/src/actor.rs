@@ -72,9 +72,9 @@ pub trait Actor: Send {
 
 /// An entry in an actor's serial action queue.
 ///
-/// Public so interposition layers (the sandbox) can drain, inspect, rewrite
-/// and re-emit an application's actions — see
-/// [`Ctx::drain_actions`](crate::kernel::Ctx::drain_actions).
+/// Public so interposition layers (the sandbox) can intercept, inspect,
+/// rewrite and re-emit an application's actions — see
+/// [`Ctx::intercept`](crate::kernel::Ctx::intercept).
 #[derive(Debug)]
 pub enum Action {
     /// Consume `work` work-units on the actor's host CPU.

@@ -48,10 +48,6 @@ pub struct CpuSched {
     /// Incremented whenever rates change; stale completion events carry an
     /// old epoch and are ignored by the kernel.
     pub epoch: u64,
-    /// Accumulated (actor, cpu_microseconds, work) deltas since last drain,
-    /// for accounting. cpu_microseconds are actual CPU time consumed
-    /// (rate/speed * wall), work is work-units completed.
-    pending_usage: Vec<(ActorId, f64, f64)>,
 }
 
 /// Work below this is considered complete (guards float error).
@@ -60,13 +56,7 @@ const WORK_EPS: f64 = 1e-9;
 impl CpuSched {
     pub fn new(speed: f64) -> Self {
         assert!(speed > 0.0, "host speed must be positive");
-        CpuSched {
-            speed,
-            runs: Vec::new(),
-            last_update: SimTime::ZERO,
-            epoch: 0,
-            pending_usage: Vec::new(),
-        }
+        CpuSched { speed, runs: Vec::new(), last_update: SimTime::ZERO, epoch: 0 }
     }
 
     pub fn speed(&self) -> f64 {
@@ -82,19 +72,19 @@ impl CpuSched {
     }
 
     /// Advance the fluid model to `now`, harvesting any completed runs.
-    /// Also recomputes rates if anything completed.
-    pub fn advance(&mut self, now: SimTime) -> Completions {
+    /// `credit(actor, cpu_us)` receives each run's CPU time for the
+    /// interval, in run order. Also recomputes rates if anything completed.
+    pub fn advance(&mut self, now: SimTime, mut credit: impl FnMut(ActorId, f64)) -> Completions {
         let dt = now.since(self.last_update) as f64;
         self.last_update = now;
         let mut done = Completions::default();
         if dt > 0.0 {
             for r in &mut self.runs {
                 let served = r.rate * dt;
-                let used = served.min(r.remaining);
-                r.remaining -= used;
+                r.remaining -= served.min(r.remaining);
                 // CPU time consumed = (rate / speed) * wall time, i.e. the
                 // fraction of the processor held, times elapsed wall time.
-                self.pending_usage.push((r.actor, (r.rate / self.speed) * dt, used));
+                credit(r.actor, (r.rate / self.speed) * dt);
             }
         }
         let mut i = 0;
@@ -167,11 +157,6 @@ impl CpuSched {
                 self.last_update + us.max(1)
             })
             .min()
-    }
-
-    /// Drain accumulated accounting deltas.
-    pub fn drain_usage(&mut self) -> Vec<(ActorId, f64, f64)> {
-        std::mem::take(&mut self.pending_usage)
     }
 
     /// Current service rate of `actor` (work-units/us), 0 if not running.
@@ -247,7 +232,7 @@ mod tests {
         assert!((s.rate_of(aid(0)) - 2.0).abs() < 1e-12);
         // 100 units at 2 units/us -> 50us.
         assert_eq!(s.next_completion(), Some(SimTime::from_us(50)));
-        let done = s.advance(SimTime::from_us(50));
+        let done = s.advance(SimTime::from_us(50), |_, _| {});
         assert_eq!(done.finished, vec![aid(0)]);
         assert!(s.is_idle());
     }
@@ -315,12 +300,13 @@ mod tests {
     fn advance_accumulates_usage() {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 100.0, 1.0, Some(0.5));
-        s.advance(SimTime::from_us(100));
-        let usage = s.drain_usage();
-        let (a, cpu_us, work): (ActorId, f64, f64) = usage[0];
+        let mut usage = Vec::new();
+        s.advance(SimTime::from_us(100), |a, cpu_us| usage.push((a, cpu_us)));
+        assert_eq!(usage.len(), 1);
+        let (a, cpu_us) = usage[0];
         assert_eq!(a, aid(0));
         assert!((cpu_us - 50.0).abs() < 1e-9, "held 50% for 100us = 50us CPU");
-        assert!((work - 50.0).abs() < 1e-9);
+        assert!((s.abort(aid(0)).unwrap() - 50.0).abs() < 1e-9, "half the work is left");
     }
 
     #[test]
@@ -329,7 +315,7 @@ mod tests {
         s.start(aid(0), 100.0, 1.0, None);
         s.start(aid(1), 50.0, 1.0, None);
         // Both at 0.5: aid(1) finishes at t=100.
-        let done = s.advance(SimTime::from_us(100));
+        let done = s.advance(SimTime::from_us(100), |_, _| {});
         assert_eq!(done.finished, vec![aid(1)]);
         // aid(0) has 50 left, now at full rate.
         assert!((s.rate_of(aid(0)) - 1.0).abs() < 1e-12);
@@ -341,10 +327,10 @@ mod tests {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 1000.0, 1.0, Some(0.8));
         assert!((s.rate_of(aid(0)) - 0.8).abs() < 1e-12);
-        s.advance(SimTime::from_us(10));
+        s.advance(SimTime::from_us(10), |_, _| {});
         s.retune(aid(0), None, Some(Some(0.4)));
         assert!((s.rate_of(aid(0)) - 0.4).abs() < 1e-12);
-        s.advance(SimTime::from_us(20));
+        s.advance(SimTime::from_us(20), |_, _| {});
         s.retune(aid(0), None, Some(None));
         assert!((s.rate_of(aid(0)) - 1.0).abs() < 1e-12);
     }
@@ -353,7 +339,7 @@ mod tests {
     fn abort_returns_remaining() {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 100.0, 1.0, None);
-        s.advance(SimTime::from_us(40));
+        s.advance(SimTime::from_us(40), |_, _| {});
         let rem = s.abort(aid(0)).unwrap();
         assert!((rem - 60.0).abs() < 1e-9);
         assert!(s.is_idle());

@@ -14,20 +14,31 @@
 //!
 //! # Interposition
 //!
-//! [`Ctx::drain_actions`] removes and returns the actions an actor has
-//! enqueued but not yet started. This is the hook the `sandbox` crate uses
-//! to emulate the paper's Win32 API interception: a wrapper actor invokes
-//! the wrapped application actor, captures the actions it produced, and
-//! re-emits them chopped/delayed to enforce resource limits — all without
-//! the kernel knowing.
+//! [`Ctx::intercept`] runs a handler and takes back only the actions it
+//! enqueued, leaving the actor's in-flight actions in place. This is the
+//! hook the `sandbox` crate uses to emulate the paper's Win32 API
+//! interception: a wrapper actor invokes the wrapped application actor,
+//! captures the actions it produced, and re-emits them chopped/delayed to
+//! enforce resource limits — all without the kernel knowing.
+//!
+//! # Per-actor observations
+//!
+//! An actor keeps three observations and nothing else: the CPU time it
+//! received ([`Sim::cpu_time_us`], read by the sandbox's usage sampler),
+//! the memory it has allocated ([`Ctx::mem_used`], read by the sandbox's
+//! paging model) and when its latest inbound message was queued
+//! ([`Ctx::last_received`]). Higher layers *infer* resource availability
+//! from these, never from the caps, as the paper's monitoring agent must.
+//! Message traffic is published as `msg_sent` / `msg_delivered` events on
+//! an attached obs bus ([`Sim::attach_obs`]), not counted here.
 
+use std::collections::vec_deque::Drain;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use obs::det::SplitMix64;
 use obs::{Event, Obs, Source};
 
-use crate::accounting::{Accounting, Snapshot};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
 use crate::fault::DropReason;
@@ -70,9 +81,13 @@ pub(crate) struct ActorState {
     running: Running,
     weight: f64,
     cpu_cap: Option<f64>,
-    compute_started: SimTime,
-    sleep_started: SimTime,
-    pub acct: Accounting,
+    /// CPU time received, in microseconds of a whole processor.
+    cpu_time_us: f64,
+    /// Simulated bytes of memory the actor has allocated.
+    mem_used: u64,
+    /// When the most recently delivered inbound message was queued
+    /// (`None` before the first delivery).
+    last_received: Option<SimTime>,
     alive: bool,
     /// Dead because its host crashed (revivable by a host restart), as
     /// opposed to a permanent [`Sim::kill`].
@@ -92,9 +107,9 @@ impl ActorState {
             running: Running::Idle,
             weight: 1.0,
             cpu_cap: None,
-            compute_started: SimTime::ZERO,
-            sleep_started: SimTime::ZERO,
-            acct: Accounting::default(),
+            cpu_time_us: 0.0,
+            mem_used: 0,
+            last_received: None,
             alive: true,
             crashed: false,
             incarnation: 0,
@@ -197,8 +212,7 @@ impl DrainMode {
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
     now: SimTime,
-    mode: DrainMode,
-    /// Pending events, under the plan `mode` selects.
+    /// Pending events, under the plan of the [`DrainMode`] last set.
     queue: EventQueue,
     hosts: Vec<Host>,
     /// One record per directed host pair that was configured, faulted or
@@ -239,7 +253,6 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            mode: DrainMode::default(),
             queue: EventQueue::new(ExplorePlan::default()),
             hosts: Vec::new(),
             links: HashMap::new(),
@@ -518,10 +531,6 @@ impl Sim {
         }
     }
 
-    pub fn host_of(&self, a: ActorId) -> HostId {
-        self.states[a.0].host
-    }
-
     pub fn host_name(&self, h: HostId) -> &str {
         &self.hosts[h.0].name
     }
@@ -534,12 +543,12 @@ impl Sim {
         self.hosts[h.0].mem_capacity
     }
 
-    /// Accounting snapshot for `a`, first syncing its host's CPU fluid
-    /// model to the current time so counters are exact.
-    pub fn snapshot(&mut self, a: ActorId) -> Snapshot {
-        let host = self.states[a.0].host.0;
-        self.sync_host(host);
-        self.states[a.0].acct.snapshot()
+    /// CPU time `a` has received, in microseconds of a whole processor,
+    /// first syncing its host's CPU fluid model to the current time so the
+    /// count is exact.
+    pub fn cpu_time_us(&mut self, a: ActorId) -> f64 {
+        self.sync_host(self.states[a.0].host.0);
+        self.states[a.0].cpu_time_us
     }
 
     // ------------------------------------------------------------------
@@ -581,12 +590,6 @@ impl Sim {
         }
     }
 
-    /// Process events for `dur_us` more microseconds of simulated time.
-    pub fn run_for(&mut self, dur_us: u64) {
-        let t = self.now + dur_us;
-        self.run_until(t);
-    }
-
     /// True when no further events are pending.
     pub fn is_idle(&self) -> bool {
         self.queue.len() == 0
@@ -603,17 +606,11 @@ impl Sim {
         self.queue.peak()
     }
 
-    /// The active [`DrainMode`].
-    pub fn drain_mode(&self) -> DrainMode {
-        self.mode
-    }
-
     /// Select the event-queue drain strategy. Only allowed while the queue
     /// is empty (typically right after [`Sim::new`], before spawning), so
     /// no queued event was ordered under another plan.
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
         self.queue.set_plan(mode.plan());
-        self.mode = mode;
     }
 
     // ------------------------------------------------------------------
@@ -667,8 +664,7 @@ impl Sim {
                     self.emit_drop(src, dst, bytes, DropReason::ReceiverDead);
                     return;
                 }
-                self.states[dst.0].acct.record_received(bytes, queued);
-                self.states[src.0].acct.record_sent(bytes);
+                self.states[dst.0].last_received = Some(queued);
                 self.emit("msg_delivered", |e| {
                     e.with("src", src.0).with("dst", dst.0).with("bytes", bytes)
                 });
@@ -690,7 +686,6 @@ impl Sim {
             Ev::Wake { actor } => {
                 let st = &mut self.states[actor.0];
                 if st.running == Running::Sleep {
-                    st.acct.sleep_wall_us += self.now.since(st.sleep_started) as f64;
                     st.running = Running::Idle;
                     self.pump(actor);
                 }
@@ -699,16 +694,13 @@ impl Sim {
         }
     }
 
-    /// Advance `host`'s fluid CPU model to `self.now`, moving accumulated
-    /// usage into per-actor accounting and finishing completed runs.
+    /// Advance `host`'s fluid CPU model to `self.now`, crediting each
+    /// run's CPU time to its actor and finishing completed runs.
     fn sync_host(&mut self, host: usize) {
-        let now = self.now;
-        let done = self.hosts[host].sched.advance(now);
-        for (a, cpu_us, work) in self.hosts[host].sched.drain_usage() {
-            let acct = &mut self.states[a.0].acct;
-            acct.cpu_time_us += cpu_us;
-            acct.work_done += work;
-        }
+        let states = &mut self.states;
+        let done = self.hosts[host].sched.advance(self.now, |a, cpu_us| {
+            states[a.0].cpu_time_us += cpu_us;
+        });
         for a in done.finished {
             self.finish_compute(a);
         }
@@ -717,7 +709,6 @@ impl Sim {
     fn finish_compute(&mut self, a: ActorId) {
         let st = &mut self.states[a.0];
         debug_assert_eq!(st.running, Running::Compute);
-        st.acct.compute_wall_us += self.now.since(st.compute_started) as f64;
         st.running = Running::Idle;
         self.emit("compute_end", |e| e.with("actor", a.0));
         self.pump(a);
@@ -750,9 +741,7 @@ impl Sim {
                         (st.weight, st.cpu_cap)
                     };
                     self.hosts[host].sched.start(a, work, weight, cap);
-                    let st = &mut self.states[a.0];
-                    st.running = Running::Compute;
-                    st.compute_started = self.now;
+                    self.states[a.0].running = Running::Compute;
                     self.emit("compute_start", |e| e.with("actor", a.0).with("work", work));
                     self.schedule_next_cpu(host);
                     return;
@@ -764,9 +753,7 @@ impl Sim {
                     if us == 0 {
                         continue;
                     }
-                    let st = &mut self.states[a.0];
-                    st.running = Running::Sleep;
-                    st.sleep_started = self.now;
+                    self.states[a.0].running = Running::Sleep;
                     let t = self.now + us;
                     self.queue.push(t, Ev::Wake { actor: a });
                     return;
@@ -890,23 +877,28 @@ impl Ctx<'_> {
 
     /// Allocate simulated memory.
     pub fn alloc(&mut self, bytes: u64) {
-        self.sim.states[self.id.0].acct.alloc(bytes);
+        self.sim.states[self.id.0].mem_used += bytes;
     }
 
-    /// Release simulated memory.
+    /// Release simulated memory (saturating at zero).
     pub fn free(&mut self, bytes: u64) {
-        self.sim.states[self.id.0].acct.free(bytes);
+        let used = &mut self.sim.states[self.id.0].mem_used;
+        *used = used.saturating_sub(bytes);
     }
 
-    /// Snapshot of this actor's own accounting (synced to now).
-    pub fn my_snapshot(&mut self) -> Snapshot {
+    /// Simulated bytes of memory this actor has allocated. Like
+    /// [`Ctx::cpu_time_of`], it first syncs the host's CPU model to now:
+    /// the sync can complete other actors' runs, and the sandbox's pinned
+    /// schedules were computed with it in place.
+    pub fn mem_used(&mut self) -> u64 {
         let id = self.id;
-        self.sim.snapshot(id)
+        self.sim.sync_host(self.sim.states[id.0].host.0);
+        self.sim.states[id.0].mem_used
     }
 
-    /// Snapshot of another actor's accounting.
-    pub fn snapshot_of(&mut self, a: ActorId) -> Snapshot {
-        self.sim.snapshot(a)
+    /// CPU time `a` has received, synced to now (see [`Sim::cpu_time_us`]).
+    pub fn cpu_time_of(&mut self, a: ActorId) -> f64 {
+        self.sim.cpu_time_us(a)
     }
 
     /// When the most recently delivered inbound message of this actor was
@@ -915,7 +907,7 @@ impl Ctx<'_> {
     /// that waited in the inbox while the actor was busy sees the time of
     /// the latest delivery instead.
     pub fn last_received(&self) -> Option<SimTime> {
-        self.sim.states[self.id.0].acct.last_received
+        self.sim.states[self.id.0].last_received
     }
 
     /// Host this actor runs on.
@@ -923,31 +915,19 @@ impl Ctx<'_> {
         self.sim.states[self.id.0].host
     }
 
-    /// Host of another actor.
-    pub fn host_of(&self, a: ActorId) -> HostId {
-        self.sim.host_of(a)
-    }
-
     /// Full speed of a host (system-wide monitor: maximum CPU capacity).
     pub fn host_speed(&self, h: HostId) -> f64 {
         self.sim.host_speed(h)
     }
 
-    /// Full capacity of the `src -> dst` link in bytes/second (system-wide
-    /// monitor: maximum network capacity).
-    pub fn link_capacity_bps(&self, src: HostId, dst: HostId) -> f64 {
-        self.sim.link_capacity_bps(src, dst)
-    }
-
-    /// Remove and return every not-yet-started action of this actor.
-    /// This is the interposition hook used by the sandbox (see module docs).
-    pub fn drain_actions(&mut self) -> Vec<Action> {
-        self.sim.states[self.id.0].fifo.drain(..).collect()
-    }
-
-    /// Re-enqueue a previously drained action (interposition re-emit).
-    pub fn push_action(&mut self, action: Action) {
-        self.sim.states[self.id.0].fifo.push_back(action);
+    /// Run `f` (typically a wrapped actor's handler) and take back the
+    /// actions it enqueued, in order. Actions queued before the call stay
+    /// in place. This is the interposition hook used by the sandbox (see
+    /// module docs).
+    pub fn intercept(&mut self, f: impl FnOnce(&mut Ctx<'_>)) -> Drain<'_, Action> {
+        let mark = self.sim.states[self.id.0].fifo.len();
+        f(self);
+        self.sim.states[self.id.0].fifo.drain(mark..)
     }
 }
 
@@ -1006,9 +986,7 @@ mod tests {
         sim.set_cpu_cap(a, Some(0.5));
         sim.run_until_idle();
         assert_eq!(*done.lock().unwrap(), Some(SimTime::from_secs(2)));
-        let snap = sim.snapshot(a);
-        assert!((snap.cpu_time_us - 1_000_000.0).abs() < 1.0);
-        assert!((snap.compute_wall_us - 2_000_000.0).abs() < 1.0);
+        assert!((sim.cpu_time_us(a) - 1_000_000.0).abs() < 1.0);
     }
 
     #[test]
@@ -1205,7 +1183,7 @@ mod tests {
     }
 
     #[test]
-    fn sleep_accrues_sleep_wall_time() {
+    fn sleep_accrues_no_cpu_time() {
         struct Sleeper;
         impl Actor for Sleeper {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1216,8 +1194,34 @@ mod tests {
         let h = sim.add_host("ref", 1.0, 1 << 30);
         let a = sim.spawn(h, Box::new(Sleeper));
         sim.run_until_idle();
-        let snap = sim.snapshot(a);
-        assert!((snap.sleep_wall_us - 250_000.0).abs() < 1e-9);
+        assert_eq!(sim.now(), SimTime::from_ms(250));
+        assert_eq!(sim.cpu_time_us(a), 0.0);
+    }
+
+    #[test]
+    fn memory_tracking() {
+        type Seen = Arc<Mutex<Vec<u64>>>;
+        struct Allocator {
+            seen: Seen,
+        }
+        impl Actor for Allocator {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.alloc(100);
+                ctx.alloc(50);
+                self.seen.lock().unwrap().push(ctx.mem_used());
+                ctx.free(120);
+                self.seen.lock().unwrap().push(ctx.mem_used());
+                ctx.free(1000);
+                self.seen.lock().unwrap().push(ctx.mem_used());
+            }
+        }
+        let mut sim = Sim::new();
+        let h = sim.add_host("ref", 1.0, 1 << 30);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        sim.spawn(h, Box::new(Allocator { seen: seen.clone() }));
+        sim.run_until_idle();
+        // `free` saturates at zero.
+        assert_eq!(seen.lock().unwrap().as_slice(), &[150, 30, 0]);
     }
 
     #[test]
@@ -1247,32 +1251,33 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_accurate_mid_run() {
+    fn cpu_time_is_accurate_mid_run() {
         let mut sim = Sim::new();
         let h = sim.add_host("ref", 1.0, 1 << 30);
         let done = Arc::new(Mutex::new(None));
         let a = sim.spawn(h, Box::new(Worker { work: 10_000_000.0, done_at: done }));
         sim.set_cpu_cap(a, Some(0.5));
         sim.run_until(SimTime::from_secs(2));
-        let snap = sim.snapshot(a);
+        let cpu_us = sim.cpu_time_us(a);
         // Held 50% of the CPU for 2s -> 1s of CPU time.
-        assert!((snap.cpu_time_us - 1_000_000.0).abs() < 1.0, "{snap:?}");
+        assert!((cpu_us - 1_000_000.0).abs() < 1.0, "{cpu_us}");
     }
 
     #[test]
     fn determinism_same_seed_same_result() {
-        fn run() -> (SimTime, f64) {
+        fn run() -> (SimTime, f64, Option<u64>) {
             let mut sim = Sim::new();
             let h = sim.add_host("ref", 1.0, 1 << 30);
             let hs = sim.add_host("srv", 0.7, 1 << 30);
             sim.set_link(h, hs, 2_000_000.0, 500);
             let server = sim.spawn(hs, Box::new(Echo));
             let rtt = Arc::new(Mutex::new(None));
-            let a = sim
-                .spawn(h, Box::new(Pinger { server, bytes: 123_456, rtt, sent_at: SimTime::ZERO }));
+            let pinger =
+                Pinger { server, bytes: 123_456, rtt: rtt.clone(), sent_at: SimTime::ZERO };
+            let a = sim.spawn(h, Box::new(pinger));
             sim.run_until_idle();
-            let s = sim.snapshot(a);
-            (sim.now(), s.cpu_time_us + s.bytes_recv as f64)
+            let rtt = *rtt.lock().unwrap();
+            (sim.now(), sim.cpu_time_us(a), rtt)
         }
         assert_eq!(run(), run());
     }
@@ -1292,11 +1297,16 @@ mod tests {
         }
         impl Actor for Interposer {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.inner.on_start(ctx);
-                let actions = ctx.drain_actions();
+                // The interposer's own action, queued first, stays put.
+                ctx.sleep(25);
+                let actions: Vec<Action> = ctx.intercept(|c| self.inner.on_start(c)).collect();
                 *self.seen.lock().unwrap() = actions.len();
                 for a in actions {
-                    ctx.push_action(a);
+                    match a {
+                        Action::Compute { work } => ctx.compute(work),
+                        Action::Sleep { us } => ctx.sleep(us),
+                        other => panic!("unexpected {other:?}"),
+                    }
                 }
             }
         }
@@ -1306,7 +1316,7 @@ mod tests {
         sim.spawn(h, Box::new(Interposer { inner: Inner, seen: seen.clone() }));
         sim.run_until_idle();
         assert_eq!(*seen.lock().unwrap(), 2);
-        assert_eq!(sim.now(), SimTime::from_us(150));
+        assert_eq!(sim.now(), SimTime::from_us(175));
     }
 }
 
@@ -1391,7 +1401,7 @@ mod drain_tests {
             let (idle_log, idle_end, idle_events) = storm(mode);
             let (log, _, events) = storm_driven(mode, |sim| {
                 while !sim.is_idle() {
-                    sim.run_for(dur::ms(7));
+                    sim.run_until(sim.now() + dur::ms(7));
                 }
                 assert!(sim.now() >= idle_end);
             });
@@ -1402,8 +1412,7 @@ mod drain_tests {
 
     #[test]
     fn default_mode_is_batched() {
-        let sim = Sim::new();
-        assert_eq!(sim.drain_mode(), DrainMode::Batched);
+        assert_eq!(DrainMode::default(), DrainMode::Batched);
     }
 
     #[test]

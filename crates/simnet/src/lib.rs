@@ -16,14 +16,14 @@
 //!   faults (loss, jitter, down windows);
 //! - **actors** — event-driven simulated processes that compute, exchange
 //!   messages, sleep, and set timers;
-//! - exact **per-actor accounting** (CPU time received, wall time, bytes
-//!   moved, the queued time of the latest inbound message) from which
-//!   higher layers *infer* resource availability, exactly as the paper's
-//!   monitoring agent must;
+//! - exact **per-actor accounting** of what a reader reads — CPU time
+//!   received, memory in use, the queued time of the latest inbound
+//!   message — from which higher layers *infer* resource availability,
+//!   exactly as the paper's monitoring agent must;
 //! - every kernel event (compute, messages, timers, faults, cap changes)
 //!   published as a `Source::Simnet` event on an attached [`obs::Obs`]
 //!   bus ([`Sim::attach_obs`]), and built only when one is attached;
-//! - an **interposition hook** ([`Ctx::drain_actions`]) that lets a wrapper
+//! - an **interposition hook** ([`Ctx::intercept`]) that lets a wrapper
 //!   actor capture and rewrite the actions of a wrapped application — the
 //!   simulation analog of the paper's Win32 API interception, used by the
 //!   `sandbox` crate to build the virtual execution environment.
@@ -67,7 +67,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accounting;
 pub mod actor;
 pub mod cpu;
 pub mod fault;
@@ -76,7 +75,6 @@ pub mod link;
 pub mod message;
 pub mod time;
 
-pub use accounting::{Accounting, Snapshot};
 pub use actor::{Action, Actor, ActorId, HostId};
 pub use fault::{DropReason, FaultError, FaultPlan};
 pub use kernel::{Ctx, DrainMode, ExplorePlan, Sim, WireHook};

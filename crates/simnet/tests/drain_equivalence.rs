@@ -1,7 +1,7 @@
 //! Kernel-level drain equivalence on linked multi-host topologies:
 //! `DrainMode::Batched` and the identity `DrainMode::Explore` plan must
 //! agree observable-for-observable — per-actor message logs with
-//! timestamps, per-actor accounting, end time, and event counts — with and
+//! timestamps, per-actor CPU time, end time, and event counts — with and
 //! without fault injection. Each run is a fresh `Sim` whose hash maps are
 //! seeded afresh, so a result that depended on map iteration order would
 //! show up here. The queue's order itself is held to a reference binary
@@ -12,7 +12,6 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use simnet::{
     dur, Actor, ActorId, Ctx, DrainMode, ExplorePlan, FaultPlan, HostId, Message, Sim, SimTime,
-    Snapshot,
 };
 
 /// The drain held to `DrainMode::Batched`.
@@ -64,7 +63,7 @@ impl Actor for DriverLog {
 #[derive(Debug, PartialEq)]
 struct Outcome {
     logs: Vec<Vec<(u64, usize, u64, u64)>>,
-    snaps: Vec<Snapshot>,
+    cpu_time_us: Vec<f64>,
     end_us: u64,
     events_handled: u64,
 }
@@ -74,7 +73,7 @@ fn outcome(mut sim: Sim, logs: &[MsgLog], actors: &[ActorId]) -> Outcome {
     sim.run_until_idle();
     Outcome {
         logs: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
-        snaps: actors.iter().map(|&a| sim.snapshot(a)).collect(),
+        cpu_time_us: actors.iter().map(|&a| sim.cpu_time_us(a)).collect(),
         end_us: sim.now().as_us(),
         events_handled: sim.events_handled(),
     }
@@ -151,7 +150,8 @@ fn drains_agree_on_a_linked_multi_host_run_under_faults() {
 }
 
 /// The faulted crossing run, pinned: end time, event count and an FNV-1a
-/// digest of everything it observably did (message logs, accounting).
+/// digest of everything it observably did (message logs, then each
+/// actor's CPU time bits).
 #[test]
 fn faulted_crossing_run_is_pinned() {
     let plan = FaultPlan::new(42)
@@ -161,17 +161,14 @@ fn faulted_crossing_run_is_pinned() {
         .with_crash(HostId(4), SimTime::from_ms(12), Some(SimTime::from_ms(30)));
     let run = crossing_run(DrainMode::Batched, Some(&plan));
     let mut h = obs::det::Fnv64::new();
-    h.write_str(&format!("{:?} {:?}", run.logs, run.snaps));
+    h.write_str(&format!("{:?}", run.logs));
+    for cpu_us in &run.cpu_time_us {
+        h.write_u64(cpu_us.to_bits());
+    }
     assert_eq!(
         (run.end_us, run.events_handled, format!("{:016x}", h.finish())),
-        (75018, 312, "e09736f81ff2ae03".into())
+        (75018, 312, "12cd5f4243468571".into())
     );
-    let mut h = obs::det::Fnv64::new();
-    h.write_str(&format!("{:?}", run.logs));
-    for s in &run.snaps {
-        h.write_u64(s.cpu_time_us.to_bits());
-    }
-    assert_eq!(format!("{:016x}", h.finish()), "12cd5f4243468571");
 }
 
 // ---------------------------------------------------------------------

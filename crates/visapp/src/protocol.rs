@@ -59,7 +59,7 @@ pub struct Request {
 }
 
 /// A reply carrying compressed coefficient chunks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
     pub image_id: usize,
     pub round: u64,

@@ -161,19 +161,7 @@ pub fn messages_equal(a: &Message, b: &Message) -> bool {
         TAG_CONNECT => a.body::<Connect>() == b.body::<Connect>(),
         TAG_SET_COMPRESSION => a.body::<SetCompression>() == b.body::<SetCompression>(),
         TAG_REQUEST => a.body::<Request>() == b.body::<Request>(),
-        TAG_REPLY => match (a.body::<Reply>(), b.body::<Reply>()) {
-            (Some(x), Some(y)) => {
-                x.image_id == y.image_id
-                    && x.round == y.round
-                    && x.compression == y.compression
-                    && x.payload == y.payload
-                    && x.raw_bytes == y.raw_bytes
-                    && x.ncoeffs == y.ncoeffs
-                    && x.region == y.region
-            }
-            (None, None) => true,
-            _ => false,
-        },
+        TAG_REPLY => a.body::<Reply>() == b.body::<Reply>(),
         TAG_DISCONNECT => a.payload.is_none() && b.payload.is_none(),
         TAG_RESOURCE_REPORT => a.body::<ResourceReport>() == b.body::<ResourceReport>(),
         _ => false,

@@ -102,11 +102,13 @@ done
 
 stage "one kernel record"
 # The kernel records what a caller reads and publishes each event once:
-# bus events are built directly (no typed TraceEvent mirror), an actor's
-# accounting keeps one inbound timestamp (no transfer log), and paging is
-# the sandbox's model alone. This keeps the deleted names from drifting
-# back into source.
-gone='TraceEvent|TRANSFER_LOG_CAP|transfers_since|set_mem_limit|set_mem_penalty_k'
+# bus events are built directly (no typed TraceEvent mirror), an actor
+# keeps its CPU time, its memory in use and one inbound timestamp (no
+# transfer log, no snapshot record, no byte, message, wall-time or peak
+# counters, no pending-usage buffer), paging is the sandbox's model alone,
+# and the sandbox intercepts a handler's actions in one call. This keeps
+# the deleted names from drifting back into source.
+gone='TraceEvent|TRANSFER_LOG_CAP|transfers_since|set_mem_limit|set_mem_penalty_k|Snapshot\b|my_snapshot|snapshot_of|record_sent|drain_usage|pending_usage|compute_wall_us|sleep_wall_us|msgs_sent|mem_peak|push_action'
 if grep -rnE --include='*.rs' "$gone" crates src tests examples | grep -vF "$gone"; then
     echo "the lines above bring back a deleted kernel record" >&2
     exit 1
