@@ -1454,6 +1454,187 @@ mod tests {
         assert!(!db.is_complete_grid(&c, "img"));
     }
 
+    /// FNV-1a over every answer's metric names and value bits.
+    fn answers_digest(
+        db: &PerfDb,
+        queries: &[(Configuration, &str, ResourceVector)],
+        mode: PredictMode,
+    ) -> u64 {
+        let mut h = Fnv64::new();
+        for (config, input, q) in queries {
+            match db.predict(config, input, q, mode) {
+                None => h.write_u64(u64::MAX),
+                Some(r) => {
+                    h.write_u64(r.len() as u64);
+                    for (m, v) in r.iter() {
+                        h.write_str(m);
+                        h.write_u64(v.to_bits());
+                    }
+                }
+            }
+        }
+        h.finish()
+    }
+
+    fn cells_of(db: &PerfDb, config: &Configuration) -> &'static str {
+        let idx = db.index();
+        match &idx.slice(config, "img").expect("slice exists").grid.cells {
+            GridCells::Dense(_) => "dense",
+            GridCells::Sparse(_) => "sparse",
+            GridCells::Scan => "scan",
+        }
+    }
+
+    /// Known answers of `predict`, one query set per path through it. The
+    /// property tests hold the index to the scan within 1e-9; this pins
+    /// every path bit for bit.
+    #[test]
+    fn predict_known_answers() {
+        let c1 = Configuration::new(&[("c", 1)]);
+        let at = |cpu: f64, net: f64| ResourceVector::new(&[(cpu_key(), cpu), (net_key(), net)]);
+        let on = |qs: &[ResourceVector]| -> Vec<(Configuration, &str, ResourceVector)> {
+            qs.iter().map(|q| (c1.clone(), "img", q.clone())).collect()
+        };
+        let mut digests: Vec<(&str, u64)> = Vec::new();
+
+        // Dense complete grid: exact hits, then blends and clamps.
+        let grid = grid_db();
+        assert_eq!(cells_of(&grid, &c1), "dense");
+        let exact = on(&[at(0.2, 1e5), at(0.5, 5e5), at(1.0, 1e6), at(0.5 + 1e-12, 5e5)]);
+        digests.push(("exact", answers_digest(&grid, &exact, PredictMode::Interpolate)));
+        let blends =
+            on(&[at(0.35, 7.5e5), at(0.21, 1e5), at(2.0, 3e5), at(0.01, 2e6), at(0.9, 1.3e5)]);
+        digests.push(("dense", answers_digest(&grid, &blends, PredictMode::Interpolate)));
+        digests.push(("nearest", answers_digest(&grid, &blends, PredictMode::Nearest)));
+
+        // Sparse lattice: a diagonal of 41 points plus the corners one
+        // single-axis blend needs; the diagonal blend falls back to IDW.
+        let mut sparse = PerfDb::new();
+        let mem = ResourceKey::mem("client");
+        let point = |a: f64, b: f64| {
+            ResourceVector::new(&[
+                (cpu_key(), a / 100.0),
+                (net_key(), b * 1e4),
+                (mem.clone(), b * 1e6),
+            ])
+        };
+        for i in 0..41 {
+            let v = 1.0 + i as f64;
+            let metrics = QosReport::new(&[("t", 100.0 / v), ("u", v * 0.3)]);
+            sparse.add(PerfRecord {
+                config: c1.clone(),
+                resources: point(v, v),
+                input: "img".into(),
+                metrics,
+            });
+        }
+        sparse.add(PerfRecord {
+            config: c1.clone(),
+            resources: point(8.0, 7.0),
+            input: "img".into(),
+            metrics: QosReport::new(&[("t", 13.5)]),
+        });
+        assert_eq!(cells_of(&sparse, &c1), "sparse");
+        // A lattice blend, not IDW: a quarter of the way to the extra
+        // corner, which lacks `u` but still carries its weight.
+        let blend =
+            sparse.predict(&c1, "img", &point(7.25, 7.0), PredictMode::Interpolate).unwrap();
+        assert!((blend.get("t").unwrap() - (0.75 * 100.0 / 7.0 + 0.25 * 13.5)).abs() < 1e-9);
+        assert!((blend.get("u").unwrap() - 0.75 * 7.0 * 0.3).abs() < 1e-9);
+        let qs = on(&[point(7.25, 7.0), point(7.5, 7.5), point(40.5, 40.5), point(0.5, 3.0)]);
+        digests.push(("sparse", answers_digest(&sparse, &qs, PredictMode::Interpolate)));
+        digests.push(("sparse nearest", answers_digest(&sparse, &qs, PredictMode::Nearest)));
+
+        // Unaddressable grid: 8 axes of 33 samples each.
+        let axes: Vec<ResourceKey> = (0..8).map(|h| ResourceKey::cpu(&format!("h{h}"))).collect();
+        let diag = |first: f64, rest: f64| {
+            let mut r = ResourceVector::default();
+            for (i, k) in axes.iter().enumerate() {
+                r.set(k.clone(), if i == 0 { first } else { rest } / 64.0);
+            }
+            r
+        };
+        let mut scan = PerfDb::new();
+        for i in 0..33 {
+            let v = 1.0 + i as f64;
+            scan.add(PerfRecord {
+                config: c1.clone(),
+                resources: diag(v, v),
+                input: "img".into(),
+                metrics: QosReport::new(&[("t", 50.0 / v + 1.0)]),
+            });
+        }
+        scan.add(PerfRecord {
+            config: c1.clone(),
+            resources: diag(5.0, 4.0),
+            input: "img".into(),
+            metrics: QosReport::new(&[("t", 9.75), ("u", 2.0)]),
+        });
+        assert_eq!(cells_of(&scan, &c1), "scan");
+        let blend = scan.predict(&c1, "img", &diag(4.3, 4.0), PredictMode::Interpolate).unwrap();
+        assert!((blend.get("t").unwrap() - (0.7 * 13.5 + 0.3 * 9.75)).abs() < 1e-9);
+        assert!((blend.get("u").unwrap() - 0.3 * 2.0).abs() < 1e-9);
+        let qs = on(&[diag(4.0, 4.0), diag(4.3, 4.0), diag(4.5, 4.5), diag(40.0, 0.5)]);
+        digests.push(("scan", answers_digest(&scan, &qs, PredictMode::Interpolate)));
+
+        // Ragged slice: IDW and nearest over scattered points.
+        let mut ragged = PerfDb::new();
+        ragged.add(rec(&[("c", 1)], 0.2, 100_000.0, 60.0));
+        ragged.add(rec(&[("c", 1)], 0.9, 900_000.0, 12.0));
+        ragged.add(rec(&[("c", 1)], 0.5, 400_000.0, 22.0));
+        ragged.add(PerfRecord {
+            config: c1.clone(),
+            resources: ResourceVector::new(&[(cpu_key(), 0.6)]),
+            input: "img".into(),
+            metrics: QosReport::new(&[("transmit_time", 30.0), ("u", 4.0)]),
+        });
+        let qs = on(&[at(0.6, 5e5), at(0.1, 1e6), ResourceVector::new(&[(cpu_key(), 0.6)])]);
+        digests.push(("idw", answers_digest(&ragged, &qs, PredictMode::Interpolate)));
+        digests.push(("ragged nearest", answers_digest(&ragged, &qs, PredictMode::Nearest)));
+
+        // Records missing a metric the rest of the slice reports.
+        let mut partial = PerfDb::new();
+        for (i, &cpu) in [0.2, 0.5, 1.0].iter().enumerate() {
+            for (j, &net) in [1e5, 1e6].iter().enumerate() {
+                let mut metrics = QosReport::new(&[("t", 10.0 / cpu + 1e6 / net)]);
+                if (i + j) % 2 == 0 {
+                    metrics.set("u", cpu * 3.0 + j as f64);
+                }
+                partial.add(PerfRecord {
+                    config: c1.clone(),
+                    resources: at(cpu, net),
+                    input: "img".into(),
+                    metrics,
+                });
+            }
+        }
+        let qs = on(&[at(0.5, 1e5), at(0.2, 1e5), at(0.35, 5e5), at(0.7, 1e6), at(3.0, 1.0)]);
+        digests.push(("missing metric", answers_digest(&partial, &qs, PredictMode::Interpolate)));
+        digests.push(("missing nearest", answers_digest(&partial, &qs, PredictMode::Nearest)));
+
+        // Unknown configuration and unknown input.
+        let qs = vec![
+            (Configuration::new(&[("c", 9)]), "img", at(0.5, 5e5)),
+            (c1.clone(), "other", at(0.5, 5e5)),
+        ];
+        digests.push(("unknown", answers_digest(&grid, &qs, PredictMode::Interpolate)));
+
+        let pinned = [
+            ("exact", 0x8aaf_8fb4_88e3_9095),
+            ("dense", 0x462d_dcfc_ff8f_e4a4),
+            ("nearest", 0xaa55_51af_eb64_1596),
+            ("sparse", 0xd90a_e589_a807_3b17),
+            ("sparse nearest", 0x6bf7_a611_42da_f06e),
+            ("scan", 0x9360_1bc6_fecf_fd2f),
+            ("idw", 0x819c_f9bc_9996_2965),
+            ("ragged nearest", 0xc44b_2a96_c4c8_b6b8),
+            ("missing metric", 0x0c9f_7dc6_55cd_0e0d),
+            ("missing nearest", 0x6d45_4aaf_a3d3_39e4),
+            ("unknown", 0xd660_7508_f5a1_e855),
+        ];
+        assert_eq!(digests, pinned);
+    }
+
     #[test]
     fn clone_shares_built_index_and_diverges_after_mutation() {
         let db = grid_db();

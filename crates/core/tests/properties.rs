@@ -5,11 +5,14 @@ use proptest::prelude::*;
 use adapt_core::{
     Configuration, Constraint, ControlParam, ControlSpace, Guard, Objective, ParamDomain, PerfDb,
     PerfRecord, PredictMode, Preference, PreferenceList, QosReport, ResourceKey, ResourceScheduler,
-    ResourceVector, Sense,
+    ResourceVector, Sense, ValidityRegion,
 };
 
 #[path = "support/scan_oracle.rs"]
 mod scan_oracle;
+
+#[path = "support/decision_oracle.rs"]
+mod decision_oracle;
 
 fn cpu() -> ResourceKey {
     ResourceKey::cpu("client")
@@ -274,7 +277,7 @@ mod index_props {
     /// `{net}`-only records, and `{cpu, net, mem}` records — so slices are
     /// non-rectangular and some records sit off the interpolation lattice.
     /// Duplicate points (same coordinates, different metrics) also occur.
-    fn arb_record() -> impl Strategy<Value = PerfRecord> {
+    pub(super) fn arb_record() -> impl Strategy<Value = PerfRecord> {
         (
             0i64..3,
             prop_oneof![Just("a"), Just("b")],
@@ -310,7 +313,7 @@ mod index_props {
     }
 
     /// Queries both on and off the sampled lattice.
-    fn arb_query() -> impl Strategy<Value = ResourceVector> {
+    pub(super) fn arb_query() -> impl Strategy<Value = ResourceVector> {
         (0.05f64..1.2, 5e4f64..2e6, proptest::bool::ANY, 0usize..5, 0usize..5).prop_map(
             |(qc, qn, on_grid, ci, ni)| {
                 if on_grid {
@@ -540,6 +543,114 @@ mod index_props {
             let p = db.predict(&cfg, "a", &gq, PredictMode::Interpolate).unwrap().get("t").unwrap();
             let expect = val(a1, b1, c1, CPUS[gi], NETS[gj]);
             prop_assert!((p - expect).abs() < 1e-9 * expect.abs().max(1.0));
+        }
+    }
+}
+
+mod decision_props {
+    use super::decision_oracle::Oracle;
+    use super::index_props::{arb_query, arb_record};
+    use super::*;
+
+    /// Constraints on `t`, on the optional `u`, on `v` (which no record
+    /// reports) and one on `u` with neither bound.
+    fn arb_constraint() -> impl Strategy<Value = Constraint> {
+        (0usize..6, 1.0f64..100.0, 1.0f64..100.0).prop_map(|(kind, a, b)| match kind {
+            0 => Constraint::at_most("t", a),
+            1 => Constraint::at_least("t", a),
+            2 => Constraint::between("u", a.min(b), a.max(b)),
+            3 => Constraint::at_least("u", a),
+            4 => Constraint::at_most("v", a),
+            _ => Constraint { metric: "u".into(), min: None, max: None },
+        })
+    }
+
+    fn arb_prefs() -> impl Strategy<Value = PreferenceList> {
+        let pref = (proptest::collection::vec(arb_constraint(), 0..3), 0usize..5).prop_map(
+            |(constraints, objective)| {
+                let objective = match objective {
+                    0 => Objective::minimize("t"),
+                    1 => Objective::maximize("t"),
+                    2 => Objective::minimize("u"),
+                    3 => Objective::maximize("u"),
+                    _ => Objective::minimize("v"),
+                };
+                Preference::new(constraints, objective)
+            },
+        );
+        proptest::collection::vec(pref, 1..4).prop_map(|prefs| PreferenceList { prefs })
+    }
+
+    /// A report as names and value bits, so `==` is bit-exact.
+    fn bits(r: &QosReport) -> Vec<(String, u64)> {
+        r.iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect()
+    }
+
+    fn region_bits(r: &ValidityRegion) -> Vec<(ResourceKey, u64, u64)> {
+        r.ranges.iter().map(|(k, &(lo, hi))| (k.clone(), lo.to_bits(), hi.to_bits())).collect()
+    }
+
+    type ChosenBits = (Configuration, Vec<(String, u64)>, usize);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every decision entry point equals the whole-report oracle bit
+        /// for bit, over ragged databases, preference lists whose metrics
+        /// some or all configurations lack, both objective senses, and
+        /// arbitrary exclusions.
+        #[test]
+        fn decisions_match_the_whole_report_oracle(
+            records in proptest::collection::vec(arb_record(), 1..40),
+            prefs in arb_prefs(),
+            queries in proptest::collection::vec(arb_query(), 1..5),
+            excluded in proptest::collection::vec(proptest::bool::ANY, 3),
+            nearest in proptest::bool::ANY,
+        ) {
+            let mode = if nearest { PredictMode::Nearest } else { PredictMode::Interpolate };
+            let mut db = PerfDb::new();
+            for r in records {
+                db.add(r);
+            }
+            let excluded: Vec<Configuration> = (0..3i64)
+                .filter(|&x| excluded[x as usize])
+                .map(|x| Configuration::new(&[("x", x)]))
+                .collect();
+            let sched = ResourceScheduler::new(db.clone(), prefs.clone(), "a").with_mode(mode);
+            for q in &queries {
+                let mut oracle = Oracle::new(&db, "a", mode);
+                let got = sched.choose_excluding(q, &excluded).map(|d| {
+                    prop_assert!(!d.best_effort);
+                    Ok(((d.config, bits(&d.predicted), d.preference_rank), region_bits(&d.validity)))
+                });
+                let got: Option<(ChosenBits, _)> = got.transpose()?;
+                let want = oracle
+                    .choose_excluding(&prefs, q, &excluded)
+                    .map(|((c, p, rank), region)| ((c, bits(&p), rank), region_bits(&region)));
+                prop_assert_eq!(got, want, "choose_excluding at {}", q);
+
+                let got = sched.select(q).map(|s| (s.config, bits(&s.predicted), s.preference_rank));
+                let want = oracle.select(&prefs, q, &[]).map(|(c, p, rank)| (c, bits(&p), rank));
+                prop_assert_eq!(got, want, "select at {}", q);
+
+                let got = sched
+                    .choose_least_violating(q, &excluded)
+                    .map(|d| (d.config, bits(&d.predicted), d.preference_rank));
+                let want = oracle
+                    .least_violating(&prefs, q, &excluded)
+                    .map(|(c, p, rank)| (c, bits(&p), rank));
+                prop_assert_eq!(got, want, "choose_least_violating at {}", q);
+
+                for x in [0i64, 1, 2, 7] {
+                    let config = Configuration::new(&[("x", x)]);
+                    for pref in &prefs.prefs {
+                        let got = region_bits(&sched.validity_region(&config, pref, q));
+                        let want =
+                            region_bits(&Oracle::new(&db, "a", mode).validity_region(&config, pref, q));
+                        prop_assert_eq!(got, want, "validity_region of x={} at {}", x, q);
+                    }
+                }
+            }
         }
     }
 }
