@@ -14,6 +14,11 @@
 //! | a never-mutated `Adaptive` against a mutated one | 0.95–1.01 | 0.80 |
 //! | spans with exporters disabled against no exporter | 0.9931 | 0.95 |
 //! | spans with retention enabled against no exporter | 0.4287 | 0.34 |
+//! | `choose` against the whole-report decision oracle | 4.92–7.78 (median 6.04) | 3.9 |
+//!
+//! The decision check runs 192 decisions per round on `visapp::model_db`
+//! (12 configurations, three preference profiles, an 8 x 8 grid of
+//! points) and takes its floor from the lowest of 13 measured ratios.
 //!
 //! Timing means nothing unoptimized or beside another busy test, so every
 //! check is `#[ignore]`d; run them with
@@ -22,7 +27,18 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use adapt_core::{
+    Configuration, PerfDb, PredictMode, Preference, PreferenceList, QosReport, ResourceScheduler,
+    ResourceVector, ValidityRegion,
+};
 use obs::{Adaptive, Command, CommandRouter, ConfigRegistry, Obs};
+use visapp::{client_cpu_key, client_net_key, model_db, LoadGenOpts, QosProfile, PROFILE_INPUT};
+
+// Shared with crates/core/tests/properties.rs; this file times one entry
+// point of it and leaves the others unused.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/decision_oracle.rs"]
+mod decision_oracle;
 
 /// Runs per side.
 const RUNS: usize = 5;
@@ -146,5 +162,68 @@ fn span_retention_costs_a_bounded_factor() {
             spans(&obs)
         },
         || spans(&baseline),
+    );
+}
+
+#[test]
+#[ignore = "wall-clock: run in release on one test thread"]
+fn a_decision_on_rows_outpaces_the_whole_report_oracle() {
+    let opts = LoadGenOpts::new(1);
+    let db = model_db(&opts);
+    let points: Vec<ResourceVector> = (0..8)
+        .flat_map(|i| {
+            (0..8).map(move |j| {
+                let cpu = 0.2 + 0.125 * i as f64;
+                let net = opts.link_bps * (0.05 + 0.2 * j as f64);
+                ResourceVector::new(&[(client_cpu_key(), cpu), (client_net_key(), net)])
+            })
+        })
+        .collect();
+    let cases: Vec<(ResourceScheduler, PreferenceList)> =
+        [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput]
+            .map(|p| {
+                let sched = ResourceScheduler::new(db.clone(), p.preferences(), PROFILE_INPUT);
+                (sched, p.preferences())
+            })
+            .into();
+    for (sched, prefs) in &cases {
+        for v in &points {
+            let oracle = decision_oracle::Oracle::new(&db, PROFILE_INPUT, PredictMode::Interpolate)
+                .choose_excluding(prefs, v, &[])
+                .map(|((config, _, _), region)| (config, region));
+            assert_eq!(sched.choose(v).map(|d| (d.config, d.validity)), oracle, "at {v}");
+        }
+    }
+    const ROUNDS: usize = 10;
+    assert_floor(
+        "choose against the whole-report oracle",
+        3.9,
+        || {
+            time(|| {
+                for _ in 0..ROUNDS {
+                    for (sched, _) in &cases {
+                        for v in &points {
+                            black_box(sched.choose(v));
+                        }
+                    }
+                }
+            })
+        },
+        || {
+            time(|| {
+                for _ in 0..ROUNDS {
+                    for (_, prefs) in &cases {
+                        for v in &points {
+                            let mut oracle = decision_oracle::Oracle::new(
+                                &db,
+                                PROFILE_INPUT,
+                                PredictMode::Interpolate,
+                            );
+                            black_box(oracle.choose_excluding(prefs, v, &[]));
+                        }
+                    }
+                }
+            })
+        },
     );
 }

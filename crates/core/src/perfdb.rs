@@ -19,12 +19,17 @@
 //! - configurations and workload inputs are **interned** once into dense
 //!   ids (no per-record key cloning on queries);
 //! - records are grouped into per-`(config, input)` **slices**, each with
-//!   its sorted distinct axis grid, per-axis scales, and metric-name union
-//!   precomputed;
+//!   its sorted distinct axis grid and per-axis scales precomputed, and
+//!   its records' metrics as flat **rows** of `f64` in the input's sorted
+//!   metric-name union (NaN where a record lacks a metric);
 //! - when a slice's full-signature records form a rectangular grid, a
 //!   **lattice** (dense cell table, or a hash table for huge grids) maps
 //!   grid positions to records, so interpolation is a per-axis binary
-//!   search plus a 2^d-corner blend instead of a full scan.
+//!   search plus a 2^d-corner blend of rows instead of a full scan.
+//!
+//! One kernel predicts into a row; [`PerfDb::predict`] turns that row into
+//! a [`QosReport`], and the scheduler's decisions read rows directly
+//! through a per-decision view of one input's candidates.
 //!
 //! The index is invalidated by a dirty flag on every mutation
 //! ([`PerfDb::add`], [`PerfDb::prune_dominated`], [`PerfDb::merge_similar`])
@@ -256,7 +261,7 @@ impl PerfDb {
     pub fn records_for(&self, config: &Configuration, input: &str) -> Vec<&PerfRecord> {
         let idx = self.index();
         match idx.slice(config, input) {
-            Some(s) => s.recs.iter().map(|&ri| &self.records[ri as usize]).collect(),
+            Some((s, _)) => s.recs.iter().map(|&ri| &self.records[ri as usize]).collect(),
             None => Vec::new(),
         }
     }
@@ -265,14 +270,14 @@ impl PerfDb {
     pub fn axis_values(&self, config: &Configuration, input: &str, axis: &ResourceKey) -> Vec<f64> {
         let idx = self.index();
         idx.slice(config, input)
-            .and_then(|s| s.axes.binary_search(axis).ok().map(|i| s.axis_values[i].clone()))
+            .and_then(|(s, _)| s.axes.binary_search(axis).ok().map(|i| s.axis_values[i].clone()))
             .unwrap_or_default()
     }
 
     /// The union of resource axes sampled for `(config, input)`.
     pub fn axes(&self, config: &Configuration, input: &str) -> Vec<ResourceKey> {
         let idx = self.index();
-        idx.slice(config, input).map(|s| s.axes.clone()).unwrap_or_default()
+        idx.slice(config, input).map(|(s, _)| s.axes.clone()).unwrap_or_default()
     }
 
     /// True when the `(config, input)` slice's records form a complete
@@ -280,7 +285,7 @@ impl PerfDb {
     /// ever falling back to inverse-distance weighting.
     pub fn is_complete_grid(&self, config: &Configuration, input: &str) -> bool {
         let idx = self.index();
-        idx.slice(config, input).is_some_and(|s| s.grid.complete)
+        idx.slice(config, input).is_some_and(|(s, _)| s.grid.complete)
     }
 
     /// Predict quality metrics for `config` on `input` under `resources`.
@@ -297,19 +302,33 @@ impl PerfDb {
         resources: &ResourceVector,
         mode: PredictMode,
     ) -> Option<QosReport> {
-        let _span = self.obs.as_ref().map(|h| h.obs.span(h.predict_span));
         let idx = self.index();
-        let slice = idx.slice(config, input)?;
-        // Exact-match fast path.
-        if let Some(r) = slice.exact_match(&self.records, resources) {
-            return Some(r.metrics.clone());
-        }
-        match mode {
-            PredictMode::Nearest => slice.nearest(&self.records, resources),
-            PredictMode::Interpolate => slice
-                .multilinear(&self.records, resources)
-                .or_else(|| slice.idw(&self.records, resources)),
-        }
+        let (slice, names) = idx.slice(config, input)?;
+        let mut row = vec![0.0; names.len()];
+        self.predict_slice(slice, resources, mode, &mut row);
+        Some(row_report(names, &row))
+    }
+
+    /// The one prediction path, behind [`predict`](PerfDb::predict) and
+    /// every scheduler decision: one slice at one point, into a metric
+    /// row, timed into the obs hook.
+    fn predict_slice(
+        &self,
+        slice: &Slice,
+        at: &ResourceVector,
+        mode: PredictMode,
+        row: &mut [f64],
+    ) {
+        let _span = self.obs.as_ref().map(|h| h.obs.span(h.predict_span));
+        slice.predict_into(&self.records, at, mode, row);
+    }
+
+    /// The configurations profiled for `input`, as one decision prices
+    /// them; `None` when no record has that input.
+    pub(crate) fn candidates(&self, input: &str, mode: PredictMode) -> Option<Candidates<'_>> {
+        let idx = self.index();
+        let input = *idx.input_ids.get(input)? as usize;
+        Some(Candidates { db: self, idx, input, mode })
     }
 
     /// Keep only the "maximal subset": configurations that are the best
@@ -394,8 +413,7 @@ impl PerfDb {
                 let mut similar = true;
                 let mut compared = 0usize;
                 for &iid in &input_ids {
-                    let (Some(si), Some(sj)) =
-                        (idx.slices.get(&(ci, iid)), idx.slices.get(&(cj, iid)))
+                    let (Some(si), Some(sj)) = (idx.slice_of(ci, iid), idx.slice_of(cj, iid))
                     else {
                         continue;
                     };
@@ -615,7 +633,13 @@ struct Index {
     input_ids: HashMap<String, u32>,
     /// Input id -> distinct config ids in first-appearance order.
     configs_by_input: Vec<Vec<u32>>,
-    slices: HashMap<(u32, u32), Slice>,
+    /// Input id -> its slices, parallel to `configs_by_input`.
+    slices: Vec<Vec<Slice>>,
+    /// `(config id, input id)` -> position in both lists.
+    slice_pos: HashMap<(u32, u32), u32>,
+    /// Input id -> sorted union of the metric names its records carry:
+    /// the column order of every metric row of the input's slices.
+    metrics_by_input: Vec<Vec<String>>,
 }
 
 impl Index {
@@ -626,7 +650,9 @@ impl Index {
         let mut inputs: Vec<String> = Vec::new();
         let mut input_ids: HashMap<String, u32> = HashMap::new();
         let mut configs_by_input: Vec<Vec<u32>> = Vec::new();
-        let mut grouped: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        let mut recs_by_input: Vec<Vec<Vec<u32>>> = Vec::new();
+        let mut slice_pos: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut metric_sets: Vec<BTreeSet<&str>> = Vec::new();
         for (i, r) in records.iter().enumerate() {
             let cid = match config_ids.get(&r.config) {
                 Some(&id) => id,
@@ -644,33 +670,125 @@ impl Index {
                     inputs.push(r.input.clone());
                     input_ids.insert(r.input.clone(), id);
                     configs_by_input.push(Vec::new());
+                    recs_by_input.push(Vec::new());
+                    metric_sets.push(BTreeSet::new());
                     id
                 }
             };
-            match grouped.entry((cid, iid)) {
-                Entry::Vacant(e) => {
-                    configs_by_input[iid as usize].push(cid);
-                    e.insert(vec![i as u32]);
-                }
-                Entry::Occupied(mut e) => e.get_mut().push(i as u32),
-            }
+            let input = iid as usize;
+            let pos = *slice_pos.entry((cid, iid)).or_insert_with(|| {
+                configs_by_input[input].push(cid);
+                recs_by_input[input].push(Vec::new());
+                (configs_by_input[input].len() - 1) as u32
+            });
+            recs_by_input[input][pos as usize].push(i as u32);
+            metric_sets[input].extend(r.metrics.iter().map(|(m, _)| m));
         }
-        let slices =
-            grouped.into_iter().map(|(key, recs)| (key, Slice::build(records, recs))).collect();
-        Index { configs, config_ids, inputs, input_ids, configs_by_input, slices }
+        let metrics_by_input: Vec<Vec<String>> = metric_sets
+            .into_iter()
+            .map(|set| set.into_iter().map(str::to_string).collect())
+            .collect();
+        let slices = recs_by_input
+            .into_iter()
+            .zip(&metrics_by_input)
+            .map(|(groups, names)| {
+                groups.into_iter().map(|recs| Slice::build(records, recs, names)).collect()
+            })
+            .collect();
+        Index {
+            configs,
+            config_ids,
+            inputs,
+            input_ids,
+            configs_by_input,
+            slices,
+            slice_pos,
+            metrics_by_input,
+        }
     }
 
-    fn slice(&self, config: &Configuration, input: &str) -> Option<&Slice> {
+    fn slice_of(&self, cid: u32, iid: u32) -> Option<&Slice> {
+        let pos = *self.slice_pos.get(&(cid, iid))?;
+        Some(&self.slices[iid as usize][pos as usize])
+    }
+
+    /// The `(config, input)` slice and the column names of its rows.
+    fn slice(&self, config: &Configuration, input: &str) -> Option<(&Slice, &[String])> {
         let cid = *self.config_ids.get(config)?;
         let iid = *self.input_ids.get(input)?;
-        self.slices.get(&(cid, iid))
+        Some((self.slice_of(cid, iid)?, &self.metrics_by_input[iid as usize]))
     }
+}
+
+/// One input's configurations as a scheduler decision sees them: the
+/// index snapshot taken once, candidates by position (the order of
+/// [`PerfDb::configs`]), and predictions written into metric rows laid out
+/// in [`metric_names`](Candidates::metric_names) order, NaN marking a
+/// metric the prediction lacks.
+pub(crate) struct Candidates<'a> {
+    db: &'a PerfDb,
+    idx: Arc<Index>,
+    input: usize,
+    mode: PredictMode,
+}
+
+impl Candidates<'_> {
+    pub(crate) fn len(&self) -> usize {
+        self.idx.slices[self.input].len()
+    }
+
+    pub(crate) fn config(&self, i: usize) -> &Configuration {
+        &self.idx.configs[self.idx.configs_by_input[self.input][i] as usize]
+    }
+
+    /// The columns of every row: the sorted metric names of the input.
+    pub(crate) fn metric_names(&self) -> &[String] {
+        &self.idx.metrics_by_input[self.input]
+    }
+
+    /// The row column of `metric`, if any candidate reports it.
+    pub(crate) fn column(&self, metric: &str) -> Option<usize> {
+        self.metric_names().binary_search_by(|m| m.as_str().cmp(metric)).ok()
+    }
+
+    fn slice(&self, i: usize) -> &Slice {
+        &self.idx.slices[self.input][i]
+    }
+
+    /// Candidate `i`'s sampled axes, each with its sorted sample values.
+    pub(crate) fn axes(&self, i: usize) -> impl Iterator<Item = (&ResourceKey, &[f64])> {
+        let s = self.slice(i);
+        s.axes.iter().zip(s.axis_values.iter().map(Vec::as_slice))
+    }
+
+    /// Predict candidate `i` at `at` into `row`, exactly as
+    /// [`PerfDb::predict`] does.
+    pub(crate) fn predict_into(&self, i: usize, at: &ResourceVector, row: &mut [f64]) {
+        self.db.predict_slice(self.slice(i), at, self.mode, row);
+    }
+
+    /// The report of a row.
+    pub(crate) fn report(&self, row: &[f64]) -> QosReport {
+        row_report(self.metric_names(), row)
+    }
+}
+
+/// The report of a metric row laid out in `names` order. NaN marks an
+/// absent metric, a value [`QosReport::set`] refuses, so no metric is
+/// lost in the round trip.
+fn row_report(names: &[String], row: &[f64]) -> QosReport {
+    let mut report = QosReport::default();
+    for (name, &v) in names.iter().zip(row).filter(|(_, v)| !v.is_nan()) {
+        report.set(name, v);
+    }
+    report
 }
 
 /// All records of one `(config, input)` pair, with precomputed geometry.
 #[derive(Debug)]
 struct Slice {
-    /// Record indices, insertion order.
+    /// Record indices, insertion order. A slice names its records by
+    /// position in this list.
     recs: Vec<u32>,
     /// Sorted union of resource axes over the slice's records.
     axes: Vec<ResourceKey>,
@@ -678,8 +796,12 @@ struct Slice {
     axis_values: Vec<Vec<f64>>,
     /// Per-axis value ranges, for normalized distances.
     scales: BTreeMap<ResourceKey, f64>,
-    /// Sorted union of metric names over the slice's records.
-    metric_names: Vec<String>,
+    /// One metric row per record, in `recs` order, with the input's
+    /// metric columns; NaN where the record lacks the metric.
+    rows: Vec<f64>,
+    /// Where a blend starts: 0.0 in the columns some record of the slice
+    /// reports, NaN in the others.
+    blank: Vec<f64>,
     /// Records whose axis set differs from `axes`; they can never sit on
     /// the lattice but still participate in exact matching and IDW.
     offgrid: Vec<u32>,
@@ -696,6 +818,7 @@ struct Grid {
     complete: bool,
 }
 
+/// Lattice cells hold record positions within the slice.
 #[derive(Debug)]
 enum GridCells {
     /// Flat cell table; `EMPTY_CELL` marks an unfilled cell.
@@ -707,22 +830,34 @@ enum GridCells {
 }
 
 impl Slice {
-    fn build(records: &[PerfRecord], recs: Vec<u32>) -> Slice {
+    fn build(records: &[PerfRecord], recs: Vec<u32>, metric_names: &[String]) -> Slice {
         let mut axis_set: BTreeSet<ResourceKey> = BTreeSet::new();
-        let mut metric_set: BTreeSet<&str> = BTreeSet::new();
         for &ri in &recs {
-            let r = &records[ri as usize];
-            for (k, _) in r.resources.iter() {
+            for (k, _) in records[ri as usize].resources.iter() {
                 if !axis_set.contains(k) {
                     axis_set.insert(k.clone());
                 }
             }
-            for (m, _) in r.metrics.iter() {
-                metric_set.insert(m);
-            }
         }
         let axes: Vec<ResourceKey> = axis_set.into_iter().collect();
-        let metric_names: Vec<String> = metric_set.into_iter().map(str::to_string).collect();
+        let rows: Vec<f64> = recs
+            .iter()
+            .flat_map(|&ri| {
+                let r = &records[ri as usize];
+                metric_names.iter().map(|m| r.metrics.get(m).unwrap_or(f64::NAN))
+            })
+            .collect();
+        let blank: Vec<f64> = metric_names
+            .iter()
+            .map(|m| {
+                let reported = recs.iter().any(|&ri| records[ri as usize].metrics.get(m).is_some());
+                if reported {
+                    0.0
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
         let axis_values: Vec<Vec<f64>> = axes
             .iter()
             .map(|axis| {
@@ -765,28 +900,28 @@ impl Slice {
         let mut offgrid = Vec::new();
         let mut filled: u128 = 0;
         if !matches!(cells, GridCells::Scan) {
-            for &ri in &recs {
-                let r = &records[ri as usize];
-                match record_cell(&axes, &axis_values, &strides, r) {
+            for (pos, &ri) in recs.iter().enumerate() {
+                let pos = pos as u32;
+                match record_cell(&axes, &axis_values, &strides, &records[ri as usize]) {
                     // First record at a cell wins, matching the scan
                     // path's first-match semantics.
                     Some(cell) => match &mut cells {
                         GridCells::Dense(v) => {
                             let slot = &mut v[cell as usize];
                             if *slot == EMPTY_CELL {
-                                *slot = ri;
+                                *slot = pos;
                                 filled += 1;
                             }
                         }
                         GridCells::Sparse(m) => {
                             if let Entry::Vacant(e) = m.entry(cell) {
-                                e.insert(ri);
+                                e.insert(pos);
                                 filled += 1;
                             }
                         }
                         GridCells::Scan => unreachable!(),
                     },
-                    None => offgrid.push(ri),
+                    None => offgrid.push(pos),
                 }
             }
         }
@@ -796,35 +931,63 @@ impl Slice {
             axes,
             axis_values,
             scales,
-            metric_names,
+            rows,
+            blank,
             offgrid,
             grid: Grid { strides, cells, complete },
         }
     }
 
-    /// First record exactly matching `q` (the [`same_point`] semantics of
-    /// the scan path): lattice lookup for full-signature queries plus a
-    /// scan over the (usually empty) off-grid records.
-    fn exact_match<'a>(
+    /// The record at slice position `pos`.
+    fn record<'a>(&self, records: &'a [PerfRecord], pos: usize) -> &'a PerfRecord {
+        &records[self.recs[pos] as usize]
+    }
+
+    /// The metric row of the record at slice position `pos`.
+    fn row(&self, pos: usize) -> &[f64] {
+        let w = self.blank.len();
+        &self.rows[pos * w..(pos + 1) * w]
+    }
+
+    /// Predict at `q` into `out` (one value per metric column). Never
+    /// fails: a slice holds at least one record, and IDW answers wherever
+    /// the lattice cannot.
+    fn predict_into(
         &self,
-        records: &'a [PerfRecord],
+        records: &[PerfRecord],
         q: &ResourceVector,
-    ) -> Option<&'a PerfRecord> {
-        if matches!(self.grid.cells, GridCells::Scan) {
-            return self
-                .recs
-                .iter()
-                .map(|&ri| &records[ri as usize])
-                .find(|r| same_point(&r.resources, q));
+        mode: PredictMode,
+        out: &mut [f64],
+    ) {
+        if let Some(pos) = self.exact_match(records, q) {
+            out.copy_from_slice(self.row(pos));
+            return;
         }
-        if q.len() == self.axes.len() {
-            if let Some(cell) = self.query_cell(q) {
-                if let Some(ri) = self.cell_record(cell) {
-                    return Some(&records[ri]);
+        match mode {
+            PredictMode::Nearest => out.copy_from_slice(self.row(self.nearest(records, q))),
+            PredictMode::Interpolate => {
+                if !self.multilinear(records, q, out) {
+                    self.idw(records, q, out);
                 }
             }
         }
-        self.offgrid.iter().map(|&ri| &records[ri as usize]).find(|r| same_point(&r.resources, q))
+    }
+
+    /// Position of the first record exactly matching `q` (the
+    /// [`same_point`] semantics of the scan path): lattice lookup for
+    /// full-signature queries plus a scan over the (usually empty)
+    /// off-grid records.
+    fn exact_match(&self, records: &[PerfRecord], q: &ResourceVector) -> Option<usize> {
+        let matches = |pos: usize| same_point(&self.record(records, pos).resources, q);
+        if matches!(self.grid.cells, GridCells::Scan) {
+            return (0..self.recs.len()).find(|&pos| matches(pos));
+        }
+        if q.len() == self.axes.len() {
+            if let Some(pos) = self.query_cell(q).and_then(|cell| self.cell_record(cell)) {
+                return Some(pos);
+            }
+        }
+        self.offgrid.iter().map(|&pos| pos as usize).find(|&pos| matches(pos))
     }
 
     /// Cell id of `q` if every slice axis appears in `q` with a value on
@@ -842,58 +1005,60 @@ impl Slice {
     fn cell_record(&self, cell: u64) -> Option<usize> {
         match &self.grid.cells {
             GridCells::Dense(v) => {
-                let ri = *v.get(cell as usize)?;
-                (ri != EMPTY_CELL).then_some(ri as usize)
+                let pos = *v.get(cell as usize)?;
+                (pos != EMPTY_CELL).then_some(pos as usize)
             }
-            GridCells::Sparse(m) => m.get(&cell).map(|&ri| ri as usize),
+            GridCells::Sparse(m) => m.get(&cell).map(|&pos| pos as usize),
             GridCells::Scan => None,
         }
     }
 
-    /// Nearest-record prediction over the slice.
-    fn nearest(&self, records: &[PerfRecord], resources: &ResourceVector) -> Option<QosReport> {
-        let mut best: Option<(f64, u32)> = None;
-        for &ri in &self.recs {
-            let d = records[ri as usize].resources.distance(resources, &self.scales);
+    /// Position of the record nearest to `q`.
+    fn nearest(&self, records: &[PerfRecord], q: &ResourceVector) -> usize {
+        let mut best: Option<(f64, usize)> = None;
+        for pos in 0..self.recs.len() {
+            let d = self.record(records, pos).resources.distance(q, &self.scales);
             // Strict `<` keeps the first of equally distant records, the
             // same tie-break as `Iterator::min_by` on the scan path.
             if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, ri));
+                best = Some((d, pos));
             }
         }
-        best.map(|(_, ri)| records[ri as usize].metrics.clone())
+        best.expect("a slice holds at least one record").1
     }
 
-    /// Multilinear interpolation over the lattice; clamps query
-    /// coordinates to the sampled range (edge extrapolation). Returns
-    /// `None` when a needed corner record is missing (ragged slice).
-    fn multilinear(&self, records: &[PerfRecord], resources: &ResourceVector) -> Option<QosReport> {
+    /// Multilinear interpolation over the lattice into `out`; clamps
+    /// query coordinates to the sampled range (edge extrapolation).
+    /// Returns `false` when a needed corner record is missing (ragged
+    /// slice), leaving `out` unspecified.
+    fn multilinear(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) -> bool {
         let d = self.axes.len();
         if d == 0 || d > 8 {
-            return None;
+            return false;
         }
         // Per axis: bracketing grid positions (lo, hi) and fraction t.
-        let mut brackets: Vec<(usize, usize, f64)> = Vec::with_capacity(d);
+        let mut brackets = [(0usize, 0usize, 0.0f64); 8];
         for (i, axis) in self.axes.iter().enumerate() {
             let vals = &self.axis_values[i];
+            let Some(v) = q.get(axis) else { return false };
             if vals.is_empty() {
-                return None;
+                return false;
             }
-            let q = resources.get(axis)?.clamp(vals[0], vals[vals.len() - 1]);
-            let hi_idx = vals.partition_point(|&v| v < q - AXIS_TOL);
-            if hi_idx == 0 {
-                brackets.push((0, 0, 0.0));
-            } else if (vals[hi_idx.min(vals.len() - 1)] - q).abs() < AXIS_TOL {
+            let v = v.clamp(vals[0], vals[vals.len() - 1]);
+            let hi_idx = vals.partition_point(|&x| x < v - AXIS_TOL);
+            brackets[i] = if hi_idx == 0 {
+                (0, 0, 0.0)
+            } else if (vals[hi_idx.min(vals.len() - 1)] - v).abs() < AXIS_TOL {
                 let p = hi_idx.min(vals.len() - 1);
-                brackets.push((p, p, 0.0));
+                (p, p, 0.0)
             } else {
                 let lo = vals[hi_idx - 1];
                 let hi = vals[hi_idx];
-                brackets.push((hi_idx - 1, hi_idx, (q - lo) / (hi - lo)));
-            }
+                (hi_idx - 1, hi_idx, (v - lo) / (hi - lo))
+            };
         }
-        let mut sums: BTreeMap<&str, f64> =
-            self.metric_names.iter().map(|m| (m.as_str(), 0.0)).collect();
+        let brackets = &brackets[..d];
+        out.copy_from_slice(&self.blank);
         let mut total_w = 0.0;
         for corner in 0..(1usize << d) {
             let mut weight = 1.0;
@@ -906,22 +1071,23 @@ impl Slice {
             if weight <= 0.0 {
                 continue;
             }
-            let ri = self.corner_record(records, cell, &brackets, corner)?;
-            for (m, v) in records[ri].metrics.iter() {
-                if let Some(s) = sums.get_mut(m) {
+            let Some(pos) = self.corner_record(records, cell, brackets, corner) else {
+                return false;
+            };
+            for (s, &v) in out.iter_mut().zip(self.row(pos)) {
+                if !v.is_nan() {
                     *s += weight * v;
                 }
             }
             total_w += weight;
         }
         if total_w <= 0.0 {
-            return None;
+            return false;
         }
-        let mut out = QosReport::default();
-        for (m, s) in sums {
-            out.set(m, s / total_w);
+        for s in out.iter_mut() {
+            *s /= total_w;
         }
-        Some(out)
+        true
     }
 
     fn corner_record(
@@ -940,47 +1106,35 @@ impl Slice {
                     let use_hi = corner & (1 << i) != 0;
                     point.set(axis.clone(), self.axis_values[i][if use_hi { hi } else { lo }]);
                 }
-                self.recs
-                    .iter()
-                    .find(|&&ri| same_point(&records[ri as usize].resources, &point))
-                    .map(|&ri| ri as usize)
+                (0..self.recs.len())
+                    .find(|&pos| same_point(&self.record(records, pos).resources, &point))
             }
             _ => self.cell_record(cell),
         }
     }
 
-    /// Inverse-distance weighting over the nearest records (fallback for
-    /// incomplete grids).
-    fn idw(&self, records: &[PerfRecord], resources: &ResourceVector) -> Option<QosReport> {
-        let mut weighted: Vec<(f64, u32)> = self
-            .recs
-            .iter()
-            .map(|&ri| (records[ri as usize].resources.distance(resources, &self.scales), ri))
+    /// Inverse-distance weighting over the four nearest records (the
+    /// fallback for incomplete grids), into `out`: the columns none of
+    /// them reports stay NaN.
+    fn idw(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) {
+        let mut weighted: Vec<(f64, usize)> = (0..self.recs.len())
+            .map(|pos| (self.record(records, pos).resources.distance(q, &self.scales), pos))
             .collect();
         weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let k = weighted.len().min(4);
-        let mut metric_names = BTreeSet::new();
-        for &(_, ri) in &weighted[..k] {
-            for (m, _) in records[ri as usize].metrics.iter() {
-                metric_names.insert(m);
-            }
-        }
-        let mut sums: BTreeMap<&str, f64> = metric_names.into_iter().map(|m| (m, 0.0)).collect();
         let mut total_w = 0.0;
-        for &(d, ri) in &weighted[..k] {
+        out.fill(f64::NAN);
+        for &(d, pos) in weighted.iter().take(4) {
             let w = 1.0 / (d + 1e-9);
-            for (m, v) in records[ri as usize].metrics.iter() {
-                if let Some(s) = sums.get_mut(m) {
-                    *s += w * v;
+            for (s, &v) in out.iter_mut().zip(self.row(pos)) {
+                if !v.is_nan() {
+                    *s = if s.is_nan() { 0.0 } else { *s } + w * v;
                 }
             }
             total_w += w;
         }
-        let mut out = QosReport::default();
-        for (m, s) in sums {
-            out.set(m, s / total_w);
+        for s in out.iter_mut() {
+            *s /= total_w;
         }
-        Some(out)
     }
 }
 
@@ -1478,7 +1632,7 @@ mod tests {
 
     fn cells_of(db: &PerfDb, config: &Configuration) -> &'static str {
         let idx = db.index();
-        match &idx.slice(config, "img").expect("slice exists").grid.cells {
+        match &idx.slice(config, "img").expect("slice exists").0.grid.cells {
             GridCells::Dense(_) => "dense",
             GridCells::Sparse(_) => "sparse",
             GridCells::Scan => "scan",

@@ -133,10 +133,13 @@ impl Constraint {
 
     /// Does `report` satisfy this constraint? A missing metric fails.
     pub fn satisfied_by(&self, report: &QosReport) -> bool {
-        match report.get(&self.metric) {
-            None => false,
-            Some(v) => self.min.is_none_or(|m| v >= m) && self.max.is_none_or(|m| v <= m),
-        }
+        self.admits(report.get(&self.metric))
+    }
+
+    /// The rule behind [`satisfied_by`](Self::satisfied_by), on the
+    /// metric's value alone (`None`: the metric is missing, and fails).
+    pub(crate) fn admits(&self, value: Option<f64>) -> bool {
+        value.is_some_and(|v| self.min.is_none_or(|m| v >= m) && self.max.is_none_or(|m| v <= m))
     }
 
     /// How badly `report` violates this constraint, as a relative
@@ -144,8 +147,14 @@ impl Constraint {
     /// metric counts as a large fixed penalty so configurations that do
     /// not even report the metric rank last.
     pub fn violation(&self, report: &QosReport) -> f64 {
+        self.violation_of(report.get(&self.metric))
+    }
+
+    /// The rule behind [`violation`](Self::violation), on the metric's
+    /// value alone.
+    pub(crate) fn violation_of(&self, value: Option<f64>) -> f64 {
         const MISSING_METRIC_PENALTY: f64 = 1e9;
-        let Some(v) = report.get(&self.metric) else {
+        let Some(v) = value else {
             return MISSING_METRIC_PENALTY;
         };
         let mut s = 0.0;
@@ -183,7 +192,13 @@ impl Objective {
     /// True when `a` is strictly better than `b`. Reports missing the
     /// objective metric are never better.
     pub fn better(&self, a: &QosReport, b: &QosReport) -> bool {
-        match (a.get(&self.metric), b.get(&self.metric)) {
+        self.better_value(a.get(&self.metric), b.get(&self.metric))
+    }
+
+    /// The rule behind [`better`](Self::better), on the two objective
+    /// values alone (`None`: the metric is missing, and is never better).
+    pub(crate) fn better_value(&self, a: Option<f64>, b: Option<f64>) -> bool {
+        match (a, b) {
             (Some(x), Some(y)) => self.sense.better(x, y),
             (Some(_), None) => true,
             _ => false,

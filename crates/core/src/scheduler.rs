@@ -11,22 +11,25 @@
 //! representative data is used ... If no candidate configurations exist,
 //! the next preferred user constraint is examined."
 //!
-//! # Decision memoization
+//! # Decision context
 //!
 //! One decision probes the database heavily: the validity-region walk
 //! re-evaluates "is `config` still the best choice?" at every sampled
-//! axis value, and each such check needs predictions for *every*
-//! configuration. Many of those `(config, probe)` pairs repeat (the walk
-//! revisits the center point per axis, and the objective comparison needs
-//! the full prediction row at each probe), so a `DecisionCtx` shares a
-//! per-decision memo: the candidate list is fetched from the database
-//! index once, and each distinct probe's prediction row is computed once
-//! and reused across the selection loop, the region walk, and the
-//! per-probe optimality checks. A decision is those two halves in order:
-//! `choose_excluding` = selection + region; [`ResourceScheduler::select`]
-//! is the selection alone, for callers that need no region.
+//! axis value. A `DecisionCtx` takes one snapshot of the database index
+//! for the whole decision and works on candidate positions and flat
+//! metric rows; a `Configuration` is cloned for the winner and a
+//! `QosReport` built for its prediction only when the answer leaves the
+//! scheduler. Each preference is resolved to row columns once. The
+//! selection predicts every candidate at the measured point and keeps
+//! that row for the walk, which revisits the point on every axis. A
+//! region probe predicts `config` first and then the other candidates
+//! one at a time, and stops at the first that satisfies the preference
+//! and beats it: a check costs as many predictions as it takes to lose,
+//! and only a check that holds predicts every candidate. A decision is
+//! those two halves in order: `choose_excluding` = selection + region;
+//! [`ResourceScheduler::select`] is the selection alone, for callers
+//! that need no region.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use obs::Adaptive;
@@ -34,7 +37,7 @@ use obs::Adaptive;
 use crate::env::ResourceVector;
 use crate::monitor::ValidityRegion;
 use crate::param::Configuration;
-use crate::perfdb::{PerfDb, PredictMode};
+use crate::perfdb::{Candidates, PerfDb, PredictMode};
 use crate::qos::{Preference, PreferenceList, QosReport};
 
 /// The scheduler's choice.
@@ -120,54 +123,115 @@ struct SchedObs {
     choose_span: obs::MetricId,
 }
 
-/// Per-decision working state: the candidate configurations (fetched from
-/// the database index once per decision, not once per probe) and a memo of
-/// prediction rows keyed by probe point.
-struct DecisionCtx {
-    /// All configurations profiled for the input (plus, for
-    /// [`ResourceScheduler::validity_region`], the config under test when
-    /// it is not in the database). Optimality checks compare against every
-    /// entry; the choose loop additionally honors `eligible`.
-    configs: Vec<Configuration>,
+/// Per-decision working state: the input's candidates (one index
+/// snapshot per decision) and their predictions at the decision's point
+/// and at the region walk's current probe.
+struct DecisionCtx<'a> {
+    cands: Candidates<'a>,
     /// False for configurations excluded from selection (failed steering
-    /// negotiation, §6.3). Excluded configs still participate in
-    /// optimality comparisons, exactly like the unmemoized code path.
+    /// negotiation, §6.3). Excluded candidates still compete in
+    /// optimality checks.
     eligible: Vec<bool>,
-    /// probe point -> predictions for each config (parallel to `configs`).
-    memo: HashMap<Vec<u64>, Vec<Option<QosReport>>>,
+    /// Predictions at the point the decision is made for.
+    center: Probe,
+    /// Predictions at the region walk's current probe.
+    probe: Probe,
 }
 
-/// What the selection loop settled: the winning candidate's index into
-/// `ctx.configs`, its rank and prediction, and the context to walk its
-/// validity region with.
-struct Selected {
-    ctx: DecisionCtx,
+impl<'a> DecisionCtx<'a> {
+    fn new(cands: Candidates<'a>, eligible: Vec<bool>) -> Self {
+        let (center, probe) = (Probe::new(&cands), Probe::new(&cands));
+        DecisionCtx { cands, eligible, center, probe }
+    }
+}
+
+/// Every candidate's metric row at one point, each predicted on first
+/// use: candidate `i`'s row is `rows[i * width..][..width]` once
+/// `done[i]`.
+struct Probe {
+    rows: Vec<f64>,
+    done: Vec<bool>,
+    width: usize,
+}
+
+impl Probe {
+    fn new(cands: &Candidates) -> Self {
+        let width = cands.metric_names().len();
+        Probe { rows: vec![f64::NAN; cands.len() * width], done: vec![false; cands.len()], width }
+    }
+
+    /// Predict candidate `i` at `at` unless it already is.
+    fn fill(&mut self, cands: &Candidates, at: &ResourceVector, i: usize) {
+        if !self.done[i] {
+            cands.predict_into(i, at, &mut self.rows[i * self.width..(i + 1) * self.width]);
+            self.done[i] = true;
+        }
+    }
+
+    /// Forget every prediction, for a new point.
+    fn clear(&mut self) {
+        self.done.fill(false);
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        debug_assert!(self.done[i], "candidate {i} read before it was predicted");
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// A preference with its metrics resolved to row columns: the rules are
+/// `Constraint`'s and `Objective`'s own, applied to row values.
+struct Resolved<'p> {
+    pref: &'p Preference,
+    /// Column of each constraint's metric, parallel to
+    /// `pref.constraints`; `None` when no candidate reports it.
+    constraints: Vec<Option<usize>>,
+    objective: Option<usize>,
+}
+
+impl<'p> Resolved<'p> {
+    fn new(pref: &'p Preference, cands: &Candidates) -> Self {
+        Resolved {
+            pref,
+            constraints: pref.constraints.iter().map(|c| cands.column(&c.metric)).collect(),
+            objective: cands.column(&pref.objective.metric),
+        }
+    }
+
+    fn satisfied_by(&self, row: &[f64]) -> bool {
+        let mut cols = self.pref.constraints.iter().zip(&self.constraints);
+        cols.all(|(c, &col)| c.admits(value(row, col)))
+    }
+
+    fn better(&self, a: &[f64], b: &[f64]) -> bool {
+        self.pref.objective.better_value(value(a, self.objective), value(b, self.objective))
+    }
+
+    /// `Preference::violation_score` of the row.
+    fn violation_score(&self, row: &[f64]) -> f64 {
+        let cols = self.pref.constraints.iter().zip(&self.constraints);
+        cols.map(|(c, &col)| c.violation_of(value(row, col))).sum()
+    }
+}
+
+/// A row's value in column `col`; NaN marks an absent metric.
+fn value(row: &[f64], col: Option<usize>) -> Option<f64> {
+    col.map(|c| row[c]).filter(|v| !v.is_nan())
+}
+
+/// What the selection loop settled: the winning candidate's position,
+/// its rank, and the context to walk its validity region with.
+struct Selected<'a> {
+    ctx: DecisionCtx<'a>,
     chosen: usize,
     rank: usize,
-    predicted: QosReport,
 }
 
-/// Memo key: the probe's values, bit-exact. All probes within one decision
-/// share the key *set* (they are single-axis perturbations of the same
-/// center point), so the values alone identify the probe.
-fn probe_key(probe: &ResourceVector) -> Vec<u64> {
-    probe.iter().map(|(_, v)| v.to_bits()).collect()
-}
-
-/// The memoized prediction row for `probe`, computing it on first use.
-/// A free function over the memo field (rather than a `DecisionCtx`
-/// method) so callers can keep reading `configs`/`eligible` while the row
-/// borrow is live.
-fn memoized<'m>(
-    memo: &'m mut HashMap<Vec<u64>, Vec<Option<QosReport>>>,
-    configs: &[Configuration],
-    db: &PerfDb,
-    input: &str,
-    mode: PredictMode,
-    probe: &ResourceVector,
-) -> &'m [Option<QosReport>] {
-    memo.entry(probe_key(probe))
-        .or_insert_with(|| configs.iter().map(|c| db.predict(c, input, probe, mode)).collect())
+impl Selected<'_> {
+    /// The winner's prediction at the decision's point.
+    fn predicted(&self) -> QosReport {
+        self.ctx.cands.report(self.ctx.center.row(self.chosen))
+    }
 }
 
 impl ResourceScheduler {
@@ -314,12 +378,12 @@ impl ResourceScheduler {
     /// the validity-region walk is most of a decision's cost. Untimed;
     /// `"scheduler.choose"` keeps measuring whole decisions.
     pub fn select(&self, resources: &ResourceVector) -> Option<Selection> {
-        let Selected { mut ctx, chosen, rank, predicted } =
-            self.select_ctx(&self.db(), &self.prefs(), resources, &[])?;
+        let db = self.db();
+        let sel = self.select_ctx(&db, &self.prefs(), resources, &[])?;
         Some(Selection {
-            config: ctx.configs.swap_remove(chosen),
-            predicted,
-            preference_rank: rank,
+            config: sel.ctx.cands.config(sel.chosen).clone(),
+            predicted: sel.predicted(),
+            preference_rank: sel.rank,
         })
     }
 
@@ -341,14 +405,13 @@ impl ResourceScheduler {
         let prefs = self.prefs.get();
         let db_version = self.db_version();
         let db = self.db();
-        let Selected { mut ctx, chosen, rank, predicted } =
-            self.select_ctx(&db, &prefs, resources, excluded)?;
+        let mut sel = self.select_ctx(&db, &prefs, resources, excluded)?;
         let validity =
-            self.validity_region_ctx(&db, &mut ctx, chosen, &prefs.prefs[rank], resources);
+            validity_region_ctx(&mut sel.ctx, sel.chosen, &prefs.prefs[sel.rank], resources);
         Some(Decision {
-            config: ctx.configs.swap_remove(chosen),
-            predicted,
-            preference_rank: rank,
+            config: sel.ctx.cands.config(sel.chosen).clone(),
+            predicted: sel.predicted(),
+            preference_rank: sel.rank,
             validity,
             best_effort: false,
             pref_version,
@@ -356,40 +419,42 @@ impl ResourceScheduler {
         })
     }
 
-    /// The one selection loop: fetch the candidates, predict the row at
-    /// `resources`, and walk the preference ranks until one has a
-    /// satisfying eligible candidate, taking that rank's objective-best.
-    /// The context comes back with the row memoized, so a region walk
-    /// that follows re-predicts nothing at the center point.
-    fn select_ctx(
+    /// The one selection loop: predict every candidate at `resources`,
+    /// and walk the preference ranks until one has a satisfying eligible
+    /// candidate, taking that rank's objective-best. The context comes
+    /// back with the row kept, so a region walk that follows re-predicts
+    /// nothing at the center point.
+    fn select_ctx<'a>(
         &self,
-        db: &PerfDb,
+        db: &'a PerfDb,
         prefs: &PreferenceList,
         resources: &ResourceVector,
         excluded: &[Configuration],
-    ) -> Option<Selected> {
-        let configs = db.configs(&self.input);
-        let eligible: Vec<bool> = configs.iter().map(|c| !excluded.contains(c)).collect();
+    ) -> Option<Selected<'a>> {
+        let cands = db.candidates(&self.input, self.mode)?;
+        let eligible: Vec<bool> =
+            (0..cands.len()).map(|i| !excluded.contains(cands.config(i))).collect();
         if !eligible.contains(&true) {
             return None;
         }
-        let mut ctx = DecisionCtx { configs, eligible, memo: HashMap::new() };
-        let preds = memoized(&mut ctx.memo, &ctx.configs, db, &self.input, self.mode, resources);
-        let (rank, chosen, predicted) =
-            prefs.prefs.iter().enumerate().find_map(|(rank, pref)| {
-                let mut best: Option<(usize, &QosReport)> = None;
-                for (i, pred) in preds.iter().enumerate() {
-                    let Some(pred) = pred else { continue };
-                    if ctx.eligible[i]
-                        && pref.satisfied_by(pred)
-                        && best.is_none_or(|(_, b)| pref.objective.better(pred, b))
-                    {
-                        best = Some((i, pred));
-                    }
+        let mut ctx = DecisionCtx::new(cands, eligible);
+        for i in 0..ctx.cands.len() {
+            ctx.center.fill(&ctx.cands, resources, i);
+        }
+        let (rank, chosen) = prefs.prefs.iter().enumerate().find_map(|(rank, pref)| {
+            let pref = Resolved::new(pref, &ctx.cands);
+            let mut best: Option<usize> = None;
+            for i in (0..ctx.cands.len()).filter(|&i| ctx.eligible[i]) {
+                let row = ctx.center.row(i);
+                if pref.satisfied_by(row)
+                    && best.is_none_or(|b| pref.better(row, ctx.center.row(b)))
+                {
+                    best = Some(i);
                 }
-                best.map(|(i, pred)| (rank, i, pred.clone()))
-            })?;
-        Some(Selected { ctx, chosen, rank, predicted })
+            }
+            best.map(|i| (rank, i))
+        })?;
+        Some(Selected { ctx, chosen, rank })
     }
 
     /// When no configuration satisfies any preference: pick the one with
@@ -409,67 +474,37 @@ impl ResourceScheduler {
         let pref = prefs.prefs.last()?;
         let db_version = self.db_version();
         let db = self.db();
-        let configs = db.configs(&self.input);
-        let mut best: Option<(usize, f64, QosReport)> = None;
-        for (i, c) in configs.iter().enumerate() {
-            if excluded.contains(c) {
+        let cands = db.candidates(&self.input, self.mode)?;
+        let pref = Resolved::new(pref, &cands);
+        let mut preds = Probe::new(&cands);
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..cands.len() {
+            if excluded.contains(cands.config(i)) {
                 continue;
             }
-            let Some(pred) = db.predict(c, &self.input, resources, self.mode) else {
-                continue;
-            };
-            let score = pref.violation_score(&pred);
-            let better = match &best {
+            preds.fill(&cands, resources, i);
+            let score = pref.violation_score(preds.row(i));
+            let better = match best {
                 None => true,
-                Some((_, s, bp)) => {
+                Some((b, s)) => {
                     score < s - 1e-12
-                        || ((score - s).abs() <= 1e-12 && pref.objective.better(&pred, bp))
+                        || ((score - s).abs() <= 1e-12 && pref.better(preds.row(i), preds.row(b)))
                 }
             };
             if better {
-                best = Some((i, score, pred));
+                best = Some((i, score));
             }
         }
-        let (bi, _, predicted) = best?;
+        let (bi, _) = best?;
         Some(Decision {
-            config: configs[bi].clone(),
-            predicted,
+            config: cands.config(bi).clone(),
+            predicted: cands.report(preds.row(bi)),
             preference_rank: prefs.prefs.len().saturating_sub(1),
             validity: ValidityRegion::unbounded(),
             best_effort: true,
             pref_version,
             db_version,
         })
-    }
-
-    /// True when config `chosen` both satisfies `pref` and remains the
-    /// best (objective-optimal) satisfying candidate at `probe`.
-    fn is_choice_at_ctx(
-        &self,
-        db: &PerfDb,
-        ctx: &mut DecisionCtx,
-        chosen: usize,
-        pref: &Preference,
-        probe: &ResourceVector,
-    ) -> bool {
-        let preds = memoized(&mut ctx.memo, &ctx.configs, db, &self.input, self.mode, probe);
-        let Some(mine) = preds[chosen].as_ref() else {
-            return false;
-        };
-        if !pref.satisfied_by(mine) {
-            return false;
-        }
-        for (i, pred) in preds.iter().enumerate() {
-            if i == chosen {
-                continue;
-            }
-            if let Some(pred) = pred {
-                if pref.satisfied_by(pred) && pref.objective.better(pred, mine) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Compute the resource region around `around` within which `config`
@@ -484,74 +519,82 @@ impl ResourceScheduler {
         around: &ResourceVector,
     ) -> ValidityRegion {
         let db = self.db();
-        let configs = db.configs(&self.input);
-        let eligible = vec![true; configs.len()];
-        let mut ctx = DecisionCtx { configs, eligible, memo: HashMap::new() };
-        // The config under test is usually one of the candidates; when it
-        // is not (caller probing a hypothetical), append it so memo rows
-        // stay parallel to `ctx.configs`.
-        let chosen = match ctx.configs.iter().position(|c| c == config) {
-            Some(i) => i,
-            None => {
-                ctx.configs.push(config.clone());
-                ctx.eligible.push(true);
-                ctx.configs.len() - 1
-            }
+        let Some(cands) = db.candidates(&self.input, self.mode) else {
+            return ValidityRegion::new();
         };
-        self.validity_region_ctx(&db, &mut ctx, chosen, pref, around)
+        // A configuration never profiled for the input has no sampled
+        // axis to walk.
+        let Some(chosen) = (0..cands.len()).position(|i| cands.config(i) == config) else {
+            return ValidityRegion::new();
+        };
+        let eligible = vec![true; cands.len()];
+        validity_region_ctx(&mut DecisionCtx::new(cands, eligible), chosen, pref, around)
     }
+}
 
-    fn validity_region_ctx(
-        &self,
-        db: &PerfDb,
-        ctx: &mut DecisionCtx,
-        chosen: usize,
-        pref: &Preference,
-        around: &ResourceVector,
-    ) -> ValidityRegion {
-        let mut region = ValidityRegion::new();
-        let axes = db.axes(&ctx.configs[chosen], &self.input);
-        for axis in axes {
-            let Some(center) = around.get(&axis) else { continue };
-            let samples = db.axis_values(&ctx.configs[chosen], &self.input, &axis);
-            if samples.is_empty() {
-                continue;
+/// The region walk of [`ResourceScheduler::validity_region`], for candidate
+/// `chosen` over a decision's context.
+fn validity_region_ctx(
+    ctx: &mut DecisionCtx,
+    chosen: usize,
+    pref: &Preference,
+    around: &ResourceVector,
+) -> ValidityRegion {
+    let DecisionCtx { cands, center, probe, .. } = ctx;
+    let pref = Resolved::new(pref, cands);
+    let mut region = ValidityRegion::new();
+    // One probe buffer for the walk: only the walked axis's value
+    // differs from `around`, and it is put back after each axis.
+    let mut at = around.clone();
+    for (axis, samples) in cands.axes(chosen) {
+        let Some(c) = around.get(axis) else { continue };
+        let (Some(&min_s), Some(&max_s)) = (samples.first(), samples.last()) else {
+            continue;
+        };
+        let mut holds = |v: f64| {
+            if v.to_bits() == c.to_bits() {
+                // The decision's own point: the selection predicted
+                // this row already.
+                return is_choice_at(cands, center, chosen, &pref, around);
             }
-            // One probe buffer per axis: only this axis's value changes
-            // during the walk.
-            let mut probe = around.clone();
-            // Walk down from the center.
-            let mut lo = center;
-            for &v in samples.iter().rev().filter(|&&v| v <= center) {
-                probe.set(axis.clone(), v);
-                if self.is_choice_at_ctx(db, ctx, chosen, pref, &probe) {
-                    lo = v;
-                } else {
-                    break;
-                }
-            }
-            // Walk up from the center.
-            let mut hi = center;
-            for &v in samples.iter().filter(|&&v| v >= center) {
-                probe.set(axis.clone(), v);
-                if self.is_choice_at_ctx(db, ctx, chosen, pref, &probe) {
-                    hi = v;
-                } else {
-                    break;
-                }
-            }
-            // Extend to the sampled extremes when they satisfy: beyond the
-            // sampled range, prediction clamps, so validity extends to
-            // infinity on a satisfied edge.
-            let (Some(&min_s), Some(&max_s)) = (samples.first(), samples.last()) else {
-                continue;
-            };
-            let lo_bound = if (lo - min_s).abs() < 1e-12 { 0.0 } else { lo };
-            let hi_bound = if (hi - max_s).abs() < 1e-12 { f64::INFINITY } else { hi };
-            region = region.with_range(axis, lo_bound.min(center), hi_bound.max(center));
-        }
-        region
+            at.set(axis.clone(), v);
+            probe.clear();
+            is_choice_at(cands, probe, chosen, &pref, &at)
+        };
+        // Walk down, then up, from the center.
+        let lo = samples.iter().rev().filter(|&&v| v <= c).take_while(|&&v| holds(v)).last();
+        let hi = samples.iter().filter(|&&v| v >= c).take_while(|&&v| holds(v)).last();
+        at.set(axis.clone(), c);
+        let (lo, hi) = (lo.copied().unwrap_or(c), hi.copied().unwrap_or(c));
+        // Extend to the sampled extremes when they satisfy: beyond the
+        // sampled range, prediction clamps, so validity extends to
+        // infinity on a satisfied edge.
+        let lo_bound = if (lo - min_s).abs() < 1e-12 { 0.0 } else { lo };
+        let hi_bound = if (hi - max_s).abs() < 1e-12 { f64::INFINITY } else { hi };
+        region = region.with_range(axis.clone(), lo_bound.min(c), hi_bound.max(c));
     }
+    region
+}
+
+/// True when candidate `chosen` satisfies `pref` and no other candidate
+/// that satisfies it is better at `at`. Predicts `chosen` first, then the
+/// others in index order, and answers at the first that beats it.
+fn is_choice_at(
+    cands: &Candidates,
+    preds: &mut Probe,
+    chosen: usize,
+    pref: &Resolved,
+    at: &ResourceVector,
+) -> bool {
+    preds.fill(cands, at, chosen);
+    if !pref.satisfied_by(preds.row(chosen)) {
+        return false;
+    }
+    (0..cands.len()).filter(|&i| i != chosen).all(|i| {
+        preds.fill(cands, at, i);
+        let other = preds.row(i);
+        !(pref.satisfied_by(other) && pref.better(other, preds.row(chosen)))
+    })
 }
 
 #[cfg(test)]

@@ -126,6 +126,17 @@ if grep -rnE --include='*.rs' "$gone" crates src tests examples | grep -vF "$gon
     exit 1
 fi
 
+stage "one decision path"
+# A scheduler decision prices its candidates through the database's
+# candidate view, on flat metric rows (DESIGN.md §9). This keeps the
+# deleted per-probe memo of whole reports out of library source, and the
+# report-shaped `PerfDb::predict` out of the scheduler.
+if grep -rnE 'fn memoized|Vec<Option<QosReport>>' crates/*/src ||
+    grep -nF '.predict(' crates/core/src/scheduler.rs; then
+    echo "the lines above bring back a second decision path" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
