@@ -15,10 +15,14 @@
 //! | spans with exporters disabled against no exporter | 0.9931 | 0.95 |
 //! | spans with retention enabled against no exporter | 0.4287 | 0.34 |
 //! | `choose` against the whole-report decision oracle | 4.92–7.78 (median 6.04) | 3.9 |
+//! | `PerfDb::predict` against the linear-scan oracle | 7.85–16.66 (median 12.68) | 6.2 |
 //!
 //! The decision check runs 192 decisions per round on `visapp::model_db`
 //! (12 configurations, three preference profiles, an 8 x 8 grid of
 //! points) and takes its floor from the lowest of 13 measured ratios.
+//! The prediction check predicts each of the 12 configurations at the
+//! same 64 points, 20 rounds per run, and takes its floor from the lowest
+//! of 13 measured ratios.
 //!
 //! Timing means nothing unoptimized or beside another busy test, so every
 //! check is `#[ignore]`d; run them with
@@ -28,8 +32,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use adapt_core::{
-    Configuration, PerfDb, PredictMode, Preference, PreferenceList, QosReport, ResourceScheduler,
-    ResourceVector, ValidityRegion,
+    Configuration, PerfDb, PerfRecord, PredictMode, Preference, PreferenceList, QosReport,
+    ResourceKey, ResourceScheduler, ResourceVector, ValidityRegion,
 };
 use obs::{Adaptive, Command, CommandRouter, ConfigRegistry, Obs};
 use visapp::{client_cpu_key, client_net_key, model_db, LoadGenOpts, QosProfile, PROFILE_INPUT};
@@ -39,6 +43,9 @@ use visapp::{client_cpu_key, client_net_key, model_db, LoadGenOpts, QosProfile, 
 #[allow(dead_code)]
 #[path = "../../core/tests/support/decision_oracle.rs"]
 mod decision_oracle;
+
+#[path = "../../core/tests/support/scan_oracle.rs"]
+mod scan_oracle;
 
 /// Runs per side.
 const RUNS: usize = 5;
@@ -72,6 +79,20 @@ fn assert_floor(
     let ratio = best_base.as_secs_f64() / best_side.as_secs_f64();
     eprintln!("{check}: {ratio:.3} (floor {floor})");
     assert!(ratio >= floor, "{check}: {ratio:.3} is below the {floor} floor");
+}
+
+/// An 8 x 8 grid of client CPU shares and link bandwidths, from a
+/// starved client to one with the whole link.
+fn grid_points(opts: &LoadGenOpts) -> Vec<ResourceVector> {
+    (0..8)
+        .flat_map(|i| {
+            (0..8).map(move |j| {
+                let cpu = 0.2 + 0.125 * i as f64;
+                let net = opts.link_bps * (0.05 + 0.2 * j as f64);
+                ResourceVector::new(&[(client_cpu_key(), cpu), (client_net_key(), net)])
+            })
+        })
+        .collect()
 }
 
 /// Sum `READS` values through `read`.
@@ -170,15 +191,7 @@ fn span_retention_costs_a_bounded_factor() {
 fn a_decision_on_rows_outpaces_the_whole_report_oracle() {
     let opts = LoadGenOpts::new(1);
     let db = model_db(&opts);
-    let points: Vec<ResourceVector> = (0..8)
-        .flat_map(|i| {
-            (0..8).map(move |j| {
-                let cpu = 0.2 + 0.125 * i as f64;
-                let net = opts.link_bps * (0.05 + 0.2 * j as f64);
-                ResourceVector::new(&[(client_cpu_key(), cpu), (client_net_key(), net)])
-            })
-        })
-        .collect();
+    let points = grid_points(&opts);
     let cases: Vec<(ResourceScheduler, PreferenceList)> =
         [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput]
             .map(|p| {
@@ -225,5 +238,40 @@ fn a_decision_on_rows_outpaces_the_whole_report_oracle() {
                 }
             })
         },
+    );
+}
+
+#[test]
+#[ignore = "wall-clock: run in release on one test thread"]
+fn an_indexed_prediction_outpaces_the_linear_scan() {
+    let opts = LoadGenOpts::new(1);
+    let db = model_db(&opts);
+    let points = grid_points(&opts);
+    let configs = db.configs(PROFILE_INPUT);
+    assert_eq!(configs.len(), 12);
+    let mode = PredictMode::Interpolate;
+    for c in &configs {
+        for v in &points {
+            let scan = scan_oracle::predict(&db, c, PROFILE_INPUT, v, mode);
+            assert_eq!(db.predict(c, PROFILE_INPUT, v, mode), scan, "{c:?} at {v}");
+        }
+    }
+    const ROUNDS: usize = 20;
+    let predict_all = |predict: &dyn Fn(&Configuration, &ResourceVector) -> Option<QosReport>| {
+        time(|| {
+            for _ in 0..ROUNDS {
+                for c in &configs {
+                    for v in &points {
+                        black_box(predict(c, v));
+                    }
+                }
+            }
+        })
+    };
+    assert_floor(
+        "PerfDb::predict against the linear-scan oracle",
+        6.2,
+        || predict_all(&|c, v| db.predict(c, PROFILE_INPUT, v, mode)),
+        || predict_all(&|c, v| scan_oracle::predict(&db, c, PROFILE_INPUT, v, mode)),
     );
 }

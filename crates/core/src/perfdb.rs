@@ -1731,6 +1731,45 @@ mod tests {
         let qs = on(&[diag(4.0, 4.0), diag(4.3, 4.0), diag(4.5, 4.5), diag(40.0, 0.5)]);
         digests.push(("scan", answers_digest(&scan, &qs, PredictMode::Interpolate)));
 
+        // A slice wider than the interpolation bound: 9 axes, so blends
+        // fall back to IDW. A diagonal, a duplicate of one of its points
+        // (the first record wins), a corner, and a record missing an axis.
+        let wide_axes: Vec<ResourceKey> =
+            (0..9).map(|h| ResourceKey::net(&format!("w{h}"))).collect();
+        let wide_at = |first: f64, rest: f64, n: usize| {
+            let mut r = ResourceVector::default();
+            for (i, k) in wide_axes.iter().take(n).enumerate() {
+                r.set(k.clone(), if i == 0 { first } else { rest } * 1e5);
+            }
+            r
+        };
+        let mut wide_recs: Vec<(ResourceVector, QosReport)> = (1..=6)
+            .map(|i| {
+                let v = i as f64;
+                (wide_at(v, v, 9), QosReport::new(&[("t", 30.0 / v + 1.0), ("u", v * 0.5)]))
+            })
+            .collect();
+        wide_recs.push((wide_at(3.0, 3.0, 9), QosReport::new(&[("t", 99.0), ("u", -1.0)])));
+        wide_recs.push((wide_at(5.0, 2.0, 9), QosReport::new(&[("t", 7.25)])));
+        wide_recs.push((wide_at(4.0, 4.0, 8), QosReport::new(&[("t", 11.0), ("w", 2.0)])));
+        let mut wide = PerfDb::new();
+        for (resources, metrics) in wide_recs {
+            wide.add(PerfRecord { config: c1.clone(), resources, input: "img".into(), metrics });
+        }
+        let hit = wide.predict(&c1, "img", &wide_at(3.0, 3.0, 9), PredictMode::Interpolate);
+        assert_eq!(hit.unwrap().get("t"), Some(11.0), "the first record at a point wins");
+        let qs = on(&[
+            wide_at(3.0, 3.0, 9),
+            wide_at(3.0 + 1e-9, 3.0, 9),
+            wide_at(5.0, 2.0, 9),
+            wide_at(4.0, 4.0, 8),
+            wide_at(2.5, 2.5, 9),
+            wide_at(4.5, 1.5, 9),
+            wide_at(9.0, 0.5, 8),
+        ]);
+        digests.push(("wide", answers_digest(&wide, &qs, PredictMode::Interpolate)));
+        digests.push(("wide nearest", answers_digest(&wide, &qs, PredictMode::Nearest)));
+
         // Ragged slice: IDW and nearest over scattered points.
         let mut ragged = PerfDb::new();
         ragged.add(rec(&[("c", 1)], 0.2, 100_000.0, 60.0));
@@ -1780,6 +1819,8 @@ mod tests {
             ("sparse", 0xd90a_e589_a807_3b17),
             ("sparse nearest", 0x6bf7_a611_42da_f06e),
             ("scan", 0x9360_1bc6_fecf_fd2f),
+            ("wide", 0xefdf_cec4_4ad8_d5b4),
+            ("wide nearest", 0xdadf_9b31_d818_88cf),
             ("idw", 0x819c_f9bc_9996_2965),
             ("ragged nearest", 0xc44b_2a96_c4c8_b6b8),
             ("missing metric", 0x0c9f_7dc6_55cd_0e0d),

@@ -545,6 +545,82 @@ mod index_props {
             prop_assert!((p - expect).abs() < 1e-9 * expect.abs().max(1.0));
         }
     }
+
+    /// The sampled values of every axis of a wide slice.
+    const LEVELS: [f64; 3] = [0.25, 0.5, 1.0];
+
+    /// A point on axes `h0..h{k-1}`, axis `a` at `at(a)`, without the
+    /// `dropped` axis.
+    fn wide_point(k: usize, at: impl Fn(usize) -> f64, dropped: Option<usize>) -> ResourceVector {
+        let mut r = ResourceVector::default();
+        for a in (0..k).filter(|&a| Some(a) != dropped) {
+            r.set(ResourceKey::cpu(&format!("h{a}")), at(a));
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Slices on both sides of the index's axis bound (8 axes): a
+        /// diagonal, corner records one or two axes off it, duplicate
+        /// points and records missing an axis. Up to the bound a blend
+        /// reads 2^k lattice corners; past it every record is off the
+        /// lattice and a blend falls back to IDW. Either way the index
+        /// answers as the scan does, at every record's point and off the
+        /// grid, in both modes.
+        #[test]
+        fn slices_across_the_axis_bound_match_the_linear_scan(
+            k in 7usize..=10,
+            corners in proptest::collection::vec(
+                (0usize..2, proptest::collection::vec(0usize..10, 1..3)), 0..12),
+            dups in proptest::collection::vec(0usize..32, 0..3),
+            missing in proptest::collection::vec((0usize..3, 0usize..10), 0..3),
+            queries in proptest::collection::vec(
+                (0usize..2,
+                 proptest::collection::vec((0usize..10, -0.5f64..1.5), 0..3),
+                 proptest::option::of(0usize..10)), 1..6),
+        ) {
+            let cfg = Configuration::new(&[("x", 1)]);
+            let mut points: Vec<ResourceVector> =
+                LEVELS.iter().map(|&v| wide_point(k, |_| v, None)).collect();
+            for (base, raised) in &corners {
+                let up = |a: usize| raised.iter().any(|&r| r % k == a) as usize;
+                points.push(wide_point(k, |a| LEVELS[base + up(a)], None));
+            }
+            for &(l, axis) in &missing {
+                points.push(wide_point(k, |_| LEVELS[l], Some(axis % k)));
+            }
+            for &d in &dups {
+                points.push(points[d % points.len()].clone());
+            }
+            let mut db = PerfDb::new();
+            for (i, resources) in points.iter().enumerate() {
+                let t = 1.0 + resources.iter().map(|(_, v)| v).sum::<f64>() + 0.01 * i as f64;
+                let mut metrics = QosReport::new(&[("t", t)]);
+                if i % 3 != 1 {
+                    metrics.set("u", 10.0 - t);
+                }
+                let resources = resources.clone();
+                db.add(PerfRecord { config: cfg.clone(), resources, input: "a".into(), metrics });
+            }
+            let off_grid = queries.iter().map(|(base, bumps, dropped)| {
+                let at = |a: usize| {
+                    let bump = bumps.iter().rev().find(|(b, _)| b % k == a);
+                    let frac = bump.map_or(0.0, |&(_, f)| f);
+                    LEVELS[*base] + frac * (LEVELS[base + 1] - LEVELS[*base])
+                };
+                wide_point(k, at, dropped.map(|d| d % k))
+            });
+            for q in points.iter().cloned().chain(off_grid) {
+                for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
+                    let a = db.predict(&cfg, "a", &q, mode);
+                    let b = scan_oracle::predict(&db, &cfg, "a", &q, mode);
+                    check_equivalent(&a, &b, &format!("k={k} {q} {mode:?}"))?;
+                }
+            }
+        }
+    }
 }
 
 mod decision_props {
