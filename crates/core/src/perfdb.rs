@@ -22,10 +22,11 @@
 //!   its sorted distinct axis grid and per-axis scales precomputed, and
 //!   its records' metrics as flat **rows** of `f64` in the input's sorted
 //!   metric-name union (NaN where a record lacks a metric);
-//! - when a slice's full-signature records form a rectangular grid, a
-//!   **lattice** (dense cell table, or a hash table for huge grids) maps
-//!   grid positions to records, so interpolation is a per-axis binary
-//!   search plus a 2^d-corner blend of rows instead of a full scan.
+//! - a slice's full-signature records sit on a **lattice**: their grid
+//!   positions (one sample index per axis) in one sorted table, so an
+//!   exact match is a per-axis binary search plus one search of the table,
+//!   and interpolation a 2^d-corner blend of rows instead of a full scan.
+//!   The table holds one entry per record, whatever the grid's size.
 //!
 //! One kernel predicts into a row; [`PerfDb::predict`] turns that row into
 //! a [`QosReport`], and the scheduler's decisions read rows directly
@@ -43,7 +44,6 @@
 //! [`PerfDb::merge_similar`] (merge configurations with everywhere-similar
 //! behavior).
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 
@@ -80,16 +80,14 @@ pub enum PredictMode {
 /// Tolerance when matching axis coordinates.
 const AXIS_TOL: f64 = 1e-9;
 
-/// Lattices with at most this many cells use a flat vector; larger
-/// (sparse) grids fall back to a hash table keyed by cell id.
-const DENSE_CELL_CAP: u128 = 1 << 16;
+/// The most axes a lattice indexes, and so the most a multilinear blend
+/// (2^d corners) spans. A slice with more axes keeps every record off the
+/// lattice and blends by inverse-distance weighting.
+const MAX_AXES: usize = 8;
 
-/// Grids with more cells than this are not addressed at all (corner
-/// lookups scan the slice); far beyond any realistic profile sweep.
-const ADDRESSABLE_CELL_CAP: u128 = 1 << 40;
-
-/// Sentinel for an unfilled dense lattice cell.
-const EMPTY_CELL: u32 = u32::MAX;
+/// A lattice position: the sample index of a point on each slice axis,
+/// 0 past the last axis.
+type Cell = [u32; MAX_AXES];
 
 /// The profile database.
 ///
@@ -280,21 +278,13 @@ impl PerfDb {
         idx.slice(config, input).map(|(s, _)| s.axes.clone()).unwrap_or_default()
     }
 
-    /// True when the `(config, input)` slice's records form a complete
-    /// rectangular grid, i.e. interpolation uses the dense lattice without
-    /// ever falling back to inverse-distance weighting.
-    pub fn is_complete_grid(&self, config: &Configuration, input: &str) -> bool {
-        let idx = self.index();
-        idx.slice(config, input).is_some_and(|(s, _)| s.grid.complete)
-    }
-
     /// Predict quality metrics for `config` on `input` under `resources`.
     /// Returns `None` when the database has no records for the pair.
     ///
     /// Indexed: exact matches and interpolation corners are lattice
-    /// lookups (binary search per axis), so a query over a d-axis grid of
-    /// m samples per axis costs O(d log m + 2^d) instead of a scan over
-    /// every record.
+    /// lookups (binary searches), so a query over a d-axis grid of m
+    /// samples per axis and n records costs O(d log m + 2^d log n) instead
+    /// of a scan over every record.
     pub fn predict(
         &self,
         config: &Configuration,
@@ -644,7 +634,7 @@ struct Index {
 
 impl Index {
     fn build(records: &[PerfRecord]) -> Index {
-        assert!(records.len() < EMPTY_CELL as usize, "record count exceeds index capacity");
+        assert!(u32::try_from(records.len()).is_ok(), "record count exceeds index capacity");
         let mut configs: Vec<Configuration> = Vec::new();
         let mut config_ids: HashMap<Configuration, u32> = HashMap::new();
         let mut inputs: Vec<String> = Vec::new();
@@ -802,31 +792,13 @@ struct Slice {
     /// Where a blend starts: 0.0 in the columns some record of the slice
     /// reports, NaN in the others.
     blank: Vec<f64>,
-    /// Records whose axis set differs from `axes`; they can never sit on
-    /// the lattice but still participate in exact matching and IDW.
+    /// Records whose axis set differs from `axes` (every record, past
+    /// `MAX_AXES` axes); they can never sit on the lattice but still
+    /// participate in exact matching and IDW.
     offgrid: Vec<u32>,
-    grid: Grid,
-}
-
-/// The interpolation lattice of a slice's full-signature records.
-#[derive(Debug)]
-struct Grid {
-    /// Mixed-radix strides (parallel to `axes`): cell = Σ pos[i]·stride[i].
-    strides: Vec<u64>,
-    cells: GridCells,
-    /// True when every lattice cell holds a record.
-    complete: bool,
-}
-
-/// Lattice cells hold record positions within the slice.
-#[derive(Debug)]
-enum GridCells {
-    /// Flat cell table; `EMPTY_CELL` marks an unfilled cell.
-    Dense(Vec<u32>),
-    /// Hash table for grids too large for a flat table.
-    Sparse(HashMap<u64, u32>),
-    /// Grid too large to address at all; lookups scan the slice records.
-    Scan,
+    /// The other records' grid positions, sorted, each once, with the
+    /// slice position of the first record at it.
+    lattice: Vec<(Cell, u32)>,
 }
 
 impl Slice {
@@ -879,63 +851,19 @@ impl Slice {
             };
             scales.insert(axis.clone(), scale);
         }
-        // Lattice geometry.
-        let dims: Vec<u64> = axis_values.iter().map(|v| v.len() as u64).collect();
-        let total: u128 = dims.iter().map(|&d| d as u128).product();
-        let mut strides = vec![0u64; axes.len()];
-        if total <= ADDRESSABLE_CELL_CAP {
-            let mut s = 1u64;
-            for i in (0..axes.len()).rev() {
-                strides[i] = s;
-                s = s.saturating_mul(dims[i].max(1));
-            }
-        }
-        let mut cells = if total > ADDRESSABLE_CELL_CAP {
-            GridCells::Scan
-        } else if total <= DENSE_CELL_CAP {
-            GridCells::Dense(vec![EMPTY_CELL; total as usize])
-        } else {
-            GridCells::Sparse(HashMap::new())
-        };
         let mut offgrid = Vec::new();
-        let mut filled: u128 = 0;
-        if !matches!(cells, GridCells::Scan) {
-            for (pos, &ri) in recs.iter().enumerate() {
-                let pos = pos as u32;
-                match record_cell(&axes, &axis_values, &strides, &records[ri as usize]) {
-                    // First record at a cell wins, matching the scan
-                    // path's first-match semantics.
-                    Some(cell) => match &mut cells {
-                        GridCells::Dense(v) => {
-                            let slot = &mut v[cell as usize];
-                            if *slot == EMPTY_CELL {
-                                *slot = pos;
-                                filled += 1;
-                            }
-                        }
-                        GridCells::Sparse(m) => {
-                            if let Entry::Vacant(e) = m.entry(cell) {
-                                e.insert(pos);
-                                filled += 1;
-                            }
-                        }
-                        GridCells::Scan => unreachable!(),
-                    },
-                    None => offgrid.push(pos),
-                }
+        let mut lattice = Vec::new();
+        for (pos, &ri) in recs.iter().enumerate() {
+            match cell_of(&axes, &axis_values, &records[ri as usize].resources) {
+                Some(cell) => lattice.push((cell, pos as u32)),
+                None => offgrid.push(pos as u32),
             }
         }
-        let complete = !matches!(cells, GridCells::Scan) && filled == total;
-        Slice {
-            recs,
-            axes,
-            axis_values,
-            scales,
-            rows,
-            blank,
-            offgrid,
-            grid: Grid { strides, cells, complete },
-        }
+        // The sort is stable, so the dedup keeps the first record at each
+        // position: the scan path's first-match semantics.
+        lattice.sort_by_key(|&(cell, _)| cell);
+        lattice.dedup_by_key(|&mut (cell, _)| cell);
+        Slice { recs, axes, axis_values, scales, rows, blank, offgrid, lattice }
     }
 
     /// The record at slice position `pos`.
@@ -966,7 +894,7 @@ impl Slice {
         match mode {
             PredictMode::Nearest => out.copy_from_slice(self.row(self.nearest(records, q))),
             PredictMode::Interpolate => {
-                if !self.multilinear(records, q, out) {
+                if !self.multilinear(q, out) {
                     self.idw(records, q, out);
                 }
             }
@@ -974,43 +902,22 @@ impl Slice {
     }
 
     /// Position of the first record exactly matching `q` (the
-    /// [`same_point`] semantics of the scan path): lattice lookup for
-    /// full-signature queries plus a scan over the (usually empty)
+    /// [`same_point`] semantics of the scan path): a lattice lookup for
+    /// full-signature queries, then a scan over the (usually empty)
     /// off-grid records.
     fn exact_match(&self, records: &[PerfRecord], q: &ResourceVector) -> Option<usize> {
+        let cell = cell_of(&self.axes, &self.axis_values, q);
+        if let Some(pos) = cell.and_then(|cell| self.at_cell(cell)) {
+            return Some(pos);
+        }
         let matches = |pos: usize| same_point(&self.record(records, pos).resources, q);
-        if matches!(self.grid.cells, GridCells::Scan) {
-            return (0..self.recs.len()).find(|&pos| matches(pos));
-        }
-        if q.len() == self.axes.len() {
-            if let Some(pos) = self.query_cell(q).and_then(|cell| self.cell_record(cell)) {
-                return Some(pos);
-            }
-        }
         self.offgrid.iter().map(|&pos| pos as usize).find(|&pos| matches(pos))
     }
 
-    /// Cell id of `q` if every slice axis appears in `q` with a value on
-    /// the grid (relative tolerance, as in [`same_point`]).
-    fn query_cell(&self, q: &ResourceVector) -> Option<u64> {
-        let mut cell = 0u64;
-        for (i, axis) in self.axes.iter().enumerate() {
-            let v = q.get(axis)?;
-            let p = snap_pos(&self.axis_values[i], v)?;
-            cell += p as u64 * self.grid.strides[i];
-        }
-        Some(cell)
-    }
-
-    fn cell_record(&self, cell: u64) -> Option<usize> {
-        match &self.grid.cells {
-            GridCells::Dense(v) => {
-                let pos = *v.get(cell as usize)?;
-                (pos != EMPTY_CELL).then_some(pos as usize)
-            }
-            GridCells::Sparse(m) => m.get(&cell).map(|&pos| pos as usize),
-            GridCells::Scan => None,
-        }
+    /// Position of the first record at lattice position `cell`.
+    fn at_cell(&self, cell: Cell) -> Option<usize> {
+        let i = self.lattice.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
+        Some(self.lattice[i].1 as usize)
     }
 
     /// Position of the record nearest to `q`.
@@ -1031,13 +938,13 @@ impl Slice {
     /// query coordinates to the sampled range (edge extrapolation).
     /// Returns `false` when a needed corner record is missing (ragged
     /// slice), leaving `out` unspecified.
-    fn multilinear(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) -> bool {
+    fn multilinear(&self, q: &ResourceVector, out: &mut [f64]) -> bool {
         let d = self.axes.len();
-        if d == 0 || d > 8 {
+        if d == 0 || d > MAX_AXES {
             return false;
         }
         // Per axis: bracketing grid positions (lo, hi) and fraction t.
-        let mut brackets = [(0usize, 0usize, 0.0f64); 8];
+        let mut brackets = [(0u32, 0u32, 0.0f64); MAX_AXES];
         for (i, axis) in self.axes.iter().enumerate() {
             let vals = &self.axis_values[i];
             let Some(v) = q.get(axis) else { return false };
@@ -1049,12 +956,12 @@ impl Slice {
             brackets[i] = if hi_idx == 0 {
                 (0, 0, 0.0)
             } else if (vals[hi_idx.min(vals.len() - 1)] - v).abs() < AXIS_TOL {
-                let p = hi_idx.min(vals.len() - 1);
+                let p = hi_idx.min(vals.len() - 1) as u32;
                 (p, p, 0.0)
             } else {
                 let lo = vals[hi_idx - 1];
                 let hi = vals[hi_idx];
-                (hi_idx - 1, hi_idx, (v - lo) / (hi - lo))
+                (hi_idx as u32 - 1, hi_idx as u32, (v - lo) / (hi - lo))
             };
         }
         let brackets = &brackets[..d];
@@ -1062,16 +969,16 @@ impl Slice {
         let mut total_w = 0.0;
         for corner in 0..(1usize << d) {
             let mut weight = 1.0;
-            let mut cell = 0u64;
+            let mut cell = [0; MAX_AXES];
             for (i, &(lo, hi, t)) in brackets.iter().enumerate() {
                 let use_hi = corner & (1 << i) != 0;
                 weight *= if use_hi { t } else { 1.0 - t };
-                cell += (if use_hi { hi } else { lo }) as u64 * self.grid.strides[i];
+                cell[i] = if use_hi { hi } else { lo };
             }
             if weight <= 0.0 {
                 continue;
             }
-            let Some(pos) = self.corner_record(records, cell, brackets, corner) else {
+            let Some(pos) = self.at_cell(cell) else {
                 return false;
             };
             for (s, &v) in out.iter_mut().zip(self.row(pos)) {
@@ -1088,29 +995,6 @@ impl Slice {
             *s /= total_w;
         }
         true
-    }
-
-    fn corner_record(
-        &self,
-        records: &[PerfRecord],
-        cell: u64,
-        brackets: &[(usize, usize, f64)],
-        corner: usize,
-    ) -> Option<usize> {
-        match &self.grid.cells {
-            GridCells::Scan => {
-                // Unaddressable grid: reconstruct the corner point and scan.
-                let mut point = ResourceVector::default();
-                for (i, axis) in self.axes.iter().enumerate() {
-                    let (lo, hi, _) = brackets[i];
-                    let use_hi = corner & (1 << i) != 0;
-                    point.set(axis.clone(), self.axis_values[i][if use_hi { hi } else { lo }]);
-                }
-                (0..self.recs.len())
-                    .find(|&pos| same_point(&self.record(records, pos).resources, &point))
-            }
-            _ => self.cell_record(cell),
-        }
     }
 
     /// Inverse-distance weighting over the four nearest records (the
@@ -1138,22 +1022,16 @@ impl Slice {
     }
 }
 
-/// Grid position of the full-signature record `r`, or `None` when its
-/// axis set differs from the slice's (off-grid).
-fn record_cell(
-    axes: &[ResourceKey],
-    axis_values: &[Vec<f64>],
-    strides: &[u64],
-    r: &PerfRecord,
-) -> Option<u64> {
-    if r.resources.len() != axes.len() {
+/// The lattice position of `point`, or `None` unless `point` has exactly
+/// the slice's axes, at most `MAX_AXES` of them, each at a sampled value
+/// (relative tolerance, as in [`same_point`]).
+fn cell_of(axes: &[ResourceKey], axis_values: &[Vec<f64>], point: &ResourceVector) -> Option<Cell> {
+    if point.len() != axes.len() || axes.len() > MAX_AXES {
         return None;
     }
-    let mut cell = 0u64;
-    for (i, axis) in axes.iter().enumerate() {
-        let v = r.resources.get(axis)?;
-        let p = snap_pos(&axis_values[i], v)?;
-        cell += p as u64 * strides[i];
+    let mut cell = [0; MAX_AXES];
+    for ((c, axis), vals) in cell.iter_mut().zip(axes).zip(axis_values) {
+        *c = snap_pos(vals, point.get(axis)?)? as u32;
     }
     Some(cell)
 }
@@ -1327,7 +1205,6 @@ mod tests {
             .get("transmit_time")
             .unwrap();
         assert!(p > 12.0 && p < 60.0, "IDW stays within sample range, got {p}");
-        assert!(!db.is_complete_grid(&Configuration::new(&[("c", 1)]), "img"));
     }
 
     #[test]
@@ -1513,7 +1390,6 @@ mod tests {
         assert_eq!(db.axis_values(&c, "img", &cpu_key()), vec![0.2, 0.5, 1.0]);
         assert_eq!(db.configs("img").len(), 2);
         assert_eq!(db.inputs(), vec!["img".to_string()]);
-        assert!(db.is_complete_grid(&c, "img"));
         assert_eq!(db.records_for(&c, "img").len(), 9);
     }
 
@@ -1575,8 +1451,8 @@ mod tests {
 
     #[test]
     fn sparse_lattice_matches_scan() {
-        // 3 axes x 41 diagonal samples: 41^3 cells > the dense cap, so the
-        // lattice goes sparse; the grid is (very) incomplete.
+        // 3 axes x 41 diagonal samples: 41 records on a grid of 41^3
+        // positions, so most blends lack a corner.
         let mut db = PerfDb::new();
         let mem = ResourceKey::mem("client");
         for i in 0..41 {
@@ -1605,7 +1481,6 @@ mod tests {
                 assert_eq!(a, b, "mode {mode:?} probe {probe}");
             }
         }
-        assert!(!db.is_complete_grid(&c, "img"));
     }
 
     /// FNV-1a over every answer's metric names and value bits.
@@ -1630,13 +1505,12 @@ mod tests {
         h.finish()
     }
 
-    fn cells_of(db: &PerfDb, config: &Configuration) -> &'static str {
+    /// How many lattice positions the slice's records fill, and how many
+    /// of its records sit off the lattice.
+    fn lattice_of(db: &PerfDb, config: &Configuration) -> (usize, usize) {
         let idx = db.index();
-        match &idx.slice(config, "img").expect("slice exists").0.grid.cells {
-            GridCells::Dense(_) => "dense",
-            GridCells::Sparse(_) => "sparse",
-            GridCells::Scan => "scan",
-        }
+        let s = idx.slice(config, "img").expect("slice exists").0;
+        (s.lattice.len(), s.offgrid.len())
     }
 
     /// Known answers of `predict`, one query set per path through it. The
@@ -1653,7 +1527,7 @@ mod tests {
 
         // Dense complete grid: exact hits, then blends and clamps.
         let grid = grid_db();
-        assert_eq!(cells_of(&grid, &c1), "dense");
+        assert_eq!(lattice_of(&grid, &c1), (9, 0));
         let exact = on(&[at(0.2, 1e5), at(0.5, 5e5), at(1.0, 1e6), at(0.5 + 1e-12, 5e5)]);
         digests.push(("exact", answers_digest(&grid, &exact, PredictMode::Interpolate)));
         let blends =
@@ -1688,7 +1562,7 @@ mod tests {
             input: "img".into(),
             metrics: QosReport::new(&[("t", 13.5)]),
         });
-        assert_eq!(cells_of(&sparse, &c1), "sparse");
+        assert_eq!(lattice_of(&sparse, &c1), (42, 0));
         // A lattice blend, not IDW: a quarter of the way to the extra
         // corner, which lacks `u` but still carries its weight.
         let blend =
@@ -1699,7 +1573,7 @@ mod tests {
         digests.push(("sparse", answers_digest(&sparse, &qs, PredictMode::Interpolate)));
         digests.push(("sparse nearest", answers_digest(&sparse, &qs, PredictMode::Nearest)));
 
-        // Unaddressable grid: 8 axes of 33 samples each.
+        // The widest lattice: 8 axes of 33 samples each, 33^8 positions.
         let axes: Vec<ResourceKey> = (0..8).map(|h| ResourceKey::cpu(&format!("h{h}"))).collect();
         let diag = |first: f64, rest: f64| {
             let mut r = ResourceVector::default();
@@ -1724,7 +1598,7 @@ mod tests {
             input: "img".into(),
             metrics: QosReport::new(&[("t", 9.75), ("u", 2.0)]),
         });
-        assert_eq!(cells_of(&scan, &c1), "scan");
+        assert_eq!(lattice_of(&scan, &c1), (34, 0));
         let blend = scan.predict(&c1, "img", &diag(4.3, 4.0), PredictMode::Interpolate).unwrap();
         assert!((blend.get("t").unwrap() - (0.7 * 13.5 + 0.3 * 9.75)).abs() < 1e-9);
         assert!((blend.get("u").unwrap() - 0.3 * 2.0).abs() < 1e-9);
@@ -1756,6 +1630,7 @@ mod tests {
         for (resources, metrics) in wide_recs {
             wide.add(PerfRecord { config: c1.clone(), resources, input: "img".into(), metrics });
         }
+        assert_eq!(lattice_of(&wide, &c1), (0, 9));
         let hit = wide.predict(&c1, "img", &wide_at(3.0, 3.0, 9), PredictMode::Interpolate);
         assert_eq!(hit.unwrap().get("t"), Some(11.0), "the first record at a point wins");
         let qs = on(&[

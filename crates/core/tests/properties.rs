@@ -567,32 +567,42 @@ mod index_props {
         /// points and records missing an axis. Up to the bound a blend
         /// reads 2^k lattice corners; past it every record is off the
         /// lattice and a blend falls back to IDW. Either way the index
-        /// answers as the scan does, at every record's point and off the
-        /// grid, in both modes.
+        /// answers as the scan does, in both modes: at every record's
+        /// point, from the diagonal towards each corner record (a lattice
+        /// blend when the corner is one axis off), and between two
+        /// arbitrary records.
         #[test]
         fn slices_across_the_axis_bound_match_the_linear_scan(
             k in 7usize..=10,
             corners in proptest::collection::vec(
-                (0usize..2, proptest::collection::vec(0usize..10, 1..3)), 0..12),
+                (0usize..2, proptest::collection::vec(0usize..10, 1..3), -0.3f64..1.3), 0..12),
             dups in proptest::collection::vec(0usize..32, 0..3),
             missing in proptest::collection::vec((0usize..3, 0usize..10), 0..3),
-            queries in proptest::collection::vec(
-                (0usize..2,
-                 proptest::collection::vec((0usize..10, -0.5f64..1.5), 0..3),
-                 proptest::option::of(0usize..10)), 1..6),
+            between in proptest::collection::vec((0usize..32, 0usize..32, -0.3f64..1.3), 1..6),
         ) {
             let cfg = Configuration::new(&[("x", 1)]);
             let mut points: Vec<ResourceVector> =
                 LEVELS.iter().map(|&v| wide_point(k, |_| v, None)).collect();
-            for (base, raised) in &corners {
+            let mut queries = Vec::new();
+            for &(base, ref raised, t) in &corners {
                 let up = |a: usize| raised.iter().any(|&r| r % k == a) as usize;
+                let step = |a: usize| LEVELS[base + up(a)] - LEVELS[base];
                 points.push(wide_point(k, |a| LEVELS[base + up(a)], None));
+                queries.push(wide_point(k, |a| LEVELS[base] + t * step(a), None));
             }
             for &(l, axis) in &missing {
                 points.push(wide_point(k, |_| LEVELS[l], Some(axis % k)));
             }
             for &d in &dups {
                 points.push(points[d % points.len()].clone());
+            }
+            for &(i, j, t) in &between {
+                let (p, o) = (&points[i % points.len()], &points[j % points.len()]);
+                let mut q = ResourceVector::default();
+                for (key, v) in p.iter() {
+                    q.set(key.clone(), v + t * (o.get(key).unwrap_or(v) - v));
+                }
+                queries.push(q);
             }
             let mut db = PerfDb::new();
             for (i, resources) in points.iter().enumerate() {
@@ -604,18 +614,10 @@ mod index_props {
                 let resources = resources.clone();
                 db.add(PerfRecord { config: cfg.clone(), resources, input: "a".into(), metrics });
             }
-            let off_grid = queries.iter().map(|(base, bumps, dropped)| {
-                let at = |a: usize| {
-                    let bump = bumps.iter().rev().find(|(b, _)| b % k == a);
-                    let frac = bump.map_or(0.0, |&(_, f)| f);
-                    LEVELS[*base] + frac * (LEVELS[base + 1] - LEVELS[*base])
-                };
-                wide_point(k, at, dropped.map(|d| d % k))
-            });
-            for q in points.iter().cloned().chain(off_grid) {
+            for q in points.iter().chain(&queries) {
                 for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-                    let a = db.predict(&cfg, "a", &q, mode);
-                    let b = scan_oracle::predict(&db, &cfg, "a", &q, mode);
+                    let a = db.predict(&cfg, "a", q, mode);
+                    let b = scan_oracle::predict(&db, &cfg, "a", q, mode);
                     check_equivalent(&a, &b, &format!("k={k} {q} {mode:?}"))?;
                 }
             }

@@ -137,6 +137,17 @@ if grep -rnE 'fn memoized|Vec<Option<QosReport>>' crates/*/src ||
     exit 1
 fi
 
+stage "one lattice"
+# A slice finds its exact matches and blend corners in one sorted table of
+# grid positions (DESIGN.md §9). This keeps the deleted dense, sparse and
+# scan cell forms, their size caps, the corner-rebuilding scan and the
+# grid-completeness query out of the source.
+if grep -rnE 'GridCells|DENSE_CELL_CAP|ADDRESSABLE_CELL_CAP|EMPTY_CELL|is_complete_grid|fn corner_record' \
+    crates src tests examples; then
+    echo "the lines above bring back a second lattice representation" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
