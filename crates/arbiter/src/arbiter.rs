@@ -1307,4 +1307,73 @@ mod tests {
             }
         }
     }
+
+    /// An app turned away at request may still report usage and
+    /// completion afterwards (a client that never heard the verdict).
+    /// Neither report reaches its row or adds a decision.
+    #[test]
+    fn late_reports_from_a_rejected_app_change_nothing() {
+        struct Script {
+            arbiter: ActorId,
+            id: AppId,
+            heard: Arc<Mutex<Vec<u64>>>,
+        }
+        impl Actor for Script {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send_now(
+                    self.arbiter,
+                    Message::new(MSG_REQ, CTRL_BYTES, ReqBody { id: self.id }),
+                );
+            }
+            fn on_message(&mut self, _from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
+                self.heard.lock().unwrap().push(msg.tag);
+                let usage = UsageBody { id: self.id, cpu: Some(0.9) };
+                ctx.send_now(self.arbiter, Message::new(MSG_USAGE, CTRL_BYTES, usage));
+                ctx.send_now(
+                    self.arbiter,
+                    Message::new(MSG_DONE, CTRL_BYTES, ReqBody { id: self.id }),
+                );
+            }
+        }
+        let mut sim = simnet::Sim::new();
+        let arb_host = sim.add_host("arbiter", 1.0, 1 << 30);
+        let app_host = sim.add_host("app0", 1.0, 1 << 30);
+        sim.set_link(app_host, arb_host, 12_500_000.0, 200);
+        // Gold on `starved_db` has no offer at any fraction.
+        let gold = spec(0, 1.0, 10_000.0, QosProfile::Interactive);
+        let ledger = LedgerHandle::default();
+        let arbiter = sim.spawn(
+            arb_host,
+            Box::new(Arbiter::new(
+                vec![gold.clone()],
+                Pricer::new(&Arc::new(starved_db())),
+                1,
+                1e6,
+                1 << 30,
+                Vec::new(),
+                ArbiterOpts::default(),
+                Obs::new(),
+                ledger.clone(),
+            )),
+        );
+        let heard = Arc::default();
+        sim.spawn(app_host, Box::new(Script { arbiter, id: gold.id, heard: Arc::clone(&heard) }));
+        sim.run_until_idle();
+
+        assert_eq!(*heard.lock().unwrap(), [MSG_REJECT]);
+        let ledger = ledger.lock().unwrap();
+        let row = &ledger.apps[&gold.id];
+        assert_eq!((row.state, row.finish_us), (AppState::Rejected, None));
+        assert!(
+            matches!(
+                ledger.decisions[..],
+                [AdmissionDecision::Rejected {
+                    reason: RejectReason::QosUnsatisfiable { rank_required: 0 },
+                    ..
+                }]
+            ),
+            "{:?}",
+            ledger.decisions
+        );
+    }
 }

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use arbiter::{
-    run_storm, run_storm_with_specs, AdmissionDecision, AppSpec, AppState, RejectReason, StormOpts,
-    WorkloadKind,
+    gen_specs, run_storm, run_storm_with_specs, AdmissionDecision, AppSpec, AppState, ArbiterOpts,
+    RejectReason, StormOpts, WorkloadKind,
 };
 use obs::{EventFilter, Source, Value};
 use simnet::{DrainMode, ExplorePlan};
@@ -267,4 +267,49 @@ fn saturating_mix_reports_utilization_and_p99() {
     for (tier, p99) in &r.p99_response_s {
         assert!(p99.is_finite() && *p99 > 0.0, "tier {tier} p99 = {p99}");
     }
+}
+
+/// Every finished storm reports each of its specs exactly once, in a
+/// terminal state, with a finish time exactly when it is `Done`. The
+/// police loop re-arms until every app has left, so by the time the run
+/// returns no outcome can still change.
+#[test]
+fn every_spec_is_reported_once_in_a_terminal_state() {
+    let saturation = StormOpts::new(200)
+        .with_seed(0xC1)
+        .with_cluster_hosts(4)
+        .with_rogue_every(5)
+        .with_dips(vec![(500_000, 600_000, 0.4)]);
+    let tight = ArbiterOpts { queue_cap: 3, ..Default::default() };
+    let sweep = (20..24).map(|seed| {
+        StormOpts::new(16)
+            .with_seed(seed)
+            .with_cluster_hosts(1)
+            .with_rogue_every(3)
+            .with_arbiter(tight.clone())
+    });
+    let db = storm_db(&full_mix());
+    let mut seen = [0usize; 3];
+    for opts in [full_mix(), saturation].into_iter().chain(sweep) {
+        let r = run_storm(&opts, &db);
+        let ids: Vec<_> = r.apps.iter().map(|a| a.id).collect();
+        let want: Vec<_> = gen_specs(&opts).iter().map(|s| s.id).collect();
+        assert_eq!(ids, want, "seed {}: one outcome per spec, in spec order", opts.seed);
+        for a in &r.apps {
+            let slot = match a.state {
+                AppState::Done => 0,
+                AppState::Rejected => 1,
+                AppState::Evicted => 2,
+                other => panic!("seed {}: app {} ended {}", opts.seed, a.id, other.name()),
+            };
+            seen[slot] += 1;
+            assert_eq!(
+                a.finish_us.is_some(),
+                a.state == AppState::Done,
+                "seed {}: {a:?}",
+                opts.seed
+            );
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "done, rejected, evicted: {seen:?}");
 }
