@@ -68,18 +68,21 @@ pub struct AppSpec {
     pub rogue: bool,
 }
 
-/// Lifecycle states an app can end the run in.
+/// Lifecycle states of an app. The first four are live; the arbiter
+/// keeps a record only for those. The last three are terminal, and a
+/// finished storm reports only them, or `Pending` for an app that never
+/// asked for admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppState {
-    /// Never got an answer (run ended first; should not happen).
+    /// Asked, and not yet answered; in a finished storm, never asked.
     Pending,
-    /// Waiting in the admission queue when the run ended.
+    /// Waiting in the admission queue.
     Queued,
-    /// Admitted and still running at the end (should not happen).
+    /// Admitted and running under its envelope.
     Running,
-    /// Shed (suspended / floored) and never recovered before the end.
+    /// Shed by overload control: paused (bulk) or floored (session).
     Shed,
-    /// Rejected at admission.
+    /// Rejected at admission or turned away from the queue.
     Rejected,
     /// Evicted by policing after repeated contract violations.
     Evicted,

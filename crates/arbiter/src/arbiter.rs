@@ -19,9 +19,16 @@
 //! sustained envelope violations; an eviction is always preceded by a
 //! published `violation` event, which the DST oracle checks.
 //!
-//! Everything the arbiter decides is deterministic: app records live in
-//! `BTreeMap`s, the admission queue is a `BTreeSet` ordered by `(tier,
-//! weight desc, arrival, id)`, and host placement breaks ties by index.
+//! An app has one record, kept exactly as long as the app is live: made at
+//! its admission request, dropped when it reaches `Done`, `Rejected` or
+//! `Evicted`. That one transition (`retire`) writes the app's [`AppLedger`]
+//! row, so each row is written once and is final. A usage or done report
+//! that arrives after the app left finds no record and is ignored.
+//!
+//! Everything the arbiter decides is deterministic: the live records are a
+//! `BTreeMap` keyed by app id, the admission queue is a `BTreeSet` ordered
+//! by `(tier, weight desc, arrival, id)`, and host placement breaks ties by
+//! index.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,7 +120,8 @@ impl Default for ArbiterOpts {
     }
 }
 
-/// Post-run outcome of one app, mirrored into the shared [`Ledger`].
+/// Final outcome of one app: its row in the shared [`Ledger`], written
+/// once, when the app leaves.
 #[derive(Debug, Clone)]
 pub struct AppLedger {
     pub state: AppState,
@@ -125,7 +133,9 @@ pub struct AppLedger {
 }
 
 /// Shared view of the arbiter's bookkeeping, read by the storm harness
-/// after the run. Written only from the arbiter actor.
+/// after the run. Written only from the arbiter actor: the integrals and
+/// overload counts every police tick, a decision per admission verdict,
+/// and an app's row when it leaves. An app that never asked has no row.
 #[derive(Debug, Default)]
 pub struct Ledger {
     pub apps: BTreeMap<AppId, AppLedger>,
@@ -237,7 +247,8 @@ fn demand(spec: &AppSpec) -> Reservation {
     Reservation { cpu_share: spec.demand_cpu, net_bps: spec.demand_net, mem_bytes: spec.demand_mem }
 }
 
-/// Live record for one app the arbiter has heard from.
+/// Record of one live app: made at its request, dropped by `retire` when
+/// the app leaves.
 struct Rec {
     actor: ActorId,
     /// Priced once, at request; every later placement attempt (each
@@ -248,6 +259,7 @@ struct Rec {
     /// cannot go stale. If the pricer ever takes a hot-swappable
     /// database, re-price here.
     offers: [Option<Offer>; FAIR_SHARE_FRACTIONS.len()],
+    /// Always a live state: `Pending`, `Queued`, `Running` or `Shed`.
     state: AppState,
     tier_admitted: Tier,
     tier_now: Tier,
@@ -270,7 +282,6 @@ struct Rec {
     /// after an envelope change).
     grace_until: u64,
     shed_count: u32,
-    finish_us: Option<u64>,
 }
 
 /// The cluster arbiter. Spawn it first (apps address it by `ActorId`);
@@ -452,22 +463,6 @@ impl Arbiter {
         Self::host_order(vmms).into_iter().find(|&h| vmms[h].admit(name, res).is_ok())
     }
 
-    /// Install `res` for `name` on `host` unconditionally. Only for
-    /// resizing an existing app downward (or rolling back a failed
-    /// up-resize): a shrink must never fail just because a capacity dip
-    /// moved the threshold under the already-admitted total.
-    fn force_reserve(&mut self, host: usize, name: &str, res: Reservation) {
-        let vmm = &mut self.vmms[host];
-        let (th, net, mem) = (vmm.cpu_threshold, vmm.net_capacity_bps, vmm.mem_capacity);
-        vmm.cpu_threshold = 1e18;
-        vmm.net_capacity_bps = f64::INFINITY;
-        vmm.mem_capacity = u64::MAX;
-        vmm.admit(name, res).expect("forced reservation cannot fail");
-        vmm.cpu_threshold = th;
-        vmm.net_capacity_bps = net;
-        vmm.mem_capacity = mem;
-    }
-
     /// Try each of the app's offers, best fraction first, against every
     /// host. Returns the host and the offer whose reservation is now
     /// installed.
@@ -482,34 +477,22 @@ impl Arbiter {
         self.breaker.state() != BreakerState::Closed || !self.shed_stack.is_empty()
     }
 
-    /// Mirror `id`'s row into the shared ledger. Every site that changes a
-    /// field the row carries (state, tiers, strikes, shed count, finish
-    /// time) calls this itself; nothing sweeps the records afterwards.
-    fn sync_ledger(&self, id: AppId) {
-        let spec = self.spec(id);
-        let entry = match self.recs.get(&id) {
-            Some(r) => AppLedger {
-                state: r.state,
-                tier_admitted: r.tier_admitted,
-                tier_final: r.tier_now,
-                strikes: r.strikes,
-                shed_count: r.shed_count,
-                finish_us: r.finish_us,
-            },
-            None => AppLedger {
-                state: AppState::Pending,
-                tier_admitted: spec.tier,
-                tier_final: spec.tier,
-                strikes: 0,
-                shed_count: 0,
-                finish_us: None,
-            },
+    /// `id` has left in `state` (`Done`, `Rejected` or `Evicted`): write
+    /// its one ledger row, drop its record and count it terminal. Returns
+    /// the record for the caller's last messages.
+    fn retire(&mut self, id: AppId, state: AppState, finish_us: Option<u64>) -> Rec {
+        let rec = self.recs.remove(&id).expect("retiring an app with no record");
+        let row = AppLedger {
+            state,
+            tier_admitted: rec.tier_admitted,
+            tier_final: rec.tier_now,
+            strikes: rec.strikes,
+            shed_count: rec.shed_count,
+            finish_us,
         };
-        self.ledger().apps.insert(id, entry);
-    }
-
-    fn mark_terminal(&mut self) {
+        self.ledger().apps.insert(id, row);
         self.terminal += 1;
+        rec
     }
 
     // ---- admission ----------------------------------------------------
@@ -552,7 +535,6 @@ impl Arbiter {
         );
         self.obs.inc(self.m.admitted, 1);
         self.obs.observe(self.m.admission_latency_us, latency_us as f64);
-        self.sync_ledger(id);
         AdmissionDecision::Admitted {
             app: id,
             host,
@@ -571,14 +553,10 @@ impl Arbiter {
         now: SimTime,
         ctx: &mut Ctx<'_>,
     ) -> AdmissionDecision {
-        let rec = self.recs.get_mut(&id).expect("rejecting an app that never requested");
-        rec.state = AppState::Rejected;
-        let actor = rec.actor;
+        let actor = self.retire(id, AppState::Rejected, None).actor;
         ctx.send_now(actor, Message::signal(MSG_REJECT, CTRL_BYTES));
         self.obs.publish(self.event(now, "reject").with("app", id).with("reason", reason.name()));
         self.obs.inc(self.m.rejected, 1);
-        self.mark_terminal();
-        self.sync_ledger(id);
         AdmissionDecision::Rejected { app: id, reason }
     }
 
@@ -614,7 +592,6 @@ impl Arbiter {
                 throttled_until: None,
                 grace_until: 0,
                 shed_count: 0,
-                finish_us: None,
             },
         );
         // The first fraction is the full demand.
@@ -662,7 +639,6 @@ impl Arbiter {
         self.recs.get_mut(&id).expect("rec exists").state = AppState::Queued;
         self.obs.publish(self.event(now, "queue").with("app", id).with("position", position));
         self.obs.inc(self.m.queued, 1);
-        self.sync_ledger(id);
         AdmissionDecision::Queued { app: id, position }
     }
 
@@ -784,9 +760,7 @@ impl Arbiter {
                 rec.grant = new;
                 rec.base_grant = Self::scaled(rec.base_grant, demote_frac);
                 let actor = rec.actor;
-                let name = Self::res_name(id);
-                self.vmms[host].release(&name);
-                self.force_reserve(host, &name, new);
+                self.vmms[host].resize(&Self::res_name(id), new);
                 ctx.send_now(
                     actor,
                     Message::new(
@@ -800,25 +774,19 @@ impl Arbiter {
                 self.obs.inc(self.m.demoted, 1);
             }
             _ => {
-                let (host, actor, ep) = {
-                    let rec = self.recs.get_mut(&id).expect("rec exists");
-                    rec.state = AppState::Evicted;
-                    (rec.host, rec.actor, rec.ep_start.take())
-                };
-                if let Some(start) = ep {
+                let rec = self.retire(id, AppState::Evicted, None);
+                if let Some(start) = rec.ep_start {
                     self.obs.observe(
                         self.m.violation_duration_us,
                         now.as_us().saturating_sub(start) as f64,
                     );
                 }
-                self.vmms[host].release(&Self::res_name(id));
-                ctx.send_now(actor, Message::signal(MSG_EVICT, CTRL_BYTES));
+                self.vmms[rec.host].release(&Self::res_name(id));
+                ctx.send_now(rec.actor, Message::signal(MSG_EVICT, CTRL_BYTES));
                 self.obs.publish(self.event(now, "evict").with("app", id));
                 self.obs.inc(self.m.evicted, 1);
-                self.mark_terminal();
             }
         }
-        self.sync_ledger(id);
     }
 
     fn police_apps(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
@@ -931,7 +899,6 @@ impl Arbiter {
                     .with("kind", kind.name()),
             );
             self.obs.inc(self.m.shed, 1);
-            self.sync_ledger(id);
         }
     }
 
@@ -955,9 +922,7 @@ impl Arbiter {
             let total_frac = rec.fraction * degrade_frac;
             rec.grant = new;
             let (host, actor) = (rec.host, rec.actor);
-            let name = Self::res_name(id);
-            self.vmms[host].release(&name);
-            self.force_reserve(host, &name, new);
+            self.vmms[host].resize(&Self::res_name(id), new);
             let config =
                 self.pricer.price_any(&spec, total_frac).map(|p| p.config_key).unwrap_or_default();
             ctx.send_now(
@@ -998,7 +963,6 @@ impl Arbiter {
         self.obs.publish(self.event(now, "recover").with("app", id).with("tier", tier as u64));
         self.obs.inc(self.m.recovered, 1);
         self.next_recover_us = now.as_us() + self.opts.min_dwell_us;
-        self.sync_ledger(id);
         true
     }
 
@@ -1020,7 +984,7 @@ impl Arbiter {
         self.vmms[host].release(&name);
         if self.vmms[host].admit(&name, base).is_err() {
             // No room to grow back yet; reinstall the degraded grant.
-            self.force_reserve(host, &name, grant);
+            self.vmms[host].resize(&name, grant);
             return;
         }
         let grace = self.opts.grace_us;
@@ -1035,7 +999,6 @@ impl Arbiter {
         );
         self.obs.publish(self.event(now, "restore").with("app", id).with("cpu", base.cpu_share));
         self.next_restore_us = now.as_us() + self.opts.min_dwell_us;
-        self.sync_ledger(id);
     }
 
     fn overload_step(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
@@ -1150,22 +1113,16 @@ impl Actor for Arbiter {
             MSG_DONE => {
                 let b: &ReqBody = msg.expect_body();
                 let id = b.id;
-                if let Some(rec) = self.recs.get_mut(&id) {
-                    if rec.state == AppState::Running || rec.state == AppState::Shed {
-                        if rec.state == AppState::Shed {
-                            self.shed_stack.retain(|&s| s != id);
-                        }
-                        let rec = self.recs.get_mut(&id).expect("rec exists");
-                        rec.state = AppState::Done;
-                        rec.finish_us = Some(now.as_us());
-                        let host = rec.host;
-                        if host != usize::MAX {
-                            self.vmms[host].release(&Self::res_name(id));
-                        }
-                        self.obs.publish(self.event(now, "done").with("app", id));
-                        self.mark_terminal();
-                        self.sync_ledger(id);
+                let live = self.recs.get(&id).map(|r| r.state);
+                // An app that already left, or was never admitted, has
+                // nothing to finish.
+                if matches!(live, Some(AppState::Running | AppState::Shed)) {
+                    let rec = self.retire(id, AppState::Done, Some(now.as_us()));
+                    if rec.state == AppState::Shed {
+                        self.shed_stack.retain(|&s| s != id);
                     }
+                    self.vmms[rec.host].release(&Self::res_name(id));
+                    self.obs.publish(self.event(now, "done").with("app", id));
                 }
             }
             other => panic!("arbiter: unexpected message tag {other}"),

@@ -51,4 +51,4 @@ pub use arbiter::{AppLedger, Arbiter, ArbiterOpts, CapacityDip, Ledger, LedgerHa
 pub use storm::{
     gen_specs, run_storm, run_storm_with_specs, ArrivalSurge, StormCounters, StormOpts, StormReport,
 };
-pub use workload::{AppActor, BulkCell, BulkState, BulkWorker, NullSink, Workload};
+pub use workload::{AppActor, BulkCell, BulkState, BulkWorker, NullSink};

@@ -136,13 +136,6 @@ impl Actor for BulkWorker {
     }
 }
 
-/// The wrapped workload.
-#[allow(clippy::large_enum_variant)] // one Workload per app actor; size is fine
-pub enum Workload {
-    Session(Sandboxed<Client>),
-    Bulk(Sandboxed<BulkWorker>),
-}
-
 /// Lifecycle phase of the wrapper (the arbiter holds the authoritative
 /// per-app record; this only gates forwarding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +157,8 @@ pub struct AppActor {
     arrival_us: u64,
     report_period_us: u64,
     rogue: bool,
-    inner: Workload,
+    /// The sandboxed workload: a [`Client`] session or a [`BulkWorker`].
+    inner: Box<dyn Actor>,
     limits: LimitsHandle,
     stats: SandboxStats,
     /// Session progress, for done detection.
@@ -186,7 +180,7 @@ impl AppActor {
         arrival_us: u64,
         report_period_us: u64,
         rogue: bool,
-        inner: Workload,
+        inner: Box<dyn Actor>,
         limits: LimitsHandle,
         stats: SandboxStats,
         session_stats: Option<StatsHandle>,
@@ -221,7 +215,7 @@ impl AppActor {
         stats: SandboxStats,
         session_stats: StatsHandle,
     ) -> Self {
-        let inner = Workload::Session(Sandboxed::new(client, limits.clone(), stats.clone()));
+        let inner = Box::new(Sandboxed::new(client, limits.clone(), stats.clone()));
         Self::new(
             id,
             arbiter,
@@ -250,7 +244,7 @@ impl AppActor {
         stats: SandboxStats,
     ) -> Self {
         let cell = worker.cell.clone();
-        let inner = Workload::Bulk(Sandboxed::new(worker, limits.clone(), stats.clone()));
+        let inner = Box::new(Sandboxed::new(worker, limits.clone(), stats.clone()));
         Self::new(
             id,
             arbiter,
@@ -284,41 +278,13 @@ impl AppActor {
         self.limits.set(self.requested);
     }
 
-    fn start_inner(&mut self, ctx: &mut Ctx<'_>) {
-        match &mut self.inner {
-            Workload::Session(s) => s.on_start(ctx),
-            Workload::Bulk(b) => b.on_start(ctx),
-        }
-    }
-
-    fn forward_message(&mut self, from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
-        match &mut self.inner {
-            Workload::Session(s) => s.on_message(from, msg, ctx),
-            Workload::Bulk(b) => b.on_message(from, msg, ctx),
-        }
-    }
-
-    fn forward_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match &mut self.inner {
-            Workload::Session(s) => s.on_timer(tag, ctx),
-            Workload::Bulk(b) => b.on_timer(tag, ctx),
-        }
-    }
-
-    fn forward_continue(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match &mut self.inner {
-            Workload::Session(s) => s.on_continue(tag, ctx),
-            Workload::Bulk(b) => b.on_continue(tag, ctx),
-        }
-    }
-
     fn handle_ctrl(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
         match msg.tag {
             MSG_ADMIT => {
                 let g: &GrantBody = msg.expect_body();
                 self.adopt_grant(g.limits);
                 self.phase = Phase::Running;
-                self.start_inner(ctx);
+                self.inner.on_start(ctx);
                 ctx.set_timer(self.report_period_us, TAG_REPORT);
             }
             MSG_REJECT => self.phase = Phase::Rejected,
@@ -357,7 +323,7 @@ impl AppActor {
                 if needs_kick {
                     // Parked workers have an idle sandbox; wake them
                     // directly (never crosses the kernel).
-                    self.forward_message(self.arbiter, Message::signal(MSG_KICK, 0), ctx);
+                    self.inner.on_message(self.arbiter, Message::signal(MSG_KICK, 0), ctx);
                 }
             }
             MSG_EVICT => {
@@ -391,9 +357,8 @@ impl Actor for AppActor {
                 if !self.forwarding() || self.done_sent {
                     return;
                 }
-                if let Some(t) = self.finished_at() {
+                if self.finished_at().is_some() {
                     self.done_sent = true;
-                    let _ = t;
                     ctx.send_now(
                         self.arbiter,
                         Message::new(MSG_DONE, CTRL_BYTES, ReqBody { id: self.id }),
@@ -410,7 +375,7 @@ impl Actor for AppActor {
                 );
                 ctx.set_timer(self.report_period_us, TAG_REPORT);
             }
-            t if self.forwarding() => self.forward_timer(t, ctx),
+            t if self.forwarding() => self.inner.on_timer(t, ctx),
             _ => {}
         }
     }
@@ -419,7 +384,7 @@ impl Actor for AppActor {
         if msg::is_ctrl(msg.tag) {
             self.handle_ctrl(&msg, ctx);
         } else if self.forwarding() {
-            self.forward_message(from, msg, ctx);
+            self.inner.on_message(from, msg, ctx);
         }
     }
 
@@ -427,7 +392,7 @@ impl Actor for AppActor {
         // Sandbox quantum continuations must always reach the sandbox;
         // only a dead (evicted/rejected) app swallows them.
         if self.phase != Phase::Evicted && self.phase != Phase::Rejected {
-            self.forward_continue(tag, ctx);
+            self.inner.on_continue(tag, ctx);
         }
     }
 }

@@ -127,6 +127,15 @@ impl HostVmm {
         Ok(())
     }
 
+    /// Install `res` under `name` without the admission check, replacing
+    /// any reservation of that name; returns the one it replaced. For
+    /// shrinking an admitted app, or putting back the grant it held: a
+    /// shrink must not fail because the threshold dropped under the
+    /// admitted total.
+    pub fn resize(&mut self, name: &str, res: Reservation) -> Option<Reservation> {
+        self.reservations.insert(name.to_string(), res)
+    }
+
     /// Release a reservation; returns it if present.
     pub fn release(&mut self, name: &str) -> Option<Reservation> {
         self.reservations.remove(name)
@@ -203,6 +212,24 @@ mod tests {
         assert!(vmm
             .admit("b", Reservation { cpu_share: 0.1, net_bps: -1.0, mem_bytes: 0 })
             .is_err());
+    }
+
+    #[test]
+    fn resize_shrinks_where_admit_fails() {
+        let mut vmm = HostVmm::new(1e9, 1 << 30);
+        vmm.admit("a", cpu(0.5)).unwrap();
+        vmm.admit("b", cpu(0.4)).unwrap();
+        // A dip puts the threshold under the admitted 0.9.
+        vmm.cpu_threshold = 0.6;
+        let held = vmm.release("a").unwrap();
+        assert!(matches!(vmm.admit("a", cpu(0.3)), Err(AdmissionError::CpuExhausted { .. })));
+        assert_eq!(vmm.resize("a", held), None);
+        assert_eq!(vmm.resize("a", cpu(0.3)), Some(cpu(0.5)));
+        assert_eq!(vmm.reservation("a"), Some(cpu(0.3)));
+        assert_eq!(vmm.cpu_available(), 0.0);
+        assert_eq!(vmm.resize("a", cpu(0.1)), Some(cpu(0.3)));
+        assert!((vmm.cpu_available() - 0.1).abs() < 1e-9);
+        assert_eq!(vmm.reservation_count(), 2);
     }
 
     #[test]

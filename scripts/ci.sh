@@ -148,6 +148,18 @@ if grep -rnE 'GridCells|DENSE_CELL_CAP|ADDRESSABLE_CELL_CAP|EMPTY_CELL|is_comple
     exit 1
 fi
 
+stage "one arbiter record"
+# An app's record lives exactly as long as the app, and its ledger row is
+# written once, when it leaves (DESIGN.md §15). This keeps the deleted
+# mid-run ledger mirror, the terminal counter helper, the capacity-lifting
+# forced reservation and the workload enum with its forwarders out of the
+# source.
+if grep -rnE 'fn sync_ledger|fn mark_terminal|fn force_reserve|enum Workload\b' \
+    crates src tests examples; then
+    echo "the lines above bring back a second arbiter record" >&2
+    exit 1
+fi
+
 stage "build"
 cargo build --release
 
