@@ -162,11 +162,6 @@ impl RefineEngine {
         self.min_streak.set(n.max(1));
     }
 
-    /// Override the EWMA weight of the newest sample (clamped to (0, 1]).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        self.alpha = alpha.clamp(1e-6, 1.0);
-    }
-
     /// Publish `refine.*` audit events and counters into `obs`.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = Some(RefineObs {

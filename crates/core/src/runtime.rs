@@ -258,14 +258,6 @@ impl AdaptiveRuntime {
         self.degraded
     }
 
-    /// Oracle accessor: the configuration keys the scheduler may legally
-    /// name in a `decide` event — exactly the configurations profiled for
-    /// its workload input. Invariant checkers (`adapt-dst`) validate every
-    /// decision on the bus against this set.
-    pub fn decision_config_keys(&self) -> std::collections::BTreeSet<String> {
-        self.scheduler.config_keys()
-    }
-
     /// Oracle accessor: the number of preference levels. Every `decide`
     /// event's `rank` field must be strictly below this.
     pub fn preference_depth(&self) -> usize {

@@ -292,11 +292,6 @@ impl ResourceScheduler {
         self.prefs.clone()
     }
 
-    /// How many times the preference list has been mutated (0 = never).
-    pub fn prefs_version(&self) -> u64 {
-        self.prefs.version()
-    }
-
     /// Checked constructor: rejects inputs on which every
     /// [`choose`](ResourceScheduler::choose) would trivially return `None`
     /// (no database records for `input`, or an empty preference list).
@@ -317,14 +312,6 @@ impl ResourceScheduler {
             return Err(crate::error::Error::EmptyDatabase { input: input.into() });
         }
         Ok(Self::new_shared(db, prefs, input))
-    }
-
-    /// Oracle accessor: the keys of every configuration profiled for this
-    /// scheduler's input — the legal value set of a `decide` event's
-    /// `config` field. A decision naming any other key is a bug, whatever
-    /// the resource estimate said.
-    pub fn config_keys(&self) -> std::collections::BTreeSet<String> {
-        self.db.get().configs(&self.input).iter().map(|c| c.key()).collect()
     }
 
     /// Oracle accessor: how many preference levels this scheduler ranks

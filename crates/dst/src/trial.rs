@@ -174,12 +174,6 @@ impl TrialContext {
         StormOpts::new(STORM_APPS).with_seed(seed).with_cluster_hosts(STORM_HOSTS)
     }
 
-    /// The decision-validity oracle's context (database keys, preference
-    /// depth).
-    pub fn decision_context(&self) -> &DecisionContext {
-        &self.decisions
-    }
-
     /// The concrete scenario a plan runs under a given drain mode.
     pub fn scenario(&self, plan: &TrialPlan, drain_mode: DrainMode) -> Scenario {
         #[allow(unused_mut)]

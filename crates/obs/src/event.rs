@@ -232,13 +232,6 @@ impl EventFilter {
             .kind("dup_reply")
     }
 
-    /// Preset: cluster-arbiter lifecycle events — admission outcomes,
-    /// policing actions, and overload shed/recover transitions. The
-    /// working set of the arbiter oracles in `adapt-dst`.
-    pub fn arbiter_lifecycle() -> Self {
-        Self::any().source(Source::Arbiter)
-    }
-
     /// Preset: the control plane's audit trail — config mutations,
     /// rejections, pins, and breaker resets, in dispatch order. The
     /// working set of the `config_audit_complete` oracle in `adapt-dst`.

@@ -90,16 +90,6 @@ impl LimitsHandle {
         }
         self.0.lock().unwrap().cpu_share = share;
     }
-
-    pub fn set_net_bps(&self, bps: Option<f64>) {
-        let mut l = self.0.lock().unwrap();
-        l.net_recv_bps = bps;
-        l.net_send_bps = bps;
-    }
-
-    pub fn set_mem_bytes(&self, bytes: Option<u64>) {
-        self.0.lock().unwrap().mem_bytes = bytes;
-    }
 }
 
 /// A piecewise-constant schedule of limit changes, e.g. the paper's

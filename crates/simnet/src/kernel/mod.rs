@@ -60,13 +60,6 @@ const DEFAULT_BW_BPS: f64 = 12_500_000.0;
 /// One-way latency of a link nobody configured, in microseconds.
 const DEFAULT_LATENCY_US: u64 = 100;
 
-/// A host: a named machine with a CPU and memory.
-pub(crate) struct Host {
-    pub name: String,
-    pub sched: CpuSched,
-    pub mem_capacity: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Running {
     Idle,
@@ -214,7 +207,8 @@ pub struct Sim {
     now: SimTime,
     /// Pending events, under the plan of the [`DrainMode`] last set.
     queue: EventQueue,
-    hosts: Vec<Host>,
+    /// One CPU model per host, indexed by `HostId`.
+    hosts: Vec<CpuSched>,
     /// One record per directed host pair that was configured, faulted or
     /// used: its link and its faults.
     links: HashMap<(usize, usize), LinkState>,
@@ -277,9 +271,11 @@ impl Sim {
     // ------------------------------------------------------------------
 
     /// Add a host. `speed` is in work-units per microsecond (1.0 is the
-    /// reference machine), `mem_capacity` in bytes.
-    pub fn add_host(&mut self, name: &str, speed: f64, mem_capacity: u64) -> HostId {
-        self.hosts.push(Host { name: name.to_string(), sched: CpuSched::new(speed), mem_capacity });
+    /// reference machine). The kernel models a host's CPU only: `name`
+    /// labels it for the caller, and memory (`mem_capacity`, in bytes) is
+    /// the sandbox's model, so it keeps neither.
+    pub fn add_host(&mut self, _name: &str, speed: f64, _mem_capacity: u64) -> HostId {
+        self.hosts.push(CpuSched::new(speed));
         HostId(self.hosts.len() - 1)
     }
 
@@ -382,7 +378,7 @@ impl Sim {
         self.states[a.0].cpu_cap = cap;
         if self.states[a.0].running == Running::Compute {
             self.sync_host(host);
-            self.hosts[host].sched.retune(a, None, Some(cap));
+            self.hosts[host].retune(a, None, Some(cap));
             self.schedule_next_cpu(host);
         }
         self.emit("cap_change", |e| {
@@ -400,7 +396,7 @@ impl Sim {
         self.states[a.0].weight = weight;
         if self.states[a.0].running == Running::Compute {
             self.sync_host(host);
-            self.hosts[host].sched.retune(a, Some(weight), None);
+            self.hosts[host].retune(a, Some(weight), None);
             self.schedule_next_cpu(host);
         }
     }
@@ -416,7 +412,7 @@ impl Sim {
         let host = self.states[a.0].host.0;
         self.sync_host(host);
         if self.states[a.0].running == Running::Compute {
-            self.hosts[host].sched.abort(a);
+            self.hosts[host].abort(a);
             self.schedule_next_cpu(host);
         }
         let st = &mut self.states[a.0];
@@ -445,7 +441,7 @@ impl Sim {
             let a = ActorId(i);
             self.sync_host(host.0);
             if self.states[i].running == Running::Compute {
-                self.hosts[host.0].sched.abort(a);
+                self.hosts[host.0].abort(a);
                 self.schedule_next_cpu(host.0);
             }
             let st = &mut self.states[i];
@@ -531,16 +527,8 @@ impl Sim {
         }
     }
 
-    pub fn host_name(&self, h: HostId) -> &str {
-        &self.hosts[h.0].name
-    }
-
     pub fn host_speed(&self, h: HostId) -> f64 {
-        self.hosts[h.0].sched.speed()
-    }
-
-    pub fn host_mem_capacity(&self, h: HostId) -> u64 {
-        self.hosts[h.0].mem_capacity
+        self.hosts[h.0].speed()
     }
 
     /// CPU time `a` has received, in microseconds of a whole processor,
@@ -653,7 +641,7 @@ impl Sim {
                 }
             }
             Ev::CpuNext { host, epoch } => {
-                if self.hosts[host].sched.epoch == epoch {
+                if self.hosts[host].epoch == epoch {
                     self.sync_host(host);
                     self.schedule_next_cpu(host);
                 }
@@ -698,7 +686,7 @@ impl Sim {
     /// run's CPU time to its actor and finishing completed runs.
     fn sync_host(&mut self, host: usize) {
         let states = &mut self.states;
-        let done = self.hosts[host].sched.advance(self.now, |a, cpu_us| {
+        let done = self.hosts[host].advance(self.now, |a, cpu_us| {
             states[a.0].cpu_time_us += cpu_us;
         });
         for a in done.finished {
@@ -715,8 +703,8 @@ impl Sim {
     }
 
     fn schedule_next_cpu(&mut self, host: usize) {
-        if let Some(t) = self.hosts[host].sched.next_completion() {
-            let epoch = self.hosts[host].sched.epoch;
+        if let Some(t) = self.hosts[host].next_completion() {
+            let epoch = self.hosts[host].epoch;
             self.queue.push(t, Ev::CpuNext { host, epoch });
         }
     }
@@ -740,7 +728,7 @@ impl Sim {
                         let st = &self.states[a.0];
                         (st.weight, st.cpu_cap)
                     };
-                    self.hosts[host].sched.start(a, work, weight, cap);
+                    self.hosts[host].start(a, work, weight, cap);
                     self.states[a.0].running = Running::Compute;
                     self.emit("compute_start", |e| e.with("actor", a.0).with("work", work));
                     self.schedule_next_cpu(host);

@@ -46,11 +46,6 @@ impl SimTime {
         self.0
     }
 
-    /// This time as fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// This time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -101,11 +96,6 @@ pub mod dur {
     /// `n` seconds in microseconds.
     pub const fn secs(n: u64) -> u64 {
         n * 1_000_000
-    }
-    /// Fractional seconds in microseconds (rounded).
-    pub fn secs_f64(s: f64) -> u64 {
-        assert!(s >= 0.0 && s.is_finite(), "invalid duration: {s}");
-        (s * 1e6).round() as u64
     }
 }
 

@@ -342,10 +342,6 @@ impl Client {
         view * 5 + 32 * 1024
     }
 
-    pub fn current_config(&self) -> VizConfig {
-        self.cfg
-    }
-
     /// Register this client's live-tunable knobs (and its breaker reset
     /// target) on a control router, namespaced under `prefix`:
     ///

@@ -97,14 +97,6 @@ pub struct DriftStormReport {
     pub residual_final: Option<f64>,
 }
 
-impl DriftStormReport {
-    /// Detection latency in *epochs* after the skew began (None = the
-    /// storm never alarmed).
-    pub fn detection_latency_epochs(&self, opts: &DriftStormOpts) -> Option<usize> {
-        self.detection.map(|(e, _)| e.saturating_sub(opts.from_epoch))
-    }
-}
-
 /// `sc` with its live link scaled down by `skew` — the planted
 /// environment change the profiled model knows nothing about.
 pub fn skewed(sc: &Scenario, skew: f64) -> Scenario {

@@ -69,10 +69,6 @@ impl ImageStore {
         }
     }
 
-    pub fn image_count(&self) -> usize {
-        self.pyramids.len()
-    }
-
     pub fn dims(&self) -> (usize, usize) {
         (self.width, self.height)
     }

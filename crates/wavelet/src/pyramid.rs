@@ -118,11 +118,6 @@ impl Pyramid {
         (self.width >> shift, self.height >> shift)
     }
 
-    /// Raw coefficient at frame position.
-    pub fn coeff(&self, x: usize, y: usize) -> i32 {
-        self.coeffs[y * self.width + x]
-    }
-
     /// Size of `band` at `level` (band-local). LL exists only at level 0;
     /// detail bands at levels `1..=L` refine level `l-1` to `l`.
     pub fn band_size(&self, band: Band, level: usize) -> (usize, usize) {
