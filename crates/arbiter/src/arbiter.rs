@@ -10,9 +10,9 @@
 //!
 //! * **Shed** lowest-priority tiers first (LIFO recovery stack), then
 //!   **degrade** the survivors to scaled-down envelopes.
-//! * **Recover** in reverse shed order, one app per `min_dwell_us`, and
-//!   only when the app fits back with `recover_margin` headroom — this
-//!   hysteresis is what keeps the breaker from flapping.
+//! * **Recover** in reverse shed order, one app per `MIN_DWELL_US`, and
+//!   only when the app fits back with `arbiter.recover_margin` headroom —
+//!   this hysteresis is what keeps the breaker from flapping.
 //! * **Restore** degraded survivors to their original envelopes last.
 //!
 //! Policing escalates per-app strikes — throttle, demote, evict — on
@@ -54,71 +54,46 @@ const TAG_POLICE: u64 = 911;
 
 const EPS: f64 = 1e-9;
 
-/// Tunables for the arbiter's policing and overload state machines.
-#[derive(Debug, Clone)]
-pub struct ArbiterOpts {
-    /// Police loop period, us.
-    pub police_period_us: u64,
-    /// Relative headroom an app may exceed its envelope by before a tick
-    /// counts as violating (0.25 = 25% over).
-    pub usage_tolerance: f64,
-    /// Consecutive violating ticks per strike escalation.
-    pub violation_streak: u32,
-    /// How long a throttle clamp stays on before the wrapper is relaxed.
-    pub throttle_dwell_us: u64,
-    /// Minimum spacing between recovery / restore steps, and the hold-down
-    /// after the overload breaker closes. The anti-flapping knob.
-    pub min_dwell_us: u64,
-    /// Admission queue capacity; a full queue rejects instead of parking.
-    pub queue_cap: usize,
-    /// Consecutive overloaded police ticks before the breaker opens.
-    pub overload_streak: u32,
-    /// How long the overload breaker stays open before probing recovery.
-    pub recovery_timeout_us: u64,
-    /// Envelope scale factor applied by a tier demotion.
-    pub demote_frac: f64,
-    /// Envelope scale factor applied to survivors during overload.
-    pub degrade_frac: f64,
-    /// CPU floor a shed session is clamped to (bulk apps pause instead).
-    pub shed_floor_cpu: f64,
-    /// A shed app is only recovered when it fits back with this much
-    /// multiplicative headroom.
-    pub recover_margin: f64,
-    /// Policing grace after the arbiter changes an app's envelope. Usage
-    /// reports are trailing-window averages, so right after an admit,
-    /// demote, degrade, or recover the window still reflects the *old*
-    /// envelope; without the grace an honest app would collect strikes for
-    /// usage it already stopped. Must exceed the sandbox stats window.
-    pub grace_us: u64,
-    /// Bounded backfill when the queue head does not fit: the drain may
-    /// scan this many entries behind the head and admit any that fit into
-    /// capacity the head cannot use. The same number also caps how many
-    /// backfill admissions a given waiting head can be overtaken by, so a
-    /// blocked head degrades to strict head-of-line after at most this
-    /// many skips (no starvation). `0` disables backfill entirely.
-    pub backfill_depth: usize,
-}
-
-impl Default for ArbiterOpts {
-    fn default() -> Self {
-        ArbiterOpts {
-            police_period_us: 50_000,
-            usage_tolerance: 0.25,
-            violation_streak: 3,
-            throttle_dwell_us: 400_000,
-            min_dwell_us: 300_000,
-            queue_cap: 256,
-            overload_streak: 2,
-            recovery_timeout_us: 400_000,
-            demote_frac: 0.75,
-            degrade_frac: 0.6,
-            shed_floor_cpu: 0.05,
-            recover_margin: 1.2,
-            grace_us: 250_000,
-            backfill_depth: 16,
-        }
-    }
-}
+/// Police loop period, us.
+const POLICE_PERIOD_US: u64 = 50_000;
+/// Relative headroom an app may exceed its envelope by before a tick
+/// counts as violating (0.25 = 25% over).
+const USAGE_TOLERANCE: f64 = 0.25;
+/// Consecutive violating ticks per strike escalation.
+const VIOLATION_STREAK: u32 = 3;
+/// How long a throttle clamp stays on before the wrapper is relaxed.
+const THROTTLE_DWELL_US: u64 = 400_000;
+/// Minimum spacing between recovery / restore steps, and the hold-down
+/// after the overload breaker closes: what keeps the breaker from
+/// flapping.
+const MIN_DWELL_US: u64 = 300_000;
+/// Consecutive overloaded police ticks before the breaker opens.
+const OVERLOAD_STREAK: u32 = 2;
+/// How long the overload breaker stays open before probing recovery.
+const RECOVERY_TIMEOUT_US: u64 = 400_000;
+/// Envelope scale factor applied by a tier demotion.
+const DEMOTE_FRAC: f64 = 0.75;
+/// Envelope scale factor applied to survivors during overload.
+const DEGRADE_FRAC: f64 = 0.6;
+/// CPU floor a shed session is clamped to (bulk apps pause instead).
+const SHED_FLOOR_CPU: f64 = 0.05;
+/// Policing grace after the arbiter changes an app's envelope. Usage
+/// reports are trailing-window averages, so right after an admit,
+/// demote, degrade, or recover the window still reflects the *old*
+/// envelope; without the grace an honest app would collect strikes for
+/// usage it already stopped. Must exceed the sandbox stats window.
+const GRACE_US: u64 = 250_000;
+/// Initial value of the `arbiter.recover_margin` knob: a shed app is only
+/// recovered when it fits back with this much multiplicative headroom.
+const RECOVER_MARGIN: f64 = 1.2;
+/// Initial value of the `arbiter.backfill_depth` knob. Bounded backfill
+/// when the queue head does not fit: the drain may scan this many entries
+/// behind the head and admit any that fit into capacity the head cannot
+/// use. The same number also caps how many backfill admissions a given
+/// waiting head can be overtaken by, so a blocked head degrades to strict
+/// head-of-line after at most this many skips (no starvation). `0`
+/// disables backfill entirely.
+const BACKFILL_DEPTH: u64 = 16;
 
 /// Final outcome of one app: its row in the shared [`Ledger`], written
 /// once, when the app leaves.
@@ -292,12 +267,13 @@ pub struct Arbiter {
     vmms: Vec<HostVmm>,
     base_threshold: f64,
     dips: Vec<CapacityDip>,
-    opts: ArbiterOpts,
-    /// Live-tunable recovery headroom (see [`ArbiterOpts::recover_margin`]);
-    /// seeded from `opts`, retunable mid-run via `arbiter.recover_margin`.
+    /// Admission queue capacity; a full queue rejects instead of parking.
+    queue_cap: usize,
+    /// Live-tunable recovery headroom (see [`RECOVER_MARGIN`]), retunable
+    /// mid-run via `arbiter.recover_margin`.
     recover_margin: Adaptive<f64>,
-    /// Live-tunable backfill scan bound (see [`ArbiterOpts::backfill_depth`]);
-    /// seeded from `opts`, retunable mid-run via `arbiter.backfill_depth`.
+    /// Live-tunable backfill scan bound (see [`BACKFILL_DEPTH`]),
+    /// retunable mid-run via `arbiter.backfill_depth`.
     backfill_depth: Adaptive<u64>,
     obs: Obs,
     m: Metrics,
@@ -330,7 +306,7 @@ impl Arbiter {
         host_net_bps: f64,
         host_mem: u64,
         dips: Vec<CapacityDip>,
-        opts: ArbiterOpts,
+        queue_cap: usize,
         obs: Obs,
         ledger: LedgerHandle,
     ) -> Self {
@@ -340,8 +316,8 @@ impl Arbiter {
         let base_threshold = vmms[0].cpu_threshold;
         let m = Metrics::new(&obs);
         let breaker = CircuitBreaker::new(&BreakerOpts {
-            failure_threshold: opts.overload_streak,
-            recovery_timeout_us: opts.recovery_timeout_us,
+            failure_threshold: OVERLOAD_STREAK,
+            recovery_timeout_us: RECOVERY_TIMEOUT_US,
             degraded: None,
         });
         Arbiter {
@@ -350,9 +326,9 @@ impl Arbiter {
             vmms,
             base_threshold,
             dips,
-            recover_margin: Adaptive::new(opts.recover_margin),
-            backfill_depth: Adaptive::new(opts.backfill_depth as u64),
-            opts,
+            queue_cap,
+            recover_margin: Adaptive::new(RECOVER_MARGIN),
+            backfill_depth: Adaptive::new(BACKFILL_DEPTH),
             obs,
             m,
             recs: BTreeMap::new(),
@@ -506,7 +482,6 @@ impl Arbiter {
         ctx: &mut Ctx<'_>,
     ) -> AdmissionDecision {
         let Offer { fraction, res, priced } = offer;
-        let grace = self.opts.grace_us;
         let rec = self.recs.get_mut(&id).expect("admitting an app that never requested");
         let latency_us = now.as_us().saturating_sub(rec.first_req_us);
         rec.state = AppState::Running;
@@ -514,7 +489,7 @@ impl Arbiter {
         rec.grant = res;
         rec.base_grant = res;
         rec.fraction = fraction;
-        rec.grace_until = now.as_us() + grace;
+        rec.grace_until = now.as_us() + GRACE_US;
         let actor = rec.actor;
         ctx.send_now(
             actor,
@@ -625,13 +600,8 @@ impl Arbiter {
     }
 
     fn enqueue(&mut self, id: AppId, now: SimTime, ctx: &mut Ctx<'_>) -> AdmissionDecision {
-        if self.queue.len() >= self.opts.queue_cap {
-            return self.reject_app(
-                id,
-                RejectReason::QueueFull { cap: self.opts.queue_cap },
-                now,
-                ctx,
-            );
+        if self.queue.len() >= self.queue_cap {
+            return self.reject_app(id, RejectReason::QueueFull { cap: self.queue_cap }, now, ctx);
         }
         let key = self.queue_key(id);
         self.queue.insert(key);
@@ -644,7 +614,7 @@ impl Arbiter {
 
     /// Priority-ordered queue drain with bounded backfill; runs only
     /// outside overload episodes. The head is always offered capacity
-    /// first; when it does not fit, up to [`ArbiterOpts::backfill_depth`]
+    /// first; when it does not fit, up to `arbiter.backfill_depth`
     /// entries behind it are scanned in queue order and admitted into
     /// residual capacity the head cannot use anyway (a blocked 0.6-cpu
     /// head must not strand a 0.3-cpu hole). Each backfill admission
@@ -731,11 +701,9 @@ impl Arbiter {
         self.obs.inc(self.m.violations, 1);
         match strikes {
             1 => {
-                let dwell = self.opts.throttle_dwell_us;
-                let grace = self.opts.grace_us;
                 let rec = self.recs.get_mut(&id).expect("rec exists");
-                rec.throttled_until = Some(now.as_us() + dwell);
-                rec.grace_until = now.as_us() + grace;
+                rec.throttled_until = Some(now.as_us() + THROTTLE_DWELL_US);
+                rec.grace_until = now.as_us() + GRACE_US;
                 let clamp = Self::limits_of(rec.grant);
                 let actor = rec.actor;
                 ctx.send_now(
@@ -750,15 +718,13 @@ impl Arbiter {
                 self.obs.inc(self.m.throttled, 1);
             }
             2 => {
-                let demote_frac = self.opts.demote_frac;
-                let grace = self.opts.grace_us;
                 let rec = self.recs.get_mut(&id).expect("rec exists");
-                rec.grace_until = now.as_us() + grace;
+                rec.grace_until = now.as_us() + GRACE_US;
                 rec.tier_now = (rec.tier_now + 1).min(N_TIERS - 1);
-                let new = Self::scaled(rec.grant, demote_frac);
+                let new = Self::scaled(rec.grant, DEMOTE_FRAC);
                 let (host, tier) = (rec.host, rec.tier_now);
                 rec.grant = new;
-                rec.base_grant = Self::scaled(rec.base_grant, demote_frac);
+                rec.base_grant = Self::scaled(rec.base_grant, DEMOTE_FRAC);
                 let actor = rec.actor;
                 self.vmms[host].resize(&Self::res_name(id), new);
                 ctx.send_now(
@@ -791,8 +757,6 @@ impl Arbiter {
 
     fn police_apps(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
         let t = now.as_us();
-        let tolerance = self.opts.usage_tolerance;
-        let streak_k = self.opts.violation_streak;
         let ids: Vec<AppId> = self.recs.keys().copied().collect();
         for id in ids {
             let (over, expire) = {
@@ -803,7 +767,7 @@ impl Arbiter {
                 let expire = matches!(rec.throttled_until, Some(u) if t >= u);
                 let over = t >= rec.grace_until
                     && match rec.last_usage {
-                        Some(u) => u > rec.grant.cpu_share * (1.0 + tolerance) + 0.005,
+                        Some(u) => u > rec.grant.cpu_share * (1.0 + USAGE_TOLERANCE) + 0.005,
                         None => false,
                     };
                 (over, expire)
@@ -824,7 +788,7 @@ impl Arbiter {
                     if rec.ep_start.is_none() {
                         rec.ep_start = Some(t);
                     }
-                    rec.streak.is_multiple_of(streak_k)
+                    rec.streak.is_multiple_of(VIOLATION_STREAK)
                 };
                 if escalates {
                     self.escalate(id, now, ctx);
@@ -873,7 +837,6 @@ impl Arbiter {
                 .map(|(id, _)| *id);
             let Some(id) = victim else { return };
             let kind = self.spec(id).kind;
-            let floor = self.opts.shed_floor_cpu;
             let (tier, actor, grant, host) = {
                 let rec = self.recs.get_mut(&id).expect("victim exists");
                 rec.state = AppState::Shed;
@@ -884,7 +847,9 @@ impl Arbiter {
             let clamp = if pause {
                 Limits::unconstrained()
             } else {
-                Limits::unconstrained().with_cpu(floor).with_net((grant.net_bps * 0.1).max(1_000.0))
+                Limits::unconstrained()
+                    .with_cpu(SHED_FLOOR_CPU)
+                    .with_net((grant.net_bps * 0.1).max(1_000.0))
             };
             self.vmms[host].release(&Self::res_name(id));
             ctx.send_now(
@@ -912,14 +877,12 @@ impl Arbiter {
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
-            let degrade_frac = self.opts.degrade_frac;
-            let grace = self.opts.grace_us;
             let spec = self.spec(id).clone();
             let rec = self.recs.get_mut(&id).expect("survivor exists");
-            let new = Self::scaled(rec.grant, degrade_frac);
+            let new = Self::scaled(rec.grant, DEGRADE_FRAC);
             rec.degraded = true;
-            rec.grace_until = now.as_us() + grace;
-            let total_frac = rec.fraction * degrade_frac;
+            rec.grace_until = now.as_us() + GRACE_US;
+            let total_frac = rec.fraction * DEGRADE_FRAC;
             rec.grant = new;
             let (host, actor) = (rec.host, rec.actor);
             self.vmms[host].resize(&Self::res_name(id), new);
@@ -948,13 +911,12 @@ impl Arbiter {
         let name = Self::res_name(id);
         let Some(host) = Self::place(&mut self.vmms, &name, res) else { return false };
         self.shed_stack.pop();
-        let grace = self.opts.grace_us;
         let rec = self.recs.get_mut(&id).expect("shed app exists");
         rec.state = AppState::Running;
         rec.host = host;
         rec.grant = res;
         rec.degraded = false;
-        rec.grace_until = now.as_us() + grace;
+        rec.grace_until = now.as_us() + GRACE_US;
         let (actor, tier) = (rec.actor, rec.tier_now);
         ctx.send_now(
             actor,
@@ -962,7 +924,7 @@ impl Arbiter {
         );
         self.obs.publish(self.event(now, "recover").with("app", id).with("tier", tier as u64));
         self.obs.inc(self.m.recovered, 1);
-        self.next_recover_us = now.as_us() + self.opts.min_dwell_us;
+        self.next_recover_us = now.as_us() + MIN_DWELL_US;
         true
     }
 
@@ -987,18 +949,17 @@ impl Arbiter {
             self.vmms[host].resize(&name, grant);
             return;
         }
-        let grace = self.opts.grace_us;
         let rec = self.recs.get_mut(&id).expect("rec exists");
         rec.grant = base;
         rec.degraded = false;
-        rec.grace_until = now.as_us() + grace;
+        rec.grace_until = now.as_us() + GRACE_US;
         let actor = rec.actor;
         ctx.send_now(
             actor,
             Message::new(MSG_RESTORE, CTRL_BYTES, GrantBody { limits: Self::limits_of(base) }),
         );
         self.obs.publish(self.event(now, "restore").with("app", id).with("cpu", base.cpu_share));
-        self.next_restore_us = now.as_us() + self.opts.min_dwell_us;
+        self.next_restore_us = now.as_us() + MIN_DWELL_US;
     }
 
     fn overload_step(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
@@ -1036,7 +997,7 @@ impl Arbiter {
                     if self.shed_stack.is_empty() || self.try_recover_top(now, ctx) {
                         if self.breaker.on_success() {
                             self.ledger().overload_closes += 1;
-                            self.hold_until = t + self.opts.min_dwell_us;
+                            self.hold_until = t + MIN_DWELL_US;
                             self.obs.publish(
                                 self.event(now, "overload_close")
                                     .with("committed", self.committed())
@@ -1080,14 +1041,14 @@ impl Arbiter {
         self.drain_queue(now, ctx);
 
         if self.terminal < self.specs.len() {
-            ctx.set_timer(self.opts.police_period_us, TAG_POLICE);
+            ctx.set_timer(POLICE_PERIOD_US, TAG_POLICE);
         }
     }
 }
 
 impl Actor for Arbiter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.opts.police_period_us, TAG_POLICE);
+        ctx.set_timer(POLICE_PERIOD_US, TAG_POLICE);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
@@ -1180,8 +1141,6 @@ mod tests {
     fn non_finite_knob_values_are_refused_and_audited() {
         use obs::{Command, CommandOutcome, CommandRouter, ConfigValue};
         let obs = Obs::new();
-        let opts = ArbiterOpts::default();
-        let margin = opts.recover_margin;
         let arbiter = Arbiter::new(
             Vec::new(),
             Pricer::new(&Arc::new(starved_db())),
@@ -1189,7 +1148,7 @@ mod tests {
             1e6,
             1 << 30,
             Vec::new(),
-            opts,
+            StormOpts::default().queue_cap,
             obs.clone(),
             LedgerHandle::default(),
         );
@@ -1199,7 +1158,7 @@ mod tests {
         refine.register_knobs(&registry);
         let router = CommandRouter::new(registry).with_obs(&obs);
         let keys = [
-            ("arbiter.recover_margin", margin),
+            ("arbiter.recover_margin", RECOVER_MARGIN),
             ("refine.drift_threshold", adapt_core::refine::DEFAULT_DRIFT_THRESHOLD),
         ];
         for (key, live) in keys {
@@ -1308,7 +1267,7 @@ mod tests {
                 1e6,
                 1 << 30,
                 Vec::new(),
-                ArbiterOpts::default(),
+                StormOpts::default().queue_cap,
                 Obs::new(),
                 ledger.clone(),
             )),

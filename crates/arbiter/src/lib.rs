@@ -47,7 +47,7 @@ pub use admission::{
     required_rank, AdmissionDecision, PricedGrant, Pricer, RejectReason, FAIR_SHARE_FRACTIONS,
 };
 pub use app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind, N_TIERS};
-pub use arbiter::{AppLedger, Arbiter, ArbiterOpts, CapacityDip, Ledger, LedgerHandle};
+pub use arbiter::{AppLedger, Arbiter, CapacityDip, Ledger, LedgerHandle};
 pub use storm::{
     gen_specs, run_storm, run_storm_with_specs, ArrivalSurge, StormCounters, StormOpts, StormReport,
 };

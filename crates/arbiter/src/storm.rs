@@ -27,7 +27,7 @@ use visapp::{client_opts, LoadGenOpts, QosProfile, Server, SessionClass, StatsHa
 
 use crate::admission::{AdmissionDecision, Pricer};
 use crate::app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind};
-use crate::arbiter::{Arbiter, ArbiterOpts, CapacityDip, Ledger, LedgerHandle};
+use crate::arbiter::{Arbiter, CapacityDip, Ledger, LedgerHandle};
 use crate::workload::{AppActor, BulkCell, BulkWorker, NullSink};
 
 /// An arrival surge: from `start_us` for `len_us` the Poisson arrival
@@ -54,10 +54,8 @@ pub struct StormOpts {
     pub n_images: usize,
     /// Every k-th bulk app ignores its envelope (0 = no rogues).
     pub rogue_every: usize,
-    /// Arbiter tunables.
-    pub arbiter: ArbiterOpts,
-    /// Wrapper usage-report period, us.
-    pub report_period_us: u64,
+    /// Admission queue capacity; a full queue rejects instead of parking.
+    pub queue_cap: usize,
     /// App-to-server link.
     pub link_bps: f64,
     pub link_latency_us: u64,
@@ -78,8 +76,7 @@ impl Default for StormOpts {
             session_pct: 50,
             n_images: 1,
             rogue_every: 0,
-            arbiter: ArbiterOpts::default(),
-            report_period_us: 100_000,
+            queue_cap: 256,
             link_bps: 12_500_000.0,
             link_latency_us: 100,
             servers: 2,
@@ -128,8 +125,8 @@ impl StormOpts {
         self
     }
 
-    pub fn with_arbiter(mut self, opts: ArbiterOpts) -> Self {
-        self.arbiter = opts;
+    pub fn with_queue_cap(mut self, cap: usize) -> Self {
+        self.queue_cap = cap;
         self
     }
 
@@ -355,7 +352,7 @@ pub fn run_storm_with_specs(
             opts.link_bps,
             1 << 30,
             opts.dips.clone(),
-            opts.arbiter.clone(),
+            opts.queue_cap,
             obs.clone(),
             ledger.clone(),
         )),
@@ -394,7 +391,6 @@ pub fn run_storm_with_specs(
                     spec.id,
                     arb_id,
                     spec.arrival_us,
-                    opts.report_period_us,
                     client,
                     limits,
                     stats,
@@ -421,7 +417,6 @@ pub fn run_storm_with_specs(
                     spec.id,
                     arb_id,
                     spec.arrival_us,
-                    opts.report_period_us,
                     spec.rogue,
                     worker,
                     limits,

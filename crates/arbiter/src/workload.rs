@@ -32,6 +32,8 @@ use crate::msg::{
 const TAG_ARRIVE: u64 = 901;
 /// Wrapper timer: report sandbox usage to the arbiter.
 const TAG_REPORT: u64 = 902;
+/// Wrapper usage-report period, us.
+const REPORT_PERIOD_US: u64 = 100_000;
 /// Bulk worker unit-boundary continuation.
 const TAG_UNIT: u64 = 1;
 
@@ -155,7 +157,6 @@ pub struct AppActor {
     id: AppId,
     arbiter: ActorId,
     arrival_us: u64,
-    report_period_us: u64,
     rogue: bool,
     /// The sandboxed workload: a [`Client`] session or a [`BulkWorker`].
     inner: Box<dyn Actor>,
@@ -178,7 +179,6 @@ impl AppActor {
         id: AppId,
         arbiter: ActorId,
         arrival_us: u64,
-        report_period_us: u64,
         rogue: bool,
         inner: Box<dyn Actor>,
         limits: LimitsHandle,
@@ -190,7 +190,6 @@ impl AppActor {
             id,
             arbiter,
             arrival_us,
-            report_period_us,
             rogue,
             inner,
             limits,
@@ -204,40 +203,25 @@ impl AppActor {
     }
 
     /// Wrap a visapp client session.
-    #[allow(clippy::too_many_arguments)]
     pub fn session(
         id: AppId,
         arbiter: ActorId,
         arrival_us: u64,
-        report_period_us: u64,
         client: Client,
         limits: LimitsHandle,
         stats: SandboxStats,
         session_stats: StatsHandle,
     ) -> Self {
         let inner = Box::new(Sandboxed::new(client, limits.clone(), stats.clone()));
-        Self::new(
-            id,
-            arbiter,
-            arrival_us,
-            report_period_us,
-            false,
-            inner,
-            limits,
-            stats,
-            Some(session_stats),
-            None,
-        )
+        Self::new(id, arbiter, arrival_us, false, inner, limits, stats, Some(session_stats), None)
     }
 
     /// Wrap a bulk worker. `rogue` makes the wrapper restore unconstrained
     /// limits whenever the arbiter is not actively clamping it.
-    #[allow(clippy::too_many_arguments)]
     pub fn bulk(
         id: AppId,
         arbiter: ActorId,
         arrival_us: u64,
-        report_period_us: u64,
         rogue: bool,
         worker: BulkWorker,
         limits: LimitsHandle,
@@ -245,18 +229,7 @@ impl AppActor {
     ) -> Self {
         let cell = worker.cell.clone();
         let inner = Box::new(Sandboxed::new(worker, limits.clone(), stats.clone()));
-        Self::new(
-            id,
-            arbiter,
-            arrival_us,
-            report_period_us,
-            rogue,
-            inner,
-            limits,
-            stats,
-            None,
-            Some(cell),
-        )
+        Self::new(id, arbiter, arrival_us, rogue, inner, limits, stats, None, Some(cell))
     }
 
     fn forwarding(&self) -> bool {
@@ -285,7 +258,7 @@ impl AppActor {
                 self.adopt_grant(g.limits);
                 self.phase = Phase::Running;
                 self.inner.on_start(ctx);
-                ctx.set_timer(self.report_period_us, TAG_REPORT);
+                ctx.set_timer(REPORT_PERIOD_US, TAG_REPORT);
             }
             MSG_REJECT => self.phase = Phase::Rejected,
             MSG_THROTTLE => {
@@ -373,7 +346,7 @@ impl Actor for AppActor {
                         UsageBody { id: self.id, cpu: self.stats.cpu_share() },
                     ),
                 );
-                ctx.set_timer(self.report_period_us, TAG_REPORT);
+                ctx.set_timer(REPORT_PERIOD_US, TAG_REPORT);
             }
             t if self.forwarding() => self.inner.on_timer(t, ctx),
             _ => {}

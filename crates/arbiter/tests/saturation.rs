@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use arbiter::{
-    gen_specs, run_storm, run_storm_with_specs, AdmissionDecision, AppSpec, AppState, ArbiterOpts,
-    RejectReason, StormOpts, WorkloadKind,
+    gen_specs, run_storm, run_storm_with_specs, AdmissionDecision, AppSpec, AppState, RejectReason,
+    StormOpts, WorkloadKind,
 };
 use obs::{EventFilter, Source, Value};
 use simnet::{DrainMode, ExplorePlan};
@@ -205,8 +205,7 @@ fn bulk_spec(id: u32, tier: u8, arrival_us: u64) -> AppSpec {
 
 #[test]
 fn rejection_paths_are_typed() {
-    let arb = arbiter::ArbiterOpts { queue_cap: 1, ..Default::default() };
-    let opts = StormOpts::new(4).with_cluster_hosts(1).with_arbiter(arb);
+    let opts = StormOpts::new(4).with_cluster_hosts(1).with_queue_cap(1);
     let db = storm_db(&opts);
     let mut specs = vec![bulk_spec(0, 2, 10_000), bulk_spec(1, 2, 20_000), bulk_spec(2, 2, 30_000)];
     // An app whose network demand cannot fit any host even at the
@@ -280,13 +279,12 @@ fn every_spec_is_reported_once_in_a_terminal_state() {
         .with_cluster_hosts(4)
         .with_rogue_every(5)
         .with_dips(vec![(500_000, 600_000, 0.4)]);
-    let tight = ArbiterOpts { queue_cap: 3, ..Default::default() };
     let sweep = (20..24).map(|seed| {
         StormOpts::new(16)
             .with_seed(seed)
             .with_cluster_hosts(1)
             .with_rogue_every(3)
-            .with_arbiter(tight.clone())
+            .with_queue_cap(3)
     });
     let db = storm_db(&full_mix());
     let mut seen = [0usize; 3];

@@ -166,6 +166,12 @@ fn plan_from_json(v: &Json) -> Result<TrialPlan, String> {
             other => return Err(format!("unknown plan key '{other}'")),
         }
     }
+    // A file is input from outside the program: a plan no trial can run
+    // is an error here, not a panic when the trial runs.
+    plan.fault_plan().map_err(|e| e.to_string())?;
+    if plan.n_images == 0 {
+        return Err("'n_images' must be at least 1".into());
+    }
     Ok(plan)
 }
 
@@ -240,6 +246,28 @@ mod tests {
             Repro::new(plan, "breaker_illegal", "tab\there \"quoted\" \\ back\nline µs \r é");
         let parsed = Repro::from_json(&repro.to_json()).expect("parses");
         assert_eq!(parsed.detail, repro.detail);
+    }
+
+    /// A plan a file describes but no trial can run is a parse error,
+    /// not a panic when the trial runs.
+    #[test]
+    fn impossible_plans_are_errors_not_panics() {
+        let file = |faults: &str| {
+            format!(r#"{{"version": 1, "violation": "k", "plan": {{"trial_seed": 5, {faults}}}}}"#)
+        };
+        let cases = [
+            (r#""loss_pct": 150"#, "loss probability out of range: 1.5"),
+            (r#""down": [[50, 10]]"#, "empty down window"),
+            (r#""crash_at_ms": 100, "restart_at_ms": 50"#, "restart must follow the crash"),
+            (r#""n_images": 0"#, "'n_images' must be at least 1"),
+        ];
+        for (faults, why) in cases {
+            let err = Repro::from_json(&file(faults)).unwrap_err();
+            assert!(err.starts_with(why), "{faults}: {err}");
+        }
+        let fine =
+            r#""loss_pct": 100, "down": [[10, 50]], "crash_at_ms": 50, "restart_at_ms": 100"#;
+        assert!(Repro::from_json(&file(fine)).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and replays byte-identically.
 
 use obs::det::SplitMix64;
-use simnet::{FaultPlan, SimTime};
+use simnet::{FaultError, FaultPlan, SimTime};
 use visapp::{CLIENT_HOST, SERVER_HOST};
 
 /// Inclusive integer range `[lo, hi]`.
@@ -360,35 +360,38 @@ impl TrialPlan {
     }
 
     /// The simnet fault plan this trial installs, or `None` when the plan
-    /// carries no network/host faults at all.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
+    /// carries no network/host faults at all. A sampled plan always builds;
+    /// one read from a repro file may describe a fault that cannot happen
+    /// (a loss above 100 %, an empty down window, a restart before its
+    /// crash), which is an `Err`.
+    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, FaultError> {
         if self.loss_pct == 0
             && self.jitter_us == 0
             && self.down.is_empty()
             && self.crash_at_ms == 0
         {
-            return None;
+            return Ok(None);
         }
         let mut fp = FaultPlan::new(self.trial_seed ^ 0xFA17_FA17);
         if self.loss_pct > 0 {
-            fp = fp.with_loss(CLIENT_HOST, SERVER_HOST, self.loss_pct as f64 / 100.0);
+            fp = fp.try_with_loss(CLIENT_HOST, SERVER_HOST, self.loss_pct as f64 / 100.0)?;
         }
         if self.jitter_us > 0 {
             fp = fp.with_jitter(CLIENT_HOST, SERVER_HOST, self.jitter_us);
         }
         for &(start, end) in &self.down {
-            fp = fp.with_link_down(
+            fp = fp.try_with_link_down(
                 CLIENT_HOST,
                 SERVER_HOST,
                 SimTime::from_ms(start),
                 SimTime::from_ms(end),
-            );
+            )?;
         }
         if self.crash_at_ms > 0 {
             let restart = (self.restart_at_ms > 0).then(|| SimTime::from_ms(self.restart_at_ms));
-            fp = fp.with_crash(SERVER_HOST, SimTime::from_ms(self.crash_at_ms), restart);
+            fp = fp.try_with_crash(SERVER_HOST, SimTime::from_ms(self.crash_at_ms), restart)?;
         }
-        Some(fp)
+        Ok(Some(fp))
     }
 
     /// A crude size measure the shrinker drives toward zero: the sum of
@@ -446,7 +449,7 @@ mod tests {
     fn quiet_space_yields_weightless_faultless_plans() {
         let p = FaultSpace::quiet().sample(99);
         assert_eq!(p.weight(), 0);
-        assert!(p.fault_plan().is_none());
+        assert!(p.fault_plan().unwrap().is_none());
         assert!(!p.has_overload());
     }
 
@@ -512,7 +515,7 @@ mod tests {
                 (250..=600).contains(&p.drift_threshold_x1000),
                 "drift space always arms the engine at a sane threshold"
             );
-            assert!(p.fault_plan().is_none(), "drift space carries no network faults");
+            assert!(p.fault_plan().unwrap().is_none(), "drift space carries no network faults");
             assert!(!p.has_overload());
             assert!((2..=4).contains(&p.n_images));
         }
@@ -531,7 +534,7 @@ mod tests {
         for seed in 0..200 {
             let p = space.sample(seed);
             assert!(p.has_overload(), "overload space always injects at least one surge");
-            assert!(p.fault_plan().is_none(), "overload space carries no network faults");
+            assert!(p.fault_plan().unwrap().is_none(), "overload space carries no network faults");
             assert!((1..=2).contains(&p.surges.len()));
             for &(s, e, f) in &p.surges {
                 assert!(e > s, "surge window must be non-empty");

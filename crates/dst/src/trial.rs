@@ -180,7 +180,7 @@ impl TrialContext {
         let mut sc = Scenario {
             n_images: plan.n_images as usize,
             request_timeout_us: Some(plan.timeout_ms.max(1) * 1_000),
-            fault_plan: plan.fault_plan(),
+            fault_plan: plan.fault_plan().expect("sampled and parsed plans build their faults"),
             drain_mode,
             commands: knob_commands(plan),
             ..self.base.clone()

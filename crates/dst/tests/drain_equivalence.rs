@@ -24,7 +24,7 @@ fn batched_and_identity_explore_agree_under_faults() {
         // jitter, whatever the sampler drew.
         plan.loss_pct = plan.loss_pct.clamp(5, 20);
         plan.jitter_us = plan.jitter_us.clamp(500, 3_000);
-        assert!(plan.fault_plan().is_some(), "plan must carry active faults");
+        assert!(plan.fault_plan().unwrap().is_some(), "plan must carry active faults");
         let batched = ctx.run_with_drain(&plan, DrainMode::Batched);
         let identity = ctx.run_with_drain(&plan, DrainMode::Explore(ExplorePlan::new(0)));
         assert_eq!(

@@ -159,6 +159,12 @@ impl FaultPlan {
         self.seed
     }
 
+    /// Whether the plan drops any message at random (a loss above zero on
+    /// some link).
+    pub fn is_lossy(&self) -> bool {
+        self.losses.iter().any(|l| l.p > 0.0)
+    }
+
     /// Drop each message on the `a -> b` *and* `b -> a` links
     /// independently with probability `p`. Panics if `p` is outside
     /// `[0, 1]`; see [`try_with_loss`](FaultPlan::try_with_loss).

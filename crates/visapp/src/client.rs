@@ -146,9 +146,7 @@ pub struct AdaptSetup {
 
 /// Client construction options.
 ///
-/// Build with [`ClientOpts::new`] and the consuming `with_*` methods;
-/// struct-literal construction is a deprecated path kept only for
-/// backward compatibility (the field set will gain private members).
+/// Build with [`ClientOpts::new`] and the consuming `with_*` methods.
 ///
 /// ```
 /// # use visapp::{ClientOpts, VizConfig};

@@ -2,7 +2,7 @@
 //! online refinement loop (`adapt_core::refine`) end to end.
 //!
 //! The storm runs the adaptive client in *epochs* against one shared
-//! performance database. From [`DriftStormOpts::from_epoch`] on, the live
+//! performance database. From [`SKEW_FROM_EPOCH`] on, the live
 //! link is skewed to a fraction of the bandwidth the database was
 //! profiled at — the environment has silently changed, the model hasn't
 //! (§7.1: "the representative data stored in the performance database may
@@ -14,8 +14,8 @@
 //!
 //! Everything is deterministic: epochs are seeded simulations, the
 //! residual fold is a pure function of each epoch's bus, and re-profiling
-//! sweeps fixed grid points. Two storms with the same scenario and
-//! options produce identical reports.
+//! sweeps fixed grid points. Two storms of the same scenario produce
+//! identical reports.
 
 use adapt_core::refine::{DriftAlarm, RefineEngine, SwapReport};
 use adapt_core::{Objective, Preference, PreferenceList};
@@ -23,43 +23,24 @@ use sandbox::Limits;
 
 use crate::scenario::{build_db, profile_runner, run_adaptive_shared, Scenario, PROFILE_INPUT};
 
-/// Storm shape: how many epochs, when and how hard the link skews, and
-/// the refine engine's gates.
-#[derive(Debug, Clone)]
-pub struct DriftStormOpts {
-    /// Total adaptive epochs to run.
-    pub epochs: usize,
-    /// First epoch (0-based) whose live link is skewed.
-    pub from_epoch: usize,
-    /// Live link bandwidth divisor from `from_epoch` on (4.0 = the link
-    /// silently drops to a quarter of what the database was profiled at).
-    pub skew: f64,
-    /// Sustained-drift EWMA threshold (`refine.drift_threshold`).
-    pub threshold: f64,
-    /// Consecutive over-threshold samples before alarming
-    /// (`refine.min_streak`).
-    pub min_streak: u64,
-    /// Profiling parallelism for the initial build and re-profiles.
-    pub threads: usize,
-}
-
-impl Default for DriftStormOpts {
-    fn default() -> Self {
-        DriftStormOpts {
-            // Convergence is one refreshed slice per skewed epoch at
-            // worst (refreshing a slice makes the remaining stale ones
-            // look better, so the client chases them one by one): with
-            // the 2x2 (compression x level) config space of the small
-            // scenarios, 6 epochs always reach the quiet steady state.
-            epochs: 6,
-            from_epoch: 1,
-            skew: 8.0,
-            threshold: 0.5,
-            min_streak: 3,
-            threads: 2,
-        }
-    }
-}
+/// Total adaptive epochs to run. Convergence is one refreshed slice per
+/// skewed epoch at worst (refreshing a slice makes the remaining stale
+/// ones look better, so the client chases them one by one): with the 2x2
+/// (compression x level) config space of the small scenarios, 6 epochs
+/// always reach the quiet steady state.
+const EPOCHS: usize = 6;
+/// First epoch (0-based) whose live link is skewed.
+pub const SKEW_FROM_EPOCH: usize = 1;
+/// Live link bandwidth divisor from [`SKEW_FROM_EPOCH`] on (8.0 = the link
+/// silently drops to an eighth of what the database was profiled at).
+const SKEW: f64 = 8.0;
+/// Sustained-drift EWMA threshold (`refine.drift_threshold`).
+pub const DRIFT_THRESHOLD: f64 = 0.5;
+/// Consecutive over-threshold samples before alarming
+/// (`refine.min_streak`).
+const MIN_STREAK: u64 = 3;
+/// Profiling parallelism for the initial build and re-profiles.
+const THREADS: usize = 2;
 
 /// What one epoch did.
 #[derive(Debug, Clone)]
@@ -108,28 +89,28 @@ pub fn storm_prefs() -> PreferenceList {
     PreferenceList::single(Preference::new(vec![], Objective::minimize("transmit_time")))
 }
 
-/// Run a drift storm: profile `sc` honestly, then run `opts.epochs`
-/// adaptive epochs, skewing the live link from `opts.from_epoch` on, with
-/// the refine engine ingesting every epoch's bus and re-profiling on
+/// Run a drift storm: profile `sc` honestly, then run `EPOCHS` adaptive
+/// epochs, skewing the live link from [`SKEW_FROM_EPOCH`] on, with the
+/// refine engine ingesting every epoch's bus and re-profiling on
 /// sustained drift.
-pub fn run_drift_storm(sc: &Scenario, opts: &DriftStormOpts) -> DriftStormReport {
+pub fn run_drift_storm(sc: &Scenario) -> DriftStormReport {
     let store = sc.build_store();
     // The model: profiled against the *unskewed* scenario at one resource
     // point (full CPU, the nominal link). Epochs start from these limits,
     // so predictions are exact until the environment shifts underneath.
-    let db = build_db(sc, &store, &[1.0], &[sc.link_bps], opts.threads);
+    let db = build_db(sc, &store, &[1.0], &[sc.link_bps], THREADS);
     let mut engine = RefineEngine::from_db(db, PROFILE_INPUT);
-    engine.set_threshold(opts.threshold);
-    engine.set_min_streak(opts.min_streak);
+    engine.set_threshold(DRIFT_THRESHOLD);
+    engine.set_min_streak(MIN_STREAK);
 
     let start = Limits::cpu(1.0).with_net(sc.link_bps);
     let mut epochs = Vec::new();
     let mut detection = None;
     let mut points_reprofiled = 0;
     let mut residual_at_detection = None;
-    for epoch in 0..opts.epochs {
-        let is_skewed = epoch >= opts.from_epoch;
-        let live = if is_skewed { skewed(sc, opts.skew) } else { sc.clone() };
+    for epoch in 0..EPOCHS {
+        let is_skewed = epoch >= SKEW_FROM_EPOCH;
+        let live = if is_skewed { skewed(sc, SKEW) } else { sc.clone() };
         let out = run_adaptive_shared(&live, &store, engine.db(), storm_prefs(), start, None);
         // Route this epoch's refine.* audit events onto the epoch's bus.
         engine.set_obs(&out.obs);

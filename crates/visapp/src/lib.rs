@@ -42,7 +42,7 @@ pub mod store;
 pub mod wire;
 
 pub use client::{AdaptSetup, Client, ClientOpts, ConfigError, VizConfig};
-pub use drift::{run_drift_storm, DriftStormOpts, DriftStormReport, EpochReport};
+pub use drift::{run_drift_storm, DriftStormReport, EpochReport};
 pub use load::{
     model_db, run_load, ArrivalProcess, LoadGenOpts, LoadReport, QosProfile, SessionSummary,
 };

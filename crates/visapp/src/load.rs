@@ -133,6 +133,10 @@ impl QosProfile {
     }
 }
 
+/// QoS profiles cycled over sessions: session `i` gets `PROFILES[i % 3]`.
+const PROFILES: [QosProfile; 3] =
+    [QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput];
+
 /// Load-generator options. Build with [`LoadGenOpts::new`] and the
 /// consuming `with_*` methods.
 #[derive(Debug, Clone)]
@@ -147,8 +151,6 @@ pub struct LoadGenOpts {
     pub arrival: ArrivalProcess,
     /// Per-session think time is drawn uniformly from this range (us).
     pub think_time_us: (u64, u64),
-    /// QoS profiles cycled over sessions (session `i` gets `i % len`).
-    pub profiles: Vec<QosProfile>,
     /// Images per session.
     pub n_images: usize,
     pub img_size: usize,
@@ -174,7 +176,6 @@ impl Default for LoadGenOpts {
             seed: 7,
             arrival: ArrivalProcess::Poisson { mean_gap_us: 20_000 },
             think_time_us: (10_000, 50_000),
-            profiles: vec![QosProfile::Quality, QosProfile::Interactive, QosProfile::Throughput],
             n_images: 2,
             img_size: 64,
             levels: 3,
@@ -434,7 +435,6 @@ fn run_load_watched(
     wrap: impl FnOnce(LoadWatcher) -> Box<dyn Actor>,
 ) -> LoadReport {
     assert!(opts.sessions > 0, "need at least one session");
-    assert!(!opts.profiles.is_empty(), "need at least one QoS profile");
     let sc = Arc::new(opts.scenario());
     sc.validate().expect("invalid load scenario");
     let store = sc.build_store();
@@ -452,11 +452,8 @@ fn run_load_watched(
     // session of a profile starts unconstrained over the same database, so
     // its initial scheduler decision is the class's.
     let unconstrained = Limits::unconstrained();
-    let classes: Vec<Arc<SessionClass>> = opts
-        .profiles
-        .iter()
-        .map(|p| Arc::new(SessionClass::new(&sc, db.clone(), p.preferences(), &unconstrained)))
-        .collect();
+    let classes = PROFILES
+        .map(|p| Arc::new(SessionClass::new(&sc, db.clone(), p.preferences(), &unconstrained)));
 
     let mut sim = Sim::new();
     sim.set_drain_mode(opts.drain_mode);
@@ -526,7 +523,7 @@ fn run_load_watched(
         let stats = h.take();
         let summary = SessionSummary {
             session: i,
-            profile: opts.profiles[i % opts.profiles.len()],
+            profile: PROFILES[i % PROFILES.len()],
             arrival_us: arrivals[i],
             think_time_us: think[i],
             finished_us: stats.finished_at.map(|t| t.as_us()),

@@ -80,9 +80,9 @@ pub struct Scenario {
     /// Physical link bandwidth (bytes/second) and latency.
     pub link_bps: f64,
     pub link_latency_us: u64,
-    /// Host speeds relative to the reference machine (PII-450).
+    /// Client host speed relative to the reference machine (PII-450);
+    /// the server host runs at the reference speed.
     pub client_speed: f64,
-    pub server_speed: f64,
     /// Optional outbound bandwidth cap on the *server's* sandbox (used in
     /// Figure 4b, where the server is limited to 1 MBps).
     pub server_net_cap: Option<f64>,
@@ -95,18 +95,15 @@ pub struct Scenario {
     pub trigger_gap_us: u64,
     /// Background competing processes on the client host.
     pub competing_load: Vec<LoadSpec>,
-    /// Message-loss probability injected on both link directions, with a
-    /// deterministic seed (failure injection).
-    pub link_loss: Option<(f64, u64)>,
-    /// Client request-retransmission timeout (required for lossy links).
+    /// Client request-retransmission timeout (required when the fault
+    /// plan loses messages).
     pub request_timeout_us: Option<u64>,
     /// Retransmission backoff/jitter schedule.
     pub retry: RetryPolicy,
     /// Client-side circuit breaker (`None` = retry forever).
     pub breaker: Option<BreakerOpts>,
-    /// Full fault-injection plan (loss, jitter, down windows, partitions,
-    /// host crashes) installed on top of `link_loss`. Host references use
-    /// [`CLIENT_HOST`] / [`SERVER_HOST`].
+    /// Fault-injection plan (loss, jitter, down windows, partitions, host
+    /// crashes). Host references use [`CLIENT_HOST`] / [`SERVER_HOST`].
     pub fault_plan: Option<FaultPlan>,
     /// Kernel event-queue drain strategy. The default
     /// ([`DrainMode::Batched`]) is what every experiment uses; the
@@ -139,13 +136,11 @@ impl Default for Scenario {
             link_bps: 12_500_000.0,
             link_latency_us: 100,
             client_speed: 1.0,
-            server_speed: 1.0,
             server_net_cap: None,
             verify: false,
             monitor_window_us: 2_000_000,
             trigger_gap_us: 500_000,
             competing_load: Vec::new(),
-            link_loss: None,
             request_timeout_us: None,
             retry: RetryPolicy::default(),
             breaker: None,
@@ -185,21 +180,19 @@ impl Scenario {
         if !positive(self.link_bps) {
             return fail(format!("link_bps {} must be positive", self.link_bps));
         }
-        if !positive(self.client_speed) || !positive(self.server_speed) {
-            return fail("host speeds must be positive".into());
+        if !positive(self.client_speed) {
+            return fail(format!("client_speed {} must be positive", self.client_speed));
         }
         if let Some(cap) = self.server_net_cap {
             if !positive(cap) {
                 return fail(format!("server_net_cap {cap} must be positive"));
             }
         }
-        if let Some((p, _)) = self.link_loss {
-            if !(0.0..=1.0).contains(&p) {
-                return fail(format!("link loss probability {p} out of [0, 1]"));
-            }
-            if p > 0.0 && self.request_timeout_us.is_none() {
-                return fail("lossy links need a request timeout to retransmit".into());
-            }
+        // `FaultPlan`'s builders already refused a loss outside [0, 1].
+        if self.fault_plan.as_ref().is_some_and(FaultPlan::is_lossy)
+            && self.request_timeout_us.is_none()
+        {
+            return fail("lossy links need a request timeout to retransmit".into());
         }
         Ok(())
     }
@@ -390,7 +383,7 @@ fn install_commands(sim: &mut Sim, router: &CommandRouter, commands: &[CommandAt
 }
 
 /// The one client/server topology: [`CLIENT_HOST`] and [`SERVER_HOST`],
-/// the link between them with its loss and fault plan, and the
+/// the link between them with its fault plan, and the
 /// server, bandwidth-capped through its own sandbox when the scenario
 /// says so. Clients are the caller's to spawn.
 fn topology(sc: &Scenario, store: &Arc<ImageStore>, obs: &Obs) -> (Sim, simnet::ActorId) {
@@ -399,12 +392,8 @@ fn topology(sc: &Scenario, store: &Arc<ImageStore>, obs: &Obs) -> (Sim, simnet::
     sim.set_drain_mode(sc.drain_mode);
     sim.attach_obs(obs);
     let hc = sim.add_host("client", sc.client_speed, 1 << 30);
-    let hs = sim.add_host("server", sc.server_speed, 1 << 30);
+    let hs = sim.add_host("server", 1.0, 1 << 30);
     sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    if let Some((p, seed)) = sc.link_loss {
-        sim.set_link_loss(hc, hs, p, seed);
-        sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));
-    }
     if let Some(plan) = &sc.fault_plan {
         plan.install(&mut sim);
     }
@@ -634,6 +623,24 @@ pub fn build_db(
 mod tests {
     use super::*;
     use crate::load::{model_db, LoadGenOpts, QosProfile};
+
+    /// A fault plan that loses messages needs a timeout to retransmit on;
+    /// one that loses none does not.
+    #[test]
+    fn lossy_fault_plan_needs_a_request_timeout() {
+        let with_loss = |p| Scenario {
+            fault_plan: Some(FaultPlan::new(7).with_loss(CLIENT_HOST, SERVER_HOST, p)),
+            ..Scenario::small()
+        };
+        let why = "lossy links need a request timeout to retransmit";
+        assert!(matches!(
+            with_loss(0.1).validate(),
+            Err(adapt_core::Error::InvalidScenario(w)) if w == why
+        ));
+        let timed = Scenario { request_timeout_us: Some(200_000), ..with_loss(0.1) };
+        assert!(timed.validate().is_ok());
+        assert!(with_loss(0.0).validate().is_ok());
+    }
 
     #[test]
     fn class_decision_is_a_fresh_schedulers_choice() {

@@ -8,10 +8,10 @@ use adapt_core::{Constraint, Objective, PredictMode, Preference, PreferenceList}
 
 use compress::Method;
 use sandbox::{LimitSchedule, Limits};
-use simnet::SimTime;
+use simnet::{FaultPlan, SimTime};
 use visapp::{
     build_db, client_cpu_key, client_net_key, run_adaptive_shared, run_static, Scenario, VizConfig,
-    PROFILE_INPUT,
+    CLIENT_HOST, PROFILE_INPUT, SERVER_HOST,
 };
 
 fn small_scenario() -> Scenario {
@@ -541,7 +541,7 @@ fn lossy_link_recovers_via_retransmission() {
         img_size: 64,
         levels: 3,
         verify: true,
-        link_loss: Some((0.20, 777)),
+        fault_plan: Some(FaultPlan::new(777).with_loss(CLIENT_HOST, SERVER_HOST, 0.20)),
         request_timeout_us: Some(200_000),
         ..Scenario::default()
     };
@@ -552,7 +552,7 @@ fn lossy_link_recovers_via_retransmission() {
     assert!(out.stats.retries > 0, "losses must have forced retransmissions");
     // The lossless twin needs no retries and is faster.
     let clean = run_static(
-        &Scenario { link_loss: None, ..sc.clone() },
+        &Scenario { fault_plan: None, ..sc.clone() },
         &store,
         cfg,
         Limits::unconstrained(),
@@ -572,7 +572,7 @@ fn duplicate_replies_from_retransmission_races_are_ignored() {
         img_size: 64,
         levels: 3,
         verify: true,
-        link_loss: Some((0.10, 42)),
+        fault_plan: Some(FaultPlan::new(42).with_loss(CLIENT_HOST, SERVER_HOST, 0.10)),
         // Tighter than a round's natural duration -> guaranteed races.
         request_timeout_us: Some(30_000),
         ..Scenario::default()

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use adapt_core::RefineEngine;
 use sandbox::Limits;
-use visapp::drift::{run_drift_storm, skewed, storm_prefs, DriftStormOpts};
+use visapp::drift::{run_drift_storm, skewed, storm_prefs, DRIFT_THRESHOLD, SKEW_FROM_EPOCH};
 use visapp::scenario::{build_db, run_adaptive_shared, Scenario, PROFILE_INPUT};
 
 fn storm_scenario() -> Scenario {
@@ -28,8 +28,7 @@ fn storm_scenario() -> Scenario {
 #[test]
 fn drift_storm_detects_reprofiles_and_recovers() {
     let sc = storm_scenario();
-    let opts = DriftStormOpts::default();
-    let report = run_drift_storm(&sc, &opts);
+    let report = run_drift_storm(&sc);
 
     // Epoch 0 is clean: the model was profiled against exactly this
     // environment, so no alarm fires before the skew begins.
@@ -39,9 +38,9 @@ fn drift_storm_detects_reprofiles_and_recovers() {
     // The skewed epoch is detected, and detection happens IN the first
     // skewed epoch (latency 0 epochs) with the planted 8x skew.
     let x1000 = |r: Option<f64>| (r.expect("a residual") * 1000.0).round() as u64;
-    let detected = Some((opts.from_epoch, 325_128));
+    let detected = Some((SKEW_FROM_EPOCH, 325_128));
     assert_eq!(report.detection, detected, "detected in the first skewed epoch");
-    assert!(report.residual_at_detection.unwrap() > opts.threshold);
+    assert!(report.residual_at_detection.unwrap() > DRIFT_THRESHOLD);
     assert_eq!(x1000(report.residual_at_detection), 712, "residual at detection, /1000");
 
     // Detection triggered a targeted re-profile: one hot-swap batch per
@@ -54,7 +53,7 @@ fn drift_storm_detects_reprofiles_and_recovers() {
     let last = report.epochs.last().unwrap();
     assert!(last.alarms.is_empty(), "post-swap epoch must be quiet");
     assert!(
-        last.worst_residual.unwrap() < opts.threshold,
+        last.worst_residual.unwrap() < DRIFT_THRESHOLD,
         "post-swap residual {:?} must sit inside the threshold",
         last.worst_residual
     );

@@ -27,7 +27,7 @@ fn main() {
         img_size: 128,
         levels: 3,
         link_bps: 60_000.0,
-        link_loss: Some((0.08, 7)),
+        fault_plan: Some(FaultPlan::new(7).with_loss(CLIENT_HOST, SERVER_HOST, 0.08)),
         request_timeout_us: Some(800_000),
         ..Scenario::default()
     };

@@ -254,6 +254,25 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one value, one constant",
+        reason: "a run-description setting no caller varied is a named constant next to the \
+                 code that reads it, and a scenario loses messages through its fault plan alone",
+        deleted_in: "the commit that added this row",
+        searches: &[Search {
+            tokens: &[
+                r"\bArbiterOpts\b",
+                r"\bDriftStormOpts\b",
+                r"\bwith_arbiter\b",
+                r"\blink_loss\b",
+                r"\bserver_speed\b",
+            ],
+            roots: SOURCE,
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "every pub fn has a caller",
         reason: "a library function nothing calls is untested surface; delete it, or give it an \
                  UNCALLED_ALLOWED entry",
@@ -516,6 +535,7 @@ fn every_row_finds_what_it_guards() {
         ("/// Snapshots of the queue", r"Snapshot\b"),
         ("use random::Rng;", r"\buse rand\b"),
         ("let r = operand::x;", r"\brand::"),
+        ("sim.set_link_loss(a, b, 0.1, 7);", r"\blink_loss\b"),
     ] {
         assert!(!matches(line, token), "`{token}` must not match `{line}`");
     }
