@@ -30,12 +30,8 @@ pub struct Run {
     pub cap: Option<f64>,
     /// Current service rate in work-units per microsecond.
     pub rate: f64,
-}
-
-/// Outcome of advancing the scheduler clock: runs that finished.
-#[derive(Debug, Default)]
-pub struct Completions {
-    pub finished: Vec<ActorId>,
+    /// Pinned at its cap by the current rate assignment.
+    fixed: bool,
 }
 
 /// Fluid proportional-share scheduler for one host.
@@ -71,13 +67,19 @@ impl CpuSched {
         self.runs.iter().any(|r| r.actor == actor)
     }
 
-    /// Advance the fluid model to `now`, harvesting any completed runs.
-    /// `credit(actor, cpu_us)` receives each run's CPU time for the
-    /// interval, in run order. Also recomputes rates if anything completed.
-    pub fn advance(&mut self, now: SimTime, mut credit: impl FnMut(ActorId, f64)) -> Completions {
+    /// Advance the fluid model to `now`, appending the actors of completed
+    /// runs to `finished` in run order. `credit(actor, cpu_us)` receives
+    /// each run's CPU time for the interval, in run order. Also recomputes
+    /// rates if anything completed.
+    pub fn advance(
+        &mut self,
+        now: SimTime,
+        mut credit: impl FnMut(ActorId, f64),
+        finished: &mut Vec<ActorId>,
+    ) {
         let dt = now.since(self.last_update) as f64;
         self.last_update = now;
-        let mut done = Completions::default();
+        let before = finished.len();
         if dt > 0.0 {
             for r in &mut self.runs {
                 let served = r.rate * dt;
@@ -90,16 +92,15 @@ impl CpuSched {
         let mut i = 0;
         while i < self.runs.len() {
             if self.runs[i].remaining <= WORK_EPS {
-                done.finished.push(self.runs[i].actor);
+                finished.push(self.runs[i].actor);
                 self.runs.remove(i);
             } else {
                 i += 1;
             }
         }
-        if !done.finished.is_empty() {
+        if finished.len() > before {
             self.reassign_rates();
         }
-        done
     }
 
     /// Start a new run for `actor`. Caller must `advance` first.
@@ -113,6 +114,7 @@ impl CpuSched {
             weight: weight.max(1e-6),
             cap: cap.map(|c| c.clamp(1e-6, 1.0)),
             rate: 0.0,
+            fixed: false,
         });
         self.reassign_rates();
     }
@@ -167,43 +169,34 @@ impl CpuSched {
     /// Water-filling rate assignment: capped runs whose proportional share
     /// exceeds their cap are pinned at the cap; remaining capacity is shared
     /// among the rest in proportion to weight, iterating until stable.
-    #[allow(clippy::needless_range_loop)] // indices span `runs` and `fixed`
     fn reassign_rates(&mut self) {
         self.epoch += 1;
-        if self.runs.is_empty() {
-            return;
+        for r in &mut self.runs {
+            r.fixed = false;
         }
-        let n = self.runs.len();
-        let mut fixed = vec![false; n];
         let mut capacity = self.speed;
         loop {
-            let total_w: f64 =
-                self.runs.iter().zip(&fixed).filter(|(_, f)| !**f).map(|(r, _)| r.weight).sum();
+            let total_w: f64 = self.runs.iter().filter(|r| !r.fixed).map(|r| r.weight).sum();
             if total_w <= 0.0 {
                 break;
             }
             let mut newly_fixed = false;
-            for i in 0..n {
-                if fixed[i] {
-                    continue;
-                }
-                let share = capacity * self.runs[i].weight / total_w;
-                if let Some(cap) = self.runs[i].cap {
+            for r in self.runs.iter_mut().filter(|r| !r.fixed) {
+                let share = capacity * r.weight / total_w;
+                if let Some(cap) = r.cap {
                     let cap_rate = cap * self.speed;
                     if share > cap_rate {
-                        self.runs[i].rate = cap_rate;
+                        r.rate = cap_rate;
                         capacity -= cap_rate;
-                        fixed[i] = true;
+                        r.fixed = true;
                         newly_fixed = true;
                     }
                 }
             }
             if !newly_fixed {
                 // Residual proportional assignment for everyone unfixed.
-                for i in 0..n {
-                    if !fixed[i] {
-                        self.runs[i].rate = capacity * self.runs[i].weight / total_w;
-                    }
+                for r in self.runs.iter_mut().filter(|r| !r.fixed) {
+                    r.rate = capacity * r.weight / total_w;
                 }
                 break;
             }
@@ -232,8 +225,9 @@ mod tests {
         assert!((s.rate_of(aid(0)) - 2.0).abs() < 1e-12);
         // 100 units at 2 units/us -> 50us.
         assert_eq!(s.next_completion(), Some(SimTime::from_us(50)));
-        let done = s.advance(SimTime::from_us(50), |_, _| {});
-        assert_eq!(done.finished, vec![aid(0)]);
+        let mut done = Vec::new();
+        s.advance(SimTime::from_us(50), |_, _| {}, &mut done);
+        assert_eq!(done, vec![aid(0)]);
         assert!(s.is_idle());
     }
 
@@ -301,7 +295,7 @@ mod tests {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 100.0, 1.0, Some(0.5));
         let mut usage = Vec::new();
-        s.advance(SimTime::from_us(100), |a, cpu_us| usage.push((a, cpu_us)));
+        s.advance(SimTime::from_us(100), |a, cpu_us| usage.push((a, cpu_us)), &mut Vec::new());
         assert_eq!(usage.len(), 1);
         let (a, cpu_us) = usage[0];
         assert_eq!(a, aid(0));
@@ -315,8 +309,10 @@ mod tests {
         s.start(aid(0), 100.0, 1.0, None);
         s.start(aid(1), 50.0, 1.0, None);
         // Both at 0.5: aid(1) finishes at t=100.
-        let done = s.advance(SimTime::from_us(100), |_, _| {});
-        assert_eq!(done.finished, vec![aid(1)]);
+        // The list is appended to, never cleared.
+        let mut done = vec![aid(7)];
+        s.advance(SimTime::from_us(100), |_, _| {}, &mut done);
+        assert_eq!(done, vec![aid(7), aid(1)]);
         // aid(0) has 50 left, now at full rate.
         assert!((s.rate_of(aid(0)) - 1.0).abs() < 1e-12);
         assert_eq!(s.next_completion(), Some(SimTime::from_us(150)));
@@ -327,10 +323,10 @@ mod tests {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 1000.0, 1.0, Some(0.8));
         assert!((s.rate_of(aid(0)) - 0.8).abs() < 1e-12);
-        s.advance(SimTime::from_us(10), |_, _| {});
+        s.advance(SimTime::from_us(10), |_, _| {}, &mut Vec::new());
         s.retune(aid(0), None, Some(Some(0.4)));
         assert!((s.rate_of(aid(0)) - 0.4).abs() < 1e-12);
-        s.advance(SimTime::from_us(20), |_, _| {});
+        s.advance(SimTime::from_us(20), |_, _| {}, &mut Vec::new());
         s.retune(aid(0), None, Some(None));
         assert!((s.rate_of(aid(0)) - 1.0).abs() < 1e-12);
     }
@@ -339,7 +335,7 @@ mod tests {
     fn abort_returns_remaining() {
         let mut s = CpuSched::new(1.0);
         s.start(aid(0), 100.0, 1.0, None);
-        s.advance(SimTime::from_us(40), |_, _| {});
+        s.advance(SimTime::from_us(40), |_, _| {}, &mut Vec::new());
         let rem = s.abort(aid(0)).unwrap();
         assert!((rem - 60.0).abs() < 1e-9);
         assert!(s.is_idle());

@@ -209,6 +209,9 @@ pub struct Sim {
     queue: EventQueue,
     /// One CPU model per host, indexed by `HostId`.
     hosts: Vec<CpuSched>,
+    /// Scratch list of the actors a [`CpuSched::advance`] finished, kept
+    /// so a completion allocates nothing (see `sync_host`).
+    finished: Vec<ActorId>,
     /// One record per directed host pair that was configured, faulted or
     /// used: its link and its faults.
     links: HashMap<(usize, usize), LinkState>,
@@ -249,6 +252,7 @@ impl Sim {
             now: SimTime::ZERO,
             queue: EventQueue::new(ExplorePlan::default()),
             hosts: Vec::new(),
+            finished: Vec::new(),
             links: HashMap::new(),
             actors: Vec::new(),
             states: Vec::new(),
@@ -685,13 +689,22 @@ impl Sim {
     /// Advance `host`'s fluid CPU model to `self.now`, crediting each
     /// run's CPU time to its actor and finishing completed runs.
     fn sync_host(&mut self, host: usize) {
+        // The scratch list is taken, not borrowed: a finish re-enters
+        // `pump`, which may sync a host again on an empty list of its own.
+        let mut done = std::mem::take(&mut self.finished);
         let states = &mut self.states;
-        let done = self.hosts[host].advance(self.now, |a, cpu_us| {
-            states[a.0].cpu_time_us += cpu_us;
-        });
-        for a in done.finished {
+        self.hosts[host].advance(
+            self.now,
+            |a, cpu_us| {
+                states[a.0].cpu_time_us += cpu_us;
+            },
+            &mut done,
+        );
+        for &a in &done {
             self.finish_compute(a);
         }
+        done.clear();
+        self.finished = done;
     }
 
     fn finish_compute(&mut self, a: ActorId) {

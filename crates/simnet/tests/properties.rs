@@ -54,7 +54,7 @@ proptest! {
             s.start(ActorId(i), work, weight, cap);
         }
         let mut cpu = Vec::new();
-        s.advance(SimTime::from_us(dt), |_, cpu_us| cpu.push(cpu_us));
+        s.advance(SimTime::from_us(dt), |_, cpu_us| cpu.push(cpu_us), &mut Vec::new());
         // Work done is what a run no longer has left (all of it if it finished).
         let total_work: f64 = runs
             .iter()

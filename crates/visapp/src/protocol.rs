@@ -7,6 +7,8 @@
 //! answers with the (possibly compressed) wavelet coefficients of the
 //! *new* portion of that area.
 
+use std::sync::Arc;
+
 use compress::Method;
 use simnet::Message;
 use wavelet::Rect;
@@ -65,8 +67,9 @@ pub struct Reply {
     pub round: u64,
     /// Compression method used for `payload`.
     pub compression: Method,
-    /// The actual compressed chunk bytes.
-    pub payload: Vec<u8>,
+    /// The actual compressed chunk bytes, shared with the store's cache
+    /// (see [`crate::store::Prepared::payload`]).
+    pub payload: Arc<[u8]>,
     /// Uncompressed payload size (the client charges decompression work
     /// for this volume; also carried by real protocols for buffer sizing).
     pub raw_bytes: usize,
@@ -131,7 +134,7 @@ mod tests {
             image_id: 0,
             round: 1,
             compression: Method::Lzw,
-            payload: vec![0u8; 1000],
+            payload: Arc::from(vec![0u8; 1000]),
             raw_bytes: 2000,
             ncoeffs: 500,
             region: Rect::new(0, 0, 64, 64),

@@ -9,6 +9,8 @@
 //! `(request, reply)` pair, keyed by the request's monotonic round
 //! number, so a retransmitted request (lossy links, client timeouts) is
 //! answered from the cache without re-extracting or re-compressing.
+//! A reply copies no payload bytes: it shares the store's prepared
+//! payload, and the cache keeps the sent message itself.
 //! Malformed or unknown messages are counted and dropped rather than
 //! fatal, and a host restart (fault injection) clears all session state —
 //! clients re-announce themselves when their probes get through.
@@ -43,9 +45,9 @@ const TAG_REPORT: u64 = 1;
 #[derive(Debug, Default)]
 struct Session {
     compression: Option<Method>,
-    /// Last `(request, reply)` pair: the idempotency cache that makes
-    /// client retransmissions safe and cheap.
-    cached: Option<(Request, Reply)>,
+    /// Last request and the reply message sent for it: the idempotency
+    /// cache that makes client retransmissions safe and cheap.
+    cached: Option<(Request, Message)>,
     /// Retransmissions answered from the cache.
     dups: u64,
 }
@@ -214,7 +216,7 @@ impl Actor for Server {
                 if let Some(reply) = cached_hit {
                     self.duplicate_requests += 1;
                     self.count(|h| h.duplicates);
-                    ctx.send(from, protocol::reply_msg(reply));
+                    ctx.send(from, reply);
                     return;
                 }
                 self.requests_served += 1;
@@ -229,7 +231,7 @@ impl Actor for Server {
                 };
                 let level = req.level.min(self.store.levels());
                 let prepared = self.store.prepare(req.image_id, region, level, exclude, method);
-                let reply = Reply {
+                let reply = protocol::reply_msg(Reply {
                     image_id: req.image_id,
                     round: req.round,
                     compression: method,
@@ -237,13 +239,13 @@ impl Actor for Server {
                     raw_bytes: prepared.raw_bytes,
                     ncoeffs: prepared.ncoeffs,
                     region,
-                };
+                });
                 if let Some(sess) = self.sessions.get_mut(&from) {
                     sess.cached = Some((req, reply.clone()));
                 }
                 // Charge extraction + compression work, then transmit.
                 ctx.compute(costs::server_reply_work(prepared.ncoeffs, prepared.raw_bytes, method));
-                ctx.send(from, protocol::reply_msg(reply));
+                ctx.send(from, reply);
             }
             protocol::TAG_DISCONNECT => {
                 self.sessions.remove(&from);
@@ -275,10 +277,14 @@ mod tests {
     use std::sync::Arc;
     use std::sync::Mutex;
 
+    /// What a scripted client saw of one reply: round, wire bytes, raw
+    /// bytes and the payload handle it received.
+    type Seen = (u64, u64, usize, Arc<[u8]>);
+
     /// Scripted client driving the server directly.
     struct Probe {
         server: ActorId,
-        log: Arc<Mutex<Vec<(u64, u64, usize)>>>, // (round, wire, raw)
+        log: Arc<Mutex<Vec<Seen>>>,
         step: usize,
     }
     impl Actor for Probe {
@@ -299,7 +305,8 @@ mod tests {
         }
         fn on_message(&mut self, _from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
             let reply = msg.expect_body::<Reply>();
-            self.log.lock().unwrap().push((reply.round, msg.wire_bytes, reply.raw_bytes));
+            let seen = (reply.round, msg.wire_bytes, reply.raw_bytes, reply.payload.clone());
+            self.log.lock().unwrap().push(seen);
             self.step += 1;
             match self.step {
                 1 => {
@@ -355,17 +362,22 @@ mod tests {
         // the third reply (after the switch to Raw) is raw + header.
         // (Compression-ratio claims live in the store/compress tests —
         // tiny ring payloads may not amortize a Huffman table.)
-        let (_, wire0, raw0) = log[0];
-        let (_, wire1, raw1) = log[1];
-        let (_, wire2, raw2) = log[2];
+        let (_, wire0, raw0, _) = log[0];
+        let (_, wire1, raw1, _) = log[1];
+        let (_, wire2, raw2, _) = log[2];
         assert!(raw0 > 0 && raw1 > 0);
         assert_eq!(wire2 as usize, raw2 + protocol::REPLY_HEADER_BYTES as usize);
         let full = Rect::fovea(32, 32, 16, 64, 64);
         let ring_outer = Rect::fovea(32, 32, 32, 64, 64);
         let p0 = store.prepare(0, full, 3, Rect::empty(), Method::Bzip);
         let p1 = store.prepare(0, ring_outer, 3, full, Method::Bzip);
+        let p2 = store.prepare(1, ring_outer, 3, Rect::empty(), Method::Raw);
         assert_eq!(wire0, p0.payload.len() as u64 + protocol::REPLY_HEADER_BYTES);
         assert_eq!(wire1, p1.payload.len() as u64 + protocol::REPLY_HEADER_BYTES);
+        // No copies: each reply carries the store's own payload allocation.
+        for (seen, prepared) in log.iter().zip([&p0, &p1, &p2]) {
+            assert!(Arc::ptr_eq(&seen.3, &prepared.payload), "round {} copied", seen.0);
+        }
         // Server did simulated work: time advanced beyond pure transfer.
         assert!(sim.now() > SimTime::ZERO);
     }
@@ -416,17 +428,18 @@ mod tests {
 
     #[test]
     fn retransmitted_request_is_answered_from_cache() {
-        // The same request twice: both get a byte-identical reply, and
-        // the second costs no server compute (idempotency cache).
+        // The same request twice: both get the same reply, sharing the
+        // store's payload, and the second costs no server compute
+        // (idempotency cache).
         let mut sim = Sim::new();
         let hs = sim.add_host("server", 1.0, 1 << 30);
         let hc = sim.add_host("client", 1.0, 1 << 30);
         sim.set_link(hs, hc, 1_000_000.0, 100);
         let store = Arc::new(ImageStore::generate(1, 64, 3, 7));
-        let server = sim.spawn(hs, Box::new(Server::new(store)));
+        let server = sim.spawn(hs, Box::new(Server::new(store.clone())));
         struct Retry {
             server: ActorId,
-            replies: Arc<Mutex<Vec<(u64, u64)>>>, // (round, wire_bytes)
+            replies: Arc<Mutex<Vec<Seen>>>,
             sent_dup: bool,
         }
         fn the_request() -> Request {
@@ -439,7 +452,8 @@ mod tests {
             }
             fn on_message(&mut self, _from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
                 let reply = msg.expect_body::<Reply>();
-                self.replies.lock().unwrap().push((reply.round, msg.wire_bytes));
+                let seen = (reply.round, msg.wire_bytes, reply.raw_bytes, reply.payload.clone());
+                self.replies.lock().unwrap().push(seen);
                 if !self.sent_dup {
                     self.sent_dup = true;
                     // Pretend the first reply was lost: retransmit.
@@ -453,5 +467,9 @@ mod tests {
         let replies = replies.lock().unwrap();
         assert_eq!(replies.len(), 2, "both the request and its retransmission were answered");
         assert_eq!(replies[0], replies[1], "cached reply is byte-identical");
+        let p = store.prepare(0, Rect::fovea(32, 32, 16, 64, 64), 3, Rect::empty(), Method::Bzip);
+        for seen in replies.iter() {
+            assert!(Arc::ptr_eq(&seen.3, &p.payload), "a reply copied the prepared payload");
+        }
     }
 }

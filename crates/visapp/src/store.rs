@@ -19,8 +19,9 @@ use wavelet::{encode_chunks, Pyramid, Rect};
 /// One prepared reply payload.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Compressed bytes (what travels on the wire).
-    pub payload: Vec<u8>,
+    /// Compressed bytes (what travels on the wire), shared: every reply
+    /// that carries them holds this one allocation.
+    pub payload: Arc<[u8]>,
     /// Uncompressed (encoded-chunk) size in bytes.
     pub raw_bytes: usize,
     /// Number of coefficients.
@@ -116,7 +117,9 @@ impl ImageStore {
             let ncoeffs: usize = chunks.iter().map(|c| c.len()).sum();
             let raw = encode_chunks(&chunks);
             let raw_bytes = raw.len();
-            let payload = method.compress(&raw);
+            // The one copy of a payload's bytes: the compressor's output
+            // moves behind the shared handle every reply clones.
+            let payload = Arc::from(method.compress(&raw));
             Arc::new(Prepared { payload, raw_bytes, ncoeffs })
         })
         .clone()

@@ -8,6 +8,8 @@
 //! the far side, so receivers keep calling `Message::decode::<Reply>()`
 //! unchanged regardless of backend.
 
+use std::sync::Arc;
+
 use adapt_transport::{ByteReader, ByteWriter, CodecError, WireCodec};
 use compress::Method;
 use simnet::Message;
@@ -111,7 +113,8 @@ impl WireCodec for VizCodec {
                 let image_id = r.u64()? as usize;
                 let round = r.u64()?;
                 let compression = method_from(r.u8()?)?;
-                let payload_bytes = r.bytes()?.to_vec();
+                // One copy, frame slice to shared bytes.
+                let payload_bytes = Arc::from(r.bytes()?);
                 let raw_bytes = r.u64()? as usize;
                 let ncoeffs = r.u64()? as usize;
                 let region = Rect::new(
@@ -197,7 +200,7 @@ mod tests {
                 image_id: 3,
                 round: 17,
                 compression: Method::Lzw,
-                payload: vec![1, 2, 3, 4, 5],
+                payload: Arc::from([1, 2, 3, 4, 5].as_slice()),
                 raw_bytes: 999,
                 ncoeffs: 123,
                 region: Rect::new(88, 24, 80, 80),

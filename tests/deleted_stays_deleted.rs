@@ -257,7 +257,7 @@ static GUARDS: &[Guard] = &[
         name: "one value, one constant",
         reason: "a run-description setting no caller varied is a named constant next to the \
                  code that reads it, and a scenario loses messages through its fault plan alone",
-        deleted_in: "the commit that added this row",
+        deleted_in: "c62801a",
         searches: &[Search {
             tokens: &[
                 r"\bArbiterOpts\b",
@@ -273,10 +273,24 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one copy of each payload",
+        reason: "a reply's bytes are one shared Arc<[u8]> from the store's cache through the \
+                 server's reply and its dedup cache to the client (DESIGN.md §17.2); an owned \
+                 byte vector per reply copied them twice",
+        deleted_in: "the commit that added this row",
+        searches: &[Search {
+            tokens: &[r"\bpayload: Vec<u8>"],
+            roots: &["crates/visapp/src"],
+            files: RS,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "every pub fn has a caller",
         reason: "a library function nothing calls is untested surface; delete it, or give it an \
                  UNCALLED_ALLOWED entry",
-        deleted_in: "the commit that added this file",
+        deleted_in: "38dadf3",
         searches: &[],
         check: Some(uncalled_pub_fns),
     },
@@ -536,6 +550,7 @@ fn every_row_finds_what_it_guards() {
         ("use random::Rng;", r"\buse rand\b"),
         ("let r = operand::x;", r"\brand::"),
         ("sim.set_link_loss(a, b, 0.1, 7);", r"\blink_loss\b"),
+        ("frame_payload: Vec<u8>,", r"\bpayload: Vec<u8>"),
     ] {
         assert!(!matches(line, token), "`{token}` must not match `{line}`");
     }
