@@ -243,7 +243,16 @@ impl RefineEngine {
         // configuration actually active at each instant (config events).
         let mut predicted: BTreeMap<String, Predicted> = BTreeMap::new();
         let mut active: Option<String> = None;
-        for ev in run.events_filtered(&EventFilter::any()) {
+        // Only the kinds matched below: the kernel's packed events are
+        // skipped unbuilt.
+        let read = EventFilter::any()
+            .source(Source::Scheduler)
+            .source(Source::App)
+            .kind("decide")
+            .kind("config")
+            .kind("round")
+            .kind("image");
+        for ev in run.events_filtered(&read) {
             match (ev.source, ev.kind) {
                 (Source::Scheduler, "decide") => {
                     let Some(config) = ev.str_field("config").map(str::to_string) else {

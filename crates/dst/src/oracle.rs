@@ -273,7 +273,15 @@ pub fn config_audit_complete(obs: &Obs) -> Option<Violation> {
     let mut versions: std::collections::HashMap<String, u64> = Default::default();
     let mut prefs_versions = HashSet::new();
     let bad = |at_us: u64, detail: String| Some(Violation::ConfigAuditIncomplete { at_us, detail });
-    for ev in obs.events() {
+    // Only the kinds matched below: the kernel's packed events are
+    // skipped unbuilt.
+    let read = EventFilter::any()
+        .source(obs::Source::Control)
+        .source(obs::Source::Scheduler)
+        .kind("config_set")
+        .kind("config_reject")
+        .kind("decide");
+    for ev in obs.events_filtered(&read) {
         match (ev.source, ev.kind) {
             (obs::Source::Control, "config_set") => {
                 let Some(key) = ev.str_field("key") else {

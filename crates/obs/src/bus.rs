@@ -1,6 +1,11 @@
 //! Ring-buffered event bus with filtered subscriptions.
+//!
+//! A slot holds either an event its publisher built or a packed record
+//! (`at_us`, a [`Shape`], [`PACKED_SLOTS`] values) that is built into an
+//! [`Event`] only when a snapshot or a drain reads it. Filters match on
+//! source and kind, so a packed slot that no reader takes is never built.
 
-use crate::event::{Event, EventFilter};
+use crate::event::{Event, EventFilter, Shape, PACKED_SLOTS};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -15,15 +20,39 @@ pub struct Subscription {
     pub(crate) id: u64,
 }
 
+/// One retained event: built by its publisher, or packed until read.
+#[derive(Clone)]
+enum Slot {
+    Built(Arc<Event>),
+    Packed { at_us: u64, shape: &'static Shape, vals: [u64; PACKED_SLOTS] },
+}
+
+impl Slot {
+    fn matches(&self, filter: &EventFilter) -> bool {
+        match self {
+            Slot::Built(ev) => filter.matches(ev),
+            Slot::Packed { shape, .. } => filter.admits(shape.source, shape.kind),
+        }
+    }
+
+    /// The event this slot holds, built now if it is packed.
+    fn event(&self) -> Arc<Event> {
+        match self {
+            Slot::Built(ev) => Arc::clone(ev),
+            Slot::Packed { at_us, shape, vals } => Arc::new(shape.build(*at_us, vals)),
+        }
+    }
+}
+
 struct SubState {
     id: u64,
     filter: EventFilter,
-    queue: VecDeque<Arc<Event>>,
+    queue: VecDeque<Slot>,
 }
 
 /// The bus itself. Not public API; use the `Obs` methods.
 pub struct EventBus {
-    ring: VecDeque<Arc<Event>>,
+    ring: VecDeque<Slot>,
     capacity: usize,
     published: u64,
     dropped: u64,
@@ -46,18 +75,30 @@ impl Default for EventBus {
 
 impl EventBus {
     pub(crate) fn publish(&mut self, ev: Event) {
-        let ev = Arc::new(ev);
+        self.push(Slot::Built(Arc::new(ev)));
+    }
+
+    pub(crate) fn publish_packed(
+        &mut self,
+        at_us: u64,
+        shape: &'static Shape,
+        vals: [u64; PACKED_SLOTS],
+    ) {
+        self.push(Slot::Packed { at_us, shape, vals });
+    }
+
+    fn push(&mut self, slot: Slot) {
         self.published += 1;
         for sub in &mut self.subs {
-            if sub.filter.matches(&ev) {
-                sub.queue.push_back(Arc::clone(&ev));
+            if slot.matches(&sub.filter) {
+                sub.queue.push_back(slot.clone());
             }
         }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(ev);
+        self.ring.push_back(slot);
     }
 
     pub(crate) fn subscribe(&mut self, filter: EventFilter) -> Subscription {
@@ -69,7 +110,7 @@ impl EventBus {
 
     pub(crate) fn drain(&mut self, sub: &Subscription) -> Vec<Arc<Event>> {
         match self.subs.iter_mut().find(|s| s.id == sub.id) {
-            Some(s) => s.queue.drain(..).collect(),
+            Some(s) => s.queue.drain(..).map(|slot| slot.event()).collect(),
             None => Vec::new(),
         }
     }
@@ -79,11 +120,11 @@ impl EventBus {
     }
 
     pub(crate) fn snapshot(&self) -> Vec<Arc<Event>> {
-        self.ring.iter().cloned().collect()
+        self.ring.iter().map(Slot::event).collect()
     }
 
     pub(crate) fn snapshot_filtered(&self, filter: &EventFilter) -> Vec<Arc<Event>> {
-        self.ring.iter().filter(|e| filter.matches(e)).cloned().collect()
+        self.ring.iter().filter(|slot| slot.matches(filter)).map(Slot::event).collect()
     }
 
     pub(crate) fn published(&self) -> u64 {
@@ -98,7 +139,7 @@ impl EventBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Source;
+    use crate::event::{FieldType, Source};
 
     fn ev(at: u64, source: Source, kind: &'static str) -> Event {
         Event::new(at, source, kind)
@@ -138,6 +179,23 @@ mod tests {
         assert_eq!(snap[0].at_us, 2);
         assert_eq!(bus.published(), 3);
         assert_eq!(bus.dropped(), 1);
+    }
+
+    #[test]
+    fn packed_and_built_slots_are_evicted_and_counted_alike() {
+        static SHAPE: Shape =
+            Shape::new(Source::Simnet, "timer_fired", &[("actor", FieldType::U64)]);
+        let mut bus = EventBus { capacity: 2, ..EventBus::default() };
+        bus.publish_packed(1, &SHAPE, [7, 0, 0]);
+        bus.publish(ev(2, Source::App, "b"));
+        bus.publish_packed(3, &SHAPE, [8, 0, 0]);
+        assert_eq!((bus.published(), bus.dropped()), (3, 1));
+        bus.publish(ev(4, Source::App, "d"));
+        assert_eq!((bus.published(), bus.dropped()), (4, 2));
+        let snap = bus.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(*snap[0], ev(3, Source::Simnet, "timer_fired").with("actor", 8u64));
+        assert_eq!(*snap[1], ev(4, Source::App, "d"));
     }
 
     #[test]

@@ -172,6 +172,77 @@ impl Event {
     }
 }
 
+/// Value slots in a packed event: the `[u64; PACKED_SLOTS]` of
+/// [`crate::Obs::publish_packed`].
+pub const PACKED_SLOTS: usize = 3;
+
+/// The type of one field of a [`Shape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldType {
+    /// A `u64`, the next value slot as it is.
+    U64,
+    /// An `f64`, the next value slot read by `f64::from_bits`.
+    F64,
+    /// A string the shape fixes; it takes no value slot.
+    Str(&'static str),
+}
+
+/// The fixed layout of an event published packed: its source, its kind,
+/// and its fields in order.
+///
+/// A packed event is `(at_us, &'static Shape, [u64; PACKED_SLOTS])`; it
+/// costs no allocation to publish and becomes an [`Event`] only when a
+/// reader asks for it. The built event equals the one
+/// `Event::new(at_us, source, kind).with(..)` makes from the same fields,
+/// with `U64` fields as [`Value::U64`], `F64` as [`Value::F64`] and `Str`
+/// as [`Value::Str`].
+#[derive(Debug)]
+pub struct Shape {
+    pub(crate) source: Source,
+    pub(crate) kind: &'static str,
+    fields: &'static [(&'static str, FieldType)],
+}
+
+impl Shape {
+    /// A shape. Its `U64` and `F64` fields fill the value slots in order,
+    /// so there may be at most [`PACKED_SLOTS`] of them; a `static` shape
+    /// with more does not compile.
+    pub const fn new(
+        source: Source,
+        kind: &'static str,
+        fields: &'static [(&'static str, FieldType)],
+    ) -> Shape {
+        let (mut i, mut slots) = (0, 0);
+        while i < fields.len() {
+            if !matches!(fields[i].1, FieldType::Str(_)) {
+                slots += 1;
+            }
+            i += 1;
+        }
+        assert!(slots <= PACKED_SLOTS, "a shape has more value fields than packed slots");
+        Shape { source, kind, fields }
+    }
+
+    /// The event a packed record of this shape stands for.
+    pub(crate) fn build(&self, at_us: u64, vals: &[u64; PACKED_SLOTS]) -> Event {
+        let mut slots = vals.iter().copied();
+        let mut next = || slots.next().expect("Shape::new bounds the value fields");
+        let fields = self
+            .fields
+            .iter()
+            .map(|&(key, ty)| {
+                let value = match ty {
+                    FieldType::U64 => Value::U64(next()),
+                    FieldType::F64 => Value::F64(f64::from_bits(next())),
+                    FieldType::Str(s) => Value::Str(s.to_string()),
+                };
+                (key, value)
+            })
+            .collect();
+        Event { at_us, source: self.source, kind: self.kind, fields }
+    }
+}
+
 /// Predicate over events for subscriptions and snapshots.
 ///
 /// An empty filter ([`EventFilter::any`]) matches everything; adding
@@ -248,17 +319,14 @@ impl EventFilter {
 
     /// Does `ev` pass this filter?
     pub fn matches(&self, ev: &Event) -> bool {
-        if let Some(sources) = &self.sources {
-            if !sources.contains(&ev.source) {
-                return false;
-            }
-        }
-        if let Some(kinds) = &self.kinds {
-            if !kinds.contains(&ev.kind) {
-                return false;
-            }
-        }
-        true
+        self.admits(ev.source, ev.kind)
+    }
+
+    /// Does an event of this source and kind pass? The filter reads
+    /// nothing else, so a packed event is matched without being built.
+    pub(crate) fn admits(&self, source: Source, kind: &'static str) -> bool {
+        self.sources.as_ref().is_none_or(|s| s.contains(&source))
+            && self.kinds.as_ref().is_none_or(|k| k.contains(&kind))
     }
 }
 

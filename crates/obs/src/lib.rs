@@ -11,7 +11,8 @@
 //!   monitor hot path is allocation-free;
 //! * a structured [`Event`] type (sim-timestamped, tagged with a [`Source`])
 //!   flowing through a ring-buffered [`EventBus`](bus) with filtered
-//!   subscriptions;
+//!   subscriptions; a high-rate publisher stores a packed record of a
+//!   static [`Shape`] instead, built into an [`Event`] only when read;
 //! * span-style profiling hooks ([`Obs::span`]) that time a scope on the
 //!   wall clock and fold the elapsed microseconds into a histogram;
 //! * a deterministic JSON exporter ([`Obs::export_json`]) and a
@@ -57,7 +58,7 @@ pub use control::{
     Adaptive, Command, CommandOutcome, CommandRouter, ConfigEntry, ConfigRegistry, ConfigValue,
     ControlError, FnKnob, Knob, KnobError, ResetSignal,
 };
-pub use event::{Event, EventFilter, Source, Value};
+pub use event::{Event, EventFilter, FieldType, Shape, Source, Value, PACKED_SLOTS};
 pub use metrics::{HistStats, MetricId};
 pub use span::SpanGuard;
 
@@ -202,6 +203,15 @@ impl Obs {
     /// Publish an event to the ring buffer and any matching subscribers.
     pub fn publish(&self, ev: Event) {
         self.bus().publish(ev);
+    }
+
+    /// Publish an event of a fixed `shape` without building it: `vals`
+    /// fill the shape's `U64`/`F64` fields in order (unused slots are
+    /// ignored). Readers see the same [`Event`] that [`Obs::publish`]
+    /// would have stored; it is built when a snapshot or drain reads it.
+    /// Allocation-free once the ring is full.
+    pub fn publish_packed(&self, at_us: u64, shape: &'static Shape, vals: [u64; PACKED_SLOTS]) {
+        self.bus().publish_packed(at_us, shape, vals);
     }
 
     /// Open a subscription; events matching `filter` queue until drained.

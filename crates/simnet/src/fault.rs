@@ -40,7 +40,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Stable string used in obs event fields.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             DropReason::Loss => "loss",
             DropReason::LinkDown => "link_down",

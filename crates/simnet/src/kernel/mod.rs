@@ -37,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use obs::det::SplitMix64;
-use obs::{Event, Obs, Source};
+use obs::{FieldType, Obs, Shape, Source, PACKED_SLOTS};
 
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
@@ -202,6 +202,36 @@ impl DrainMode {
     }
 }
 
+// The kernel's bus events, one shape per kind and fixed string (see
+// `Sim::attach_obs`).
+const fn simnet(kind: &'static str, fields: &'static [(&'static str, FieldType)]) -> Shape {
+    Shape::new(Source::Simnet, kind, fields)
+}
+const ACTOR: (&str, FieldType) = ("actor", FieldType::U64);
+const SRC: (&str, FieldType) = ("src", FieldType::U64);
+const DST: (&str, FieldType) = ("dst", FieldType::U64);
+const BYTES: (&str, FieldType) = ("bytes", FieldType::U64);
+const HOST: (&str, FieldType) = ("host", FieldType::U64);
+const fn reason(r: DropReason) -> (&'static str, FieldType) {
+    ("reason", FieldType::Str(r.name()))
+}
+static COMPUTE_START: Shape = simnet("compute_start", &[ACTOR, ("work", FieldType::F64)]);
+static COMPUTE_END: Shape = simnet("compute_end", &[ACTOR]);
+static MSG_SENT: Shape = simnet("msg_sent", &[SRC, DST, BYTES]);
+static MSG_DELIVERED: Shape = simnet("msg_delivered", &[SRC, DST, BYTES]);
+static DROPPED_LOSS: Shape = simnet("msg_dropped", &[SRC, DST, BYTES, reason(DropReason::Loss)]);
+static DROPPED_LINK_DOWN: Shape =
+    simnet("msg_dropped", &[SRC, DST, BYTES, reason(DropReason::LinkDown)]);
+static DROPPED_RECEIVER_DEAD: Shape =
+    simnet("msg_dropped", &[SRC, DST, BYTES, reason(DropReason::ReceiverDead)]);
+static LINK_DOWN: Shape = simnet("link_down", &[SRC, DST]);
+static LINK_UP: Shape = simnet("link_up", &[SRC, DST]);
+static HOST_CRASH: Shape = simnet("host_crash", &[HOST]);
+static HOST_RESTART: Shape = simnet("host_restart", &[HOST]);
+static TIMER_FIRED: Shape = simnet("timer_fired", &[ACTOR, ("tag", FieldType::U64)]);
+static CAP_SET: Shape = simnet("cap_change", &[ACTOR, ("cap", FieldType::F64)]);
+static CAP_REMOVED: Shape = simnet("cap_change", &[ACTOR]);
+
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
     now: SimTime,
@@ -342,8 +372,8 @@ impl Sim {
         let faults = self.faults(src, dst);
         if faults.down != down {
             faults.down = down;
-            let kind = if down { "link_down" } else { "link_up" };
-            self.emit(kind, |e| e.with("src", src.0).with("dst", dst.0));
+            let shape = if down { &LINK_DOWN } else { &LINK_UP };
+            self.emit(shape, [src.0 as u64, dst.0 as u64, 0]);
         }
     }
 
@@ -385,13 +415,10 @@ impl Sim {
             self.hosts[host].retune(a, None, Some(cap));
             self.schedule_next_cpu(host);
         }
-        self.emit("cap_change", |e| {
-            let e = e.with("actor", a.0);
-            match cap {
-                Some(c) => e.with("cap", c),
-                None => e,
-            }
-        });
+        match cap {
+            Some(c) => self.emit(&CAP_SET, [a.0 as u64, c.to_bits(), 0]),
+            None => self.emit(&CAP_REMOVED, [a.0 as u64, 0, 0]),
+        }
     }
 
     /// Set an actor's proportional-share weight.
@@ -457,7 +484,7 @@ impl Sim {
             st.inbox.clear();
         }
         if any {
-            self.emit("host_crash", |e| e.with("host", host.0));
+            self.emit(&HOST_CRASH, [host.0 as u64, 0, 0]);
         }
     }
 
@@ -478,7 +505,7 @@ impl Sim {
             self.queue.push(self.now, Ev::Restart(ActorId(i)));
         }
         if any {
-            self.emit("host_restart", |e| e.with("host", host.0));
+            self.emit(&HOST_RESTART, [host.0 as u64, 0, 0]);
         }
     }
 
@@ -505,29 +532,31 @@ impl Sim {
 
     /// Publish every kernel event onto `obs`'s shared event bus as a
     /// structured `Source::Simnet` event: the only place kernel events are
-    /// recorded. With nothing attached, no event is built.
+    /// recorded. Each kind is one `static` [`Shape`] in this module, and a
+    /// kernel event goes onto the bus packed: it is built into an
+    /// [`obs::Event`] only when a reader asks for it.
     ///
-    /// | kind | fields |
-    /// |---|---|
-    /// | `compute_start` | `actor`, `work` (f64, work-units) |
-    /// | `compute_end` | `actor` |
-    /// | `msg_sent`, `msg_delivered` | `src`, `dst` (actors), `bytes` |
-    /// | `msg_dropped` | `src`, `dst`, `bytes`, `reason` ([`DropReason::name`]) |
-    /// | `link_down`, `link_up` | `src`, `dst` (hosts) |
-    /// | `host_crash`, `host_restart` | `host` |
-    /// | `timer_fired` | `actor`, `tag` |
-    /// | `cap_change` | `actor`, then `cap` (f64) unless the cap was removed |
+    /// | kind | fields | shape |
+    /// |---|---|---|
+    /// | `compute_start` | `actor`, `work` (f64, work-units) | `COMPUTE_START` |
+    /// | `compute_end` | `actor` | `COMPUTE_END` |
+    /// | `msg_sent`, `msg_delivered` | `src`, `dst` (actors), `bytes` | `MSG_SENT`, `MSG_DELIVERED` |
+    /// | `msg_dropped` | `src`, `dst`, `bytes`, `reason` ([`DropReason::name`]) | `DROPPED_LOSS`, `DROPPED_LINK_DOWN`, `DROPPED_RECEIVER_DEAD` |
+    /// | `link_down`, `link_up` | `src`, `dst` (hosts) | `LINK_DOWN`, `LINK_UP` |
+    /// | `host_crash`, `host_restart` | `host` | `HOST_CRASH`, `HOST_RESTART` |
+    /// | `timer_fired` | `actor`, `tag` | `TIMER_FIRED` |
+    /// | `cap_change` | `actor`, then `cap` (f64) unless the cap was removed | `CAP_SET`, `CAP_REMOVED` |
     ///
     /// Ids and counts are `u64` values.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.obs = Some(obs.clone());
     }
 
-    /// Publish one kernel event stamped with the current time. `fields`
-    /// runs only when a bus is attached.
-    fn emit(&self, kind: &'static str, fields: impl FnOnce(Event) -> Event) {
+    /// Publish one kernel event of `shape` stamped with the current time;
+    /// `vals` fill its `u64`/`f64` fields in order (`f64` as bits).
+    fn emit(&self, shape: &'static Shape, vals: [u64; PACKED_SLOTS]) {
         if let Some(obs) = &self.obs {
-            obs.publish(fields(Event::new(self.now.as_us(), Source::Simnet, kind)));
+            obs.publish_packed(self.now.as_us(), shape, vals);
         }
     }
 
@@ -657,9 +686,7 @@ impl Sim {
                     return;
                 }
                 self.states[dst.0].last_received = Some(queued);
-                self.emit("msg_delivered", |e| {
-                    e.with("src", src.0).with("dst", dst.0).with("bytes", bytes)
-                });
+                self.emit(&MSG_DELIVERED, [src.0 as u64, dst.0 as u64, bytes]);
                 let st = &mut self.states[dst.0];
                 if st.running == Running::Idle && st.fifo.is_empty() && st.inbox.is_empty() {
                     self.dispatch(dst, |actor, ctx| actor.on_message(src, msg, ctx));
@@ -670,7 +697,7 @@ impl Sim {
             }
             Ev::Timer { actor, tag, incarnation } => {
                 if self.states[actor.0].alive && self.states[actor.0].incarnation == incarnation {
-                    self.emit("timer_fired", |e| e.with("actor", actor.0).with("tag", tag));
+                    self.emit(&TIMER_FIRED, [actor.0 as u64, tag, 0]);
                     self.dispatch(actor, |a, ctx| a.on_timer(tag, ctx));
                     self.pump(actor);
                 }
@@ -711,7 +738,7 @@ impl Sim {
         let st = &mut self.states[a.0];
         debug_assert_eq!(st.running, Running::Compute);
         st.running = Running::Idle;
-        self.emit("compute_end", |e| e.with("actor", a.0));
+        self.emit(&COMPUTE_END, [a.0 as u64, 0, 0]);
         self.pump(a);
     }
 
@@ -743,7 +770,7 @@ impl Sim {
                     };
                     self.hosts[host].start(a, work, weight, cap);
                     self.states[a.0].running = Running::Compute;
-                    self.emit("compute_start", |e| e.with("actor", a.0).with("work", work));
+                    self.emit(&COMPUTE_START, [a.0 as u64, work.to_bits(), 0]);
                     self.schedule_next_cpu(host);
                     return;
                 }
@@ -775,12 +802,12 @@ impl Sim {
     }
 
     fn emit_drop(&self, src: ActorId, dst: ActorId, bytes: u64, reason: DropReason) {
-        self.emit("msg_dropped", |e| {
-            e.with("src", src.0)
-                .with("dst", dst.0)
-                .with("bytes", bytes)
-                .with("reason", reason.name())
-        });
+        let shape = match reason {
+            DropReason::Loss => &DROPPED_LOSS,
+            DropReason::LinkDown => &DROPPED_LINK_DOWN,
+            DropReason::ReceiverDead => &DROPPED_RECEIVER_DEAD,
+        };
+        self.emit(shape, [src.0 as u64, dst.0 as u64, bytes]);
     }
 
     /// Put a message on the wire from `src` to `dst`.
@@ -793,7 +820,7 @@ impl Sim {
         let hs = self.states[src.0].host;
         let hd = self.states[dst.0].host;
         let bytes = msg.wire_bytes;
-        self.emit("msg_sent", |e| e.with("src", src.0).with("dst", dst.0).with("bytes", bytes));
+        self.emit(&MSG_SENT, [src.0 as u64, dst.0 as u64, bytes]);
         let now = self.now;
         let fate = if hs == hd {
             // A host's pair with itself has a record only if it was faulted.

@@ -277,10 +277,24 @@ static GUARDS: &[Guard] = &[
         reason: "a reply's bytes are one shared Arc<[u8]> from the store's cache through the \
                  server's reply and its dedup cache to the client (DESIGN.md §17.2); an owned \
                  byte vector per reply copied them twice",
-        deleted_in: "the commit that added this row",
+        deleted_in: "7362bb9",
         searches: &[Search {
             tokens: &[r"\bpayload: Vec<u8>"],
             roots: &["crates/visapp/src"],
+            files: RS,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
+        name: "one kernel event form",
+        reason: "every kernel bus event is one static obs::Shape published packed by Sim::emit \
+                 and built only when read (DESIGN.md §11.2); a per-event builder closure \
+                 allocated a Vec and an Arc for each",
+        deleted_in: "the commit that added this row",
+        searches: &[Search {
+            tokens: &[r"\bEvent::new\b"],
+            roots: &["crates/simnet/src"],
             files: RS,
             allowed: &[],
         }],
@@ -551,6 +565,8 @@ fn every_row_finds_what_it_guards() {
         ("let r = operand::x;", r"\brand::"),
         ("sim.set_link_loss(a, b, 0.1, 7);", r"\blink_loss\b"),
         ("frame_payload: Vec<u8>,", r"\bpayload: Vec<u8>"),
+        ("let ev = TraceEvent::new(0);", r"\bEvent::new\b"),
+        ("Event::new_packed(0)", r"\bEvent::new\b"),
     ] {
         assert!(!matches(line, token), "`{token}` must not match `{line}`");
     }
