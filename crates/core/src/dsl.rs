@@ -434,7 +434,7 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
                         other => return Err(p.err(format!("unknown parameter kind {other:?}"))),
                     }
                 }
-                spec.control = ControlSpace::new(params);
+                spec.control = ControlSpace { params };
             }
             "execution_env" => {
                 p.expect_sym("{")?;
@@ -563,7 +563,8 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
 }
 
 /// The annotation source for the paper's active-visualization client
-/// (Figure 2), usable as a ready-made example and in tests.
+/// (Figure 2). Every scenario runs it: `visapp::viz_spec` parses it with
+/// the `dR` and `l` declarations matched to the scenario's geometry.
 pub const ACTIVE_VIZ_SPEC: &str = r#"
 // Active visualization client (Chang & Karamcheti, HPDC 2000, Figure 2).
 control_parameters {
@@ -678,7 +679,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(spec.tasks.topo_order().unwrap(), vec!["a", "b"]);
+        assert_eq!(spec.tasks.edges, vec![("a".to_string(), "b".to_string())]);
     }
 
     #[test]
@@ -739,11 +740,45 @@ mod tests {
         )
         .unwrap();
         let tr = &spec.transitions[0];
-        assert_eq!(tr.actions.len(), 2);
-        let old = Configuration::new(&[("c", 1)]);
-        let new2 = Configuration::new(&[("c", 2)]);
-        assert!(tr.triggered_by(&old, &new2));
-        assert!(!tr.triggered_by(&new2, &old), "guard requires c >= 2");
+        assert_eq!(tr.on_params, vec!["c"]);
+        assert_eq!(tr.guard, Guard::Ge("c".into(), 2));
+        assert_eq!(
+            tr.actions,
+            vec![
+                TransitionAction::NotifyHost { host: "server".into(), param: "c".into() },
+                TransitionAction::SetLocal { name: "local_buffer".into() },
+            ]
+        );
+    }
+
+    #[test]
+    fn duplicate_parameter_is_an_error() {
+        let err = parse("control_parameters { int x in 1..2; int x in {3}; }").unwrap_err();
+        assert_eq!(err.msg, "duplicate parameter x");
+    }
+
+    #[test]
+    fn duplicate_task_is_an_error() {
+        let err = parse(
+            r#"
+            execution_env { host h; }
+            qos_metric { q maximize; }
+            task a { uses h.cpu; yields q; }
+            task a { uses h.cpu; yields q; }
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(err.msg, "duplicate task a");
+    }
+
+    #[test]
+    fn range_past_i64_max_ends() {
+        let spec = parse(
+            "control_parameters { int x in 1..9223372036854775807 step 4611686018427387904; }",
+        )
+        .unwrap();
+        let values = spec.control.param("x").unwrap().domain.values();
+        assert_eq!(values, vec![1, 4_611_686_018_427_387_905]);
     }
 }
 

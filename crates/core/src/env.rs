@@ -199,21 +199,6 @@ pub struct ExecutionEnv {
 }
 
 impl ExecutionEnv {
-    pub fn with_host(mut self, name: &str) -> Self {
-        self.hosts.push(HostSpec { name: name.into(), speed: 1.0 });
-        self
-    }
-
-    pub fn with_host_speed(mut self, name: &str, speed: f64) -> Self {
-        self.hosts.push(HostSpec { name: name.into(), speed });
-        self
-    }
-
-    pub fn with_link(mut self, a: &str, b: &str) -> Self {
-        self.links.push((a.into(), b.into()));
-        self
-    }
-
     pub fn host(&self, name: &str) -> Option<&HostSpec> {
         self.hosts.iter().find(|h| h.name == name)
     }
@@ -306,10 +291,11 @@ mod tests {
 
     #[test]
     fn env_validation() {
-        let env = ExecutionEnv::default()
-            .with_host("client")
-            .with_host_speed("server", 0.74)
-            .with_link("client", "server");
+        let env = crate::dsl::parse(
+            "execution_env { host client; host server speed 0.74; link client server; }",
+        )
+        .unwrap()
+        .env;
         assert!(env.validate_key(&ResourceKey::cpu("client")).is_ok());
         assert!(env.validate_key(&ResourceKey::cpu("elsewhere")).is_err());
         assert_eq!(env.host("server").unwrap().speed, 0.74);

@@ -27,10 +27,10 @@ impl ParamDomain {
             ParamDomain::Range { min, max, step } => {
                 assert!(*step > 0, "range step must be positive");
                 let mut out = Vec::new();
-                let mut v = *min;
-                while v <= *max {
-                    out.push(v);
-                    v += step;
+                let mut v = Some(*min);
+                while let Some(x) = v.filter(|x| x <= max) {
+                    out.push(x);
+                    v = x.checked_add(*step);
                 }
                 out
             }
@@ -47,14 +47,6 @@ impl ParamDomain {
     pub fn cardinality(&self) -> usize {
         self.values().len()
     }
-
-    /// The display name of `v` in an `Enum` domain, if any.
-    pub fn value_name(&self, v: i64) -> Option<&str> {
-        match self {
-            ParamDomain::Enum(vs) => vs.iter().find(|(_, x)| *x == v).map(|(n, _)| n.as_str()),
-            _ => None,
-        }
-    }
 }
 
 /// One named control parameter.
@@ -64,23 +56,6 @@ pub struct ControlParam {
     pub domain: ParamDomain,
 }
 
-impl ControlParam {
-    pub fn range(name: &str, min: i64, max: i64, step: i64) -> Self {
-        ControlParam { name: name.into(), domain: ParamDomain::Range { min, max, step } }
-    }
-
-    pub fn set(name: &str, values: &[i64]) -> Self {
-        ControlParam { name: name.into(), domain: ParamDomain::Set(values.to_vec()) }
-    }
-
-    pub fn enumeration(name: &str, values: &[(&str, i64)]) -> Self {
-        ControlParam {
-            name: name.into(),
-            domain: ParamDomain::Enum(values.iter().map(|(n, v)| (n.to_string(), *v)).collect()),
-        }
-    }
-}
-
 /// The set of control parameters of a tunable application.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlSpace {
@@ -88,14 +63,6 @@ pub struct ControlSpace {
 }
 
 impl ControlSpace {
-    pub fn new(params: Vec<ControlParam>) -> Self {
-        let mut names = std::collections::BTreeSet::new();
-        for p in &params {
-            assert!(names.insert(p.name.clone()), "duplicate parameter {}", p.name);
-        }
-        ControlSpace { params }
-    }
-
     pub fn param(&self, name: &str) -> Option<&ControlParam> {
         self.params.iter().find(|p| p.name == name)
     }
@@ -191,16 +158,6 @@ impl Configuration {
         let parts: Vec<String> = self.values.iter().map(|(k, v)| format!("{k}={v}")).collect();
         parts.join(",")
     }
-
-    /// Merge: values in `other` override ours (used for partial
-    /// reconfiguration messages).
-    pub fn merged_with(&self, other: &Configuration) -> Configuration {
-        let mut out = self.clone();
-        for (k, v) in &other.values {
-            out.values.insert(k.clone(), *v);
-        }
-        out
-    }
 }
 
 impl fmt::Display for Configuration {
@@ -212,6 +169,13 @@ impl fmt::Display for Configuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsl;
+    use crate::spec::TunableSpec;
+
+    /// The control space declared by annotation text.
+    fn space(params: &str) -> ControlSpace {
+        dsl::parse(&format!("control_parameters {{ {params} }}")).unwrap().control
+    }
 
     #[test]
     fn range_domain_values() {
@@ -223,20 +187,22 @@ mod tests {
     }
 
     #[test]
+    fn range_domain_stops_at_overflow() {
+        let d = ParamDomain::Range { min: i64::MAX - 1, max: i64::MAX, step: 2 };
+        assert_eq!(d.values(), vec![i64::MAX - 1]);
+    }
+
+    #[test]
     fn enum_domain_names() {
-        let p = ControlParam::enumeration("c", &[("lzw", 1), ("bzip", 2)]);
-        assert_eq!(p.domain.value_name(2), Some("bzip"));
-        assert_eq!(p.domain.value_name(3), None);
-        assert_eq!(p.domain.values(), vec![1, 2]);
+        let c = space("enum c { lzw = 1, bzip = 2 };");
+        let names = vec![("lzw".to_string(), 1), ("bzip".to_string(), 2)];
+        assert_eq!(c.param("c").unwrap().domain, ParamDomain::Enum(names));
+        assert_eq!(c.param("c").unwrap().domain.values(), vec![1, 2]);
     }
 
     #[test]
     fn enumerate_is_cartesian_product() {
-        let space = ControlSpace::new(vec![
-            ControlParam::set("dR", &[80, 160, 320]),
-            ControlParam::enumeration("c", &[("lzw", 1), ("bzip", 2)]),
-            ControlParam::range("l", 3, 4, 1),
-        ]);
+        let space = space("int dR in {80, 160, 320}; enum c { lzw = 1, bzip = 2 }; int l in 3..4;");
         let all = space.enumerate();
         assert_eq!(all.len(), 12);
         assert_eq!(space.cardinality(), 12);
@@ -251,7 +217,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_configs() {
-        let space = ControlSpace::new(vec![ControlParam::set("x", &[1, 2])]);
+        let space = space("int x in {1, 2};");
         assert!(space.validate(&Configuration::new(&[("x", 3)])).is_err());
         assert!(space.validate(&Configuration::new(&[])).is_err());
         assert!(space.validate(&Configuration::new(&[("x", 1), ("y", 0)])).is_err());
@@ -259,9 +225,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate parameter")]
     fn duplicate_params_rejected() {
-        ControlSpace::new(vec![ControlParam::set("x", &[1]), ControlParam::set("x", &[2])]);
+        let x = |v| ControlParam { name: "x".into(), domain: ParamDomain::Set(vec![v]) };
+        let control = ControlSpace { params: vec![x(1), x(2)] };
+        let err = TunableSpec { control, ..TunableSpec::default() }.validate().unwrap_err();
+        assert_eq!(err, "duplicate parameter x");
     }
 
     #[test]
@@ -271,14 +239,5 @@ mod tests {
         assert_eq!(a.key(), b.key());
         assert_eq!(a.key(), "c=1,dR=80,l=4");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn merged_with_overrides() {
-        let a = Configuration::new(&[("x", 1), ("y", 2)]);
-        let b = Configuration::new(&[("y", 9)]);
-        let m = a.merged_with(&b);
-        assert_eq!(m.get("x"), Some(1));
-        assert_eq!(m.get("y"), Some(9));
     }
 }

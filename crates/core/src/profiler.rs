@@ -291,7 +291,6 @@ fn points_with_axis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::{ControlParam, ControlSpace};
 
     fn cpu() -> ResourceKey {
         ResourceKey::cpu("client")
@@ -306,7 +305,7 @@ mod tests {
     }
 
     fn configs() -> Vec<Configuration> {
-        ControlSpace::new(vec![ControlParam::range("l", 3, 4, 1)]).enumerate()
+        (3..=4).map(|l| Configuration::new(&[("l", l)])).collect()
     }
 
     #[test]

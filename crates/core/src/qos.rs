@@ -37,16 +37,6 @@ pub struct QosMetricDef {
     pub unit: String,
 }
 
-impl QosMetricDef {
-    pub fn lower(name: &str, unit: &str) -> Self {
-        QosMetricDef { name: name.into(), sense: Sense::LowerIsBetter, unit: unit.into() }
-    }
-
-    pub fn higher(name: &str, unit: &str) -> Self {
-        QosMetricDef { name: name.into(), sense: Sense::HigherIsBetter, unit: unit.into() }
-    }
-}
-
 /// Measured metric values from one run or one prediction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QosReport {

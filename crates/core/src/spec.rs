@@ -2,6 +2,8 @@
 //! machine-readable form of the paper's language annotations (Figure 2),
 //! plus the artifacts the preprocessor derives from it.
 
+use std::collections::BTreeSet;
+
 use obs::json::Json;
 
 use crate::env::{ExecutionEnv, ResourceKey};
@@ -22,10 +24,19 @@ pub struct TunableSpec {
 
 impl TunableSpec {
     /// Cross-validate the specification:
+    /// - parameter names and task names are unique;
     /// - the task graph is a DAG;
     /// - tasks reference declared parameters, metrics, and hosts;
     /// - transitions reference declared parameters.
     pub fn validate(&self) -> Result<(), String> {
+        let mut names = BTreeSet::new();
+        if let Some(p) = self.control.params.iter().find(|p| !names.insert(&p.name)) {
+            return Err(format!("duplicate parameter {}", p.name));
+        }
+        let mut names = BTreeSet::new();
+        if let Some(t) = self.tasks.tasks.iter().find(|t| !names.insert(&t.name)) {
+            return Err(format!("duplicate task {}", t.name));
+        }
         self.tasks.validate()?;
         for t in &self.tasks.tasks {
             for p in &t.params {
@@ -81,15 +92,6 @@ impl TunableSpec {
             metrics: self.metrics.iter().map(|m| m.name.clone()).collect(),
         }
     }
-
-    /// Transitions triggered by switching `old -> new`.
-    pub fn triggered_transitions(
-        &self,
-        old: &Configuration,
-        new: &Configuration,
-    ) -> Vec<&TransitionSpec> {
-        self.transitions.iter().filter(|t| t.triggered_by(old, new)).collect()
-    }
 }
 
 /// Template for the performance database: resource axes to sample,
@@ -118,35 +120,11 @@ impl PerfDbTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::ControlParam;
-    use crate::task::{TaskSpec, TransitionAction};
+    use crate::dsl;
+    use crate::task::Guard;
 
     fn viz_spec() -> TunableSpec {
-        let mut tasks = TaskGraph::default();
-        tasks.add_task(
-            TaskSpec::new("module1")
-                .with_params(&["l", "dR", "c"])
-                .with_resources(&[ResourceKey::cpu("client"), ResourceKey::net("client")])
-                .with_metrics(&["transmit_time", "response_time", "resolution"]),
-        );
-        TunableSpec {
-            control: ControlSpace::new(vec![
-                ControlParam::set("dR", &[80, 160, 320]),
-                ControlParam::enumeration("c", &[("lzw", 1), ("bzip", 2)]),
-                ControlParam::range("l", 3, 4, 1),
-            ]),
-            env: ExecutionEnv::default().with_host("client").with_host("server"),
-            metrics: vec![
-                QosMetricDef::lower("transmit_time", "s"),
-                QosMetricDef::lower("response_time", "s"),
-                QosMetricDef::higher("resolution", "level"),
-            ],
-            tasks,
-            transitions: vec![TransitionSpec::on(
-                &["c"],
-                vec![TransitionAction::NotifyHost { host: "server".into(), param: "c".into() }],
-            )],
-        }
+        dsl::parse(dsl::ACTIVE_VIZ_SPEC).unwrap()
     }
 
     #[test]
@@ -178,7 +156,8 @@ mod tests {
     #[test]
     fn unknown_transition_param_fails() {
         let mut s = viz_spec();
-        s.transitions.push(TransitionSpec::on(&["ghost"], vec![]));
+        let on_params = vec!["ghost".into()];
+        s.transitions.push(TransitionSpec { on_params, guard: Guard::True, actions: vec![] });
         assert!(s.validate().is_err());
     }
 
@@ -188,15 +167,5 @@ mod tests {
         assert_eq!(t.axes.len(), 2);
         assert_eq!(t.configurations.len(), 12);
         assert_eq!(t.metrics.len(), 3);
-    }
-
-    #[test]
-    fn triggered_transitions_filter() {
-        let s = viz_spec();
-        let old = Configuration::new(&[("c", 1), ("dR", 80), ("l", 4)]);
-        let new_c = Configuration::new(&[("c", 2), ("dR", 80), ("l", 4)]);
-        let new_dr = Configuration::new(&[("c", 1), ("dR", 160), ("l", 4)]);
-        assert_eq!(s.triggered_transitions(&old, &new_c).len(), 1);
-        assert_eq!(s.triggered_transitions(&old, &new_dr).len(), 0);
     }
 }

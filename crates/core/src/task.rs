@@ -44,14 +44,6 @@ impl Guard {
             Guard::Or(gs) => gs.iter().any(|g| g.eval(c)),
         }
     }
-
-    pub fn and(self, other: Guard) -> Guard {
-        Guard::And(vec![self, other])
-    }
-
-    pub fn or(self, other: Guard) -> Guard {
-        Guard::Or(vec![self, other])
-    }
 }
 
 /// One tunable module (the `task` construct).
@@ -78,37 +70,6 @@ impl TaskSpec {
             guard: Guard::True,
         }
     }
-
-    pub fn with_params(mut self, params: &[&str]) -> Self {
-        self.params = params.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    pub fn with_resources(mut self, resources: &[ResourceKey]) -> Self {
-        self.resources = resources.to_vec();
-        self
-    }
-
-    pub fn with_metrics(mut self, metrics: &[&str]) -> Self {
-        self.metrics = metrics.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    pub fn with_guard(mut self, guard: Guard) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// The run-time handle for this task under configuration `c`:
-    /// `name[p1=v1][p2=v2]...` (the paper's `module[l][dR][c]`).
-    pub fn instance_key(&self, c: &Configuration) -> String {
-        let mut out = self.name.clone();
-        for p in &self.params {
-            let v = c.get(p).map(|v| v.to_string()).unwrap_or_else(|| "?".into());
-            out.push_str(&format!("[{p}={v}]"));
-        }
-        out
-    }
 }
 
 /// The task DAG: the family of execution paths.
@@ -121,7 +82,6 @@ pub struct TaskGraph {
 
 impl TaskGraph {
     pub fn add_task(&mut self, task: TaskSpec) -> &mut Self {
-        assert!(self.task(&task.name).is_none(), "duplicate task {}", task.name);
         self.tasks.push(task);
         self
     }
@@ -193,34 +153,6 @@ impl TaskGraph {
         }
         Ok(())
     }
-
-    /// Topological order of task names (requires a valid DAG).
-    pub fn topo_order(&self) -> Result<Vec<String>, String> {
-        self.validate()?;
-        let names: Vec<&str> = self.tasks.iter().map(|t| t.name.as_str()).collect();
-        let idx = |n: &str| names.iter().position(|&x| x == n).unwrap();
-        let mut indeg = vec![0usize; names.len()];
-        for (_, b) in &self.edges {
-            indeg[idx(b)] += 1;
-        }
-        let mut queue: std::collections::BTreeSet<usize> =
-            (0..names.len()).filter(|&i| indeg[i] == 0).collect();
-        let mut out = Vec::new();
-        while let Some(&i) = queue.iter().next() {
-            queue.remove(&i);
-            out.push(names[i].to_string());
-            for (a, b) in &self.edges {
-                if idx(a) == i {
-                    let j = idx(b);
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        queue.insert(j);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Application-visible actions to run when a transition fires (the code
@@ -235,39 +167,16 @@ pub enum TransitionAction {
     SetLocal { name: String },
 }
 
-/// A transition specification: when the configuration changes and `guard`
-/// holds for the *new* configuration, run `actions`.
+/// A transition specification: a switch that changes one of `on_params`
+/// triggers it, goes through only if `guard` holds for the *new*
+/// configuration, and then runs `actions`. `SteeringAgent::at_boundary`
+/// applies the rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionSpec {
     /// Parameters whose change triggers this transition (empty = any).
     pub on_params: Vec<String>,
     pub guard: Guard,
     pub actions: Vec<TransitionAction>,
-}
-
-impl TransitionSpec {
-    pub fn on(params: &[&str], actions: Vec<TransitionAction>) -> Self {
-        TransitionSpec {
-            on_params: params.iter().map(|s| s.to_string()).collect(),
-            guard: Guard::True,
-            actions,
-        }
-    }
-
-    pub fn with_guard(mut self, guard: Guard) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// Does the change from `old` to `new` trigger this transition?
-    pub fn triggered_by(&self, old: &Configuration, new: &Configuration) -> bool {
-        let changed = if self.on_params.is_empty() {
-            old != new
-        } else {
-            self.on_params.iter().any(|p| old.get(p) != new.get(p))
-        };
-        changed && self.guard.eval(new)
-    }
 }
 
 #[cfg(test)]
@@ -288,18 +197,11 @@ mod tests {
         assert!(Guard::Ge("l".into(), 4).eval(&c));
         assert!(Guard::In("c".into(), vec![1, 2]).eval(&c));
         assert!(Guard::Not(Box::new(Guard::Eq("l".into(), 3))).eval(&c));
-        assert!(Guard::Eq("l".into(), 4).and(Guard::Eq("c".into(), 1)).eval(&c));
-        assert!(Guard::Eq("l".into(), 9).or(Guard::Eq("c".into(), 1)).eval(&c));
+        assert!(Guard::And(vec![Guard::Eq("l".into(), 4), Guard::Eq("c".into(), 1)]).eval(&c));
+        assert!(Guard::Or(vec![Guard::Eq("l".into(), 9), Guard::Eq("c".into(), 1)]).eval(&c));
         // Missing parameter fails closed.
         assert!(!Guard::Eq("zz".into(), 0).eval(&c));
         assert!(Guard::Not(Box::new(Guard::Eq("zz".into(), 0))).eval(&c));
-    }
-
-    #[test]
-    fn instance_key_format() {
-        let t = TaskSpec::new("module1").with_params(&["l", "dR", "c"]);
-        let c = cfg(&[("l", 4), ("dR", 80), ("c", 1)]);
-        assert_eq!(t.instance_key(&c), "module1[l=4][dR=80][c=1]");
     }
 
     #[test]
@@ -311,8 +213,6 @@ mod tests {
         g.add_edge("fetch", "decode");
         g.add_edge("decode", "display");
         g.validate().unwrap();
-        let order = g.topo_order().unwrap();
-        assert_eq!(order, vec!["fetch", "decode", "display"]);
     }
 
     #[test]
@@ -336,10 +236,9 @@ mod tests {
     #[test]
     fn active_tasks_follow_guards() {
         let mut g = TaskGraph::default();
-        g.add_task(TaskSpec::new("plain").with_guard(Guard::Eq("c".into(), 0)));
-        g.add_task(
-            TaskSpec::new("compressed").with_guard(Guard::Not(Box::new(Guard::Eq("c".into(), 0)))),
-        );
+        let plain = Guard::Eq("c".into(), 0);
+        g.add_task(TaskSpec { guard: plain.clone(), ..TaskSpec::new("plain") });
+        g.add_task(TaskSpec { guard: Guard::Not(Box::new(plain)), ..TaskSpec::new("compressed") });
         let active = g.active_tasks(&cfg(&[("c", 2)]));
         assert_eq!(active.len(), 1);
         assert_eq!(active[0].name, "compressed");
@@ -348,30 +247,11 @@ mod tests {
     #[test]
     fn monitored_resources_union() {
         let mut g = TaskGraph::default();
-        g.add_task(TaskSpec::new("a").with_resources(&[ResourceKey::cpu("client")]));
-        g.add_task(
-            TaskSpec::new("b")
-                .with_resources(&[ResourceKey::cpu("client"), ResourceKey::net("client")]),
-        );
+        let cpu = ResourceKey::cpu("client");
+        g.add_task(TaskSpec { resources: vec![cpu.clone()], ..TaskSpec::new("a") });
+        let resources = vec![cpu, ResourceKey::net("client")];
+        g.add_task(TaskSpec { resources, ..TaskSpec::new("b") });
         let r = g.monitored_resources(&Configuration::default());
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn transition_triggering() {
-        let t = TransitionSpec::on(
-            &["c"],
-            vec![TransitionAction::NotifyHost { host: "server".into(), param: "c".into() }],
-        );
-        let old = cfg(&[("c", 1), ("l", 4)]);
-        let new_c = cfg(&[("c", 2), ("l", 4)]);
-        let new_l = cfg(&[("c", 1), ("l", 3)]);
-        assert!(t.triggered_by(&old, &new_c));
-        assert!(!t.triggered_by(&old, &new_l), "only c changes trigger");
-        assert!(!t.triggered_by(&old, &old));
-        // Guarded transition: only into configurations with l >= 4.
-        let tg = TransitionSpec::on(&[], vec![]).with_guard(Guard::Ge("l".into(), 4));
-        assert!(tg.triggered_by(&old, &new_c));
-        assert!(!tg.triggered_by(&old, &new_l));
     }
 }

@@ -49,3 +49,19 @@ fn reports_parse_errors_with_location() {
     assert!(stderr.contains("line 2"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn reports_a_duplicate_parameter_as_an_error() {
+    let dir = std::env::temp_dir().join("tunpre_test_dup");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("dup.tun");
+    std::fs::write(&input, "control_parameters {\n  int x in 1..2;\n  int x in {3};\n}\n").unwrap();
+    let out = Command::new(bin()).arg(&input).arg(dir.join("out")).output().expect("runs");
+    assert_eq!(out.status.code(), Some(1), "a user's bad file fails, it does not panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let located = stderr.starts_with(&format!("{}:line ", input.display()));
+    assert!(located && stderr.ends_with(": duplicate parameter x\n"), "{stderr}");
+    assert!(!dir.join("out").exists(), "nothing is written");
+    std::fs::remove_dir_all(&dir).ok();
+}

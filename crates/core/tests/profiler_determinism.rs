@@ -5,7 +5,6 @@
 //! merges worker results back into deterministic job order; these tests
 //! pin that contract at the public API.
 
-use adapt_core::param::{ControlParam, ControlSpace};
 use adapt_core::prelude::*;
 use adapt_core::profiler::{ResourceGrid, SensitivityOpts};
 
@@ -31,7 +30,7 @@ fn runner(config: &Configuration, res: &ResourceVector, input: &str) -> QosRepor
 }
 
 fn profiler() -> Profiler {
-    let configs = ControlSpace::new(vec![ControlParam::range("l", 1, 4, 1)]).enumerate();
+    let configs = (1..=4).map(|l| Configuration::new(&[("l", l)])).collect();
     let grid = ResourceGrid::new()
         .with_axis(cpu(), &[0.2, 0.4, 0.6, 0.8, 1.0])
         .with_axis(net(), &[1e5, 5e5, 1e6]);

@@ -205,8 +205,8 @@ proptest! {
         let not_eq = Guard::Not(Box::new(eq.clone()));
         prop_assert_eq!(eq.eval(&c), p == v);
         prop_assert_ne!(eq.eval(&c), not_eq.eval(&c));
-        prop_assert!(eq.clone().or(not_eq.clone()).eval(&c), "excluded middle");
-        prop_assert!(!eq.and(not_eq).eval(&c), "non-contradiction");
+        prop_assert!(Guard::Or(vec![eq.clone(), not_eq.clone()]).eval(&c), "excluded middle");
+        prop_assert!(!Guard::And(vec![eq, not_eq]).eval(&c), "non-contradiction");
     }
 
     #[test]
@@ -221,7 +221,7 @@ proptest! {
                 domain: ParamDomain::Set((0..n as i64).collect()),
             })
             .collect();
-        let space = ControlSpace::new(params);
+        let space = ControlSpace { params };
         let all = space.enumerate();
         prop_assert_eq!(all.len(), space.cardinality());
         let keys: std::collections::BTreeSet<String> = all.iter().map(|c| c.key()).collect();

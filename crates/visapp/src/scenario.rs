@@ -10,12 +10,9 @@
 use std::sync::Arc;
 
 use adapt_core::{
-    AdaptiveRuntime, Configuration, ControlParam, ControlSpace, Decision, ExecutionEnv, PerfDb,
-    PreferenceList, Profiler, QosMetricDef, QosReport, ResourceGrid, ResourceKey,
-    ResourceScheduler, ResourceVector, TaskGraph, TaskSpec, TransitionAction, TransitionSpec,
-    TunableSpec, MONITOR_PERIOD_US,
+    dsl, AdaptiveRuntime, Configuration, Decision, PerfDb, PreferenceList, Profiler, QosReport,
+    ResourceGrid, ResourceKey, ResourceScheduler, ResourceVector, TunableSpec, MONITOR_PERIOD_US,
 };
-use compress::Method;
 use obs::{Command, CommandRouter, ConfigRegistry, Obs};
 use sandbox::{LimitSchedule, Limits, LimitsHandle, SandboxStats, Sandboxed};
 use simnet::{DrainMode, FaultPlan, HostId, Sim, SimTime};
@@ -230,44 +227,23 @@ pub fn client_mem_key() -> ResourceKey {
     ResourceKey::mem("client")
 }
 
-/// Build the tunability specification for a scenario (the programmatic
-/// twin of `adapt_core::dsl::ACTIVE_VIZ_SPEC`, with domains matched to the
-/// scenario's geometry).
+/// The tunability specification a scenario runs: the paper's Figure 2
+/// annotations ([`dsl::ACTIVE_VIZ_SPEC`]) with the `dR` set and the `l`
+/// range declared from the scenario's geometry, parsed.
 pub fn viz_spec(sc: &Scenario) -> TunableSpec {
     let (l_lo, l_hi) = sc.level_values();
-    let mut tasks = TaskGraph::default();
-    tasks.add_task(
-        TaskSpec::new("module1")
-            .with_params(&["l", "dR", "c"])
-            .with_resources(&[client_cpu_key(), client_net_key()])
-            .with_metrics(&["transmit_time", "response_time", "resolution"]),
-    );
-    let spec = TunableSpec {
-        control: ControlSpace::new(vec![
-            ControlParam::set("dR", &sc.dr_values()),
-            ControlParam::enumeration(
-                "c",
-                &[("lzw", Method::Lzw.code()), ("bzip", Method::Bzip.code())],
-            ),
-            ControlParam::range("l", l_lo, l_hi, 1),
-        ]),
-        env: ExecutionEnv::default()
-            .with_host("client")
-            .with_host("server")
-            .with_link("client", "server"),
-        metrics: vec![
-            QosMetricDef::lower("transmit_time", "s"),
-            QosMetricDef::lower("response_time", "s"),
-            QosMetricDef::higher("resolution", "level"),
-        ],
-        tasks,
-        transitions: vec![TransitionSpec::on(
-            &["c"],
-            vec![TransitionAction::NotifyHost { host: "server".into(), param: "c".into() }],
-        )],
-    };
-    spec.validate().expect("generated spec must be valid");
-    spec
+    let dr: Vec<String> = sc.dr_values().iter().map(i64::to_string).collect();
+    let text = redeclare(dsl::ACTIVE_VIZ_SPEC, "int dR in ", &format!("{{{}}}", dr.join(", ")));
+    let text = redeclare(&text, "int l in ", &format!("{l_lo}..{l_hi}"));
+    dsl::parse(&text).unwrap_or_else(|e| panic!("Figure 2 with the scenario's domains: {e}"))
+}
+
+/// `text` with the domain that follows `decl`, up to its `;`, replaced.
+fn redeclare(text: &str, decl: &str, domain: &str) -> String {
+    let at = text.find(decl).unwrap_or_else(|| panic!("Figure 2 declares no `{decl}`"));
+    let start = at + decl.len();
+    let end = start + text[start..].find(';').expect("a declaration ends with `;`");
+    format!("{}{domain}{}", &text[..start], &text[end..])
 }
 
 /// What a run produced.

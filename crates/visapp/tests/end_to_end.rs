@@ -605,9 +605,8 @@ fn remote_monitoring_reports_reach_the_client_runtime() {
 
     // Extend the spec so the monitor also watches server.cpu.
     let mut spec = visapp::viz_spec(&sc);
-    spec.tasks.add_task(
-        TaskSpec::new("server_side").with_resources(&[adapt_core::ResourceKey::cpu("server")]),
-    );
+    let resources = vec![adapt_core::ResourceKey::cpu("server")];
+    spec.tasks.add_task(TaskSpec { resources, ..TaskSpec::new("server_side") });
     spec.validate().unwrap();
 
     let prefs =
