@@ -291,13 +291,56 @@ static GUARDS: &[Guard] = &[
         reason: "every kernel bus event is one static obs::Shape published packed by Sim::emit \
                  and built only when read (DESIGN.md §11.2); a per-event builder closure \
                  allocated a Vec and an Arc for each",
-        deleted_in: "the commit that added this row",
+        deleted_in: "733bc21",
         searches: &[Search {
             tokens: &[r"\bEvent::new\b"],
             roots: &["crates/simnet/src"],
             files: RS,
             allowed: &[],
         }],
+        check: None,
+    },
+    Guard {
+        name: "one spec path",
+        reason: "visapp::viz_spec parses the paper's Figure 2 text (dsl::ACTIVE_VIZ_SPEC) with \
+                 the scenario's dR and l domains; a Rust-built twin of that text and the \
+                 builders only it called were a second way to make a spec, and steering's \
+                 boundary and TaskGraph::validate hold the one copy of each spec rule",
+        deleted_in: "5a449ef",
+        searches: &[
+            Search {
+                tokens: &[
+                    r"\bControlSpace\b",
+                    r"\bControlParam\b",
+                    r"\bParamDomain\b",
+                    r"\bTaskGraph\b",
+                    r"\bTaskSpec\b",
+                    r"\bQosMetricDef\b",
+                    r"\bTransitionSpec\b",
+                    r"\bExecutionEnv\b",
+                    r"\bHostSpec\b",
+                    r"TunableSpec::default",
+                ],
+                roots: &["crates/visapp/src"],
+                files: RS,
+                allowed: &[],
+            },
+            Search {
+                tokens: &[
+                    r"fn triggered_by\b",
+                    r"fn triggered_transitions\b",
+                    r"fn topo_order\b",
+                    r"fn instance_key\b",
+                    r"fn with_host_speed\b",
+                    r"fn enumeration\b",
+                    r"fn merged_with\b",
+                    r"fn value_name\b",
+                ],
+                roots: &["crates/core/src"],
+                files: RS,
+                allowed: &[],
+            },
+        ],
         check: None,
     },
     Guard {
