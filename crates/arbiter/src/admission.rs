@@ -25,7 +25,7 @@ use crate::app::{AppId, AppSpec, Tier};
 /// Fair-share fractions tried, in order, when the full demand does not
 /// fit the cluster. Each fraction is re-priced: a scaled grant must still
 /// satisfy the app's tier rank requirement to be offered.
-pub const FAIR_SHARE_FRACTIONS: [f64; 3] = [1.0, 0.75, 0.5];
+pub(crate) const FAIR_SHARE_FRACTIONS: [f64; 3] = [1.0, 0.75, 0.5];
 
 /// Why an app was turned away.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +100,7 @@ impl AdmissionDecision {
 /// Strictest preference rank an app of this tier may be admitted at:
 /// gold needs its most-preferred constraints satisfiable, silver accepts
 /// one fallback, bronze takes any priced configuration.
-pub fn required_rank(tier: Tier) -> usize {
+pub(crate) fn required_rank(tier: Tier) -> usize {
     match tier {
         0 => 0,
         1 => 1,
@@ -141,7 +141,7 @@ impl Pricer {
 
     /// The availability vector a grant represents, in the database's
     /// client-resource schema.
-    pub fn grant_vector(cpu: f64, net: f64) -> ResourceVector {
+    pub(crate) fn grant_vector(cpu: f64, net: f64) -> ResourceVector {
         let mut v = ResourceVector::default();
         v.set(client_cpu_key(), cpu);
         v.set(client_net_key(), net);
@@ -157,7 +157,7 @@ impl Pricer {
     /// Price `spec` at `fraction` ignoring the tier rank requirement.
     /// Used for forced degradation during overload, where the app does not
     /// get a say: any configuration valid at the shrunken grant will do.
-    pub fn price_any(&self, spec: &AppSpec, fraction: f64) -> Option<PricedGrant> {
+    pub(crate) fn price_any(&self, spec: &AppSpec, fraction: f64) -> Option<PricedGrant> {
         #[cfg(test)]
         PRICINGS.with(|n| n.set(n.get() + 1));
         let v = Self::grant_vector(spec.demand_cpu, spec.demand_net).scaled(fraction);

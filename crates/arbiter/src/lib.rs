@@ -43,9 +43,7 @@ pub mod msg;
 pub mod storm;
 pub mod workload;
 
-pub use admission::{
-    required_rank, AdmissionDecision, PricedGrant, Pricer, RejectReason, FAIR_SHARE_FRACTIONS,
-};
+pub use admission::{AdmissionDecision, PricedGrant, Pricer, RejectReason};
 pub use app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind, N_TIERS};
 pub use arbiter::{AppLedger, Arbiter, CapacityDip, Ledger, LedgerHandle};
 pub use storm::{

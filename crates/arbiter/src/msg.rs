@@ -13,53 +13,53 @@ use sandbox::Limits;
 use crate::app::AppId;
 
 /// Base of the arbiter control tag range ("ARB\0").
-pub const CTRL_BASE: u64 = 0x4152_4200;
+pub(crate) const CTRL_BASE: u64 = 0x4152_4200;
 
 // App -> arbiter.
 /// Request admission (body: [`ReqBody`]).
-pub const MSG_REQ: u64 = CTRL_BASE + 1;
+pub(crate) const MSG_REQ: u64 = CTRL_BASE + 1;
 /// Periodic usage report (body: [`UsageBody`]).
-pub const MSG_USAGE: u64 = CTRL_BASE + 2;
+pub(crate) const MSG_USAGE: u64 = CTRL_BASE + 2;
 /// The app finished its workload (body: [`ReqBody`]).
-pub const MSG_DONE: u64 = CTRL_BASE + 3;
+pub(crate) const MSG_DONE: u64 = CTRL_BASE + 3;
 
 // Arbiter -> app.
 /// Admission granted (body: [`GrantBody`]).
-pub const MSG_ADMIT: u64 = CTRL_BASE + 16;
+pub(crate) const MSG_ADMIT: u64 = CTRL_BASE + 16;
 /// Admission refused; the app never starts.
-pub const MSG_REJECT: u64 = CTRL_BASE + 17;
+pub(crate) const MSG_REJECT: u64 = CTRL_BASE + 17;
 /// Policing strike: clamp to the envelope (body: [`ClampBody`]).
-pub const MSG_THROTTLE: u64 = CTRL_BASE + 18;
+pub(crate) const MSG_THROTTLE: u64 = CTRL_BASE + 18;
 /// Throttle dwell over: the wrapper restores the app's requested limits.
-pub const MSG_RELAX: u64 = CTRL_BASE + 19;
+pub(crate) const MSG_RELAX: u64 = CTRL_BASE + 19;
 /// Policing strike: tier demotion with a tighter envelope (body:
 /// [`GrantBody`]).
-pub const MSG_DEMOTE: u64 = CTRL_BASE + 20;
+pub(crate) const MSG_DEMOTE: u64 = CTRL_BASE + 20;
 /// Policing strike three: the app is terminated.
-pub const MSG_EVICT: u64 = CTRL_BASE + 21;
+pub(crate) const MSG_EVICT: u64 = CTRL_BASE + 21;
 /// Overload shedding: suspend (bulk) or floor (session) the app (body:
 /// [`ClampBody`]).
-pub const MSG_SHED: u64 = CTRL_BASE + 22;
+pub(crate) const MSG_SHED: u64 = CTRL_BASE + 22;
 /// Recovery from shedding: resume under the given envelope (body:
 /// [`GrantBody`]).
-pub const MSG_RECOVER: u64 = CTRL_BASE + 23;
+pub(crate) const MSG_RECOVER: u64 = CTRL_BASE + 23;
 /// Overload degradation of a survivor: tighter envelope (body:
 /// [`GrantBody`]).
-pub const MSG_DEGRADE: u64 = CTRL_BASE + 24;
+pub(crate) const MSG_DEGRADE: u64 = CTRL_BASE + 24;
 /// Overload fully cleared: restore the original envelope (body:
 /// [`GrantBody`]).
-pub const MSG_RESTORE: u64 = CTRL_BASE + 25;
+pub(crate) const MSG_RESTORE: u64 = CTRL_BASE + 25;
 
 /// Wrapper -> bulk worker wake-up after a pause (never crosses the
 /// kernel; delivered straight through the sandbox).
-pub const MSG_KICK: u64 = CTRL_BASE + 32;
+pub(crate) const MSG_KICK: u64 = CTRL_BASE + 32;
 
 /// Wire size charged for a control message.
-pub const CTRL_BYTES: u64 = 64;
+pub(crate) const CTRL_BYTES: u64 = 64;
 
 /// True when `tag` belongs to the arbiter control plane (and must not be
 /// forwarded into the wrapped application).
-pub fn is_ctrl(tag: u64) -> bool {
+pub(crate) fn is_ctrl(tag: u64) -> bool {
     (CTRL_BASE..CTRL_BASE + 64).contains(&tag)
 }
 

@@ -35,17 +35,6 @@ pub struct ExperimentResult {
     pub threshold: Option<f64>,
 }
 
-impl ExperimentResult {
-    /// Final compression / level / fovea of the adaptive run.
-    pub fn final_config(&self) -> &Configuration {
-        &self.adaptive.config_history.last().expect("history never empty").1
-    }
-
-    pub fn initial_config(&self) -> &Configuration {
-        &self.adaptive.config_history.first().expect("history never empty").1
-    }
-}
-
 fn predict(db: &PerfDb, config: &Configuration, cpu: f64, net: f64, metric: &str) -> f64 {
     let mut r = ResourceVector::default();
     r.set(client_cpu_key(), cpu);
@@ -214,6 +203,15 @@ pub fn fig7cd(
 mod tests {
     use super::*;
 
+    fn initial_config(res: &ExperimentResult) -> &Configuration {
+        &res.adaptive.config_history.first().expect("history never empty").1
+    }
+
+    /// Final compression / level / fovea of the adaptive run.
+    fn final_config(res: &ExperimentResult) -> &Configuration {
+        &res.adaptive.config_history.last().expect("history never empty").1
+    }
+
     /// Miniature experiment scenario: tiny images, scaled monitoring time
     /// constants (detection takes ~0.5-1 s instead of 2-4 s).
     fn exp_scenario(n_images: usize) -> Scenario {
@@ -234,9 +232,9 @@ mod tests {
         let store = sc.build_store();
         // Low CPU share so compression cost matters at this tiny scale.
         let res = fig7a(&sc, &store, 0.05, 60_000.0, 2_000.0, SimTime::from_secs(2), 2);
-        assert_eq!(res.initial_config().get("c"), Some(Method::Lzw.code()));
+        assert_eq!(initial_config(&res).get("c"), Some(Method::Lzw.code()));
         assert_eq!(
-            res.final_config().get("c"),
+            final_config(&res).get("c"),
             Some(Method::Bzip.code()),
             "history {:?}",
             res.adaptive.config_history
@@ -255,9 +253,9 @@ mod tests {
         let store = sc.build_store();
         let res = fig7b(&sc, &store, 100_000.0, 1.0, 0.05, SimTime::from_ms(300), 2);
         let (l_lo, l_hi) = sc.level_values();
-        assert_eq!(res.initial_config().get("l"), Some(l_hi));
+        assert_eq!(initial_config(&res).get("l"), Some(l_hi));
         assert_eq!(
-            res.final_config().get("l"),
+            final_config(&res).get("l"),
             Some(l_lo),
             "history {:?}",
             res.adaptive.config_history
@@ -279,13 +277,13 @@ mod tests {
         let store = sc.build_store();
         let res = fig7cd(&sc, &store, 100_000.0, 1.0, 0.1, SimTime::from_ms(500), 2);
         let drs = sc.dr_values();
-        let initial_dr = res.initial_config().get("dR").unwrap();
+        let initial_dr = initial_config(&res).get("dR").unwrap();
         assert!(
             initial_dr > drs[0],
             "starts with a large fovea; history {:?}",
             res.adaptive.config_history
         );
-        let final_dr = res.final_config().get("dR").unwrap();
+        let final_dr = final_config(&res).get("dR").unwrap();
         assert!(final_dr < initial_dr, "fovea shrinks: {:?}", res.adaptive.config_history);
         // The bound constrains the *average* response (as in the paper:
         // "keeping average response time ... below one second"), so check

@@ -19,7 +19,7 @@ use visapp::{run_static, Scenario, VizConfig};
 use crate::toy::FixedWork;
 
 /// Relative speeds vs the PII-450 reference (SpecInt95-style ratios).
-pub const MACHINES: [(&str, f64); 2] = [("PII-333", 0.74), ("PPro-200", 0.44)];
+pub(crate) const MACHINES: [(&str, f64); 2] = [("PII-333", 0.74), ("PPro-200", 0.44)];
 
 /// One row of Figure 4(a) or 4(b).
 #[derive(Debug, Clone)]

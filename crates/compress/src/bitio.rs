@@ -27,11 +27,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of whole bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
-    }
-
     /// Flush (zero-padding the final byte) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -70,7 +65,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read one bit.
-    pub fn get_bit(&mut self) -> Option<u32> {
+    pub(crate) fn get_bit(&mut self) -> Option<u32> {
         self.get(1)
     }
 
@@ -111,7 +106,7 @@ mod tests {
                 v = v.wrapping_mul(1_664_525).wrapping_add(1_013_904_223 + round);
                 w.put(v, n);
                 bits.extend((0..n).rev().map(|i| (v >> i) & 1));
-                assert_eq!(w.bit_len(), bits.len());
+                assert_eq!(bits_written(&w), bits.len());
             }
         }
         let bytes = w.finish();
@@ -135,14 +130,19 @@ mod tests {
         assert_eq!(r.get(1), None);
     }
 
+    /// Whole bits written so far: the flushed bytes plus the pending bits.
+    fn bits_written(w: &BitWriter) -> usize {
+        w.buf.len() * 8 + w.nbits as usize
+    }
+
     #[test]
     fn bit_len_counts() {
         let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
+        assert_eq!(bits_written(&w), 0);
         w.put(0, 5);
-        assert_eq!(w.bit_len(), 5);
+        assert_eq!(bits_written(&w), 5);
         w.put(0, 5);
-        assert_eq!(w.bit_len(), 10);
+        assert_eq!(bits_written(&w), 10);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::CodecError;
 
 /// Maximum allowed code length; skewed distributions are flattened by
 /// frequency scaling until they fit.
-pub const MAX_LEN: u8 = 32;
+pub(crate) const MAX_LEN: u8 = 32;
 
 /// Compute Huffman code lengths for `freqs` (one entry per symbol).
 /// Symbols with zero frequency get length 0 (no code).
@@ -78,7 +78,7 @@ fn lengths_once(freqs: &[u64]) -> Vec<u8> {
 
 /// Canonical codes from lengths: symbols sorted by (length, symbol) get
 /// consecutive codes. Returns `(code, len)` per symbol (len 0 = unused).
-pub fn canonical_codes(lengths: &[u8]) -> Vec<(u32, u8)> {
+pub(crate) fn canonical_codes(lengths: &[u8]) -> Vec<(u32, u8)> {
     let maxl = lengths.iter().copied().max().unwrap_or(0) as usize;
     let mut count = vec![0u32; maxl + 1];
     for &l in lengths {

@@ -36,8 +36,14 @@
 use crate::env::{HostSpec, ResourceKey};
 use crate::param::{ControlParam, ControlSpace, ParamDomain};
 use crate::qos::QosMetricDef;
-use crate::spec::TunableSpec;
+use crate::spec::{Decl, TunableSpec};
 use crate::task::{Guard, TaskSpec, TransitionAction, TransitionSpec};
+
+/// The most configurations a control space may declare. Each one is
+/// enumerated and profiled, so a larger space is a slip, such as a range
+/// that lacks its `step`, and [`parse`] rejects it at the declaration that
+/// crosses the bound.
+const MAX_CONFIGURATIONS: usize = 1 << 20;
 
 /// A parse error with a line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,68 +379,78 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
     let toks = Lexer::new(src).tokenize()?;
     let mut p = Parser { toks, pos: 0 };
     let mut spec = TunableSpec::default();
+    // The line of each declaration, indexed by `Decl` and then by its
+    // place among the declarations of its kind.
+    let mut lines: [Vec<usize>; 4] = Default::default();
 
     while p.peek().is_some() {
+        let line = p.line();
         let section = p.ident()?;
         match section.as_str() {
             "control_parameters" => {
                 p.expect_sym("{")?;
-                let mut params = Vec::new();
+                let (mut params, mut param_lines) = (Vec::new(), Vec::new());
+                let mut configurations = 1usize;
                 while !p.eat_sym("}") {
                     let kind = p.ident()?;
-                    match kind.as_str() {
-                        "int" => {
-                            let name = p.ident()?;
-                            p.ident_eq("in")?;
-                            match p.peek() {
-                                Some(Tok::Sym("{")) => {
-                                    let vs = p.int_set()?;
-                                    params
-                                        .push(ControlParam { name, domain: ParamDomain::Set(vs) });
-                                }
-                                _ => {
-                                    let min = p.int()?;
-                                    p.expect_sym("..")?;
-                                    let max = p.int()?;
-                                    let step = if matches!(p.peek(), Some(Tok::Ident(s)) if s == "step")
-                                    {
-                                        p.pos += 1;
-                                        p.int()?
-                                    } else {
-                                        1
-                                    };
-                                    if step <= 0 || max < min {
-                                        return Err(p.err("invalid range domain"));
-                                    }
-                                    params.push(ControlParam {
-                                        name,
-                                        domain: ParamDomain::Range { min, max, step },
-                                    });
-                                }
-                            }
-                            p.expect_sym(";")?;
-                        }
-                        "enum" => {
-                            let name = p.ident()?;
-                            p.expect_sym("{")?;
-                            let mut vals = Vec::new();
-                            loop {
-                                let vname = p.ident()?;
-                                p.expect_sym("=")?;
-                                let v = p.int()?;
-                                vals.push((vname, v));
-                                if !p.eat_sym(",") {
-                                    break;
-                                }
-                            }
-                            p.expect_sym("}")?;
-                            p.expect_sym(";")?;
-                            params.push(ControlParam { name, domain: ParamDomain::Enum(vals) });
-                        }
-                        other => return Err(p.err(format!("unknown parameter kind {other:?}"))),
+                    if !matches!(kind.as_str(), "int" | "enum") {
+                        return Err(p.err(format!("unknown parameter kind {kind:?}")));
                     }
+                    let line = p.line();
+                    let name = p.ident()?;
+                    let domain = if kind == "int" {
+                        p.ident_eq("in")?;
+                        let domain = match p.peek() {
+                            Some(Tok::Sym("{")) => ParamDomain::Set(p.int_set()?),
+                            _ => {
+                                let min = p.int()?;
+                                p.expect_sym("..")?;
+                                let max = p.int()?;
+                                let step = if matches!(p.peek(), Some(Tok::Ident(s)) if s == "step")
+                                {
+                                    p.pos += 1;
+                                    p.int()?
+                                } else {
+                                    1
+                                };
+                                if step <= 0 || max < min {
+                                    return Err(p.err("invalid range domain"));
+                                }
+                                ParamDomain::Range { min, max, step }
+                            }
+                        };
+                        p.expect_sym(";")?;
+                        domain
+                    } else {
+                        p.expect_sym("{")?;
+                        let mut vals = Vec::new();
+                        loop {
+                            let vname = p.ident()?;
+                            p.expect_sym("=")?;
+                            let v = p.int()?;
+                            vals.push((vname, v));
+                            if !p.eat_sym(",") {
+                                break;
+                            }
+                        }
+                        p.expect_sym("}")?;
+                        p.expect_sym(";")?;
+                        ParamDomain::Enum(vals)
+                    };
+                    configurations = configurations
+                        .checked_mul(domain.cardinality())
+                        .filter(|&n| n <= MAX_CONFIGURATIONS)
+                        .ok_or_else(|| ParseError {
+                            line,
+                            msg: format!(
+                                "control space exceeds {MAX_CONFIGURATIONS} configurations at {name}"
+                            ),
+                        })?;
+                    params.push(ControlParam { name, domain });
+                    param_lines.push(line);
                 }
                 spec.control = ControlSpace { params };
+                lines[Decl::Param as usize] = param_lines;
             }
             "execution_env" => {
                 p.expect_sym("{")?;
@@ -518,6 +534,7 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
                     }
                 }
                 spec.tasks.add_task(task);
+                lines[Decl::Task as usize].push(line);
             }
             "edge" => {
                 let a = p.ident()?;
@@ -525,6 +542,7 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
                 let b = p.ident()?;
                 p.expect_sym(";")?;
                 spec.tasks.add_edge(&a, &b);
+                lines[Decl::Edge as usize].push(line);
             }
             "transition" => {
                 p.ident_eq("on")?;
@@ -553,12 +571,13 @@ pub fn parse(src: &str) -> Result<TunableSpec, ParseError> {
                     }
                 }
                 spec.transitions.push(tr);
+                lines[Decl::Transition as usize].push(line);
             }
             other => return Err(p.err(format!("unknown section {other:?}"))),
         }
     }
 
-    spec.validate().map_err(|msg| ParseError { line: 0, msg })?;
+    spec.check().map_err(|(decl, i, msg)| ParseError { line: lines[decl as usize][i], msg })?;
     Ok(spec)
 }
 
@@ -702,6 +721,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.msg.contains("unknown parameter"));
+        assert_eq!(err.line, 4, "the line of the task that names it");
     }
 
     #[test]
@@ -718,6 +738,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.msg.contains("cycle"));
+        assert_eq!(err.line, 6, "the line of an edge on the cycle");
     }
 
     #[test]
@@ -769,6 +790,19 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.msg, "duplicate task a");
+        assert_eq!(err.line, 5);
+    }
+
+    #[test]
+    fn a_huge_control_space_is_a_parse_error() {
+        let err = parse("control_parameters {\n  int x in 0..9223372036854775807;\n}").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.msg, "control space exceeds 1048576 configurations at x");
+        // The bound is on the product, at the declaration that crosses it.
+        let src =
+            "control_parameters {\n int a in 1..1024;\n int b in 1..1024;\n int c in 1..2;\n}";
+        assert_eq!(parse(src).unwrap_err().line, 4);
+        assert!(parse(&src.replace("1..2", "1..1")).is_ok(), "the bound itself is allowed");
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl ExecutionEnv {
     }
 
     /// Validate that every referenced resource component is a declared host.
-    pub fn validate_key(&self, key: &ResourceKey) -> Result<(), String> {
+    pub(crate) fn validate_key(&self, key: &ResourceKey) -> Result<(), String> {
         if self.host(&key.component).is_some() {
             Ok(())
         } else {

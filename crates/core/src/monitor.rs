@@ -88,9 +88,8 @@ impl WindowStat {
     /// Evict samples older than the window as of `now`. `push` prunes by
     /// the pushed timestamp, but when observations *stop* arriving the
     /// deque would otherwise retain ancient samples forever — readers that
-    /// need freshness use [`WindowStat::mean_at`]/[`WindowStat::latest_at`]
-    /// or call this with the current time.
-    pub fn prune(&mut self, now: SimTime) {
+    /// need freshness use [`WindowStat::mean_at`] or call this with the current time.
+    pub(crate) fn prune(&mut self, now: SimTime) {
         let cutoff = self.cutoff(now);
         while let Some(&(ts, v)) = self.samples.front() {
             if ts < cutoff {
@@ -181,12 +180,6 @@ impl WindowStat {
 
     pub fn latest(&self) -> Option<f64> {
         self.samples.back().map(|&(_, v)| v)
-    }
-
-    /// Latest sample still inside the window as of `now`.
-    pub fn latest_at(&self, now: SimTime) -> Option<f64> {
-        let cutoff = self.cutoff(now);
-        self.samples.back().filter(|&&(ts, _)| ts >= cutoff).map(|&(_, v)| v)
     }
 
     pub fn len(&self) -> usize {
@@ -288,7 +281,7 @@ pub struct Trigger {
 impl Trigger {
     /// True when the trigger fired (at least in part) because previously
     /// observed resources expired.
-    pub fn is_stale(&self) -> bool {
+    pub(crate) fn is_stale(&self) -> bool {
         !self.stale.is_empty()
     }
 }
@@ -324,7 +317,7 @@ impl MonitoringAgent {
 
     /// Re-target the watched resources (the agent "is customized to the
     /// currently active configuration").
-    pub fn set_watched(&mut self, watched: Vec<ResourceKey>) {
+    pub(crate) fn set_watched(&mut self, watched: Vec<ResourceKey>) {
         self.watched = watched;
         self.stats.retain(|k, _| self.watched.contains(k));
     }
@@ -356,7 +349,7 @@ impl MonitoringAgent {
     }
 
     /// Last-known availability estimate (window means over all retained
-    /// samples, however old). Use [`MonitoringAgent::estimate_at`] when
+    /// samples, however old). Use `MonitoringAgent::estimate_at` when
     /// freshness matters.
     pub fn estimate(&self) -> ResourceVector {
         let mut v = ResourceVector::default();
@@ -371,7 +364,7 @@ impl MonitoringAgent {
     /// Fresh availability estimate as of `t`: window means over unexpired
     /// samples only. Resources whose every sample is older than the window
     /// are omitted (see [`MonitoringAgent::stale_keys`]).
-    pub fn estimate_at(&self, t: SimTime) -> ResourceVector {
+    pub(crate) fn estimate_at(&self, t: SimTime) -> ResourceVector {
         let mut v = ResourceVector::default();
         for (k, s) in &self.stats {
             if let Some(m) = s.mean_at(t) {
@@ -383,7 +376,7 @@ impl MonitoringAgent {
 
     /// Watched resources that have been observed at least once but have no
     /// sample within the window as of `t` — their estimates have expired.
-    pub fn stale_keys(&self, t: SimTime) -> Vec<ResourceKey> {
+    pub(crate) fn stale_keys(&self, t: SimTime) -> Vec<ResourceKey> {
         self.stats
             .iter()
             .filter(|(_, s)| !s.is_empty() && s.mean_at(t).is_none())
@@ -606,7 +599,6 @@ mod tests {
         w.push(t(0), 1.0);
         assert_eq!(w.mean_at(t(500)), Some(1.0));
         assert_eq!(w.mean_at(t(5000)), None, "expired as of now");
-        assert_eq!(w.latest_at(t(5000)), None);
         assert_eq!(w.mean(), Some(1.0), "untimed view keeps last-known");
         w.prune(t(5000));
         assert!(w.is_empty());

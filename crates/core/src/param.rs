@@ -40,12 +40,30 @@ impl ParamDomain {
     }
 
     pub fn contains(&self, v: i64) -> bool {
-        self.values().contains(&v)
+        match self {
+            ParamDomain::Range { min, max, step } => {
+                assert!(*step > 0, "range step must be positive");
+                (*min..=*max).contains(&v) && v.abs_diff(*min) % step.unsigned_abs() == 0
+            }
+            ParamDomain::Set(vs) => vs.contains(&v),
+            ParamDomain::Enum(vs) => vs.iter().any(|&(_, x)| x == v),
+        }
     }
 
-    /// Number of values.
+    /// Number of values, counted without building them (saturating).
     pub fn cardinality(&self) -> usize {
-        self.values().len()
+        match self {
+            ParamDomain::Range { min, max, step } => {
+                assert!(*step > 0, "range step must be positive");
+                if max < min {
+                    return 0;
+                }
+                let n = (max.abs_diff(*min) / step.unsigned_abs()).saturating_add(1);
+                usize::try_from(n).unwrap_or(usize::MAX)
+            }
+            ParamDomain::Set(vs) => vs.len(),
+            ParamDomain::Enum(vs) => vs.len(),
+        }
     }
 }
 
@@ -187,6 +205,13 @@ mod tests {
         // The range ends where the next value would overflow.
         let d = ParamDomain::Range { min: i64::MAX - 1, max: i64::MAX, step: 2 };
         assert_eq!(d.values(), vec![i64::MAX - 1]);
+        assert_eq!(d.cardinality(), 1);
+        // Counted and tested without being built.
+        let d = ParamDomain::Range { min: i64::MIN, max: i64::MAX, step: 1 };
+        assert_eq!(d.cardinality(), usize::MAX, "saturates");
+        assert!(d.contains(i64::MIN) && d.contains(0) && d.contains(i64::MAX));
+        let d = ParamDomain::Range { min: -5, max: i64::MAX, step: 5 };
+        assert!(d.contains(0) && !d.contains(1) && !d.contains(-10));
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl PerfDb {
     }
 
     /// Records profiled for `(config, input)`, in insertion order.
-    pub fn records_for(&self, config: &Configuration, input: &str) -> Vec<&PerfRecord> {
+    pub(crate) fn records_for(&self, config: &Configuration, input: &str) -> Vec<&PerfRecord> {
         let idx = self.index();
         match idx.slice(config, input) {
             Some((s, _)) => s.recs.iter().map(|&ri| &self.records[ri as usize]).collect(),

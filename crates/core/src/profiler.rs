@@ -71,7 +71,7 @@ impl ResourceGrid {
         out
     }
 
-    pub fn point_count(&self) -> usize {
+    pub(crate) fn point_count(&self) -> usize {
         self.axes.iter().map(|(_, v)| v.len()).product()
     }
 }

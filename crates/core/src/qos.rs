@@ -76,7 +76,7 @@ impl QosReport {
     /// Componentwise maximum relative difference against `other`, over the
     /// union of metrics (missing metric = infinite difference). Used for
     /// merging similar configurations in the performance database.
-    pub fn max_rel_diff(&self, other: &QosReport) -> f64 {
+    pub(crate) fn max_rel_diff(&self, other: &QosReport) -> f64 {
         let mut worst = 0.0f64;
         for (k, _) in self.values.iter().chain(other.values.iter()) {
             let a = self.get(k);
@@ -309,7 +309,7 @@ impl PreferenceList {
 
     /// Render in the grammar [`parse_directive`](Self::parse_directive)
     /// accepts; `parse_directive(list.to_directive())` round-trips.
-    pub fn to_directive(&self) -> String {
+    pub(crate) fn to_directive(&self) -> String {
         self.prefs
             .iter()
             .map(|p| {

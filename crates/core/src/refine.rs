@@ -48,9 +48,9 @@ use crate::profiler::ProfileRunner;
 pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
 /// Default streak length: this many consecutive over-threshold samples
 /// (without an intervening re-decision of the slice) before alarming.
-pub const DEFAULT_MIN_STREAK: u64 = 8;
+pub(crate) const DEFAULT_MIN_STREAK: u64 = 8;
 /// Default EWMA weight for the newest residual sample.
-pub const DEFAULT_ALPHA: f64 = 0.3;
+pub(crate) const DEFAULT_ALPHA: f64 = 0.3;
 
 /// One sustained-drift detection.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,9 +107,9 @@ struct RefineObs {
 
 /// The online refinement engine for one workload input.
 ///
-/// Holds the *same* [`Adaptive`] database handle as the scheduler it
-/// refines (see `ResourceScheduler::db_handle`), so a hot-swap published
-/// here is picked up atomically by the scheduler's next decision.
+/// Holds its database behind an [`Adaptive`] handle: a re-profile
+/// publishes the refreshed database with one `Adaptive::set`, so every
+/// clone of the handle sees the old model or the new one, never a mix.
 #[derive(Debug)]
 pub struct RefineEngine {
     db: Adaptive<Arc<PerfDb>>,
@@ -129,8 +129,8 @@ pub struct RefineEngine {
 }
 
 impl RefineEngine {
-    /// Build an engine over a shared database handle (normally the
-    /// scheduler's, via `ResourceScheduler::db_handle`).
+    /// Build an engine over a shared database handle; its clones see every
+    /// hot-swap the engine publishes.
     pub fn new(db: Adaptive<Arc<PerfDb>>, input: &str) -> Self {
         RefineEngine {
             db,
@@ -190,11 +190,6 @@ impl RefineEngine {
     /// A snapshot of the engine's current database.
     pub fn db(&self) -> Arc<PerfDb> {
         self.db.get()
-    }
-
-    /// The shared database handle (clones see hot-swaps).
-    pub fn db_handle(&self) -> Adaptive<Arc<PerfDb>> {
-        self.db.clone()
     }
 
     /// Configurations currently flagged stale, in sorted key order.
@@ -440,8 +435,7 @@ mod tests {
     use super::*;
     use crate::env::{ResourceKey, ResourceVector};
     use crate::param::Configuration;
-    use crate::qos::{Objective, Preference, PreferenceList, QosReport};
-    use crate::scheduler::ResourceScheduler;
+    use crate::qos::QosReport;
 
     fn cpu() -> ResourceKey {
         ResourceKey::cpu("client")
@@ -573,10 +567,7 @@ mod tests {
                 ]),
             });
         }
-        let prefs =
-            PreferenceList::single(Preference::new(vec![], Objective::minimize("transmit_time")));
-        let sched = ResourceScheduler::new(db, prefs, "img");
-        let mut eng = RefineEngine::new(sched.db_handle(), "img");
+        let mut eng = RefineEngine::from_db(db, "img");
         eng.ingest_run(&bus(20, 2.0));
         assert_eq!(eng.stale(), vec!["c=1".to_string()]);
 
@@ -585,8 +576,8 @@ mod tests {
             let share = r.get(&cpu()).unwrap();
             QosReport::new(&[("transmit_time", 2.0 / share), ("response_time", 2.0 / share)])
         };
-        let old_db = Arc::downgrade(&sched.db());
-        let in_flight = sched.db();
+        let old_db = Arc::downgrade(&eng.db());
+        let in_flight = eng.db();
         let reports = eng.reprofile(123, &runner);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0], SwapReport { config: "c=1".into(), points: 2, removed: 2 });
@@ -598,14 +589,9 @@ mod tests {
         drop(in_flight);
         assert!(old_db.upgrade().is_none(), "the swap freed the old model");
 
-        // The scheduler sees the refreshed slice through the shared
-        // handle, and its next decision is version-stamped.
-        assert_eq!(sched.db_version(), 1);
-        let d = sched
-            .choose(&ResourceVector::new(&[(cpu(), 1.0)]))
-            .expect("both configs still predict");
-        assert_eq!(d.db_version, 1);
-        let refreshed = sched
+        // Clones of the handle see the refreshed slice.
+        assert_eq!(eng.db.version(), 1);
+        let refreshed = eng
             .db()
             .predict(
                 &Configuration::new(&[("c", 1)]),
@@ -616,7 +602,7 @@ mod tests {
             .unwrap();
         assert!((refreshed.get("response_time").unwrap() - 2.0).abs() < 1e-9);
         // The untouched slice is untouched.
-        let other = sched
+        let other = eng
             .db()
             .predict(
                 &Configuration::new(&[("c", 2)]),
@@ -636,7 +622,7 @@ mod tests {
         };
         assert!(eng.reprofile(0, &runner).is_empty());
         assert_eq!(eng.rebuilds(), 0);
-        assert_eq!(eng.db_handle().version(), 0, "no hot-swap published");
+        assert_eq!(eng.db.version(), 0, "no hot-swap published");
     }
 
     #[test]

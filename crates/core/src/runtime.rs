@@ -67,7 +67,7 @@ impl AdaptationEvent {
     /// Convert to a structured bus event ([`obs::Event`]), tagged with the
     /// agent that produced it: the monitor triggers, the scheduler decides,
     /// the steering agent switches/naks/degrades.
-    pub fn to_obs(&self) -> obs::Event {
+    pub(crate) fn to_obs(&self) -> obs::Event {
         match self {
             AdaptationEvent::Triggered { at, estimate } => {
                 obs::Event::new(at.as_us(), Source::Monitor, "trigger")
@@ -253,24 +253,10 @@ impl AdaptiveRuntime {
         self.steering.history()
     }
 
-    /// True while the active configuration is a best-effort fallback.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Oracle accessor: the number of preference levels. Every `decide`
     /// event's `rank` field must be strictly below this.
     pub fn preference_depth(&self) -> usize {
         self.scheduler.preference_depth()
-    }
-
-    /// Minimum time between applied switches (anti-oscillation dwell).
-    pub fn set_min_dwell(&mut self, us: u64) {
-        self.steering.set_min_dwell_us(us);
-    }
-
-    pub fn min_dwell(&self) -> u64 {
-        self.steering.min_dwell_us()
     }
 
     /// Register this runtime's live-tunable knobs on a control-plane
@@ -575,10 +561,17 @@ mod tests {
         assert_eq!(rt.current().get("c"), Some(1));
     }
 
+    /// Set the dwell as an operator does: through the registered knob.
+    fn set_dwell(rt: &AdaptiveRuntime, us: u64) {
+        let registry = obs::ConfigRegistry::new();
+        rt.register_knobs(&registry);
+        registry.set("steering.min_dwell_us", obs::ConfigValue::U64(us)).unwrap();
+    }
+
     #[test]
     fn dwell_limits_reconfigurations_under_flapping() {
         let mut rt = runtime();
-        rt.set_min_dwell(5_000_000);
+        set_dwell(&rt, 5_000_000);
         // Bandwidth flaps between 1 MB/s and 50 KB/s every 2 s for 20 s —
         // slow enough for the 1 s window mean to settle at each level, so
         // without the dwell guard every flap would re-trigger a switch.
@@ -590,12 +583,12 @@ mod tests {
             rt.tick(t);
             rt.at_boundary(t);
         }
-        let windows = 20_000_000u64.div_ceil(rt.min_dwell()) as usize;
+        let windows = 20_000_000u64.div_ceil(rt.steering.min_dwell_us()) as usize;
         assert!(
             rt.switch_count() <= windows + 1,
             "flapping caused {} switches, more than one per {}-us dwell window",
             rt.switch_count(),
-            rt.min_dwell()
+            rt.steering.min_dwell_us()
         );
         assert!(rt.switch_count() >= 2, "adaptation must still happen across dwell windows");
     }
@@ -669,7 +662,7 @@ mod tests {
     fn dwell_deferral_is_audited_once_per_window() {
         let obs = Obs::new();
         let mut rt = runtime().with_obs(&obs);
-        rt.set_min_dwell(5_000_000);
+        set_dwell(&rt, 5_000_000);
         // First switch: bandwidth collapse.
         for i in 0..200 {
             rt.observe(SimTime::from_secs(2) + i * 10_000, &cpu(), 1.0);
@@ -811,7 +804,7 @@ mod negotiation_tests {
         rt.at_boundary(SimTime::from_secs(3));
         assert!(obs.events().iter().any(|e| e.kind == "no_candidate"));
         assert!(obs.events().iter().any(|e| e.kind == "degrade"));
-        assert!(rt.is_degraded(), "runs the least-violating fallback");
+        assert!(rt.degraded, "runs the least-violating fallback");
         // Bandwidth recovers: a recovery probe finds a satisfying choice
         // and the runtime leaves degraded mode at the next boundary.
         for i in 0..300 {
@@ -821,7 +814,7 @@ mod negotiation_tests {
         }
         rt.tick(SimTime::from_secs(7));
         rt.at_boundary(SimTime::from_secs(7));
-        assert!(!rt.is_degraded(), "left degraded mode after recovery");
+        assert!(!rt.degraded, "left degraded mode after recovery");
         assert!(obs.events().iter().any(|e| e.kind == "recover"));
     }
 }

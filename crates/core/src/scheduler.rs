@@ -94,7 +94,7 @@ pub struct Selection {
 pub struct ResourceScheduler {
     /// The performance database behind a live-tunable handle. Every
     /// decision snapshots it once (one `Arc` clone), so a refine
-    /// hot-swap ([`db_handle`](Self::db_handle) + `Adaptive::set`) takes
+    /// hot-swap (an `Adaptive::set` of this handle) takes
     /// effect atomically at the next decision: a racing swap yields a
     /// decision priced wholly against the old or wholly against the new
     /// database, never a mix of slices.
@@ -260,13 +260,6 @@ impl ResourceScheduler {
         self.db.get()
     }
 
-    /// The live-tunable database handle. The refine engine
-    /// (`crate::refine`) publishes re-profiled databases through this
-    /// handle; the next decision picks them up atomically.
-    pub fn db_handle(&self) -> Adaptive<Arc<PerfDb>> {
-        self.db.clone()
-    }
-
     /// How many times the database has been hot-swapped since this
     /// scheduler was built (0 = never refined).
     pub fn db_version(&self) -> u64 {
@@ -274,21 +267,15 @@ impl ResourceScheduler {
     }
 
     /// A snapshot of the current preference list. The `Arc` stays valid
-    /// across a concurrent [`set_prefs`](Self::set_prefs) (it just goes
-    /// stale).
+    /// across a concurrent `Command::Set` of `scheduler.prefs` (it just
+    /// goes stale).
     pub fn prefs(&self) -> Arc<PreferenceList> {
         self.prefs.get()
     }
 
-    /// Replace the preference list mid-run; takes effect atomically at the
-    /// next decision. Returns the new preference version.
-    pub fn set_prefs(&self, prefs: PreferenceList) -> u64 {
-        self.prefs.set(Arc::new(prefs))
-    }
-
     /// The live-tunable preference handle, for registering as the
     /// `scheduler.prefs` config knob.
-    pub fn prefs_handle(&self) -> Adaptive<Arc<PreferenceList>> {
+    pub(crate) fn prefs_handle(&self) -> Adaptive<Arc<PreferenceList>> {
         self.prefs.clone()
     }
 
@@ -296,22 +283,13 @@ impl ResourceScheduler {
     /// [`choose`](ResourceScheduler::choose) would trivially return `None`
     /// (no database records for `input`, or an empty preference list).
     pub fn try_new(db: PerfDb, prefs: PreferenceList, input: &str) -> crate::error::Result<Self> {
-        Self::try_new_shared(Arc::new(db), prefs, input)
-    }
-
-    /// Checked form of [`new_shared`](ResourceScheduler::new_shared).
-    pub fn try_new_shared(
-        db: Arc<PerfDb>,
-        prefs: PreferenceList,
-        input: &str,
-    ) -> crate::error::Result<Self> {
         if prefs.prefs.is_empty() {
             return Err(crate::error::Error::EmptyPreferences);
         }
         if db.configs(input).is_empty() {
             return Err(crate::error::Error::EmptyDatabase { input: input.into() });
         }
-        Ok(Self::new_shared(db, prefs, input))
+        Ok(Self::new(db, prefs, input))
     }
 
     /// Oracle accessor: how many preference levels this scheduler ranks
@@ -640,6 +618,9 @@ mod tests {
         s.choose(&r).unwrap();
         assert!(predicts(&sole) > 0, "a database owned alone is re-hooked");
         assert_eq!(s.db_version(), 0, "re-hooking is not a refine swap");
+        s.db.set(Arc::new(crossover_db()));
+        assert_eq!(s.db_version(), 1, "a swap of the handle is a refine swap");
+        assert_eq!(s.choose(&r).unwrap().db_version, 1, "and stamps the next decision");
 
         let shared = obs::Obs::new();
         let db = Arc::new(crossover_db());

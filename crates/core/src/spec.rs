@@ -11,6 +11,15 @@ use crate::param::{Configuration, ControlSpace};
 use crate::qos::QosMetricDef;
 use crate::task::{TaskGraph, TransitionSpec};
 
+/// A kind of declaration in the annotation text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Decl {
+    Param,
+    Task,
+    Edge,
+    Transition,
+}
+
 /// Everything the annotations declare: control parameters, execution
 /// environment, quality metrics, tunable modules, and transitions.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -29,34 +38,43 @@ impl TunableSpec {
     /// - tasks reference declared parameters, metrics, and hosts;
     /// - transitions reference declared parameters.
     pub fn validate(&self) -> Result<(), String> {
+        self.check().map_err(|(_, _, msg)| msg)
+    }
+
+    /// [`validate`](Self::validate), with the declaration each error
+    /// names: its kind and its index among the declarations of that kind.
+    pub(crate) fn check(&self) -> Result<(), (Decl, usize, String)> {
         let mut names = BTreeSet::new();
-        if let Some(p) = self.control.params.iter().find(|p| !names.insert(&p.name)) {
-            return Err(format!("duplicate parameter {}", p.name));
+        if let Some(i) = self.control.params.iter().position(|p| !names.insert(&p.name)) {
+            let msg = format!("duplicate parameter {}", self.control.params[i].name);
+            return Err((Decl::Param, i, msg));
         }
         let mut names = BTreeSet::new();
-        if let Some(t) = self.tasks.tasks.iter().find(|t| !names.insert(&t.name)) {
-            return Err(format!("duplicate task {}", t.name));
+        if let Some(i) = self.tasks.tasks.iter().position(|t| !names.insert(&t.name)) {
+            return Err((Decl::Task, i, format!("duplicate task {}", self.tasks.tasks[i].name)));
         }
-        self.tasks.validate()?;
-        for t in &self.tasks.tasks {
+        self.tasks.validate().map_err(|(i, msg)| (Decl::Edge, i, msg))?;
+        for (i, t) in self.tasks.tasks.iter().enumerate() {
+            let at = |msg| (Decl::Task, i, msg);
             for p in &t.params {
                 if self.control.param(p).is_none() {
-                    return Err(format!("task {} references unknown parameter {p}", t.name));
+                    return Err(at(format!("task {} references unknown parameter {p}", t.name)));
                 }
             }
             for m in &t.metrics {
                 if !self.metrics.iter().any(|d| &d.name == m) {
-                    return Err(format!("task {} references unknown metric {m}", t.name));
+                    return Err(at(format!("task {} references unknown metric {m}", t.name)));
                 }
             }
             for r in &t.resources {
-                self.env.validate_key(r)?;
+                self.env.validate_key(r).map_err(at)?;
             }
         }
-        for tr in &self.transitions {
+        for (i, tr) in self.transitions.iter().enumerate() {
             for p in &tr.on_params {
                 if self.control.param(p).is_none() {
-                    return Err(format!("transition references unknown parameter {p}"));
+                    let msg = format!("transition references unknown parameter {p}");
+                    return Err((Decl::Transition, i, msg));
                 }
             }
         }

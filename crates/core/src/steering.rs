@@ -86,13 +86,8 @@ impl SteeringAgent {
         self.min_dwell.get()
     }
 
-    /// Set the minimum dwell time (takes effect at the next boundary).
-    pub fn set_min_dwell_us(&self, us: u64) {
-        self.min_dwell.set(us);
-    }
-
     /// The live-tunable dwell handle, for registering as a config knob.
-    pub fn min_dwell_handle(&self) -> Adaptive<u64> {
+    pub(crate) fn min_dwell_handle(&self) -> Adaptive<u64> {
         self.min_dwell.clone()
     }
 
@@ -294,7 +289,7 @@ mod tests {
     #[test]
     fn dwell_defers_rapid_second_switch() {
         let mut s = SteeringAgent::new(cfg(80, 1, 4));
-        s.set_min_dwell_us(1_000_000);
+        s.min_dwell.set(1_000_000);
         assert_eq!(s.min_dwell_us(), 1_000_000);
         s.request(req(cfg(80, 2, 4)));
         // First switch is never dwell-blocked (only the initial config is

@@ -86,7 +86,7 @@ impl TaskGraph {
         self
     }
 
-    pub fn add_edge(&mut self, from: &str, to: &str) -> &mut Self {
+    pub(crate) fn add_edge(&mut self, from: &str, to: &str) -> &mut Self {
         self.edges.push((from.into(), to.into()));
         self
     }
@@ -96,7 +96,7 @@ impl TaskGraph {
     }
 
     /// The tasks active under configuration `c` (guards satisfied).
-    pub fn active_tasks(&self, c: &Configuration) -> Vec<&TaskSpec> {
+    pub(crate) fn active_tasks(&self, c: &Configuration) -> Vec<&TaskSpec> {
         self.tasks.iter().filter(|t| t.guard.eval(c)).collect()
     }
 
@@ -104,7 +104,7 @@ impl TaskGraph {
     /// must watch under configuration `c` (§6.1: monitoring "is customized
     /// to the currently active configuration, affecting which resources
     /// are monitored").
-    pub fn monitored_resources(&self, c: &Configuration) -> Vec<ResourceKey> {
+    pub(crate) fn monitored_resources(&self, c: &Configuration) -> Vec<ResourceKey> {
         let mut out: Vec<ResourceKey> = Vec::new();
         for t in self.active_tasks(c) {
             for r in &t.resources {
@@ -118,13 +118,11 @@ impl TaskGraph {
     }
 
     /// Validate: edges reference declared tasks, and the graph is acyclic.
-    pub fn validate(&self) -> Result<(), String> {
-        for (a, b) in &self.edges {
-            if self.task(a).is_none() {
-                return Err(format!("edge references unknown task {a}"));
-            }
-            if self.task(b).is_none() {
-                return Err(format!("edge references unknown task {b}"));
+    /// An error comes with the index of an edge at fault.
+    pub(crate) fn validate(&self) -> Result<(), (usize, String)> {
+        for (i, (a, b)) in self.edges.iter().enumerate() {
+            if let Some(t) = [a, b].into_iter().find(|t| self.task(t).is_none()) {
+                return Err((i, format!("edge references unknown task {t}")));
             }
         }
         // Kahn's algorithm for cycle detection.
@@ -135,9 +133,9 @@ impl TaskGraph {
             indeg[idx(b)] += 1;
         }
         let mut queue: Vec<usize> = (0..names.len()).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
+        let mut done = vec![false; names.len()];
         while let Some(i) = queue.pop() {
-            seen += 1;
+            done[i] = true;
             for (a, b) in &self.edges {
                 if idx(a) == i {
                     let j = idx(b);
@@ -148,10 +146,11 @@ impl TaskGraph {
                 }
             }
         }
-        if seen != names.len() {
-            return Err("task graph contains a cycle".into());
+        // An edge between two unsorted tasks lies on or past a cycle.
+        match self.edges.iter().position(|(a, b)| !done[idx(a)] && !done[idx(b)]) {
+            Some(i) => Err((i, "task graph contains a cycle".into())),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

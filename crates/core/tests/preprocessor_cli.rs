@@ -60,8 +60,7 @@ fn reports_a_duplicate_parameter_as_an_error() {
     let out = Command::new(bin()).arg(&input).arg(dir.join("out")).output().expect("runs");
     assert_eq!(out.status.code(), Some(1), "a user's bad file fails, it does not panic");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let located = stderr.starts_with(&format!("{}:line ", input.display()));
-    assert!(located && stderr.ends_with(": duplicate parameter x\n"), "{stderr}");
+    assert_eq!(stderr, format!("{}:line 3: duplicate parameter x\n", input.display()));
     assert!(!dir.join("out").exists(), "nothing is written");
     std::fs::remove_dir_all(&dir).ok();
 }

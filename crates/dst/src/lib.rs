@@ -39,10 +39,10 @@
 //! The seeded canary bug (`--cfg dst_canary`, see `visapp::client`)
 //! validates the pipeline end to end: the explorer must find it, shrink
 //! it, and the committed repro must replay it. The model-drift canary
-//! (`--cfg dst_drift`, see [`trial::DRIFT_LATENCY_US`]) closes the same loop
+//! (`--cfg dst_drift`, see `trial::DRIFT_LATENCY_US`) closes the same loop
 //! through the online-refinement layer: drift-armed trials
 //! ([`FaultSpace::drift`]) fold the run through
-//! `adapt_core::refine::RefineEngine`, the [`oracle::no_model_drift`]
+//! `adapt_core::refine::RefineEngine`, the `oracle::no_model_drift`
 //! oracle turns a sustained-drift alarm into a violation, and the
 //! explorer captures, shrinks, and digest-pins the incident as a repro.
 
@@ -56,14 +56,8 @@ pub mod space;
 pub mod trial;
 
 pub use explorer::{ExploreReport, Explorer, ExplorerOpts, Failure};
-pub use oracle::{
-    check_arbiter, config_audit_complete, no_evict_without_violation, no_model_drift,
-    shed_order_respects_tiers, DecisionContext, Violation,
-};
+pub use oracle::{check_arbiter, config_audit_complete, DecisionContext, Violation};
 pub use repro::Repro;
 pub use shrink::{shrink as shrink_plan, ShrinkResult};
 pub use space::{FaultSpace, Span, TrialPlan};
-pub use trial::{
-    knob_commands, TrialContext, TrialOutcome, DRIFT_LATENCY_US, DRIFT_MIN_STREAK, KNOB_MENU_LEN,
-    TRIAL_HORIZON_SECS,
-};
+pub use trial::{knob_commands, TrialContext, TrialOutcome, KNOB_MENU_LEN};

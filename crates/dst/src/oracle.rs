@@ -114,7 +114,7 @@ pub struct DecisionContext {
 /// appears at most once in the App `round` event stream. A re-applied
 /// duplicate repeats the pair even though the client's sequential round
 /// counter keeps incrementing.
-pub fn no_duplicate_apply(obs: &Obs) -> Option<Violation> {
+pub(crate) fn no_duplicate_apply(obs: &Obs) -> Option<Violation> {
     let filter = EventFilter::any().source(obs::Source::App).kind("round");
     let mut seen = HashSet::new();
     for ev in obs.events_filtered(&filter) {
@@ -131,7 +131,7 @@ pub fn no_duplicate_apply(obs: &Obs) -> Option<Violation> {
 /// closes never exceed opens. Consecutive opens are legal (a failed
 /// half-open probe re-opens without an intervening close); a close with
 /// no outstanding open is not.
-pub fn breaker_legal(obs: &Obs) -> Option<Violation> {
+pub(crate) fn breaker_legal(obs: &Obs) -> Option<Violation> {
     let filter =
         EventFilter::any().source(obs::Source::App).kind("breaker_open").kind("breaker_close");
     let (mut opens, mut closes) = (0u64, 0u64);
@@ -153,7 +153,7 @@ pub fn breaker_legal(obs: &Obs) -> Option<Violation> {
 /// Steering degrade/recover strictly alternate, starting with degrade:
 /// the runtime only recovers from a degraded state and only degrades from
 /// a non-degraded one.
-pub fn degrade_recover_order(obs: &Obs) -> Option<Violation> {
+pub(crate) fn degrade_recover_order(obs: &Obs) -> Option<Violation> {
     let mut degraded = false;
     for ev in obs.events_filtered(&EventFilter::degrade_recover()) {
         match ev.kind {
@@ -179,7 +179,7 @@ pub fn degrade_recover_order(obs: &Obs) -> Option<Violation> {
 
 /// Every scheduler decision names a configuration the performance
 /// database actually holds, at a rank within the preference list.
-pub fn decisions_valid(obs: &Obs, ctx: &DecisionContext) -> Option<Violation> {
+pub(crate) fn decisions_valid(obs: &Obs, ctx: &DecisionContext) -> Option<Violation> {
     for ev in obs.events_filtered(&EventFilter::decisions()) {
         let config = ev.str_field("config").unwrap_or("<missing>").to_string();
         let rank = ev.u64_field("rank").unwrap_or(u64::MAX);
@@ -195,7 +195,7 @@ pub fn decisions_valid(obs: &Obs, ctx: &DecisionContext) -> Option<Violation> {
 /// running set, done/evict/shed remove from it), every `shed` victim's
 /// tier must be >= every tier still running at that instant. Tiers are
 /// numeric priority — 0 (gold) is most important and shed last.
-pub fn shed_order_respects_tiers(obs: &Obs) -> Option<Violation> {
+pub(crate) fn shed_order_respects_tiers(obs: &Obs) -> Option<Violation> {
     let filter = EventFilter::any().source(obs::Source::Arbiter);
     let mut running: std::collections::BTreeMap<u64, u64> = Default::default();
     for ev in obs.events_filtered(&filter) {
@@ -228,7 +228,7 @@ pub fn shed_order_respects_tiers(obs: &Obs) -> Option<Violation> {
 
 /// Eviction is the end of the policing ladder: every `evict` event must
 /// be preceded by at least one `violation` event for the same app.
-pub fn no_evict_without_violation(obs: &Obs) -> Option<Violation> {
+pub(crate) fn no_evict_without_violation(obs: &Obs) -> Option<Violation> {
     let filter = EventFilter::any().source(obs::Source::Arbiter);
     let mut flagged = HashSet::new();
     for ev in obs.events_filtered(&filter) {
@@ -328,7 +328,7 @@ pub fn config_audit_complete(obs: &Obs) -> Option<Violation> {
 /// [`crate::trial::TrialContext::run_with_drain`]), so its `refine.drift`
 /// audit events sit on the same bus this oracle scans. Trials that never
 /// armed refinement publish no refine events and pass vacuously.
-pub fn no_model_drift(obs: &Obs) -> Option<Violation> {
+pub(crate) fn no_model_drift(obs: &Obs) -> Option<Violation> {
     let filter = EventFilter::any().source(obs::Source::Refine).kind("drift");
     obs.events_filtered(&filter).into_iter().next().map(|ev| Violation::ModelDrift {
         at_us: ev.at_us,
@@ -348,7 +348,7 @@ pub fn check_arbiter(obs: &Obs) -> Vec<Violation> {
 }
 
 /// Run every bus oracle, collecting the first violation of each kind.
-pub fn check_all(obs: &Obs, ctx: &DecisionContext) -> Vec<Violation> {
+pub(crate) fn check_all(obs: &Obs, ctx: &DecisionContext) -> Vec<Violation> {
     [
         no_duplicate_apply(obs),
         breaker_legal(obs),

@@ -38,7 +38,7 @@ impl Repro {
     }
 
     /// Pin the failing trial's behaviour digest into the repro file.
-    pub fn with_digest(mut self, digest: u64) -> Self {
+    pub(crate) fn with_digest(mut self, digest: u64) -> Self {
         self.digest = digest;
         self
     }

@@ -104,7 +104,7 @@ pub struct FaultSpace {
     /// [`adapt_core::refine::RefineEngine`] fold over the trial bus and
     /// the `model_drift` oracle over its alarms; on `--cfg dst_drift`
     /// builds it additionally plants the live latency spike the engine
-    /// must catch ([`crate::trial::DRIFT_LATENCY_US`]).
+    /// must catch (`trial::DRIFT_LATENCY_US`).
     pub drift_threshold_x1000: Span,
 }
 
@@ -185,7 +185,7 @@ impl FaultSpace {
     /// The overload space: no network faults, only saturating load —
     /// arrival-rate surges and host-capacity dips — driven through the
     /// cluster-arbiter storm. Every trial sampled from this space runs
-    /// the multi-application path ([`TrialPlan::has_overload`]).
+    /// the multi-application path (`TrialPlan::has_overload`).
     pub fn overload() -> Self {
         FaultSpace {
             surge_windows: Span::new(1, 2),
@@ -355,7 +355,7 @@ impl TrialPlan {
     /// Whether this plan exercises the overload axis (and therefore runs
     /// the multi-application arbiter storm instead of the single-app
     /// adaptive scenario).
-    pub fn has_overload(&self) -> bool {
+    pub(crate) fn has_overload(&self) -> bool {
         !self.surges.is_empty() || !self.dips.is_empty()
     }
 

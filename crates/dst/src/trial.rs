@@ -25,7 +25,7 @@ use crate::space::TrialPlan;
 /// Wall-clock bound on one trial, simulation seconds. Crash-without-
 /// restart trials never drain on their own (breaker probes re-arm
 /// forever), so every trial runs under a horizon.
-pub const TRIAL_HORIZON_SECS: u64 = 60;
+pub(crate) const TRIAL_HORIZON_SECS: u64 = 60;
 
 /// Entries in the knob-mutation command menu ([`knob_commands`]).
 pub const KNOB_MENU_LEN: u64 = 7;
@@ -38,12 +38,13 @@ pub const KNOB_MENU_LEN: u64 = 7;
 /// the database at the nominal operating point and predictions stay
 /// stale — a genuine *model* drift, which the refine engine must catch.
 /// On normal builds the same plans run unplanted and must replay clean.
-pub const DRIFT_LATENCY_US: u64 = 75_000;
+#[cfg(dst_drift)]
+const DRIFT_LATENCY_US: u64 = 75_000;
 
 /// Consecutive over-threshold residual samples before a drift-armed
 /// trial's refine engine alarms. Fixed (not a plan axis) so detection
 /// latency is a property of the engine, not of the sample.
-pub const DRIFT_MIN_STREAK: u64 = 3;
+pub(crate) const DRIFT_MIN_STREAK: u64 = 3;
 
 /// Decode a plan's knob triples `(at_ms, kind, magnitude_pct)` into the
 /// operator-command schedule the trial scenario dispatches. The menu
@@ -291,7 +292,7 @@ impl Default for TrialContext {
 /// rounds, image completions, configuration history, resilience counters
 /// and the end time. Floats are deliberately excluded so the digest is
 /// exact.
-pub fn digest_outcome(out: &RunOutcome) -> u64 {
+pub(crate) fn digest_outcome(out: &RunOutcome) -> u64 {
     let mut h = Fnv64::new();
     let rounds = obs::EventFilter::any().source(obs::Source::App).kind("round");
     for ev in out.obs.events_filtered(&rounds) {

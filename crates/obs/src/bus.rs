@@ -115,10 +115,6 @@ impl EventBus {
         }
     }
 
-    pub(crate) fn unsubscribe(&mut self, sub: Subscription) {
-        self.subs.retain(|s| s.id != sub.id);
-    }
-
     pub(crate) fn snapshot(&self) -> Vec<Arc<Event>> {
         self.ring.iter().map(Slot::event).collect()
     }
@@ -196,16 +192,5 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(*snap[0], ev(3, Source::Simnet, "timer_fired").with("actor", 8u64));
         assert_eq!(*snap[1], ev(4, Source::App, "d"));
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let mut bus = EventBus::default();
-        let sub = bus.subscribe(EventFilter::any());
-        bus.publish(ev(1, Source::App, "a"));
-        let sub_id = Subscription { id: sub.id };
-        bus.unsubscribe(sub);
-        bus.publish(ev(2, Source::App, "b"));
-        assert!(bus.drain(&sub_id).is_empty());
     }
 }

@@ -243,7 +243,7 @@ impl ConfigValue {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             ConfigValue::Bool(v) => Some(*v),
             _ => None,
@@ -534,7 +534,7 @@ impl ConfigRegistry {
         Ok((old, entry.knob.version()))
     }
 
-    /// Pin `key`: subsequent `Set`s are refused until [`unpin`](Self::unpin).
+    /// Pin `key`: subsequent `Set`s are refused until a `Command::Unpin`.
     /// Re-pinning overwrites the pin owner.
     pub fn pin(&self, key: &str, who: &str) -> Result<(), ControlError> {
         let mut map = self.lock();
@@ -544,16 +544,11 @@ impl ConfigRegistry {
     }
 
     /// Remove the pin on `key` (idempotent on an unpinned key).
-    pub fn unpin(&self, key: &str) -> Result<(), ControlError> {
+    pub(crate) fn unpin(&self, key: &str) -> Result<(), ControlError> {
         let mut map = self.lock();
         let entry = map.get_mut(key).ok_or_else(|| ControlError::UnknownKey(key.to_string()))?;
         entry.pinned_by = None;
         Ok(())
-    }
-
-    /// Who pinned `key`, if anyone.
-    pub fn pinned_by(&self, key: &str) -> Option<String> {
-        self.lock().get(key).and_then(|e| e.pinned_by.clone())
     }
 
     /// Deterministic snapshot of every registered knob, key-sorted.

@@ -136,15 +136,6 @@ impl Event {
         }
     }
 
-    /// Field as `i64`.
-    pub fn i64_field(&self, key: &str) -> Option<i64> {
-        match self.field(key)? {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
     /// Field as `f64` (integers coerce).
     pub fn f64_field(&self, key: &str) -> Option<f64> {
         match self.field(key)? {
@@ -159,14 +150,6 @@ impl Event {
     pub fn str_field(&self, key: &str) -> Option<&str> {
         match self.field(key)? {
             Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Field as bool.
-    pub fn bool_field(&self, key: &str) -> Option<bool> {
-        match self.field(key)? {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -344,9 +327,9 @@ mod tests {
             .with("delta", -2i64);
         assert_eq!(ev.u64_field("n"), Some(3));
         assert_eq!(ev.str_field("key"), Some("dr128"));
-        assert_eq!(ev.bool_field("ok"), Some(true));
+        assert_eq!(ev.field("ok"), Some(&Value::Bool(true)));
         assert_eq!(ev.f64_field("ratio"), Some(0.5));
-        assert_eq!(ev.i64_field("delta"), Some(-2));
+        assert_eq!(ev.field("delta"), Some(&Value::I64(-2)));
         assert_eq!(ev.u64_field("missing"), None);
         assert_eq!(ev.str_field("n"), None);
     }

@@ -224,11 +224,6 @@ impl Obs {
         self.bus().drain(sub)
     }
 
-    /// Close a subscription; its queue is discarded.
-    pub fn unsubscribe(&self, sub: Subscription) {
-        self.bus().unsubscribe(sub);
-    }
-
     /// A snapshot of the retained event ring, oldest first.
     pub fn events(&self) -> Vec<Arc<Event>> {
         self.bus().snapshot()
@@ -252,7 +247,7 @@ impl Obs {
     // ---- span tracing (opt-in via the `obs.export.spans` knob) ----
 
     /// Is span-trace retention currently on?
-    pub fn span_export_enabled(&self) -> bool {
+    pub(crate) fn span_export_enabled(&self) -> bool {
         self.inner.span_export.get()
     }
 

@@ -61,11 +61,6 @@ impl<'a> SpanGuard<'a> {
         };
         SpanGuard { obs, id, start: Instant::now(), trace }
     }
-
-    /// Elapsed time so far, in microseconds.
-    pub fn elapsed_us(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e6
-    }
 }
 
 impl Drop for SpanGuard<'_> {
@@ -112,17 +107,6 @@ mod tests {
         }
         assert_eq!(obs.histogram_stats(outer).count, 1);
         assert_eq!(obs.histogram_stats(inner).count, 2);
-    }
-
-    #[test]
-    fn elapsed_is_monotone() {
-        let obs = Obs::new();
-        let h = obs.histogram("h");
-        let span = obs.span(h);
-        let a = span.elapsed_us();
-        let b = span.elapsed_us();
-        assert!(b >= a);
-        assert!(a >= 0.0);
     }
 
     #[test]

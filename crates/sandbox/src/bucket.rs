@@ -37,13 +37,13 @@ impl TokenBucket {
     }
 
     /// Change the rate (bytes/second); tokens and burst are preserved.
-    pub fn set_rate(&mut self, now: SimTime, rate_bps: f64) {
+    pub(crate) fn set_rate(&mut self, now: SimTime, rate_bps: f64) {
         assert!(rate_bps > 0.0);
         self.refill(now);
         self.rate = rate_bps / 1e6;
     }
 
-    pub fn rate_bps(&self) -> f64 {
+    pub(crate) fn rate_bps(&self) -> f64 {
         self.rate * 1e6
     }
 

@@ -15,7 +15,7 @@
 //! | Paper mechanism | This crate |
 //! |---|---|
 //! | API interception / code injection | [`Sandboxed`] wrapper actor draining and re-emitting the application's actions |
-//! | priority manipulation every few ms | compute chopped into 10 ms quanta + inserted idle gaps ([`wrap::QUANTUM_US`]) |
+//! | priority manipulation every few ms | compute chopped into 10 ms quanta + inserted idle gaps (`wrap::QUANTUM_US`) |
 //! | delaying sends/receives | token-bucket shaping ([`TokenBucket`]) of sends and of receive *processing* |
 //! | page-protection memory limits | paging-penalty inflation of compute once allocation exceeds the limit |
 //! | progress metric estimation | [`ProgressEstimator`] / [`SandboxStats`] sliding-window estimates |
@@ -40,7 +40,7 @@ pub use limits::{LimitSchedule, Limits, LimitsHandle};
 pub use progress::{CpuSample, NetSample, ProgressEstimator, SandboxStats};
 pub use sampler::{SeriesHandle, UsageSampler};
 pub use vm::{AdmissionError, HostVmm, Reservation};
-pub use wrap::{Sandboxed, QUANTUM_US, TAG_BASE};
+pub use wrap::{Sandboxed, TAG_BASE};
 
 /// The sandbox vocabulary in one import: `use sandbox::prelude::*;`.
 pub mod prelude {

@@ -83,13 +83,6 @@ impl LimitsHandle {
     pub fn set(&self, limits: Limits) {
         *self.0.lock().unwrap() = limits;
     }
-
-    pub fn set_cpu_share(&self, share: Option<f64>) {
-        if let Some(s) = share {
-            assert!(s > 0.0 && s <= 1.0, "cpu share must be in (0,1], got {s}");
-        }
-        self.0.lock().unwrap().cpu_share = share;
-    }
 }
 
 /// A piecewise-constant schedule of limit changes, e.g. the paper's
@@ -148,7 +141,7 @@ mod tests {
     fn handle_shares_state() {
         let h = LimitsHandle::new(Limits::cpu(0.8));
         let h2 = h.clone();
-        h2.set_cpu_share(Some(0.4));
+        h2.set(Limits::cpu(0.4));
         assert_eq!(h.get().cpu_share, Some(0.4));
     }
 

@@ -34,18 +34,6 @@ impl SeriesHandle {
     pub fn is_empty(&self) -> bool {
         self.0.lock().unwrap().is_empty()
     }
-
-    /// Mean value over points with `t` in `[from, to)`.
-    pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let pts = self.0.lock().unwrap();
-        let vals: Vec<f64> =
-            pts.iter().filter(|(t, _)| *t >= from && *t < to).map(|(_, v)| *v).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
 }
 
 /// Samples the CPU usage of `target` every `interval_us`, recording the
@@ -128,6 +116,17 @@ mod tests {
         }
     }
 
+    /// Mean value over points with `t` in `[from, to)`.
+    fn mean_in(series: &SeriesHandle, from: SimTime, to: SimTime) -> Option<f64> {
+        let vals: Vec<f64> = series
+            .points()
+            .into_iter()
+            .filter(|&(t, _)| t >= from && t < to)
+            .map(|(_, v)| v)
+            .collect();
+        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
+    }
+
     #[test]
     fn sampler_tracks_capped_usage() {
         let mut sim = Sim::new();
@@ -143,11 +142,11 @@ mod tests {
                     .until(SimTime::from_secs(10)),
             ),
         );
-        sim.at(SimTime::from_secs(5), move |_| lh.set_cpu_share(Some(0.3)));
+        sim.at(SimTime::from_secs(5), move |_| lh.set(Limits::cpu(0.3)));
         sim.run_until(SimTime::from_secs(10));
         // First half ~0.8, second half ~0.3.
-        let early = series.mean_in(SimTime::from_secs(1), SimTime::from_secs(5)).unwrap();
-        let late = series.mean_in(SimTime::from_secs(7), SimTime::from_secs(10)).unwrap();
+        let early = mean_in(&series, SimTime::from_secs(1), SimTime::from_secs(5)).unwrap();
+        let late = mean_in(&series, SimTime::from_secs(7), SimTime::from_secs(10)).unwrap();
         assert!((early - 0.8).abs() < 0.05, "early mean {early}");
         assert!((late - 0.3).abs() < 0.05, "late mean {late}");
     }

@@ -71,12 +71,6 @@ impl HostVmm {
         }
     }
 
-    pub fn with_cpu_threshold(mut self, t: f64) -> Self {
-        assert!(t > 0.0 && t <= 1.0);
-        self.cpu_threshold = t;
-        self
-    }
-
     fn totals(&self) -> Reservation {
         let mut t = Reservation::default();
         for r in self.reservations.values() {
@@ -234,7 +228,8 @@ mod tests {
 
     #[test]
     fn custom_threshold() {
-        let mut vmm = HostVmm::new(1e9, 1 << 30).with_cpu_threshold(0.5);
+        let mut vmm = HostVmm::new(1e9, 1 << 30);
+        vmm.cpu_threshold = 0.5;
         assert!(vmm.admit("a", cpu(0.6)).is_err());
         vmm.admit("a", cpu(0.5)).unwrap();
     }

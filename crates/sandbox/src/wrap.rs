@@ -29,7 +29,7 @@ use crate::limits::LimitsHandle;
 use crate::progress::{CpuSample, NetSample, SandboxStats};
 
 /// Scheduling quantum for CPU chopping, microseconds.
-pub const QUANTUM_US: u64 = 10_000;
+pub(crate) const QUANTUM_US: u64 = 10_000;
 
 /// Continuation tags reserved by the sandbox. Wrapped applications must not
 /// use tags at or above [`TAG_BASE`].

@@ -47,8 +47,8 @@ pub trait Actor: Send {
     /// spawned later, at spawn time.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
-    /// Invoked when the actor's crashed host restarts
-    /// (see [`Sim::restart_host`](crate::kernel::Sim::restart_host)). The
+    /// Invoked when the actor's crashed host restarts (the end of a
+    /// [`FaultPlan::with_crash`](crate::FaultPlan::with_crash)). The
     /// default re-runs [`Actor::on_start`]; implementors with in-memory
     /// session state should reset it here, since a restarted process
     /// would come back empty.

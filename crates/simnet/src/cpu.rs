@@ -59,11 +59,7 @@ impl CpuSched {
         self.speed
     }
 
-    pub fn is_idle(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    pub fn has_run(&self, actor: ActorId) -> bool {
+    pub(crate) fn has_run(&self, actor: ActorId) -> bool {
         self.runs.iter().any(|r| r.actor == actor)
     }
 
@@ -150,7 +146,7 @@ impl CpuSched {
     }
 
     /// Time at which the earliest active run completes, if any.
-    pub fn next_completion(&self) -> Option<SimTime> {
+    pub(crate) fn next_completion(&self) -> Option<SimTime> {
         self.runs
             .iter()
             .filter(|r| r.rate > 0.0)
@@ -228,7 +224,7 @@ mod tests {
         let mut done = Vec::new();
         s.advance(SimTime::from_us(50), |_, _| {}, &mut done);
         assert_eq!(done, vec![aid(0)]);
-        assert!(s.is_idle());
+        assert!(s.runs.is_empty());
     }
 
     #[test]
@@ -338,7 +334,7 @@ mod tests {
         s.advance(SimTime::from_us(40), |_, _| {}, &mut Vec::new());
         let rem = s.abort(aid(0)).unwrap();
         assert!((rem - 60.0).abs() < 1e-9);
-        assert!(s.is_idle());
+        assert!(s.runs.is_empty());
         assert!(s.abort(aid(0)).is_none());
     }
 

@@ -183,24 +183,11 @@ impl FaultPlan {
     }
 
     /// Drop each message on the directed `src -> dst` link with
-    /// probability `p`. Panics if `p` is outside `[0, 1]`; see
-    /// [`try_with_loss_directed`](FaultPlan::try_with_loss_directed).
-    pub fn with_loss_directed(self, src: HostId, dst: HostId, p: f64) -> Self {
-        self.try_with_loss_directed(src, dst, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`with_loss_directed`](FaultPlan::with_loss_directed).
-    pub fn try_with_loss_directed(
-        mut self,
-        src: HostId,
-        dst: HostId,
-        p: f64,
-    ) -> Result<Self, FaultError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(FaultError::LossOutOfRange(p));
-        }
+    /// probability `p`. Panics if `p` is outside `[0, 1]`.
+    pub fn with_loss_directed(mut self, src: HostId, dst: HostId, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "{}", FaultError::LossOutOfRange(p));
         self.losses.push(LinkLoss { src, dst, p });
-        Ok(self)
+        self
     }
 
     /// Add uniform random extra delivery latency in `[0, max_us]` to every
@@ -236,8 +223,7 @@ impl FaultPlan {
 
     /// Partition `group_a` from `group_b` for `[from, until)`: every link
     /// crossing the cut is down for the window (links within each group
-    /// are unaffected). Panics on an empty window; see
-    /// [`try_with_partition`](FaultPlan::try_with_partition).
+    /// are unaffected). Panics on an empty window.
     pub fn with_partition(
         self,
         group_a: &[HostId],
@@ -249,7 +235,7 @@ impl FaultPlan {
     }
 
     /// Fallible form of [`with_partition`](FaultPlan::with_partition).
-    pub fn try_with_partition(
+    pub(crate) fn try_with_partition(
         mut self,
         group_a: &[HostId],
         group_b: &[HostId],

@@ -51,7 +51,7 @@ mod queue;
 use queue::EventQueue;
 
 /// Default one-way latency for messages between actors on the same host.
-pub const DEFAULT_LOCAL_LATENCY_US: u64 = 5;
+pub(crate) const DEFAULT_LOCAL_LATENCY_US: u64 = 5;
 
 /// Bandwidth of a link nobody configured: 100 Mbit/s, in bytes/second
 /// (the paper's testbed Ethernet).
@@ -164,7 +164,7 @@ impl ExplorePlan {
     }
 
     /// True when this plan perturbs nothing.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.seed == 0
     }
 }
@@ -332,7 +332,7 @@ impl Sim {
     }
 
     /// Configure one direction of a link. Faults injected on it stay.
-    pub fn set_link_directed(
+    pub(crate) fn set_link_directed(
         &mut self,
         src: HostId,
         dst: HostId,
@@ -352,7 +352,7 @@ impl Sim {
     /// dropped independently with probability `p`, using a deterministic
     /// RNG seeded by `seed` (failure injection for robustness tests).
     /// `p = 0` removes the injection.
-    pub fn set_link_loss(&mut self, src: HostId, dst: HostId, p: f64, seed: u64) {
+    pub(crate) fn set_link_loss(&mut self, src: HostId, dst: HostId, p: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range: {p}");
         self.faults(src, dst).loss = (p != 0.0).then(|| (p, SplitMix64::new(seed)));
     }
@@ -360,7 +360,7 @@ impl Sim {
     /// Add uniform random extra delivery latency in `[0, max_us]` to every
     /// message on the directed `src -> dst` link, drawn from a
     /// deterministic RNG seeded by `seed`. `max_us = 0` removes it.
-    pub fn set_link_jitter(&mut self, src: HostId, dst: HostId, max_us: u64, seed: u64) {
+    pub(crate) fn set_link_jitter(&mut self, src: HostId, dst: HostId, max_us: u64, seed: u64) {
         self.faults(src, dst).jitter = (max_us != 0).then(|| (max_us, SplitMix64::new(seed)));
     }
 
@@ -368,7 +368,7 @@ impl Sim {
     /// While down, every message transmitted on it is dropped
     /// (`msg_dropped`, reason `link_down`). State changes publish
     /// `link_down` / `link_up`.
-    pub fn set_link_down(&mut self, src: HostId, dst: HostId, down: bool) {
+    pub(crate) fn set_link_down(&mut self, src: HostId, dst: HostId, down: bool) {
         let faults = self.faults(src, dst);
         if faults.down != down {
             faults.down = down;
@@ -462,7 +462,7 @@ impl Sim {
     /// cleared, and timers armed before the crash are cancelled. Unlike
     /// [`Sim::kill`], crashed actors can be revived by
     /// [`Sim::restart_host`]. Publishes `host_crash`.
-    pub fn crash_host(&mut self, host: HostId) {
+    pub(crate) fn crash_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
             if self.states[i].host != host || !self.states[i].alive {
@@ -492,7 +492,7 @@ impl Sim {
     /// comes back alive and its [`Actor::on_restart`] runs (by default that
     /// re-runs `on_start`, modeling a process restart). Actors removed with
     /// [`Sim::kill`] stay dead. Publishes `host_restart`.
-    pub fn restart_host(&mut self, host: HostId) {
+    pub(crate) fn restart_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
             let st = &mut self.states[i];
@@ -609,11 +609,6 @@ impl Sim {
             self.now = t;
             self.handle(ev);
         }
-    }
-
-    /// True when no further events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.len() == 0
     }
 
     /// Number of events currently queued.
@@ -1428,7 +1423,7 @@ mod drain_tests {
         for mode in [DrainMode::Batched, DrainMode::Explore(ExplorePlan::new(0))] {
             let (idle_log, idle_end, idle_events) = storm(mode);
             let (log, _, events) = storm_driven(mode, |sim| {
-                while !sim.is_idle() {
+                while sim.queue_depth() > 0 {
                     sim.run_until(sim.now() + dur::ms(7));
                 }
                 assert!(sim.now() >= idle_end);
@@ -1454,11 +1449,9 @@ mod drain_tests {
             }
             assert_eq!(sim.queue_depth(), 10, "{mode:?}");
             assert_eq!(sim.peak_queue_depth(), 10, "{mode:?}");
-            assert!(!sim.is_idle());
             sim.run_until(SimTime::from_ms(14));
             assert_eq!(sim.queue_depth(), 5, "{mode:?}");
             sim.run_until_idle();
-            assert!(sim.is_idle());
             assert_eq!(sim.queue_depth(), 0, "{mode:?}");
             assert_eq!(sim.peak_queue_depth(), 10, "{mode:?}");
             // The peak belongs to the simulation, not the plan.

@@ -23,8 +23,8 @@ use crate::time::SimTime;
 /// A directed network link between two hosts.
 #[derive(Debug, Clone)]
 pub struct Link {
-    /// Bandwidth in bytes per microsecond (1.0 == 1 MB/s? no: 1 byte/us = ~0.95 MiB/s;
-    /// use [`Link::bw_bytes_per_sec`] to construct from bytes/second).
+    /// Bandwidth in bytes per microsecond (1 byte/us = ~0.95 MiB/s;
+    /// [`Link::new`] takes bytes/second).
     pub bandwidth: f64,
     /// One-way propagation delay in microseconds, applied after serialization.
     pub latency_us: u64,
@@ -58,13 +58,13 @@ impl Link {
     }
 
     /// Change the bandwidth (bytes/second) for future transmissions.
-    pub fn set_bandwidth(&mut self, bw_bytes_per_sec: f64) {
+    pub(crate) fn set_bandwidth(&mut self, bw_bytes_per_sec: f64) {
         assert!(bw_bytes_per_sec > 0.0);
         self.bandwidth = bw_bytes_per_sec / 1e6;
     }
 
     /// Bandwidth in bytes per second.
-    pub fn bw_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn bw_bytes_per_sec(&self) -> f64 {
         self.bandwidth * 1e6
     }
 

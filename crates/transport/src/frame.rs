@@ -33,7 +33,7 @@ pub const HEADER_BYTES: usize = 40;
 
 /// Upper bound on a single frame's payload (16 MiB). A length field above
 /// this is treated as corruption, not an allocation request.
-pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// Sentinel for "no deadline" in the header's deadline field.
 const NO_DEADLINE: u64 = u64::MAX;
@@ -61,7 +61,7 @@ pub enum FrameError {
     BadMagic,
     /// Unknown framing version.
     BadVersion(u8),
-    /// The declared payload length exceeds [`MAX_FRAME_BYTES`].
+    /// The declared payload length exceeds `MAX_FRAME_BYTES`.
     Oversized(u64),
 }
 

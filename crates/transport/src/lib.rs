@@ -25,7 +25,7 @@ pub mod retry;
 pub mod socket;
 
 pub use codec::{ByteReader, ByteWriter, CodecError, WireCodec};
-pub use frame::{decode_frame, encode_frame, Frame, FrameError, HEADER_BYTES, MAX_FRAME_BYTES};
+pub use frame::{decode_frame, encode_frame, Frame, FrameError, HEADER_BYTES};
 pub use retry::RetryPolicy;
 pub use socket::{SocketAddrSpec, SocketListener, SocketTransport};
 

@@ -30,7 +30,7 @@ use crate::store::ImageStore;
 
 /// Timer tag for the monitoring agent (must stay below the sandbox's
 /// reserved range).
-pub const TAG_MONITOR: u64 = 10;
+pub(crate) const TAG_MONITOR: u64 = 10;
 const CONT_ROUND_DONE: u64 = 20;
 /// Timer tag for half-open circuit-breaker probes (must stay below
 /// `TAG_RETRY_BASE`, whose range check runs first).
@@ -95,7 +95,7 @@ impl From<ConfigError> for adapt_core::Error {
 
 impl VizConfig {
     /// Into the framework's named-parameter form (`dR`, `l`, `c`).
-    pub fn to_configuration(self) -> Configuration {
+    pub(crate) fn to_configuration(self) -> Configuration {
         Configuration::new(&[
             ("dR", self.dr as i64),
             ("l", self.level as i64),
@@ -105,7 +105,7 @@ impl VizConfig {
 
     /// From the framework's named-parameter form, with typed errors for
     /// malformed configurations (e.g. an out-of-spec control message).
-    pub fn try_from_configuration(c: &Configuration) -> Result<VizConfig, ConfigError> {
+    pub(crate) fn try_from_configuration(c: &Configuration) -> Result<VizConfig, ConfigError> {
         fn positive(c: &Configuration, name: &'static str) -> Result<usize, ConfigError> {
             let v = c.get(name).ok_or(ConfigError::MissingParam(name))?;
             if v <= 0 {
@@ -123,7 +123,7 @@ impl VizConfig {
 
     /// From the framework's named-parameter form. Panics on malformed
     /// configurations (the control space validates them upstream); use
-    /// [`VizConfig::try_from_configuration`] where the source is untrusted.
+    /// `VizConfig::try_from_configuration` where the source is untrusted.
     pub fn from_configuration(c: &Configuration) -> VizConfig {
         match Self::try_from_configuration(c) {
             Ok(v) => v,
@@ -230,7 +230,7 @@ impl ClientOpts {
     }
 
     /// Really decompress/reconstruct every reply against `store`.
-    pub fn with_verify_store(mut self, store: Option<Arc<ImageStore>>) -> Self {
+    pub(crate) fn with_verify_store(mut self, store: Option<Arc<ImageStore>>) -> Self {
         self.verify_store = store;
         self
     }
@@ -245,7 +245,7 @@ impl ClientOpts {
         self
     }
 
-    pub fn with_breaker(mut self, breaker: Option<BreakerOpts>) -> Self {
+    pub(crate) fn with_breaker(mut self, breaker: Option<BreakerOpts>) -> Self {
         self.breaker = breaker;
         self
     }
@@ -351,7 +351,7 @@ impl Client {
     ///   when a breaker is armed
     /// - the adaptive runtime's own knobs (`steering.min_dwell_us`,
     ///   `scheduler.prefs`, unprefixed) — only on an adaptive client
-    pub fn register_control(&self, prefix: &str, router: &CommandRouter) {
+    pub(crate) fn register_control(&self, prefix: &str, router: &CommandRouter) {
         let reg = router.registry();
         if let Some(a) = &self.adapt {
             a.runtime.register_knobs(reg);

@@ -12,27 +12,27 @@
 use compress::Method;
 
 /// Server-side coefficient extraction, per coefficient.
-pub const EXTRACT_PER_COEFF: f64 = 0.12;
+pub(crate) const EXTRACT_PER_COEFF: f64 = 0.12;
 
 /// Client-side inverse-wavelet reconstruction, per received coefficient.
-pub const RECON_PER_COEFF: f64 = 0.50;
+pub(crate) const RECON_PER_COEFF: f64 = 0.50;
 
 /// Client-side display update, per displayed pixel of the updated region.
-pub const DISPLAY_PER_PIXEL: f64 = 0.30;
+pub(crate) const DISPLAY_PER_PIXEL: f64 = 0.30;
 
 /// Fixed per-request server overhead: request parsing, pyramid region
 /// assembly, buffer management, socket stack — substantial on 1999
 /// hardware (~50 ms on the reference machine). This is what makes larger
 /// foveal increments (fewer rounds) shorten total transmission time, the
 /// dR trade-off of Figure 5.
-pub const SERVER_REQUEST_OVERHEAD: f64 = 50_000.0;
+pub(crate) const SERVER_REQUEST_OVERHEAD: f64 = 50_000.0;
 
 /// Fixed per-round client overhead (interaction polling, repaint setup).
-pub const CLIENT_ROUND_OVERHEAD: f64 = 3_000.0;
+pub(crate) const CLIENT_ROUND_OVERHEAD: f64 = 3_000.0;
 
 /// Server work to prepare one reply: extract `ncoeffs` coefficients and
 /// compress `raw_bytes` of encoded payload with `method`.
-pub fn server_reply_work(ncoeffs: usize, raw_bytes: usize, method: Method) -> f64 {
+pub(crate) fn server_reply_work(ncoeffs: usize, raw_bytes: usize, method: Method) -> f64 {
     SERVER_REQUEST_OVERHEAD
         + EXTRACT_PER_COEFF * ncoeffs as f64
         + method.cost().compress_work(raw_bytes)
@@ -40,7 +40,12 @@ pub fn server_reply_work(ncoeffs: usize, raw_bytes: usize, method: Method) -> f6
 
 /// Client work to consume one reply: decompress `raw_bytes`, reconstruct
 /// `ncoeffs` coefficients, repaint `pixels` pixels.
-pub fn client_round_work(ncoeffs: usize, raw_bytes: usize, pixels: usize, method: Method) -> f64 {
+pub(crate) fn client_round_work(
+    ncoeffs: usize,
+    raw_bytes: usize,
+    pixels: usize,
+    method: Method,
+) -> f64 {
     CLIENT_ROUND_OVERHEAD
         + method.cost().decompress_work(raw_bytes)
         + RECON_PER_COEFF * ncoeffs as f64

@@ -59,7 +59,7 @@ pub use socket::{
 };
 pub use stats::{ImageRecord, RoundRecord, RunStats, StatsHandle};
 pub use store::ImageStore;
-pub use wire::{messages_equal, VizCodec};
+pub use wire::VizCodec;
 
 /// The application-layer vocabulary in one import: `use visapp::prelude::*;`.
 pub mod prelude {
@@ -77,6 +77,6 @@ pub mod prelude {
     pub use crate::socket::{decision_sequence, socket_mirror_hook, MirrorBackend};
     pub use crate::stats::{ImageRecord, RoundRecord, RunStats, StatsHandle};
     pub use crate::store::ImageStore;
-    pub use crate::wire::{messages_equal, VizCodec};
+    pub use crate::wire::VizCodec;
     pub use obs::{Adaptive, Command, CommandOutcome, CommandRouter, ConfigRegistry, ConfigValue};
 }

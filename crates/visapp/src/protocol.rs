@@ -14,20 +14,20 @@ use simnet::Message;
 use wavelet::Rect;
 
 /// Message tags.
-pub const TAG_CONNECT: u64 = 1;
-pub const TAG_SET_COMPRESSION: u64 = 2;
-pub const TAG_REQUEST: u64 = 3;
+pub(crate) const TAG_CONNECT: u64 = 1;
+pub(crate) const TAG_SET_COMPRESSION: u64 = 2;
+pub(crate) const TAG_REQUEST: u64 = 3;
 pub const TAG_REPLY: u64 = 4;
-pub const TAG_DISCONNECT: u64 = 5;
+pub(crate) const TAG_DISCONNECT: u64 = 5;
 /// A remote monitoring agent's resource-availability estimate (§6.1: the
 /// estimate "is supplied to ... other monitoring agents in remote
 /// instances of this application").
-pub const TAG_RESOURCE_REPORT: u64 = 6;
+pub(crate) const TAG_RESOURCE_REPORT: u64 = 6;
 
 /// Wire size of small control messages (bytes).
-pub const CONTROL_MSG_BYTES: u64 = 64;
+pub(crate) const CONTROL_MSG_BYTES: u64 = 64;
 /// Header overhead on replies, added to the compressed payload size.
-pub const REPLY_HEADER_BYTES: u64 = 64;
+pub(crate) const REPLY_HEADER_BYTES: u64 = 64;
 
 /// Connection setup: announces the compression method.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +80,7 @@ pub struct Reply {
 }
 
 /// Build the simnet message for a request.
-pub fn request_msg(req: Request) -> Message {
+pub(crate) fn request_msg(req: Request) -> Message {
     Message::new(TAG_REQUEST, CONTROL_MSG_BYTES, req)
 }
 
@@ -101,17 +101,17 @@ pub struct ResourceReport {
 }
 
 /// Build a resource-report message.
-pub fn resource_report_msg(report: ResourceReport) -> Message {
+pub(crate) fn resource_report_msg(report: ResourceReport) -> Message {
     Message::new(TAG_RESOURCE_REPORT, CONTROL_MSG_BYTES, report)
 }
 
 /// Build the connect message.
-pub fn connect_msg(compression: Method) -> Message {
+pub(crate) fn connect_msg(compression: Method) -> Message {
     Message::new(TAG_CONNECT, CONTROL_MSG_BYTES, Connect { compression })
 }
 
 /// Build the set-compression control message.
-pub fn set_compression_msg(compression: Method) -> Message {
+pub(crate) fn set_compression_msg(compression: Method) -> Message {
     Message::new(TAG_SET_COMPRESSION, CONTROL_MSG_BYTES, SetCompression { compression })
 }
 

@@ -102,17 +102,17 @@ impl CircuitBreaker {
     }
 
     /// Handle for registering `failure_threshold` as a config knob.
-    pub fn failure_threshold_handle(&self) -> Adaptive<u64> {
+    pub(crate) fn failure_threshold_handle(&self) -> Adaptive<u64> {
         self.failure_threshold.clone()
     }
 
     /// Handle for registering `recovery_timeout_us` as a config knob.
-    pub fn recovery_timeout_handle(&self) -> Adaptive<u64> {
+    pub(crate) fn recovery_timeout_handle(&self) -> Adaptive<u64> {
         self.recovery_timeout.clone()
     }
 
     /// The reset signal a `CommandRouter` pokes on `ResetBreaker`.
-    pub fn reset_signal(&self) -> ResetSignal {
+    pub(crate) fn reset_signal(&self) -> ResetSignal {
         self.reset.clone()
     }
 
@@ -120,7 +120,7 @@ impl CircuitBreaker {
     /// force the breaker closed (clearing the failure streak and any
     /// in-flight probe) and return `true`. Deterministic: the reset takes
     /// effect here, at the owner's chosen poll point, not asynchronously.
-    pub fn poll_reset(&mut self) -> bool {
+    pub(crate) fn poll_reset(&mut self) -> bool {
         if !self.reset.take(&mut self.reset_seen) {
             return false;
         }
@@ -129,15 +129,6 @@ impl CircuitBreaker {
         let reopened = self.state != BreakerState::Closed;
         self.state = BreakerState::Closed;
         reopened
-    }
-
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Is an admitted half-open probe still awaiting its outcome?
-    pub fn probe_inflight(&self) -> bool {
-        self.probe_inflight
     }
 
     /// Record a success. Returns `true` when this closed a non-closed
@@ -235,7 +226,7 @@ mod tests {
         // Successful probe closes it.
         assert!(b.on_success());
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.consecutive_failures, 0);
         assert!(!b.on_success(), "success while closed is not a re-close");
     }
 
@@ -268,22 +259,22 @@ mod tests {
         // timers asking again are refused until the probe resolves.
         assert!(b.can_attempt(t(150)));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.probe_inflight());
+        assert!(b.probe_inflight);
         assert!(!b.can_attempt(t(151)), "duplicate probe must be refused");
         assert!(!b.can_attempt(t(199)), "still refused while unresolved");
         assert_eq!(b.state(), BreakerState::HalfOpen, "refusal does not change state");
         // Probe succeeds: breaker closes and attempts flow freely again.
         assert!(b.on_success());
-        assert!(!b.probe_inflight());
+        assert!(!b.probe_inflight);
         assert!(b.can_attempt(t(200)));
         // Next episode: a failed probe clears the in-flight flag too, so
         // the following half-open window admits a fresh probe.
         assert!(b.on_failure(t(210)));
         assert!(b.can_attempt(t(320)));
         assert!(b.on_failure(t(330)), "failed probe re-opens");
-        assert!(!b.probe_inflight());
+        assert!(!b.probe_inflight);
         assert!(b.can_attempt(t(440)), "new window admits a new probe");
-        assert!(b.probe_inflight());
+        assert!(b.probe_inflight);
     }
 
     #[test]
@@ -300,16 +291,16 @@ mod tests {
         signal.request();
         assert!(b.poll_reset(), "pending reset closes an open breaker");
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.consecutive_failures, 0);
         assert!(b.can_attempt(t(1)), "closed breaker admits traffic immediately");
         assert!(!b.poll_reset(), "reset is edge-triggered: consumed once");
         // A reset while half-open clears the in-flight probe too.
         assert!(b.on_failure(t(10)));
         assert!(b.can_attempt(t(120)));
-        assert!(b.probe_inflight());
+        assert!(b.probe_inflight);
         signal.request();
         assert!(b.poll_reset());
-        assert!(!b.probe_inflight());
+        assert!(!b.probe_inflight);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 

@@ -48,17 +48,12 @@ struct Session {
     /// Last request and the reply message sent for it: the idempotency
     /// cache that makes client retransmissions safe and cheap.
     cached: Option<(Request, Message)>,
-    /// Retransmissions answered from the cache.
-    dups: u64,
 }
 
 /// The server actor.
 pub struct Server {
     store: Arc<ImageStore>,
     sessions: HashMap<ActorId, Session>,
-    requests_served: u64,
-    duplicate_requests: u64,
-    dropped_msgs: u64,
     reporter: Option<Reporter>,
     had_clients: bool,
     obs: Option<ServerObs>,
@@ -75,16 +70,7 @@ struct ServerObs {
 
 impl Server {
     pub fn new(store: Arc<ImageStore>) -> Self {
-        Server {
-            store,
-            sessions: HashMap::new(),
-            requests_served: 0,
-            duplicate_requests: 0,
-            dropped_msgs: 0,
-            reporter: None,
-            had_clients: false,
-            obs: None,
-        }
+        Server { store, sessions: HashMap::new(), reporter: None, had_clients: false, obs: None }
     }
 
     /// Attach a monitoring reporter; estimates go to every connected client.
@@ -111,20 +97,6 @@ impl Server {
         if let Some(h) = &self.obs {
             h.obs.inc(pick(h), 1);
         }
-    }
-
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
-    /// Retransmitted requests answered from the idempotency cache.
-    pub fn duplicate_requests(&self) -> u64 {
-        self.duplicate_requests
-    }
-
-    /// Unknown-tag or undecodable messages discarded.
-    pub fn dropped_msgs(&self) -> u64 {
-        self.dropped_msgs
     }
 
     fn method_for(&self, client: ActorId) -> Method {
@@ -173,7 +145,6 @@ impl Actor for Server {
         match msg.tag {
             protocol::TAG_CONNECT => {
                 let Ok(c) = msg.decode::<protocol::Connect>() else {
-                    self.dropped_msgs += 1;
                     self.count(|h| h.dropped);
                     return;
                 };
@@ -182,7 +153,6 @@ impl Actor for Server {
             }
             protocol::TAG_SET_COMPRESSION => {
                 let Ok(c) = msg.decode::<protocol::SetCompression>() else {
-                    self.dropped_msgs += 1;
                     self.count(|h| h.dropped);
                     return;
                 };
@@ -196,7 +166,6 @@ impl Actor for Server {
                 let span_obs = self.obs.as_ref().map(|h| (h.obs.clone(), h.request_span));
                 let _span = span_obs.as_ref().map(|(o, id)| o.span(*id));
                 let Ok(req) = msg.decode::<Request>() else {
-                    self.dropped_msgs += 1;
                     self.count(|h| h.dropped);
                     return;
                 };
@@ -204,22 +173,13 @@ impl Actor for Server {
                 // Idempotent retransmissions: answer repeats of the last
                 // request from the session cache, skipping the extraction
                 // and compression work (the bytes are already prepared).
-                let mut cached_hit = None;
-                if let Some(sess) = self.sessions.get_mut(&from) {
-                    if let Some((cached_req, cached_reply)) = &sess.cached {
-                        if *cached_req == req {
-                            sess.dups += 1;
-                            cached_hit = Some(cached_reply.clone());
-                        }
-                    }
-                }
-                if let Some(reply) = cached_hit {
-                    self.duplicate_requests += 1;
+                let cached_hit = self.sessions.get(&from).and_then(|s| s.cached.as_ref());
+                if let Some((_, reply)) = cached_hit.filter(|(cached_req, _)| *cached_req == req) {
+                    let reply = reply.clone();
                     self.count(|h| h.duplicates);
                     ctx.send(from, reply);
                     return;
                 }
-                self.requests_served += 1;
                 self.count(|h| h.requests);
                 let method = self.method_for(from);
                 let (w, h) = self.store.dims();
@@ -254,7 +214,6 @@ impl Actor for Server {
                 // Unknown tags are dropped, not fatal: under fault
                 // injection a peer may be mid-restart or speaking a newer
                 // protocol revision.
-                self.dropped_msgs += 1;
                 self.count(|h| h.dropped);
             }
         }

@@ -88,11 +88,6 @@ impl RunStats {
         self.rounds.iter().map(RoundRecord::response_secs).sum::<f64>() / self.rounds.len() as f64
     }
 
-    /// Maximum per-round response time, seconds.
-    pub fn max_response_secs(&self) -> f64 {
-        self.rounds.iter().map(RoundRecord::response_secs).fold(0.0, f64::max)
-    }
-
     /// Mean per-image transmission time, seconds.
     pub fn avg_transmit_secs(&self) -> f64 {
         if self.images.is_empty() {
@@ -109,11 +104,6 @@ impl RunStats {
     /// Per-round `(end_time_secs, response_secs)` series.
     pub fn response_series(&self) -> Vec<(f64, f64)> {
         self.rounds.iter().map(|r| (r.finished.as_secs_f64(), r.response_secs())).collect()
-    }
-
-    /// Images completed by time `t`.
-    pub fn images_done_by(&self, t: SimTime) -> usize {
-        self.images.iter().filter(|i| i.finished <= t).count()
     }
 
     /// Total bytes received on the wire.
@@ -203,7 +193,7 @@ impl StatsHandle {
 
     // ---- typed record path (keeps the raw log and obs in lock-step) ----
 
-    pub fn record_round(&self, rec: RoundRecord) {
+    pub(crate) fn record_round(&self, rec: RoundRecord) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.inc(h.rounds, 1);
             h.obs.inc(h.wire_bytes, rec.wire_bytes);
@@ -224,7 +214,7 @@ impl StatsHandle {
         self.stats.lock().unwrap().rounds.push(rec);
     }
 
-    pub fn record_image(&self, rec: ImageRecord) {
+    pub(crate) fn record_image(&self, rec: ImageRecord) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.inc(h.images, 1);
             h.obs.publish(
@@ -239,7 +229,7 @@ impl StatsHandle {
 
     /// Record the active configuration changing at `t` (the initial entry
     /// included; only subsequent entries count as switches).
-    pub fn record_config(&self, t: SimTime, config: Configuration) {
+    pub(crate) fn record_config(&self, t: SimTime, config: Configuration) {
         let first = self.stats.lock().unwrap().config_history.is_empty();
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             if !first {
@@ -254,19 +244,19 @@ impl StatsHandle {
         self.stats.lock().unwrap().config_history.push((t, config));
     }
 
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.inc(|h| h.retries, 1);
         self.stats.lock().unwrap().retries += 1;
     }
 
-    pub fn record_timeout(&self) {
+    pub(crate) fn record_timeout(&self) {
         self.inc(|h| h.timeouts, 1);
         self.stats.lock().unwrap().timeouts += 1;
     }
 
     /// Record the breaker tripping open at `t` (counter + ordered bus
     /// event; the breaker-legality oracle replays the event sequence).
-    pub fn record_breaker_open(&self, t: SimTime) {
+    pub(crate) fn record_breaker_open(&self, t: SimTime) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.inc(h.breaker_opens, 1);
             h.obs.publish(obs::Event::new(t.as_us(), obs::Source::App, "breaker_open"));
@@ -275,7 +265,7 @@ impl StatsHandle {
     }
 
     /// Record a success re-closing the breaker at `t`.
-    pub fn record_breaker_close(&self, t: SimTime) {
+    pub(crate) fn record_breaker_close(&self, t: SimTime) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.inc(h.breaker_closes, 1);
             h.obs.publish(obs::Event::new(t.as_us(), obs::Source::App, "breaker_close"));
@@ -284,7 +274,7 @@ impl StatsHandle {
     }
 
     /// Record a stale or duplicate reply being discarded at `t`.
-    pub fn record_dup_reply(&self, t: SimTime) {
+    pub(crate) fn record_dup_reply(&self, t: SimTime) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.inc(h.dup_replies, 1);
             h.obs.publish(obs::Event::new(t.as_us(), obs::Source::App, "dup_reply"));
@@ -292,7 +282,7 @@ impl StatsHandle {
         self.stats.lock().unwrap().dup_replies_dropped += 1;
     }
 
-    pub fn record_finished(&self, t: SimTime) {
+    pub(crate) fn record_finished(&self, t: SimTime) {
         if let Some(h) = self.obs.lock().unwrap().as_ref() {
             h.obs.set(h.finished_secs, t.as_secs_f64());
             h.obs.publish(obs::Event::new(t.as_us(), obs::Source::App, "finished"));
@@ -304,7 +294,7 @@ impl StatsHandle {
     /// completes. Adaptation *events* are not copied here: the obs bus
     /// receives them live via `AdaptiveRuntime::set_obs` (sources
     /// Monitor/Scheduler/Steering).
-    pub fn record_adapt_summary(&self, estimate: ResourceVector) {
+    pub(crate) fn record_adapt_summary(&self, estimate: ResourceVector) {
         self.stats.lock().unwrap().final_estimate = Some(estimate);
     }
 }
@@ -344,11 +334,8 @@ mod tests {
         });
         s.images.push(ImageRecord { image_id: 0, started: t(0.0), finished: t(2.0), rounds: 2 });
         assert!((s.avg_response_secs() - 1.0).abs() < 1e-9);
-        assert!((s.max_response_secs() - 1.5).abs() < 1e-9);
         assert!((s.avg_transmit_secs() - 2.0).abs() < 1e-9);
         assert_eq!(s.total_wire_bytes(), 400);
-        assert_eq!(s.images_done_by(t(1.0)), 0);
-        assert_eq!(s.images_done_by(t(2.0)), 1);
         assert_eq!(s.transmit_series(), vec![(2.0, 2.0)]);
     }
 

@@ -156,7 +156,7 @@ impl WireCodec for VizCodec {
 /// Compare two protocol messages for semantic equality (same tag, wire
 /// size, and typed body). Used by round-trip tests and the socket-mirror
 /// harness to assert codec fidelity.
-pub fn messages_equal(a: &Message, b: &Message) -> bool {
+pub(crate) fn messages_equal(a: &Message, b: &Message) -> bool {
     if a.tag != b.tag || a.wire_bytes != b.wire_bytes {
         return false;
     }

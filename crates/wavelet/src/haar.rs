@@ -30,7 +30,7 @@ pub fn inv_pair(l: i32, h: i32) -> (i32, i32) {
 
 /// One forward level over `row[0..n]` (`n` even): approximations land in
 /// `row[0..n/2]`, details in `row[n/2..n]`.
-pub fn fwd_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
+pub(crate) fn fwd_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
     debug_assert!(n.is_multiple_of(2) && n <= row.len());
     scratch.clear();
     scratch.resize(n, 0);
@@ -44,7 +44,7 @@ pub fn fwd_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
 }
 
 /// Inverse of [`fwd_1d`].
-pub fn inv_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
+pub(crate) fn inv_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
     debug_assert!(n.is_multiple_of(2) && n <= row.len());
     scratch.clear();
     scratch.resize(n, 0);
@@ -60,7 +60,7 @@ pub fn inv_1d(row: &mut [i32], n: usize, scratch: &mut Vec<i32>) {
 /// One forward 2-D level on the `bw x bh` top-left block of a `stride`-wide
 /// matrix: rows then columns. After this, the block's quadrants are
 /// LL (top-left), HL (top-right), LH (bottom-left), HH (bottom-right).
-pub fn fwd_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
+pub(crate) fn fwd_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
     debug_assert!(bw.is_multiple_of(2) && bh.is_multiple_of(2));
     let mut scratch = Vec::with_capacity(bw.max(bh));
     // Rows.
@@ -81,7 +81,7 @@ pub fn fwd_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
 }
 
 /// Inverse of [`fwd_2d_level`].
-pub fn inv_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
+pub(crate) fn inv_2d_level(data: &mut [i32], stride: usize, bw: usize, bh: usize) {
     debug_assert!(bw.is_multiple_of(2) && bh.is_multiple_of(2));
     let mut scratch = Vec::with_capacity(bw.max(bh));
     // Columns first (reverse order of forward).

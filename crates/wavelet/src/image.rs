@@ -42,65 +42,6 @@ impl Image {
     pub fn set(&mut self, x: usize, y: usize, v: u8) {
         self.data[y * self.width + x] = v;
     }
-
-    pub fn len_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Mean squared error against another image of identical dimensions.
-    pub fn mse(&self, other: &Image) -> f64 {
-        assert_eq!(
-            (self.width, self.height),
-            (other.width, other.height),
-            "MSE requires identical dimensions"
-        );
-        let sum: f64 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| {
-                let d = a as f64 - b as f64;
-                d * d
-            })
-            .sum();
-        sum / self.data.len() as f64
-    }
-
-    /// Peak signal-to-noise ratio in dB; `f64::INFINITY` for identical images.
-    pub fn psnr(&self, other: &Image) -> f64 {
-        let mse = self.mse(other);
-        if mse == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (255.0f64 * 255.0 / mse).log10()
-        }
-    }
-
-    /// Downsample by 2x box filter (used for reference pyramids in tests).
-    pub fn downsample2(&self) -> Image {
-        let w = (self.width / 2).max(1);
-        let h = (self.height / 2).max(1);
-        Image::from_fn(w, h, |x, y| {
-            let (x2, y2) = (x * 2, y * 2);
-            let mut sum = 0u32;
-            let mut n = 0u32;
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    let (xx, yy) = (x2 + dx, y2 + dy);
-                    if xx < self.width && yy < self.height {
-                        sum += self.get(xx, yy) as u32;
-                        n += 1;
-                    }
-                }
-            }
-            (sum / n.max(1)) as u8
-        })
-    }
-}
-
-/// A horizontal gradient (very compressible).
-pub fn gradient(width: usize, height: usize) -> Image {
-    Image::from_fn(width, height, |x, _| ((x * 255) / width.max(1)) as u8)
 }
 
 /// A checkerboard with `cell` pixel squares (sharp edges, moderate entropy).
@@ -182,8 +123,59 @@ pub fn photo(width: usize, height: usize, seed: u64, amp: i32) -> Image {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A horizontal gradient (very compressible).
+    pub(crate) fn gradient(width: usize, height: usize) -> Image {
+        Image::from_fn(width, height, |x, _| ((x * 255) / width.max(1)) as u8)
+    }
+
+    /// Mean squared error between two images of identical dimensions.
+    fn mse(a: &Image, b: &Image) -> f64 {
+        assert_eq!((a.width, a.height), (b.width, b.height), "MSE requires identical dimensions");
+        let sum: f64 = a
+            .data
+            .iter()
+            .zip(&b.data)
+            .map(|(&x, &y)| {
+                let d = x as f64 - y as f64;
+                d * d
+            })
+            .sum();
+        sum / a.data.len() as f64
+    }
+
+    /// Peak signal-to-noise ratio in dB; `f64::INFINITY` for identical images.
+    pub(crate) fn psnr(a: &Image, b: &Image) -> f64 {
+        let mse = mse(a, b);
+        if mse == 0.0 {
+            f64::INFINITY
+        } else {
+            10.0 * (255.0f64 * 255.0 / mse).log10()
+        }
+    }
+
+    /// Downsample by a 2x box filter: the reference a coarse level is held to.
+    pub(crate) fn downsample2(img: &Image) -> Image {
+        let w = (img.width / 2).max(1);
+        let h = (img.height / 2).max(1);
+        Image::from_fn(w, h, |x, y| {
+            let (x2, y2) = (x * 2, y * 2);
+            let mut sum = 0u32;
+            let mut n = 0u32;
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    let (xx, yy) = (x2 + dx, y2 + dy);
+                    if xx < img.width && yy < img.height {
+                        sum += img.get(xx, yy) as u32;
+                        n += 1;
+                    }
+                }
+            }
+            (sum / n.max(1)) as u8
+        })
+    }
 
     #[test]
     fn from_fn_and_get_set() {
@@ -191,24 +183,24 @@ mod tests {
         assert_eq!(img.get(3, 1), 13);
         img.set(0, 0, 99);
         assert_eq!(img.get(0, 0), 99);
-        assert_eq!(img.len_bytes(), 8);
+        assert_eq!(img.data.len(), 8);
     }
 
     #[test]
     fn mse_and_psnr() {
         let a = gradient(16, 16);
         let b = a.clone();
-        assert_eq!(a.mse(&b), 0.0);
-        assert_eq!(a.psnr(&b), f64::INFINITY);
+        assert_eq!(mse(&a, &b), 0.0);
+        assert_eq!(psnr(&a, &b), f64::INFINITY);
         let c = Image::blank(16, 16);
-        assert!(a.mse(&c) > 0.0);
-        assert!(a.psnr(&c).is_finite());
+        assert!(mse(&a, &c) > 0.0);
+        assert!(psnr(&a, &c).is_finite());
     }
 
     #[test]
     #[should_panic(expected = "identical dimensions")]
     fn mse_dimension_mismatch_panics() {
-        let _ = gradient(8, 8).mse(&gradient(4, 4));
+        let _ = mse(&gradient(8, 8), &gradient(4, 4));
     }
 
     #[test]
@@ -264,7 +256,7 @@ mod tests {
     #[test]
     fn downsample_halves_dimensions() {
         let img = gradient(16, 8);
-        let d = img.downsample2();
+        let d = downsample2(&img);
         assert_eq!((d.width, d.height), (8, 4));
     }
 }

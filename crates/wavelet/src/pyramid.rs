@@ -112,7 +112,7 @@ impl Pyramid {
     }
 
     /// Image dimensions at resolution `level`.
-    pub fn dims_at(&self, level: usize) -> (usize, usize) {
+    pub(crate) fn dims_at(&self, level: usize) -> (usize, usize) {
         assert!(level <= self.levels, "level {level} > {}", self.levels);
         let shift = self.levels - level;
         (self.width >> shift, self.height >> shift)
@@ -120,7 +120,7 @@ impl Pyramid {
 
     /// Size of `band` at `level` (band-local). LL exists only at level 0;
     /// detail bands at levels `1..=L` refine level `l-1` to `l`.
-    pub fn band_size(&self, band: Band, level: usize) -> (usize, usize) {
+    pub(crate) fn band_size(&self, band: Band, level: usize) -> (usize, usize) {
         match band {
             Band::LL => {
                 assert_eq!(level, 0, "LL exists only at level 0");
@@ -138,7 +138,7 @@ impl Pyramid {
     }
 
     /// Frame-coordinate origin of `band` at `level`.
-    pub fn band_origin(&self, band: Band, level: usize) -> (usize, usize) {
+    pub(crate) fn band_origin(&self, band: Band, level: usize) -> (usize, usize) {
         let (sw, sh) = self.band_size(band, level);
         match band {
             Band::LL => (0, 0),
@@ -210,11 +210,6 @@ impl Pyramid {
         out
     }
 
-    /// Total coefficient count for `region` at `level` (no exclusion).
-    pub fn region_coeff_count(&self, region: Rect, level: usize) -> usize {
-        self.chunks_for_region(region, level, None).iter().map(SubbandChunk::len).sum()
-    }
-
     /// Reconstruct the full image at `level` (level `L` is lossless).
     pub fn reconstruct(&self, level: usize) -> Image {
         reconstruct_from_frame(&self.coeffs, self.width, self.height, self.levels, level)
@@ -254,7 +249,6 @@ pub struct Reassembler {
     height: usize,
     levels: usize,
     frame: Vec<i32>,
-    coeffs_received: usize,
 }
 
 impl Reassembler {
@@ -263,15 +257,11 @@ impl Reassembler {
             width.is_multiple_of(1 << levels) && height.is_multiple_of(1 << levels),
             "dimensions not divisible by 2^levels"
         );
-        Reassembler { width, height, levels, frame: vec![0; width * height], coeffs_received: 0 }
+        Reassembler { width, height, levels, frame: vec![0; width * height] }
     }
 
     pub fn levels(&self) -> usize {
         self.levels
-    }
-
-    pub fn coeffs_received(&self) -> usize {
-        self.coeffs_received
     }
 
     fn band_origin(&self, band: Band, level: usize) -> (usize, usize) {
@@ -298,7 +288,6 @@ impl Reassembler {
             let at = (oy + y) * self.width + ox + chunk.rect.x;
             self.frame[at..at + chunk.rect.w].copy_from_slice(src);
         }
-        self.coeffs_received += chunk.data.len();
     }
 
     /// Reconstruct the (possibly partial) image at `level`.
@@ -310,7 +299,8 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::{checkerboard, gradient, noise, plasma};
+    use crate::image::tests::{downsample2, gradient, psnr};
+    use crate::image::{checkerboard, noise, plasma};
 
     #[test]
     fn full_reconstruction_is_lossless() {
@@ -344,8 +334,8 @@ mod tests {
         assert_eq!((lvl2.width, lvl2.height), (32, 32));
         // The Haar approximation should be close to a box-filtered
         // downsample (floor-mean vs mean differs by <1 per step).
-        let reference = img.downsample2();
-        assert!(lvl2.psnr(&reference) > 35.0, "psnr {}", lvl2.psnr(&reference));
+        let psnr = psnr(&lvl2, &downsample2(&img));
+        assert!(psnr > 35.0, "psnr {psnr}");
     }
 
     #[test]
@@ -381,7 +371,7 @@ mod tests {
             r.apply(c);
         }
         assert_eq!(r.reconstruct(4), img);
-        assert_eq!(r.coeffs_received(), 64 * 64);
+        assert_eq!(chunks.iter().map(SubbandChunk::len).sum::<usize>(), 64 * 64);
     }
 
     #[test]
@@ -432,15 +422,18 @@ mod tests {
         let img = plasma(64, 64, 19);
         let p = Pyramid::build(&img, 4);
         let region = Rect::new(0, 0, 64, 64);
+        let count = |level| -> usize {
+            p.chunks_for_region(region, level, None).iter().map(SubbandChunk::len).sum()
+        };
         let mut prev = 0;
         for level in 0..=4 {
-            let n = p.region_coeff_count(region, level);
+            let n = count(level);
             assert!(n > prev, "level {level}: {n} <= {prev}");
             prev = n;
         }
         // Each level multiplies coefficient count by ~4.
-        assert_eq!(p.region_coeff_count(region, 4), 64 * 64);
-        assert_eq!(p.region_coeff_count(region, 3), 32 * 32);
+        assert_eq!(count(4), 64 * 64);
+        assert_eq!(count(3), 32 * 32);
     }
 
     #[test]
@@ -459,7 +452,7 @@ mod tests {
         // ...full-level view is only an approximation (details are zero)
         // but still resembles the original.
         let approx = r.reconstruct(3);
-        assert!(approx.psnr(&img) > 20.0);
+        assert!(psnr(&approx, &img) > 20.0);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl Rect {
         px >= self.x && px < self.x1() && py >= self.y && py < self.y1()
     }
 
-    pub fn contains_rect(&self, o: &Rect) -> bool {
-        o.is_empty()
-            || (o.x >= self.x && o.y >= self.y && o.x1() <= self.x1() && o.y1() <= self.y1())
-    }
-
     /// Intersection (possibly empty).
     pub fn intersect(&self, o: &Rect) -> Rect {
         let x0 = self.x.max(o.x);
@@ -198,7 +193,7 @@ mod tests {
         let total: usize = parts.iter().map(Rect::area).sum();
         assert_eq!(total, 50);
         for p in &parts {
-            assert!(a.contains_rect(p));
+            assert_eq!(a.intersect(p), *p, "inside a");
             assert!(p.intersect(&b).is_empty());
         }
     }

@@ -17,6 +17,12 @@ trap 'echo "FAILED in stage: $CURRENT_STAGE" >&2' ERR
 stage "build"
 cargo build --release
 
+stage "benchmark build"
+# benchmark/ is a workspace of its own, so no other stage compiles it: a
+# library item it calls that loses its `pub` fails here, not in a
+# benchmark run. The check may rewrite the stale benchmark/Cargo.lock.
+cargo check --release --offline --manifest-path benchmark/Cargo.toml
+
 stage "tests"
 # The root manifest's `default-members` makes bare `cargo test -q` the
 # whole workspace, so the chaos fault-injection scenarios (visapp

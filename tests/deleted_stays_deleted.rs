@@ -1,7 +1,7 @@
 //! Deleted stays deleted: each mechanism a change removed is held out of
-//! the tree by one row of [`GUARDS`], and every library `pub fn` has a
-//! caller. A change that deletes a mechanism adds one row naming what it
-//! deleted; bare `cargo test -q` runs the table.
+//! the tree by one row of [`GUARDS`], and a library item is `pub` only if
+//! another crate uses it. A change that deletes a mechanism adds one row
+//! naming what it deleted; bare `cargo test -q` runs the table.
 //!
 //! A token is a literal. A leading or trailing `\b` asks for a word
 //! boundary on that side, as in grep: no `[A-Za-z0-9_]` character next to
@@ -344,25 +344,27 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
-        name: "every pub fn has a caller",
-        reason: "a library function nothing calls is untested surface; delete it, or give it an \
-                 UNCALLED_ALLOWED entry",
+        name: "pub means another crate uses it",
+        reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
+                 rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
+                 entry",
         deleted_in: "38dadf3",
         searches: &[],
-        check: Some(uncalled_pub_fns),
+        check: Some(crate_local_pub_items),
     },
 ];
 
-/// Library `pub fn`s that stay with no caller, and why.
+/// Library `pub` items that stay `pub` with no user outside their crate,
+/// and why.
 const UNCALLED_ALLOWED: &[(&str, &str)] = &[(
     "try_new",
     "ResourceScheduler's checked constructor, the one README's API tour and DESIGN.md §11 show: \
      it rejects an empty preference list and an input with no records",
 )];
 
-/// Where the caller row looks for `pub fn` definitions.
-const DEFINED_IN: &[&str] = &["crates/*/src"];
-/// Where it looks for callers: the benchmark builds against the library.
+/// What the visibility row reads: every crate's library source (where it
+/// finds definitions) and everything that builds against a library. The
+/// benchmark is its own workspace but calls the libraries.
 const CALLED_FROM: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
 /// The manifests the rand row reads.
 const MANIFEST_ROOTS: &[&str] = &["Cargo.toml", "crates", "vendor"];
@@ -519,53 +521,109 @@ fn words(line: &str) -> impl Iterator<Item = (usize, &str)> {
         .map(move |w| (w.as_ptr() as usize - line.as_ptr() as usize, w))
 }
 
-/// `pub fn` names defined in `lib` that no line of `all` names as a word,
-/// besides a definition and unless `allowed`, and `allowed` entries that
-/// have gone stale.
-fn uncalled(
-    lib: &[(PathBuf, String)],
-    all: &[(PathBuf, String)],
-    allowed: &[(&str, &str)],
-) -> Vec<String> {
-    let defined_at = |line: &str, at: usize| line[..at].ends_with("pub fn ");
-    let mut defs = BTreeMap::new();
-    for (path, text) in lib {
-        for (n, line) in text.lines().enumerate() {
-            for (_, w) in words(line).filter(|&(at, _)| defined_at(line, at)) {
-                defs.entry(w).or_insert_with(|| format!("{}:{}", path.display(), n + 1));
-            }
-        }
+/// The crate whose library source `path` is, if it is one: a file under
+/// `crates/<name>/src` outside `src/bin`.
+fn lib_crate(path: &Path) -> Option<&str> {
+    let mut parts = path.iter().map(|p| p.to_str().unwrap_or(""));
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(krate), Some("src"), Some(next)) if next != "bin" => Some(krate),
+        _ => None,
     }
-    let mut called = HashSet::new();
-    for (_, text) in all {
-        for line in text.lines() {
-            for (at, w) in words(line) {
-                if defs.contains_key(w) && !defined_at(line, at) {
-                    called.insert(w);
-                }
+}
+
+/// The name a line declares `pub` as a function or constant, if any.
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest =
+        ["const fn ", "fn ", "const ", "static "].iter().find_map(|k| rest.strip_prefix(k))?;
+    let end = rest.find(|c: char| !is_word(Some(c))).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// The code lines of `text`'s doc-tests, which rustdoc builds as a crate
+/// of their own.
+fn doctest_lines(text: &str) -> impl Iterator<Item = &str> {
+    // Inside a fenced block: whether rustdoc compiles it.
+    let mut block: Option<bool> = None;
+    text.lines().filter_map(move |line| {
+        let t = line.trim_start();
+        let doc = t.strip_prefix("///").or_else(|| t.strip_prefix("//!"))?;
+        match doc.trim().strip_prefix("```") {
+            Some(info) => {
+                let compiled = |a: &str| matches!(a.trim(), "rust" | "no_run" | "should_panic");
+                block = match block {
+                    Some(_) => None,
+                    None => Some(info.is_empty() || info.split(',').all(compiled)),
+                };
+                None
             }
+            None => (block == Some(true)).then_some(doc),
         }
-    }
-    let mut out: Vec<String> = defs
+    })
+}
+
+/// The identifiers of `lines` that are not the name of a definition.
+fn used_words<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<&'a str> {
+    let defines = |line: &str, at: usize| {
+        ["fn ", "const ", "static "].iter().any(|k| line[..at].ends_with(k))
+    };
+    lines
+        .flat_map(|line| words(line).filter(move |&(at, _)| !defines(line, at)).map(|(_, w)| w))
+        .collect()
+}
+
+/// Library `pub` functions and constants of `files` that no file outside
+/// their crate's library source names, besides a definition and unless
+/// `allowed`, and `allowed` entries that have gone stale. A crate's own
+/// `tests/`, `src/bin/` and doc-tests build as other crates, so they count
+/// as outside it.
+fn crate_local(files: &[(PathBuf, String)], allowed: &[(&str, &str)]) -> Vec<String> {
+    // Per file: its crate, if library source, and the words it uses in
+    // full and in its doc-tests.
+    let used: Vec<_> = files
         .iter()
-        .filter(|&(n, _)| !called.contains(n) && !allowed.iter().any(|(a, _)| a == n))
-        .map(|(n, at)| format!("{at}: pub fn {n} has no caller"))
+        .map(|(path, text)| {
+            (lib_crate(path), used_words(text.lines()), used_words(doctest_lines(text)))
+        })
+        .collect();
+    let mut defs = BTreeMap::new();
+    for (path, text) in files {
+        let Some(k) = lib_crate(path) else { continue };
+        for (n, line) in text.lines().enumerate() {
+            if let Some(name) = pub_item(line) {
+                defs.entry((k, name)).or_insert_with(|| format!("{}:{}", path.display(), n + 1));
+            }
+        }
+    }
+    let local: Vec<(&str, &str, &String)> = defs
+        .iter()
+        .filter(|&(&(k, name), _)| {
+            !used.iter().any(|(of, all, doc)| if *of == Some(k) { doc } else { all }.contains(name))
+        })
+        .map(|(&(k, name), at)| (k, name, at))
+        .collect();
+    let mut out: Vec<String> = local
+        .iter()
+        .filter(|(_, name, _)| !allowed.iter().any(|(a, _)| a == name))
+        .map(|(k, name, at)| {
+            format!("{at}: pub {name} is named only inside crate {k}; make it pub(crate)")
+        })
         .collect();
     out.extend(
         allowed
             .iter()
-            .filter(|&&(n, _)| !defs.contains_key(n) || called.contains(n))
-            .map(|(n, _)| format!("UNCALLED_ALLOWED: {n} is not an uncalled pub fn any more")),
+            .filter(|&&(a, _)| !local.iter().any(|&(_, name, _)| name == a))
+            .map(|(a, _)| format!("UNCALLED_ALLOWED: {a} is not a crate-local pub item any more")),
     );
     out
 }
 
-fn uncalled_pub_fns(repo: &Path) -> Vec<String> {
-    let load = |roots| {
-        files_under(repo, roots, RS).into_iter().map(|p| (p.clone(), read(repo, &p))).collect()
-    };
-    let (lib, all): (Vec<_>, Vec<_>) = (load(DEFINED_IN), load(CALLED_FROM));
-    uncalled(&lib, &all, UNCALLED_ALLOWED)
+fn crate_local_pub_items(repo: &Path) -> Vec<String> {
+    let files: Vec<_> = files_under(repo, CALLED_FROM, RS)
+        .into_iter()
+        .map(|p| (p.clone(), read(repo, &p)))
+        .collect();
+    crate_local(&files, UNCALLED_ALLOWED)
 }
 
 #[test]
@@ -616,12 +674,8 @@ fn every_row_finds_what_it_guards() {
     assert!(matches("x Snapshot, Snapshots", r"Snapshot\b"), "a later occurrence still counts");
 
     // Every root exists and yields a file, so a misspelled root cannot pass.
-    let mut roots: Vec<(&[&str], &[&str])> = vec![
-        (DEFINED_IN, RS),
-        (CALLED_FROM, RS),
-        (MANIFEST_ROOTS, &["Cargo.toml"]),
-        (CRATE_ROOTS, ALL),
-    ];
+    let mut roots: Vec<(&[&str], &[&str])> =
+        vec![(CALLED_FROM, RS), (MANIFEST_ROOTS, &["Cargo.toml"]), (CRATE_ROOTS, ALL)];
     roots.extend(GUARDS.iter().flat_map(|g| g.searches).map(|s| (s.roots, s.files)));
     for (group, files) in roots {
         for root in group {
@@ -633,12 +687,49 @@ fn every_row_finds_what_it_guards() {
     assert!(declares_rand(r#"rand = "0.8""#) && declares_rand("  rand.workspace = true"));
     assert!(!declares_rand(r#"random = "1""#) && !declares_rand(r#"operand = "1""#));
 
-    // The caller row reports a `pub fn` nobody names and passes a named one.
-    let lib = vec![(
-        PathBuf::from("crates/x/src/lib.rs"),
-        "pub fn lonely() {}\npub fn used() {}\npub(crate) fn inner() {}\n".to_string(),
-    )];
-    let mut all = lib.clone();
-    all.push((PathBuf::from("tests/t.rs"), "fn main() { x::used(); }\n".to_string()));
-    assert_eq!(uncalled(&lib, &all, &[]), ["crates/x/src/lib.rs:1: pub fn lonely has no caller"]);
+    // The visibility row flags a `pub` item that only its own crate's
+    // library source names, prose and text blocks included, and passes one
+    // that the crate's tests, binaries or doc-tests or another crate name.
+    // Another crate's definition of the same name is not a use.
+    let file = |path: &str, lines: &[&str]| (PathBuf::from(path), lines.join("\n"));
+    let files = [
+        file(
+            "crates/x/src/lib.rs",
+            &[
+                "//! ```",
+                "//! x::in_doctest();",
+                "//! ```",
+                "//! ```text",
+                "//! x::in_text_block();",
+                "//! ```",
+                "/// Prose that names [`in_prose`].",
+                "pub fn lonely() { in_prose(); in_text_block(); }",
+                "pub fn in_prose() {}",
+                "pub fn in_doctest() {}",
+                "pub fn in_text_block() {}",
+                "pub fn used_by_tests() {}",
+                "pub fn used_by_bin() {}",
+                "pub fn used_by_y() {}",
+                "pub(crate) fn inner() {}",
+                "pub const LIMIT: u32 = 1;",
+                "fn limit() -> u32 { LIMIT }",
+            ],
+        ),
+        file("crates/x/src/bin/b.rs", &["fn main() { x::used_by_bin(); }"]),
+        file("crates/x/tests/t.rs", &["#[test]", "fn t() { x::used_by_tests(); }"]),
+        file("crates/y/src/lib.rs", &["pub fn lonely() {}"]),
+        file("crates/y/tests/t.rs", &["#[test]", "fn t() { x::used_by_y(); }"]),
+    ];
+    let out = crate_local(&files, &[]);
+    let flagged: Vec<&str> = out.iter().map(|l| l.split(' ').nth(2).unwrap()).collect();
+    assert_eq!(flagged, ["LIMIT", "in_prose", "in_text_block", "lonely", "lonely"]);
+    assert_eq!(
+        out[4],
+        "crates/y/src/lib.rs:1: pub lonely is named only inside crate y; make it pub(crate)"
+    );
+    // An allowed entry silences its item; one that no longer matches is stale.
+    let out = crate_local(&files, &[("in_prose", "an entry point"), ("used_by_bin", "stale")]);
+    assert_eq!(out.len(), 5);
+    assert!(!out.iter().any(|l| l.contains(" in_prose ")));
+    assert_eq!(out[4], "UNCALLED_ALLOWED: used_by_bin is not a crate-local pub item any more");
 }
