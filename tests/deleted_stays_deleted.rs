@@ -348,7 +348,7 @@ static GUARDS: &[Guard] = &[
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
                  entry",
-        deleted_in: "38dadf3",
+        deleted_in: "38dadf3, 1805d78",
         searches: &[],
         check: Some(crate_local_pub_items),
     },
