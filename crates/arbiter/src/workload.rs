@@ -218,7 +218,7 @@ impl AppActor {
 
     /// Wrap a bulk worker. `rogue` makes the wrapper restore unconstrained
     /// limits whenever the arbiter is not actively clamping it.
-    pub fn bulk(
+    pub(crate) fn bulk(
         id: AppId,
         arbiter: ActorId,
         arrival_us: u64,

@@ -2,9 +2,8 @@
 //! a throughput ratio measured within one process. A check runs its two
 //! sides alternately, keeps the fastest of `RUNS` runs of each (noise
 //! only ever slows a run down) and asserts the ratio of the two bests.
-//! Each floor is 80 % of the ratio measured when the claim was made,
-//! except the disabled-exporter one, which is the claim itself. The two
-//! `Adaptive` checks read a scalar, which is stored as bits in one
+//! Each floor is 80 % of the ratio measured when the claim was made. The
+//! two `Adaptive` checks read a scalar, which is stored as bits in one
 //! `AtomicU64`; their ratios were 0.7546 and 1.0058 when the claim was
 //! made, with the value behind a boxed pointer:
 //!
@@ -12,8 +11,6 @@
 //! |---|---|---|
 //! | `Adaptive::get` against a plain read | 0.65–0.84 (median 0.78) | 0.60 |
 //! | a never-mutated `Adaptive` against a mutated one | 0.95–1.01 | 0.80 |
-//! | spans with exporters disabled against no exporter | 0.9931 | 0.95 |
-//! | spans with retention enabled against no exporter | 0.4287 | 0.34 |
 //! | `choose` against the whole-report decision oracle | 4.92–7.78 (median 6.04) | 3.9 |
 //! | `PerfDb::predict` against the linear-scan oracle | 7.85–16.66 (median 12.68) | 6.2 |
 //!
@@ -35,7 +32,7 @@ use adapt_core::{
     Configuration, PerfDb, PerfRecord, PredictMode, Preference, PreferenceList, QosReport,
     ResourceKey, ResourceScheduler, ResourceVector, ValidityRegion,
 };
-use obs::{Adaptive, Command, CommandRouter, ConfigRegistry, Obs};
+use obs::Adaptive;
 use visapp::{client_cpu_key, client_net_key, model_db, LoadGenOpts, QosProfile, PROFILE_INPUT};
 
 // Shared with crates/core/tests/properties.rs; this file times one entry
@@ -51,8 +48,6 @@ mod scan_oracle;
 const RUNS: usize = 5;
 /// Reads per `Adaptive` run.
 const READS: u64 = 20_000_000;
-/// Spans opened and closed per span run.
-const SPANS: u64 = 2_000_000;
 
 fn time(f: impl FnOnce()) -> Duration {
     let start = Instant::now();
@@ -106,16 +101,6 @@ fn reads(read: impl Fn() -> u64) -> Duration {
     })
 }
 
-/// Open and close `SPANS` spans on one histogram of `obs`.
-fn spans(obs: &Obs) -> Duration {
-    let h = obs.histogram("floors.span");
-    time(|| {
-        for _ in 0..SPANS {
-            let _g = black_box(obs.span(h));
-        }
-    })
-}
-
 #[test]
 #[ignore = "wall-clock: run in release on one test thread"]
 fn adaptive_get_keeps_pace_with_a_plain_read() {
@@ -143,47 +128,6 @@ fn an_idle_control_plane_costs_a_read_nothing() {
         || reads(|| black_box(&mutated).get()),
     );
     assert_eq!(idle.version(), 0, "the idle handle was never mutated");
-}
-
-#[test]
-#[ignore = "wall-clock: run in release on one test thread"]
-fn disabled_exporters_cost_a_span_nothing() {
-    // Exporters exercised, then switched off through the control plane:
-    // a production run that is not being scraped right now.
-    let obs = Obs::new();
-    let registry = ConfigRegistry::new();
-    obs.register_export_knobs(&registry);
-    let router = CommandRouter::new(registry).with_obs(&obs);
-    router.dispatch(0, "floors", Command::set("obs.export.spans", true)).expect("knob on");
-    drop(obs.span_named("floors.span"));
-    black_box((obs.export_prometheus(), obs.export_otlp_spans()));
-    router.dispatch(1, "floors", Command::set("obs.export.spans", false)).expect("knob off");
-    obs.clear_spans();
-    let baseline = Obs::new();
-    assert_floor(
-        "spans with exporters disabled against no exporter",
-        0.95,
-        || spans(&obs),
-        || spans(&baseline),
-    );
-}
-
-#[test]
-#[ignore = "wall-clock: run in release on one test thread"]
-fn span_retention_costs_a_bounded_factor() {
-    let baseline = Obs::new();
-    assert_floor(
-        "spans with retention enabled against no exporter",
-        0.34,
-        || {
-            // A fresh handle per run: each run grows its own retention
-            // buffer, and frees it outside the timed loop.
-            let obs = Obs::new();
-            obs.set_span_export(true);
-            spans(&obs)
-        },
-        || spans(&baseline),
-    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ impl BitWriter {
     }
 
     /// Append the low `n` bits of `v` (MSB of those bits first). `n <= 32`.
-    pub fn put(&mut self, v: u32, n: u32) {
+    pub(crate) fn put(&mut self, v: u32, n: u32) {
         assert!(n <= 32);
         // At most 7 + 32 live bits: the shift loses only stale ones.
         self.acc = self.acc << n | (v as u64 & ((1 << n) - 1));

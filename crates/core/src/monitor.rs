@@ -178,10 +178,6 @@ impl WindowStat {
         }
     }
 
-    pub fn latest(&self) -> Option<f64> {
-        self.samples.back().map(|&(_, v)| v)
-    }
-
     pub fn len(&self) -> usize {
         self.samples.len()
     }
@@ -449,7 +445,7 @@ mod tests {
         // The t=0 and t=500 samples are older than the 1000us window.
         assert_eq!(w.len(), 1);
         assert_eq!(w.mean(), Some(5.0));
-        assert_eq!(w.latest(), Some(5.0));
+        assert_eq!(w.samples.back(), Some(&(t(2000), 5.0)));
     }
 
     #[test]

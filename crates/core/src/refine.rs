@@ -25,10 +25,14 @@
 //!    slice already samples, and hot-swaps the replacement records in
 //!    via [`PerfDb::swap_slice`] under the database's existing
 //!    dirty-flag rebuild (`refine.swap` audit events). The refreshed
-//!    database is published atomically through the scheduler's
-//!    [`Adaptive`] handle: in-flight decisions keep their snapshot,
-//!    the next decision prices against the refreshed model and is
-//!    stamped with the bumped `db_version`.
+//!    database is published atomically through the engine's
+//!    [`Adaptive`] handle: a reader keeps the snapshot it holds, and
+//!    the next [`RefineEngine::db`] returns the refreshed model. No
+//!    scheduler shares that handle yet: `visapp::drift` hands
+//!    [`RefineEngine::db`] to a new scheduler each epoch, so no run
+//!    moves a scheduler's `db_version` and every `decide` event leaves
+//!    the field out. An online refine agent that shares the handle
+//!    (ROADMAP.md, "Refinement online, under load") makes the stamp live.
 //!
 //! Streaks reset at each `decide` event for the re-priced configuration:
 //! a transient residual spike between a resource shift and the monitor's
@@ -358,8 +362,8 @@ impl RefineEngine {
 
     /// Re-profile every stale slice at exactly the resource points it
     /// already samples, and publish the refreshed database through the
-    /// shared handle as ONE atomic hot-swap (one `db_version` bump per
-    /// batch, however many slices it refreshed).
+    /// shared handle as ONE atomic hot-swap (one version bump of the
+    /// handle per batch, however many slices it refreshed).
     ///
     /// Ordering guarantees: slices are re-profiled in sorted config-key
     /// order; the swap is prepared on a private clone, so concurrent
@@ -653,7 +657,7 @@ mod tests {
             QosReport::new(&[("transmit_time", 2.0 / share), ("response_time", 2.0 / share)])
         };
         eng.reprofile(777, &runner);
-        let refine = audit.events_filtered(&EventFilter::refine_audit());
+        let refine = audit.events_filtered(&EventFilter::any().source(Source::Refine));
         let kinds: Vec<&str> = refine.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["drift", "swap"]);
         assert_eq!(refine[0].str_field("config"), Some("c=1"));

@@ -34,8 +34,11 @@ pub enum AdaptationEvent {
     /// preference-list version the decision was computed under (0 = the
     /// preferences were never mutated); it correlates decisions with the
     /// control plane's `config_set` audit events after a mid-run flip.
-    /// `db_version` is likewise the performance-database refine version
-    /// (0 = never hot-swapped; see `crate::refine`).
+    /// `db_version` is likewise the number of hot-swaps of the
+    /// scheduler's database handle (0 = never swapped). No run swaps it
+    /// yet: the drift storm gives each epoch a new scheduler over the
+    /// refreshed database, so this is 0 and `decide` events leave the
+    /// field out (see `crate::refine`).
     Decided {
         at: SimTime,
         config: Configuration,

@@ -62,10 +62,9 @@ pub struct Decision {
     /// correlate a decision with the `config_set` event that re-ranked the
     /// preferences mid-run.
     pub pref_version: u64,
-    /// Version of the performance database this decision priced against
-    /// (0 = the profiled database was never refined). Bumped by each
-    /// refine hot-swap (see `crate::refine`), so audit tooling can tell
-    /// which decisions ran on stale predictions.
+    /// Hot-swaps of this scheduler's database handle before this
+    /// decision (0 = never swapped). No run swaps a live scheduler's
+    /// handle yet, so this is 0 outside unit tests (see `crate::refine`).
     pub db_version: u64,
 }
 
@@ -262,7 +261,7 @@ impl ResourceScheduler {
 
     /// How many times the database has been hot-swapped since this
     /// scheduler was built (0 = never refined).
-    pub fn db_version(&self) -> u64 {
+    pub(crate) fn db_version(&self) -> u64 {
         self.db.version().saturating_sub(self.db_base_version)
     }
 

@@ -17,7 +17,7 @@
 //!    replay the observability bus: no duplicate reply is ever applied,
 //!    circuit-breaker transitions are legal, degrade/recover alternate,
 //!    scheduler decisions stay inside the performance database, and every
-//!    control-plane mutation is audited ([`oracle::config_audit_complete`]).
+//!    control-plane mutation is audited.
 //! 4. **Shrinking** — a failing trial is delta-debugged ([`shrink`])
 //!    toward the minimal plan that still violates the same invariant,
 //!    and emitted as a self-contained JSON [`Repro`] that replays
@@ -56,7 +56,7 @@ pub mod space;
 pub mod trial;
 
 pub use explorer::{ExploreReport, Explorer, ExplorerOpts, Failure};
-pub use oracle::{check_arbiter, config_audit_complete, DecisionContext, Violation};
+pub use oracle::{check_arbiter, DecisionContext, Violation};
 pub use repro::Repro;
 pub use shrink::{shrink as shrink_plan, ShrinkResult};
 pub use space::{FaultSpace, Span, TrialPlan};

@@ -266,7 +266,7 @@ pub(crate) fn no_evict_without_violation(obs: &Obs) -> Option<Violation> {
 /// events and no version-stamped decisions, so the oracle passes
 /// vacuously. Skipped (conservatively) if the event ring overflowed,
 /// since an audit may then have been evicted rather than never emitted.
-pub fn config_audit_complete(obs: &Obs) -> Option<Violation> {
+pub(crate) fn config_audit_complete(obs: &Obs) -> Option<Violation> {
     if obs.events_dropped() > 0 {
         return None;
     }

@@ -204,8 +204,8 @@ impl FaultSpace {
     /// control-plane commands — seeded `Command` schedules that retune
     /// steering dwell, scheduler preferences, retry backoff, and breaker
     /// thresholds (or reset the breaker outright) while the faults play
-    /// out. Every mutation must surface as an audit event
-    /// ([`crate::oracle::config_audit_complete`]).
+    /// out. Every mutation must surface as an audit event (the
+    /// `config_audit_complete` oracle).
     pub fn knobs() -> Self {
         FaultSpace {
             knob_cmds: Span::new(1, 4),

@@ -2,7 +2,7 @@
 //! [`FaultSpace::knobs`] dispatch seeded live control-plane commands —
 //! preference flips, retry/breaker retuning, breaker resets, and one
 //! deliberately-unknown key — while the usual faults play out, and every
-//! oracle (including [`adapt_dst::config_audit_complete`]) must hold.
+//! oracle (the control-plane audit one included) must hold.
 
 use adapt_dst::{knob_commands, Explorer, ExplorerOpts, FaultSpace, TrialContext};
 

@@ -500,13 +500,8 @@ impl ConfigRegistry {
     }
 
     /// Register `knob` under `key`, replacing any previous registration.
-    pub fn register(&self, key: impl Into<String>, knob: Arc<dyn Knob>) {
-        self.lock().insert(key.into(), RegEntry { knob, pinned_by: None });
-    }
-
-    /// Convenience: register an owned knob value.
     pub fn register_knob(&self, key: impl Into<String>, knob: impl Knob + 'static) {
-        self.register(key, Arc::new(knob));
+        self.lock().insert(key.into(), RegEntry { knob: Arc::new(knob), pinned_by: None });
     }
 
     /// Is `key` registered?

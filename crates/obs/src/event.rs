@@ -28,7 +28,7 @@ pub enum Source {
 }
 
 impl Source {
-    /// Stable lowercase name used by the renderer and exporter.
+    /// Stable lowercase name used by the renderer.
     pub fn name(self) -> &'static str {
         match self {
             Source::Simnet => "simnet",
@@ -255,13 +255,6 @@ impl EventFilter {
         self
     }
 
-    /// Preset: every adaptation-loop event — monitor triggers, scheduler
-    /// decisions, steering transitions. The working set of the invariant
-    /// oracles in `adapt-dst`.
-    pub fn adaptation() -> Self {
-        Self::any().source(Source::Monitor).source(Source::Scheduler).source(Source::Steering)
-    }
-
     /// Preset: steering `degrade`/`recover` transitions, in bus order.
     /// The staleness-ordering oracle checks these strictly alternate,
     /// starting with `degrade`.
@@ -275,29 +268,11 @@ impl EventFilter {
         Self::any().source(Source::Scheduler).kind("decide")
     }
 
-    /// Preset: application integrity events — applied rounds, circuit
-    /// breaker transitions, and dropped duplicate replies.
-    pub fn app_integrity() -> Self {
-        Self::any()
-            .source(Source::App)
-            .kind("round")
-            .kind("breaker_open")
-            .kind("breaker_close")
-            .kind("dup_reply")
-    }
-
     /// Preset: the control plane's audit trail — config mutations,
     /// rejections, pins, and breaker resets, in dispatch order. The
     /// working set of the `config_audit_complete` oracle in `adapt-dst`.
     pub fn control_audit() -> Self {
         Self::any().source(Source::Control)
-    }
-
-    /// Preset: the model-refinement audit trail — residual drift alarms
-    /// and database slice hot-swaps, in detection order. The working set
-    /// of the model-drift oracle in `adapt-dst`.
-    pub fn refine_audit() -> Self {
-        Self::any().source(Source::Refine)
     }
 
     /// Does `ev` pass this filter?

@@ -1,5 +1,5 @@
 //! The workspace's one JSON codec: a [`Json`] tree, one string escaper
-//! ([`Quoted`]), one printer (`{}` on one line, `{:#}` pretty) and one
+//! (`Quoted`), one printer (`{}` on one line, `{:#}` pretty) and one
 //! strict parser ([`parse`]).
 //!
 //! Integers stay exact (`u64` / `i64` are their own variants, so a
@@ -144,10 +144,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// A string as a quoted, escaped JSON string literal — the escaper behind
-/// every writer in the workspace, for callers that lay their document out
-/// by hand.
-pub struct Quoted<'a>(pub &'a str);
+/// A string as a quoted, escaped JSON string literal: the printer's one
+/// escaper, for string values and object keys alike.
+struct Quoted<'a>(&'a str);
 
 impl fmt::Display for Quoted<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

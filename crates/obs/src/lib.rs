@@ -15,8 +15,8 @@
 //!   static [`Shape`] instead, built into an [`Event`] only when read;
 //! * span-style profiling hooks ([`Obs::span`]) that time a scope on the
 //!   wall clock and fold the elapsed microseconds into a histogram;
-//! * a deterministic JSON exporter ([`Obs::export_json`]) and a
-//!   human-readable [`Obs::render`] that subsumes the old `Trace::render`;
+//! * a human-readable [`Obs::render`] of the retained events, one line
+//!   per event, that subsumes the old `Trace::render`;
 //! * the workspace's deterministic primitives ([`det`]): the one seeded
 //!   stream and the one digest every crate draws and hashes with.
 //!
@@ -39,7 +39,7 @@
 //! obs.publish(Event::new(10_000, Source::Monitor, "trigger").with("estimate", 0.25));
 //! let triggers = obs.events_filtered(&EventFilter::any().source(Source::Monitor));
 //! assert_eq!(triggers.len(), 1);
-//! assert!(obs.export_json().contains("\"monitor.ticks\": 1"));
+//! assert_eq!(obs.counter_value(ticks), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +48,6 @@ pub mod bus;
 pub mod control;
 pub mod det;
 pub mod event;
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod span;
@@ -62,9 +61,8 @@ pub use event::{Event, EventFilter, FieldType, Shape, Source, Value, PACKED_SLOT
 pub use metrics::{HistStats, MetricId};
 pub use span::SpanGuard;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Shared observability handle: a metrics registry plus an event bus.
 ///
@@ -75,30 +73,10 @@ pub struct Obs {
     inner: Arc<Inner>,
 }
 
+#[derive(Default)]
 struct Inner {
     metrics: Mutex<metrics::Registry>,
     bus: Mutex<EventBus>,
-    /// Completed trace spans, retained only while `span_export` is on.
-    spans: Mutex<Vec<span::SpanRecord>>,
-    /// The `obs.export.spans` knob: off by default so span tracing costs
-    /// one atomic load per span until explicitly enabled.
-    span_export: Adaptive<bool>,
-    next_span_id: AtomicU64,
-    /// Wall-clock zero for span timestamps.
-    epoch: Instant,
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
-            metrics: Mutex::default(),
-            bus: Mutex::default(),
-            spans: Mutex::default(),
-            span_export: Adaptive::new(false),
-            next_span_id: AtomicU64::new(1),
-            epoch: Instant::now(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Obs {
@@ -174,13 +152,6 @@ impl Obs {
         SpanGuard::new(self, id)
     }
 
-    /// Convenience: [`Obs::span`] with interning. Registers the histogram on
-    /// first use (allocates then); subsequent calls only pay a map lookup.
-    pub fn span_named(&self, name: &str) -> SpanGuard<'_> {
-        let id = self.histogram(name);
-        SpanGuard::new(self, id)
-    }
-
     // ---- metric reads ----
 
     /// Current value of a counter (0 if `id` is not a counter).
@@ -244,81 +215,34 @@ impl Obs {
         self.bus().dropped()
     }
 
-    // ---- span tracing (opt-in via the `obs.export.spans` knob) ----
-
-    /// Is span-trace retention currently on?
-    pub(crate) fn span_export_enabled(&self) -> bool {
-        self.inner.span_export.get()
-    }
-
-    /// Turn span-trace retention on or off. Spans opened while off leave
-    /// no trace record (their histogram timing is unaffected).
-    pub fn set_span_export(&self, on: bool) {
-        self.inner.span_export.set(on);
-    }
-
-    /// Register this handle's export knobs on a control-plane registry:
-    /// `obs.export.spans` (bool) toggles span-trace retention at run time.
-    pub fn register_export_knobs(&self, registry: &ConfigRegistry) {
-        registry.register_knob("obs.export.spans", self.inner.span_export.clone());
-    }
-
-    /// Number of trace spans retained so far.
-    pub fn spans_recorded(&self) -> usize {
-        self.spans().len()
-    }
-
-    /// Discard all retained trace spans.
-    pub fn clear_spans(&self) {
-        self.spans().clear();
-    }
-
-    fn spans(&self) -> MutexGuard<'_, Vec<span::SpanRecord>> {
-        self.inner.spans.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn spans_snapshot(&self) -> Vec<span::SpanRecord> {
-        self.spans().clone()
-    }
-
-    pub(crate) fn alloc_span_id(&self) -> u64 {
-        self.inner.next_span_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    pub(crate) fn epoch_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-
-    pub(crate) fn record_span(&self, rec: span::SpanRecord) {
-        self.spans().push(rec);
-    }
-
-    // ---- export ----
-
-    /// Render retained events one line per event (for test debugging).
+    /// Render retained events one line per event, oldest first (for
+    /// test debugging; the successor of the old `simnet::Trace::render`).
     pub fn render(&self) -> String {
-        export::render(&self.events())
-    }
-
-    /// Export all metrics and bus totals as deterministic JSON.
-    pub fn export_json(&self) -> String {
-        export::export_json(&self.metrics(), &self.bus())
-    }
-
-    /// Render the metric registry in Prometheus text exposition format:
-    /// counters and gauges as single samples, histograms as cumulative
-    /// `_bucket`/`_sum`/`_count` series plus a `<name>_quantiles` summary
-    /// with p50/p95/p99. Deterministic for deterministic inputs.
-    pub fn export_prometheus(&self) -> String {
-        export::render_prometheus(&self.metrics())
-    }
-
-    /// Export retained trace spans as OTLP-shaped JSON
-    /// (`resourceSpans` → `scopeSpans` → `spans`, hex trace/span ids,
-    /// `parentSpanId` from RAII nesting). Empty-but-valid when span
-    /// export was never enabled.
-    pub fn export_otlp_spans(&self) -> String {
-        export::export_otlp_spans(&self.metrics(), &self.spans_snapshot())
+        let mut out = String::new();
+        for ev in self.events() {
+            let _ = write!(out, "{:>12}us [{}] {}", ev.at_us, ev.source.name(), ev.kind);
+            for (k, v) in &ev.fields {
+                match v {
+                    Value::I64(x) => {
+                        let _ = write!(out, " {k}={x}");
+                    }
+                    Value::U64(x) => {
+                        let _ = write!(out, " {k}={x}");
+                    }
+                    Value::F64(x) => {
+                        let _ = write!(out, " {k}={x}");
+                    }
+                    Value::Str(x) => {
+                        let _ = write!(out, " {k}={x}");
+                    }
+                    Value::Bool(x) => {
+                        let _ = write!(out, " {k}={x}");
+                    }
+                }
+            }
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -379,9 +303,20 @@ mod tests {
             let _g = obs.span(h);
         }
         {
-            let _g = obs.span_named("span.h");
+            let _g = obs.span(h);
         }
         assert_eq!(obs.histogram_stats(h).count, 2);
+    }
+
+    #[test]
+    fn render_is_line_per_event_with_fields() {
+        let obs = Obs::new();
+        obs.publish(Event::new(1, Source::Simnet, "msg_sent").with("bytes", 5u64));
+        obs.publish(Event::new(2, Source::App, "image").with("key", "dr128"));
+        let r = obs.render();
+        assert_eq!(r.lines().count(), 2);
+        assert!(r.contains("[simnet] msg_sent bytes=5"));
+        assert!(r.contains("[app] image key=dr128"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Kind {
     }
 }
 
-pub(crate) enum Data {
+enum Data {
     Counter(u64),
     Gauge(f64),
     Histogram(Box<Hist>),
@@ -45,22 +45,17 @@ impl Data {
     }
 }
 
-pub(crate) struct Metric {
-    pub(crate) name: String,
-    pub(crate) data: Data,
-}
-
 /// Name-interning store behind `Obs`. Not public API; use the `Obs` methods.
 #[derive(Default)]
 pub(crate) struct Registry {
-    metrics: Vec<Metric>,
+    metrics: Vec<Data>,
     names: HashMap<String, u32>,
 }
 
 impl Registry {
     pub(crate) fn register(&mut self, name: &str, kind: Kind) -> MetricId {
         if let Some(&ix) = self.names.get(name) {
-            let have = self.metrics[ix as usize].data.kind();
+            let have = self.metrics[ix as usize].kind();
             assert!(
                 have == kind,
                 "metric `{name}` already registered as {}, requested {}",
@@ -75,7 +70,7 @@ impl Registry {
             Kind::Gauge => Data::Gauge(0.0),
             Kind::Histogram => Data::Histogram(Box::default()),
         };
-        self.metrics.push(Metric { name: name.to_string(), data });
+        self.metrics.push(data);
         self.names.insert(name.to_string(), ix);
         MetricId(ix)
     }
@@ -88,53 +83,44 @@ impl Registry {
         self.metrics.len()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Metric> {
-        self.metrics.iter()
-    }
-
     #[inline]
     pub(crate) fn inc(&mut self, id: MetricId, n: u64) {
-        if let Some(Metric { data: Data::Counter(c), .. }) = self.metrics.get_mut(id.0 as usize) {
+        if let Some(Data::Counter(c)) = self.metrics.get_mut(id.0 as usize) {
             *c += n;
         }
     }
 
     #[inline]
     pub(crate) fn set(&mut self, id: MetricId, v: f64) {
-        if let Some(Metric { data: Data::Gauge(g), .. }) = self.metrics.get_mut(id.0 as usize) {
+        if let Some(Data::Gauge(g)) = self.metrics.get_mut(id.0 as usize) {
             *g = v;
         }
     }
 
     #[inline]
     pub(crate) fn observe(&mut self, id: MetricId, v_us: f64) {
-        if let Some(Metric { data: Data::Histogram(h), .. }) = self.metrics.get_mut(id.0 as usize) {
+        if let Some(Data::Histogram(h)) = self.metrics.get_mut(id.0 as usize) {
             h.observe(v_us);
         }
     }
 
     pub(crate) fn counter_value(&self, id: MetricId) -> u64 {
         match self.metrics.get(id.0 as usize) {
-            Some(Metric { data: Data::Counter(c), .. }) => *c,
+            Some(Data::Counter(c)) => *c,
             _ => 0,
         }
     }
 
     pub(crate) fn gauge_value(&self, id: MetricId) -> f64 {
         match self.metrics.get(id.0 as usize) {
-            Some(Metric { data: Data::Gauge(g), .. }) => *g,
+            Some(Data::Gauge(g)) => *g,
             _ => 0.0,
         }
     }
 
-    /// Name of a registered metric (`None` for an id from another `Obs`).
-    pub(crate) fn name(&self, id: MetricId) -> Option<&str> {
-        self.metrics.get(id.0 as usize).map(|m| m.name.as_str())
-    }
-
     pub(crate) fn histogram_stats(&self, id: MetricId) -> HistStats {
         match self.metrics.get(id.0 as usize) {
-            Some(Metric { data: Data::Histogram(h), .. }) => h.stats(),
+            Some(Data::Histogram(h)) => h.stats(),
             _ => HistStats::default(),
         }
     }
@@ -146,7 +132,7 @@ const BUCKETS: usize = 64;
 /// Values are recorded in microseconds; a value of `v` µs lands in bucket
 /// `bit_length(v * 1000)`. Exact count/sum/min/max ride along so percentile
 /// estimates can be clamped to the observed range.
-pub(crate) struct Hist {
+struct Hist {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: f64,
@@ -168,7 +154,7 @@ impl Default for Hist {
 
 impl Hist {
     #[inline]
-    pub(crate) fn observe(&mut self, v_us: f64) {
+    fn observe(&mut self, v_us: f64) {
         let ns = if v_us <= 0.0 { 0 } else { (v_us * 1000.0).min(u64::MAX as f64) as u64 };
         let ix = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[ix] += 1;
@@ -197,12 +183,7 @@ impl Hist {
         self.max
     }
 
-    /// Per-bucket observation counts (not cumulative), lowest bound first.
-    pub(crate) fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    pub(crate) fn stats(&self) -> HistStats {
+    fn stats(&self) -> HistStats {
         if self.count == 0 {
             return HistStats::default();
         }

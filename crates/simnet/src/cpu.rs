@@ -117,7 +117,7 @@ impl CpuSched {
 
     /// Change the weight and/or cap of `actor`'s run (if it has one).
     /// Caller must `advance` first.
-    pub fn retune(&mut self, actor: ActorId, weight: Option<f64>, cap: Option<Option<f64>>) {
+    pub(crate) fn retune(&mut self, actor: ActorId, weight: Option<f64>, cap: Option<Option<f64>>) {
         let mut changed = false;
         for r in &mut self.runs {
             if r.actor == actor {

@@ -81,10 +81,8 @@ pub(crate) struct ActorState {
     /// When the most recently delivered inbound message was queued
     /// (`None` before the first delivery).
     last_received: Option<SimTime>,
+    /// False from a crash of its host until the host restarts.
     alive: bool,
-    /// Dead because its host crashed (revivable by a host restart), as
-    /// opposed to a permanent [`Sim::kill`].
-    crashed: bool,
     /// Incarnation number: bumped on every crash so timers armed by a
     /// previous incarnation are ignored after a restart.
     incarnation: u64,
@@ -104,7 +102,6 @@ impl ActorState {
             mem_used: 0,
             last_received: None,
             alive: true,
-            crashed: false,
             incarnation: 0,
         }
     }
@@ -432,36 +429,14 @@ impl Sim {
         }
     }
 
-    /// Terminate an actor: any active computation is aborted, queued
-    /// actions and pending messages are dropped, and future deliveries,
-    /// timers, and wakeups addressed to it are ignored. Models a process
-    /// being killed (e.g. a competing tenant evicted by the VMM).
-    pub fn kill(&mut self, a: ActorId) {
-        if !self.states[a.0].alive {
-            return;
-        }
-        let host = self.states[a.0].host.0;
-        self.sync_host(host);
-        if self.states[a.0].running == Running::Compute {
-            self.hosts[host].abort(a);
-            self.schedule_next_cpu(host);
-        }
-        let st = &mut self.states[a.0];
-        st.alive = false;
-        st.running = Running::Idle;
-        st.fifo.clear();
-        st.inbox.clear();
-    }
-
-    /// Is the actor still alive (not killed)?
+    /// Is the actor still alive (not crashed)?
     pub fn is_alive(&self, a: ActorId) -> bool {
         self.states[a.0].alive
     }
 
     /// Crash every actor on `host`: computation is aborted, queues are
-    /// cleared, and timers armed before the crash are cancelled. Unlike
-    /// [`Sim::kill`], crashed actors can be revived by
-    /// [`Sim::restart_host`]. Publishes `host_crash`.
+    /// cleared, and timers armed before the crash are cancelled; a
+    /// [`Sim::restart_host`] revives them. Publishes `host_crash`.
     pub(crate) fn crash_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
@@ -477,7 +452,6 @@ impl Sim {
             }
             let st = &mut self.states[i];
             st.alive = false;
-            st.crashed = true;
             st.incarnation += 1;
             st.running = Running::Idle;
             st.fifo.clear();
@@ -490,18 +464,17 @@ impl Sim {
 
     /// Restart a crashed host: every actor that died in a [`Sim::crash_host`]
     /// comes back alive and its [`Actor::on_restart`] runs (by default that
-    /// re-runs `on_start`, modeling a process restart). Actors removed with
-    /// [`Sim::kill`] stay dead. Publishes `host_restart`.
+    /// re-runs `on_start`, modeling a process restart). Publishes
+    /// `host_restart`.
     pub(crate) fn restart_host(&mut self, host: HostId) {
         let mut any = false;
         for i in 0..self.states.len() {
             let st = &mut self.states[i];
-            if st.host != host || !st.crashed {
+            if st.host != host || st.alive {
                 continue;
             }
             any = true;
             st.alive = true;
-            st.crashed = false;
             self.queue.push(self.now, Ev::Restart(ActorId(i)));
         }
         if any {
@@ -1570,6 +1543,27 @@ mod kill_tests {
     use std::sync::Arc;
     use std::sync::Mutex;
 
+    /// Terminate one actor the way a crash of its host does, leaving its
+    /// host-mates running: its computation is aborted, its queued actions
+    /// and messages are dropped, and later deliveries and timers addressed
+    /// to it are ignored.
+    fn kill(sim: &mut Sim, a: ActorId) {
+        if !sim.states[a.0].alive {
+            return;
+        }
+        let host = sim.states[a.0].host.0;
+        sim.sync_host(host);
+        if sim.states[a.0].running == Running::Compute {
+            sim.hosts[host].abort(a);
+            sim.schedule_next_cpu(host);
+        }
+        let st = &mut sim.states[a.0];
+        st.alive = false;
+        st.running = Running::Idle;
+        st.fifo.clear();
+        st.inbox.clear();
+    }
+
     struct Worker {
         work: f64,
         done: Arc<Mutex<Option<SimTime>>>,
@@ -1594,7 +1588,7 @@ mod kill_tests {
         sim.spawn(h, Box::new(Worker { work: 1_000_000.0, done: d2.clone() }));
         // Both at 50% until the kill at 0.5s (0.25s of work each done);
         // the survivor then runs at 100% and finishes at 0.5 + 0.75 = 1.25s.
-        sim.at(SimTime::from_ms(500), move |s| s.kill(a));
+        sim.at(SimTime::from_ms(500), move |s| kill(s, a));
         sim.run_until_idle();
         assert!(d1.lock().unwrap().is_none(), "killed actor never completes");
         assert_eq!(*d2.lock().unwrap(), Some(SimTime::from_ms(1250)));
@@ -1625,7 +1619,7 @@ mod kill_tests {
         let got = Arc::new(Mutex::new(0));
         let r = sim.spawn(h, Box::new(Receiver { got: got.clone() }));
         sim.spawn(h, Box::new(Sender { dst: r }));
-        sim.at(SimTime::from_us(500), move |s| s.kill(r));
+        sim.at(SimTime::from_us(500), move |s| kill(s, r));
         sim.run_until_idle();
         assert_eq!(*got.lock().unwrap(), 0);
     }
@@ -1649,8 +1643,8 @@ mod kill_tests {
         let fired = Arc::new(Mutex::new(0));
         let a = sim.spawn(h, Box::new(Timed { fired: fired.clone() }));
         sim.at(SimTime::from_us(5_000), move |s| {
-            s.kill(a);
-            s.kill(a); // idempotent
+            kill(s, a);
+            kill(s, a); // idempotent
         });
         sim.run_until_idle();
         assert_eq!(*fired.lock().unwrap(), 1, "only the pre-kill timer fires");

@@ -392,8 +392,15 @@ mod tests {
         assert_eq!(obs.gauge_value(obs.lookup("visapp.finished_secs").unwrap()), 2.0);
         let kinds: Vec<&str> = obs.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["config", "config", "round", "image", "dup_reply", "finished"]);
-        let integrity = obs.events_filtered(&obs::EventFilter::app_integrity());
-        assert_eq!(integrity.len(), 2, "round + dup_reply pass the integrity preset");
+        let integrity = obs.events_filtered(
+            &obs::EventFilter::any()
+                .source(obs::Source::App)
+                .kind("round")
+                .kind("breaker_open")
+                .kind("breaker_close")
+                .kind("dup_reply"),
+        );
+        assert_eq!(integrity.len(), 2, "round + dup_reply pass the integrity filter");
         // The raw log saw the same facts.
         assert_eq!(h.with(|s| s.switch_count()), 1);
         assert_eq!(h.with(|s| s.total_wire_bytes()), 123);

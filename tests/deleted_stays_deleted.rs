@@ -562,6 +562,22 @@ fn doctest_lines(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
+/// `line` up to its `//` comment: the code a compiler reads. A `//`
+/// inside a string literal is code.
+fn code(line: &str) -> &str {
+    let (mut in_str, mut escaped) = (false, false);
+    for (at, c) in line.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            '/' if !in_str && line[at + 1..].starts_with('/') => return &line[..at],
+            _ => {}
+        }
+    }
+    line
+}
+
 /// The identifiers of `lines` that are not the name of a definition.
 fn used_words<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<&'a str> {
     let defines = |line: &str, at: usize| {
@@ -572,18 +588,21 @@ fn used_words<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<&'a str> {
         .collect()
 }
 
-/// Library `pub` functions and constants of `files` that no file outside
+/// Library `pub` functions and constants of `files` that no code outside
 /// their crate's library source names, besides a definition and unless
 /// `allowed`, and `allowed` entries that have gone stale. A crate's own
 /// `tests/`, `src/bin/` and doc-tests build as other crates, so they count
-/// as outside it.
+/// as outside it. Code is what rustc compiles: a `//` comment is not a
+/// use, except a doc-test line.
 fn crate_local(files: &[(PathBuf, String)], allowed: &[(&str, &str)]) -> Vec<String> {
     // Per file: its crate, if library source, and the words it uses in
-    // full and in its doc-tests.
+    // its code and in its doc-tests.
     let used: Vec<_> = files
         .iter()
         .map(|(path, text)| {
-            (lib_crate(path), used_words(text.lines()), used_words(doctest_lines(text)))
+            let doc = used_words(doctest_lines(text));
+            let code = used_words(text.lines().map(code).chain(doctest_lines(text)));
+            (lib_crate(path), code, doc)
         })
         .collect();
     let mut defs = BTreeMap::new();
@@ -688,9 +707,11 @@ fn every_row_finds_what_it_guards() {
     assert!(!declares_rand(r#"random = "1""#) && !declares_rand(r#"operand = "1""#));
 
     // The visibility row flags a `pub` item that only its own crate's
-    // library source names, prose and text blocks included, and passes one
-    // that the crate's tests, binaries or doc-tests or another crate name.
-    // Another crate's definition of the same name is not a use.
+    // library source names, prose and text blocks included, or that
+    // another crate names only in a `//` comment, and passes one that the
+    // crate's tests, binaries or doc-tests or another crate's code or
+    // doc-tests name. Another crate's definition of the same name is not
+    // a use.
     let file = |path: &str, lines: &[&str]| (PathBuf::from(path), lines.join("\n"));
     let files = [
         file(
@@ -710,6 +731,9 @@ fn every_row_finds_what_it_guards() {
                 "pub fn used_by_tests() {}",
                 "pub fn used_by_bin() {}",
                 "pub fn used_by_y() {}",
+                "pub fn in_y_comment() {}",
+                "pub fn in_y_doctest() {}",
+                "pub fn after_y_url() {}",
                 "pub(crate) fn inner() {}",
                 "pub const LIMIT: u32 = 1;",
                 "fn limit() -> u32 { LIMIT }",
@@ -717,19 +741,29 @@ fn every_row_finds_what_it_guards() {
         ),
         file("crates/x/src/bin/b.rs", &["fn main() { x::used_by_bin(); }"]),
         file("crates/x/tests/t.rs", &["#[test]", "fn t() { x::used_by_tests(); }"]),
-        file("crates/y/src/lib.rs", &["pub fn lonely() {}"]),
+        file(
+            "crates/y/src/lib.rs",
+            &[
+                "pub fn lonely() {} // not x::in_y_comment()",
+                "// Nor x::in_y_comment() here.",
+                "/// ```",
+                "/// x::in_y_doctest();",
+                "/// ```",
+                r#"fn f() { let _ = "http://host"; x::after_y_url(); }"#,
+            ],
+        ),
         file("crates/y/tests/t.rs", &["#[test]", "fn t() { x::used_by_y(); }"]),
     ];
     let out = crate_local(&files, &[]);
     let flagged: Vec<&str> = out.iter().map(|l| l.split(' ').nth(2).unwrap()).collect();
-    assert_eq!(flagged, ["LIMIT", "in_prose", "in_text_block", "lonely", "lonely"]);
+    assert_eq!(flagged, ["LIMIT", "in_prose", "in_text_block", "in_y_comment", "lonely", "lonely"]);
     assert_eq!(
-        out[4],
+        out[5],
         "crates/y/src/lib.rs:1: pub lonely is named only inside crate y; make it pub(crate)"
     );
     // An allowed entry silences its item; one that no longer matches is stale.
     let out = crate_local(&files, &[("in_prose", "an entry point"), ("used_by_bin", "stale")]);
-    assert_eq!(out.len(), 5);
+    assert_eq!(out.len(), 6);
     assert!(!out.iter().any(|l| l.contains(" in_prose ")));
-    assert_eq!(out[4], "UNCALLED_ALLOWED: used_by_bin is not a crate-local pub item any more");
+    assert_eq!(out[5], "UNCALLED_ALLOWED: used_by_bin is not a crate-local pub item any more");
 }

@@ -161,7 +161,9 @@ fn adaptive_run_reports_through_the_obs_bus() {
     // Application integrity events mirror the raw stats record exactly:
     // one `round` event per applied round, breaker quiet on a fault-free
     // run.
-    let integrity = out.obs.events_filtered(&EventFilter::app_integrity());
+    let integrity = out.obs.events_filtered(
+        &EventFilter::any().source(Source::App).kind("round").kind("breaker_open"),
+    );
     let rounds = integrity.iter().filter(|e| e.kind == "round").count();
     assert_eq!(rounds, out.stats.rounds.len(), "one bus event per applied round");
     assert_eq!(
