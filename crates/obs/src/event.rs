@@ -269,8 +269,8 @@ impl EventFilter {
     }
 
     /// Preset: the control plane's audit trail — config mutations,
-    /// rejections, pins, and breaker resets, in dispatch order. The
-    /// working set of the `config_audit_complete` oracle in `adapt-dst`.
+    /// rejections, pins, and breaker resets, in dispatch order, as
+    /// `examples/preference_flip.rs` reads it.
     pub fn control_audit() -> Self {
         Self::any().source(Source::Control)
     }

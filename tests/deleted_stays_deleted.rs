@@ -344,11 +344,36 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "no scrape exporters",
+        reason: "obs is read inside the process, through the bus (events_filtered, render) and \
+                 the registry (counter_value, histogram_stats); no program served the \
+                 Prometheus, OTLP or metrics-JSON exporters, and a span is one histogram observe \
+                 with no retained trace",
+        deleted_in: "4bcb343",
+        searches: &[Search {
+            tokens: &[
+                "export_prometheus",
+                "export_otlp_spans",
+                "export_json",
+                "SpanRecord",
+                "obs.export.spans",
+                "set_span_export",
+                "span_named",
+                "resourceSpans",
+                "OBS_BLESS",
+            ],
+            roots: SOURCE,
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
                  entry",
-        deleted_in: "38dadf3, 1805d78",
+        deleted_in: "38dadf3, 1805d78, 4bcb343",
         searches: &[],
         check: Some(crate_local_pub_items),
     },
