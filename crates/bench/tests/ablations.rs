@@ -12,6 +12,15 @@ use adapt_core::{
 };
 use simnet::SimTime;
 
+// Shared with crates/core/tests/properties.rs; this file prices one
+// decision with it and leaves the other entry points unused.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/decision_oracle.rs"]
+mod decision_oracle;
+
+#[path = "../../core/tests/support/nearest.rs"]
+mod nearest;
+
 fn cpu() -> ResourceKey {
     ResourceKey::cpu("client")
 }
@@ -43,7 +52,9 @@ fn interpolation_beats_nearest_between_grid_points() {
     // On a 4-point grid, piecewise-linear interpolation locates the
     // crossover (106.7 KB/s) accurately; nearest-record snapping picks
     // the wrong side for queries between samples. This is the paper's
-    // §7.1 limitation — their prototype used discrete lookup only.
+    // §7.1 limitation — their prototype used discrete lookup only. The
+    // scheduler interpolates; the decision oracle prices the same choice
+    // on the prototype's lookup.
     let grid = [50_000.0, 100_000.0, 200_000.0, 400_000.0];
     let prefs = PreferenceList::single(Preference::new(vec![], Objective::minimize("t")));
     let truth = |c: i64, n: f64| {
@@ -53,21 +64,18 @@ fn interpolation_beats_nearest_between_grid_points() {
             4e5 / n + 20.0
         }
     };
+    let db = crossover_db(&grid);
+    let sched = ResourceScheduler::new(db.clone(), prefs.clone(), "w");
+    let mut nearest_oracle = decision_oracle::Oracle::new(&db, "w", nearest::nearest);
     let mut interp_regret = 0.0;
     let mut nearest_regret = 0.0;
     for &q in &[80_000.0, 130_000.0, 160_000.0, 300_000.0] {
         let r = ResourceVector::new(&[(net(), q)]);
         let best_t = truth(1, q).min(truth(2, q));
-        for (mode, regret) in [
-            (PredictMode::Interpolate, &mut interp_regret),
-            (PredictMode::Nearest, &mut nearest_regret),
-        ] {
-            let sched =
-                ResourceScheduler::new(crossover_db(&grid), prefs.clone(), "w").with_mode(mode);
-            let d = sched.choose(&r).expect("choice");
-            let achieved = truth(d.config.expect("c"), q);
-            *regret += achieved - best_t;
-        }
+        let interp = sched.choose(&r).expect("choice").config;
+        let (near, _, _) = nearest_oracle.select(&prefs, &r, &[]).expect("choice");
+        interp_regret += truth(interp.expect("c"), q) - best_t;
+        nearest_regret += truth(near.expect("c"), q) - best_t;
     }
     assert!(
         interp_regret < nearest_regret,

@@ -49,7 +49,7 @@ fn bench_load_digests_are_pinned() {
     assert_load_row(100, (0xa2bc_bcf4_6c88_c4ce, 55_426, 602, 200, 114, 51_045));
     assert_load_row(1_000, (0x7401_5125_6f48_9eaf, 247_076, 6_002, 2_000, 1_064, 210_466));
     // The one database every row shares (one `Arc`, however many sessions).
-    assert_eq!(model_db(&adapt_bench::load::bench_opts(1)).approx_bytes(), 106_744);
+    assert_eq!(model_db(&adapt_bench::load::bench_opts(1)).approx_bytes(), 106_728);
 }
 
 /// The 10k row is the `load_steady` benchmark workload. About a second

@@ -145,9 +145,10 @@ fn a_decision_on_rows_outpaces_the_whole_report_oracle() {
             .into();
     for (sched, prefs) in &cases {
         for v in &points {
-            let oracle = decision_oracle::Oracle::new(&db, PROFILE_INPUT, PredictMode::Interpolate)
-                .choose_excluding(prefs, v, &[])
-                .map(|((config, _, _), region)| (config, region));
+            let oracle =
+                decision_oracle::Oracle::new(&db, PROFILE_INPUT, decision_oracle::interpolate)
+                    .choose_excluding(prefs, v, &[])
+                    .map(|((config, _, _), region)| (config, region));
             assert_eq!(sched.choose(v).map(|d| (d.config, d.validity)), oracle, "at {v}");
         }
     }
@@ -174,7 +175,7 @@ fn a_decision_on_rows_outpaces_the_whole_report_oracle() {
                             let mut oracle = decision_oracle::Oracle::new(
                                 &db,
                                 PROFILE_INPUT,
-                                PredictMode::Interpolate,
+                                decision_oracle::interpolate,
                             );
                             black_box(oracle.choose_excluding(prefs, v, &[]));
                         }
@@ -196,7 +197,7 @@ fn an_indexed_prediction_outpaces_the_linear_scan() {
     let mode = PredictMode::Interpolate;
     for c in &configs {
         for v in &points {
-            let scan = scan_oracle::predict(&db, c, PROFILE_INPUT, v, mode);
+            let scan = scan_oracle::predict(&db, c, PROFILE_INPUT, v);
             assert_eq!(db.predict(c, PROFILE_INPUT, v, mode), scan, "{c:?} at {v}");
         }
     }
@@ -216,6 +217,6 @@ fn an_indexed_prediction_outpaces_the_linear_scan() {
         "PerfDb::predict against the linear-scan oracle",
         6.2,
         || predict_all(&|c, v| db.predict(c, PROFILE_INPUT, v, mode)),
-        || predict_all(&|c, v| scan_oracle::predict(&db, c, PROFILE_INPUT, v, mode)),
+        || predict_all(&|c, v| scan_oracle::predict(&db, c, PROFILE_INPUT, v)),
     );
 }

@@ -69,7 +69,7 @@ pub use perfdb::{PerfDb, PerfDbLoadError, PerfRecord, PredictMode};
 pub use profiler::{ProfileRunner, Profiler, ResourceGrid, SensitivityOpts};
 pub use qos::{Constraint, Objective, Preference, PreferenceList, QosMetricDef, QosReport, Sense};
 pub use refine::{DriftAlarm, RefineEngine, SwapReport};
-pub use runtime::{AdaptationEvent, AdaptiveRuntime};
+pub use runtime::AdaptiveRuntime;
 pub use scheduler::{Decision, ResourceScheduler, Selection};
 pub use spec::{PerfDbTemplate, TunableSpec};
 pub use steering::{BoundaryOutcome, ReconfigureRequest, SteeringAgent, SwitchEvent};
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::profiler::{Profiler, ResourceGrid};
     pub use crate::qos::{Constraint, Objective, Preference, PreferenceList, QosReport};
     pub use crate::refine::{DriftAlarm, RefineEngine, SwapReport};
-    pub use crate::runtime::{AdaptationEvent, AdaptiveRuntime};
+    pub use crate::runtime::AdaptiveRuntime;
     pub use crate::scheduler::{Decision, ResourceScheduler};
     pub use crate::spec::TunableSpec;
     pub use crate::steering::{BoundaryOutcome, ReconfigureRequest, SteeringAgent, SwitchEvent};

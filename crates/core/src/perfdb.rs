@@ -5,10 +5,11 @@
 //! quality metrics for a sampling of different resource conditions, and
 //! interpolate these measurements to get performance curves". Records map
 //! `(configuration, input, resource vector) -> quality metrics`;
-//! [`PerfDb::predict`] answers point queries by exact lookup, multilinear
-//! interpolation over the sampled grid (with clamping extrapolation), or
-//! nearest-record matching (the mode the paper's early prototype used,
-//! §7.1 — kept for the ablation benchmarks).
+//! [`PerfDb::predict`] answers point queries by exact lookup, else by
+//! multilinear interpolation over the sampled grid (with clamping
+//! extrapolation), falling back to inverse-distance weighting where the
+//! grid is incomplete. The nearest-record lookup the paper's prototype
+//! used (§7.1) is test code: the ablation's baseline.
 //!
 //! # Query index
 //!
@@ -66,11 +67,11 @@ pub struct PerfRecord {
     pub metrics: QosReport,
 }
 
-/// Prediction strategy.
+/// Prediction strategy. There is one: the enum and
+/// [`PerfDb::predict`]'s argument stay only because the benchmark crate,
+/// a separate workspace, names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictMode {
-    /// Best-matching discrete record (the paper's implemented prototype).
-    Nearest,
     /// Multilinear interpolation over the sampled grid, clamping outside
     /// the sampled range; falls back to inverse-distance weighting where
     /// the grid is incomplete.
@@ -119,16 +120,6 @@ pub struct PerfDb {
     /// Lazily built query index; `None` means dirty. Interior mutability
     /// lets `&self` queries build it on demand; any mutation resets it.
     index: RwLock<Option<Arc<Index>>>,
-    /// Optional profiling hook timing every `predict` call.
-    obs: Option<ObsHook>,
-}
-
-/// Pre-registered span target so the `predict` hot path stays
-/// allocation-free.
-#[derive(Debug, Clone)]
-struct ObsHook {
-    obs: obs::Obs,
-    predict_span: obs::MetricId,
 }
 
 impl Clone for PerfDb {
@@ -137,7 +128,6 @@ impl Clone for PerfDb {
             records: self.records.clone(),
             // The index is immutable once built, so clones can share it.
             index: RwLock::new(self.index.read().expect("index lock poisoned").clone()),
-            obs: self.obs.clone(),
         }
     }
 }
@@ -145,19 +135,6 @@ impl Clone for PerfDb {
 impl PerfDb {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record every [`predict`](PerfDb::predict) call's wall-clock latency
-    /// into `obs`'s `"perfdb.predict"` histogram.
-    pub fn set_obs(&mut self, obs: &obs::Obs) {
-        self.obs =
-            Some(ObsHook { obs: obs.clone(), predict_span: obs.histogram("perfdb.predict") });
-    }
-
-    /// Builder form of [`set_obs`](PerfDb::set_obs).
-    pub fn with_obs(mut self, obs: &obs::Obs) -> Self {
-        self.set_obs(obs);
-        self
     }
 
     /// Insert one record. O(1): the index is only marked dirty and rebuilt
@@ -284,41 +261,27 @@ impl PerfDb {
     /// Indexed: exact matches and interpolation corners are lattice
     /// lookups (binary searches), so a query over a d-axis grid of m
     /// samples per axis and n records costs O(d log m + 2^d log n) instead
-    /// of a scan over every record.
+    /// of a scan over every record. `mode` has one value.
     pub fn predict(
         &self,
         config: &Configuration,
         input: &str,
         resources: &ResourceVector,
-        mode: PredictMode,
+        _mode: PredictMode,
     ) -> Option<QosReport> {
         let idx = self.index();
         let (slice, names) = idx.slice(config, input)?;
         let mut row = vec![0.0; names.len()];
-        self.predict_slice(slice, resources, mode, &mut row);
+        slice.predict_into(&self.records, resources, &mut row);
         Some(row_report(names, &row))
-    }
-
-    /// The one prediction path, behind [`predict`](PerfDb::predict) and
-    /// every scheduler decision: one slice at one point, into a metric
-    /// row, timed into the obs hook.
-    fn predict_slice(
-        &self,
-        slice: &Slice,
-        at: &ResourceVector,
-        mode: PredictMode,
-        row: &mut [f64],
-    ) {
-        let _span = self.obs.as_ref().map(|h| h.obs.span(h.predict_span));
-        slice.predict_into(&self.records, at, mode, row);
     }
 
     /// The configurations profiled for `input`, as one decision prices
     /// them; `None` when no record has that input.
-    pub(crate) fn candidates(&self, input: &str, mode: PredictMode) -> Option<Candidates<'_>> {
+    pub(crate) fn candidates(&self, input: &str) -> Option<Candidates<'_>> {
         let idx = self.index();
         let input = *idx.input_ids.get(input)? as usize;
-        Some(Candidates { db: self, idx, input, mode })
+        Some(Candidates { db: self, idx, input })
     }
 
     /// Keep only the "maximal subset": configurations that are the best
@@ -476,8 +439,7 @@ impl PerfDb {
     /// Serialize to the on-disk database artifact: pretty JSON, an
     /// envelope `{"format", "version", "fnv64", "records"}` whose FNV-1a
     /// checksum covers the one-line rendering of `records`. Only the
-    /// records are stored; the query index and the obs hook are rebuilt
-    /// by the process that loads the file. The text ends at the closing
+    /// records are stored; the query index is rebuilt by the process that loads the file. The text ends at the closing
     /// brace, so every strict prefix of it is a detectably truncated file.
     pub fn to_json(&self) -> String {
         format!("{:#}", envelope(Json::arr(self.records.iter().map(record_to_json))))
@@ -719,7 +681,6 @@ pub(crate) struct Candidates<'a> {
     db: &'a PerfDb,
     idx: Arc<Index>,
     input: usize,
-    mode: PredictMode,
 }
 
 impl Candidates<'_> {
@@ -754,7 +715,7 @@ impl Candidates<'_> {
     /// Predict candidate `i` at `at` into `row`, exactly as
     /// [`PerfDb::predict`] does.
     pub(crate) fn predict_into(&self, i: usize, at: &ResourceVector, row: &mut [f64]) {
-        self.db.predict_slice(self.slice(i), at, self.mode, row);
+        self.slice(i).predict_into(&self.db.records, at, row);
     }
 
     /// The report of a row.
@@ -880,24 +841,11 @@ impl Slice {
     /// Predict at `q` into `out` (one value per metric column). Never
     /// fails: a slice holds at least one record, and IDW answers wherever
     /// the lattice cannot.
-    fn predict_into(
-        &self,
-        records: &[PerfRecord],
-        q: &ResourceVector,
-        mode: PredictMode,
-        out: &mut [f64],
-    ) {
+    fn predict_into(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) {
         if let Some(pos) = self.exact_match(records, q) {
             out.copy_from_slice(self.row(pos));
-            return;
-        }
-        match mode {
-            PredictMode::Nearest => out.copy_from_slice(self.row(self.nearest(records, q))),
-            PredictMode::Interpolate => {
-                if !self.multilinear(q, out) {
-                    self.idw(records, q, out);
-                }
-            }
+        } else if !self.multilinear(q, out) {
+            self.idw(records, q, out);
         }
     }
 
@@ -918,20 +866,6 @@ impl Slice {
     fn at_cell(&self, cell: Cell) -> Option<usize> {
         let i = self.lattice.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
         Some(self.lattice[i].1 as usize)
-    }
-
-    /// Position of the record nearest to `q`.
-    fn nearest(&self, records: &[PerfRecord], q: &ResourceVector) -> usize {
-        let mut best: Option<(f64, usize)> = None;
-        for pos in 0..self.recs.len() {
-            let d = self.record(records, pos).resources.distance(q, &self.scales);
-            // Strict `<` keeps the first of equally distant records, the
-            // same tie-break as `Iterator::min_by` on the scan path.
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, pos));
-            }
-        }
-        best.expect("a slice holds at least one record").1
     }
 
     /// Multilinear interpolation over the lattice into `out`; clamps
@@ -1075,6 +1009,10 @@ fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {
 mod scan_oracle;
 
 #[cfg(test)]
+#[path = "../tests/support/nearest.rs"]
+mod nearest;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1169,10 +1107,11 @@ mod tests {
 
     #[test]
     fn nearest_mode_snaps_to_grid() {
+        // The paper prototype's lookup, the ablation's baseline, is test
+        // code now.
         let db = grid_db();
         let q = ResourceVector::new(&[(cpu_key(), 0.45), (net_key(), 480_000.0)]);
-        let p = db
-            .predict(&Configuration::new(&[("c", 1)]), "img", &q, PredictMode::Nearest)
+        let p = nearest::nearest(&db, &Configuration::new(&[("c", 1)]), "img", &q)
             .unwrap()
             .get("transmit_time")
             .unwrap();
@@ -1274,10 +1213,9 @@ mod tests {
         assert_eq!(bits(&back.records()[18]), bits(&db.records()[18]), "-0.0 keeps its sign");
         assert_eq!(back.to_json(), json, "saving is a fixed point");
         let q = ResourceVector::new(&[(cpu_key(), 0.35), (net_key(), 700_000.0)]);
-        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-            let c = Configuration::new(&[("c", 1)]);
-            assert_eq!(back.predict(&c, "img", &q, mode), db.predict(&c, "img", &q, mode));
-        }
+        let c = Configuration::new(&[("c", 1)]);
+        let mode = PredictMode::Interpolate;
+        assert_eq!(back.predict(&c, "img", &q, mode), db.predict(&c, "img", &q, mode));
         assert_eq!(PerfDb::from_json(&PerfDb::new().to_json()).unwrap().len(), 0);
     }
 
@@ -1435,17 +1373,14 @@ mod tests {
             metrics: QosReport::new(&[("transmit_time", 30.0)]),
         });
         let c = Configuration::new(&[("c", 1)]);
-        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-            for q in [
-                ResourceVector::new(&[(cpu_key(), 0.5), (net_key(), 4e5)]),
-                ResourceVector::new(&[(cpu_key(), 0.2), (net_key(), 1e5)]),
-                ResourceVector::new(&[(cpu_key(), 0.6)]),
-                ResourceVector::new(&[(cpu_key(), 0.9), (net_key(), 9e5)]),
-            ] {
-                let a = db.predict(&c, "img", &q, mode);
-                let b = scan_oracle::predict(&db, &c, "img", &q, mode);
-                assert_eq!(a, b, "mode {mode:?} query {q}");
-            }
+        for q in [
+            ResourceVector::new(&[(cpu_key(), 0.5), (net_key(), 4e5)]),
+            ResourceVector::new(&[(cpu_key(), 0.2), (net_key(), 1e5)]),
+            ResourceVector::new(&[(cpu_key(), 0.6)]),
+            ResourceVector::new(&[(cpu_key(), 0.9), (net_key(), 9e5)]),
+        ] {
+            let a = db.predict(&c, "img", &q, PredictMode::Interpolate);
+            assert_eq!(a, scan_oracle::predict(&db, &c, "img", &q), "query {q}");
         }
     }
 
@@ -1469,29 +1404,38 @@ mod tests {
             });
         }
         let c = Configuration::new(&[("c", 1)]);
-        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-            for probe in [3.3f64, 17.0, 40.5] {
-                let q = ResourceVector::new(&[
-                    (cpu_key(), probe / 100.0),
-                    (net_key(), probe * 1e4),
-                    (mem.clone(), probe * 1e6),
-                ]);
-                let a = db.predict(&c, "img", &q, mode);
-                let b = scan_oracle::predict(&db, &c, "img", &q, mode);
-                assert_eq!(a, b, "mode {mode:?} probe {probe}");
-            }
+        for probe in [3.3f64, 17.0, 40.5] {
+            let q = ResourceVector::new(&[
+                (cpu_key(), probe / 100.0),
+                (net_key(), probe * 1e4),
+                (mem.clone(), probe * 1e6),
+            ]);
+            let a = db.predict(&c, "img", &q, PredictMode::Interpolate);
+            assert_eq!(a, scan_oracle::predict(&db, &c, "img", &q), "probe {probe}");
         }
+    }
+
+    /// How a known-answers row looks a point up.
+    type Lookup = fn(&PerfDb, &Configuration, &str, &ResourceVector) -> Option<QosReport>;
+
+    fn indexed(
+        db: &PerfDb,
+        c: &Configuration,
+        input: &str,
+        q: &ResourceVector,
+    ) -> Option<QosReport> {
+        db.predict(c, input, q, PredictMode::Interpolate)
     }
 
     /// FNV-1a over every answer's metric names and value bits.
     fn answers_digest(
         db: &PerfDb,
         queries: &[(Configuration, &str, ResourceVector)],
-        mode: PredictMode,
+        lookup: Lookup,
     ) -> u64 {
         let mut h = Fnv64::new();
         for (config, input, q) in queries {
-            match db.predict(config, input, q, mode) {
+            match lookup(db, config, input, q) {
                 None => h.write_u64(u64::MAX),
                 Some(r) => {
                     h.write_u64(r.len() as u64);
@@ -1515,7 +1459,8 @@ mod tests {
 
     /// Known answers of `predict`, one query set per path through it. The
     /// property tests hold the index to the scan within 1e-9; this pins
-    /// every path bit for bit.
+    /// every path bit for bit. The `nearest` rows pin the test-local
+    /// nearest-record lookup the ablation prices against.
     #[test]
     fn predict_known_answers() {
         let c1 = Configuration::new(&[("c", 1)]);
@@ -1529,11 +1474,11 @@ mod tests {
         let grid = grid_db();
         assert_eq!(lattice_of(&grid, &c1), (9, 0));
         let exact = on(&[at(0.2, 1e5), at(0.5, 5e5), at(1.0, 1e6), at(0.5 + 1e-12, 5e5)]);
-        digests.push(("exact", answers_digest(&grid, &exact, PredictMode::Interpolate)));
+        digests.push(("exact", answers_digest(&grid, &exact, indexed)));
         let blends =
             on(&[at(0.35, 7.5e5), at(0.21, 1e5), at(2.0, 3e5), at(0.01, 2e6), at(0.9, 1.3e5)]);
-        digests.push(("dense", answers_digest(&grid, &blends, PredictMode::Interpolate)));
-        digests.push(("nearest", answers_digest(&grid, &blends, PredictMode::Nearest)));
+        digests.push(("dense", answers_digest(&grid, &blends, indexed)));
+        digests.push(("nearest", answers_digest(&grid, &blends, nearest::nearest)));
 
         // Sparse lattice: a diagonal of 41 points plus the corners one
         // single-axis blend needs; the diagonal blend falls back to IDW.
@@ -1570,8 +1515,8 @@ mod tests {
         assert!((blend.get("t").unwrap() - (0.75 * 100.0 / 7.0 + 0.25 * 13.5)).abs() < 1e-9);
         assert!((blend.get("u").unwrap() - 0.75 * 7.0 * 0.3).abs() < 1e-9);
         let qs = on(&[point(7.25, 7.0), point(7.5, 7.5), point(40.5, 40.5), point(0.5, 3.0)]);
-        digests.push(("sparse", answers_digest(&sparse, &qs, PredictMode::Interpolate)));
-        digests.push(("sparse nearest", answers_digest(&sparse, &qs, PredictMode::Nearest)));
+        digests.push(("sparse", answers_digest(&sparse, &qs, indexed)));
+        digests.push(("sparse nearest", answers_digest(&sparse, &qs, nearest::nearest)));
 
         // The widest lattice: 8 axes of 33 samples each, 33^8 positions.
         let axes: Vec<ResourceKey> = (0..8).map(|h| ResourceKey::cpu(&format!("h{h}"))).collect();
@@ -1603,7 +1548,7 @@ mod tests {
         assert!((blend.get("t").unwrap() - (0.7 * 13.5 + 0.3 * 9.75)).abs() < 1e-9);
         assert!((blend.get("u").unwrap() - 0.3 * 2.0).abs() < 1e-9);
         let qs = on(&[diag(4.0, 4.0), diag(4.3, 4.0), diag(4.5, 4.5), diag(40.0, 0.5)]);
-        digests.push(("scan", answers_digest(&scan, &qs, PredictMode::Interpolate)));
+        digests.push(("scan", answers_digest(&scan, &qs, indexed)));
 
         // A slice wider than the interpolation bound: 9 axes, so blends
         // fall back to IDW. A diagonal, a duplicate of one of its points
@@ -1642,8 +1587,8 @@ mod tests {
             wide_at(4.5, 1.5, 9),
             wide_at(9.0, 0.5, 8),
         ]);
-        digests.push(("wide", answers_digest(&wide, &qs, PredictMode::Interpolate)));
-        digests.push(("wide nearest", answers_digest(&wide, &qs, PredictMode::Nearest)));
+        digests.push(("wide", answers_digest(&wide, &qs, indexed)));
+        digests.push(("wide nearest", answers_digest(&wide, &qs, nearest::nearest)));
 
         // Ragged slice: IDW and nearest over scattered points.
         let mut ragged = PerfDb::new();
@@ -1657,8 +1602,8 @@ mod tests {
             metrics: QosReport::new(&[("transmit_time", 30.0), ("u", 4.0)]),
         });
         let qs = on(&[at(0.6, 5e5), at(0.1, 1e6), ResourceVector::new(&[(cpu_key(), 0.6)])]);
-        digests.push(("idw", answers_digest(&ragged, &qs, PredictMode::Interpolate)));
-        digests.push(("ragged nearest", answers_digest(&ragged, &qs, PredictMode::Nearest)));
+        digests.push(("idw", answers_digest(&ragged, &qs, indexed)));
+        digests.push(("ragged nearest", answers_digest(&ragged, &qs, nearest::nearest)));
 
         // Records missing a metric the rest of the slice reports.
         let mut partial = PerfDb::new();
@@ -1677,15 +1622,15 @@ mod tests {
             }
         }
         let qs = on(&[at(0.5, 1e5), at(0.2, 1e5), at(0.35, 5e5), at(0.7, 1e6), at(3.0, 1.0)]);
-        digests.push(("missing metric", answers_digest(&partial, &qs, PredictMode::Interpolate)));
-        digests.push(("missing nearest", answers_digest(&partial, &qs, PredictMode::Nearest)));
+        digests.push(("missing metric", answers_digest(&partial, &qs, indexed)));
+        digests.push(("missing nearest", answers_digest(&partial, &qs, nearest::nearest)));
 
         // Unknown configuration and unknown input.
         let qs = vec![
             (Configuration::new(&[("c", 9)]), "img", at(0.5, 5e5)),
             (c1.clone(), "other", at(0.5, 5e5)),
         ];
-        digests.push(("unknown", answers_digest(&grid, &qs, PredictMode::Interpolate)));
+        digests.push(("unknown", answers_digest(&grid, &qs, indexed)));
 
         let pinned = [
             ("exact", 0x8aaf_8fb4_88e3_9095),

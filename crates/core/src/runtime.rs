@@ -13,119 +13,43 @@
 //!    points where the switch takes effect; returned transition actions
 //!    (e.g. "notify the server") are the application's to execute.
 
-use obs::{MetricId, Obs, Source};
+use obs::{Event, MetricId, Obs, Source};
 use simnet::SimTime;
 
 use crate::env::{ResourceKey, ResourceVector};
 use crate::error::{Error, Result};
 use crate::monitor::{MonitoringAgent, Trigger};
 use crate::param::Configuration;
-use crate::qos::QosReport;
 use crate::scheduler::{Decision, ResourceScheduler};
 use crate::spec::TunableSpec;
 use crate::steering::{BoundaryOutcome, ReconfigureRequest, SteeringAgent, SwitchEvent};
 
-/// Record of one adaptation-relevant event, for experiment logs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdaptationEvent {
-    /// The monitor detected the validity region was violated.
-    Triggered { at: SimTime, estimate: ResourceVector },
-    /// The scheduler proposed a new configuration. `pref_version` is the
-    /// preference-list version the decision was computed under (0 = the
-    /// preferences were never mutated); it correlates decisions with the
-    /// control plane's `config_set` audit events after a mid-run flip.
-    /// `db_version` is likewise the number of hot-swaps of the
-    /// scheduler's database handle (0 = never swapped). No run swaps it
-    /// yet: the drift storm gives each epoch a new scheduler over the
-    /// refreshed database, so this is 0 and `decide` events leave the
-    /// field out (see `crate::refine`).
-    Decided {
-        at: SimTime,
-        config: Configuration,
-        predicted: QosReport,
-        rank: usize,
-        pref_version: u64,
-        db_version: u64,
-    },
-    /// The scheduler found no satisfying configuration.
-    NoCandidate { at: SimTime },
-    /// No configuration satisfied any preference: the runtime fell back to
-    /// the least-violating one and entered degraded operation.
-    Degraded { at: SimTime, config: Configuration },
-    /// A recovery probe found a satisfying configuration again.
-    Recovered { at: SimTime },
-    /// The steering agent completed a switch.
-    Switched { at: SimTime, old: Configuration, new: Configuration },
-    /// A proposed configuration was rejected by a guard (negotiation).
-    Nak { at: SimTime, config: Configuration, reason: String },
-    /// A pending switch was deferred by the anti-oscillation dwell guard;
-    /// it stays queued and applies at the first boundary past `until`.
-    /// Also the audit record for a config change commanded during a dwell
-    /// window: the control plane's `Set` takes effect immediately on the
-    /// scheduler, but the resulting switch waits for the dwell.
-    Deferred { at: SimTime, until: SimTime },
-}
-
-impl AdaptationEvent {
-    /// Convert to a structured bus event ([`obs::Event`]), tagged with the
-    /// agent that produced it: the monitor triggers, the scheduler decides,
-    /// the steering agent switches/naks/degrades.
-    pub(crate) fn to_obs(&self) -> obs::Event {
-        match self {
-            AdaptationEvent::Triggered { at, estimate } => {
-                obs::Event::new(at.as_us(), Source::Monitor, "trigger")
-                    .with("estimate", estimate.to_string())
-            }
-            AdaptationEvent::Decided { at, config, predicted, rank, pref_version, db_version } => {
-                let mut ev = obs::Event::new(at.as_us(), Source::Scheduler, "decide")
-                    .with("config", config.key())
-                    .with("rank", *rank);
-                // The database's predicted QoS for the chosen config: the
-                // baseline the refine engine holds each live measurement
-                // against when tracking model drift.
-                if let Some(t) = predicted.get("transmit_time") {
-                    ev = ev.with("predicted_transmit", t);
-                }
-                if let Some(r) = predicted.get("response_time") {
-                    ev = ev.with("predicted_response", r);
-                }
-                // Only annotate decisions made after a live preference
-                // flip or a refine hot-swap: never-mutated runs keep
-                // byte-identical streams.
-                if *pref_version > 0 {
-                    ev = ev.with("pref_version", *pref_version);
-                }
-                if *db_version > 0 {
-                    ev = ev.with("db_version", *db_version);
-                }
-                ev
-            }
-            AdaptationEvent::NoCandidate { at } => {
-                obs::Event::new(at.as_us(), Source::Scheduler, "no_candidate")
-            }
-            AdaptationEvent::Degraded { at, config } => {
-                obs::Event::new(at.as_us(), Source::Steering, "degrade")
-                    .with("config", config.key())
-            }
-            AdaptationEvent::Recovered { at } => {
-                obs::Event::new(at.as_us(), Source::Steering, "recover")
-            }
-            AdaptationEvent::Switched { at, old, new } => {
-                obs::Event::new(at.as_us(), Source::Steering, "switch")
-                    .with("old", old.key())
-                    .with("new", new.key())
-            }
-            AdaptationEvent::Nak { at, config, reason } => {
-                obs::Event::new(at.as_us(), Source::Steering, "nak")
-                    .with("config", config.key())
-                    .with("reason", reason.as_str())
-            }
-            AdaptationEvent::Deferred { at, until } => {
-                obs::Event::new(at.as_us(), Source::Steering, "defer")
-                    .with("until_us", until.as_us())
-            }
-        }
+/// The bus event of decision `d` at `at`. Its `predicted_*` fields are the
+/// database's predicted QoS for the chosen configuration: the baseline the
+/// refine engine holds each live measurement against when tracking model
+/// drift. `pref_version` (the preference-list version the decision was
+/// computed under) and `db_version` (hot-swaps of the scheduler's database
+/// handle) appear only when non-zero, so never-mutated runs keep
+/// byte-identical streams. No run swaps a database handle yet: the drift
+/// storm gives each epoch a new scheduler over the refreshed database, so
+/// `decide` events leave `db_version` out (see `crate::refine`).
+fn decide_event(at: SimTime, d: &Decision) -> Event {
+    let mut ev = Event::new(at.as_us(), Source::Scheduler, "decide")
+        .with("config", d.config.key())
+        .with("rank", d.preference_rank);
+    if let Some(t) = d.predicted.get("transmit_time") {
+        ev = ev.with("predicted_transmit", t);
     }
+    if let Some(r) = d.predicted.get("response_time") {
+        ev = ev.with("predicted_response", r);
+    }
+    if d.pref_version > 0 {
+        ev = ev.with("pref_version", d.pref_version);
+    }
+    if d.db_version > 0 {
+        ev = ev.with("db_version", d.db_version);
+    }
+    ev
 }
 
 /// The integrated adaptation runtime for one application instance.
@@ -134,8 +58,9 @@ pub struct AdaptiveRuntime {
     pub monitor: MonitoringAgent,
     pub scheduler: ResourceScheduler,
     steering: SteeringAgent,
-    /// Raised before a bus was attached; `set_obs` publishes and empties it.
-    events: Vec<AdaptationEvent>,
+    /// The construction-time `decide` event, held until `set_obs`
+    /// publishes it. Every later event is built only if a bus is attached.
+    pending: Option<Event>,
     /// Upper bound on guard-negotiation retries per boundary.
     pub max_negotiations: usize,
     /// While degraded (running a best-effort configuration), how often to
@@ -192,41 +117,35 @@ impl AdaptiveRuntime {
         let watched = spec.tasks.monitored_resources(&decision.config);
         let watched =
             if watched.is_empty() { initial_resources.keys().cloned().collect() } else { watched };
+        let pending = Some(decide_event(SimTime::ZERO, &decision));
         let mut monitor = MonitoringAgent::new(watched, window_us);
-        monitor.set_validity(decision.validity.clone());
-        let mut rt = AdaptiveRuntime {
+        monitor.set_validity(decision.validity);
+        AdaptiveRuntime {
             spec,
             monitor,
             scheduler,
-            steering: SteeringAgent::new(decision.config.clone()),
-            events: Vec::new(),
+            steering: SteeringAgent::new(decision.config),
+            pending,
             max_negotiations: 4,
             recovery_probe_gap_us: 500_000,
             degraded: false,
             last_probe: None,
             last_defer_until: None,
             obs_ctx: None,
-        };
-        rt.push_event(AdaptationEvent::Decided {
-            at: SimTime::ZERO,
-            config: decision.config,
-            predicted: decision.predicted,
-            rank: decision.preference_rank,
-            pref_version: decision.pref_version,
-            db_version: decision.db_version,
-        });
-        rt
+        }
     }
 
-    /// Publish all adaptation telemetry into `obs`: every
-    /// [`AdaptationEvent`] as a structured bus event (those raised before
-    /// attachment are published now; the runtime keeps no copy afterwards),
-    /// tick counts on the `"monitor.ticks"` counter, and scheduler/database
-    /// decision latencies as histograms.
+    /// Publish all adaptation telemetry into `obs` from now on: each step
+    /// of the loop as a bus event tagged with the agent that took it (the
+    /// monitor triggers, the scheduler decides, the steering agent
+    /// switches, naks, defers, degrades and recovers), tick counts on the
+    /// `"monitor.ticks"` counter, and tick and decision latencies as
+    /// histograms. The construction-time `decide` is published now; events
+    /// of ticks and boundaries before this call were never built.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.scheduler.set_obs(obs);
-        for ev in self.events.drain(..) {
-            obs.publish(ev.to_obs());
+        if let Some(ev) = self.pending.take() {
+            obs.publish(ev);
         }
         self.obs_ctx = Some(RuntimeObs {
             obs: obs.clone(),
@@ -241,10 +160,10 @@ impl AdaptiveRuntime {
         self
     }
 
-    fn push_event(&mut self, ev: AdaptationEvent) {
-        match &self.obs_ctx {
-            Some(o) => o.obs.publish(ev.to_obs()),
-            None => self.events.push(ev),
+    /// Publish the event `build` makes, if a bus is attached.
+    fn emit(&self, build: impl FnOnce() -> Event) {
+        if let Some(o) = &self.obs_ctx {
+            o.obs.publish(build());
         }
     }
 
@@ -296,7 +215,10 @@ impl AdaptiveRuntime {
             self.probe_recovery(t);
         }
         let trigger = self.monitor.check(t)?;
-        self.push_event(AdaptationEvent::Triggered { at: t, estimate: trigger.estimate.clone() });
+        self.emit(|| {
+            Event::new(t.as_us(), Source::Monitor, "trigger")
+                .with("estimate", trigger.estimate.to_string())
+        });
         // A stale trigger's fresh estimate omits (or may entirely lack) the
         // expired resources; decide on the last-known view instead so the
         // scheduler still has a complete vector to price configurations at.
@@ -306,12 +228,12 @@ impl AdaptiveRuntime {
             Some(d) => {
                 if self.degraded {
                     self.degraded = false;
-                    self.push_event(AdaptationEvent::Recovered { at: t });
+                    self.emit(|| Event::new(t.as_us(), Source::Steering, "recover"));
                 }
                 self.queue_decision(t, d);
             }
             None => {
-                self.push_event(AdaptationEvent::NoCandidate { at: t });
+                self.emit(|| Event::new(t.as_us(), Source::Scheduler, "no_candidate"));
                 // Best-effort fallback chain: run the least-violating
                 // configuration rather than freezing on one whose validity
                 // region is already violated, and keep probing for
@@ -319,9 +241,9 @@ impl AdaptiveRuntime {
                 // monitor alone would never re-trigger).
                 if let Some(d) = self.scheduler.choose_least_violating(&estimate, &[]) {
                     if !self.degraded {
-                        self.push_event(AdaptationEvent::Degraded {
-                            at: t,
-                            config: d.config.clone(),
+                        self.emit(|| {
+                            Event::new(t.as_us(), Source::Steering, "degrade")
+                                .with("config", d.config.key())
                         });
                     }
                     self.degraded = true;
@@ -350,21 +272,14 @@ impl AdaptiveRuntime {
         }
         if let Some(d) = self.scheduler.choose(&estimate) {
             self.degraded = false;
-            self.push_event(AdaptationEvent::Recovered { at: t });
+            self.emit(|| Event::new(t.as_us(), Source::Steering, "recover"));
             self.queue_decision(t, d);
         }
     }
 
     fn queue_decision(&mut self, t: SimTime, d: Decision) {
         let same = &d.config == self.steering.current();
-        self.push_event(AdaptationEvent::Decided {
-            at: t,
-            config: d.config.clone(),
-            predicted: d.predicted,
-            rank: d.preference_rank,
-            pref_version: d.pref_version,
-            db_version: d.db_version,
-        });
+        self.emit(|| decide_event(t, &d));
         if same {
             // Same choice under the new conditions: refresh the validity
             // region so the monitor stops re-triggering on it.
@@ -386,7 +301,10 @@ impl AdaptiveRuntime {
                     // One audit record per dwell window, not per boundary.
                     if self.last_defer_until != Some(until) {
                         self.last_defer_until = Some(until);
-                        self.push_event(AdaptationEvent::Deferred { at: t, until });
+                        self.emit(|| {
+                            Event::new(t.as_us(), Source::Steering, "defer")
+                                .with("until_us", until.as_us())
+                        });
                     }
                     return None;
                 }
@@ -396,29 +314,26 @@ impl AdaptiveRuntime {
                     if !watched.is_empty() {
                         self.monitor.set_watched(watched);
                     }
-                    self.push_event(AdaptationEvent::Switched {
-                        at: t,
-                        old: ev.old.clone(),
-                        new: ev.new.clone(),
+                    self.emit(|| {
+                        Event::new(t.as_us(), Source::Steering, "switch")
+                            .with("old", ev.old.key())
+                            .with("new", ev.new.key())
                     });
                     return Some(ev);
                 }
                 BoundaryOutcome::Rejected { config, reason } => {
-                    self.push_event(AdaptationEvent::Nak { at: t, config: config.clone(), reason });
+                    self.emit(|| {
+                        Event::new(t.as_us(), Source::Steering, "nak")
+                            .with("config", config.key())
+                            .with("reason", reason)
+                    });
                     excluded.push(config);
                     // Negotiate: ask the scheduler for the next best
                     // candidate under the latest estimate.
                     let estimate = self.monitor.estimate();
                     match self.scheduler.choose_excluding(&estimate, &excluded) {
                         Some(d) if &d.config != self.steering.current() => {
-                            self.push_event(AdaptationEvent::Decided {
-                                at: t,
-                                config: d.config.clone(),
-                                predicted: d.predicted,
-                                rank: d.preference_rank,
-                                pref_version: d.pref_version,
-                                db_version: d.db_version,
-                            });
+                            self.emit(|| decide_event(t, &d));
                             self.steering.request(ReconfigureRequest {
                                 config: d.config,
                                 validity: d.validity,
@@ -444,7 +359,7 @@ mod tests {
     use crate::dsl;
     use crate::env::ResourceKey;
     use crate::perfdb::{PerfDb, PerfRecord};
-    use crate::qos::{Objective, Preference, PreferenceList};
+    use crate::qos::{Objective, Preference, PreferenceList, QosReport};
 
     fn cpu() -> ResourceKey {
         ResourceKey::cpu("client")
@@ -610,12 +525,36 @@ mod tests {
         rt.at_boundary(SimTime::from_secs(28));
         let kinds: Vec<&'static str> = obs.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["decide", "trigger", "decide", "switch"]);
-        assert!(rt.events.is_empty(), "the bus is the only copy once attached");
+        assert!(rt.pending.is_none(), "the bus is the only copy once attached");
         // Never-mutated preferences: no decide event carries a
         // pref_version field, so legacy event streams stay byte-identical.
         for ev in obs.events_filtered(&obs::EventFilter::decisions()) {
             assert_eq!(ev.u64_field("pref_version"), None);
         }
+    }
+
+    #[test]
+    fn a_runtime_with_no_bus_holds_only_its_first_decision() {
+        let mut rt = runtime();
+        // Bandwidth flaps between 1 MB/s and 50 KB/s every 2 s, so every
+        // flap triggers a decision and a switch.
+        let mut triggers = 0;
+        for i in 0..24_000u64 {
+            let t = SimTime::from_ms(10 * i);
+            rt.observe(t, &cpu(), 1.0);
+            rt.observe(t, &net(), if (i / 200) % 2 == 1 { 50_000.0 } else { 1_000_000.0 });
+            triggers += usize::from(rt.tick(t).is_some());
+            rt.at_boundary(t);
+        }
+        assert!(triggers >= 100, "{triggers} triggers");
+        assert!(rt.switch_count() >= 100, "{} switches", rt.switch_count());
+        // A bus attached now receives everything the runtime held.
+        let obs = Obs::new();
+        rt.set_obs(&obs);
+        let held = obs.events();
+        assert_eq!(held.len(), 1, "held {} events", held.len());
+        assert_eq!(held[0].kind, "decide", "only the construction-time decide is held");
+        assert_eq!(held[0].at_us, 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use obs::Adaptive;
 use crate::env::ResourceVector;
 use crate::monitor::ValidityRegion;
 use crate::param::Configuration;
-use crate::perfdb::{Candidates, PerfDb, PredictMode};
+use crate::perfdb::{Candidates, PerfDb};
 use crate::qos::{Preference, PreferenceList, QosReport};
 
 /// The scheduler's choice.
@@ -98,17 +98,12 @@ pub struct ResourceScheduler {
     /// decision priced wholly against the old or wholly against the new
     /// database, never a mix of slices.
     db: Adaptive<Arc<PerfDb>>,
-    /// `db`'s version when this scheduler last (re)published the database
-    /// itself (obs attachment). Swaps past this baseline are refine
-    /// hot-swaps; [`db_version`](Self::db_version) reports their count.
-    db_base_version: u64,
     /// User preferences behind a live-tunable handle: register it (via
     /// [`prefs_handle`](Self::prefs_handle)) as the `scheduler.prefs`
     /// config knob and a `Command::Set` re-ranks preferences mid-run.
     /// Decisions snapshot the list once per `choose`, so a racing flip
     /// yields either wholly-old or wholly-new rankings, never a mix.
     prefs: Adaptive<Arc<PreferenceList>>,
-    pub mode: PredictMode,
     /// Workload key to consult in the database.
     pub input: String,
     /// Optional profiling hook timing every decision.
@@ -239,15 +234,11 @@ impl ResourceScheduler {
     }
 
     /// Build a scheduler over a database shared with other schedulers (no
-    /// clone of the record store). Attach any [`obs`](Self::set_obs) hook
-    /// to the database *before* sharing it: once the `Arc` has multiple
-    /// owners, [`set_obs`](Self::set_obs) can no longer reach inside it.
+    /// clone of the record store).
     pub fn new_shared(db: Arc<PerfDb>, prefs: PreferenceList, input: &str) -> Self {
         ResourceScheduler {
             db: Adaptive::new(db),
-            db_base_version: 0,
             prefs: Adaptive::new(Arc::new(prefs)),
-            mode: PredictMode::Interpolate,
             input: input.into(),
             obs: None,
         }
@@ -262,7 +253,7 @@ impl ResourceScheduler {
     /// How many times the database has been hot-swapped since this
     /// scheduler was built (0 = never refined).
     pub(crate) fn db_version(&self) -> u64 {
-        self.db.version().saturating_sub(self.db_base_version)
+        self.db.version()
     }
 
     /// A snapshot of the current preference list. The `Arc` stays valid
@@ -297,29 +288,10 @@ impl ResourceScheduler {
         self.prefs.get().prefs.len()
     }
 
-    pub fn with_mode(mut self, mode: PredictMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Time every decision into `obs`'s `"scheduler.choose"` histogram and
-    /// every database prediction into `"perfdb.predict"`.
-    ///
-    /// The prediction span can only be attached while this scheduler is
-    /// the database's sole owner; on a shared database (multiple `Arc`
-    /// owners), attach the hook via [`PerfDb::set_obs`] before sharing and
-    /// this call only wires the decision span.
+    /// Time every decision into `obs`'s `"scheduler.choose"` histogram.
+    /// The database is left as it is: a prediction is timed only as part
+    /// of the decision that makes it.
     pub fn set_obs(&mut self, obs: &obs::Obs) {
-        let cur = self.db.get();
-        // Sole owner: the cell and the snapshot `cur` are the only two
-        // references. Republish a re-hooked copy through the live handle.
-        // The republication is bookkeeping, not a refine swap, so the
-        // version baseline moves with it and `db_version()` stays 0.
-        if Arc::strong_count(&cur) == 2 {
-            let mut db = (*cur).clone();
-            db.set_obs(obs);
-            self.db_base_version = self.db.set(Arc::new(db));
-        }
         self.obs =
             Some(SchedObs { obs: obs.clone(), choose_span: obs.histogram("scheduler.choose") });
     }
@@ -395,7 +367,7 @@ impl ResourceScheduler {
         resources: &ResourceVector,
         excluded: &[Configuration],
     ) -> Option<Selected<'a>> {
-        let cands = db.candidates(&self.input, self.mode)?;
+        let cands = db.candidates(&self.input)?;
         let eligible: Vec<bool> =
             (0..cands.len()).map(|i| !excluded.contains(cands.config(i))).collect();
         if !eligible.contains(&true) {
@@ -438,7 +410,7 @@ impl ResourceScheduler {
         let pref = prefs.prefs.last()?;
         let db_version = self.db_version();
         let db = self.db();
-        let cands = db.candidates(&self.input, self.mode)?;
+        let cands = db.candidates(&self.input)?;
         let pref = Resolved::new(pref, &cands);
         let mut preds = Probe::new(&cands);
         let mut best: Option<(usize, f64)> = None;
@@ -483,7 +455,7 @@ impl ResourceScheduler {
         around: &ResourceVector,
     ) -> ValidityRegion {
         let db = self.db();
-        let Some(cands) = db.candidates(&self.input, self.mode) else {
+        let Some(cands) = db.candidates(&self.input) else {
             return ValidityRegion::new();
         };
         // A configuration never profiled for the input has no sampled
@@ -607,27 +579,20 @@ mod tests {
 
     #[test]
     fn set_obs_hooks_only_a_database_it_owns_alone() {
+        // It owns none alone: every session shares one database, so
+        // attaching a bus times decisions and leaves the handle as it is.
         let r = ResourceVector::new(&[(cpu(), 1.0), (net(), 1_000_000.0)]);
-        let predicts = |obs: &obs::Obs| {
-            obs.lookup("perfdb.predict").map_or(0, |id| obs.histogram_stats(id).count)
-        };
-
-        let sole = obs::Obs::new();
-        let s = ResourceScheduler::new(crossover_db(), min_time_prefs(), "img").with_obs(&sole);
+        let obs = obs::Obs::new();
+        let s = ResourceScheduler::new(crossover_db(), min_time_prefs(), "img").with_obs(&obs);
+        let db = s.db();
         s.choose(&r).unwrap();
-        assert!(predicts(&sole) > 0, "a database owned alone is re-hooked");
-        assert_eq!(s.db_version(), 0, "re-hooking is not a refine swap");
+        assert!(Arc::ptr_eq(&s.db(), &db), "attaching a bus republishes nothing");
+        let choose = obs.lookup("scheduler.choose").expect("registered by set_obs");
+        assert_eq!(obs.histogram_stats(choose).count, 1);
+        assert_eq!(s.db_version(), 0, "attaching a bus is not a refine swap");
         s.db.set(Arc::new(crossover_db()));
         assert_eq!(s.db_version(), 1, "a swap of the handle is a refine swap");
         assert_eq!(s.choose(&r).unwrap().db_version, 1, "and stamps the next decision");
-
-        let shared = obs::Obs::new();
-        let db = Arc::new(crossover_db());
-        let s = ResourceScheduler::new_shared(Arc::clone(&db), min_time_prefs(), "img")
-            .with_obs(&shared);
-        s.choose(&r).unwrap();
-        assert_eq!(predicts(&shared), 0, "a database owned elsewhere too is left alone");
-        assert!(Arc::ptr_eq(&s.db(), &db));
     }
 
     #[test]

@@ -247,18 +247,16 @@ proptest! {
         let back = PerfDb::from_json(&db.to_json()).expect("a saved database reloads");
         prop_assert_eq!(back.records(), db.records());
         // Bit-identical predictions at every point of the sampled lattice
-        // (the cross product of the sampled axis values), both modes.
+        // (the cross product of the sampled axis values).
         let cfg = Configuration::new(&[("x", 1)]);
-        let bits = |db: &PerfDb, q: &ResourceVector, mode| {
-            db.predict(&cfg, "w", q, mode)
+        let bits = |db: &PerfDb, q: &ResourceVector| {
+            db.predict(&cfg, "w", q, PredictMode::Interpolate)
                 .map(|r| r.iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect::<Vec<_>>())
         };
         for &(cv, _, _) in &points {
             for &(_, nv, _) in &points {
                 let q = ResourceVector::new(&[(cpu(), cv), (net(), nv)]);
-                for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-                    prop_assert_eq!(bits(&back, &q, mode), bits(&db, &q, mode));
-                }
+                prop_assert_eq!(bits(&back, &q), bits(&db, &q));
             }
         }
     }
@@ -367,25 +365,23 @@ mod index_props {
 
         /// The tentpole's correctness contract: the lattice-indexed
         /// `predict` agrees with the reference linear scan for arbitrary
-        /// (including ragged) databases, both modes, all query points.
+        /// (including ragged) databases, all query points.
         #[test]
         fn indexed_predict_matches_linear_scan(
             records in proptest::collection::vec(arb_record(), 1..40),
             queries in proptest::collection::vec(arb_query(), 1..6),
-            nearest in proptest::bool::ANY,
         ) {
             let mut db = PerfDb::new();
             for r in records {
                 db.add(r);
             }
-            let mode = if nearest { PredictMode::Nearest } else { PredictMode::Interpolate };
             for q in &queries {
                 for c in 0..3i64 {
                     for input in ["a", "b"] {
                         let cfg = Configuration::new(&[("x", c)]);
-                        let a = db.predict(&cfg, input, q, mode);
-                        let b = scan_oracle::predict(&db, &cfg, input, q, mode);
-                        check_equivalent(&a, &b, &format!("x={c} {input} {q} {mode:?}"))?;
+                        let a = db.predict(&cfg, input, q, PredictMode::Interpolate);
+                        let b = scan_oracle::predict(&db, &cfg, input, q);
+                        check_equivalent(&a, &b, &format!("x={c} {input} {q}"))?;
                     }
                 }
             }
@@ -409,7 +405,7 @@ mod index_props {
                 for c in 0..3i64 {
                     let cfg = Configuration::new(&[("x", c)]);
                     let a = db.predict(&cfg, "a", &q, PredictMode::Interpolate);
-                    let b = scan_oracle::predict(&db, &cfg, "a", &q, PredictMode::Interpolate);
+                    let b = scan_oracle::predict(&db, &cfg, "a", &q);
                     check_equivalent(&a, &b, &format!("x={c} after batch"))?;
                 }
                 // A fresh db built from the same records has never had a
@@ -439,9 +435,8 @@ mod index_props {
                 (0i64..3, proptest::bool::ANY,
                  proptest::collection::vec(arb_record(), 0..6)), 1..5),
             queries in proptest::collection::vec(arb_query(), 1..4),
-            nearest in proptest::bool::ANY,
         ) {
-            let mode = if nearest { PredictMode::Nearest } else { PredictMode::Interpolate };
+            let mode = PredictMode::Interpolate;
             let mut db = PerfDb::new();
             for r in records {
                 db.add(r);
@@ -467,7 +462,7 @@ mod index_props {
                         for iq in ["a", "b"] {
                             let cfgq = Configuration::new(&[("x", cq)]);
                             let a = db.predict(&cfgq, iq, q, mode);
-                            let b = scan_oracle::predict(&db, &cfgq, iq, q, mode);
+                            let b = scan_oracle::predict(&db, &cfgq, iq, q);
                             check_equivalent(&a, &b, &format!("x={cq} {iq} after swap"))?;
                         }
                     }
@@ -567,7 +562,7 @@ mod index_props {
         /// points and records missing an axis. Up to the bound a blend
         /// reads 2^k lattice corners; past it every record is off the
         /// lattice and a blend falls back to IDW. Either way the index
-        /// answers as the scan does, in both modes: at every record's
+        /// answers as the scan does: at every record's
         /// point, from the diagonal towards each corner record (a lattice
         /// blend when the corner is one axis off), and between two
         /// arbitrary records.
@@ -615,18 +610,16 @@ mod index_props {
                 db.add(PerfRecord { config: cfg.clone(), resources, input: "a".into(), metrics });
             }
             for q in points.iter().chain(&queries) {
-                for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-                    let a = db.predict(&cfg, "a", q, mode);
-                    let b = scan_oracle::predict(&db, &cfg, "a", q, mode);
-                    check_equivalent(&a, &b, &format!("k={k} {q} {mode:?}"))?;
-                }
+                let a = db.predict(&cfg, "a", q, PredictMode::Interpolate);
+                let b = scan_oracle::predict(&db, &cfg, "a", q);
+                check_equivalent(&a, &b, &format!("k={k} {q}"))?;
             }
         }
     }
 }
 
 mod decision_props {
-    use super::decision_oracle::Oracle;
+    use super::decision_oracle::{interpolate, Oracle};
     use super::index_props::{arb_query, arb_record};
     use super::*;
 
@@ -683,9 +676,7 @@ mod decision_props {
             prefs in arb_prefs(),
             queries in proptest::collection::vec(arb_query(), 1..5),
             excluded in proptest::collection::vec(proptest::bool::ANY, 3),
-            nearest in proptest::bool::ANY,
         ) {
-            let mode = if nearest { PredictMode::Nearest } else { PredictMode::Interpolate };
             let mut db = PerfDb::new();
             for r in records {
                 db.add(r);
@@ -694,9 +685,9 @@ mod decision_props {
                 .filter(|&x| excluded[x as usize])
                 .map(|x| Configuration::new(&[("x", x)]))
                 .collect();
-            let sched = ResourceScheduler::new(db.clone(), prefs.clone(), "a").with_mode(mode);
+            let sched = ResourceScheduler::new(db.clone(), prefs.clone(), "a");
             for q in &queries {
-                let mut oracle = Oracle::new(&db, "a", mode);
+                let mut oracle = Oracle::new(&db, "a", interpolate);
                 let got = sched.choose_excluding(q, &excluded).map(|d| {
                     prop_assert!(!d.best_effort);
                     Ok(((d.config, bits(&d.predicted), d.preference_rank), region_bits(&d.validity)))
@@ -724,7 +715,7 @@ mod decision_props {
                     for pref in &prefs.prefs {
                         let got = region_bits(&sched.validity_region(&config, pref, q));
                         let want =
-                            region_bits(&Oracle::new(&db, "a", mode).validity_region(&config, pref, q));
+                            region_bits(&Oracle::new(&db, "a", interpolate).validity_region(&config, pref, q));
                         prop_assert_eq!(got, want, "validity_region of x={} at {}", x, q);
                     }
                 }

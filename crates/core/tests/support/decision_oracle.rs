@@ -1,13 +1,13 @@
 //! The scheduler's decision as it was computed on whole `QosReport`s,
 //! kept as the reference `ResourceScheduler` is tested against. Every
-//! prediction goes through the public `PerfDb::predict`, every candidate
-//! list through `PerfDb::configs`, and each probe predicts every
-//! configuration before it compares, so the oracle shares no decision
-//! code with the scheduler.
+//! prediction goes through a [`Lookup`] (the public `PerfDb::predict`,
+//! [`interpolate`], or a test-local one), every candidate list through
+//! `PerfDb::configs`, and each probe predicts every configuration before
+//! it compares, so the oracle shares no decision code with the scheduler.
 //!
 //! Included as a module by `tests/properties.rs` and by
-//! `crates/bench/tests/overhead_floors.rs`; each parent imports the model
-//! types it names.
+//! `crates/bench/tests/{ablations,overhead_floors}.rs`; each parent
+//! imports the model types it names.
 
 use std::collections::HashMap;
 
@@ -20,27 +20,40 @@ use super::{
 /// preference rank.
 pub type Chosen = (Configuration, QosReport, usize);
 
+/// How the oracle predicts one configuration at one point.
+pub type Lookup = fn(&PerfDb, &Configuration, &str, &ResourceVector) -> Option<QosReport>;
+
+/// The database's own prediction, the one every scheduler decision uses.
+pub fn interpolate(
+    db: &PerfDb,
+    config: &Configuration,
+    input: &str,
+    at: &ResourceVector,
+) -> Option<QosReport> {
+    db.predict(config, input, at, PredictMode::Interpolate)
+}
+
 /// One input's candidates and a memo of whole prediction rows by probe.
 pub struct Oracle<'a> {
     db: &'a PerfDb,
     input: &'a str,
-    mode: PredictMode,
+    lookup: Lookup,
     configs: Vec<Configuration>,
     memo: HashMap<Vec<u64>, Vec<Option<QosReport>>>,
 }
 
 impl<'a> Oracle<'a> {
-    pub fn new(db: &'a PerfDb, input: &'a str, mode: PredictMode) -> Self {
-        Oracle { db, input, mode, configs: db.configs(input), memo: HashMap::new() }
+    pub fn new(db: &'a PerfDb, input: &'a str, lookup: Lookup) -> Self {
+        Oracle { db, input, lookup, configs: db.configs(input), memo: HashMap::new() }
     }
 
     /// Every configuration's prediction at `probe`.
     fn row(&mut self, probe: &ResourceVector) -> &[Option<QosReport>] {
         let key = probe.iter().map(|(_, v)| v.to_bits()).collect();
-        let (db, input, mode, configs) = (self.db, self.input, self.mode, &self.configs);
+        let (db, input, lookup, configs) = (self.db, self.input, self.lookup, &self.configs);
         self.memo
             .entry(key)
-            .or_insert_with(|| configs.iter().map(|c| db.predict(c, input, probe, mode)).collect())
+            .or_insert_with(|| configs.iter().map(|c| lookup(db, c, input, probe)).collect())
     }
 
     /// The first satisfiable rank's objective-best eligible configuration.
@@ -97,7 +110,7 @@ impl<'a> Oracle<'a> {
             if excluded.contains(c) {
                 continue;
             }
-            let Some(pred) = self.db.predict(c, self.input, resources, self.mode) else {
+            let Some(pred) = (self.lookup)(self.db, c, self.input, resources) else {
                 continue;
             };
             let score = pref.violation_score(&pred);

@@ -2,14 +2,13 @@
 //! kept as the reference the index is tested against. It reads only
 //! `PerfDb::records()`, so it shares no code with the index.
 //!
-//! Included as a module by `tests/properties.rs` and by the unit tests of
-//! `src/perfdb.rs`; each parent imports the model types it names.
+//! Included as a module by `tests/properties.rs`, by the unit tests of
+//! `src/perfdb.rs` and by `crates/bench/tests/overhead_floors.rs`; each
+//! parent imports the model types it names.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{
-    Configuration, PerfDb, PerfRecord, PredictMode, QosReport, ResourceKey, ResourceVector,
-};
+use super::{Configuration, PerfDb, PerfRecord, QosReport, ResourceKey, ResourceVector};
 
 /// Tolerance when matching axis coordinates (the index's own).
 const AXIS_TOL: f64 = 1e-9;
@@ -21,7 +20,6 @@ pub fn predict(
     config: &Configuration,
     input: &str,
     resources: &ResourceVector,
-    mode: PredictMode,
 ) -> Option<QosReport> {
     let recs: Vec<&PerfRecord> =
         db.records().iter().filter(|r| r.input == input && &r.config == config).collect();
@@ -31,19 +29,7 @@ pub fn predict(
     if let Some(r) = recs.iter().find(|r| same_point(&r.resources, resources)) {
         return Some(r.metrics.clone());
     }
-    match mode {
-        PredictMode::Nearest => {
-            let scales = axis_scales(&recs);
-            recs.iter()
-                .min_by(|a, b| {
-                    let da = a.resources.distance(resources, &scales);
-                    let db = b.resources.distance(resources, &scales);
-                    da.total_cmp(&db)
-                })
-                .map(|r| r.metrics.clone())
-        }
-        PredictMode::Interpolate => multilinear(&recs, resources).or_else(|| idw(&recs, resources)),
-    }
+    multilinear(&recs, resources).or_else(|| idw(&recs, resources))
 }
 
 fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {

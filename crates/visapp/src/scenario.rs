@@ -185,6 +185,9 @@ impl Scenario {
                 return fail(format!("server_net_cap {cap} must be positive"));
             }
         }
+        if self.monitor_window_us == 0 {
+            return fail("monitor_window_us must be positive".into());
+        }
         // `FaultPlan`'s builders already refused a loss outside [0, 1].
         if self.fault_plan.as_ref().is_some_and(FaultPlan::is_lossy)
             && self.request_timeout_us.is_none()
@@ -616,6 +619,16 @@ mod tests {
         let timed = Scenario { request_timeout_us: Some(200_000), ..with_loss(0.1) };
         assert!(timed.validate().is_ok());
         assert!(with_loss(0.0).validate().is_ok());
+    }
+
+    #[test]
+    fn zero_monitor_window_is_invalid() {
+        let zero = Scenario { monitor_window_us: 0, ..Scenario::small() };
+        assert!(matches!(
+            zero.validate(),
+            Err(adapt_core::Error::InvalidScenario(w)) if w == "monitor_window_us must be positive"
+        ));
+        assert!(Scenario { monitor_window_us: 1, ..zero }.validate().is_ok());
     }
 
     #[test]

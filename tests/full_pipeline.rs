@@ -69,21 +69,15 @@ fn database_persists_to_disk_and_reloads() {
     assert_eq!(loaded.records(), db.records());
     let p = loaded.predict(&config, "profiled", &point, PredictMode::Interpolate).unwrap();
     assert_eq!(p, metrics);
-    // Bit-identical predictions at every lattice point, in both modes.
-    let bits = |db: &PerfDb, r: &PerfRecord, mode| -> Vec<u64> {
-        let p = db.predict(&r.config, &r.input, &r.resources, mode).expect("a sampled point");
+    // Bit-identical predictions at every lattice point.
+    let bits = |db: &PerfDb, r: &PerfRecord| -> Vec<u64> {
+        let p = db
+            .predict(&r.config, &r.input, &r.resources, PredictMode::Interpolate)
+            .expect("a sampled point");
         p.iter().map(|(_, v)| v.to_bits()).collect()
     };
     for r in db.records() {
-        for mode in [PredictMode::Interpolate, PredictMode::Nearest] {
-            assert_eq!(
-                bits(&loaded, r, mode),
-                bits(&db, r, mode),
-                "{} at {}",
-                r.config,
-                r.resources
-            );
-        }
+        assert_eq!(bits(&loaded, r), bits(&db, r), "{} at {}", r.config, r.resources);
     }
 }
 
