@@ -12,8 +12,8 @@ use adapt_core::{
 };
 use simnet::SimTime;
 
-// Shared with crates/core/tests/properties.rs; this file prices one
-// decision with it and leaves the other entry points unused.
+// Shared with crates/core/tests/properties.rs; this file calls its
+// selection alone and leaves the other entry points unused.
 #[allow(dead_code)]
 #[path = "../../core/tests/support/decision_oracle.rs"]
 mod decision_oracle;

@@ -281,7 +281,7 @@ impl PerfDb {
     pub(crate) fn candidates(&self, input: &str) -> Option<Candidates<'_>> {
         let idx = self.index();
         let input = *idx.input_ids.get(input)? as usize;
-        Some(Candidates { db: self, idx, input })
+        Some(Candidates { records: &self.records, idx, input })
     }
 
     /// Keep only the "maximal subset": configurations that are the best
@@ -439,8 +439,9 @@ impl PerfDb {
     /// Serialize to the on-disk database artifact: pretty JSON, an
     /// envelope `{"format", "version", "fnv64", "records"}` whose FNV-1a
     /// checksum covers the one-line rendering of `records`. Only the
-    /// records are stored; the query index is rebuilt by the process that loads the file. The text ends at the closing
-    /// brace, so every strict prefix of it is a detectably truncated file.
+    /// records are stored; the query index is rebuilt by the process that
+    /// loads the file. The text ends at the closing brace, so every strict
+    /// prefix of it is a detectably truncated file.
     pub fn to_json(&self) -> String {
         format!("{:#}", envelope(Json::arr(self.records.iter().map(record_to_json))))
     }
@@ -678,7 +679,7 @@ impl Index {
 /// in [`metric_names`](Candidates::metric_names) order, NaN marking a
 /// metric the prediction lacks.
 pub(crate) struct Candidates<'a> {
-    db: &'a PerfDb,
+    records: &'a [PerfRecord],
     idx: Arc<Index>,
     input: usize,
 }
@@ -715,7 +716,7 @@ impl Candidates<'_> {
     /// Predict candidate `i` at `at` into `row`, exactly as
     /// [`PerfDb::predict`] does.
     pub(crate) fn predict_into(&self, i: usize, at: &ResourceVector, row: &mut [f64]) {
-        self.slice(i).predict_into(&self.db.records, at, row);
+        self.slice(i).predict_into(self.records, at, row);
     }
 
     /// The report of a row.
@@ -1107,8 +1108,8 @@ mod tests {
 
     #[test]
     fn nearest_mode_snaps_to_grid() {
-        // The paper prototype's lookup, the ablation's baseline, is test
-        // code now.
+        // The paper prototype's lookup: the ablation's baseline, in test
+        // code.
         let db = grid_db();
         let q = ResourceVector::new(&[(cpu_key(), 0.45), (net_key(), 480_000.0)]);
         let p = nearest::nearest(&db, &Configuration::new(&[("c", 1)]), "img", &q)

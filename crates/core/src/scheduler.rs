@@ -579,8 +579,9 @@ mod tests {
 
     #[test]
     fn set_obs_hooks_only_a_database_it_owns_alone() {
-        // It owns none alone: every session shares one database, so
-        // attaching a bus times decisions and leaves the handle as it is.
+        // A bus times decisions only: even a database this scheduler owns
+        // alone is left as it is, so the handle's version counts refine
+        // swaps and nothing else.
         let r = ResourceVector::new(&[(cpu(), 1.0), (net(), 1_000_000.0)]);
         let obs = obs::Obs::new();
         let s = ResourceScheduler::new(crossover_db(), min_time_prefs(), "img").with_obs(&obs);

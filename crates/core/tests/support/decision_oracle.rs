@@ -1,7 +1,8 @@
 //! The scheduler's decision as it was computed on whole `QosReport`s,
 //! kept as the reference `ResourceScheduler` is tested against. Every
-//! prediction goes through a [`Lookup`] (the public `PerfDb::predict`,
-//! [`interpolate`], or a test-local one), every candidate list through
+//! prediction goes through a [`Lookup`] ([`interpolate`], which is the
+//! public `PerfDb::predict`, or a test-local lookup such as the
+//! ablation's nearest record), every candidate list through
 //! `PerfDb::configs`, and each probe predicts every configuration before
 //! it compares, so the oracle shares no decision code with the scheduler.
 //!

@@ -369,6 +369,31 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one adaptation path",
+        reason: "PerfDb::predict interpolates and the nearest-record lookup is the ablation's \
+                 test code; a prediction is timed inside its scheduler decision, so no database \
+                 carries a span of its own; the runtime publishes obs events directly, with no \
+                 typed mirror and no backlog",
+        deleted_in: "30c2dae",
+        searches: &[
+            Search {
+                tokens: &[
+                    "PredictMode::Nearest",
+                    r"fn nearest\b",
+                    "fn with_mode",
+                    "db_base_version",
+                    "ObsHook",
+                    "\"perfdb.predict\"",
+                ],
+                roots: &["crates/core/src"],
+                files: ALL,
+                allowed: &[],
+            },
+            Search { tokens: &["AdaptationEvent"], roots: SOURCE, files: ALL, allowed: &[] },
+        ],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
