@@ -11,7 +11,7 @@
 //! * **Shed** lowest-priority tiers first (LIFO recovery stack), then
 //!   **degrade** the survivors to scaled-down envelopes.
 //! * **Recover** in reverse shed order, one app per `MIN_DWELL_US`, and
-//!   only when the app fits back with `arbiter.recover_margin` headroom —
+//!   only when the app fits back with `RECOVER_MARGIN` headroom —
 //!   this hysteresis is what keeps the breaker from flapping.
 //! * **Restore** degraded survivors to their original envelopes last.
 //!
@@ -34,7 +34,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use obs::{Adaptive, ConfigRegistry, Event, MetricId, Obs, Source};
+use obs::{Event, MetricId, Obs, Source};
 use sandbox::{HostVmm, Limits, Reservation};
 use simnet::{Actor, ActorId, Ctx, Message, SimTime};
 use visapp::{BreakerOpts, BreakerState, CircuitBreaker};
@@ -83,17 +83,16 @@ const SHED_FLOOR_CPU: f64 = 0.05;
 /// envelope; without the grace an honest app would collect strikes for
 /// usage it already stopped. Must exceed the sandbox stats window.
 const GRACE_US: u64 = 250_000;
-/// Initial value of the `arbiter.recover_margin` knob: a shed app is only
-/// recovered when it fits back with this much multiplicative headroom.
+/// A shed app is only recovered when it fits back with this much
+/// multiplicative headroom.
 const RECOVER_MARGIN: f64 = 1.2;
-/// Initial value of the `arbiter.backfill_depth` knob. Bounded backfill
-/// when the queue head does not fit: the drain may scan this many entries
-/// behind the head and admit any that fit into capacity the head cannot
-/// use. The same number also caps how many backfill admissions a given
-/// waiting head can be overtaken by, so a blocked head degrades to strict
-/// head-of-line after at most this many skips (no starvation). `0`
-/// disables backfill entirely.
-const BACKFILL_DEPTH: u64 = 16;
+/// Bounded backfill when the queue head does not fit: the drain may scan
+/// this many entries behind the head and admit any that fit into capacity
+/// the head cannot use. The same number also caps how many backfill
+/// admissions a given waiting head can be overtaken by, so a blocked head
+/// degrades to strict head-of-line after at most this many skips (no
+/// starvation). `0` disables backfill entirely.
+const BACKFILL_DEPTH: usize = 16;
 
 /// Final outcome of one app: its row in the shared [`Ledger`], written
 /// once, when the app leaves.
@@ -269,12 +268,6 @@ pub struct Arbiter {
     dips: Vec<CapacityDip>,
     /// Admission queue capacity; a full queue rejects instead of parking.
     queue_cap: usize,
-    /// Live-tunable recovery headroom (see [`RECOVER_MARGIN`]), retunable
-    /// mid-run via `arbiter.recover_margin`.
-    recover_margin: Adaptive<f64>,
-    /// Live-tunable backfill scan bound (see [`BACKFILL_DEPTH`]),
-    /// retunable mid-run via `arbiter.backfill_depth`.
-    backfill_depth: Adaptive<u64>,
     obs: Obs,
     m: Metrics,
     recs: BTreeMap<AppId, Rec>,
@@ -327,8 +320,6 @@ impl Arbiter {
             base_threshold,
             dips,
             queue_cap,
-            recover_margin: Adaptive::new(RECOVER_MARGIN),
-            backfill_depth: Adaptive::new(BACKFILL_DEPTH),
             obs,
             m,
             recs: BTreeMap::new(),
@@ -344,13 +335,6 @@ impl Arbiter {
             terminal: 0,
             ledger,
         }
-    }
-
-    /// Register the arbiter's live-tunable knobs on a control registry:
-    /// `arbiter.recover_margin` (f64) and `arbiter.backfill_depth` (u64).
-    pub fn register_knobs(&self, registry: &ConfigRegistry) {
-        registry.register_knob("arbiter.recover_margin", self.recover_margin.clone());
-        registry.register_knob("arbiter.backfill_depth", self.backfill_depth.clone());
     }
 
     fn ledger(&self) -> MutexGuard<'_, Ledger> {
@@ -614,12 +598,12 @@ impl Arbiter {
 
     /// Priority-ordered queue drain with bounded backfill; runs only
     /// outside overload episodes. The head is always offered capacity
-    /// first; when it does not fit, up to `arbiter.backfill_depth`
-    /// entries behind it are scanned in queue order and admitted into
+    /// first; when it does not fit, up to `BACKFILL_DEPTH` entries
+    /// behind it are scanned in queue order and admitted into
     /// residual capacity the head cannot use anyway (a blocked 0.6-cpu
     /// head must not strand a 0.3-cpu hole). Each backfill admission
     /// spends one of the waiting head's skip credits, so a given head is
-    /// overtaken at most `backfill_depth` times before the drain reverts
+    /// overtaken at most `BACKFILL_DEPTH` times before the drain reverts
     /// to strict head-of-line. A head that can never fit is rejected once
     /// the cluster is idle at full capacity (so nothing it could wait for
     /// remains).
@@ -660,12 +644,11 @@ impl Arbiter {
                 self.hol_head = Some(id);
                 self.hol_skips = 0;
             }
-            let backfill_depth = self.backfill_depth.get().min(usize::MAX as u64) as usize;
-            if self.hol_skips < backfill_depth {
+            if self.hol_skips < BACKFILL_DEPTH {
                 let behind: Vec<_> =
-                    self.queue.iter().skip(1).take(backfill_depth).copied().collect();
+                    self.queue.iter().skip(1).take(BACKFILL_DEPTH).copied().collect();
                 for k in behind {
-                    if self.hol_skips >= backfill_depth {
+                    if self.hol_skips >= BACKFILL_DEPTH {
                         break;
                     }
                     if let Some((h, offer)) = self.try_place(k.3) {
@@ -905,7 +888,7 @@ impl Arbiter {
     fn try_recover_top(&mut self, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
         let Some(&id) = self.shed_stack.last() else { return true };
         let res = self.recs[&id].base_grant;
-        if self.committed() + res.cpu_share * self.recover_margin.get() > self.capacity() + EPS {
+        if self.committed() + res.cpu_share * RECOVER_MARGIN > self.capacity() + EPS {
             return false;
         }
         let name = Self::res_name(id);
@@ -939,7 +922,7 @@ impl Arbiter {
             (r.base_grant, r.grant, r.host)
         };
         let extra = (base.cpu_share - grant.cpu_share).max(0.0);
-        if self.committed() + extra * self.recover_margin.get() > self.capacity() + EPS {
+        if self.committed() + extra * RECOVER_MARGIN > self.capacity() + EPS {
             return;
         }
         let name = Self::res_name(id);
@@ -1133,50 +1116,6 @@ mod tests {
         assert!(price_offers(&pricer, &bronze)
             .iter()
             .all(|o| o.as_ref().is_some_and(|o| o.priced.rank >= 1)));
-    }
-
-    /// A NaN margin or threshold would make every comparison against it
-    /// false: recovery headroom checks always pass, drift never alarms.
-    #[test]
-    fn non_finite_knob_values_are_refused_and_audited() {
-        use obs::{Command, CommandOutcome, CommandRouter, ConfigValue};
-        let obs = Obs::new();
-        let arbiter = Arbiter::new(
-            Vec::new(),
-            Pricer::new(&Arc::new(starved_db())),
-            1,
-            1e6,
-            1 << 30,
-            Vec::new(),
-            StormOpts::default().queue_cap,
-            obs.clone(),
-            LedgerHandle::default(),
-        );
-        let refine = adapt_core::RefineEngine::from_db(starved_db(), "img");
-        let registry = ConfigRegistry::new();
-        arbiter.register_knobs(&registry);
-        refine.register_knobs(&registry);
-        let router = CommandRouter::new(registry).with_obs(&obs);
-        let keys = [
-            ("arbiter.recover_margin", RECOVER_MARGIN),
-            ("refine.drift_threshold", adapt_core::refine::DEFAULT_DRIFT_THRESHOLD),
-        ];
-        for (key, live) in keys {
-            let err = router.dispatch(7, "user", Command::set(key, f64::NAN)).unwrap_err();
-            assert_eq!(err.reason(), "bad_value", "{key}");
-            let got = router.dispatch(8, "user", Command::Get { key: key.into() }).unwrap();
-            let want = CommandOutcome::Value { key: key.into(), value: ConfigValue::F64(live) };
-            assert_eq!(got, want, "{key} unchanged");
-        }
-        let audit = obs.events_filtered(&EventFilter::control_audit());
-        let rejects: Vec<_> = audit
-            .iter()
-            .map(|e| (e.kind, e.str_field("key"), e.str_field("attempted"), e.str_field("reason")))
-            .collect();
-        assert_eq!(
-            rejects,
-            keys.map(|(key, _)| ("config_reject", Some(key), Some("NaN"), Some("bad_value")))
-        );
     }
 
     /// The parent priced inside `try_place`, so every police tick re-priced

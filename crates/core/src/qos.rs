@@ -340,7 +340,6 @@ impl PreferenceList {
 pub(crate) fn prefs_knob(handle: obs::Adaptive<Arc<PreferenceList>>) -> FnKnob<PreferenceList> {
     FnKnob::new(
         handle,
-        "prefs",
         |p: &PreferenceList| ConfigValue::Str(p.to_directive()),
         |p, v| {
             let directive = v
@@ -484,12 +483,10 @@ mod tests {
             Objective::minimize("transmit_time"),
         ))));
         let knob = prefs_knob(handle.clone());
-        assert_eq!(knob.type_name(), "prefs");
-        assert_eq!(knob.read(), ConfigValue::Str("minimize:transmit_time".into()));
-        let old = knob.write(ConfigValue::Str("resolution>=3,maximize:resolution".into())).unwrap();
-        assert_eq!(old, ConfigValue::Str("minimize:transmit_time".into()));
+        let written = knob.write(ConfigValue::Str("resolution>=3,maximize:resolution".into()));
+        assert_eq!(written, Ok((ConfigValue::Str("minimize:transmit_time".into()), 1)));
         assert_eq!(handle.get().prefs[0].objective, Objective::maximize("resolution"));
-        assert_eq!(Knob::version(&knob), 1);
+        assert_eq!(handle.get().to_directive(), "resolution>=3,maximize:resolution");
 
         // Wrong type and unparseable directives are rejected without
         // mutating, with the reasons the audit trail records.
@@ -501,6 +498,6 @@ mod tests {
             knob.write(ConfigValue::Str("nonsense".into())),
             Err(KnobError::BadValue(PreferenceList::parse_directive("nonsense").unwrap_err()))
         );
-        assert_eq!(Knob::version(&knob), 1);
+        assert_eq!(handle.version(), 1);
     }
 }

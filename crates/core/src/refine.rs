@@ -16,10 +16,11 @@
 //!    of a seeded run is deterministic, the fold is a pure function of
 //!    it, so two replays of the same seed produce bit-identical residual
 //!    state;
-//! 4. sustained drift — a streak of `refine.min_streak` consecutive
-//!    over-threshold residuals whose EWMA also exceeds the live
-//!    `refine.drift_threshold` knob — raises a [`DriftAlarm`] and marks
-//!    the slice stale (`refine.drift` audit event);
+//! 4. sustained drift — a streak of at least the engine's minimum streak
+//!    of consecutive over-threshold residuals whose EWMA also exceeds the
+//!    engine's drift threshold ([`RefineEngine::set_min_streak`],
+//!    [`RefineEngine::set_threshold`]) — raises a [`DriftAlarm`] and
+//!    marks the slice stale (`refine.drift` audit event);
 //! 5. [`RefineEngine::reprofile`] re-runs the profiler for *only* the
 //!    stale `(config, input)` slices, at exactly the resource points the
 //!    slice already samples, and hot-swaps the replacement records in
@@ -43,13 +44,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use obs::{Adaptive, ConfigRegistry, Event, EventFilter, Obs, Source};
+use obs::{Adaptive, Event, EventFilter, Obs, Source};
 
 use crate::perfdb::{PerfDb, PerfRecord};
 use crate::profiler::ProfileRunner;
 
 /// Default sustained-drift threshold: EWMA relative residual above 25%.
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
+pub(crate) const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
 /// Default streak length: this many consecutive over-threshold samples
 /// (without an intervening re-decision of the slice) before alarming.
 pub(crate) const DEFAULT_MIN_STREAK: u64 = 8;
@@ -118,10 +119,10 @@ struct RefineObs {
 pub struct RefineEngine {
     db: Adaptive<Arc<PerfDb>>,
     input: String,
-    /// Live-tunable sustained-drift threshold (`refine.drift_threshold`).
-    threshold: Adaptive<f64>,
-    /// Live-tunable streak gate (`refine.min_streak`).
-    min_streak: Adaptive<u64>,
+    /// Sustained-drift threshold on the EWMA relative residual.
+    threshold: f64,
+    /// Consecutive over-threshold samples before an alarm; at least 1.
+    min_streak: u64,
     /// EWMA weight of the newest sample.
     alpha: f64,
     cells: BTreeMap<(String, &'static str), Cell>,
@@ -139,8 +140,8 @@ impl RefineEngine {
         RefineEngine {
             db,
             input: input.into(),
-            threshold: Adaptive::new(DEFAULT_DRIFT_THRESHOLD),
-            min_streak: Adaptive::new(DEFAULT_MIN_STREAK),
+            threshold: DEFAULT_DRIFT_THRESHOLD,
+            min_streak: DEFAULT_MIN_STREAK,
             alpha: DEFAULT_ALPHA,
             cells: BTreeMap::new(),
             stale: BTreeSet::new(),
@@ -154,16 +155,14 @@ impl RefineEngine {
         Self::new(Adaptive::new(Arc::new(db)), input)
     }
 
-    /// Override the sustained-drift threshold (same cell the
-    /// `refine.drift_threshold` knob mutates).
-    pub fn set_threshold(&self, threshold: f64) {
-        self.threshold.set(threshold);
+    /// Override the sustained-drift threshold.
+    pub fn set_threshold(&mut self, threshold: f64) {
+        self.threshold = threshold;
     }
 
-    /// Override the streak gate (same cell the `refine.min_streak` knob
-    /// mutates).
-    pub fn set_min_streak(&self, n: u64) {
-        self.min_streak.set(n.max(1));
+    /// Override the streak gate (clamped to at least 1).
+    pub fn set_min_streak(&mut self, n: u64) {
+        self.min_streak = n.max(1);
     }
 
     /// Publish `refine.*` audit events and counters into `obs`.
@@ -181,14 +180,6 @@ impl RefineEngine {
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.set_obs(obs);
         self
-    }
-
-    /// Register the engine's live-tunable knobs on a control-plane
-    /// registry: `refine.drift_threshold` (the sustained-drift EWMA
-    /// threshold) and `refine.min_streak` (the consecutive-sample gate).
-    pub fn register_knobs(&self, registry: &ConfigRegistry) {
-        registry.register_knob("refine.drift_threshold", self.threshold.clone());
-        registry.register_knob("refine.min_streak", self.min_streak.clone());
     }
 
     /// A snapshot of the engine's current database.
@@ -325,8 +316,7 @@ impl RefineEngine {
         measured: f64,
         pred: f64,
     ) -> Option<DriftAlarm> {
-        let threshold = self.threshold.get();
-        let min_streak = self.min_streak.get().max(1);
+        let (threshold, min_streak) = (self.threshold, self.min_streak);
         let r = (measured - pred).abs() / pred.abs().max(1e-9);
         let cell = self.cells.entry((config.clone(), metric)).or_default();
         cell.ewma =
@@ -632,19 +622,17 @@ mod tests {
     #[test]
     fn knobs_mutate_live_gates() {
         let mut eng = RefineEngine::from_db(db_with(1.0), "img");
-        let registry = ConfigRegistry::new();
-        eng.register_knobs(&registry);
         // Raise the threshold above the planted 100% residual: quiet.
-        registry.set("refine.drift_threshold", obs::ConfigValue::F64(1.5)).unwrap();
+        eng.set_threshold(1.5);
         assert!(eng.ingest_run(&bus(30, 2.0)).is_empty(), "100% residual under a 150% threshold");
         // Restore the threshold but shorten the streak gate: the same
         // stream alarms earlier than the default gate would.
-        registry.set("refine.drift_threshold", obs::ConfigValue::F64(0.25)).unwrap();
-        registry.set("refine.min_streak", obs::ConfigValue::U64(3)).unwrap();
+        eng.set_threshold(0.25);
+        eng.set_min_streak(3);
         eng.reset();
         let alarms = eng.ingest_run(&bus(30, 2.0));
         assert_eq!(alarms.len(), 1);
-        assert_eq!(alarms[0].samples, 3, "knob-shortened streak gate trips at 3 samples");
+        assert_eq!(alarms[0].samples, 3, "a shortened streak gate trips at 3 samples");
     }
 
     #[test]

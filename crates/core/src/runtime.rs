@@ -182,13 +182,13 @@ impl AdaptiveRuntime {
     }
 
     /// Register this runtime's live-tunable knobs on a control-plane
-    /// registry: `steering.min_dwell_us` (the anti-oscillation dwell) and
+    /// router: `steering.min_dwell_us` (the anti-oscillation dwell) and
     /// `scheduler.prefs` (the user preference list, in the textual
     /// directive grammar). A `Command::Set` dispatched to either takes
     /// effect at the next tick/boundary without pausing the run.
-    pub fn register_knobs(&self, registry: &obs::ConfigRegistry) {
-        registry.register_knob("steering.min_dwell_us", self.steering.min_dwell_handle());
-        registry.register_knob(
+    pub fn register_knobs(&self, router: &obs::CommandRouter) {
+        router.register_knob("steering.min_dwell_us", self.steering.min_dwell_handle());
+        router.register_knob(
             "scheduler.prefs",
             crate::qos::prefs_knob(self.scheduler.prefs_handle()),
         );
@@ -479,11 +479,12 @@ mod tests {
         assert_eq!(rt.current().get("c"), Some(1));
     }
 
-    /// Set the dwell as an operator does: through the registered knob.
+    /// Set the dwell as an operator does: a `Command::Set` dispatched to
+    /// the registered knob.
     fn set_dwell(rt: &AdaptiveRuntime, us: u64) {
-        let registry = obs::ConfigRegistry::new();
-        rt.register_knobs(&registry);
-        registry.set("steering.min_dwell_us", obs::ConfigValue::U64(us)).unwrap();
+        let router = obs::CommandRouter::new(&Obs::new());
+        rt.register_knobs(&router);
+        router.dispatch(0, "operator", obs::Command::set("steering.min_dwell_us", us)).unwrap();
     }
 
     #[test]
@@ -565,20 +566,18 @@ mod tests {
         // Transmit-time minimization picks low resolution (l=3).
         assert_eq!(rt.current().get("l"), Some(3));
 
-        // Mid-run, the control plane rewrites the preference list through
-        // the registered knob: now maximize resolution (bounded transmit
-        // time), as an operator would via `Command::Set`.
-        let registry = obs::ConfigRegistry::new();
-        rt.register_knobs(&registry);
-        let (_old, version) = registry
-            .set(
-                "scheduler.prefs",
-                obs::ConfigValue::Str(
-                    "transmit_time<=60,maximize:resolution then minimize:transmit_time".into(),
-                ),
-            )
-            .unwrap();
-        assert_eq!(version, 1);
+        // Mid-run, an operator's `Command::Set` rewrites the preference
+        // list through the registered knob: now maximize resolution
+        // (bounded transmit time).
+        let router = obs::CommandRouter::new(&obs);
+        rt.register_knobs(&router);
+        let directive = "transmit_time<=60,maximize:resolution then minimize:transmit_time";
+        let outcome =
+            router.dispatch(0, "operator", obs::Command::set("scheduler.prefs", directive));
+        assert!(
+            matches!(outcome, Ok(obs::CommandOutcome::Updated { version: 1, .. })),
+            "{outcome:?}"
+        );
 
         // Nudge conditions so the monitor re-triggers, then let the
         // runtime decide under the flipped preferences.

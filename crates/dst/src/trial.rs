@@ -48,10 +48,10 @@ pub(crate) const DRIFT_MIN_STREAK: u64 = 3;
 
 /// Decode a plan's knob triples `(at_ms, kind, magnitude_pct)` into the
 /// operator-command schedule the trial scenario dispatches. The menu
-/// covers every control surface the single-app trial registers —
-/// steering dwell, scheduler preferences, retry backoff, breaker
-/// thresholds, a breaker reset — plus one deliberately-unknown key whose
-/// rejection must still be audited. `kind` is taken modulo the menu
+/// sets each of the five knobs the single-app trial registers — steering
+/// dwell, scheduler preferences, retry multiplier, breaker threshold and
+/// recovery timeout — resets its one breaker, and adds one
+/// deliberately-unknown key whose rejection must still be audited. `kind` is taken modulo the menu
 /// length and every magnitude maps into the knob's accepted range, so
 /// any integer triple decodes to a command the registry admits (only the
 /// unknown-key entry is refused, by design).

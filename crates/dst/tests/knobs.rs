@@ -4,7 +4,14 @@
 //! deliberately-unknown key — while the usual faults play out, and every
 //! oracle (the control-plane audit one included) must hold.
 
-use adapt_dst::{knob_commands, Explorer, ExplorerOpts, FaultSpace, TrialContext};
+use std::sync::Arc;
+
+use adapt_core::{Constraint, Objective, Preference, PreferenceList};
+use adapt_dst::{knob_commands, Explorer, ExplorerOpts, FaultSpace, TrialContext, KNOB_MENU_LEN};
+use obs::{Command, EventFilter};
+use sandbox::Limits;
+use simnet::{DrainMode, SimTime};
+use visapp::{build_db, run_session, Driver, Scenario};
 
 fn knob_opts(master_seed: u64) -> ExplorerOpts {
     ExplorerOpts {
@@ -88,4 +95,66 @@ fn every_menu_entry_decodes_to_a_dispatchable_command() {
         assert!(*at_us >= 1_000, "at_ms saturates to >= 1ms");
         assert_eq!(who, "dst");
     }
+}
+
+/// The knob menu and the knobs a trial registers cannot drift apart.
+/// Against the trial scenario (breaker armed, adaptive driver) every menu
+/// entry but the unknown key is accepted and audited, the unknown key is
+/// refused as `unknown_key`, and so are the two retry knobs the menu never
+/// set, which a trial no longer registers.
+#[test]
+fn every_menu_entry_lands_on_a_registered_knob() {
+    let ctx = TrialContext::new();
+    let plan = adapt_dst::TrialPlan {
+        knobs: (0..KNOB_MENU_LEN).map(|kind| (100 * (kind + 1), kind, 50)).collect(),
+        ..FaultSpace::quiet().sample(1)
+    };
+    let mut sc = ctx.scenario(&plan, DrainMode::Batched);
+    assert!(sc.breaker.is_some(), "the knob axis runs with a breaker armed");
+    let retired = ["client.retry.max_timeout_us", "client.retry.jitter_frac"];
+    sc.commands.extend(retired.map(|key| (900_000, "dst".to_string(), Command::set(key, 1u64))));
+
+    // The database and preferences the trial context profiles for itself.
+    let store = sc.build_store();
+    let profiled = Scenario { commands: Vec::new(), fault_plan: None, ..sc.clone() };
+    let db = Arc::new(build_db(&profiled, &store, &[0.05], &[2_000.0, 11_000.0, 60_000.0], 1));
+    let prefs = PreferenceList::single(Preference::new(
+        vec![Constraint::at_least("resolution", 3.0)],
+        Objective::minimize("response_time"),
+    ))
+    .then(Preference::new(vec![], Objective::minimize("response_time")));
+    let out = run_session(
+        &sc,
+        &store,
+        Driver::Adaptive(db, prefs),
+        Limits::cpu(0.05).with_net(60_000.0),
+        None,
+        Some(SimTime::from_secs(60)),
+        None,
+    );
+
+    let want: Vec<(&str, String, Option<&str>)> = sc
+        .commands
+        .iter()
+        .map(|(_, _, cmd)| match cmd {
+            Command::Set { key, .. }
+                if key == "no.such.knob" || retired.contains(&key.as_str()) =>
+            {
+                ("config_reject", key.clone(), Some("unknown_key"))
+            }
+            Command::Set { key, .. } => ("config_set", key.clone(), None),
+            Command::ResetBreaker { key } => ("breaker_reset", key.clone(), None),
+        })
+        .collect();
+    let audit = out.obs.events_filtered(&EventFilter::control_audit());
+    let got: Vec<(&str, String, Option<&str>)> = audit
+        .iter()
+        .map(|e| {
+            (e.kind, e.str_field("key").expect("audited key").to_string(), e.str_field("reason"))
+        })
+        .collect();
+    assert_eq!(got, want);
+    let set: std::collections::BTreeSet<&str> =
+        want.iter().filter(|w| w.0 == "config_set").map(|w| w.1.as_str()).collect();
+    assert_eq!(set.len(), 5, "the menu sets five distinct knobs: {set:?}");
 }

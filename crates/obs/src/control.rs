@@ -4,22 +4,21 @@
 //! and policy knobs to change *mid-run*; everything in this module exists
 //! to make that cheap, typed, and auditable:
 //!
-//! * [`Adaptive<T>`] — a shared, runtime-tunable value. A [`Scalar`]
-//!   (`u64`, `f64`, `bool`) is stored as bits in one `AtomicU64`, so
-//!   `get()` is a single atomic load and hot loops can re-read a knob
-//!   every iteration. A structured payload is an `Arc<U>` behind a
-//!   `Mutex`, and `get()` returns an `Arc` snapshot that stays valid
-//!   (and goes stale) across later `set()`s. `set()` frees the value it
-//!   replaces as soon as no snapshot holds it, so a knob can be turned
+//! * [`Adaptive<T>`] — a shared, runtime-tunable value. A `u64` sits in
+//!   one `AtomicU64`, so `get()` is a single atomic load and hot loops can
+//!   re-read a knob every iteration. A structured payload is an `Arc<U>`
+//!   behind a `Mutex`, and `get()` returns an `Arc` snapshot that stays
+//!   valid (and goes stale) across later `set()`s. `set()` frees the value
+//!   it replaces as soon as no snapshot holds it, so a knob can be turned
 //!   forever in constant memory.
-//! * [`Knob`] / [`ConfigValue`] — the dynamic typing layer. Each scalar
-//!   handle (or a closure-projected field of a payload, see [`FnKnob`])
-//!   registers under a stable dotted name in a [`ConfigRegistry`].
-//! * [`CommandRouter`] — dispatches a typed [`Command`]
-//!   (`Set`/`Get`/`ListConfig`/`ResetBreaker`/`PinConfig`/`Unpin`) to the
-//!   registered knobs and publishes an audit [`Event`] on the obs bus for
-//!   every mutation *and* every rejected mutation: who asked, which key,
-//!   old value, new value, at what simulation time.
+//! * [`Knob`] / [`ConfigValue`] — the dynamic typing layer. A `u64`
+//!   handle (or a closure-projected facet of a payload, see [`FnKnob`])
+//!   registers under a stable dotted name on a [`CommandRouter`].
+//! * [`CommandRouter`] — dispatches a typed [`Command`] (`Set` or
+//!   `ResetBreaker`) to the registered knobs and reset signals, and
+//!   publishes an audit [`Event`] on the obs bus for every mutation *and*
+//!   every refused one: who asked, which key, old value, new value, at
+//!   what simulation time.
 //! * [`ResetSignal`] — a monotonic counter for commands that are not
 //!   value writes (breaker resets). The owner of the breaker polls it at
 //!   its next deterministic decision point, so a reset issued from
@@ -30,14 +29,14 @@
 //! `Adaptive::set` stores the new value, then bumps the version counter
 //! with `Release`; `Adaptive::version` reads it with `Acquire`. A reader
 //! that observes version `n` therefore observes the value of the `n`-th
-//! `set` or a later one. A scalar is one atomic word and a payload `Arc`
+//! `set` or a later one. A `u64` is one atomic word and a payload `Arc`
 //! is replaced under the lock, so a racing `get` returns the old value or
 //! the new one, never a torn mix.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::{Event, Obs, Source};
 
@@ -49,9 +48,8 @@ mod sealed {
     pub trait Sealed {}
 }
 
-/// What an [`Adaptive`] can hold: a [`Scalar`], stored as bits in one
-/// `AtomicU64`, or an `Arc<U>`, stored behind a `Mutex` and read as a
-/// snapshot. Sealed.
+/// What an [`Adaptive`] can hold: a `u64`, stored in one `AtomicU64`, or
+/// an `Arc<U>`, stored behind a `Mutex` and read as a snapshot. Sealed.
 pub trait Tunable: sealed::Sealed + Sized {
     #[doc(hidden)]
     type Slot;
@@ -63,52 +61,19 @@ pub trait Tunable: sealed::Sealed + Sized {
     fn swap(slot: &Self::Slot, value: Self) -> Self;
 }
 
-/// The scalar knob types: `u64`, `f64` and `bool`. Sealed.
-pub trait Scalar: sealed::Sealed + Copy + Into<ConfigValue> {
-    #[doc(hidden)]
-    fn to_bits(self) -> u64;
-    #[doc(hidden)]
-    fn from_bits(bits: u64) -> Self;
-    #[doc(hidden)]
-    fn from_config(value: &ConfigValue) -> Option<Self>;
-}
-
-macro_rules! scalar {
-    ($($t:ty: $as:ident, $to:path, |$bits:ident| $from:expr;)*) => {$(
-        impl sealed::Sealed for $t {}
-        impl Scalar for $t {
-            fn to_bits(self) -> u64 {
-                $to(self)
-            }
-            fn from_bits($bits: u64) -> Self {
-                $from
-            }
-            fn from_config(value: &ConfigValue) -> Option<Self> {
-                value.$as()
-            }
-        }
-    )*};
-}
-
-scalar! {
-    u64: as_u64, u64::from, |bits| bits;
-    f64: as_f64, f64::to_bits, |bits| f64::from_bits(bits);
-    bool: as_bool, u64::from, |bits| bits != 0;
-}
-
-impl<S: Scalar> Tunable for S {
+impl sealed::Sealed for u64 {}
+impl Tunable for u64 {
     type Slot = AtomicU64;
     fn into_slot(self) -> AtomicU64 {
-        AtomicU64::new(self.to_bits())
+        AtomicU64::new(self)
     }
     fn load(slot: &AtomicU64) -> Self {
-        S::from_bits(slot.load(Ordering::Acquire))
+        slot.load(Ordering::Acquire)
     }
     fn swap(slot: &AtomicU64, value: Self) -> Self {
-        S::from_bits(slot.swap(value.to_bits(), Ordering::AcqRel))
+        slot.swap(value, Ordering::AcqRel)
     }
 }
-
 impl<U> sealed::Sealed for Arc<U> {}
 /// The lock is held for one `Arc` clone or one replace, neither of which
 /// can leave the slot half-written, so a poisoned lock is recovered.
@@ -208,9 +173,7 @@ impl<T: Tunable> Adaptive<T> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigValue {
     U64(u64),
-    I64(i64),
     F64(f64),
-    Bool(bool),
     Str(String),
 }
 
@@ -219,9 +182,7 @@ impl ConfigValue {
     pub fn type_name(&self) -> &'static str {
         match self {
             ConfigValue::U64(_) => "u64",
-            ConfigValue::I64(_) => "i64",
             ConfigValue::F64(_) => "f64",
-            ConfigValue::Bool(_) => "bool",
             ConfigValue::Str(_) => "str",
         }
     }
@@ -229,7 +190,6 @@ impl ConfigValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             ConfigValue::U64(v) => Some(*v),
-            ConfigValue::I64(v) if *v >= 0 => Some(*v as u64),
             _ => None,
         }
     }
@@ -238,15 +198,7 @@ impl ConfigValue {
         match self {
             ConfigValue::F64(v) => Some(*v),
             ConfigValue::U64(v) => Some(*v as f64),
-            ConfigValue::I64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            ConfigValue::Bool(v) => Some(*v),
-            _ => None,
+            ConfigValue::Str(_) => None,
         }
     }
 
@@ -262,9 +214,7 @@ impl fmt::Display for ConfigValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigValue::U64(v) => write!(f, "{v}"),
-            ConfigValue::I64(v) => write!(f, "{v}"),
             ConfigValue::F64(v) => write!(f, "{v}"),
-            ConfigValue::Bool(v) => write!(f, "{v}"),
             ConfigValue::Str(s) => write!(f, "{s}"),
         }
     }
@@ -275,19 +225,9 @@ impl From<u64> for ConfigValue {
         ConfigValue::U64(v)
     }
 }
-impl From<i64> for ConfigValue {
-    fn from(v: i64) -> Self {
-        ConfigValue::I64(v)
-    }
-}
 impl From<f64> for ConfigValue {
     fn from(v: f64) -> Self {
         ConfigValue::F64(v)
-    }
-}
-impl From<bool> for ConfigValue {
-    fn from(v: bool) -> Self {
-        ConfigValue::Bool(v)
     }
 }
 impl From<&str> for ConfigValue {
@@ -301,8 +241,8 @@ impl From<String> for ConfigValue {
     }
 }
 
-/// Why a [`Knob`] write failed (key-agnostic; the registry attaches the
-/// key and converts to [`ControlError`]).
+/// Why a [`Knob`] write failed (key-agnostic; the router attaches the key
+/// and converts to [`ControlError`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum KnobError {
     /// The supplied value's type does not match the knob's.
@@ -318,8 +258,6 @@ pub enum ControlError {
     UnknownKey(String),
     /// The value's type does not match the knob's.
     TypeMismatch { key: String, expected: &'static str, got: &'static str },
-    /// The key is pinned by an operator; `Set` is refused until `Unpin`.
-    Pinned { key: String, by: String },
     /// Right type, unacceptable value.
     BadValue { key: String, reason: String },
     /// `ResetBreaker` on a key with no registered reset signal.
@@ -332,9 +270,6 @@ impl fmt::Display for ControlError {
             ControlError::UnknownKey(k) => write!(f, "unknown config key `{k}`"),
             ControlError::TypeMismatch { key, expected, got } => {
                 write!(f, "config key `{key}` holds {expected}, got {got}")
-            }
-            ControlError::Pinned { key, by } => {
-                write!(f, "config key `{key}` is pinned by `{by}`")
             }
             ControlError::BadValue { key, reason } => {
                 write!(f, "bad value for config key `{key}`: {reason}")
@@ -364,7 +299,6 @@ impl ControlError {
         match self {
             ControlError::UnknownKey(_) => "unknown_key",
             ControlError::TypeMismatch { .. } => "type_mismatch",
-            ControlError::Pinned { .. } => "pinned",
             ControlError::BadValue { .. } => "bad_value",
             ControlError::NoResetTarget(_) => "no_reset_target",
         }
@@ -373,53 +307,33 @@ impl ControlError {
 
 /// A named, dynamically-typed view over an [`Adaptive`] cell.
 ///
-/// Implementations must make `write` serialize against itself (the
-/// registry guarantees this by holding its lock across dispatch).
+/// The router holds its lock across a write, so writes to one knob never
+/// race each other.
 pub trait Knob: Send + Sync {
-    /// Current value, rendered dynamically.
-    fn read(&self) -> ConfigValue;
-    /// Replace the value; returns the old value on success.
-    fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError>;
-    /// Stable name of the underlying type ("u64", "f64", ...).
-    fn type_name(&self) -> &'static str;
-    /// Mutation count of the underlying cell.
-    fn version(&self) -> u64;
+    /// Replace the value. Returns the old value and the cell's mutation
+    /// count after the write.
+    fn write(&self, value: ConfigValue) -> Result<(ConfigValue, u64), KnobError>;
 }
 
-/// Every scalar handle is a knob of its own type. A non-finite `f64` is
-/// refused as a bad value: no threshold or margin means anything at NaN.
-impl<S: Scalar> Knob for Adaptive<S> {
-    fn read(&self) -> ConfigValue {
-        self.get().into()
-    }
-    fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
-        let old = self.read();
-        let v = S::from_config(&value)
-            .ok_or(KnobError::TypeMismatch { expected: old.type_name(), got: value.type_name() })?;
-        if matches!(value, ConfigValue::F64(x) if !x.is_finite()) {
-            return Err(KnobError::BadValue(format!("{value} is not finite")));
-        }
-        self.set(v);
-        Ok(old)
-    }
-    fn type_name(&self) -> &'static str {
-        self.read().type_name()
-    }
-    fn version(&self) -> u64 {
-        Adaptive::version(self)
+impl Knob for Adaptive<u64> {
+    fn write(&self, value: ConfigValue) -> Result<(ConfigValue, u64), KnobError> {
+        let v = value
+            .as_u64()
+            .ok_or(KnobError::TypeMismatch { expected: "u64", got: value.type_name() })?;
+        let old = self.get();
+        Ok((ConfigValue::U64(old), self.set(v)))
     }
 }
 
 /// Closure-projected knob over an `Arc<U>` payload: exposes one
-/// dynamically-typed facet of it (e.g. the `max_timeout_us` field of a
-/// retry policy, or a preference list as its directive string) under its
-/// own registry key.
+/// dynamically-typed facet of it (e.g. the `multiplier` field of a retry
+/// policy, or a preference list as its directive string) under its own
+/// router key.
 ///
 /// A write clones the current payload, applies the projection, and
 /// republishes the whole value — readers still see old-or-new atomically.
 pub struct FnKnob<U> {
     handle: Adaptive<Arc<U>>,
-    type_name: &'static str,
     read: Box<dyn Fn(&U) -> ConfigValue + Send + Sync>,
     #[allow(clippy::type_complexity)]
     write: Box<dyn Fn(&mut U, ConfigValue) -> Result<(), KnobError> + Send + Sync>,
@@ -428,136 +342,19 @@ pub struct FnKnob<U> {
 impl<U> FnKnob<U> {
     pub fn new(
         handle: Adaptive<Arc<U>>,
-        type_name: &'static str,
         read: impl Fn(&U) -> ConfigValue + Send + Sync + 'static,
         write: impl Fn(&mut U, ConfigValue) -> Result<(), KnobError> + Send + Sync + 'static,
     ) -> Self {
-        FnKnob { handle, type_name, read: Box::new(read), write: Box::new(write) }
+        FnKnob { handle, read: Box::new(read), write: Box::new(write) }
     }
 }
 
 impl<U: Clone + Send + Sync> Knob for FnKnob<U> {
-    fn read(&self) -> ConfigValue {
-        (self.read)(&self.handle.get())
-    }
-    fn write(&self, value: ConfigValue) -> Result<ConfigValue, KnobError> {
+    fn write(&self, value: ConfigValue) -> Result<(ConfigValue, u64), KnobError> {
         let old = self.handle.get();
         let mut next = U::clone(&old);
         (self.write)(&mut next, value)?;
-        self.handle.set(Arc::new(next));
-        Ok((self.read)(&old))
-    }
-    fn type_name(&self) -> &'static str {
-        self.type_name
-    }
-    fn version(&self) -> u64 {
-        self.handle.version()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-struct RegEntry {
-    knob: Arc<dyn Knob>,
-    pinned_by: Option<String>,
-}
-
-/// One row of a `ListConfig` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigEntry {
-    pub key: String,
-    pub value: ConfigValue,
-    pub type_name: &'static str,
-    pub version: u64,
-    /// `Some(operator)` while the key is pinned.
-    pub pinned_by: Option<String>,
-}
-
-/// A registry of named typed knobs. Clones share state; iteration order
-/// is the keys' lexicographic order (BTreeMap), so `ListConfig` output is
-/// deterministic.
-#[derive(Clone, Default)]
-pub struct ConfigRegistry {
-    inner: Arc<Mutex<BTreeMap<String, RegEntry>>>,
-}
-
-impl fmt::Debug for ConfigRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let keys: Vec<String> = self.lock().keys().cloned().collect();
-        f.debug_struct("ConfigRegistry").field("keys", &keys).finish()
-    }
-}
-
-impl ConfigRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, RegEntry>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Register `knob` under `key`, replacing any previous registration.
-    pub fn register_knob(&self, key: impl Into<String>, knob: impl Knob + 'static) {
-        self.lock().insert(key.into(), RegEntry { knob: Arc::new(knob), pinned_by: None });
-    }
-
-    /// Is `key` registered?
-    pub fn contains(&self, key: &str) -> bool {
-        self.lock().contains_key(key)
-    }
-
-    /// Current value of `key`.
-    pub fn get(&self, key: &str) -> Result<ConfigValue, ControlError> {
-        self.lock()
-            .get(key)
-            .map(|e| e.knob.read())
-            .ok_or_else(|| ControlError::UnknownKey(key.to_string()))
-    }
-
-    /// Write `value` to `key`. Refused while the key is pinned. Returns
-    /// `(old_value, new_version)`.
-    pub fn set(&self, key: &str, value: ConfigValue) -> Result<(ConfigValue, u64), ControlError> {
-        let map = self.lock();
-        let entry = map.get(key).ok_or_else(|| ControlError::UnknownKey(key.to_string()))?;
-        if let Some(by) = &entry.pinned_by {
-            return Err(ControlError::Pinned { key: key.to_string(), by: by.clone() });
-        }
-        let old = entry.knob.write(value).map_err(|e| ControlError::from_knob(key, e))?;
-        Ok((old, entry.knob.version()))
-    }
-
-    /// Pin `key`: subsequent `Set`s are refused until a `Command::Unpin`.
-    /// Re-pinning overwrites the pin owner.
-    pub fn pin(&self, key: &str, who: &str) -> Result<(), ControlError> {
-        let mut map = self.lock();
-        let entry = map.get_mut(key).ok_or_else(|| ControlError::UnknownKey(key.to_string()))?;
-        entry.pinned_by = Some(who.to_string());
-        Ok(())
-    }
-
-    /// Remove the pin on `key` (idempotent on an unpinned key).
-    pub(crate) fn unpin(&self, key: &str) -> Result<(), ControlError> {
-        let mut map = self.lock();
-        let entry = map.get_mut(key).ok_or_else(|| ControlError::UnknownKey(key.to_string()))?;
-        entry.pinned_by = None;
-        Ok(())
-    }
-
-    /// Deterministic snapshot of every registered knob, key-sorted.
-    pub fn list(&self) -> Vec<ConfigEntry> {
-        self.lock()
-            .iter()
-            .map(|(key, e)| ConfigEntry {
-                key: key.clone(),
-                value: e.knob.read(),
-                type_name: e.knob.type_name(),
-                version: e.knob.version(),
-                pinned_by: e.pinned_by.clone(),
-            })
-            .collect()
+        Ok(((self.read)(&old), self.handle.set(Arc::new(next))))
     }
 }
 
@@ -614,35 +411,15 @@ impl ResetSignal {
 pub enum Command {
     /// Write `value` to the knob registered under `key`.
     Set { key: String, value: ConfigValue },
-    /// Read the knob registered under `key`.
-    Get { key: String },
-    /// Copy out every registered knob, key-sorted.
-    ListConfig,
     /// Ask the breaker registered under `key` to probe/close at its next
     /// legal instant.
     ResetBreaker { key: String },
-    /// Operator pin: refuse `Set`s on `key` until `Unpin`.
-    PinConfig { key: String },
-    /// Remove an operator pin.
-    Unpin { key: String },
 }
 
 impl Command {
     /// Convenience constructor for the common case.
     pub fn set(key: impl Into<String>, value: impl Into<ConfigValue>) -> Self {
         Command::Set { key: key.into(), value: value.into() }
-    }
-
-    /// The key this command targets (`None` for `ListConfig`).
-    pub fn key(&self) -> Option<&str> {
-        match self {
-            Command::Set { key, .. }
-            | Command::Get { key }
-            | Command::ResetBreaker { key }
-            | Command::PinConfig { key }
-            | Command::Unpin { key } => Some(key),
-            Command::ListConfig => None,
-        }
     }
 }
 
@@ -652,144 +429,109 @@ pub enum CommandOutcome {
     /// `Set`: the knob was updated from `old` to `new`; `version` is the
     /// cell's mutation count after the write.
     Updated { key: String, old: ConfigValue, new: ConfigValue, version: u64 },
-    /// `Get`: the current value.
-    Value { key: String, value: ConfigValue },
-    /// `ListConfig`: the deterministic snapshot.
-    Listing(Vec<ConfigEntry>),
     /// `ResetBreaker`: the request was recorded for the owner to poll.
     ResetIssued { key: String },
-    /// `PinConfig` succeeded.
-    Pinned { key: String },
-    /// `Unpin` succeeded.
-    Unpinned { key: String },
 }
 
-/// Dispatches [`Command`]s to a [`ConfigRegistry`] (and registered
-/// [`ResetSignal`]s), publishing an audit event on the obs bus for every
-/// mutation and every rejected mutation.
+/// What a router dispatches to, each map keyed by its stable dotted name.
+#[derive(Default)]
+struct Targets {
+    knobs: BTreeMap<String, Box<dyn Knob>>,
+    resets: BTreeMap<String, ResetSignal>,
+}
+
+/// Dispatches [`Command`]s to the knobs and [`ResetSignal`]s registered on
+/// it, publishing an audit event on the obs bus for every mutation and
+/// every refused one. Clones share the registrations.
 ///
 /// Audit kinds (all `Source::Control`):
 /// * `config_set` — who, key, old, new, version
-/// * `config_reject` — who, key, reason
-/// * `config_pin` / `config_unpin` — who, key
+/// * `config_reject` — who, key, attempted (a refused `Set`), reason
 /// * `breaker_reset` — who, key
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct CommandRouter {
-    registry: ConfigRegistry,
-    resets: Arc<Mutex<BTreeMap<String, ResetSignal>>>,
-    obs: Option<Obs>,
+    targets: Arc<Mutex<Targets>>,
+    obs: Obs,
 }
 
+/// Lists the registered keys, key-sorted.
 impl fmt::Debug for CommandRouter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let targets = self.lock();
         f.debug_struct("CommandRouter")
-            .field("registry", &self.registry)
-            .field("audited", &self.obs.is_some())
+            .field("knobs", &targets.knobs.keys().collect::<Vec<_>>())
+            .field("resets", &targets.resets.keys().collect::<Vec<_>>())
             .finish()
     }
 }
 
 impl CommandRouter {
-    pub fn new(registry: ConfigRegistry) -> Self {
-        CommandRouter { registry, resets: Arc::default(), obs: None }
+    /// A router with nothing registered that audits onto `obs`.
+    pub fn new(obs: &Obs) -> Self {
+        CommandRouter { targets: Arc::default(), obs: obs.clone() }
     }
 
-    /// Attach the obs bus that receives audit events (builder-style).
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = Some(obs.clone());
-        self
+    fn lock(&self) -> MutexGuard<'_, Targets> {
+        self.targets.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The registry this router dispatches into.
-    pub fn registry(&self) -> &ConfigRegistry {
-        &self.registry
+    /// Register `knob` under `key`, replacing any previous registration.
+    pub fn register_knob(&self, key: impl Into<String>, knob: impl Knob + 'static) {
+        self.lock().knobs.insert(key.into(), Box::new(knob));
     }
 
     /// Register the reset signal owned by the breaker at `key`.
     pub fn register_reset(&self, key: impl Into<String>, signal: ResetSignal) {
-        self.resets.lock().unwrap_or_else(|e| e.into_inner()).insert(key.into(), signal);
-    }
-
-    fn audit(&self, ev: Event) {
-        if let Some(obs) = &self.obs {
-            obs.publish(ev);
-        }
+        self.lock().resets.insert(key.into(), signal);
     }
 
     /// Dispatch one command at simulation time `at_us` on behalf of
-    /// `who`. Mutations (and refused mutations) are audited; pure reads
-    /// (`Get`, `ListConfig`) are not.
+    /// `who`, and audit it.
     pub fn dispatch(
         &self,
         at_us: u64,
         who: &str,
         cmd: Command,
     ) -> Result<CommandOutcome, ControlError> {
+        let audit = |kind: &'static str, key: &str| {
+            Event::new(at_us, Source::Control, kind).with("who", who).with("key", key)
+        };
         match cmd {
-            Command::Set { key, value } => match self.registry.set(&key, value.clone()) {
-                Ok((old, version)) => {
-                    self.audit(
-                        Event::new(at_us, Source::Control, "config_set")
-                            .with("who", who)
-                            .with("key", key.as_str())
-                            .with("old", old.to_string())
-                            .with("new", value.to_string())
-                            .with("version", version),
-                    );
-                    Ok(CommandOutcome::Updated { key, old, new: value, version })
-                }
-                Err(e) => {
-                    self.audit(
-                        Event::new(at_us, Source::Control, "config_reject")
-                            .with("who", who)
-                            .with("key", key.as_str())
-                            .with("attempted", value.to_string())
-                            .with("reason", e.reason()),
-                    );
-                    Err(e)
-                }
-            },
-            Command::Get { key } => {
-                let value = self.registry.get(&key)?;
-                Ok(CommandOutcome::Value { key, value })
-            }
-            Command::ListConfig => Ok(CommandOutcome::Listing(self.registry.list())),
-            Command::ResetBreaker { key } => {
-                let resets = self.resets.lock().unwrap_or_else(|e| e.into_inner());
-                let Some(signal) = resets.get(&key) else {
-                    self.audit(
-                        Event::new(at_us, Source::Control, "config_reject")
-                            .with("who", who)
-                            .with("key", key.as_str())
-                            .with("reason", ControlError::NoResetTarget(key.clone()).reason()),
-                    );
-                    return Err(ControlError::NoResetTarget(key));
+            Command::Set { key, value } => {
+                let written = match self.lock().knobs.get(&key) {
+                    Some(knob) => {
+                        knob.write(value.clone()).map_err(|e| ControlError::from_knob(&key, e))
+                    }
+                    None => Err(ControlError::UnknownKey(key.clone())),
                 };
-                signal.request();
-                self.audit(
-                    Event::new(at_us, Source::Control, "breaker_reset")
-                        .with("who", who)
-                        .with("key", key.as_str()),
-                );
-                Ok(CommandOutcome::ResetIssued { key })
+                match written {
+                    Ok((old, version)) => {
+                        self.obs.publish(
+                            audit("config_set", &key)
+                                .with("old", old.to_string())
+                                .with("new", value.to_string())
+                                .with("version", version),
+                        );
+                        Ok(CommandOutcome::Updated { key, old, new: value, version })
+                    }
+                    Err(e) => {
+                        self.obs.publish(
+                            audit("config_reject", &key)
+                                .with("attempted", value.to_string())
+                                .with("reason", e.reason()),
+                        );
+                        Err(e)
+                    }
+                }
             }
-            Command::PinConfig { key } => {
-                self.registry.pin(&key, who)?;
-                self.audit(
-                    Event::new(at_us, Source::Control, "config_pin")
-                        .with("who", who)
-                        .with("key", key.as_str()),
-                );
-                Ok(CommandOutcome::Pinned { key })
-            }
-            Command::Unpin { key } => {
-                self.registry.unpin(&key)?;
-                self.audit(
-                    Event::new(at_us, Source::Control, "config_unpin")
-                        .with("who", who)
-                        .with("key", key.as_str()),
-                );
-                Ok(CommandOutcome::Unpinned { key })
+            Command::ResetBreaker { key } => {
+                if self.lock().resets.get(&key).map(ResetSignal::request).is_some() {
+                    self.obs.publish(audit("breaker_reset", &key));
+                    return Ok(CommandOutcome::ResetIssued { key });
+                }
+                let e = ControlError::NoResetTarget(key.clone());
+                self.obs.publish(audit("config_reject", &key).with("reason", e.reason()));
+                Err(e)
             }
         }
     }
@@ -809,19 +551,6 @@ mod tests {
         assert_eq!(b.set(9), 1);
         assert_eq!(a.get(), 9);
         assert_eq!(a.version(), 1);
-    }
-
-    #[test]
-    fn adaptive_scalars_round_trip_their_bits() {
-        let f = Adaptive::new(-0.0f64);
-        assert!(f.get().is_sign_negative());
-        f.set(f64::MIN_POSITIVE);
-        assert_eq!(f.get(), f64::MIN_POSITIVE);
-        let b = Adaptive::new(true);
-        b.set(false);
-        assert!(!b.get());
-        let u = Adaptive::new(u64::MAX);
-        assert_eq!(u.get(), u64::MAX);
     }
 
     #[test]
@@ -865,48 +594,30 @@ mod tests {
 
     #[test]
     fn registry_set_get_and_errors() {
-        let reg = ConfigRegistry::new();
-        reg.register_knob("a.u", Adaptive::new(5u64));
-        reg.register_knob("a.f", Adaptive::new(0.5f64));
-        assert_eq!(reg.get("a.u"), Ok(ConfigValue::U64(5)));
-        let (old, v) = reg.set("a.u", ConfigValue::U64(6)).unwrap();
-        assert_eq!(old, ConfigValue::U64(5));
-        assert_eq!(v, 1);
-        assert_eq!(reg.get("missing"), Err(ControlError::UnknownKey("missing".into())));
+        let router = CommandRouter::new(&Obs::new());
+        let knob = Adaptive::new(5u64);
+        router.register_knob("a.u", knob.clone());
         assert_eq!(
-            reg.set("a.u", ConfigValue::Str("nope".into())),
-            Err(ControlError::TypeMismatch { key: "a.u".into(), expected: "u64", got: "str" })
+            router.dispatch(0, "user", Command::set("a.u", 6u64)),
+            Ok(CommandOutcome::Updated {
+                key: "a.u".into(),
+                old: ConfigValue::U64(5),
+                new: ConfigValue::U64(6),
+                version: 1,
+            })
         );
-        // u64 knobs accept non-negative i64 (the common literal type).
-        assert!(reg.set("a.u", ConfigValue::I64(3)).is_ok());
-        assert_eq!(reg.get("a.u"), Ok(ConfigValue::U64(3)));
-    }
-
-    #[test]
-    fn listing_is_key_sorted_and_reports_pins() {
-        let reg = ConfigRegistry::new();
-        reg.register_knob("z.last", Adaptive::new(1u64));
-        reg.register_knob("a.first", Adaptive::new(true));
-        reg.pin("z.last", "op").unwrap();
-        let rows = reg.list();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].key, "a.first");
-        assert_eq!(rows[0].pinned_by, None);
-        assert_eq!(rows[1].key, "z.last");
-        assert_eq!(rows[1].pinned_by.as_deref(), Some("op"));
-    }
-
-    #[test]
-    fn pins_block_set_until_unpinned() {
-        let reg = ConfigRegistry::new();
-        reg.register_knob("k", Adaptive::new(1u64));
-        reg.pin("k", "operator").unwrap();
+        assert_eq!(knob.get(), 6);
         assert_eq!(
-            reg.set("k", ConfigValue::U64(2)),
-            Err(ControlError::Pinned { key: "k".into(), by: "operator".into() })
+            router.dispatch(0, "user", Command::set("missing", 1u64)),
+            Err(ControlError::UnknownKey("missing".into()))
         );
-        reg.unpin("k").unwrap();
-        assert!(reg.set("k", ConfigValue::U64(2)).is_ok());
+        for (value, got) in [(ConfigValue::from("nope"), "str"), (ConfigValue::F64(3.0), "f64")] {
+            assert_eq!(
+                router.dispatch(0, "user", Command::Set { key: "a.u".into(), value }),
+                Err(ControlError::TypeMismatch { key: "a.u".into(), expected: "u64", got })
+            );
+        }
+        assert_eq!((knob.get(), knob.version()), (6, 1), "refused writes leave the cell");
     }
 
     #[test]
@@ -919,7 +630,6 @@ mod tests {
         let handle = Adaptive::new(Arc::new(Policy { factor: 2.0, cap_us: 100 }));
         let knob = FnKnob::new(
             handle.clone(),
-            "u64",
             |p: &Policy| ConfigValue::U64(p.cap_us),
             |p: &mut Policy, v: ConfigValue| {
                 p.cap_us = v
@@ -928,39 +638,33 @@ mod tests {
                 Ok(())
             },
         );
-        assert_eq!(knob.read(), ConfigValue::U64(100));
-        assert_eq!(knob.write(ConfigValue::U64(250)).unwrap(), ConfigValue::U64(100));
+        assert_eq!(knob.write(ConfigValue::U64(250)), Ok((ConfigValue::U64(100), 1)));
         assert_eq!(*handle.get(), Policy { factor: 2.0, cap_us: 250 });
         assert_eq!(handle.version(), 1);
     }
 
     #[test]
-    fn router_audits_sets_rejects_pins_and_resets() {
+    fn router_audits_sets_rejects_and_resets() {
         let obs = Obs::new();
-        let reg = ConfigRegistry::new();
-        reg.register_knob("breaker.recovery_us", Adaptive::new(500_000u64));
-        let router = CommandRouter::new(reg).with_obs(&obs);
+        let router = CommandRouter::new(&obs);
+        router.register_knob("breaker.recovery_us", Adaptive::new(500_000u64));
         let signal = ResetSignal::new();
         router.register_reset("client.breaker", signal.clone());
 
         router.dispatch(10, "user", Command::set("breaker.recovery_us", 250_000u64)).unwrap();
-        router
-            .dispatch(20, "op", Command::PinConfig { key: "breaker.recovery_us".into() })
-            .unwrap();
-        let err = router
-            .dispatch(30, "user", Command::set("breaker.recovery_us", 100_000u64))
-            .unwrap_err();
-        assert_eq!(err.reason(), "pinned");
-        router.dispatch(40, "op", Command::Unpin { key: "breaker.recovery_us".into() }).unwrap();
-        router.dispatch(50, "op", Command::ResetBreaker { key: "client.breaker".into() }).unwrap();
+        let err =
+            router.dispatch(20, "user", Command::set("breaker.recovery_us", "soon")).unwrap_err();
+        assert_eq!(err.reason(), "type_mismatch");
+        router.dispatch(30, "op", Command::ResetBreaker { key: "client.breaker".into() }).unwrap();
         assert_eq!(signal.pending(), 1);
+        let err = router
+            .dispatch(40, "op", Command::ResetBreaker { key: "server.breaker".into() })
+            .unwrap_err();
+        assert_eq!(err, ControlError::NoResetTarget("server.breaker".into()));
 
         let audit = obs.events_filtered(&EventFilter::control_audit());
         let kinds: Vec<&str> = audit.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec!["config_set", "config_pin", "config_reject", "config_unpin", "breaker_reset"]
-        );
+        assert_eq!(kinds, vec!["config_set", "config_reject", "breaker_reset", "config_reject"]);
         let set = &audit[0];
         assert_eq!(set.at_us, 10);
         assert_eq!(set.str_field("who"), Some("user"));
@@ -968,30 +672,16 @@ mod tests {
         assert_eq!(set.str_field("old"), Some("500000"));
         assert_eq!(set.str_field("new"), Some("250000"));
         assert_eq!(set.u64_field("version"), Some(1));
-        assert_eq!(audit[2].str_field("reason"), Some("pinned"));
-    }
-
-    #[test]
-    fn gets_and_listings_do_not_audit() {
-        let obs = Obs::new();
-        let reg = ConfigRegistry::new();
-        reg.register_knob("k", Adaptive::new(1u64));
-        let router = CommandRouter::new(reg).with_obs(&obs);
-        let got = router.dispatch(0, "user", Command::Get { key: "k".into() }).unwrap();
-        assert_eq!(got, CommandOutcome::Value { key: "k".into(), value: ConfigValue::U64(1) });
-        let CommandOutcome::Listing(rows) =
-            router.dispatch(0, "user", Command::ListConfig).unwrap()
-        else {
-            panic!("ListConfig returns a listing");
-        };
-        assert_eq!(rows.len(), 1);
-        assert_eq!(obs.events_published(), 0);
+        assert_eq!(audit[1].str_field("attempted"), Some("soon"));
+        assert_eq!(audit[1].str_field("reason"), Some("type_mismatch"));
+        assert_eq!(audit[2].str_field("key"), Some("client.breaker"));
+        assert_eq!(audit[3].str_field("reason"), Some("no_reset_target"));
     }
 
     #[test]
     fn unknown_key_set_is_rejected_and_audited() {
         let obs = Obs::new();
-        let router = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
+        let router = CommandRouter::new(&obs);
         let err = router.dispatch(5, "user", Command::set("nope", 1u64)).unwrap_err();
         assert_eq!(err, ControlError::UnknownKey("nope".into()));
         let audit = obs.events();

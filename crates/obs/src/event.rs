@@ -268,8 +268,8 @@ impl EventFilter {
         Self::any().source(Source::Scheduler).kind("decide")
     }
 
-    /// Preset: the control plane's audit trail — config mutations,
-    /// rejections, pins, and breaker resets, in dispatch order, as
+    /// Preset: the control plane's audit trail — knob sets, refused
+    /// commands and breaker resets, in dispatch order, as
     /// `examples/preference_flip.rs` reads it.
     pub fn control_audit() -> Self {
         Self::any().source(Source::Control)

@@ -54,8 +54,8 @@ pub mod span;
 
 pub use bus::{EventBus, Subscription};
 pub use control::{
-    Adaptive, Command, CommandOutcome, CommandRouter, ConfigEntry, ConfigRegistry, ConfigValue,
-    ControlError, FnKnob, Knob, KnobError, ResetSignal,
+    Adaptive, Command, CommandOutcome, CommandRouter, ConfigValue, ControlError, FnKnob, Knob,
+    KnobError, ResetSignal,
 };
 pub use event::{Event, EventFilter, FieldType, Shape, Source, Value, PACKED_SLOTS};
 pub use metrics::{HistStats, MetricId};
@@ -249,8 +249,8 @@ impl Obs {
 /// Common imports for obs users.
 pub mod prelude {
     pub use crate::{
-        Adaptive, Command, CommandRouter, ConfigRegistry, ConfigValue, Event, EventFilter,
-        HistStats, MetricId, Obs, Source, Value,
+        Adaptive, Command, CommandRouter, ConfigValue, Event, EventFilter, HistStats, MetricId,
+        Obs, Source, Value,
     };
 }
 

@@ -2,16 +2,15 @@
 //! lands, bumps the knob's version once and leaves exactly one audit
 //! event, and a run of 50 000 dispatches fits the bus ring without a drop.
 
-use obs::{Adaptive, Command, CommandRouter, ConfigRegistry, EventFilter, Obs};
+use obs::{Adaptive, Command, CommandRouter, EventFilter, Obs};
 
 #[test]
 fn fifty_thousand_dispatches_leave_fifty_thousand_audit_events() {
     const DISPATCHES: u64 = 50_000;
     let obs = Obs::new();
-    let registry = ConfigRegistry::new();
+    let router = CommandRouter::new(&obs);
     let knob = Adaptive::new(0u64);
-    registry.register_knob("bench.counter", knob.clone());
-    let router = CommandRouter::new(registry).with_obs(&obs);
+    router.register_knob("bench.counter", knob.clone());
     for i in 0..DISPATCHES {
         router
             .dispatch(i, "bench", Command::set("bench.counter", i + 1))

@@ -343,24 +343,22 @@ impl Client {
     /// Register this client's live-tunable knobs (and its breaker reset
     /// target) on a control router, namespaced under `prefix`:
     ///
-    /// - `<prefix>.retry.multiplier` (f64), `<prefix>.retry.max_timeout_us`
-    ///   (u64), `<prefix>.retry.jitter_frac` (f64) — field projections of
-    ///   the retransmission schedule
+    /// - `<prefix>.retry.multiplier` (f64) — the retransmission backoff
+    ///   factor, a field projection of the retry policy; a non-finite
+    ///   value or one below 1 is refused
     /// - `<prefix>.breaker.failure_threshold`, `<prefix>.breaker.recovery_timeout_us`
     ///   (u64) plus a `ResetBreaker` target at `<prefix>.breaker` — only
     ///   when a breaker is armed
     /// - the adaptive runtime's own knobs (`steering.min_dwell_us`,
     ///   `scheduler.prefs`, unprefixed) — only on an adaptive client
     pub(crate) fn register_control(&self, prefix: &str, router: &CommandRouter) {
-        let reg = router.registry();
         if let Some(a) = &self.adapt {
-            a.runtime.register_knobs(reg);
+            a.runtime.register_knobs(router);
         }
-        reg.register_knob(
+        router.register_knob(
             format!("{prefix}.retry.multiplier"),
             FnKnob::new(
                 self.retry.clone(),
-                "f64",
                 |p: &RetryPolicy| ConfigValue::F64(p.multiplier),
                 |p, v| {
                     let m = v
@@ -374,50 +372,12 @@ impl Client {
                 },
             ),
         );
-        reg.register_knob(
-            format!("{prefix}.retry.max_timeout_us"),
-            FnKnob::new(
-                self.retry.clone(),
-                "u64",
-                |p: &RetryPolicy| ConfigValue::U64(p.max_timeout_us),
-                |p, v| {
-                    let t = v
-                        .as_u64()
-                        .ok_or(KnobError::TypeMismatch { expected: "u64", got: v.type_name() })?;
-                    if t == 0 {
-                        return Err(KnobError::BadValue("max_timeout_us must be > 0".into()));
-                    }
-                    p.max_timeout_us = t;
-                    Ok(())
-                },
-            ),
-        );
-        reg.register_knob(
-            format!("{prefix}.retry.jitter_frac"),
-            FnKnob::new(
-                self.retry.clone(),
-                "f64",
-                |p: &RetryPolicy| ConfigValue::F64(p.jitter_frac),
-                |p, v| {
-                    let j = v
-                        .as_f64()
-                        .ok_or(KnobError::TypeMismatch { expected: "f64", got: v.type_name() })?;
-                    if !j.is_finite() || !(0.0..1.0).contains(&j) {
-                        return Err(KnobError::BadValue(format!(
-                            "jitter_frac {j} must be in [0, 1)"
-                        )));
-                    }
-                    p.jitter_frac = j;
-                    Ok(())
-                },
-            ),
-        );
         if let Some(b) = &self.breaker {
-            reg.register_knob(
+            router.register_knob(
                 format!("{prefix}.breaker.failure_threshold"),
                 b.failure_threshold_handle(),
             );
-            reg.register_knob(
+            router.register_knob(
                 format!("{prefix}.breaker.recovery_timeout_us"),
                 b.recovery_timeout_handle(),
             );
@@ -790,5 +750,64 @@ impl Actor for Client {
             let period = a.period_us;
             ctx.set_timer(period, TAG_MONITOR);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::load::{model_db, LoadGenOpts, QosProfile};
+    use crate::scenario::SessionClass;
+    use obs::{Command, EventFilter, Obs};
+    use sandbox::Limits;
+
+    /// A NaN multiplier would make every backoff comparison false: the
+    /// retry schedule would stop growing. The one `f64` knob refuses it.
+    #[test]
+    fn non_finite_knob_values_are_refused_and_audited() {
+        let obs = Obs::new();
+        let router = CommandRouter::new(&obs);
+        let client = Client::new(ClientOpts::new(ActorId(1)), StatsHandle::new(), None);
+        client.register_control("client", &router);
+        let err = router
+            .dispatch(7, "user", Command::set("client.retry.multiplier", f64::NAN))
+            .unwrap_err();
+        assert_eq!(err.reason(), "bad_value");
+        assert_eq!(*client.retry.get(), RetryPolicy::default(), "the policy is unchanged");
+        assert_eq!(client.retry.version(), 0);
+        let audit = obs.events_filtered(&EventFilter::control_audit());
+        let audit: Vec<_> = audit
+            .iter()
+            .map(|e| (e.kind, e.str_field("key"), e.str_field("attempted"), e.str_field("reason")))
+            .collect();
+        assert_eq!(
+            audit,
+            [("config_reject", Some("client.retry.multiplier"), Some("NaN"), Some("bad_value"))]
+        );
+    }
+
+    /// What `run_session` registers for a breaker-armed adaptive client:
+    /// the five knobs the DST knob menu sets, and the one breaker it
+    /// resets. Nothing else answers a `Command`.
+    #[test]
+    fn a_breaker_armed_adaptive_client_registers_five_knobs_and_one_reset() {
+        let load = LoadGenOpts::new(1);
+        let class = SessionClass::new(
+            &load.scenario(),
+            Arc::new(model_db(&load)),
+            QosProfile::Quality.preferences(),
+            &Limits::unconstrained(),
+        );
+        let breaker = BreakerOpts { failure_threshold: 3, recovery_timeout_us: 1, degraded: None };
+        let opts = ClientOpts::new(ActorId(1)).with_breaker(Some(breaker));
+        let (client, _) = class.client(1_000, opts, StatsHandle::new(), &Obs::new());
+        let router = CommandRouter::new(&Obs::new());
+        client.register_control("client", &router);
+        assert_eq!(
+            format!("{router:?}"),
+            "CommandRouter { knobs: [\"client.breaker.failure_threshold\", \
+             \"client.breaker.recovery_timeout_us\", \"client.retry.multiplier\", \
+             \"scheduler.prefs\", \"steering.min_dwell_us\"], resets: [\"client.breaker\"] }"
+        );
     }
 }

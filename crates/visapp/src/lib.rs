@@ -78,5 +78,5 @@ pub mod prelude {
     pub use crate::stats::{ImageRecord, RoundRecord, RunStats, StatsHandle};
     pub use crate::store::ImageStore;
     pub use crate::wire::VizCodec;
-    pub use obs::{Adaptive, Command, CommandOutcome, CommandRouter, ConfigRegistry, ConfigValue};
+    pub use obs::{Adaptive, Command, CommandOutcome, CommandRouter, ConfigValue};
 }

@@ -13,7 +13,7 @@ use adapt_core::{
     dsl, AdaptiveRuntime, Configuration, Decision, PerfDb, PreferenceList, Profiler, QosReport,
     ResourceGrid, ResourceKey, ResourceScheduler, ResourceVector, TunableSpec, MONITOR_PERIOD_US,
 };
-use obs::{Command, CommandRouter, ConfigRegistry, Obs};
+use obs::{Command, CommandRouter, Obs};
 use sandbox::{LimitSchedule, Limits, LimitsHandle, SandboxStats, Sandboxed};
 use simnet::{DrainMode, FaultPlan, HostId, Sim, SimTime};
 
@@ -107,10 +107,12 @@ pub struct Scenario {
     /// simulation-test explorer (`adapt-dst`) sets
     /// [`DrainMode::Explore`] to perturb the schedule per trial.
     pub drain_mode: DrainMode,
-    /// Scheduled control-plane commands, each dispatched through the run's
-    /// [`CommandRouter`] at its simulation time on behalf of the named
-    /// operator. Empty (the default) leaves every run byte-identical to a
-    /// run with no control plane at all.
+    /// Scheduled control-plane commands (`Set` on a registered knob or
+    /// `ResetBreaker` on the client's breaker), each dispatched through
+    /// the run's [`CommandRouter`] at its simulation time on behalf of the
+    /// named operator and audited on the run's bus, refusals included.
+    /// Empty (the default) leaves every run byte-identical to a run with
+    /// no control plane at all.
     pub commands: Vec<CommandAt>,
 }
 
@@ -254,12 +256,9 @@ pub struct RunOutcome {
     pub stats: RunStats,
     pub end: SimTime,
     /// The run's observability sink: every kernel trace event, adaptation
-    /// event, and `visapp.*` metric, queryable after the fact.
+    /// event, `visapp.*` metric and control-plane audit event (one per
+    /// dispatched [`Scenario::commands`] entry), queryable after the fact.
     pub obs: Obs,
-    /// The run's control plane: the router (and its registry of live
-    /// knobs) that [`Scenario::commands`] dispatched through. Still live
-    /// after the run — `ListConfig` shows the final knob state.
-    pub control: CommandRouter,
 }
 
 /// The scenario's client options against `server_id` (builder form).
@@ -440,7 +439,7 @@ pub fn run_session(
             )
         }
     };
-    let control = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
+    let control = CommandRouter::new(&obs);
     client.register_control("client", &control);
     let limits = LimitsHandle::new(initial_limits);
     sim.spawn(CLIENT_HOST, Box::new(Sandboxed::new(client, limits.clone(), sandbox_stats)));
@@ -453,7 +452,7 @@ pub fn run_session(
         Some(horizon) => sim.run_until(horizon),
         None => sim.run_until_idle(),
     }
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs }
 }
 
 /// Run a fixed (non-adaptive) configuration to completion.

@@ -5,7 +5,7 @@
 //! cargo run --release --example preference_flip
 //! ```
 //!
-//! Three runs of the same bandwidth-collapse experiment (the miniature
+//! Two runs of the same bandwidth-collapse experiment (the miniature
 //! Experiment 1 from the paper):
 //!
 //! 1. **Baseline** — empty command schedule. The control plane is wired
@@ -18,9 +18,6 @@
 //!    level the baseline was forbidden to choose — the chosen
 //!    configuration changes in the same run, with a matching `config_set`
 //!    audit event and a version-stamped `decide` event.
-//! 3. **Pin** — an SRE pins `scheduler.prefs` first; the later `Set` is
-//!    refused (audited as `config_reject`/`pinned`) and the run keeps the
-//!    original preferences.
 
 use std::sync::Arc;
 
@@ -106,19 +103,5 @@ fn main() {
         audits[0]
     );
 
-    // -- 3. Pin: the steering loop respects operator pins ----------------
-    let mut sc_pin = sc.clone();
-    sc_pin.commands = vec![
-        (500_000, "sre".into(), Command::PinConfig { key: "scheduler.prefs".into() }),
-        (1_000_000, "operator".into(), Command::set("scheduler.prefs", "minimize:transmit_time")),
-    ];
-    let pin = run(&sc_pin);
-    let audits = pin.obs.events_filtered(&EventFilter::control_audit());
-    assert!(
-        audits.iter().any(|e| e.kind == "config_reject" && e.str_field("reason") == Some("pinned")),
-        "the pinned Set must be refused and audited; got {audits:?}"
-    );
-    assert_eq!(final_level(&pin), 3, "pinned preferences keep the fine level");
-    println!("pin:      final level {} — Set refused while pinned", final_level(&pin));
     println!("\npreference flip complete.");
 }
