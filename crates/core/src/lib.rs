@@ -20,8 +20,8 @@
 //!
 //! **2. Modeling application behavior (§5)**
 //! - [`perfdb`]: the performance database — records, multilinear
-//!   interpolation / nearest-record prediction, dominance pruning, and
-//!   merging of similar configurations;
+//!   interpolation, dominance pruning, and merging of similar
+//!   configurations;
 //! - [`profiler`]: the testbed driver sweeping configurations over a
 //!   resource grid (optionally in parallel), with sensitivity-driven
 //!   adaptive refinement.

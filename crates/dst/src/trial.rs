@@ -51,10 +51,10 @@ pub(crate) const DRIFT_MIN_STREAK: u64 = 3;
 /// sets each of the five knobs the single-app trial registers — steering
 /// dwell, scheduler preferences, retry multiplier, breaker threshold and
 /// recovery timeout — resets its one breaker, and adds one
-/// deliberately-unknown key whose rejection must still be audited. `kind` is taken modulo the menu
-/// length and every magnitude maps into the knob's accepted range, so
-/// any integer triple decodes to a command the registry admits (only the
-/// unknown-key entry is refused, by design).
+/// deliberately-unknown key whose rejection must still be audited.
+/// `kind` is taken modulo the menu length and every magnitude maps into
+/// the knob's accepted range, so any integer triple decodes to a command
+/// the router admits (only the unknown-key entry is refused, by design).
 pub fn knob_commands(plan: &TrialPlan) -> Vec<visapp::CommandAt> {
     use obs::Command;
     plan.knobs

@@ -62,14 +62,19 @@ pub trait Tunable: sealed::Sealed + Sized {
 }
 
 impl sealed::Sealed for u64 {}
+/// Inlined across crates: a knob read in another crate's hot loop must
+/// compile to the one atomic load, not a call.
 impl Tunable for u64 {
     type Slot = AtomicU64;
+    #[inline]
     fn into_slot(self) -> AtomicU64 {
         AtomicU64::new(self)
     }
+    #[inline]
     fn load(slot: &AtomicU64) -> Self {
         slot.load(Ordering::Acquire)
     }
+    #[inline]
     fn swap(slot: &AtomicU64, value: Self) -> Self {
         slot.swap(value, Ordering::AcqRel)
     }
@@ -96,7 +101,7 @@ struct Inner<T: Tunable> {
     version: AtomicU64,
 }
 
-/// A shareable, runtime-tunable value: a [`Scalar`] or an `Arc<U>`
+/// A shareable, runtime-tunable value: a `u64` or an `Arc<U>`
 /// payload (see [`Tunable`]).
 ///
 /// Clones share the same cell: a `set` through any clone is visible to

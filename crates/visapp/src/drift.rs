@@ -34,10 +34,10 @@ pub const SKEW_FROM_EPOCH: usize = 1;
 /// Live link bandwidth divisor from [`SKEW_FROM_EPOCH`] on (8.0 = the link
 /// silently drops to an eighth of what the database was profiled at).
 const SKEW: f64 = 8.0;
-/// Sustained-drift EWMA threshold (`refine.drift_threshold`).
+/// Sustained-drift EWMA threshold (`RefineEngine::set_threshold`).
 pub const DRIFT_THRESHOLD: f64 = 0.5;
 /// Consecutive over-threshold samples before alarming
-/// (`refine.min_streak`).
+/// (`RefineEngine::set_min_streak`).
 const MIN_STREAK: u64 = 3;
 /// Profiling parallelism for the initial build and re-profiles.
 const THREADS: usize = 2;

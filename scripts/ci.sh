@@ -49,9 +49,9 @@ cargo test -q --release -p adapt-bench -- --ignored --test-threads=1
 stage "control-plane smoke"
 # Live-reconfiguration smoke: the preference_flip example asserts the
 # control plane end to end — an empty command schedule leaves the event
-# stream byte-identical across reruns, a mid-run Command::Set flips the
-# scheduler's choice in the same run with a matching audit event, and a
-# pinned knob refuses the Set.
+# stream byte-identical across reruns, and a mid-run Command::Set flips
+# the scheduler's choice in the same run with a matching config_set
+# audit event and a decide event stamped with preference version 1.
 cargo run --release -q --example preference_flip
 
 stage "clippy"

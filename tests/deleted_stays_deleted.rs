@@ -394,6 +394,33 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "the knobs a program turns",
+        reason: "a CommandRouter holds the knobs and always audits; it answers Set and \
+                 ResetBreaker, and a ConfigValue is U64, F64 or Str; the arbiter's recovery \
+                 margin and backfill depth are constants, and the refine engine's gates are \
+                 fields its setters write, because no program read, pinned or turned them",
+        deleted_in: "fe0b1cb",
+        searches: &[Search {
+            tokens: &[
+                "ConfigRegistry",
+                "PinConfig",
+                "ListConfig",
+                "ConfigEntry",
+                "config_pin",
+                "ConfigValue::Bool",
+                "ConfigValue::I64",
+                "\"arbiter.recover_margin\"",
+                "\"arbiter.backfill_depth\"",
+                "\"refine.drift_threshold\"",
+                "\"refine.min_streak\"",
+            ],
+            roots: SOURCE,
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
