@@ -334,7 +334,7 @@ impl PreferenceList {
     }
 }
 
-/// The `scheduler.prefs` registry knob over a live preference handle: it
+/// The `scheduler.prefs` router knob over a live preference handle: it
 /// reads and writes the textual directive grammar, so a typed
 /// `Command::Set` can flip user preferences mid-run.
 pub(crate) fn prefs_knob(handle: obs::Adaptive<Arc<PreferenceList>>) -> FnKnob<PreferenceList> {
