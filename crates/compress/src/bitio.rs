@@ -4,7 +4,7 @@
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits not yet in `buf`: the low `nbits` bits of `acc`, 0..8 between
+    /// Bits not yet in `buf`: the low `nbits` bits of `acc`, 0..32 between
     /// calls. Whatever sits above them is stale.
     nbits: u32,
     acc: u64,
@@ -18,17 +18,21 @@ impl BitWriter {
     /// Append the low `n` bits of `v` (MSB of those bits first). `n <= 32`.
     pub(crate) fn put(&mut self, v: u32, n: u32) {
         assert!(n <= 32);
-        // At most 7 + 32 live bits: the shift loses only stale ones.
+        // At most 31 + 32 live bits: the shift loses only stale ones.
         self.acc = self.acc << n | (v as u64 & ((1 << n) - 1));
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.buf.push((self.acc >> self.nbits) as u8);
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            self.buf.extend_from_slice(&((self.acc >> self.nbits) as u32).to_be_bytes());
         }
     }
 
     /// Flush (zero-padding the final byte) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.buf.push((self.acc >> self.nbits) as u8);
+        }
         if self.nbits > 0 {
             self.buf.push((self.acc << (8 - self.nbits)) as u8);
         }
@@ -117,6 +121,48 @@ mod tests {
         }
         while let Some(pad) = r.get_bit() {
             assert_eq!(pad, 0);
+        }
+    }
+
+    /// The reference `put` is held to: one bit at a time, MSB first.
+    #[derive(Default)]
+    struct BitAtATime {
+        buf: Vec<u8>,
+        len: usize,
+    }
+
+    impl BitAtATime {
+        fn put(&mut self, v: u32, n: u32) {
+            for i in (0..n).rev() {
+                if self.len.is_multiple_of(8) {
+                    self.buf.push(0);
+                }
+                let last = self.buf.len() - 1;
+                self.buf[last] |= (((v >> i) & 1) as u8) << (7 - self.len % 8);
+                self.len += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn put_matches_a_bit_at_a_time_writer() {
+        // Seeded runs of `put(v, n)`, n in 1..=32, each topped up so that
+        // `finish` meets every pending-bit count once.
+        let mut rng = obs::det::SplitMix64::new(0xb17);
+        for pending in 0..32u32 {
+            let (mut w, mut r) = (BitWriter::new(), BitAtATime::default());
+            for _ in 0..rng.range(0, 200) {
+                let (v, n) = (rng.next_u64() as u32, 1 + rng.below(32) as u32);
+                w.put(v, n);
+                r.put(v, n);
+            }
+            let short = (pending + 32 - (r.len % 32) as u32) % 32;
+            let n = if short == 0 { 32 } else { short };
+            let v = rng.next_u64() as u32;
+            w.put(v, n);
+            r.put(v, n);
+            assert_eq!(w.nbits, pending);
+            assert_eq!(w.finish(), r.buf, "pending {pending}");
         }
     }
 

@@ -6,7 +6,9 @@
 //! client", choosing between **compression A (LZW)** and **compression B
 //! (Bzip2)**. Both are implemented here from scratch:
 //!
-//! - [`lzw`]: variable-width-code LZW (9–12 bits, CLEAR/EOF codes);
+//! - [`lzw`]: variable-width-code LZW (9–12 bits, CLEAR/EOF codes), its
+//!   dictionary a flat open-addressed table (the `HashMap` encoder it
+//!   replaced is the byte-for-byte oracle in `tests/lzw_reference.rs`);
 //! - [`bzip`]: BWT ([`bwt`], radix + prefix-doubling rotation sort) → move-to-front
 //!   ([`mtf`]) → zero run-length ([`rle`]) → canonical Huffman
 //!   ([`huffman`]), blocked at 100 kB;

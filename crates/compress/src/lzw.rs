@@ -11,8 +11,10 @@
 //! code and widen when `n` reaches `1 << width`. Because the counter
 //! depends only on the code stream itself, encoder and decoder widths can
 //! never diverge (including around CLEAR, EOF, and the KwKwK case).
-
-use std::collections::HashMap;
+//!
+//! The encoder's dictionary is a flat open-addressed table (`Dict`);
+//! the `HashMap` compressor it replaced is the byte-for-byte oracle in
+//! `tests/lzw_reference.rs`.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
@@ -50,10 +52,50 @@ impl Sync {
     }
 }
 
+/// Slots in the encoder's table: a power of two above twice the
+/// `MAX_CODE + 1 - FIRST_FREE` entries it holds between CLEARs.
+const SLOT_BITS: u32 = 13;
+const SLOTS: usize = 1 << SLOT_BITS;
+
+/// The encoder's dictionary, `(prefix code, byte) -> code`: open addressing
+/// with linear probing. A slot holds `prefix << 8 | byte` in its high 20
+/// bits and the code in its low `MAX_WIDTH`. A code is at least
+/// `FIRST_FREE`, so an occupied slot is never 0, and 0 marks an empty one.
+struct Dict {
+    slots: [u32; SLOTS],
+}
+
+impl Dict {
+    fn new() -> Self {
+        Dict { slots: [0; SLOTS] }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+
+    /// The code for `(prefix, byte)`, or else the empty slot it goes in.
+    fn find(&self, prefix: u32, byte: u8) -> Result<u32, usize> {
+        let key = (prefix << 8 | byte as u32) << MAX_WIDTH;
+        let mut i = (key.wrapping_mul(0x9e37_79b1) >> (32 - SLOT_BITS)) as usize;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                e if e & !MAX_CODE == key => return Ok(e & MAX_CODE),
+                _ => i = (i + 1) % SLOTS,
+            }
+        }
+    }
+
+    fn insert(&mut self, slot: usize, prefix: u32, byte: u8, code: u32) {
+        self.slots[slot] = (prefix << 8 | byte as u32) << MAX_WIDTH | code;
+    }
+}
+
 /// Compress `data` with LZW.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
-    let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+    let mut dict = Dict::new();
     let mut s = Sync::fresh();
     w.put(CLEAR, s.width);
     let mut it = data.iter();
@@ -65,11 +107,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     };
     for &b in it {
-        match dict.get(&(cur, b)) {
-            Some(&code) => cur = code,
-            None => {
+        match dict.find(cur, b) {
+            Ok(code) => cur = code,
+            Err(slot) => {
                 w.put(cur, s.width);
-                dict.insert((cur, b), s.n);
+                dict.insert(slot, cur, b, s.n);
                 s.bump();
                 if s.full() {
                     w.put(CLEAR, s.width);

@@ -348,7 +348,7 @@ impl Client {
     ///   value or one below 1 is refused
     /// - `<prefix>.breaker.failure_threshold`, `<prefix>.breaker.recovery_timeout_us`
     ///   (u64) plus a `ResetBreaker` target at `<prefix>.breaker` — only
-    ///   when a breaker is armed
+    ///   when a breaker is armed; a failure threshold of 0 is refused
     /// - the adaptive runtime's own knobs (`steering.min_dwell_us`,
     ///   `scheduler.prefs`, unprefixed) — only on an adaptive client
     pub(crate) fn register_control(&self, prefix: &str, router: &CommandRouter) {
@@ -375,7 +375,7 @@ impl Client {
         if let Some(b) = &self.breaker {
             router.register_knob(
                 format!("{prefix}.breaker.failure_threshold"),
-                b.failure_threshold_handle(),
+                b.failure_threshold_knob(),
             );
             router.register_knob(
                 format!("{prefix}.breaker.recovery_timeout_us"),
@@ -783,6 +783,43 @@ mod tests {
         assert_eq!(
             audit,
             [("config_reject", Some("client.retry.multiplier"), Some("NaN"), Some("bad_value"))]
+        );
+    }
+
+    /// A breaker acts on at least one failure: a threshold of 0 is refused
+    /// and audited as a reject, and the live threshold keeps its value.
+    #[test]
+    fn a_zero_breaker_threshold_is_refused_and_audited() {
+        let obs = Obs::new();
+        let router = CommandRouter::new(&obs);
+        let breaker = BreakerOpts { failure_threshold: 3, recovery_timeout_us: 1, degraded: None };
+        let opts = ClientOpts::new(ActorId(1)).with_breaker(Some(breaker));
+        let client = Client::new(opts, StatsHandle::new(), None);
+        client.register_control("client", &router);
+        let err = router
+            .dispatch(7, "user", Command::set("client.breaker.failure_threshold", 0u64))
+            .unwrap_err();
+        assert_eq!(err.reason(), "bad_value");
+        let b = client.breaker.as_ref().unwrap();
+        assert_eq!(b.failure_threshold(), 3, "the threshold is unchanged");
+        router.dispatch(8, "user", Command::set("client.breaker.failure_threshold", 1u64)).unwrap();
+        assert_eq!(b.failure_threshold(), 1, "1 is the smallest threshold taken");
+        let audit = obs.events_filtered(&EventFilter::control_audit());
+        let audit: Vec<_> = audit
+            .iter()
+            .map(|e| (e.kind, e.str_field("key"), e.str_field("attempted"), e.str_field("reason")))
+            .collect();
+        assert_eq!(
+            audit,
+            [
+                (
+                    "config_reject",
+                    Some("client.breaker.failure_threshold"),
+                    Some("0"),
+                    Some("bad_value")
+                ),
+                ("config_set", Some("client.breaker.failure_threshold"), None, None),
+            ]
         );
     }
 

@@ -9,7 +9,7 @@
 //! retransmitting (the link or server is presumed dead), degrades to its
 //! lowest-cost configuration, and probes again after `recovery_timeout_us`.
 
-use obs::{Adaptive, ResetSignal};
+use obs::{Adaptive, ConfigValue, Knob, KnobError, ResetSignal};
 use simnet::SimTime;
 
 use crate::client::VizConfig;
@@ -93,7 +93,7 @@ impl CircuitBreaker {
 
     /// Live failure threshold (consecutive failures that trip the breaker).
     pub fn failure_threshold(&self) -> u32 {
-        self.failure_threshold.get().clamp(1, u32::MAX as u64) as u32
+        self.failure_threshold.get().min(u32::MAX as u64) as u32
     }
 
     /// Live recovery timeout (open-window length before a half-open probe).
@@ -101,9 +101,9 @@ impl CircuitBreaker {
         self.recovery_timeout.get()
     }
 
-    /// Handle for registering `failure_threshold` as a config knob.
-    pub(crate) fn failure_threshold_handle(&self) -> Adaptive<u64> {
-        self.failure_threshold.clone()
+    /// `failure_threshold` as a config knob.
+    pub(crate) fn failure_threshold_knob(&self) -> ThresholdKnob {
+        ThresholdKnob(self.failure_threshold.clone())
     }
 
     /// Handle for registering `recovery_timeout_us` as a config knob.
@@ -149,7 +149,7 @@ impl CircuitBreaker {
         self.probe_inflight = false;
         match self.state {
             BreakerState::Closed => {
-                if u64::from(self.consecutive_failures) >= self.failure_threshold.get().max(1) {
+                if u64::from(self.consecutive_failures) >= self.failure_threshold.get() {
                     self.state = BreakerState::Open;
                     self.opened_at = now;
                     true
@@ -192,6 +192,20 @@ impl CircuitBreaker {
                 }
             }
         }
+    }
+}
+
+/// The `failure_threshold` knob. A breaker trips on at least one failure,
+/// so a write of 0 is refused rather than stored: the audit trail records
+/// only values that take effect, and every value the cell holds is >= 1.
+pub(crate) struct ThresholdKnob(Adaptive<u64>);
+
+impl Knob for ThresholdKnob {
+    fn write(&self, value: ConfigValue) -> Result<(ConfigValue, u64), KnobError> {
+        if value.as_u64() == Some(0) {
+            return Err(KnobError::BadValue("failure_threshold 0 must be >= 1".into()));
+        }
+        self.0.write(value)
     }
 }
 
@@ -313,7 +327,7 @@ mod tests {
         });
         // Tighten the threshold mid-streak: the next failure trips.
         b.on_failure(t(0));
-        b.failure_threshold_handle().set(2);
+        b.failure_threshold_knob().write(ConfigValue::U64(2)).unwrap();
         assert_eq!(b.failure_threshold(), 2);
         assert!(b.on_failure(t(10)), "new lower threshold trips on second failure");
         assert_eq!(b.state(), BreakerState::Open);

@@ -68,35 +68,45 @@ pub fn noise(width: usize, height: usize, seed: u64) -> Image {
 
 /// Multi-octave value noise ("plasma"): smooth large-scale structure with
 /// fine detail, a reasonable stand-in for photographic content.
+///
+/// A column's grid cell and blend weight depend only on `x` and the
+/// octave, a row's only on `y`, so both are computed once and the pixel
+/// loop reads two grid rows as slices. Every pixel still evaluates the
+/// same expressions in the same order (Rust does not contract them into
+/// FMA), so the image is bit-identical to the per-pixel loop kept as the
+/// oracle in `tests/plasma_reference.rs`.
 pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
+    let mut img = Image::blank(width, height);
     let mut rng = SplitMix64::new(seed);
     let octaves = 5usize;
     let mut acc = vec![0.0f64; width * height];
     let mut amplitude = 1.0f64;
     let mut total_amp = 0.0f64;
+    // Grid cell and smoothstep weight (C1 continuity) of `i` of `n`.
+    let cell = |i: usize, n: usize, cells: usize| {
+        let f = i as f64 / n as f64 * cells as f64;
+        let c = f as usize;
+        let t = f - c as f64;
+        (c, t * t * (3.0 - 2.0 * t))
+    };
     for o in 0..octaves {
         let cells = 1usize << (o + 2); // 4, 8, 16, ...
         let gw = cells + 2;
         let gh = cells + 2;
         let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
-        for y in 0..height {
-            for x in 0..width {
-                let fx = x as f64 / width as f64 * cells as f64;
-                let fy = y as f64 / height as f64 * cells as f64;
-                let (ix, iy) = (fx as usize, fy as usize);
-                let (tx, ty) = (fx - ix as f64, fy - iy as f64);
-                // Smoothstep for C1 continuity.
-                let (sx, sy) = (tx * tx * (3.0 - 2.0 * tx), ty * ty * (3.0 - 2.0 * ty));
-                let g = |gx: usize, gy: usize| grid[gy * gw + gx];
-                let v0 = g(ix, iy) * (1.0 - sx) + g(ix + 1, iy) * sx;
-                let v1 = g(ix, iy + 1) * (1.0 - sx) + g(ix + 1, iy + 1) * sx;
-                acc[y * width + x] += amplitude * (v0 * (1.0 - sy) + v1 * sy);
+        let cols: Vec<(usize, f64)> = (0..width).map(|x| cell(x, width, cells)).collect();
+        for (y, row) in acc.chunks_exact_mut(width).enumerate() {
+            let (iy, sy) = cell(y, height, cells);
+            let (g0, g1) = (&grid[iy * gw..][..gw], &grid[(iy + 1) * gw..][..gw]);
+            for (a, &(ix, sx)) in row.iter_mut().zip(&cols) {
+                let v0 = g0[ix] * (1.0 - sx) + g0[ix + 1] * sx;
+                let v1 = g1[ix] * (1.0 - sx) + g1[ix + 1] * sx;
+                *a += amplitude * (v0 * (1.0 - sy) + v1 * sy);
             }
         }
         total_amp += amplitude;
         amplitude *= 0.5;
     }
-    let mut img = Image::blank(width, height);
     for (dst, &v) in img.data.iter_mut().zip(&acc) {
         *dst = ((v / total_amp) * 255.0).clamp(0.0, 255.0) as u8;
     }

@@ -30,13 +30,18 @@ stage "tests"
 # table (tests/deleted_stays_deleted.rs) run here.
 cargo test -q
 
-stage "compress byte identity (release)"
-# `bwt::forward` is held byte for byte to the sorter it replaced, which
-# lives on as the oracle in crates/compress/tests/bwt_reference.rs. The
-# oracle sorts a doubled 100 kB block ~18 times over; optimized, the
-# full-block cases take a second instead of a minute. --release also
-# runs the codec arithmetic with overflow checks off, as it ships.
+stage "compress and plasma byte identity (release)"
+# Three kernels are held byte for byte to the code they replaced, which
+# lives on as test oracles: `bwt::forward` against the old sorter
+# (crates/compress/tests/bwt_reference.rs), `lzw::compress` against the
+# HashMap encoder (crates/compress/tests/lzw_reference.rs) and
+# `image::plasma` / `image::photo` against the per-pixel loop
+# (crates/wavelet/tests/plasma_reference.rs). The BWT oracle sorts a
+# doubled 100 kB block ~18 times over; optimized, the full-block cases
+# take a second instead of a minute. --release also runs the arithmetic
+# with overflow checks off, as it ships.
 cargo test -q -p compress --release
+cargo test -q -p wavelet --release
 
 stage "pinned release rows"
 # The `#[ignore]`d tests of adapt-bench, optimized: the 10k- and
