@@ -16,6 +16,8 @@
 
 use std::collections::BTreeSet;
 
+use obs::det::par_map;
+
 use crate::env::{ResourceKey, ResourceVector};
 use crate::param::Configuration;
 use crate::perfdb::{PerfDb, PerfRecord};
@@ -116,28 +118,26 @@ impl Profiler {
         self.configs.len() * self.grid.point_count() * self.inputs.len()
     }
 
-    /// Run the sweep across `threads` OS threads (`1` is a sequential
-    /// sweep). Each grid point builds its own independent simulation, so
-    /// this is embarrassingly parallel; results are merged in deterministic
-    /// job order afterwards — the order of a nested input → configuration
-    /// → point loop, whatever the thread count.
+    /// Run the sweep on up to `threads` OS threads (`1` is a sequential
+    /// sweep; never more than the host's cores). Each grid point builds
+    /// its own independent simulation, so this is embarrassingly
+    /// parallel; results are merged in deterministic job order afterwards
+    /// — the order of a nested input → configuration → point loop,
+    /// whatever the thread count.
     ///
-    /// Workers pull tickets from a shared counter and decode them into
-    /// `(input, config, point)` on the fly — the grid's points are
-    /// computed once and shared by reference, never cloned per job — and
-    /// buffer results locally, so the only cross-thread synchronization is
-    /// the counter; buffers are merged after join. Tickets walk the sweep
+    /// The runs go through [`obs::det::par_map`], the workspace's one
+    /// parallel map, as tickets that decode into `(input, config, point)`
+    /// on the fly — the grid's points are computed once and shared by
+    /// reference, never cloned per job. Tickets walk the sweep
     /// point-major: runs of one configuration tend to share state the
-    /// runner caches on first use (visapp's prepared payloads), so workers
-    /// side by side take different configurations rather than queue for
-    /// the same cold entry.
+    /// runner caches on first use (visapp's prepared payloads), so
+    /// workers side by side take different configurations rather than
+    /// queue for the same cold entry.
     pub fn run_parallel(&self, runner: &(dyn ProfileRunner + Sync), threads: usize) -> PerfDb {
-        let threads = threads.max(1);
         let points = self.grid.points();
         let npoints = points.len();
         let nconfigs = self.configs.len();
         let npairs = self.inputs.len() * nconfigs;
-        let total = npairs * npoints;
         // Job id layout (insertion order of the sequential sweep):
         // id = (input_i * nconfigs + config_i) * npoints + point_i.
         let decode = |id: usize| {
@@ -145,30 +145,14 @@ impl Profiler {
             let (input_i, config_i) = (pair / nconfigs, pair % nconfigs);
             (&self.inputs[input_i], &self.configs[config_i], &points[point_i])
         };
-        let id_of = |ticket: usize| (ticket % npairs) * npoints + ticket / npairs;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut results: Vec<Vec<(usize, QosReport)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local: Vec<(usize, QosReport)> = Vec::new();
-                        loop {
-                            let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if ticket >= total {
-                                break;
-                            }
-                            let id = id_of(ticket);
-                            let (input, config, point) = decode(id);
-                            local.push((id, runner.run(config, point, input)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("profiling thread panicked")).collect()
+        let ids: Vec<usize> = (0..npairs * npoints)
+            .map(|ticket| (ticket % npairs) * npoints + ticket / npairs)
+            .collect();
+        let reports = par_map(&ids, threads, |&id| {
+            let (input, config, point) = decode(id);
+            runner.run(config, point, input)
         });
-        let mut merged: Vec<(usize, QosReport)> =
-            results.iter_mut().flat_map(std::mem::take).collect();
+        let mut merged: Vec<(usize, QosReport)> = ids.into_iter().zip(reports).collect();
         merged.sort_by_key(|(id, _)| *id);
         let mut db = PerfDb::new();
         for (id, metrics) in merged {

@@ -12,6 +12,15 @@
 //! of `crates/bench/tests/digest_contract.rs`, the DST repros, the
 //! `wire_bytes` hashes) is a function of these exact bit streams, and an
 //! external crate's stream or hasher is free to change between versions.
+//!
+//! [`par_map`] is the workspace's one way to run independent work on
+//! threads, and it is deterministic in the same sense: its result is in
+//! input order whatever the worker count, so a caller whose items are
+//! pure functions of their input produces the same bytes on one core or
+//! many. The worker count never enters a simulation or a digest.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// splitmix64 stream.
 #[derive(Debug, Clone)]
@@ -97,6 +106,55 @@ impl Default for Fnv64 {
     }
 }
 
+/// The host's core count (`available_parallelism`, 1 if unknown), read
+/// once per process.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// `items.iter().map(f).collect()`, on up to `workers` threads.
+///
+/// The calling thread works too, and an idle worker pulls the next index
+/// from a shared counter, so items start in input order and a slow one
+/// holds up no other. Results come back in input order. A panic in `f`
+/// reaches the caller once every worker has stopped. The worker count
+/// is at most `workers`, [`cores`] and `items.len()`; with one worker
+/// the map runs inline and spawns nothing.
+pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(cores()).min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
+        }
+    };
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut parts = vec![work()];
+        for handle in spawned {
+            parts.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        parts
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots.into_iter().map(|r| r.expect("every index is taken once")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +192,62 @@ mod tests {
     #[test]
     fn splitmix_known_answer() {
         assert_eq!(SplitMix64::new(0).next_u64(), 0xe220_a839_7b1d_cdaf);
+    }
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        for workers in 1..=4 {
+            for n in [0usize, 1, 2, 7] {
+                let items: Vec<u64> = (0..n as u64).collect();
+                let got = par_map(&items, workers, |&x| x * x + 1);
+                let want: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+                assert_eq!(got, want, "workers {workers}, items {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_of_fewer_than_two_items_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for workers in 1..=4 {
+            let ran_on = par_map(&[()], workers, |_| std::thread::current().id());
+            assert_eq!(ran_on, vec![caller]);
+        }
+    }
+
+    #[test]
+    fn par_map_runs_two_items_at_once_on_two_workers() {
+        if cores() < 2 {
+            return;
+        }
+        // Each item waits for the other to start: only two threads at
+        // once finish before the deadline.
+        let started = AtomicUsize::new(0);
+        let met = par_map(&[0, 1], 2, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            started.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(met, vec![true, true]);
+    }
+
+    #[test]
+    fn par_map_propagates_a_panicking_item() {
+        for workers in 1..=4 {
+            let items: Vec<u32> = (0..7).collect();
+            let caught = std::panic::catch_unwind(|| {
+                par_map(&items, workers, |&x| {
+                    assert!(x != 5, "item {x}");
+                    x
+                })
+            });
+            let panic = caught.expect_err("the panic reaches the caller");
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("item 5"), "workers {workers}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use compress::Method;
+use obs::det::{cores, par_map};
 use wavelet::image::photo;
 use wavelet::{encode_chunks, Pyramid, Rect};
 
@@ -50,17 +51,16 @@ impl ImageStore {
     pub const NOISE_AMP: i32 = 16;
 
     /// Generate `count` photographic (plasma + sensor noise) images of
-    /// `size x size` with `levels` pyramid levels, seeded from `seed`.
+    /// `size x size` with `levels` pyramid levels, image `i` seeded from
+    /// `seed + i`. Images are independent, so they are built on up to
+    /// [`cores`] workers, each into its own slot: the store is the same
+    /// on any core count.
     pub fn generate(count: usize, size: usize, levels: usize, seed: u64) -> ImageStore {
         assert!(count > 0 && size.is_multiple_of(1 << levels));
-        let pyramids: Vec<Pyramid> = (0..count)
-            .map(|i| {
-                Pyramid::build(
-                    &photo(size, size, seed.wrapping_add(i as u64), Self::NOISE_AMP),
-                    levels,
-                )
-            })
-            .collect();
+        let seeds: Vec<u64> = (0..count as u64).map(|i| seed.wrapping_add(i)).collect();
+        let pyramids = par_map(&seeds, cores(), |&s| {
+            Pyramid::build(&photo(size, size, s, Self::NOISE_AMP), levels)
+        });
         ImageStore {
             pyramids,
             width: size,

@@ -69,19 +69,16 @@ pub fn noise(width: usize, height: usize, seed: u64) -> Image {
 /// Multi-octave value noise ("plasma"): smooth large-scale structure with
 /// fine detail, a reasonable stand-in for photographic content.
 ///
-/// A column's grid cell and blend weight depend only on `x` and the
-/// octave, a row's only on `y`, so both are computed once and the pixel
-/// loop reads two grid rows as slices. Every pixel still evaluates the
-/// same expressions in the same order (Rust does not contract them into
+/// The five octave grids are drawn first, in stream order, with each
+/// column's grid cell and blend weight per octave; then each output row
+/// sums its octaves in a `width`-long buffer. A row's cell and weight
+/// depend only on `y` and the octave, so the pixel loop reads two grid
+/// rows as slices. Every pixel still evaluates the same expressions and
+/// adds its octaves in the same order (Rust does not contract them into
 /// FMA), so the image is bit-identical to the per-pixel loop kept as the
 /// oracle in `tests/plasma_reference.rs`.
 pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
-    let mut img = Image::blank(width, height);
     let mut rng = SplitMix64::new(seed);
-    let octaves = 5usize;
-    let mut acc = vec![0.0f64; width * height];
-    let mut amplitude = 1.0f64;
-    let mut total_amp = 0.0f64;
     // Grid cell and smoothstep weight (C1 continuity) of `i` of `n`.
     let cell = |i: usize, n: usize, cells: usize| {
         let f = i as f64 / n as f64 * cells as f64;
@@ -89,26 +86,38 @@ pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
         let t = f - c as f64;
         (c, t * t * (3.0 - 2.0 * t))
     };
-    for o in 0..octaves {
-        let cells = 1usize << (o + 2); // 4, 8, 16, ...
-        let gw = cells + 2;
-        let gh = cells + 2;
-        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
-        let cols: Vec<(usize, f64)> = (0..width).map(|x| cell(x, width, cells)).collect();
-        for (y, row) in acc.chunks_exact_mut(width).enumerate() {
-            let (iy, sy) = cell(y, height, cells);
+    let mut amplitude = 1.0f64;
+    let mut total_amp = 0.0f64;
+    // Per octave: cells per side, grid, column cells and weights, amplitude.
+    let octaves: Vec<_> = (0..5)
+        .map(|o| {
+            let cells = 1usize << (o + 2); // 4, 8, 16, ...
+            let (gw, gh) = (cells + 2, cells + 2);
+            let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
+            let cols: Vec<(usize, f64)> = (0..width).map(|x| cell(x, width, cells)).collect();
+            let octave = (cells, grid, cols, amplitude);
+            total_amp += amplitude;
+            amplitude *= 0.5;
+            octave
+        })
+        .collect();
+    let mut img = Image::blank(width, height);
+    let mut acc = vec![0.0f64; width];
+    for (y, out) in img.data.chunks_exact_mut(width).enumerate() {
+        acc.fill(0.0);
+        for (cells, grid, cols, amplitude) in &octaves {
+            let gw = cells + 2;
+            let (iy, sy) = cell(y, height, *cells);
             let (g0, g1) = (&grid[iy * gw..][..gw], &grid[(iy + 1) * gw..][..gw]);
-            for (a, &(ix, sx)) in row.iter_mut().zip(&cols) {
+            for (a, &(ix, sx)) in acc.iter_mut().zip(cols) {
                 let v0 = g0[ix] * (1.0 - sx) + g0[ix + 1] * sx;
                 let v1 = g1[ix] * (1.0 - sx) + g1[ix + 1] * sx;
                 *a += amplitude * (v0 * (1.0 - sy) + v1 * sy);
             }
         }
-        total_amp += amplitude;
-        amplitude *= 0.5;
-    }
-    for (dst, &v) in img.data.iter_mut().zip(&acc) {
-        *dst = ((v / total_amp) * 255.0).clamp(0.0, 255.0) as u8;
+        for (dst, &v) in out.iter_mut().zip(&acc) {
+            *dst = ((v / total_amp) * 255.0).clamp(0.0, 255.0) as u8;
+        }
     }
     img
 }
@@ -123,13 +132,46 @@ pub fn photo(width: usize, height: usize, seed: u64, amp: i32) -> Image {
         return base;
     }
     let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    // `rng.range(0, 2 * amp)` is a draw modulo `2 * amp + 1`.
+    let span = Modulus::new(2 * amp as u64 + 1);
     let mut img = base;
     for v in img.data.iter_mut() {
-        // Uniform in `[-amp, amp]`; `amp >= 1` here, so `range` draws.
-        let n = rng.range(0, 2 * amp as u64) as i32 - amp;
+        // Uniform in `[-amp, amp]`.
+        let n = span.rem(rng.next_u64()) as i32 - amp;
         *v = (*v as i32 + n).clamp(0, 255) as u8;
     }
     img
+}
+
+/// `x % d` for a divisor fixed ahead of a loop, by a precomputed
+/// reciprocal instead of a 64-bit division per call.
+///
+/// With `m = (2^64 - 1) / d`, `2^64 - d <= m * d < 2^64`, so the
+/// estimate `q = x * m / 2^64` (high half of the 128-bit product) is
+/// `x / d` or one less, and one conditional subtraction leaves the exact
+/// remainder for every `x` and every `d >= 1`.
+#[derive(Debug, Clone, Copy)]
+struct Modulus {
+    d: u64,
+    m: u64,
+}
+
+impl Modulus {
+    fn new(d: u64) -> Modulus {
+        assert!(d > 0, "modulus of zero");
+        Modulus { d, m: u64::MAX / d }
+    }
+
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        let q = ((x as u128 * self.m as u128) >> 64) as u64;
+        let r = x - q * self.d;
+        if r >= self.d {
+            r - self.d
+        } else {
+            r
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +274,27 @@ pub(crate) mod tests {
         };
         assert_eq!(fnv(noise(64, 64, 5)), 0x421e_5334_d752_091d);
         assert_eq!(fnv(plasma(64, 64, 1)), 0xbbb6_f785_3f77_7850);
+    }
+
+    #[test]
+    fn modulus_matches_the_remainder_operator() {
+        // Every divisor `photo` uses up to amplitude 2 048 (and every
+        // divisor below it), plus the extremes, each against the
+        // numerators where an estimate could be off by one — around
+        // multiples of `d` at both ends of the range — and a seeded
+        // stream.
+        let mut rng = SplitMix64::new(0x5eed);
+        let divisors =
+            (1..=4097u64).chain([1 << 32, (1 << 32) + 1, u64::MAX / 3, u64::MAX - 1, u64::MAX]);
+        for d in divisors {
+            let m = Modulus::new(d);
+            let top = u64::MAX - u64::MAX % d;
+            let edges =
+                [0, 1, d - 1, d, d.wrapping_add(1), top.wrapping_sub(1), top, u64::MAX, 1 << 63];
+            for x in edges.into_iter().chain((0..256).map(|_| rng.next_u64())) {
+                assert_eq!(m.rem(x), x % d, "{x} % {d}");
+            }
+        }
     }
 
     #[test]

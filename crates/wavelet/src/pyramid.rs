@@ -71,7 +71,7 @@ impl SubbandChunk {
 /// let view = client.reconstruct(3);
 /// assert_eq!(view.get(32, 32), img.get(32, 32));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pyramid {
     width: usize,
     height: usize,
