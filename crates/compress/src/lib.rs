@@ -11,7 +11,11 @@
 //!   replaced is the byte-for-byte oracle in `tests/lzw_reference.rs`);
 //! - [`bzip`]: BWT ([`bwt`], radix + prefix-doubling rotation sort) → move-to-front
 //!   ([`mtf`]) → zero run-length ([`rle`]) → canonical Huffman
-//!   ([`huffman`]), blocked at 100 kB;
+//!   ([`huffman`]), blocked at 100 kB; the blocks of one payload are
+//!   encoded on up to one worker per core (`obs::det::par_map`) and
+//!   written in block order, so the stream is the same bytes on any core
+//!   count (`tests/bzip_blocks.rs` holds it to a serial loop over the
+//!   stage functions);
 //! - [`Method`] is the run-time-selectable interface, and
 //!   [`CostModel`] its simulated CPU price (reference-machine us/byte),
 //!   which is what produces the Figure 6(a) crossover: B compresses better

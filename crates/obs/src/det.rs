@@ -131,6 +131,8 @@ where
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
+    // The counter only hands out indices, each once, and publishes no
+    // data: results reach this thread through the joins.
     let next = AtomicUsize::new(0);
     let work = || {
         let mut done = Vec::new();
@@ -140,19 +142,16 @@ where
             done.push((i, f(item)));
         }
     };
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+    let mut done = std::thread::scope(|s| {
         let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-        let mut parts = vec![work()];
+        let mut done = work();
         for handle in spawned {
-            parts.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            done.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
-        parts
+        done
     });
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    for (i, r) in parts.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|r| r.expect("every index is taken once")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

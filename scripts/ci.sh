@@ -36,12 +36,17 @@ stage "compress and plasma byte identity (release)"
 # (crates/compress/tests/bwt_reference.rs), `lzw::compress` against the
 # HashMap encoder (crates/compress/tests/lzw_reference.rs) and
 # `image::plasma` / `image::photo` against the per-pixel loop
-# (crates/wavelet/tests/plasma_reference.rs). The BWT oracle sorts a
+# (crates/wavelet/tests/plasma_reference.rs). Two builds that run on
+# worker threads are held to serial ones: bzip blocks against a serial
+# loop over the stage functions (crates/compress/tests/bzip_blocks.rs)
+# and `ImageStore::generate` against serial `Pyramid::build(&photo(..))`
+# (crates/visapp/tests/store_identity.rs). The BWT oracle sorts a
 # doubled 100 kB block ~18 times over; optimized, the full-block cases
 # take a second instead of a minute. --release also runs the arithmetic
 # with overflow checks off, as it ships.
 cargo test -q -p compress --release
 cargo test -q -p wavelet --release
+cargo test -q -p visapp --release --test store_identity
 
 stage "pinned release rows"
 # The `#[ignore]`d tests of adapt-bench, optimized: the 10k- and

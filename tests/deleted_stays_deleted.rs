@@ -421,6 +421,20 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one way to run work on threads",
+        reason: "Profiler::run_parallel runs its point-major tickets through obs::det::par_map, \
+                 the one ordered parallel map that bzip blocks and store images use too; its own \
+                 spawn-and-join ticket loop is gone",
+        deleted_in: "2a47a39",
+        searches: &[Search {
+            tokens: &["AtomicUsize", "\"profiling thread panicked\""],
+            roots: &["crates/core/src/profiler.rs"],
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
