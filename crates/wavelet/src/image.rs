@@ -89,18 +89,16 @@ pub fn plasma(width: usize, height: usize, seed: u64) -> Image {
     let mut amplitude = 1.0f64;
     let mut total_amp = 0.0f64;
     // Per octave: cells per side, grid, column cells and weights, amplitude.
-    let octaves: Vec<_> = (0..5)
-        .map(|o| {
-            let cells = 1usize << (o + 2); // 4, 8, 16, ...
-            let (gw, gh) = (cells + 2, cells + 2);
-            let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
-            let cols: Vec<(usize, f64)> = (0..width).map(|x| cell(x, width, cells)).collect();
-            let octave = (cells, grid, cols, amplitude);
-            total_amp += amplitude;
-            amplitude *= 0.5;
-            octave
-        })
-        .collect();
+    let mut octaves = Vec::with_capacity(5);
+    for o in 0..5 {
+        let cells = 1usize << (o + 2); // 4, 8, 16, ...
+        let (gw, gh) = (cells + 2, cells + 2);
+        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.next_f64()).collect();
+        let cols: Vec<(usize, f64)> = (0..width).map(|x| cell(x, width, cells)).collect();
+        octaves.push((cells, grid, cols, amplitude));
+        total_amp += amplitude;
+        amplitude *= 0.5;
+    }
     let mut img = Image::blank(width, height);
     let mut acc = vec![0.0f64; width];
     for (y, out) in img.data.chunks_exact_mut(width).enumerate() {
