@@ -16,7 +16,7 @@ use visapp::{RunStats, Scenario};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = obs::det::cores();
     let run_all = which == "all";
     let want = |name: &str| run_all || which == name;
 

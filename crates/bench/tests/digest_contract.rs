@@ -247,7 +247,7 @@ fn assert_explorer_digests(trials: u64, pinned: [u64; 3]) {
 fn dst_explorer_prefix_digests_are_pinned() {
     assert_explorer_digests(
         64,
-        [0xdb17_5fd3_d3b2_0fab, 0xcc5b_91eb_cc91_f7b8, 0x616d_1c80_a786_b078],
+        [0xed36_ea0a_23d6_4233, 0xcda6_b38e_ec14_4c30, 0x8c82_0e56_1010_0bb8],
     );
 }
 
@@ -257,6 +257,6 @@ fn dst_explorer_prefix_digests_are_pinned() {
 fn dst_explorer_digests_are_pinned() {
     assert_explorer_digests(
         1_000,
-        [0x8054_9ef4_94c8_fbe0, 0x6569_0f1e_c340_5a14, 0xa618_91b1_ab81_2021],
+        [0x80db_c9ef_39a5_46bc, 0x14a0_06df_b36d_df4c, 0xe7e0_6211_7f0e_37b5],
     );
 }

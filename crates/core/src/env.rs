@@ -157,7 +157,8 @@ impl ResourceVector {
 
     /// True when every resource in `self` is at least `other`'s value
     /// (componentwise adequacy).
-    pub fn covers(&self, other: &ResourceVector) -> bool {
+    #[cfg(test)]
+    pub(crate) fn covers(&self, other: &ResourceVector) -> bool {
         other.iter().all(|(k, need)| match self.get(k) {
             Some(have) => have + 1e-12 >= need,
             None => false,

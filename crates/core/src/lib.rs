@@ -23,8 +23,7 @@
 //!   interpolation, dominance pruning, and merging of similar
 //!   configurations;
 //! - [`profiler`]: the testbed driver sweeping configurations over a
-//!   resource grid (optionally in parallel), with sensitivity-driven
-//!   adaptive refinement.
+//!   resource grid (optionally in parallel).
 //!
 //! **3. Run-time application adaptation (§6)**
 //! - [`monitor`]: the monitoring agent (10 ms period, sliding history
@@ -66,7 +65,7 @@ pub use error::{Error, Result};
 pub use monitor::{MonitoringAgent, Trigger, ValidityRegion, Violation, MONITOR_PERIOD_US};
 pub use param::{Configuration, ControlParam, ControlSpace, ParamDomain};
 pub use perfdb::{PerfDb, PerfDbLoadError, PerfRecord, PredictMode};
-pub use profiler::{ProfileRunner, Profiler, ResourceGrid, SensitivityOpts};
+pub use profiler::{ProfileRunner, Profiler, ResourceGrid};
 pub use qos::{Constraint, Objective, Preference, PreferenceList, QosMetricDef, QosReport, Sense};
 pub use refine::{DriftAlarm, RefineEngine, SwapReport};
 pub use runtime::AdaptiveRuntime;

@@ -241,14 +241,6 @@ impl PerfDb {
         }
     }
 
-    /// Sorted distinct values sampled along `axis` for `(config, input)`.
-    pub fn axis_values(&self, config: &Configuration, input: &str, axis: &ResourceKey) -> Vec<f64> {
-        let idx = self.index();
-        idx.slice(config, input)
-            .and_then(|(s, _)| s.axes.binary_search(axis).ok().map(|i| s.axis_values[i].clone()))
-            .unwrap_or_default()
-    }
-
     /// The union of resource axes sampled for `(config, input)`.
     pub fn axes(&self, config: &Configuration, input: &str) -> Vec<ResourceKey> {
         let idx = self.index();
@@ -1038,6 +1030,19 @@ mod tests {
     /// 15/cpu + 1e5/net for config 2, sampled on a 3x3 grid. Config 2
     /// wins at (cpu=1, net=1e5); config 1 wins at high bandwidth — a real
     /// crossover, so dominance pruning must keep both.
+    /// Sorted distinct values the index sampled along `axis` for
+    /// `(config, input)`.
+    fn axis_values(
+        db: &PerfDb,
+        config: &Configuration,
+        input: &str,
+        axis: &ResourceKey,
+    ) -> Vec<f64> {
+        let idx = db.index();
+        let (s, _) = idx.slice(config, input).expect("a profiled pair");
+        s.axis_values[s.axes.binary_search(axis).expect("a sampled axis")].clone()
+    }
+
     fn grid_db() -> PerfDb {
         let mut db = PerfDb::new();
         for &cpu in &[0.2, 0.5, 1.0] {
@@ -1326,7 +1331,7 @@ mod tests {
         let db = grid_db();
         let c = Configuration::new(&[("c", 1)]);
         assert_eq!(db.axes(&c, "img").len(), 2);
-        assert_eq!(db.axis_values(&c, "img", &cpu_key()), vec![0.2, 0.5, 1.0]);
+        assert_eq!(axis_values(&db, &c, "img", &cpu_key()), vec![0.2, 0.5, 1.0]);
         assert_eq!(db.configs("img").len(), 2);
         assert_eq!(db.inputs(), vec!["img".to_string()]);
         assert_eq!(db.records_for(&c, "img").len(), 9);
@@ -1355,7 +1360,7 @@ mod tests {
         assert_eq!(db.configs("img").len(), 2);
         assert_eq!(db.configs("other").len(), 1);
         assert_eq!(db.inputs(), vec!["img".to_string(), "other".to_string()]);
-        assert_eq!(db.axis_values(&c1, "img", &cpu_key()), vec![0.2, 0.35, 0.5, 1.0]);
+        assert_eq!(axis_values(&db, &c1, "img", &cpu_key()), vec![0.2, 0.35, 0.5, 1.0]);
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! sensitivity analysis to determine configurations and regions of the
 //! resource space that require additional samples."
 //!
+//! The sweep is the fixed grid alone. The paper's prototype had no such
+//! tool (§7.1), and a midpoint refiner that sampled wherever adjacent
+//! records differed by more than a threshold was measured here on
+//! held-out points and deleted: on the 256 px and 512 px stores that the
+//! benchmark and figures profile, a plain grid with the same number of
+//! records or fewer chose configurations with equal or lower regret
+//! (CHANGES.md has the table).
+//!
 //! The driver is application-agnostic: a [`ProfileRunner`] closure runs
 //! one `(configuration, resource-point, input)` combination — typically by
 //! building a fresh `simnet` simulation with the application under a
 //! `sandbox` configured for that resource point — and returns the measured
 //! quality metrics. Grid points are independent, so the sweep can run on
 //! multiple OS threads ([`Profiler::run_parallel`]).
-
-use std::collections::BTreeSet;
 
 use obs::det::par_map;
 
@@ -78,43 +84,21 @@ impl ResourceGrid {
     }
 }
 
-/// Options for adaptive refinement of the sampling grid.
-#[derive(Debug, Clone, Copy)]
-pub struct SensitivityOpts {
-    /// Relative metric change between adjacent samples that triggers a
-    /// midpoint sample.
-    pub threshold: f64,
-    /// Maximum refinement rounds (each round may halve intervals once).
-    pub max_rounds: usize,
-}
-
-impl Default for SensitivityOpts {
-    fn default() -> Self {
-        SensitivityOpts { threshold: 0.25, max_rounds: 2 }
-    }
-}
-
 /// The profiling sweep definition.
 pub struct Profiler {
     pub configs: Vec<Configuration>,
     pub grid: ResourceGrid,
     pub inputs: Vec<String>,
-    pub sensitivity: Option<SensitivityOpts>,
 }
 
 impl Profiler {
     pub fn new(configs: Vec<Configuration>, grid: ResourceGrid, inputs: Vec<String>) -> Self {
         assert!(!inputs.is_empty(), "need at least one input");
-        Profiler { configs, grid, inputs, sensitivity: None }
+        Profiler { configs, grid, inputs }
     }
 
-    pub fn with_sensitivity(mut self, opts: SensitivityOpts) -> Self {
-        self.sensitivity = Some(opts);
-        self
-    }
-
-    /// Number of base (pre-refinement) runs.
-    pub fn base_run_count(&self) -> usize {
+    /// Number of runs a sweep makes.
+    pub fn run_count(&self) -> usize {
         self.configs.len() * self.grid.point_count() * self.inputs.len()
     }
 
@@ -164,112 +148,8 @@ impl Profiler {
                 metrics,
             });
         }
-        if let Some(opts) = self.sensitivity {
-            self.refine(&mut db, runner, opts);
-        }
         db
     }
-
-    /// Sensitivity analysis: where adjacent samples along an axis differ
-    /// by more than the threshold in any metric, sample the midpoint.
-    fn refine(&self, db: &mut PerfDb, runner: &dyn ProfileRunner, opts: SensitivityOpts) {
-        for _round in 0..opts.max_rounds {
-            let mut new_points: Vec<(Configuration, ResourceVector, String)> = Vec::new();
-            let mut planned: BTreeSet<String> = BTreeSet::new();
-            for input in &self.inputs {
-                for config in &self.configs {
-                    for (axis, _) in &self.grid.axes {
-                        let values = db.axis_values(config, input, axis);
-                        for w in values.windows(2) {
-                            let (lo, hi) = (w[0], w[1]);
-                            if hi - lo < 1e-9 {
-                                continue;
-                            }
-                            // Compare predictions at the endpoints with all
-                            // other axes held at their existing sampled
-                            // combinations: use the records directly.
-                            let pairs = adjacent_pairs(db, config, input, axis, lo, hi);
-                            let needs =
-                                pairs.iter().any(|(a, b)| a.max_rel_diff(b) > opts.threshold);
-                            if needs {
-                                let mid = (lo + hi) / 2.0;
-                                for point in points_with_axis(db, config, input, axis, lo, mid) {
-                                    let key = format!("{}|{}|{}", config.key(), input, point.key());
-                                    if planned.insert(key) {
-                                        new_points.push((config.clone(), point, input.clone()));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if new_points.is_empty() {
-                break;
-            }
-            for (config, point, input) in new_points {
-                let metrics = runner.run(&config, &point, &input);
-                db.add(PerfRecord { config, resources: point, input, metrics });
-            }
-        }
-    }
-}
-
-/// Metric pairs of records adjacent along `axis` at values `lo`/`hi`,
-/// matched on all other coordinates.
-fn adjacent_pairs(
-    db: &PerfDb,
-    config: &Configuration,
-    input: &str,
-    axis: &ResourceKey,
-    lo: f64,
-    hi: f64,
-) -> Vec<(QosReport, QosReport)> {
-    let mut out = Vec::new();
-    let recs = db.records_for(config, input);
-    for a in &recs {
-        let Some(va) = a.resources.get(axis) else { continue };
-        if (va - lo).abs() > 1e-9 {
-            continue;
-        }
-        for b in &recs {
-            let Some(vb) = b.resources.get(axis) else { continue };
-            if (vb - hi).abs() > 1e-9 {
-                continue;
-            }
-            // Other coordinates must match.
-            let same_others = a.resources.iter().all(|(k, v)| {
-                k == axis || b.resources.get(k).is_some_and(|o| (o - v).abs() < 1e-9)
-            });
-            if same_others {
-                out.push((a.metrics.clone(), b.metrics.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// New sample points: existing records at `axis == lo` with the axis
-/// coordinate replaced by `mid`.
-fn points_with_axis(
-    db: &PerfDb,
-    config: &Configuration,
-    input: &str,
-    axis: &ResourceKey,
-    lo: f64,
-    mid: f64,
-) -> Vec<ResourceVector> {
-    let mut out = Vec::new();
-    for r in db.records_for(config, input) {
-        if let Some(v) = r.resources.get(axis) {
-            if (v - lo).abs() < 1e-9 {
-                let mut p = r.resources.clone();
-                p.set(axis.clone(), mid);
-                out.push(p);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -305,7 +185,7 @@ mod tests {
     fn sequential_sweep_fills_db() {
         let g = ResourceGrid::new().with_axis(cpu(), &[0.25, 0.5, 1.0]);
         let p = Profiler::new(configs(), g, vec!["img".into()]);
-        assert_eq!(p.base_run_count(), 6);
+        assert_eq!(p.run_count(), 6);
         let db = p.run_parallel(&runner, 1);
         assert_eq!(db.len(), 6);
         let q = ResourceVector::new(&[(cpu(), 0.5)]);
@@ -331,35 +211,6 @@ mod tests {
         for (a, b) in seq.records().iter().zip(par.records()) {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn sensitivity_adds_midpoints_in_steep_regions() {
-        // 1/share is steep near 0.1: the 0.1-0.55 interval changes by far
-        // more than 25%, so refinement must add midpoints there.
-        let g = ResourceGrid::new().with_axis(cpu(), &[0.1, 0.55, 1.0]);
-        let base = Profiler::new(configs(), g.clone(), vec!["img".into()]).run_parallel(&runner, 1);
-        let refined = Profiler::new(configs(), g, vec!["img".into()])
-            .with_sensitivity(SensitivityOpts { threshold: 0.25, max_rounds: 2 })
-            .run_parallel(&runner, 1);
-        assert!(refined.len() > base.len(), "{} vs {}", refined.len(), base.len());
-        let c = Configuration::new(&[("l", 3)]);
-        let vals = refined.axis_values(&c, "img", &cpu());
-        assert!(vals.len() > 3);
-        assert!(vals.iter().any(|v| (*v - 0.325).abs() < 1e-9), "midpoint of steep interval");
-    }
-
-    #[test]
-    fn sensitivity_skips_flat_regions() {
-        // A constant metric never triggers refinement.
-        let flat = |_c: &Configuration, _r: &ResourceVector, _i: &str| {
-            QosReport::new(&[("transmit_time", 5.0)])
-        };
-        let g = ResourceGrid::new().with_axis(cpu(), &[0.1, 0.5, 1.0]);
-        let db = Profiler::new(configs(), g, vec!["img".into()])
-            .with_sensitivity(SensitivityOpts::default())
-            .run_parallel(&flat, 1);
-        assert_eq!(db.len(), 6, "no refinement for flat metrics");
     }
 
     #[test]

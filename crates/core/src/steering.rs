@@ -82,7 +82,8 @@ impl SteeringAgent {
     }
 
     /// Current minimum dwell time in microseconds (0 = disabled).
-    pub fn min_dwell_us(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn min_dwell_us(&self) -> u64 {
         self.min_dwell.get()
     }
 

@@ -6,7 +6,7 @@
 //! pin that contract at the public API.
 
 use adapt_core::prelude::*;
-use adapt_core::profiler::{ResourceGrid, SensitivityOpts};
+use adapt_core::profiler::ResourceGrid;
 
 fn cpu() -> ResourceKey {
     ResourceKey::cpu("client")
@@ -46,18 +46,6 @@ fn one_thread_and_eight_threads_build_identical_databases() {
     // Identical records in identical order — not just set equality: the
     // database's record order feeds interpolation tie-breaks.
     assert_eq!(one.records(), eight.records());
-}
-
-#[test]
-fn thread_count_does_not_leak_into_refinement() {
-    // Sensitivity refinement reads the base database back to pick new
-    // sample points; a nondeterministic base would cascade into a
-    // different refined grid. Pin the whole pipeline.
-    let mk = || profiler().with_sensitivity(SensitivityOpts { threshold: 0.25, max_rounds: 2 });
-    let one = mk().run_parallel(&runner, 1);
-    let eight = mk().run_parallel(&runner, 8);
-    assert_eq!(one.records(), eight.records());
-    assert!(one.len() > profiler().base_run_count(), "refinement actually ran");
 }
 
 /// The merged order is the nested input → configuration → point loop,

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use super::{
-    Configuration, PerfDb, PredictMode, Preference, PreferenceList, QosReport, ResourceVector,
-    ValidityRegion,
+    Configuration, PerfDb, PredictMode, Preference, PreferenceList, QosReport, ResourceKey,
+    ResourceVector, ValidityRegion,
 };
 
 /// What the scheduler's selection settles: configuration, prediction,
@@ -148,6 +148,17 @@ impl<'a> Oracle<'a> {
         })
     }
 
+    /// The sorted distinct values `config`'s records sampled along `axis`.
+    fn sampled(&self, config: &Configuration, axis: &ResourceKey) -> Vec<f64> {
+        let mut vals: Vec<f64> = (self.db.records().iter())
+            .filter(|r| r.config == *config && r.input == self.input)
+            .filter_map(|r| r.resources.get(axis))
+            .collect();
+        vals.sort_by(|a, b| a.total_cmp(b));
+        vals.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        vals
+    }
+
     /// Walk each of `config`'s sampled axes outward from `around` and stop
     /// at the first sample where it is no longer the choice.
     pub fn validity_region(
@@ -167,7 +178,7 @@ impl<'a> Oracle<'a> {
         let mut region = ValidityRegion::new();
         for axis in self.db.axes(config, self.input) {
             let Some(center) = around.get(&axis) else { continue };
-            let samples = self.db.axis_values(config, self.input, &axis);
+            let samples = self.sampled(config, &axis);
             let (Some(&min_s), Some(&max_s)) = (samples.first(), samples.last()) else {
                 continue;
             };

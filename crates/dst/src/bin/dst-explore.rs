@@ -1,8 +1,8 @@
 //! Seed-sweep CLI for the simulation-test explorer.
 //!
 //! ```text
-//! dst-explore [--trials N] [--seed S] [--no-shrink] [--cross-check N]
-//!             [--out DIR] [--expect-violation]
+//! dst-explore [--trials N] [--seed S] [--no-shrink] [--overload] [--drift]
+//!             [--max-failures N] [--out DIR] [--expect-violation]
 //! ```
 //!
 //! Exit status: 0 when expectations hold — no violations normally, at
@@ -30,10 +30,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--trials" => opts.trials = val("--trials")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => opts.master_seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--cross-check" => {
-                opts.cross_check_every =
-                    val("--cross-check")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--max-failures" => {
                 opts.max_failures = val("--max-failures")?.parse().map_err(|e| format!("{e}"))?
             }
@@ -45,7 +41,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: dst-explore [--trials N] [--seed S] [--no-shrink] [--overload] \
-                     [--drift] [--cross-check N] [--max-failures N] [--out DIR] \
+                     [--drift] [--max-failures N] [--out DIR] \
                      [--expect-violation]"
                 );
                 std::process::exit(0);
@@ -65,8 +61,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "dst-explore: {} trials, seed {:#x}, shrink={}, cross-check every {}",
-        args.opts.trials, args.opts.master_seed, args.opts.shrink, args.opts.cross_check_every
+        "dst-explore: {} trials, seed {:#x}, shrink={}",
+        args.opts.trials, args.opts.master_seed, args.opts.shrink
     );
     let ctx = TrialContext::new();
     let report = Explorer::new(args.opts).run(&ctx);

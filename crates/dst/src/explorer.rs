@@ -19,10 +19,6 @@ pub struct ExplorerOpts {
     pub trials: u64,
     /// The fault-space grammar to sample.
     pub space: FaultSpace,
-    /// Every `n`th trial additionally replays its plan under the
-    /// unperturbed schedule and folds that digest into the report
-    /// (0 disables the replay).
-    pub cross_check_every: u64,
     /// Shrink each failure toward a minimal plan.
     pub shrink: bool,
     /// Candidate-trial budget per shrink.
@@ -37,7 +33,6 @@ impl Default for ExplorerOpts {
             master_seed: 0xDA7A_5EED,
             trials: 1_000,
             space: FaultSpace::default(),
-            cross_check_every: 16,
             shrink: true,
             shrink_budget: 64,
             max_failures: 4,
@@ -74,7 +69,7 @@ impl Failure {
 /// What an explorer run found.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
-    /// Trials executed (excluding shrink candidates and cross-checks).
+    /// Trials executed (excluding shrink candidates).
     pub trials_run: u64,
     /// Fold of every trial digest, in order: the determinism anchor —
     /// two runs with the same options must produce the same value.
@@ -115,16 +110,7 @@ impl Explorer {
             trials_run += 1;
             digest.write_u64(out.digest);
             let trial_digest = out.digest;
-            let violation = out.violations.into_iter().next();
-            if violation.is_none() && o.cross_check_every != 0 && i % o.cross_check_every == 0 {
-                // The identity variant of this plan. Its digest fills two
-                // slots, the report's layout for a replayed trial, so
-                // report digests keep their pinned values.
-                let identity = ctx.run_with_drain(&plan, simnet::DrainMode::Batched).digest;
-                digest.write_u64(identity);
-                digest.write_u64(identity);
-            }
-            if let Some(violation) = violation {
+            if let Some(violation) = out.violations.into_iter().next() {
                 let shrunk =
                     o.shrink.then(|| shrink::shrink(ctx, &plan, violation.kind(), o.shrink_budget));
                 failures.push(Failure {

@@ -205,8 +205,8 @@ impl TrialContext {
         self.run_with_drain(plan, explore)
     }
 
-    /// Run one trial under an explicit drain mode (the explorer replays
-    /// every `cross_check_every`th plan under `Batched`). Plans carrying
+    /// Run one trial under an explicit drain mode (the drain-equivalence
+    /// test runs plans under `Batched` too). Plans carrying
     /// overload windows run the multi-app arbiter storm; everything else
     /// runs the single-app scenario.
     pub fn run_with_drain(&self, plan: &TrialPlan, drain_mode: DrainMode) -> TrialOutcome {

@@ -9,7 +9,6 @@ fn small_opts(master_seed: u64) -> ExplorerOpts {
         master_seed,
         trials: 12,
         space: FaultSpace::default(),
-        cross_check_every: 6,
         shrink: false,
         shrink_budget: 0,
         max_failures: 4,
@@ -61,7 +60,6 @@ fn explorer_finds_and_shrinks_the_canary() {
         shrink: true,
         shrink_budget: 48,
         max_failures: 1,
-        cross_check_every: 0,
         ..Default::default()
     };
     let report = Explorer::new(opts).run(&ctx);

@@ -52,7 +52,6 @@ fn explorer_captures_shrinks_and_digest_pins_the_planted_drift() {
         master_seed: 0xD21F7_5EED,
         trials: 6,
         space: FaultSpace::drift(),
-        cross_check_every: 0,
         shrink: true,
         shrink_budget: 24,
         max_failures: 1,

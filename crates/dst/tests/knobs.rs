@@ -18,7 +18,6 @@ fn knob_opts(master_seed: u64) -> ExplorerOpts {
         master_seed,
         trials: 10,
         space: FaultSpace::knobs(),
-        cross_check_every: 5,
         shrink: false,
         shrink_budget: 0,
         max_failures: 4,

@@ -1,8 +1,7 @@
 //! The overload axis end-to-end: explorer trials sampled from
 //! [`FaultSpace::overload`] run the multi-application arbiter storm,
 //! hold the arbiter oracles (tier-ordered shedding, no clean
-//! evictions), and stay deterministic — including the periodic
-//! heap/batched cross-drain digest check.
+//! evictions), and stay deterministic.
 
 use adapt_dst::{Explorer, ExplorerOpts, FaultSpace, TrialContext};
 
@@ -11,7 +10,6 @@ fn overload_opts(master_seed: u64) -> ExplorerOpts {
         master_seed,
         trials: 6,
         space: FaultSpace::overload(),
-        cross_check_every: 3,
         shrink: false,
         shrink_budget: 0,
         max_failures: 2,

@@ -19,6 +19,7 @@
 //! pure functions of their input produces the same bytes on one core or
 //! many. The worker count never enters a simulation or a digest.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -113,6 +114,27 @@ pub fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+thread_local! {
+    /// Whether this thread works for a map of two or more workers.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a map's worker until dropped, then
+/// restores the mark it had (a panic in `f` unwinds through the drop).
+struct Marked(bool);
+
+impl Marked {
+    fn new() -> Self {
+        Marked(IN_MAP.replace(true))
+    }
+}
+
+impl Drop for Marked {
+    fn drop(&mut self) {
+        IN_MAP.set(self.0);
+    }
+}
+
 /// `items.iter().map(f).collect()`, on up to `workers` threads.
 ///
 /// The calling thread works too, and an idle worker pulls the next index
@@ -121,6 +143,12 @@ pub fn cores() -> usize {
 /// reaches the caller once every worker has stopped. The worker count
 /// is at most `workers`, [`cores`] and `items.len()`; with one worker
 /// the map runs inline and spawns nothing.
+///
+/// A map called from inside another map's `f` while that map runs on two
+/// or more threads runs inline too, so nested maps (profiler runs whose
+/// cold payloads compress bzip blocks) share the outer map's threads
+/// rather than multiply them. A one-worker map marks nothing, so a map
+/// inside it keeps its threads.
 pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -128,13 +156,14 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = workers.min(cores()).min(items.len());
-    if workers <= 1 {
+    if workers <= 1 || IN_MAP.get() {
         return items.iter().map(f).collect();
     }
     // The counter only hands out indices, each once, and publishes no
     // data: results reach this thread through the joins.
     let next = AtomicUsize::new(0);
     let work = || {
+        let _marked = Marked::new();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -214,13 +243,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_map_runs_two_items_at_once_on_two_workers() {
-        if cores() < 2 {
-            return;
-        }
-        // Each item waits for the other to start: only two threads at
-        // once finish before the deadline.
+    /// Whether a two-worker map runs its two items at once: each waits
+    /// for the other to start, and only two threads at once finish before
+    /// the deadline.
+    fn two_at_once() -> bool {
         let started = AtomicUsize::new(0);
         let met = par_map(&[0, 1], 2, |_| {
             started.fetch_add(1, Ordering::SeqCst);
@@ -230,7 +256,31 @@ mod tests {
             }
             started.load(Ordering::SeqCst) == 2
         });
-        assert_eq!(met, vec![true, true]);
+        met == [true, true]
+    }
+
+    #[test]
+    fn par_map_runs_two_items_at_once_on_two_workers() {
+        if cores() < 2 {
+            return;
+        }
+        assert!(two_at_once());
+    }
+
+    #[test]
+    fn a_map_inside_a_parallel_map_runs_on_the_thread_that_called_it() {
+        if cores() < 2 {
+            return;
+        }
+        let inline = par_map(&[0, 1], 2, |_| {
+            let outer = std::thread::current().id();
+            par_map(&[0, 1, 2], 2, |_| std::thread::current().id()) == [outer; 3]
+        });
+        assert_eq!(inline, vec![true, true]);
+        // A one-worker map marks nothing, and a finished map unmarks its
+        // caller: maps inside and after them spread again.
+        assert_eq!(par_map(&[()], 1, |_| two_at_once()), vec![true]);
+        assert!(two_at_once());
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl HostVmm {
     }
 
     /// Current reservation for `name`.
-    pub fn reservation(&self, name: &str) -> Option<Reservation> {
+    #[cfg(test)]
+    pub(crate) fn reservation(&self, name: &str) -> Option<Reservation> {
         self.reservations.get(name).copied()
     }
 

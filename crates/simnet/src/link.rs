@@ -111,7 +111,7 @@ impl LinkState {
     /// it is delivered, or why it is dropped. `local_us` is the latency of
     /// a host's pair with itself, which has no wire and no down window but
     /// still draws loss and jitter.
-    pub fn carry(
+    pub(crate) fn carry(
         &mut self,
         now: SimTime,
         bytes: u64,

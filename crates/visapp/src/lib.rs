@@ -48,10 +48,9 @@ pub use load::{
 };
 pub use resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
 pub use scenario::{
-    build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key, client_opts,
-    profile_point, run_adaptive_shared, run_competing, run_session, run_static, viz_spec,
-    CommandAt, Driver, LoadSpec, RunOutcome, Scenario, SessionClass, CLIENT_HOST, PROFILE_INPUT,
-    SERVER_HOST,
+    build_db, client_cpu_key, client_mem_key, client_net_key, client_opts, profile_point,
+    run_adaptive_shared, run_competing, run_session, run_static, viz_spec, CommandAt, Driver,
+    LoadSpec, RunOutcome, Scenario, SessionClass, CLIENT_HOST, PROFILE_INPUT, SERVER_HOST,
 };
 pub use server::{Reporter, Server};
 pub use socket::{

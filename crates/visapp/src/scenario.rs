@@ -557,34 +557,6 @@ pub(crate) fn profile_runner(
     move |config, resources, _input| profile_point(&prof_sc, &store, config, resources)
 }
 
-/// All configurations of the scenario's spec over a CPU-share x bandwidth
-/// grid.
-fn grid_profiler(sc: &Scenario, cpu_shares: &[f64], bandwidths: &[f64]) -> Profiler {
-    let grid = ResourceGrid::new()
-        .with_axis(client_cpu_key(), cpu_shares)
-        .with_axis(client_net_key(), bandwidths);
-    Profiler::new(viz_spec(sc).configurations(), grid, vec![PROFILE_INPUT.into()])
-}
-
-/// Like [`build_db`] but with sensitivity-driven refinement: wherever
-/// adjacent samples differ by more than `threshold` (relative), midpoints
-/// are added, concentrating samples around cliffs and crossovers. This is
-/// the "sensitivity analysis tool that can automatically drive the
-/// collection of performance data in the most relevant regions" the
-/// paper's prototype lacked (§7.1).
-pub fn build_db_refined(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    cpu_shares: &[f64],
-    bandwidths: &[f64],
-    threshold: f64,
-    threads: usize,
-) -> PerfDb {
-    grid_profiler(sc, cpu_shares, bandwidths)
-        .with_sensitivity(adapt_core::SensitivityOpts { threshold, max_rounds: 2 })
-        .run_parallel(&profile_runner(sc, store), threads)
-}
-
 /// Build the performance database for a scenario by sweeping all
 /// configurations over a CPU-share x bandwidth grid, in parallel.
 pub fn build_db(
@@ -594,7 +566,11 @@ pub fn build_db(
     bandwidths: &[f64],
     threads: usize,
 ) -> PerfDb {
-    grid_profiler(sc, cpu_shares, bandwidths).run_parallel(&profile_runner(sc, store), threads)
+    let grid = ResourceGrid::new()
+        .with_axis(client_cpu_key(), cpu_shares)
+        .with_axis(client_net_key(), bandwidths);
+    Profiler::new(viz_spec(sc).configurations(), grid, vec![PROFILE_INPUT.into()])
+        .run_parallel(&profile_runner(sc, store), threads)
 }
 
 #[cfg(test)]

@@ -498,40 +498,6 @@ fn adaptation_reacts_to_genuine_contention_not_just_cap_changes() {
 }
 
 #[test]
-fn sensitivity_refinement_densifies_steep_regions() {
-    // A coarse bandwidth grid spans the steep 1/bandwidth region; the
-    // refinement must add midpoints there, improving interpolation where
-    // the curve bends — the sensitivity tool the paper's prototype lacked.
-    let sc = Scenario { n_images: 2, img_size: 64, levels: 3, ..Scenario::default() };
-    let store = sc.build_store();
-    let base = build_db(&sc, &store, &[1.0], &[4_000.0, 64_000.0], 2);
-    let refined = visapp::build_db_refined(&sc, &store, &[1.0], &[4_000.0, 64_000.0], 0.25, 2);
-    assert!(
-        refined.len() > base.len(),
-        "refinement must add samples: {} vs {}",
-        refined.len(),
-        base.len()
-    );
-    let cfg = adapt_core::Configuration::new(&[("dR", 32), ("c", 1), ("l", 3)]);
-    let vals = refined.axis_values(&cfg, PROFILE_INPUT, &client_net_key());
-    assert!(vals.len() > 2, "new bandwidth samples: {vals:?}");
-    // The refined prediction mid-interval is closer to ground truth.
-    let q = {
-        let mut r = adapt_core::ResourceVector::default();
-        r.set(client_cpu_key(), 1.0);
-        r.set(client_net_key(), 16_000.0);
-        r
-    };
-    let truth = visapp::profile_point(&sc, &store, &cfg, &q).get("transmit_time").unwrap();
-    let e_base = (predict(&base, &cfg, 1.0, 16_000.0, "transmit_time") - truth).abs();
-    let e_ref = (predict(&refined, &cfg, 1.0, 16_000.0, "transmit_time") - truth).abs();
-    assert!(
-        e_ref <= e_base,
-        "refined error {e_ref} must not exceed coarse error {e_base} (truth {truth})"
-    );
-}
-
-#[test]
 fn lossy_link_recovers_via_retransmission() {
     // Failure injection: 20% of messages vanish in each direction. With a
     // retransmission timeout the download still completes pixel-exactly

@@ -44,28 +44,6 @@ impl Image {
     }
 }
 
-/// A checkerboard with `cell` pixel squares (sharp edges, moderate entropy).
-pub fn checkerboard(width: usize, height: usize, cell: usize) -> Image {
-    let cell = cell.max(1);
-    Image::from_fn(width, height, |x, y| {
-        if ((x / cell) + (y / cell)).is_multiple_of(2) {
-            230
-        } else {
-            25
-        }
-    })
-}
-
-/// Uniform random noise (incompressible; worst case for the codecs).
-pub fn noise(width: usize, height: usize, seed: u64) -> Image {
-    let mut rng = SplitMix64::new(seed);
-    let mut img = Image::blank(width, height);
-    for b in img.data.iter_mut() {
-        *b = rng.next_u64() as u8;
-    }
-    img
-}
-
 /// Multi-octave value noise ("plasma"): smooth large-scale structure with
 /// fine detail, a reasonable stand-in for photographic content.
 ///
@@ -175,6 +153,28 @@ impl Modulus {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// A checkerboard with `cell` pixel squares (sharp edges, moderate entropy).
+    pub(crate) fn checkerboard(width: usize, height: usize, cell: usize) -> Image {
+        let cell = cell.max(1);
+        Image::from_fn(width, height, |x, y| {
+            if ((x / cell) + (y / cell)).is_multiple_of(2) {
+                230
+            } else {
+                25
+            }
+        })
+    }
+
+    /// Uniform random noise (incompressible; worst case for the codecs).
+    pub(crate) fn noise(width: usize, height: usize, seed: u64) -> Image {
+        let mut rng = SplitMix64::new(seed);
+        let mut img = Image::blank(width, height);
+        for b in img.data.iter_mut() {
+            *b = rng.next_u64() as u8;
+        }
+        img
+    }
 
     /// A horizontal gradient (very compressible).
     pub(crate) fn gradient(width: usize, height: usize) -> Image {

@@ -8,8 +8,7 @@
 //! incremental rings as the region grows.
 //!
 //! - [`Image`] + seeded synthetic generators ([`image::plasma`],
-//!   [`image::checkerboard`], [`image::noise`]) stand in for the paper's
-//!   image corpus.
+//!   [`image::photo`]) stand in for the paper's image corpus.
 //! - [`haar`] implements the lossless integer S-transform (1-D and 2-D).
 //! - [`Pyramid`] is the server-side store;
 //!   [`Pyramid::chunks_for_region`] extracts exactly the coefficients for a

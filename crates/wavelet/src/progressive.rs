@@ -207,7 +207,7 @@ mod tests {
         // varint payload should be close to 1 byte/coefficient, while a
         // noise image needs more.
         let smooth = plasma(64, 64, 5);
-        let noisy = crate::image::noise(64, 64, 5);
+        let noisy = crate::image::tests::noise(64, 64, 5);
         let region = Rect::new(0, 0, 64, 64);
         let ps = Pyramid::build(&smooth, 3);
         let pn = Pyramid::build(&noisy, 3);

@@ -299,8 +299,8 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::tests::{downsample2, gradient, psnr};
-    use crate::image::{checkerboard, noise, plasma};
+    use crate::image::plasma;
+    use crate::image::tests::{checkerboard, downsample2, gradient, noise, psnr};
 
     #[test]
     fn full_reconstruction_is_lossless() {

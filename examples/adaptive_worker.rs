@@ -140,7 +140,7 @@ fn main() {
         QosReport::new(&[("batch_latency", latency), ("accuracy", batch_accuracy(config))])
     };
     let profiler = Profiler::new(spec.configurations(), grid, vec!["batches".into()]);
-    println!("profiling {} runs ...", profiler.base_run_count());
+    println!("profiling {} runs ...", profiler.run_count());
     let db = profiler.run_parallel(&runner, 4);
     println!("database: {} records", db.len());
 

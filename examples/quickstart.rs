@@ -54,7 +54,7 @@ fn main() {
         QosReport::new(&[("transmit_time", t), ("response_time", t / rounds), ("resolution", l)])
     };
     let profiler = Profiler::new(spec.configurations(), grid, vec!["demo".into()]);
-    println!("profiling {} runs...", profiler.base_run_count());
+    println!("profiling {} runs...", profiler.run_count());
     let db = profiler.run_parallel(&model, 4);
     println!("database: {} records", db.len());
 

@@ -653,29 +653,121 @@ fn doctest_lines(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// `line` up to its `//` comment: the code a compiler reads. A `//`
-/// inside a string literal is code.
-fn code(line: &str) -> &str {
-    let (mut in_str, mut escaped) = (false, false);
-    for (at, c) in line.char_indices() {
+/// `text` as the compiler reads it, line for line: comments and the
+/// contents of string and character literals are blanked, except an
+/// inline format capture (`{name}`, `{name:?}`), which uses `name`.
+fn code(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while let Some(&c) = chars.get(i) {
+        i += 1;
         match c {
-            _ if escaped => escaped = false,
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            '/' if !in_str && line[at + 1..].starts_with('/') => return &line[..at],
-            _ => {}
+            '/' if chars.get(i) == Some(&'/') => {
+                while chars.get(i).is_some_and(|&c| c != '\n') {
+                    i += 1;
+                }
+            }
+            '/' if chars.get(i) == Some(&'*') => {
+                while i < chars.len() && !(chars[i - 1] == '*' && chars[i] == '/') {
+                    out.extend((chars[i] == '\n').then_some('\n'));
+                    i += 1;
+                }
+                i += 1;
+            }
+            '"' => {
+                out.push('"');
+                i = literal(&chars, i, raw_hashes(&chars, i - 1), &mut out);
+            }
+            '\'' => match char_literal_end(&chars, i) {
+                Some(end) => {
+                    out.push_str("' '");
+                    i = end;
+                }
+                None => out.push(c),
+            },
+            _ => out.push(c),
         }
     }
-    line
+    out
+}
+
+/// The `#` count of a raw string whose opening quote is at `quote`
+/// (`r"`, `br#"`), or `None` for a plain string.
+fn raw_hashes(chars: &[char], quote: usize) -> Option<usize> {
+    let hashes = chars[..quote].iter().rev().take_while(|&&c| c == '#').count();
+    let r = quote.checked_sub(hashes + 1)?;
+    let before = r.checked_sub(1).map(|b| chars[b]);
+    (chars[r] == 'r' && (!is_word(before) || before == Some('b'))).then_some(hashes)
+}
+
+/// Writes the blanked body of the literal starting at `i` (just past its
+/// opening quote) and its closing quote to `out`; returns the index past
+/// the literal. Newlines stay, so line numbers do.
+fn literal(chars: &[char], mut i: usize, raw: Option<usize>, out: &mut String) -> usize {
+    let closes = |at: usize| {
+        chars[at] == '"' && (0..raw.unwrap_or(0)).all(|h| chars.get(at + 1 + h) == Some(&'#'))
+    };
+    while i < chars.len() {
+        match chars[i] {
+            '\\' if raw.is_none() => {
+                out.push(' ');
+                i += 1;
+                if chars.get(i) == Some(&'\n') {
+                    out.push('\n');
+                } else if i < chars.len() {
+                    out.push(' ');
+                }
+            }
+            '{' if chars.get(i + 1) == Some(&'{') => {
+                out.push_str("  ");
+                i += 1;
+            }
+            '{' => {
+                let name: String =
+                    chars[i + 1..].iter().take_while(|&&c| is_word(Some(c))).collect();
+                let ends = chars.get(i + 1 + name.len());
+                if !name.is_empty() && matches!(ends, Some('}' | ':')) {
+                    out.push(' ');
+                    out.push_str(&name);
+                    i += name.len();
+                }
+                out.push(' ');
+            }
+            '\n' => out.push('\n'),
+            _ if closes(i) => {
+                out.push('"');
+                return i + 1 + raw.unwrap_or(0);
+            }
+            _ => out.push(' '),
+        }
+        i += 1;
+    }
+    i
+}
+
+/// The index past the character literal whose opening quote is just
+/// before `i` (`'x'`, `'\''`, `'\u{41}'`), or `None` for a lifetime or a
+/// label.
+fn char_literal_end(chars: &[char], i: usize) -> Option<usize> {
+    match chars.get(i)? {
+        '\\' => {
+            let len = chars.get(i + 2..)?.iter().take(8).position(|&c| c == '\'')?;
+            Some(i + 3 + len)
+        }
+        _ => (chars.get(i + 1) == Some(&'\'')).then_some(i + 2),
+    }
 }
 
 /// The identifiers of `lines` that are not the name of a definition.
-fn used_words<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<&'a str> {
+fn used_words<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<String> {
     let defines = |line: &str, at: usize| {
         ["fn ", "const ", "static "].iter().any(|k| line[..at].ends_with(k))
     };
     lines
-        .flat_map(|line| words(line).filter(move |&(at, _)| !defines(line, at)).map(|(_, w)| w))
+        .flat_map(|line| {
+            words(line).filter(move |&(at, _)| !defines(line, at)).map(|(_, w)| w.to_string())
+        })
         .collect()
 }
 
@@ -691,8 +783,9 @@ fn crate_local(files: &[(PathBuf, String)], allowed: &[(&str, &str)]) -> Vec<Str
     let used: Vec<_> = files
         .iter()
         .map(|(path, text)| {
-            let doc = used_words(doctest_lines(text));
-            let code = used_words(text.lines().map(code).chain(doctest_lines(text)));
+            let doc_code = code(&doctest_lines(text).collect::<Vec<_>>().join("\n"));
+            let doc = used_words(doc_code.lines());
+            let code = used_words(code(text).lines().chain(doc_code.lines()));
             (lib_crate(path), code, doc)
         })
         .collect();
@@ -799,9 +892,10 @@ fn every_row_finds_what_it_guards() {
 
     // The visibility row flags a `pub` item that only its own crate's
     // library source names, prose and text blocks included, or that
-    // another crate names only in a `//` comment, and passes one that the
-    // crate's tests, binaries or doc-tests or another crate's code or
-    // doc-tests name. Another crate's definition of the same name is not
+    // another crate names only in a `//` comment or inside a string
+    // literal, and passes one that the crate's tests, binaries or
+    // doc-tests or another crate's code, doc-tests or inline format
+    // captures name. Another crate's definition of the same name is not
     // a use.
     let file = |path: &str, lines: &[&str]| (PathBuf::from(path), lines.join("\n"));
     let files = [
@@ -825,6 +919,12 @@ fn every_row_finds_what_it_guards() {
                 "pub fn in_y_comment() {}",
                 "pub fn in_y_doctest() {}",
                 "pub fn after_y_url() {}",
+                "pub fn in_y_literal() {}",
+                "pub fn in_y_braces() {}",
+                "pub const IN_Y_CAPTURE: u32 = 2;",
+                "pub fn after_char_quote() {}",
+                "pub fn after_raw_literal() {}",
+                "pub fn after_multiline() {}",
                 "pub(crate) fn inner() {}",
                 "pub const LIMIT: u32 = 1;",
                 "fn limit() -> u32 { LIMIT }",
@@ -841,20 +941,38 @@ fn every_row_finds_what_it_guards() {
                 "/// x::in_y_doctest();",
                 "/// ```",
                 r#"fn f() { let _ = "http://host"; x::after_y_url(); }"#,
+                r#"fn g() { assert!(true, "x::in_y_literal() covers both"); }"#,
+                r#"fn h() { println!("{IN_Y_CAPTURE:>4} {{in_y_braces}}"); }"#,
+                r#"fn i() { let _ = ('"', '''); x::after_char_quote(); }"#,
+                r##"fn j() { let _ = r#"a "quoted" in_y_literal"#; x::after_raw_literal(); }"##,
+                r#"fn k() { let _ = "in_y_literal, then"#,
+                r#"    in_y_literal again"; x::after_multiline(); }"#,
             ],
         ),
         file("crates/y/tests/t.rs", &["#[test]", "fn t() { x::used_by_y(); }"]),
     ];
     let out = crate_local(&files, &[]);
     let flagged: Vec<&str> = out.iter().map(|l| l.split(' ').nth(2).unwrap()).collect();
-    assert_eq!(flagged, ["LIMIT", "in_prose", "in_text_block", "in_y_comment", "lonely", "lonely"]);
     assert_eq!(
-        out[5],
+        flagged,
+        [
+            "LIMIT",
+            "in_prose",
+            "in_text_block",
+            "in_y_braces",
+            "in_y_comment",
+            "in_y_literal",
+            "lonely",
+            "lonely"
+        ]
+    );
+    assert_eq!(
+        out[7],
         "crates/y/src/lib.rs:1: pub lonely is named only inside crate y; make it pub(crate)"
     );
     // An allowed entry silences its item; one that no longer matches is stale.
     let out = crate_local(&files, &[("in_prose", "an entry point"), ("used_by_bin", "stale")]);
-    assert_eq!(out.len(), 6);
+    assert_eq!(out.len(), 8);
     assert!(!out.iter().any(|l| l.contains(" in_prose ")));
-    assert_eq!(out[5], "UNCALLED_ALLOWED: used_by_bin is not a crate-local pub item any more");
+    assert_eq!(out[7], "UNCALLED_ALLOWED: used_by_bin is not a crate-local pub item any more");
 }
