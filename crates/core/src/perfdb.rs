@@ -1026,10 +1026,6 @@ mod tests {
         }
     }
 
-    /// A db where transmit_time = 10/cpu + 1e6/net for config 1 and
-    /// 15/cpu + 1e5/net for config 2, sampled on a 3x3 grid. Config 2
-    /// wins at (cpu=1, net=1e5); config 1 wins at high bandwidth — a real
-    /// crossover, so dominance pruning must keep both.
     /// Sorted distinct values the index sampled along `axis` for
     /// `(config, input)`.
     fn axis_values(
@@ -1043,6 +1039,10 @@ mod tests {
         s.axis_values[s.axes.binary_search(axis).expect("a sampled axis")].clone()
     }
 
+    /// A db where transmit_time = 10/cpu + 1e6/net for config 1 and
+    /// 15/cpu + 1e5/net for config 2, sampled on a 3x3 grid. Config 2
+    /// wins at (cpu=1, net=1e5); config 1 wins at high bandwidth — a real
+    /// crossover, so dominance pruning must keep both.
     fn grid_db() -> PerfDb {
         let mut db = PerfDb::new();
         for &cpu in &[0.2, 0.5, 1.0] {

@@ -11,8 +11,8 @@
 //! tool (§7.1), and a midpoint refiner that sampled wherever adjacent
 //! records differed by more than a threshold was measured here on
 //! held-out points and deleted: on the 256 px and 512 px stores that the
-//! benchmark and figures profile, a plain grid with the same number of
-//! records or fewer chose configurations with equal or lower regret
+//! benchmark and figures profile, it never chose configurations with
+//! lower regret than a plain grid of equal or larger record budget
 //! (CHANGES.md has the table).
 //!
 //! The driver is application-agnostic: a [`ProfileRunner`] closure runs

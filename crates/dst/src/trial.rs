@@ -206,7 +206,7 @@ impl TrialContext {
     }
 
     /// Run one trial under an explicit drain mode (the drain-equivalence
-    /// test runs plans under `Batched` too). Plans carrying
+    /// and replay tests run plans under `Batched`). Plans carrying
     /// overload windows run the multi-app arbiter storm; everything else
     /// runs the single-app scenario.
     pub fn run_with_drain(&self, plan: &TrialPlan, drain_mode: DrainMode) -> TrialOutcome {

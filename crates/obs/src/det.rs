@@ -272,9 +272,14 @@ mod tests {
         if cores() < 2 {
             return;
         }
+        // Items slow enough that a spawned inner worker would take one.
         let inline = par_map(&[0, 1], 2, |_| {
             let outer = std::thread::current().id();
-            par_map(&[0, 1, 2], 2, |_| std::thread::current().id()) == [outer; 3]
+            let ran_on = par_map(&[0, 1, 2], 2, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::thread::current().id()
+            });
+            ran_on == [outer; 3]
         });
         assert_eq!(inline, vec![true, true]);
         // A one-worker map marks nothing, and a finished map unmarks its

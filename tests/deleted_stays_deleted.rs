@@ -435,6 +435,44 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one sampling path",
+        reason: "a profile is the fixed grid alone; the midpoint sensitivity refiner was \
+                 measured on held-out points (CHANGES.md) and lowered no decision regret at an \
+                 equal record budget on the 256 px and 512 px stores that are profiled, so it \
+                 was deleted",
+        deleted_in: "4b5112d",
+        searches: &[Search {
+            tokens: &["SensitivityOpts", "with_sensitivity", "build_db_refined"],
+            roots: &["crates", "src", "tests", "examples", "README.md", "DESIGN.md"],
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
+        name: "no replay that compares nothing",
+        reason: "the explorer's every-16th-trial replay under DrainMode::Batched only folded a \
+                 second digest into its report; drain_equivalence.rs holds Batched equal to the \
+                 identity plan",
+        deleted_in: "4b5112d",
+        searches: &[Search {
+            tokens: &["cross_check_every", "--cross-check"],
+            roots: &[
+                "crates",
+                "src",
+                "tests",
+                "examples",
+                "scripts",
+                ".github",
+                "README.md",
+                "DESIGN.md",
+            ],
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
@@ -653,7 +691,7 @@ fn doctest_lines(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// `text` as the compiler reads it, line for line: comments and the
+/// `text` as the compiler reads it, line for line: `//` comments and the
 /// contents of string and character literals are blanked, except an
 /// inline format capture (`{name}`, `{name:?}`), which uses `name`.
 fn code(text: &str) -> String {
@@ -667,13 +705,6 @@ fn code(text: &str) -> String {
                 while chars.get(i).is_some_and(|&c| c != '\n') {
                     i += 1;
                 }
-            }
-            '/' if chars.get(i) == Some(&'*') => {
-                while i < chars.len() && !(chars[i - 1] == '*' && chars[i] == '/') {
-                    out.extend((chars[i] == '\n').then_some('\n'));
-                    i += 1;
-                }
-                i += 1;
             }
             '"' => {
                 out.push('"');
