@@ -9,7 +9,9 @@
 //! from the paper (simulated substrate, synthetic images, scaled
 //! bandwidths); the mapping is documented in EXPERIMENTS.md.
 
-use adapt_bench::figs::{adaptation, extensions, fig3, fig4, figure_scenario, profiles};
+use adapt_bench::figs::{
+    adaptation, experiment_scenario, extensions, fig3, fig4, figure_scenario, profiles,
+};
 use adapt_bench::{print_table, secs};
 use simnet::SimTime;
 use visapp::{RunStats, Scenario};
@@ -276,10 +278,6 @@ fn print_run(label: &str, stats: &RunStats) {
     println!("    per-image (end:transmit) {}", series.join(" "));
 }
 
-fn experiment_scenario() -> Scenario {
-    Scenario { n_images: 15, ..figure_scenario() }
-}
-
 fn run_fig7a(threads: usize) {
     let sc = experiment_scenario();
     let store = sc.build_store();
@@ -291,11 +289,7 @@ fn run_fig7a(threads: usize) {
     println!(
         "  db: {} records; config history: {:?}",
         res.db_records,
-        res.adaptive
-            .config_history
-            .iter()
-            .map(|(t, c)| format!("{:.1}s {}", t.as_secs_f64(), c.key()))
-            .collect::<Vec<_>>()
+        adaptation::history(&res.adaptive)
     );
     print_run("adaptive", &res.adaptive);
     for (label, stats) in &res.static_runs {
@@ -317,11 +311,7 @@ fn run_fig7b(threads: usize) {
     println!(
         "  calibrated deadline: {:.2}s; config history: {:?}",
         res.threshold.unwrap(),
-        res.adaptive
-            .config_history
-            .iter()
-            .map(|(t, c)| format!("{:.1}s {}", t.as_secs_f64(), c.key()))
-            .collect::<Vec<_>>()
+        adaptation::history(&res.adaptive)
     );
     print_run("adaptive", &res.adaptive);
     for (label, stats) in &res.static_runs {
@@ -340,11 +330,7 @@ fn run_fig7cd(threads: usize) {
     println!(
         "  calibrated response bound: {:.3}s; config history: {:?}",
         res.threshold.unwrap(),
-        res.adaptive
-            .config_history
-            .iter()
-            .map(|(t, c)| format!("{:.1}s {}", t.as_secs_f64(), c.key()))
-            .collect::<Vec<_>>()
+        adaptation::history(&res.adaptive)
     );
     print_run("adaptive", &res.adaptive);
     for (label, stats) in &res.static_runs {
@@ -390,11 +376,7 @@ fn run_extload(threads: usize) {
     );
     println!(
         "  calibrated deadline: {deadline:.2}s; config history: {:?}",
-        adaptive
-            .config_history
-            .iter()
-            .map(|(t, c)| format!("{:.1}s {}", t.as_secs_f64(), c.key()))
-            .collect::<Vec<_>>()
+        adaptation::history(&adaptive)
     );
     print_run("adaptive", &adaptive);
     print_run("static fine", &static_fine);

@@ -35,6 +35,13 @@ pub struct ExperimentResult {
     pub threshold: Option<f64>,
 }
 
+/// A run's configuration history as the figures print it: the switch
+/// time in seconds at one decimal, then the configuration's key.
+pub fn history(stats: &RunStats) -> Vec<String> {
+    let entry = |(t, c): &(SimTime, Configuration)| format!("{:.1}s {}", t.as_secs_f64(), c.key());
+    stats.config_history.iter().map(entry).collect()
+}
+
 fn predict(db: &PerfDb, config: &Configuration, cpu: f64, net: f64, metric: &str) -> f64 {
     let mut r = ResourceVector::default();
     r.set(client_cpu_key(), cpu);

@@ -16,6 +16,12 @@ pub fn figure_scenario() -> Scenario {
     Scenario { n_images: 10, img_size: 512, levels: 4, seed: 2000, ..Scenario::default() }
 }
 
+/// The scenario of the run-time adaptation experiments (Figure 7 and the
+/// contention extension): the figure scenario with 15 images.
+pub fn experiment_scenario() -> Scenario {
+    Scenario { n_images: 15, ..figure_scenario() }
+}
+
 /// A smaller scenario for quick shape checks in tests.
 pub fn test_scenario() -> Scenario {
     Scenario { n_images: 3, img_size: 128, levels: 3, seed: 2000, ..Scenario::default() }

@@ -3,12 +3,15 @@
 //! option builders (`adapt_bench::{load, arbiter, socket}`) that define
 //! it, so a refactor that moves one bit fails `cargo test`. The cheap rows
 //! run in tier-1. The 10k- and 100k-session load rows, the 500-session
-//! collapse row and the 1 000-trial explorer rows are `#[ignore]`d;
+//! collapse row, the Figure 7 row and the 1 000-trial explorer rows are
+//! `#[ignore]`d;
 //! `scripts/ci.sh` runs them optimized with
 //! `cargo test -q --release -p adapt-bench -- --ignored --test-threads=1`.
 
 use std::sync::Arc;
 
+use adapt_bench::figs::adaptation::{fig7a, fig7b, fig7cd, history, ExperimentResult};
+use adapt_bench::figs::experiment_scenario;
 use adapt_bench::socket::{decision_digest, smoke_session};
 use adapt_core::PreferenceList;
 use adapt_dst::{Explorer, ExplorerOpts, FaultSpace, TrialContext};
@@ -18,7 +21,7 @@ use sandbox::{LimitSchedule, Limits};
 use simnet::{DrainMode, ExplorePlan, SimTime};
 use visapp::{
     build_db, decision_sequence, model_db, run_adaptive_shared, run_load, socket_mirror_hook,
-    MirrorBackend, Scenario,
+    MirrorBackend, RunStats, Scenario,
 };
 
 /// One `bench_opts` load row: digest, events, requests, images, peak
@@ -122,6 +125,51 @@ fn collapse_sessions_digest_is_pinned() {
 fn collapse_500_sessions_digest_is_pinned() {
     let got = collapse_digest(500);
     assert_eq!(got, 0x562f_8327_5af9_4b0d, "{got:016x}");
+}
+
+/// One Figure 7 experiment: its database's record count, the adaptive
+/// run's configuration history, and the finish times of the adaptive run
+/// and of its two static twins, in seconds at one decimal.
+fn assert_experiment(res: ExperimentResult, records: usize, pinned: &[&str], totals: [&str; 3]) {
+    assert_eq!(res.db_records, records);
+    assert_eq!(history(&res.adaptive), pinned);
+    let runs = [&res.adaptive, &res.static_runs[0].1, &res.static_runs[1].1];
+    let total =
+        |s: &&RunStats| format!("{:.1}", s.finished_at.expect("every run finishes").as_secs_f64());
+    assert_eq!(runs.iter().map(total).collect::<Vec<_>>(), totals);
+}
+
+/// Figure 7's three experiments as `figures fig7a`, `fig7b` and `fig7cd`
+/// run them. Half a second optimized.
+#[test]
+#[ignore = "three 15-image experiments at 512 px: run in release by scripts/ci.sh"]
+fn figure7_histories_and_totals_are_pinned() {
+    let sc = experiment_scenario();
+    let store = sc.build_store();
+    let (threads, at) = (obs::det::cores(), SimTime::from_secs(3));
+    assert_experiment(
+        fig7a(&sc, &store, 1.0, 500_000.0, 50_000.0, at, threads),
+        60,
+        &[
+            "0.0s c=1,dR=128,l=4",
+            "0.1s c=1,dR=256,l=4",
+            "2.8s c=1,dR=128,l=4",
+            "10.5s c=2,dR=256,l=4",
+        ],
+        ["45.5", "49.9", "48.9"],
+    );
+    assert_experiment(
+        fig7b(&sc, &store, 500_000.0, 0.9, 0.4, at, threads),
+        60,
+        &["0.0s c=1,dR=64,l=4", "5.5s c=1,dR=64,l=3"],
+        ["9.4", "14.6", "2.0"],
+    );
+    assert_experiment(
+        fig7cd(&sc, &store, 500_000.0, 0.9, 0.4, at, threads),
+        60,
+        &["0.0s c=1,dR=128,l=4", "6.0s c=1,dR=64,l=4"],
+        ["15.6", "14.6", "16.2"],
+    );
 }
 
 #[test]

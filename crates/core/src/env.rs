@@ -130,19 +130,6 @@ impl ResourceVector {
         self.values.is_empty()
     }
 
-    /// Euclidean distance in normalized coordinates: each axis divided by
-    /// `scale[axis]` (callers pass per-axis ranges so unlike units mix).
-    pub fn distance(&self, other: &ResourceVector, scale: &BTreeMap<ResourceKey, f64>) -> f64 {
-        let mut sum = 0.0;
-        for (k, v) in &self.values {
-            let o = other.get(k).unwrap_or(0.0);
-            let s = scale.get(k).copied().unwrap_or(1.0).max(1e-12);
-            let d = (v - o) / s;
-            sum += d * d;
-        }
-        sum.sqrt()
-    }
-
     /// This vector with every value multiplied by `factor` — a degraded
     /// (or inflated) resource grant. Admission control uses this to price
     /// fractional offers when a full-demand grant does not fit.
@@ -270,24 +257,6 @@ mod tests {
         assert!(!have.covers(&need2));
         let need3 = ResourceVector::new(&[(ResourceKey::mem("c"), 1.0)]);
         assert!(!have.covers(&need3));
-    }
-
-    #[test]
-    fn normalized_distance() {
-        let a = ResourceVector::new(&[
-            (ResourceKey::cpu("c"), 0.2),
-            (ResourceKey::net("c"), 100_000.0),
-        ]);
-        let b = ResourceVector::new(&[
-            (ResourceKey::cpu("c"), 0.6),
-            (ResourceKey::net("c"), 500_000.0),
-        ]);
-        let mut scale = BTreeMap::new();
-        scale.insert(ResourceKey::cpu("c"), 1.0);
-        scale.insert(ResourceKey::net("c"), 1_000_000.0);
-        let d = a.distance(&b, &scale);
-        let expect = (0.4f64 * 0.4 + 0.4 * 0.4).sqrt();
-        assert!((d - expect).abs() < 1e-12);
     }
 
     #[test]

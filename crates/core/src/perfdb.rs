@@ -7,9 +7,20 @@
 //! `(configuration, input, resource vector) -> quality metrics`;
 //! [`PerfDb::predict`] answers point queries by exact lookup, else by
 //! multilinear interpolation over the sampled grid (with clamping
-//! extrapolation), falling back to inverse-distance weighting where the
-//! grid is incomplete. The nearest-record lookup the paper's prototype
-//! used (§7.1) is test code: the ablation's baseline.
+//! extrapolation). The nearest-record lookup the paper's prototype used
+//! (§7.1) is test code: the ablation's baseline.
+//!
+//! # A slice is a complete lattice
+//!
+//! The records of one `(config, input)` pair form a *slice*, and a slice
+//! is a complete lattice: every record samples the same resource axes, at
+//! most `MAX_AXES` of them, and every combination of the sampled axis
+//! values (a *cell*) holds exactly one record. The profiler's grid sweep
+//! and the refine engine's re-profiling build nothing else.
+//! [`PerfDb::from_json`] refuses a file that breaks this
+//! ([`PerfDbLoadError::NotALattice`]), and a database assembled in memory
+//! panics with the same text when its index is built. A query that lacks
+//! one of a slice's axes is priced at that axis's lowest sample.
 //!
 //! # Query index
 //!
@@ -20,14 +31,13 @@
 //! - configurations and workload inputs are **interned** once into dense
 //!   ids (no per-record key cloning on queries);
 //! - records are grouped into per-`(config, input)` **slices**, each with
-//!   its sorted distinct axis grid and per-axis scales precomputed, and
-//!   its records' metrics as flat **rows** of `f64` in the input's sorted
-//!   metric-name union (NaN where a record lacks a metric);
-//! - a slice's full-signature records sit on a **lattice**: their grid
-//!   positions (one sample index per axis) in one sorted table, so an
-//!   exact match is a per-axis binary search plus one search of the table,
-//!   and interpolation a 2^d-corner blend of rows instead of a full scan.
-//!   The table holds one entry per record, whatever the grid's size.
+//!   its sorted distinct axis grid precomputed, and its records' metrics
+//!   as flat **rows** of `f64` in the input's sorted metric-name union
+//!   (NaN where a record lacks a metric);
+//! - a slice maps each **cell** number (row-major over the per-axis sample
+//!   indices) to its record's row in one dense table, so an exact match is
+//!   a per-axis binary search plus arithmetic, and interpolation a
+//!   2^d-corner blend of rows instead of a full scan.
 //!
 //! One kernel predicts into a row; [`PerfDb::predict`] turns that row into
 //! a [`QosReport`], and the scheduler's decisions read rows directly
@@ -73,22 +83,16 @@ pub struct PerfRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictMode {
     /// Multilinear interpolation over the sampled grid, clamping outside
-    /// the sampled range; falls back to inverse-distance weighting where
-    /// the grid is incomplete.
+    /// the sampled range.
     Interpolate,
 }
 
 /// Tolerance when matching axis coordinates.
 const AXIS_TOL: f64 = 1e-9;
 
-/// The most axes a lattice indexes, and so the most a multilinear blend
-/// (2^d corners) spans. A slice with more axes keeps every record off the
-/// lattice and blends by inverse-distance weighting.
+/// The most axes a lattice spans, and so the most a multilinear blend
+/// (2^d corners) reads. A slice with more axes is refused.
 const MAX_AXES: usize = 8;
-
-/// A lattice position: the sample index of a point on each slice axis,
-/// 0 past the last axis.
-type Cell = [u32; MAX_AXES];
 
 /// The profile database.
 ///
@@ -138,7 +142,8 @@ impl PerfDb {
     }
 
     /// Insert one record. O(1): the index is only marked dirty and rebuilt
-    /// lazily on the next query, keeping profiling sweeps cheap.
+    /// lazily on the next query, keeping profiling sweeps cheap. That
+    /// query panics unless every slice is then a complete lattice.
     pub fn add(&mut self, rec: PerfRecord) {
         self.records.push(rec);
         self.invalidate();
@@ -154,7 +159,8 @@ impl PerfDb {
     /// Replacement records whose `config`/`input` disagree with the slice
     /// being swapped would silently grow *other* slices, so they are
     /// rejected with a panic — re-profiling always resamples the slice it
-    /// was asked to refresh.
+    /// was asked to refresh, and so the replacement is a complete lattice
+    /// too.
     pub fn swap_slice(
         &mut self,
         config: &Configuration,
@@ -184,12 +190,14 @@ impl PerfDb {
         *self.index.get_mut().expect("index lock poisoned") = None;
     }
 
-    /// The current index, building it if the database changed.
+    /// The current index, building it if the database changed. Panics
+    /// when a slice is not a complete lattice, with the text
+    /// [`from_json`](PerfDb::from_json) refuses such a file with.
     fn index(&self) -> Arc<Index> {
         if let Some(idx) = self.index.read().expect("index lock poisoned").as_ref() {
             return Arc::clone(idx);
         }
-        let built = Arc::new(Index::build(&self.records));
+        let built = Arc::new(Index::build(&self.records).unwrap_or_else(|e| panic!("{e}")));
         let mut slot = self.index.write().expect("index lock poisoned");
         // A concurrent reader may have built it first; both are equivalent.
         if slot.is_none() {
@@ -250,10 +258,11 @@ impl PerfDb {
     /// Predict quality metrics for `config` on `input` under `resources`.
     /// Returns `None` when the database has no records for the pair.
     ///
-    /// Indexed: exact matches and interpolation corners are lattice
-    /// lookups (binary searches), so a query over a d-axis grid of m
-    /// samples per axis and n records costs O(d log m + 2^d log n) instead
-    /// of a scan over every record. `mode` has one value.
+    /// Indexed: a query over a d-axis grid of m samples per axis costs
+    /// O(d log m + 2^d) (per-axis binary searches, then one table lookup
+    /// per blend corner) instead of a scan over every record. A slice
+    /// axis that `resources` lacks is priced at its lowest sample. `mode`
+    /// has one value.
     pub fn predict(
         &self,
         config: &Configuration,
@@ -264,16 +273,16 @@ impl PerfDb {
         let idx = self.index();
         let (slice, names) = idx.slice(config, input)?;
         let mut row = vec![0.0; names.len()];
-        slice.predict_into(&self.records, resources, &mut row);
+        slice.predict_into(resources, &mut row);
         Some(row_report(names, &row))
     }
 
     /// The configurations profiled for `input`, as one decision prices
     /// them; `None` when no record has that input.
-    pub(crate) fn candidates(&self, input: &str) -> Option<Candidates<'_>> {
+    pub(crate) fn candidates(&self, input: &str) -> Option<Candidates> {
         let idx = self.index();
         let input = *idx.input_ids.get(input)? as usize;
-        Some(Candidates { records: &self.records, idx, input })
+        Some(Candidates { idx, input })
     }
 
     /// Keep only the "maximal subset": configurations that are the best
@@ -440,7 +449,8 @@ impl PerfDb {
 
     /// Load a database saved by [`to_json`](PerfDb::to_json). Never
     /// panics on hostile input: every way the text can be wrong maps to
-    /// a [`PerfDbLoadError`] variant.
+    /// a [`PerfDbLoadError`] variant. The query index is built here, so a
+    /// slice that is not a complete lattice is refused, not loaded.
     pub fn from_json(s: &str) -> Result<PerfDb, PerfDbLoadError> {
         use PerfDbLoadError::*;
         let doc = json::parse(s).map_err(Syntax)?;
@@ -465,12 +475,13 @@ impl PerfDb {
         if stored != computed {
             return Err(ChecksumMismatch { stored, computed });
         }
-        let mut db = PerfDb::new();
-        for (index, item) in items.iter().enumerate() {
-            let rec = record_from_json(item).map_err(|reason| InvalidRecord { index, reason })?;
-            db.records.push(rec);
-        }
-        Ok(db)
+        let records = (items.iter().enumerate())
+            .map(|(index, item)| {
+                record_from_json(item).map_err(|reason| InvalidRecord { index, reason })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let index = Index::build(&records)?;
+        Ok(PerfDb { records, index: RwLock::new(Some(Arc::new(index))) })
     }
 }
 
@@ -494,6 +505,11 @@ pub enum PerfDbLoadError {
     /// Record `index` is malformed or holds a value the database cannot
     /// represent (negative resource, unknown resource kind, ...).
     InvalidRecord { index: usize, reason: String },
+    /// The records of one `(config, input)` slice are not a complete
+    /// lattice: `reason` names the first record without one of the
+    /// slice's axes, a cell that no record fills or that two records
+    /// fill, or an axis count past the lattice's bound.
+    NotALattice { config: String, input: String, reason: String },
 }
 
 impl std::fmt::Display for PerfDbLoadError {
@@ -507,6 +523,9 @@ impl std::fmt::Display for PerfDbLoadError {
                 write!(f, "records checksum to {computed:016x}, the file says {stored:016x}")
             }
             InvalidRecord { index, reason } => write!(f, "record {index}: {reason}"),
+            NotALattice { config, input, reason } => {
+                write!(f, "slice ({config}, {input}) is not a complete lattice: {reason}")
+            }
         }
     }
 }
@@ -588,7 +607,9 @@ struct Index {
 }
 
 impl Index {
-    fn build(records: &[PerfRecord]) -> Index {
+    /// The index of `records`, or the first slice that is not a complete
+    /// lattice.
+    fn build(records: &[PerfRecord]) -> Result<Index, PerfDbLoadError> {
         assert!(u32::try_from(records.len()).is_ok(), "record count exceeds index capacity");
         let mut configs: Vec<Configuration> = Vec::new();
         let mut config_ids: HashMap<Configuration, u32> = HashMap::new();
@@ -633,14 +654,20 @@ impl Index {
             .into_iter()
             .map(|set| set.into_iter().map(str::to_string).collect())
             .collect();
-        let slices = recs_by_input
-            .into_iter()
-            .zip(&metrics_by_input)
-            .map(|(groups, names)| {
-                groups.into_iter().map(|recs| Slice::build(records, recs, names)).collect()
-            })
-            .collect();
-        Index {
+        let mut slices = Vec::with_capacity(inputs.len());
+        for (iid, groups) in recs_by_input.into_iter().enumerate() {
+            let built = groups.into_iter().zip(&configs_by_input[iid]).map(|(recs, &cid)| {
+                Slice::build(records, recs, &metrics_by_input[iid]).map_err(|reason| {
+                    PerfDbLoadError::NotALattice {
+                        config: configs[cid as usize].key(),
+                        input: inputs[iid].clone(),
+                        reason,
+                    }
+                })
+            });
+            slices.push(built.collect::<Result<Vec<_>, _>>()?);
+        }
+        Ok(Index {
             configs,
             config_ids,
             inputs,
@@ -649,7 +676,7 @@ impl Index {
             slices,
             slice_pos,
             metrics_by_input,
-        }
+        })
     }
 
     fn slice_of(&self, cid: u32, iid: u32) -> Option<&Slice> {
@@ -670,13 +697,12 @@ impl Index {
 /// [`PerfDb::configs`]), and predictions written into metric rows laid out
 /// in [`metric_names`](Candidates::metric_names) order, NaN marking a
 /// metric the prediction lacks.
-pub(crate) struct Candidates<'a> {
-    records: &'a [PerfRecord],
+pub(crate) struct Candidates {
     idx: Arc<Index>,
     input: usize,
 }
 
-impl Candidates<'_> {
+impl Candidates {
     pub(crate) fn len(&self) -> usize {
         self.idx.slices[self.input].len()
     }
@@ -708,7 +734,7 @@ impl Candidates<'_> {
     /// Predict candidate `i` at `at` into `row`, exactly as
     /// [`PerfDb::predict`] does.
     pub(crate) fn predict_into(&self, i: usize, at: &ResourceVector, row: &mut [f64]) {
-        self.slice(i).predict_into(self.records, at, row);
+        self.slice(i).predict_into(at, row);
     }
 
     /// The report of a row.
@@ -728,7 +754,8 @@ fn row_report(names: &[String], row: &[f64]) -> QosReport {
     report
 }
 
-/// All records of one `(config, input)` pair, with precomputed geometry.
+/// All records of one `(config, input)` pair, with precomputed geometry:
+/// a complete lattice, one record per cell.
 #[derive(Debug)]
 struct Slice {
     /// Record indices, insertion order. A slice names its records by
@@ -738,34 +765,69 @@ struct Slice {
     axes: Vec<ResourceKey>,
     /// Sorted distinct sampled values per axis (parallel to `axes`).
     axis_values: Vec<Vec<f64>>,
-    /// Per-axis value ranges, for normalized distances.
-    scales: BTreeMap<ResourceKey, f64>,
     /// One metric row per record, in `recs` order, with the input's
     /// metric columns; NaN where the record lacks the metric.
     rows: Vec<f64>,
     /// Where a blend starts: 0.0 in the columns some record of the slice
     /// reports, NaN in the others.
     blank: Vec<f64>,
-    /// Records whose axis set differs from `axes` (every record, past
-    /// `MAX_AXES` axes); they can never sit on the lattice but still
-    /// participate in exact matching and IDW.
-    offgrid: Vec<u32>,
-    /// The other records' grid positions, sorted, each once, with the
-    /// slice position of the first record at it.
-    lattice: Vec<(Cell, u32)>,
+    /// Cell number (see [`cell_of`]) -> slice position of the record
+    /// there.
+    cells: Vec<u32>,
 }
 
 impl Slice {
-    fn build(records: &[PerfRecord], recs: Vec<u32>, metric_names: &[String]) -> Slice {
-        let mut axis_set: BTreeSet<ResourceKey> = BTreeSet::new();
-        for &ri in &recs {
-            for (k, _) in records[ri as usize].resources.iter() {
-                if !axis_set.contains(k) {
-                    axis_set.insert(k.clone());
-                }
-            }
+    /// The slice of `recs`, or why they are not a complete lattice: more
+    /// than `MAX_AXES` axes, the first record that lacks one of the
+    /// slice's axes, the first cell a second record fills, or the first
+    /// cell no record fills.
+    fn build(
+        records: &[PerfRecord],
+        recs: Vec<u32>,
+        metric_names: &[String],
+    ) -> Result<Slice, String> {
+        let axis_set: BTreeSet<&ResourceKey> =
+            recs.iter().flat_map(|&ri| records[ri as usize].resources.keys()).collect();
+        let axes: Vec<ResourceKey> = axis_set.into_iter().cloned().collect();
+        if axes.len() > MAX_AXES {
+            return Err(format!("{} axes, past the {MAX_AXES} a lattice spans", axes.len()));
         }
-        let axes: Vec<ResourceKey> = axis_set.into_iter().collect();
+        let axis_values: Vec<Vec<f64>> = axes
+            .iter()
+            .map(|axis| {
+                let mut vals: Vec<f64> = recs
+                    .iter()
+                    .filter_map(|&ri| records[ri as usize].resources.get(axis))
+                    .collect();
+                vals.sort_by(|a, b| a.total_cmp(b));
+                vals.dedup_by(|a, b| (*a - *b).abs() < AXIS_TOL);
+                vals
+            })
+            .collect();
+        // A complete lattice has one cell per record. A grid of more cells
+        // leaves one of its first `recs.len() + 1` empty, so the table
+        // stops there (and a cell count past `usize` needs no table).
+        let n_cells = axis_values.iter().try_fold(1usize, |n, vals| n.checked_mul(vals.len()));
+        let mut cells = vec![u32::MAX; n_cells.unwrap_or(usize::MAX).min(recs.len() + 1)];
+        for (pos, &ri) in recs.iter().enumerate() {
+            let point = &records[ri as usize].resources;
+            if let Some(axis) = axes.iter().find(|a| point.get(a).is_none()) {
+                return Err(format!("the record at {point} lacks axis {axis}"));
+            }
+            // Each value snaps to its own axis's samples, so only a cell
+            // number past `usize` is `None`.
+            let Some(slot) = cell_of(&axes, &axis_values, point).and_then(|n| cells.get_mut(n))
+            else {
+                continue;
+            };
+            if *slot != u32::MAX {
+                return Err(format!("two records at {point}"));
+            }
+            *slot = pos as u32;
+        }
+        if let Some(n) = cells.iter().position(|&pos| pos == u32::MAX) {
+            return Err(format!("no record at {}", cell_point(&axes, &axis_values, n)));
+        }
         let rows: Vec<f64> = recs
             .iter()
             .flat_map(|&ri| {
@@ -784,191 +846,104 @@ impl Slice {
                 }
             })
             .collect();
-        let axis_values: Vec<Vec<f64>> = axes
-            .iter()
-            .map(|axis| {
-                let mut vals: Vec<f64> = recs
-                    .iter()
-                    .filter_map(|&ri| records[ri as usize].resources.get(axis))
-                    .collect();
-                vals.sort_by(|a, b| a.total_cmp(b));
-                vals.dedup_by(|a, b| (*a - *b).abs() < AXIS_TOL);
-                vals
-            })
-            .collect();
-        let mut scales = BTreeMap::new();
-        for (axis, vals) in axes.iter().zip(&axis_values) {
-            let scale = match (vals.first(), vals.last()) {
-                (Some(&lo), Some(&hi)) if hi > lo => hi - lo,
-                (Some(&lo), _) => lo.abs().max(1.0),
-                _ => 1.0,
-            };
-            scales.insert(axis.clone(), scale);
-        }
-        let mut offgrid = Vec::new();
-        let mut lattice = Vec::new();
-        for (pos, &ri) in recs.iter().enumerate() {
-            match cell_of(&axes, &axis_values, &records[ri as usize].resources) {
-                Some(cell) => lattice.push((cell, pos as u32)),
-                None => offgrid.push(pos as u32),
-            }
-        }
-        // The sort is stable, so the dedup keeps the first record at each
-        // position: the scan path's first-match semantics.
-        lattice.sort_by_key(|&(cell, _)| cell);
-        lattice.dedup_by_key(|&mut (cell, _)| cell);
-        Slice { recs, axes, axis_values, scales, rows, blank, offgrid, lattice }
+        Ok(Slice { recs, axes, axis_values, rows, blank, cells })
     }
 
-    /// The record at slice position `pos`.
-    fn record<'a>(&self, records: &'a [PerfRecord], pos: usize) -> &'a PerfRecord {
-        &records[self.recs[pos] as usize]
-    }
-
-    /// The metric row of the record at slice position `pos`.
-    fn row(&self, pos: usize) -> &[f64] {
+    /// The metric row of the record in cell number `cell`.
+    fn row(&self, cell: usize) -> &[f64] {
         let w = self.blank.len();
+        let pos = self.cells[cell] as usize;
         &self.rows[pos * w..(pos + 1) * w]
     }
 
-    /// Predict at `q` into `out` (one value per metric column). Never
-    /// fails: a slice holds at least one record, and IDW answers wherever
-    /// the lattice cannot.
-    fn predict_into(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) {
-        if let Some(pos) = self.exact_match(records, q) {
-            out.copy_from_slice(self.row(pos));
-        } else if !self.multilinear(q, out) {
-            self.idw(records, q, out);
+    /// Predict at `q` into `out` (one value per metric column): the row
+    /// of the record at `q` (the same axes, each at a sampled value), else
+    /// a blend.
+    fn predict_into(&self, q: &ResourceVector, out: &mut [f64]) {
+        match cell_of(&self.axes, &self.axis_values, q) {
+            Some(cell) => out.copy_from_slice(self.row(cell)),
+            None => self.multilinear(q, out),
         }
     }
 
-    /// Position of the first record exactly matching `q` (the
-    /// [`same_point`] semantics of the scan path): a lattice lookup for
-    /// full-signature queries, then a scan over the (usually empty)
-    /// off-grid records.
-    fn exact_match(&self, records: &[PerfRecord], q: &ResourceVector) -> Option<usize> {
-        let cell = cell_of(&self.axes, &self.axis_values, q);
-        if let Some(pos) = cell.and_then(|cell| self.at_cell(cell)) {
-            return Some(pos);
-        }
-        let matches = |pos: usize| same_point(&self.record(records, pos).resources, q);
-        self.offgrid.iter().map(|&pos| pos as usize).find(|&pos| matches(pos))
-    }
-
-    /// Position of the first record at lattice position `cell`.
-    fn at_cell(&self, cell: Cell) -> Option<usize> {
-        let i = self.lattice.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
-        Some(self.lattice[i].1 as usize)
-    }
-
-    /// Multilinear interpolation over the lattice into `out`; clamps
-    /// query coordinates to the sampled range (edge extrapolation).
-    /// Returns `false` when a needed corner record is missing (ragged
-    /// slice), leaving `out` unspecified.
-    fn multilinear(&self, q: &ResourceVector, out: &mut [f64]) -> bool {
-        let d = self.axes.len();
-        if d == 0 || d > MAX_AXES {
-            return false;
-        }
+    /// Multilinear interpolation over the lattice into `out`. A query
+    /// coordinate past the sampled range is clamped to it, and an axis
+    /// the query lacks reads as 0, so it prices at its lowest sample.
+    fn multilinear(&self, q: &ResourceVector, out: &mut [f64]) {
         // Per axis: bracketing grid positions (lo, hi) and fraction t.
-        let mut brackets = [(0u32, 0u32, 0.0f64); MAX_AXES];
-        for (i, axis) in self.axes.iter().enumerate() {
-            let vals = &self.axis_values[i];
-            let Some(v) = q.get(axis) else { return false };
-            if vals.is_empty() {
-                return false;
-            }
-            let v = v.clamp(vals[0], vals[vals.len() - 1]);
+        let mut brackets = [(0usize, 0usize, 0.0f64); MAX_AXES];
+        for ((b, axis), vals) in brackets.iter_mut().zip(&self.axes).zip(&self.axis_values) {
+            let v = q.get(axis).unwrap_or(0.0).clamp(vals[0], vals[vals.len() - 1]);
             let hi_idx = vals.partition_point(|&x| x < v - AXIS_TOL);
-            brackets[i] = if hi_idx == 0 {
+            *b = if hi_idx == 0 {
                 (0, 0, 0.0)
             } else if (vals[hi_idx.min(vals.len() - 1)] - v).abs() < AXIS_TOL {
-                let p = hi_idx.min(vals.len() - 1) as u32;
+                let p = hi_idx.min(vals.len() - 1);
                 (p, p, 0.0)
             } else {
                 let lo = vals[hi_idx - 1];
                 let hi = vals[hi_idx];
-                (hi_idx as u32 - 1, hi_idx as u32, (v - lo) / (hi - lo))
+                (hi_idx - 1, hi_idx, (v - lo) / (hi - lo))
             };
         }
-        let brackets = &brackets[..d];
+        let brackets = &brackets[..self.axes.len()];
         out.copy_from_slice(&self.blank);
         let mut total_w = 0.0;
-        for corner in 0..(1usize << d) {
+        for corner in 0..(1usize << brackets.len()) {
             let mut weight = 1.0;
-            let mut cell = [0; MAX_AXES];
-            for (i, &(lo, hi, t)) in brackets.iter().enumerate() {
+            let mut cell = 0;
+            for (i, (&(lo, hi, t), vals)) in brackets.iter().zip(&self.axis_values).enumerate() {
                 let use_hi = corner & (1 << i) != 0;
                 weight *= if use_hi { t } else { 1.0 - t };
-                cell[i] = if use_hi { hi } else { lo };
+                cell = cell * vals.len() + if use_hi { hi } else { lo };
             }
             if weight <= 0.0 {
                 continue;
             }
-            let Some(pos) = self.at_cell(cell) else {
-                return false;
-            };
-            for (s, &v) in out.iter_mut().zip(self.row(pos)) {
+            for (s, &v) in out.iter_mut().zip(self.row(cell)) {
                 if !v.is_nan() {
                     *s += weight * v;
                 }
             }
             total_w += weight;
         }
-        if total_w <= 0.0 {
-            return false;
-        }
-        for s in out.iter_mut() {
-            *s /= total_w;
-        }
-        true
-    }
-
-    /// Inverse-distance weighting over the four nearest records (the
-    /// fallback for incomplete grids), into `out`: the columns none of
-    /// them reports stay NaN.
-    fn idw(&self, records: &[PerfRecord], q: &ResourceVector, out: &mut [f64]) {
-        let mut weighted: Vec<(f64, usize)> = (0..self.recs.len())
-            .map(|pos| (self.record(records, pos).resources.distance(q, &self.scales), pos))
-            .collect();
-        weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut total_w = 0.0;
-        out.fill(f64::NAN);
-        for &(d, pos) in weighted.iter().take(4) {
-            let w = 1.0 / (d + 1e-9);
-            for (s, &v) in out.iter_mut().zip(self.row(pos)) {
-                if !v.is_nan() {
-                    *s = if s.is_nan() { 0.0 } else { *s } + w * v;
-                }
-            }
-            total_w += w;
-        }
         for s in out.iter_mut() {
             *s /= total_w;
         }
     }
 }
 
-/// The lattice position of `point`, or `None` unless `point` has exactly
-/// the slice's axes, at most `MAX_AXES` of them, each at a sampled value
-/// (relative tolerance, as in [`same_point`]).
-fn cell_of(axes: &[ResourceKey], axis_values: &[Vec<f64>], point: &ResourceVector) -> Option<Cell> {
-    if point.len() != axes.len() || axes.len() > MAX_AXES {
+/// The number of the cell at `point`: row-major over the per-axis sample
+/// indices, the last axis fastest. `None` unless `point` has exactly the
+/// slice's axes, each at a sampled value (see [`snap_pos`]), or when the
+/// number overflows `usize`.
+fn cell_of(
+    axes: &[ResourceKey],
+    axis_values: &[Vec<f64>],
+    point: &ResourceVector,
+) -> Option<usize> {
+    if point.len() != axes.len() {
         return None;
     }
-    let mut cell = [0; MAX_AXES];
-    for ((c, axis), vals) in cell.iter_mut().zip(axes).zip(axis_values) {
-        *c = snap_pos(vals, point.get(axis)?)? as u32;
-    }
-    Some(cell)
+    axes.iter().zip(axis_values).try_fold(0usize, |n, (axis, vals)| {
+        n.checked_mul(vals.len())?.checked_add(snap_pos(vals, point.get(axis)?)?)
+    })
 }
 
-/// Index of the grid value relatively equal to `v` (the [`same_point`]
-/// tolerance), if any; binary search plus a neighbor check.
+/// The resource point of cell number `n`.
+fn cell_point(axes: &[ResourceKey], axis_values: &[Vec<f64>], mut n: usize) -> ResourceVector {
+    let mut point = ResourceVector::default();
+    for (axis, vals) in axes.iter().zip(axis_values).rev() {
+        point.set(axis.clone(), vals[n % vals.len()]);
+        n /= vals.len();
+    }
+    point
+}
+
+/// Index of the grid value relatively equal to `v` (within [`AXIS_TOL`]
+/// of the larger magnitude, at least 1), if any; binary search plus a
+/// neighbor check.
 fn snap_pos(vals: &[f64], v: f64) -> Option<usize> {
-    if vals.is_empty() {
-        return None;
-    }
     let i = vals.partition_point(|&x| x < v);
     let mut best: Option<(f64, usize)> = None;
     for cand in [i.checked_sub(1), Some(i)].into_iter().flatten() {
@@ -982,19 +957,6 @@ fn snap_pos(vals: &[f64], v: f64) -> Option<usize> {
     let (d, p) = best?;
     let denom = vals[p].abs().max(v.abs()).max(1.0);
     (d / denom < AXIS_TOL).then_some(p)
-}
-
-fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().all(|(k, v)| match b.get(k) {
-        Some(o) => {
-            let denom = v.abs().max(o.abs()).max(1.0);
-            (v - o).abs() / denom < AXIS_TOL
-        }
-        None => false,
-    })
 }
 
 #[cfg(test)]
@@ -1137,19 +1099,80 @@ mod tests {
     }
 
     #[test]
-    fn idw_fallback_on_incomplete_grid() {
-        let mut db = PerfDb::new();
-        // Scattered, non-grid samples.
-        db.add(rec(&[("c", 1)], 0.2, 100_000.0, 60.0));
-        db.add(rec(&[("c", 1)], 0.9, 900_000.0, 12.0));
-        db.add(rec(&[("c", 1)], 0.5, 400_000.0, 22.0));
-        let q = ResourceVector::new(&[(cpu_key(), 0.6), (net_key(), 500_000.0)]);
-        let p = db
-            .predict(&Configuration::new(&[("c", 1)]), "img", &q, PredictMode::Interpolate)
-            .unwrap()
-            .get("transmit_time")
-            .unwrap();
-        assert!(p > 12.0 && p < 60.0, "IDW stays within sample range, got {p}");
+    fn a_missing_axis_prices_at_its_lowest_sample() {
+        let db = grid_db();
+        let c = Configuration::new(&[("c", 1)]);
+        let predict = |q: &[(ResourceKey, f64)]| {
+            let q = ResourceVector::new(q);
+            let p = db.predict(&c, "img", &q, PredictMode::Interpolate);
+            assert_eq!(p, scan_oracle::predict(&db, &c, "img", &q), "query {q}");
+            p.unwrap()
+        };
+        // No CPU share: the lowest sampled share, 0.2.
+        let net_only = predict(&[(net_key(), 750_000.0)]);
+        assert_eq!(net_only, predict(&[(cpu_key(), 0.2), (net_key(), 750_000.0)]));
+        let t = 10.0 / 0.2 + 0.5 * (1e6 / 500_000.0 + 1e6 / 1_000_000.0);
+        assert!((net_only.get("transmit_time").unwrap() - t).abs() < 1e-9);
+        // No bandwidth either: the lattice's first cell.
+        assert_eq!(predict(&[]), predict(&[(cpu_key(), 0.2), (net_key(), 100_000.0)]));
+    }
+
+    /// A slice whose records do not fill a complete lattice is refused:
+    /// by `from_json` with a typed error, and by the first query of a
+    /// database assembled in memory with a panic of the same text.
+    #[test]
+    fn slices_that_are_not_complete_lattices_are_refused() {
+        let grid: Vec<PerfRecord> = grid_db().records().to_vec();
+        let without = |gone: PerfRecord| -> Vec<PerfRecord> {
+            grid.iter().filter(|&r| *r != gone).cloned().collect()
+        };
+        let with = |extra: PerfRecord| -> Vec<PerfRecord> {
+            grid.iter().cloned().chain([extra]).collect()
+        };
+        let nine_axes = (0..9).fold(ResourceVector::default(), |mut r, h| {
+            r.set(ResourceKey::cpu(&format!("h{h}")), 0.5);
+            r
+        });
+        let cases = [
+            (
+                without(rec(&[("c", 1)], 1.0, 1e6, 10.0 / 1.0 + 1e6 / 1e6)),
+                "no record at {client.cpu=1.000000;client.network=1000000.000000}",
+            ),
+            (
+                vec![rec(&[("c", 1)], 0.2, 1e5, 1.0), rec(&[("c", 1)], 1.0, 1e6, 1.0)],
+                "no record at {client.cpu=0.200000;client.network=1000000.000000}",
+            ),
+            (
+                with(rec(&[("c", 1)], 0.5, 5e5, 1.0)),
+                "two records at {client.cpu=0.500000;client.network=500000.000000}",
+            ),
+            (
+                with(PerfRecord {
+                    resources: ResourceVector::new(&[(cpu_key(), 0.5)]),
+                    ..rec(&[("c", 1)], 0.0, 0.0, 1.0)
+                }),
+                "the record at {client.cpu=0.500000} lacks axis client.network",
+            ),
+            (
+                vec![PerfRecord { resources: nine_axes, ..rec(&[("c", 1)], 0.0, 0.0, 1.0) }],
+                "9 axes, past the 8 a lattice spans",
+            ),
+        ];
+        for (records, reason) in cases {
+            let mut db = PerfDb::new();
+            for r in records {
+                db.add(r);
+            }
+            let refused = PerfDb::from_json(&db.to_json()).unwrap_err();
+            let want = PerfDbLoadError::NotALattice {
+                config: "c=1".into(),
+                input: "img".into(),
+                reason: reason.into(),
+            };
+            assert_eq!(refused, want);
+            let panic = std::panic::catch_unwind(|| db.configs("img")).unwrap_err();
+            assert_eq!(panic.downcast_ref::<String>(), Some(&refused.to_string()));
+        }
     }
 
     #[test]
@@ -1337,6 +1360,13 @@ mod tests {
         assert_eq!(db.records_for(&c, "img").len(), 9);
     }
 
+    /// A lattice row of config 1 at CPU share 0.35, every bandwidth.
+    fn row_at_035(db: &mut PerfDb) {
+        for net in [100_000.0, 500_000.0, 1_000_000.0] {
+            db.add(rec(&[("c", 1)], 0.35, net, 999.0));
+        }
+    }
+
     #[test]
     fn add_after_query_invalidates_index() {
         let mut db = grid_db();
@@ -1344,9 +1374,9 @@ mod tests {
         let q = ResourceVector::new(&[(cpu_key(), 0.35), (net_key(), 500_000.0)]);
         // Build the index with a query, then mutate.
         let before = db.predict(&c1, "img", &q, PredictMode::Interpolate).unwrap();
-        db.add(rec(&[("c", 1)], 0.35, 500_000.0, 999.0));
-        // The new record sits exactly at the query point: the rebuilt
-        // index must return it, not the stale interpolation.
+        row_at_035(&mut db);
+        // The new row holds the query point: the rebuilt index must
+        // return its record, not the stale interpolation.
         let after = db.predict(&c1, "img", &q, PredictMode::Interpolate).unwrap();
         assert_eq!(after.get("transmit_time"), Some(999.0));
         assert_ne!(before.get("transmit_time"), after.get("transmit_time"));
@@ -1361,64 +1391,6 @@ mod tests {
         assert_eq!(db.configs("other").len(), 1);
         assert_eq!(db.inputs(), vec!["img".to_string(), "other".to_string()]);
         assert_eq!(axis_values(&db, &c1, "img", &cpu_key()), vec![0.2, 0.35, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn indexed_matches_scan_on_ragged_slices() {
-        let mut db = PerfDb::new();
-        // Full-signature grid records plus one off-grid record missing the
-        // net axis entirely.
-        db.add(rec(&[("c", 1)], 0.2, 1e5, 60.0));
-        db.add(rec(&[("c", 1)], 1.0, 1e5, 15.0));
-        db.add(rec(&[("c", 1)], 0.2, 1e6, 52.0));
-        // (1.0, 1e6) missing -> ragged; plus an off-grid cpu-only record.
-        db.add(PerfRecord {
-            config: Configuration::new(&[("c", 1)]),
-            resources: ResourceVector::new(&[(cpu_key(), 0.6)]),
-            input: "img".into(),
-            metrics: QosReport::new(&[("transmit_time", 30.0)]),
-        });
-        let c = Configuration::new(&[("c", 1)]);
-        for q in [
-            ResourceVector::new(&[(cpu_key(), 0.5), (net_key(), 4e5)]),
-            ResourceVector::new(&[(cpu_key(), 0.2), (net_key(), 1e5)]),
-            ResourceVector::new(&[(cpu_key(), 0.6)]),
-            ResourceVector::new(&[(cpu_key(), 0.9), (net_key(), 9e5)]),
-        ] {
-            let a = db.predict(&c, "img", &q, PredictMode::Interpolate);
-            assert_eq!(a, scan_oracle::predict(&db, &c, "img", &q), "query {q}");
-        }
-    }
-
-    #[test]
-    fn sparse_lattice_matches_scan() {
-        // 3 axes x 41 diagonal samples: 41 records on a grid of 41^3
-        // positions, so most blends lack a corner.
-        let mut db = PerfDb::new();
-        let mem = ResourceKey::mem("client");
-        for i in 0..41 {
-            let v = 1.0 + i as f64;
-            db.add(PerfRecord {
-                config: Configuration::new(&[("c", 1)]),
-                resources: ResourceVector::new(&[
-                    (cpu_key(), v / 100.0),
-                    (net_key(), v * 1e4),
-                    (mem.clone(), v * 1e6),
-                ]),
-                input: "img".into(),
-                metrics: QosReport::new(&[("t", 100.0 / v)]),
-            });
-        }
-        let c = Configuration::new(&[("c", 1)]);
-        for probe in [3.3f64, 17.0, 40.5] {
-            let q = ResourceVector::new(&[
-                (cpu_key(), probe / 100.0),
-                (net_key(), probe * 1e4),
-                (mem.clone(), probe * 1e6),
-            ]);
-            let a = db.predict(&c, "img", &q, PredictMode::Interpolate);
-            assert_eq!(a, scan_oracle::predict(&db, &c, "img", &q), "probe {probe}");
-        }
     }
 
     /// How a known-answers row looks a point up.
@@ -1455,18 +1427,16 @@ mod tests {
         h.finish()
     }
 
-    /// How many lattice positions the slice's records fill, and how many
-    /// of its records sit off the lattice.
-    fn lattice_of(db: &PerfDb, config: &Configuration) -> (usize, usize) {
-        let idx = db.index();
-        let s = idx.slice(config, "img").expect("slice exists").0;
-        (s.lattice.len(), s.offgrid.len())
+    /// How many cells the slice's lattice has.
+    fn cells_of(db: &PerfDb, config: &Configuration) -> usize {
+        db.index().slice(config, "img").expect("slice exists").0.cells.len()
     }
 
-    /// Known answers of `predict`, one query set per path through it. The
-    /// property tests hold the index to the scan within 1e-9; this pins
-    /// every path bit for bit. The `nearest` rows pin the test-local
-    /// nearest-record lookup the ablation prices against.
+    /// Known answers of `predict`, one query set per path through it and
+    /// lattice shape. The property tests hold the index to the scan
+    /// within 1e-9; this pins every path bit for bit. The `nearest` rows
+    /// pin the test-local nearest-record lookup the ablation prices
+    /// against.
     #[test]
     fn predict_known_answers() {
         let c1 = Configuration::new(&[("c", 1)]);
@@ -1475,141 +1445,100 @@ mod tests {
             qs.iter().map(|q| (c1.clone(), "img", q.clone())).collect()
         };
         let mut digests: Vec<(&str, u64)> = Vec::new();
+        // The rows pinned since the lattice became complete are held to
+        // the scan oracle, bit for bit, too.
+        let held_to_scan = |db: &PerfDb, qs: &[(Configuration, &str, ResourceVector)]| {
+            for (c, input, q) in qs {
+                assert_eq!(indexed(db, c, input, q), scan_oracle::predict(db, c, input, q), "{q}");
+            }
+        };
 
         // Dense complete grid: exact hits, then blends and clamps.
         let grid = grid_db();
-        assert_eq!(lattice_of(&grid, &c1), (9, 0));
+        assert_eq!(cells_of(&grid, &c1), 9);
         let exact = on(&[at(0.2, 1e5), at(0.5, 5e5), at(1.0, 1e6), at(0.5 + 1e-12, 5e5)]);
         digests.push(("exact", answers_digest(&grid, &exact, indexed)));
         let blends =
             on(&[at(0.35, 7.5e5), at(0.21, 1e5), at(2.0, 3e5), at(0.01, 2e6), at(0.9, 1.3e5)]);
         digests.push(("dense", answers_digest(&grid, &blends, indexed)));
         digests.push(("nearest", answers_digest(&grid, &blends, nearest::nearest)));
+        // Queries that lack an axis: priced at its lowest sample.
+        let partial = on(&[
+            ResourceVector::new(&[(net_key(), 7.5e5)]),
+            ResourceVector::new(&[(cpu_key(), 0.35)]),
+            ResourceVector::default(),
+        ]);
+        held_to_scan(&grid, &partial);
+        digests.push(("missing axis", answers_digest(&grid, &partial, indexed)));
 
-        // Sparse lattice: a diagonal of 41 points plus the corners one
-        // single-axis blend needs; the diagonal blend falls back to IDW.
-        let mut sparse = PerfDb::new();
+        // Three axes, uneven spacings, 4 x 2 x 3 cells; `u` on every
+        // other cell.
         let mem = ResourceKey::mem("client");
-        let point = |a: f64, b: f64| {
-            ResourceVector::new(&[
-                (cpu_key(), a / 100.0),
-                (net_key(), b * 1e4),
-                (mem.clone(), b * 1e6),
-            ])
+        let point = |cpu: f64, net: f64, m: f64| {
+            ResourceVector::new(&[(cpu_key(), cpu), (net_key(), net), (mem.clone(), m)])
         };
-        for i in 0..41 {
-            let v = 1.0 + i as f64;
-            let metrics = QosReport::new(&[("t", 100.0 / v), ("u", v * 0.3)]);
-            sparse.add(PerfRecord {
+        let mut three = PerfDb::new();
+        for (i, &cpu) in [0.1, 0.25, 0.3, 1.0].iter().enumerate() {
+            for (j, &net) in [2e4, 7e5].iter().enumerate() {
+                for (k, &m) in [1e6, 1.5e6, 8e6].iter().enumerate() {
+                    let mut metrics = QosReport::new(&[("t", 10.0 / cpu + 1e6 / net + m / 1e7)]);
+                    if (i + j + k) % 2 == 0 {
+                        metrics.set("u", cpu * 3.0 + k as f64);
+                    }
+                    three.add(PerfRecord {
+                        config: c1.clone(),
+                        resources: point(cpu, net, m),
+                        input: "img".into(),
+                        metrics,
+                    });
+                }
+            }
+        }
+        assert_eq!(cells_of(&three, &c1), 24);
+        let qs = on(&[
+            point(0.25, 7e5, 1.5e6),
+            point(0.2, 3e5, 4e6),
+            point(0.28, 7e5, 1e6),
+            point(2.0, 1e4, 9e6),
+            ResourceVector::new(&[(cpu_key(), 0.5), (mem.clone(), 2e6)]),
+        ]);
+        held_to_scan(&three, &qs);
+        digests.push(("3-axis", answers_digest(&three, &qs, indexed)));
+        digests.push(("3-axis nearest", answers_digest(&three, &qs, nearest::nearest)));
+
+        // The widest lattice: 8 axes of 2 samples each, 256 cells.
+        let axes: Vec<ResourceKey> = (0..8).map(|h| ResourceKey::cpu(&format!("h{h}"))).collect();
+        let corner = |levels: &dyn Fn(usize) -> f64, n: usize| {
+            let mut r = ResourceVector::default();
+            for (i, k) in axes.iter().enumerate().take(n) {
+                r.set(k.clone(), levels(i));
+            }
+            r
+        };
+        let mut wide = PerfDb::new();
+        for bits in 0..256usize {
+            let level = |i: usize| if bits & (1 << i) != 0 { 0.5 + 0.05 * i as f64 } else { 0.25 };
+            let total: f64 = (0..8).map(level).sum();
+            let mut metrics = QosReport::new(&[("t", 50.0 / total + bits as f64 * 1e-3)]);
+            if bits % 3 != 1 {
+                metrics.set("u", total);
+            }
+            wide.add(PerfRecord {
                 config: c1.clone(),
-                resources: point(v, v),
+                resources: corner(&level, 8),
                 input: "img".into(),
                 metrics,
             });
         }
-        sparse.add(PerfRecord {
-            config: c1.clone(),
-            resources: point(8.0, 7.0),
-            input: "img".into(),
-            metrics: QosReport::new(&[("t", 13.5)]),
-        });
-        assert_eq!(lattice_of(&sparse, &c1), (42, 0));
-        // A lattice blend, not IDW: a quarter of the way to the extra
-        // corner, which lacks `u` but still carries its weight.
-        let blend =
-            sparse.predict(&c1, "img", &point(7.25, 7.0), PredictMode::Interpolate).unwrap();
-        assert!((blend.get("t").unwrap() - (0.75 * 100.0 / 7.0 + 0.25 * 13.5)).abs() < 1e-9);
-        assert!((blend.get("u").unwrap() - 0.75 * 7.0 * 0.3).abs() < 1e-9);
-        let qs = on(&[point(7.25, 7.0), point(7.5, 7.5), point(40.5, 40.5), point(0.5, 3.0)]);
-        digests.push(("sparse", answers_digest(&sparse, &qs, indexed)));
-        digests.push(("sparse nearest", answers_digest(&sparse, &qs, nearest::nearest)));
-
-        // The widest lattice: 8 axes of 33 samples each, 33^8 positions.
-        let axes: Vec<ResourceKey> = (0..8).map(|h| ResourceKey::cpu(&format!("h{h}"))).collect();
-        let diag = |first: f64, rest: f64| {
-            let mut r = ResourceVector::default();
-            for (i, k) in axes.iter().enumerate() {
-                r.set(k.clone(), if i == 0 { first } else { rest } / 64.0);
-            }
-            r
-        };
-        let mut scan = PerfDb::new();
-        for i in 0..33 {
-            let v = 1.0 + i as f64;
-            scan.add(PerfRecord {
-                config: c1.clone(),
-                resources: diag(v, v),
-                input: "img".into(),
-                metrics: QosReport::new(&[("t", 50.0 / v + 1.0)]),
-            });
-        }
-        scan.add(PerfRecord {
-            config: c1.clone(),
-            resources: diag(5.0, 4.0),
-            input: "img".into(),
-            metrics: QosReport::new(&[("t", 9.75), ("u", 2.0)]),
-        });
-        assert_eq!(lattice_of(&scan, &c1), (34, 0));
-        let blend = scan.predict(&c1, "img", &diag(4.3, 4.0), PredictMode::Interpolate).unwrap();
-        assert!((blend.get("t").unwrap() - (0.7 * 13.5 + 0.3 * 9.75)).abs() < 1e-9);
-        assert!((blend.get("u").unwrap() - 0.3 * 2.0).abs() < 1e-9);
-        let qs = on(&[diag(4.0, 4.0), diag(4.3, 4.0), diag(4.5, 4.5), diag(40.0, 0.5)]);
-        digests.push(("scan", answers_digest(&scan, &qs, indexed)));
-
-        // A slice wider than the interpolation bound: 9 axes, so blends
-        // fall back to IDW. A diagonal, a duplicate of one of its points
-        // (the first record wins), a corner, and a record missing an axis.
-        let wide_axes: Vec<ResourceKey> =
-            (0..9).map(|h| ResourceKey::net(&format!("w{h}"))).collect();
-        let wide_at = |first: f64, rest: f64, n: usize| {
-            let mut r = ResourceVector::default();
-            for (i, k) in wide_axes.iter().take(n).enumerate() {
-                r.set(k.clone(), if i == 0 { first } else { rest } * 1e5);
-            }
-            r
-        };
-        let mut wide_recs: Vec<(ResourceVector, QosReport)> = (1..=6)
-            .map(|i| {
-                let v = i as f64;
-                (wide_at(v, v, 9), QosReport::new(&[("t", 30.0 / v + 1.0), ("u", v * 0.5)]))
-            })
-            .collect();
-        wide_recs.push((wide_at(3.0, 3.0, 9), QosReport::new(&[("t", 99.0), ("u", -1.0)])));
-        wide_recs.push((wide_at(5.0, 2.0, 9), QosReport::new(&[("t", 7.25)])));
-        wide_recs.push((wide_at(4.0, 4.0, 8), QosReport::new(&[("t", 11.0), ("w", 2.0)])));
-        let mut wide = PerfDb::new();
-        for (resources, metrics) in wide_recs {
-            wide.add(PerfRecord { config: c1.clone(), resources, input: "img".into(), metrics });
-        }
-        assert_eq!(lattice_of(&wide, &c1), (0, 9));
-        let hit = wide.predict(&c1, "img", &wide_at(3.0, 3.0, 9), PredictMode::Interpolate);
-        assert_eq!(hit.unwrap().get("t"), Some(11.0), "the first record at a point wins");
+        assert_eq!(cells_of(&wide, &c1), 256);
         let qs = on(&[
-            wide_at(3.0, 3.0, 9),
-            wide_at(3.0 + 1e-9, 3.0, 9),
-            wide_at(5.0, 2.0, 9),
-            wide_at(4.0, 4.0, 8),
-            wide_at(2.5, 2.5, 9),
-            wide_at(4.5, 1.5, 9),
-            wide_at(9.0, 0.5, 8),
+            corner(&|i| if i % 2 == 0 { 0.25 } else { 0.5 + 0.05 * i as f64 }, 8),
+            corner(&|i| 0.3 + 0.02 * i as f64, 8),
+            corner(&|i| 0.4 + 0.1 * i as f64, 8),
+            corner(&|_| 0.45, 6),
         ]);
-        digests.push(("wide", answers_digest(&wide, &qs, indexed)));
-        digests.push(("wide nearest", answers_digest(&wide, &qs, nearest::nearest)));
-
-        // Ragged slice: IDW and nearest over scattered points.
-        let mut ragged = PerfDb::new();
-        ragged.add(rec(&[("c", 1)], 0.2, 100_000.0, 60.0));
-        ragged.add(rec(&[("c", 1)], 0.9, 900_000.0, 12.0));
-        ragged.add(rec(&[("c", 1)], 0.5, 400_000.0, 22.0));
-        ragged.add(PerfRecord {
-            config: c1.clone(),
-            resources: ResourceVector::new(&[(cpu_key(), 0.6)]),
-            input: "img".into(),
-            metrics: QosReport::new(&[("transmit_time", 30.0), ("u", 4.0)]),
-        });
-        let qs = on(&[at(0.6, 5e5), at(0.1, 1e6), ResourceVector::new(&[(cpu_key(), 0.6)])]);
-        digests.push(("idw", answers_digest(&ragged, &qs, indexed)));
-        digests.push(("ragged nearest", answers_digest(&ragged, &qs, nearest::nearest)));
+        held_to_scan(&wide, &qs);
+        digests.push(("8-axis", answers_digest(&wide, &qs, indexed)));
 
         // Records missing a metric the rest of the slice reports.
         let mut partial = PerfDb::new();
@@ -1642,13 +1571,10 @@ mod tests {
             ("exact", 0x8aaf_8fb4_88e3_9095),
             ("dense", 0x462d_dcfc_ff8f_e4a4),
             ("nearest", 0xaa55_51af_eb64_1596),
-            ("sparse", 0xd90a_e589_a807_3b17),
-            ("sparse nearest", 0x6bf7_a611_42da_f06e),
-            ("scan", 0x9360_1bc6_fecf_fd2f),
-            ("wide", 0xefdf_cec4_4ad8_d5b4),
-            ("wide nearest", 0xdadf_9b31_d818_88cf),
-            ("idw", 0x819c_f9bc_9996_2965),
-            ("ragged nearest", 0xc44b_2a96_c4c8_b6b8),
+            ("missing axis", 0x89c7_9e6d_99a5_db1c),
+            ("3-axis", 0x4613_e1cd_4a0e_995f),
+            ("3-axis nearest", 0x329c_725f_f4e8_1b13),
+            ("8-axis", 0x2eda_ca73_0421_2ad1),
             ("missing metric", 0x0c9f_7dc6_55cd_0e0d),
             ("missing nearest", 0x6d45_4aaf_a3d3_39e4),
             ("unknown", 0xd660_7508_f5a1_e855),
@@ -1664,7 +1590,7 @@ mod tests {
         let built = db.predict(&c, "img", &q, PredictMode::Interpolate);
         let mut clone = db.clone();
         assert_eq!(clone.predict(&c, "img", &q, PredictMode::Interpolate), built);
-        clone.add(rec(&[("c", 1)], 0.35, 500_000.0, 999.0));
+        row_at_035(&mut clone);
         assert_eq!(
             clone.predict(&c, "img", &q, PredictMode::Interpolate).unwrap().get("transmit_time"),
             Some(999.0)

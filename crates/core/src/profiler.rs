@@ -54,10 +54,13 @@ impl ResourceGrid {
         Self::default()
     }
 
+    /// Add an axis sampled at `values`, sorted, each value once: a
+    /// repeat would put two records in one cell of the database's lattice.
     pub fn with_axis(mut self, key: ResourceKey, values: &[f64]) -> Self {
         assert!(!values.is_empty(), "axis {key} has no sample values");
         let mut vs = values.to_vec();
         vs.sort_by(|a, b| a.total_cmp(b));
+        vs.dedup();
         self.axes.push((key, vs));
         self
     }
@@ -179,6 +182,15 @@ mod tests {
             .with_axis(ResourceKey::net("client"), &[1e5, 5e5, 1e6]);
         assert_eq!(g.point_count(), 6);
         assert_eq!(g.points().len(), 6);
+    }
+
+    #[test]
+    fn repeated_axis_values_are_sampled_once() {
+        let g = ResourceGrid::new().with_axis(cpu(), &[1.0, 0.5, 1.0]);
+        assert_eq!(g.axes[0].1, [0.5, 1.0]);
+        let db = Profiler::new(configs(), g, vec!["img".into()]).run_parallel(&runner, 1);
+        assert_eq!(db.len(), 4);
+        assert_eq!(db.configs("img").len(), 2, "the index builds: one record per cell");
     }
 
     #[test]

@@ -120,8 +120,8 @@ struct SchedObs {
 /// Per-decision working state: the input's candidates (one index
 /// snapshot per decision) and their predictions at the decision's point
 /// and at the region walk's current probe.
-struct DecisionCtx<'a> {
-    cands: Candidates<'a>,
+struct DecisionCtx {
+    cands: Candidates,
     /// False for configurations excluded from selection (failed steering
     /// negotiation, §6.3). Excluded candidates still compete in
     /// optimality checks.
@@ -132,8 +132,8 @@ struct DecisionCtx<'a> {
     probe: Probe,
 }
 
-impl<'a> DecisionCtx<'a> {
-    fn new(cands: Candidates<'a>, eligible: Vec<bool>) -> Self {
+impl DecisionCtx {
+    fn new(cands: Candidates, eligible: Vec<bool>) -> Self {
         let (center, probe) = (Probe::new(&cands), Probe::new(&cands));
         DecisionCtx { cands, eligible, center, probe }
     }
@@ -215,13 +215,13 @@ fn value(row: &[f64], col: Option<usize>) -> Option<f64> {
 
 /// What the selection loop settled: the winning candidate's position,
 /// its rank, and the context to walk its validity region with.
-struct Selected<'a> {
-    ctx: DecisionCtx<'a>,
+struct Selected {
+    ctx: DecisionCtx,
     chosen: usize,
     rank: usize,
 }
 
-impl Selected<'_> {
+impl Selected {
     /// The winner's prediction at the decision's point.
     fn predicted(&self) -> QosReport {
         self.ctx.cands.report(self.ctx.center.row(self.chosen))
@@ -360,13 +360,13 @@ impl ResourceScheduler {
     /// candidate, taking that rank's objective-best. The context comes
     /// back with the row kept, so a region walk that follows re-predicts
     /// nothing at the center point.
-    fn select_ctx<'a>(
+    fn select_ctx(
         &self,
-        db: &'a PerfDb,
+        db: &PerfDb,
         prefs: &PreferenceList,
         resources: &ResourceVector,
         excluded: &[Configuration],
-    ) -> Option<Selected<'a>> {
+    ) -> Option<Selected> {
         let cands = db.candidates(&self.input)?;
         let eligible: Vec<bool> =
             (0..cands.len()).map(|i| !excluded.contains(cands.config(i))).collect();

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use adapt_core::{
     Configuration, Constraint, ControlParam, ControlSpace, Guard, Objective, ParamDomain, PerfDb,
-    PerfRecord, PredictMode, Preference, PreferenceList, QosReport, ResourceKey, ResourceScheduler,
-    ResourceVector, Sense, ValidityRegion,
+    PerfRecord, PredictMode, Preference, PreferenceList, QosReport, ResourceGrid, ResourceKey,
+    ResourceScheduler, ResourceVector, Sense, ValidityRegion,
 };
 
 #[path = "support/scan_oracle.rs"]
@@ -20,6 +20,21 @@ fn cpu() -> ResourceKey {
 
 fn net() -> ResourceKey {
     ResourceKey::net("client")
+}
+
+/// Distinct sorted sample values with random spacing: a start, then 0 to
+/// 3 positive gaps.
+fn arb_axis(
+    start: std::ops::Range<f64>,
+    gap: std::ops::Range<f64>,
+) -> impl Strategy<Value = Vec<f64>> {
+    (start, proptest::collection::vec(gap, 0..4)).prop_map(|(first, gaps)| {
+        let mut vals = vec![first];
+        for g in gaps {
+            vals.push(vals[vals.len() - 1] + g);
+        }
+        vals
+    })
 }
 
 /// A database of one configuration sampled on an arbitrary grid of a
@@ -233,30 +248,36 @@ proptest! {
 
     #[test]
     fn perfdb_json_roundtrip(
-        points in proptest::collection::vec((0.05f64..1.0, 1e4f64..1e6, 0.0f64..100.0), 1..10),
+        cpus in arb_axis(0.05..0.5, 0.01..0.5),
+        nets in arb_axis(1e4..1e5, 1e4..1e6),
+        ts in proptest::collection::vec(0.0f64..100.0, 16),
     ) {
+        let points = ResourceGrid { axes: vec![(cpu(), cpus), (net(), nets)] }.points();
         let mut db = PerfDb::new();
-        for &(cv, nv, t) in &points {
+        for (resources, &t) in points.iter().zip(&ts) {
             db.add(PerfRecord {
                 config: Configuration::new(&[("x", 1)]),
-                resources: ResourceVector::new(&[(cpu(), cv), (net(), nv)]),
+                resources: resources.clone(),
                 input: "w".into(),
                 metrics: QosReport::new(&[("t", t)]),
             });
         }
         let back = PerfDb::from_json(&db.to_json()).expect("a saved database reloads");
         prop_assert_eq!(back.records(), db.records());
-        // Bit-identical predictions at every point of the sampled lattice
-        // (the cross product of the sampled axis values).
+        // Bit-identical predictions at every point of the lattice and
+        // halfway to the next one.
         let cfg = Configuration::new(&[("x", 1)]);
         let bits = |db: &PerfDb, q: &ResourceVector| {
             db.predict(&cfg, "w", q, PredictMode::Interpolate)
                 .map(|r| r.iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect::<Vec<_>>())
         };
-        for &(cv, _, _) in &points {
-            for &(_, nv, _) in &points {
-                let q = ResourceVector::new(&[(cpu(), cv), (net(), nv)]);
-                prop_assert_eq!(bits(&back, &q), bits(&db, &q));
+        for (p, next) in points.iter().zip(points.iter().cycle().skip(1)) {
+            let mut half = ResourceVector::default();
+            for (key, v) in p.iter() {
+                half.set(key.clone(), (v + next.get(key).unwrap()) / 2.0);
+            }
+            for q in [p, &half] {
+                prop_assert_eq!(bits(&back, q), bits(&db, q));
             }
         }
     }
@@ -264,63 +285,99 @@ proptest! {
 
 mod index_props {
     use super::*;
+    use obs::det::SplitMix64;
     use proptest::test_runner::TestCaseError;
 
     const CPUS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 1.0];
     const NETS: [f64; 5] = [1e5, 2e5, 4e5, 8e5, 1.6e6];
-    const MEMS: [f64; 5] = [1e6, 2e6, 4e6, 8e6, 1.6e7];
 
-    /// Records over a small value lattice with deliberately mixed axis
-    /// signatures: full `{cpu, net}` grid records, ragged `{cpu}`-only /
-    /// `{net}`-only records, and `{cpu, net, mem}` records — so slices are
-    /// non-rectangular and some records sit off the interpolation lattice.
-    /// Duplicate points (same coordinates, different metrics) also occur.
-    pub(super) fn arb_record() -> impl Strategy<Value = PerfRecord> {
+    fn mem() -> ResourceKey {
+        ResourceKey::mem("client")
+    }
+
+    /// The records of one complete lattice: configuration `x = c` on input
+    /// `a` or `b`, sampling no axis, `{cpu}`, `{net}`, `{cpu, net}` or
+    /// `{cpu, net, mem}` at values with random spacing, one record per
+    /// cell. Every record reports `t`, about two in three `u`.
+    pub(super) fn arb_slice() -> impl Strategy<Value = Vec<PerfRecord>> {
         (
             0i64..3,
             prop_oneof![Just("a"), Just("b")],
-            0usize..4,
             0usize..5,
-            0usize..5,
-            0usize..5,
-            1.0f64..100.0,
-            proptest::option::of(1.0f64..100.0),
+            arb_axis(0.05..0.4, 0.05..0.4),
+            arb_axis(5e4..3e5, 5e4..6e5),
+            arb_axis(1e6..4e6, 1e6..8e6),
+            any::<u64>(),
         )
-            .prop_map(|(c, input, sig, ci, ni, mi, t, u)| {
-                let mut res = ResourceVector::default();
-                if sig != 1 {
-                    res.set(cpu(), CPUS[ci]);
-                }
-                if sig != 2 {
-                    res.set(net(), NETS[ni]);
-                }
-                if sig == 3 {
-                    res.set(ResourceKey::mem("client"), MEMS[mi]);
-                }
-                let mut metrics = QosReport::new(&[("t", t)]);
-                if let Some(u) = u {
-                    metrics.set("u", u);
-                }
-                PerfRecord {
-                    config: Configuration::new(&[("x", c)]),
-                    resources: res,
-                    input: input.into(),
-                    metrics,
-                }
+            .prop_map(|(c, input, sig, cpus, nets, mems, seed)| {
+                let axes = [(cpu(), cpus), (net(), nets), (mem(), mems)];
+                let take = [0, 1, 1, 2, 3][sig];
+                let skip = usize::from(sig == 2);
+                let grid = ResourceGrid { axes: axes.into_iter().skip(skip).take(take).collect() };
+                let mut rng = SplitMix64::new(seed);
+                (grid.points().into_iter())
+                    .map(|resources| {
+                        let mut metrics = QosReport::new(&[("t", 1.0 + 99.0 * rng.next_f64())]);
+                        if rng.below(3) != 0 {
+                            metrics.set("u", 1.0 + 99.0 * rng.next_f64());
+                        }
+                        let config = Configuration::new(&[("x", c)]);
+                        PerfRecord { config, resources, input: input.into(), metrics }
+                    })
+                    .collect()
             })
     }
 
-    /// Queries both on and off the sampled lattice.
+    /// `slices` less each whose `(config, input)` an earlier one has: a
+    /// pair holds one lattice.
+    fn distinct(slices: Vec<Vec<PerfRecord>>) -> Vec<Vec<PerfRecord>> {
+        let mut seen = Vec::new();
+        slices
+            .into_iter()
+            .filter(|s| {
+                let pair = (s[0].config.clone(), s[0].input.clone());
+                let new = !seen.contains(&pair);
+                seen.push(pair);
+                new
+            })
+            .collect()
+    }
+
+    /// Up to four complete slices, their records interleaved in a random
+    /// order.
+    pub(super) fn arb_db() -> impl Strategy<Value = PerfDb> {
+        (proptest::collection::vec(arb_slice(), 1..5), any::<u64>()).prop_map(|(slices, seed)| {
+            let mut records = distinct(slices).concat();
+            let mut rng = SplitMix64::new(seed);
+            for i in (1..records.len()).rev() {
+                records.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut db = PerfDb::new();
+            for r in records {
+                db.add(r);
+            }
+            db
+        })
+    }
+
+    /// Queries at arbitrary values, each of `cpu`, `net` and `mem` present
+    /// or not: a query that lacks a slice axis is priced at its lowest
+    /// sample.
     pub(super) fn arb_query() -> impl Strategy<Value = ResourceVector> {
-        (0.05f64..1.2, 5e4f64..2e6, proptest::bool::ANY, 0usize..5, 0usize..5).prop_map(
-            |(qc, qn, on_grid, ci, ni)| {
-                if on_grid {
-                    ResourceVector::new(&[(cpu(), CPUS[ci]), (net(), NETS[ni])])
-                } else {
-                    ResourceVector::new(&[(cpu(), qc), (net(), qn)])
+        (0.01f64..1.5, 1e4f64..2e6, 5e5f64..2e7, 0u8..8).prop_map(|(qc, qn, qm, mask)| {
+            let mut q = ResourceVector::default();
+            for (bit, key, v) in [(1, cpu(), qc), (2, net(), qn), (4, mem(), qm)] {
+                if mask & bit != 0 {
+                    q.set(key, v);
                 }
-            },
-        )
+            }
+            q
+        })
+    }
+
+    /// Some of the database's own points: exact hits.
+    pub(super) fn on_grid(db: &PerfDb) -> Vec<ResourceVector> {
+        db.records().iter().step_by(5).map(|r| r.resources.clone()).collect()
     }
 
     fn check_equivalent(
@@ -363,19 +420,15 @@ mod index_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The tentpole's correctness contract: the lattice-indexed
-        /// `predict` agrees with the reference linear scan for arbitrary
-        /// (including ragged) databases, all query points.
+        /// The lattice-indexed `predict` agrees with the reference linear
+        /// scan for arbitrary complete lattices, on and off their points,
+        /// with and without every axis.
         #[test]
         fn indexed_predict_matches_linear_scan(
-            records in proptest::collection::vec(arb_record(), 1..40),
+            db in arb_db(),
             queries in proptest::collection::vec(arb_query(), 1..6),
         ) {
-            let mut db = PerfDb::new();
-            for r in records {
-                db.add(r);
-            }
-            for q in &queries {
+            for q in queries.iter().chain(&on_grid(&db)) {
                 for c in 0..3i64 {
                     for input in ["a", "b"] {
                         let cfg = Configuration::new(&[("x", c)]);
@@ -387,20 +440,26 @@ mod index_props {
             }
         }
 
-        /// Interleaving queries (which build the index) with `add` batches
-        /// (which must invalidate it) never lets a stale index answer:
-        /// after every mutation the indexed path still equals the scan,
-        /// and the interned distinct sets match a from-scratch clone.
+        /// Interleaving queries (which build the index) with batches of
+        /// whole slices added (which must invalidate it) never lets a
+        /// stale index answer: after every batch the indexed path still
+        /// equals the scan, and the interned distinct sets match a
+        /// from-scratch clone.
         #[test]
         fn add_after_query_invalidates_index(
-            batches in proptest::collection::vec(
-                proptest::collection::vec(arb_record(), 1..8), 1..4),
+            slices in proptest::collection::vec(arb_slice(), 1..8),
+            cuts in proptest::collection::vec(proptest::bool::ANY, 8),
             q in arb_query(),
         ) {
             let mut db = PerfDb::new();
-            for batch in batches {
-                for r in batch {
+            let slices = distinct(slices);
+            let last = slices.len() - 1;
+            for (i, slice) in slices.into_iter().enumerate() {
+                for r in slice {
                     db.add(r);
+                }
+                if !cuts[i] && i < last {
+                    continue;
                 }
                 for c in 0..3i64 {
                     let cfg = Configuration::new(&[("x", c)]);
@@ -424,23 +483,19 @@ mod index_props {
         /// The refine engine's hot-swap primitive preserves the indexed ==
         /// scan contract under *arbitrary* swap sequences: after every
         /// `swap_slice` (replacing one `(config, input)` slice with an
-        /// arbitrary replacement slice, including an empty one), the
-        /// lattice-indexed `predict` still agrees with the reference scan
-        /// at every query, and the mutated database matches a from-scratch
-        /// rebuild of the same records — no stale index ever answers.
+        /// arbitrary complete slice, or with none), the lattice-indexed
+        /// `predict` still agrees with the reference scan at every query,
+        /// and the mutated database matches a from-scratch rebuild of the
+        /// same records — no stale index ever answers.
         #[test]
         fn indexed_matches_scan_after_arbitrary_swap_sequences(
-            records in proptest::collection::vec(arb_record(), 1..25),
+            db in arb_db(),
             swaps in proptest::collection::vec(
-                (0i64..3, proptest::bool::ANY,
-                 proptest::collection::vec(arb_record(), 0..6)), 1..5),
+                (0i64..3, proptest::bool::ANY, proptest::option::of(arb_slice())), 1..5),
             queries in proptest::collection::vec(arb_query(), 1..4),
         ) {
             let mode = PredictMode::Interpolate;
-            let mut db = PerfDb::new();
-            for r in records {
-                db.add(r);
-            }
+            let mut db = db;
             for (c, which_input, repl) in swaps {
                 let cfg = Configuration::new(&[("x", c)]);
                 let input = if which_input { "a" } else { "b" };
@@ -451,6 +506,7 @@ mod index_props {
                 }
                 // Retarget the replacement records at the swapped slice.
                 let repl: Vec<PerfRecord> = repl
+                    .unwrap_or_default()
                     .into_iter()
                     .map(|r| PerfRecord { config: cfg.clone(), input: input.into(), ..r })
                     .collect();
@@ -541,64 +597,28 @@ mod index_props {
         }
     }
 
-    /// The sampled values of every axis of a wide slice.
-    const LEVELS: [f64; 3] = [0.25, 0.5, 1.0];
-
-    /// A point on axes `h0..h{k-1}`, axis `a` at `at(a)`, without the
-    /// `dropped` axis.
-    fn wide_point(k: usize, at: impl Fn(usize) -> f64, dropped: Option<usize>) -> ResourceVector {
-        let mut r = ResourceVector::default();
-        for a in (0..k).filter(|&a| Some(a) != dropped) {
-            r.set(ResourceKey::cpu(&format!("h{a}")), at(a));
-        }
-        r
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Slices on both sides of the index's axis bound (8 axes): a
-        /// diagonal, corner records one or two axes off it, duplicate
-        /// points and records missing an axis. Up to the bound a blend
-        /// reads 2^k lattice corners; past it every record is off the
-        /// lattice and a blend falls back to IDW. Either way the index
-        /// answers as the scan does: at every record's
-        /// point, from the diagonal towards each corner record (a lattice
-        /// blend when the corner is one axis off), and between two
-        /// arbitrary records.
+        /// Slices on both sides of the lattice's axis bound (8 axes), two
+        /// samples per axis at random levels. Up to the bound a blend
+        /// reads 2^k corners, and the index answers as the scan does: at
+        /// every cell, and between two cells with the first few axes left
+        /// out. Past it, the loader and the in-memory index refuse the
+        /// slice with one text.
         #[test]
         fn slices_across_the_axis_bound_match_the_linear_scan(
             k in 7usize..=10,
-            corners in proptest::collection::vec(
-                (0usize..2, proptest::collection::vec(0usize..10, 1..3), -0.3f64..1.3), 0..12),
-            dups in proptest::collection::vec(0usize..32, 0..3),
-            missing in proptest::collection::vec((0usize..3, 0usize..10), 0..3),
-            between in proptest::collection::vec((0usize..32, 0usize..32, -0.3f64..1.3), 1..6),
+            levels in proptest::collection::vec((0.1f64..1.0, 0.05f64..1.0), 10),
+            between in proptest::collection::vec(
+                (0usize..1024, 0usize..1024, -0.3f64..1.3, 0usize..3), 1..6),
         ) {
             let cfg = Configuration::new(&[("x", 1)]);
-            let mut points: Vec<ResourceVector> =
-                LEVELS.iter().map(|&v| wide_point(k, |_| v, None)).collect();
-            let mut queries = Vec::new();
-            for &(base, ref raised, t) in &corners {
-                let up = |a: usize| raised.iter().any(|&r| r % k == a) as usize;
-                let step = |a: usize| LEVELS[base + up(a)] - LEVELS[base];
-                points.push(wide_point(k, |a| LEVELS[base + up(a)], None));
-                queries.push(wide_point(k, |a| LEVELS[base] + t * step(a), None));
-            }
-            for &(l, axis) in &missing {
-                points.push(wide_point(k, |_| LEVELS[l], Some(axis % k)));
-            }
-            for &d in &dups {
-                points.push(points[d % points.len()].clone());
-            }
-            for &(i, j, t) in &between {
-                let (p, o) = (&points[i % points.len()], &points[j % points.len()]);
-                let mut q = ResourceVector::default();
-                for (key, v) in p.iter() {
-                    q.set(key.clone(), v + t * (o.get(key).unwrap_or(v) - v));
-                }
-                queries.push(q);
-            }
+            let axes = (0..k).map(|a| {
+                let (lo, gap) = levels[a];
+                (ResourceKey::cpu(&format!("h{a}")), vec![lo, lo + gap])
+            });
+            let points = ResourceGrid { axes: axes.collect() }.points();
             let mut db = PerfDb::new();
             for (i, resources) in points.iter().enumerate() {
                 let t = 1.0 + resources.iter().map(|(_, v)| v).sum::<f64>() + 0.01 * i as f64;
@@ -608,6 +628,23 @@ mod index_props {
                 }
                 let resources = resources.clone();
                 db.add(PerfRecord { config: cfg.clone(), resources, input: "a".into(), metrics });
+            }
+            if k > 8 {
+                let refused = PerfDb::from_json(&db.to_json()).unwrap_err().to_string();
+                let reason = format!("{k} axes, past the 8 a lattice spans");
+                prop_assert_eq!(&refused, &format!("slice (x=1, a) is not a complete lattice: {reason}"));
+                let panic = std::panic::catch_unwind(|| db.configs("a")).unwrap_err();
+                prop_assert_eq!(panic.downcast_ref::<String>(), Some(&refused));
+                return Ok(());
+            }
+            let mut queries = Vec::new();
+            for &(i, j, t, dropped) in &between {
+                let (p, o) = (&points[i % points.len()], &points[j % points.len()]);
+                let mut q = ResourceVector::default();
+                for (key, v) in p.iter().skip(dropped) {
+                    q.set(key.clone(), v + t * (o.get(key).unwrap() - v));
+                }
+                queries.push(q);
             }
             for q in points.iter().chain(&queries) {
                 let a = db.predict(&cfg, "a", q, PredictMode::Interpolate);
@@ -620,7 +657,7 @@ mod index_props {
 
 mod decision_props {
     use super::decision_oracle::{interpolate, Oracle};
-    use super::index_props::{arb_query, arb_record};
+    use super::index_props::{arb_db, arb_query, on_grid};
     use super::*;
 
     /// Constraints on `t`, on the optional `u`, on `v` (which no record
@@ -667,20 +704,18 @@ mod decision_props {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Every decision entry point equals the whole-report oracle bit
-        /// for bit, over ragged databases, preference lists whose metrics
-        /// some or all configurations lack, both objective senses, and
-        /// arbitrary exclusions.
+        /// for bit, over complete lattices of mixed axes, queries that
+        /// lack some of them, preference lists whose metrics some or all
+        /// configurations lack, both objective senses, and arbitrary
+        /// exclusions.
         #[test]
         fn decisions_match_the_whole_report_oracle(
-            records in proptest::collection::vec(arb_record(), 1..40),
+            db in arb_db(),
             prefs in arb_prefs(),
             queries in proptest::collection::vec(arb_query(), 1..5),
             excluded in proptest::collection::vec(proptest::bool::ANY, 3),
         ) {
-            let mut db = PerfDb::new();
-            for r in records {
-                db.add(r);
-            }
+            let queries: Vec<ResourceVector> = queries.into_iter().chain(on_grid(&db)).collect();
             let excluded: Vec<Configuration> = (0..3i64)
                 .filter(|&x| excluded[x as usize])
                 .map(|x| Configuration::new(&[("x", x)]))

@@ -15,8 +15,8 @@ use super::{Configuration, PerfDb, PerfRecord, QosReport, ResourceKey, ResourceV
 const AXIS_TOL: f64 = 1e-9;
 
 /// The metrics of the first `(config, input)` record at `at`, else of the
-/// record nearest to `at` (the first of equally near ones) by the
-/// normalized distance of the database's inverse-distance fallback.
+/// record nearest to `at` (the first of equally near ones) by
+/// [`distance`].
 pub fn nearest(
     db: &PerfDb,
     config: &Configuration,
@@ -29,8 +29,19 @@ pub fn nearest(
         return Some(r.metrics.clone());
     }
     let scales = axis_scales(&recs);
-    let distance = |r: &PerfRecord| r.resources.distance(at, &scales);
+    let distance = |r: &PerfRecord| distance(&r.resources, at, &scales);
     recs.iter().min_by(|a, b| distance(a).total_cmp(&distance(b))).map(|r| r.metrics.clone())
+}
+
+/// Euclidean distance in normalized coordinates: each axis of `a` over its
+/// scale, a coordinate that `b` lacks read as 0.
+fn distance(a: &ResourceVector, b: &ResourceVector, scales: &BTreeMap<ResourceKey, f64>) -> f64 {
+    let mut sum = 0.0;
+    for (k, v) in a.iter() {
+        let d = (v - b.get(k).unwrap_or(0.0)) / scales.get(k).copied().unwrap_or(1.0).max(1e-12);
+        sum += d * d;
+    }
+    sum.sqrt()
 }
 
 fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {

@@ -13,8 +13,9 @@ use super::{Configuration, PerfDb, PerfRecord, QosReport, ResourceKey, ResourceV
 /// Tolerance when matching axis coordinates (the index's own).
 const AXIS_TOL: f64 = 1e-9;
 
-/// Predict by scanning every record: bit-for-bit the pre-index
-/// implementation.
+/// Predict by scanning every record: the pre-index implementation on a
+/// complete lattice, where a slice axis the query lacks reads as 0 and so
+/// clamps to its lowest sample.
 pub fn predict(
     db: &PerfDb,
     config: &Configuration,
@@ -29,7 +30,7 @@ pub fn predict(
     if let Some(r) = recs.iter().find(|r| same_point(&r.resources, resources)) {
         return Some(r.metrics.clone());
     }
-    multilinear(&recs, resources).or_else(|| idw(&recs, resources))
+    Some(multilinear(&recs, resources))
 }
 
 fn same_point(a: &ResourceVector, b: &ResourceVector) -> bool {
@@ -53,37 +54,12 @@ fn axis_values(recs: &[&PerfRecord], axis: &ResourceKey) -> Vec<f64> {
     vals
 }
 
-fn axis_scales(recs: &[&PerfRecord]) -> BTreeMap<ResourceKey, f64> {
-    let mut scales = BTreeMap::new();
-    for axis in axes(recs) {
-        let vals = axis_values(recs, &axis);
-        let scale = match (vals.first(), vals.last()) {
-            (Some(&lo), Some(&hi)) if hi > lo => hi - lo,
-            (Some(&lo), _) => lo.abs().max(1.0),
-            _ => 1.0,
-        };
-        scales.insert(axis, scale);
-    }
-    scales
-}
-
-/// Zeroed sums for the union of the metric names `recs` carry.
-fn metric_sums<'a>(recs: impl Iterator<Item = &'a PerfRecord>) -> BTreeMap<String, f64> {
-    recs.flat_map(|r| r.metrics.iter()).map(|(m, _)| (m.to_string(), 0.0)).collect()
-}
-
-fn multilinear(recs: &[&PerfRecord], resources: &ResourceVector) -> Option<QosReport> {
+fn multilinear(recs: &[&PerfRecord], resources: &ResourceVector) -> QosReport {
     let axes = axes(recs);
-    if axes.is_empty() || axes.len() > 8 {
-        return None;
-    }
     let mut brackets: Vec<(f64, f64, f64)> = Vec::with_capacity(axes.len());
     for axis in &axes {
         let vals = axis_values(recs, axis);
-        if vals.is_empty() {
-            return None;
-        }
-        let q = resources.get(axis)?.clamp(vals[0], vals[vals.len() - 1]);
+        let q = resources.get(axis).unwrap_or(0.0).clamp(vals[0], vals[vals.len() - 1]);
         let hi_idx = vals.partition_point(|&v| v < q - AXIS_TOL);
         if hi_idx == 0 {
             brackets.push((vals[0], vals[0], 0.0));
@@ -96,7 +72,8 @@ fn multilinear(recs: &[&PerfRecord], resources: &ResourceVector) -> Option<QosRe
             brackets.push((lo, hi, (q - lo) / (hi - lo)));
         }
     }
-    let mut sums = metric_sums(recs.iter().copied());
+    let mut sums: BTreeMap<String, f64> =
+        recs.iter().flat_map(|r| r.metrics.iter()).map(|(m, _)| (m.to_string(), 0.0)).collect();
     let mut total_w = 0.0;
     for corner in 0..(1usize << axes.len()) {
         let mut weight = 1.0;
@@ -110,7 +87,10 @@ fn multilinear(recs: &[&PerfRecord], resources: &ResourceVector) -> Option<QosRe
         if weight <= 0.0 {
             continue;
         }
-        let rec = recs.iter().find(|r| same_point(&r.resources, &point))?;
+        let rec = recs
+            .iter()
+            .find(|r| same_point(&r.resources, &point))
+            .expect("a complete lattice has every corner");
         for (m, v) in rec.metrics.iter() {
             if let Some(s) = sums.get_mut(m) {
                 *s += weight * v;
@@ -118,36 +98,9 @@ fn multilinear(recs: &[&PerfRecord], resources: &ResourceVector) -> Option<QosRe
         }
         total_w += weight;
     }
-    if total_w <= 0.0 {
-        return None;
-    }
     let mut out = QosReport::default();
     for (m, s) in sums {
         out.set(&m, s / total_w);
     }
-    Some(out)
-}
-
-fn idw(recs: &[&PerfRecord], resources: &ResourceVector) -> Option<QosReport> {
-    let scales = axis_scales(recs);
-    let mut weighted: Vec<(f64, &PerfRecord)> =
-        recs.iter().map(|r| (r.resources.distance(resources, &scales), *r)).collect();
-    weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    weighted.truncate(4);
-    let mut sums = metric_sums(weighted.iter().map(|&(_, r)| r));
-    let mut total_w = 0.0;
-    for (d, r) in &weighted {
-        let w = 1.0 / (d + 1e-9);
-        for (m, v) in r.metrics.iter() {
-            if let Some(s) = sums.get_mut(m) {
-                *s += w * v;
-            }
-        }
-        total_w += w;
-    }
-    let mut out = QosReport::default();
-    for (m, s) in sums {
-        out.set(&m, s / total_w);
-    }
-    Some(out)
+    out
 }
