@@ -311,8 +311,8 @@ mod index_props {
         )
             .prop_map(|(c, input, sig, cpus, nets, mems, seed)| {
                 let axes = [(cpu(), cpus), (net(), nets), (mem(), mems)];
-                let take = [0, 1, 1, 2, 3][sig];
-                let skip = usize::from(sig == 2);
+                // No axis, `{cpu}`, `{net}`, `{cpu, net}` or all three.
+                let (skip, take) = [(0, 0), (0, 1), (1, 1), (0, 2), (0, 3)][sig];
                 let grid = ResourceGrid { axes: axes.into_iter().skip(skip).take(take).collect() };
                 let mut rng = SplitMix64::new(seed);
                 (grid.points().into_iter())

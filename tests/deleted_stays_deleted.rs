@@ -473,6 +473,21 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "a slice is a complete lattice",
+        reason: "every database the library builds fills one record per cell; PerfDb refuses \
+                 any other shape (PerfDbLoadError::NotALattice), so the inverse-distance \
+                 fallback, its off-grid list, per-axis scales and ResourceVector::distance \
+                 served nothing; the nearest-record baseline keeps its own distance in test code",
+        deleted_in: "05d1c80",
+        searches: &[Search {
+            tokens: &["fn idw", "offgrid", r"\bscales\b", "fn distance"],
+            roots: &["crates/core/src"],
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
