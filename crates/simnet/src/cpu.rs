@@ -1,18 +1,17 @@
-//! Proportional-share CPU scheduling (fluid GPS model with share caps).
+//! Proportional-share CPU scheduling (fluid GPS model).
 //!
 //! Each host carries one [`CpuSched`]. At most one computation per actor is
 //! active at a time (actors execute their action queues serially), so a run
 //! is identified by its actor. Active runs share the host's capacity in
-//! proportion to their weights, subject to optional per-run *caps* — hard
-//! upper bounds on the fraction of the host an actor may consume. Caps model
-//! an ideal fair-share OS; the user-level sandbox in the `sandbox` crate
-//! achieves the same effect by chopping work into quanta, and the two are
-//! compared in the figure-3 experiments.
+//! proportion to their weights, and together they always use all of it.
+//! The kernel has no per-actor cap: limiting an actor to a share of its
+//! host is the user-level sandbox's job (the `sandbox` crate chops work
+//! into quanta), and Figure 3(b) checks that sandbox against the closed
+//! form, full-speed time / share.
 //!
 //! The fluid model is exact: rates change only at *events* (run start, run
-//! completion, weight/cap change), and between events every run progresses
-//! linearly. Rate assignment uses water-filling so capped runs never exceed
-//! their cap while uncapped runs absorb the residual capacity.
+//! completion, weight change), and between events every run progresses
+//! linearly.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
@@ -26,12 +25,8 @@ pub struct Run {
     pub remaining: f64,
     /// GPS weight.
     pub weight: f64,
-    /// Optional hard cap as a fraction of the host (0, 1].
-    pub cap: Option<f64>,
     /// Current service rate in work-units per microsecond.
     pub rate: f64,
-    /// Pinned at its cap by the current rate assignment.
-    fixed: bool,
 }
 
 /// Fluid proportional-share scheduler for one host.
@@ -101,37 +96,18 @@ impl CpuSched {
 
     /// Start a new run for `actor`. Caller must `advance` first.
     /// Zero-or-negative work is the caller's responsibility (complete inline).
-    pub fn start(&mut self, actor: ActorId, work: f64, weight: f64, cap: Option<f64>) {
+    pub fn start(&mut self, actor: ActorId, work: f64, weight: f64) {
         debug_assert!(work > WORK_EPS, "zero-work runs must be completed inline");
         debug_assert!(!self.has_run(actor), "actor {actor:?} already has an active run");
-        self.runs.push(Run {
-            actor,
-            remaining: work,
-            weight: weight.max(1e-6),
-            cap: cap.map(|c| c.clamp(1e-6, 1.0)),
-            rate: 0.0,
-            fixed: false,
-        });
+        self.runs.push(Run { actor, remaining: work, weight: weight.max(1e-6), rate: 0.0 });
         self.reassign_rates();
     }
 
-    /// Change the weight and/or cap of `actor`'s run (if it has one).
-    /// Caller must `advance` first.
-    pub(crate) fn retune(&mut self, actor: ActorId, weight: Option<f64>, cap: Option<Option<f64>>) {
-        let mut changed = false;
-        for r in &mut self.runs {
-            if r.actor == actor {
-                if let Some(w) = weight {
-                    r.weight = w.max(1e-6);
-                    changed = true;
-                }
-                if let Some(c) = cap {
-                    r.cap = c.map(|c| c.clamp(1e-6, 1.0));
-                    changed = true;
-                }
-            }
-        }
-        if changed {
+    /// Change the weight of `actor`'s run (if it has one). Caller must
+    /// `advance` first.
+    pub(crate) fn retune(&mut self, actor: ActorId, weight: f64) {
+        if let Some(r) = self.runs.iter_mut().find(|r| r.actor == actor) {
+            r.weight = weight.max(1e-6);
             self.reassign_rates();
         }
     }
@@ -162,46 +138,14 @@ impl CpuSched {
         self.runs.iter().find(|r| r.actor == actor).map(|r| r.rate).unwrap_or(0.0)
     }
 
-    /// Water-filling rate assignment: capped runs whose proportional share
-    /// exceeds their cap are pinned at the cap; remaining capacity is shared
-    /// among the rest in proportion to weight, iterating until stable.
+    /// Proportional rate assignment: each run gets `speed * weight /
+    /// total_weight`. Weights are at least 1e-6 and the speed is positive,
+    /// so every rate is positive.
     fn reassign_rates(&mut self) {
         self.epoch += 1;
+        let total_w: f64 = self.runs.iter().map(|r| r.weight).sum();
         for r in &mut self.runs {
-            r.fixed = false;
-        }
-        let mut capacity = self.speed;
-        loop {
-            let total_w: f64 = self.runs.iter().filter(|r| !r.fixed).map(|r| r.weight).sum();
-            if total_w <= 0.0 {
-                break;
-            }
-            let mut newly_fixed = false;
-            for r in self.runs.iter_mut().filter(|r| !r.fixed) {
-                let share = capacity * r.weight / total_w;
-                if let Some(cap) = r.cap {
-                    let cap_rate = cap * self.speed;
-                    if share > cap_rate {
-                        r.rate = cap_rate;
-                        capacity -= cap_rate;
-                        r.fixed = true;
-                        newly_fixed = true;
-                    }
-                }
-            }
-            if !newly_fixed {
-                // Residual proportional assignment for everyone unfixed.
-                for r in self.runs.iter_mut().filter(|r| !r.fixed) {
-                    r.rate = capacity * r.weight / total_w;
-                }
-                break;
-            }
-        }
-        // Numerical guard: rates must never be negative.
-        for r in &mut self.runs {
-            if r.rate < 0.0 {
-                r.rate = 0.0;
-            }
+            r.rate = self.speed * r.weight / total_w;
         }
     }
 }
@@ -217,7 +161,7 @@ mod tests {
     #[test]
     fn single_run_gets_full_speed() {
         let mut s = CpuSched::new(2.0);
-        s.start(aid(0), 100.0, 1.0, None);
+        s.start(aid(0), 100.0, 1.0);
         assert!((s.rate_of(aid(0)) - 2.0).abs() < 1e-12);
         // 100 units at 2 units/us -> 50us.
         assert_eq!(s.next_completion(), Some(SimTime::from_us(50)));
@@ -230,8 +174,8 @@ mod tests {
     #[test]
     fn equal_weights_split_evenly() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, None);
-        s.start(aid(1), 100.0, 1.0, None);
+        s.start(aid(0), 100.0, 1.0);
+        s.start(aid(1), 100.0, 1.0);
         assert!((s.rate_of(aid(0)) - 0.5).abs() < 1e-12);
         assert!((s.rate_of(aid(1)) - 0.5).abs() < 1e-12);
     }
@@ -239,60 +183,20 @@ mod tests {
     #[test]
     fn weights_are_proportional() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 3.0, None);
-        s.start(aid(1), 100.0, 1.0, None);
+        s.start(aid(0), 100.0, 3.0);
+        s.start(aid(1), 100.0, 1.0);
         assert!((s.rate_of(aid(0)) - 0.75).abs() < 1e-12);
         assert!((s.rate_of(aid(1)) - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn cap_binds_under_low_contention() {
-        let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, Some(0.4));
-        assert!((s.rate_of(aid(0)) - 0.4).abs() < 1e-12);
-        // A second uncapped run absorbs the residual 0.6.
-        s.start(aid(1), 100.0, 1.0, None);
-        assert!((s.rate_of(aid(0)) - 0.4).abs() < 1e-12);
-        assert!((s.rate_of(aid(1)) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cap_does_not_bind_under_high_contention() {
-        let mut s = CpuSched::new(1.0);
-        // Proportional share would be 1/3 < cap 0.4, so the cap is inactive.
-        s.start(aid(0), 100.0, 1.0, Some(0.4));
-        s.start(aid(1), 100.0, 1.0, None);
-        s.start(aid(2), 100.0, 1.0, None);
-        assert!((s.rate_of(aid(0)) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn water_filling_multiple_caps() {
-        let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, Some(0.1));
-        s.start(aid(1), 100.0, 1.0, Some(0.2));
-        s.start(aid(2), 100.0, 1.0, None);
-        assert!((s.rate_of(aid(0)) - 0.1).abs() < 1e-12);
-        assert!((s.rate_of(aid(1)) - 0.2).abs() < 1e-12);
-        assert!((s.rate_of(aid(2)) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_capped_leaves_idle_capacity() {
-        let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, Some(0.3));
-        s.start(aid(1), 100.0, 1.0, Some(0.3));
-        assert!((s.rate_of(aid(0)) - 0.3).abs() < 1e-12);
-        assert!((s.rate_of(aid(1)) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
     fn advance_accumulates_usage() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, Some(0.5));
+        s.start(aid(0), 100.0, 1.0);
+        s.start(aid(1), 1000.0, 1.0);
         let mut usage = Vec::new();
         s.advance(SimTime::from_us(100), |a, cpu_us| usage.push((a, cpu_us)), &mut Vec::new());
-        assert_eq!(usage.len(), 1);
+        assert_eq!(usage.len(), 2);
         let (a, cpu_us) = usage[0];
         assert_eq!(a, aid(0));
         assert!((cpu_us - 50.0).abs() < 1e-9, "held 50% for 100us = 50us CPU");
@@ -302,8 +206,8 @@ mod tests {
     #[test]
     fn completion_then_speedup() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, None);
-        s.start(aid(1), 50.0, 1.0, None);
+        s.start(aid(0), 100.0, 1.0);
+        s.start(aid(1), 50.0, 1.0);
         // Both at 0.5: aid(1) finishes at t=100.
         // The list is appended to, never cleared.
         let mut done = vec![aid(7)];
@@ -315,22 +219,27 @@ mod tests {
     }
 
     #[test]
-    fn retune_cap_changes_rate() {
+    fn retune_weight_changes_rate() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 1000.0, 1.0, Some(0.8));
-        assert!((s.rate_of(aid(0)) - 0.8).abs() < 1e-12);
+        s.start(aid(0), 1000.0, 1.0);
+        s.start(aid(1), 1000.0, 1.0);
         s.advance(SimTime::from_us(10), |_, _| {}, &mut Vec::new());
-        s.retune(aid(0), None, Some(Some(0.4)));
-        assert!((s.rate_of(aid(0)) - 0.4).abs() < 1e-12);
-        s.advance(SimTime::from_us(20), |_, _| {}, &mut Vec::new());
-        s.retune(aid(0), None, Some(None));
-        assert!((s.rate_of(aid(0)) - 1.0).abs() < 1e-12);
+        let e0 = s.epoch;
+        s.retune(aid(0), 3.0);
+        assert!(s.epoch > e0, "a weight change reassigns rates");
+        assert!((s.rate_of(aid(0)) - 0.75).abs() < 1e-12);
+        assert!((s.rate_of(aid(1)) - 0.25).abs() < 1e-12);
+        // A run that is not active has nothing to retune.
+        let e1 = s.epoch;
+        s.retune(aid(2), 5.0);
+        assert_eq!(s.epoch, e1);
+        assert!((s.rate_of(aid(0)) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn abort_returns_remaining() {
         let mut s = CpuSched::new(1.0);
-        s.start(aid(0), 100.0, 1.0, None);
+        s.start(aid(0), 100.0, 1.0);
         s.advance(SimTime::from_us(40), |_, _| {}, &mut Vec::new());
         let rem = s.abort(aid(0)).unwrap();
         assert!((rem - 60.0).abs() < 1e-9);
@@ -342,10 +251,10 @@ mod tests {
     fn epoch_bumps_on_rate_changes() {
         let mut s = CpuSched::new(1.0);
         let e0 = s.epoch;
-        s.start(aid(0), 100.0, 1.0, None);
+        s.start(aid(0), 100.0, 1.0);
         assert!(s.epoch > e0);
         let e1 = s.epoch;
-        s.start(aid(1), 100.0, 1.0, None);
+        s.start(aid(1), 100.0, 1.0);
         assert!(s.epoch > e1);
     }
 }

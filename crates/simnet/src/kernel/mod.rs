@@ -28,9 +28,10 @@
 //! the memory it has allocated ([`Ctx::mem_used`], read by the sandbox's
 //! paging model) and when its latest inbound message was queued
 //! ([`Ctx::last_received`]). Higher layers *infer* resource availability
-//! from these, never from the caps, as the paper's monitoring agent must.
-//! Message traffic is published as `msg_sent` / `msg_delivered` events on
-//! an attached obs bus ([`Sim::attach_obs`]), not counted here.
+//! from these, never from the limits they run under, as the paper's
+//! monitoring agent must. Message traffic is published as `msg_sent` /
+//! `msg_delivered` events on an attached obs bus ([`Sim::attach_obs`]),
+//! not counted here.
 
 use std::collections::vec_deque::Drain;
 use std::collections::{HashMap, VecDeque};
@@ -73,7 +74,6 @@ pub(crate) struct ActorState {
     inbox: VecDeque<(ActorId, Message)>,
     running: Running,
     weight: f64,
-    cpu_cap: Option<f64>,
     /// CPU time received, in microseconds of a whole processor.
     cpu_time_us: f64,
     /// Simulated bytes of memory the actor has allocated.
@@ -97,7 +97,6 @@ impl ActorState {
             inbox: VecDeque::new(),
             running: Running::Idle,
             weight: 1.0,
-            cpu_cap: None,
             cpu_time_us: 0.0,
             mem_used: 0,
             last_received: None,
@@ -226,8 +225,6 @@ static LINK_UP: Shape = simnet("link_up", &[SRC, DST]);
 static HOST_CRASH: Shape = simnet("host_crash", &[HOST]);
 static HOST_RESTART: Shape = simnet("host_restart", &[HOST]);
 static TIMER_FIRED: Shape = simnet("timer_fired", &[ACTOR, ("tag", FieldType::U64)]);
-static CAP_SET: Shape = simnet("cap_change", &[ACTOR, ("cap", FieldType::F64)]);
-static CAP_REMOVED: Shape = simnet("cap_change", &[ACTOR]);
 
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
@@ -400,23 +397,8 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // Resource controls (an ideal fair-share OS interface)
+    // Resource controls
     // ------------------------------------------------------------------
-
-    /// Hard-cap the fraction of its host CPU an actor may use.
-    pub fn set_cpu_cap(&mut self, a: ActorId, cap: Option<f64>) {
-        let host = self.states[a.0].host.0;
-        self.states[a.0].cpu_cap = cap;
-        if self.states[a.0].running == Running::Compute {
-            self.sync_host(host);
-            self.hosts[host].retune(a, None, Some(cap));
-            self.schedule_next_cpu(host);
-        }
-        match cap {
-            Some(c) => self.emit(&CAP_SET, [a.0 as u64, c.to_bits(), 0]),
-            None => self.emit(&CAP_REMOVED, [a.0 as u64, 0, 0]),
-        }
-    }
 
     /// Set an actor's proportional-share weight.
     pub fn set_weight(&mut self, a: ActorId, weight: f64) {
@@ -424,7 +406,7 @@ impl Sim {
         self.states[a.0].weight = weight;
         if self.states[a.0].running == Running::Compute {
             self.sync_host(host);
-            self.hosts[host].retune(a, Some(weight), None);
+            self.hosts[host].retune(a, weight);
             self.schedule_next_cpu(host);
         }
     }
@@ -518,7 +500,6 @@ impl Sim {
     /// | `link_down`, `link_up` | `src`, `dst` (hosts) | `LINK_DOWN`, `LINK_UP` |
     /// | `host_crash`, `host_restart` | `host` | `HOST_CRASH`, `HOST_RESTART` |
     /// | `timer_fired` | `actor`, `tag` | `TIMER_FIRED` |
-    /// | `cap_change` | `actor`, then `cap` (f64) unless the cap was removed | `CAP_SET`, `CAP_REMOVED` |
     ///
     /// Ids and counts are `u64` values.
     pub fn attach_obs(&mut self, obs: &Obs) {
@@ -732,11 +713,7 @@ impl Sim {
                     self.sync_host(host);
                     // sync_host may have re-entered pump for completed
                     // actors, but never for `a` (it is Idle with no run).
-                    let (weight, cap) = {
-                        let st = &self.states[a.0];
-                        (st.weight, st.cpu_cap)
-                    };
-                    self.hosts[host].start(a, work, weight, cap);
+                    self.hosts[host].start(a, work, self.states[a.0].weight);
                     self.states[a.0].running = Running::Compute;
                     self.emit(&COMPUTE_START, [a.0 as u64, work.to_bits(), 0]);
                     self.schedule_next_cpu(host);
@@ -974,28 +951,20 @@ mod tests {
     }
 
     #[test]
-    fn cpu_cap_slows_a_worker() {
+    fn weight_change_mid_run_takes_effect() {
         let mut sim = Sim::new();
         let h = sim.add_host("ref", 1.0, 1 << 30);
-        let done = Arc::new(Mutex::new(None));
-        let a = sim.spawn(h, Box::new(Worker { work: 1_000_000.0, done_at: done.clone() }));
-        sim.set_cpu_cap(a, Some(0.5));
+        let d1 = Arc::new(Mutex::new(None));
+        let d2 = Arc::new(Mutex::new(None));
+        let a = sim.spawn(h, Box::new(Worker { work: 1_000_000.0, done_at: d1.clone() }));
+        sim.spawn(h, Box::new(Worker { work: 1_000_000.0, done_at: d2.clone() }));
+        // Half each for 0.5s (a quarter of each worker's work), then 3:1:
+        // `a`'s remaining 0.75s of work at 75% ends at 1.5s, and the other
+        // worker's last 0.5s runs alone -> 2.0s.
+        sim.at(SimTime::from_ms(500), move |s| s.set_weight(a, 3.0));
         sim.run_until_idle();
-        assert_eq!(*done.lock().unwrap(), Some(SimTime::from_secs(2)));
-        assert!((sim.cpu_time_us(a) - 1_000_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn cap_change_mid_run_takes_effect() {
-        let mut sim = Sim::new();
-        let h = sim.add_host("ref", 1.0, 1 << 30);
-        let done = Arc::new(Mutex::new(None));
-        let a = sim.spawn(h, Box::new(Worker { work: 1_000_000.0, done_at: done.clone() }));
-        // Full speed for 0.5s (half the work), then capped to 25%:
-        // remaining 0.5s of work takes 2s -> finish at 2.5s.
-        sim.at(SimTime::from_ms(500), move |s| s.set_cpu_cap(a, Some(0.25)));
-        sim.run_until_idle();
-        assert_eq!(*done.lock().unwrap(), Some(SimTime::from_ms(2500)));
+        assert_eq!(*d1.lock().unwrap(), Some(SimTime::from_ms(1500)));
+        assert_eq!(*d2.lock().unwrap(), Some(SimTime::from_secs(2)));
     }
 
     /// Echo server: replies to each message with the same wire size.
@@ -1250,9 +1219,8 @@ mod tests {
     fn cpu_time_is_accurate_mid_run() {
         let mut sim = Sim::new();
         let h = sim.add_host("ref", 1.0, 1 << 30);
-        let done = Arc::new(Mutex::new(None));
-        let a = sim.spawn(h, Box::new(Worker { work: 10_000_000.0, done_at: done }));
-        sim.set_cpu_cap(a, Some(0.5));
+        let a = sim.spawn(h, Box::new(Worker { work: 10_000_000.0, done_at: Default::default() }));
+        sim.spawn(h, Box::new(Worker { work: 10_000_000.0, done_at: Default::default() }));
         sim.run_until(SimTime::from_secs(2));
         let cpu_us = sim.cpu_time_us(a);
         // Held 50% of the CPU for 2s -> 1s of CPU time.

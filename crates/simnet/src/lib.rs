@@ -8,9 +8,9 @@
 //! simulation:
 //!
 //! - **hosts** with a configurable speed, a fluid proportional-share CPU
-//!   scheduler (with hard share caps — an idealized fair-share OS) and a
-//!   per-actor count of allocated memory (the sandbox turns it into a
-//!   paging penalty);
+//!   scheduler (weights only: capping an actor's share is the sandbox's
+//!   job) and a per-actor count of allocated memory (the sandbox turns it
+//!   into a paging penalty);
 //! - **links** with bandwidth and latency, FIFO store-and-forward, one
 //!   record per directed host pair holding the link and its injected
 //!   faults (loss, jitter, down windows);
@@ -20,9 +20,9 @@
 //!   received, memory in use, the queued time of the latest inbound
 //!   message — from which higher layers *infer* resource availability,
 //!   exactly as the paper's monitoring agent must;
-//! - every kernel event (compute, messages, timers, faults, cap changes)
-//!   published as a `Source::Simnet` event on an attached [`obs::Obs`]
-//!   bus ([`Sim::attach_obs`]), and built only when one is attached;
+//! - every kernel event (compute, messages, timers, faults) published as
+//!   a `Source::Simnet` event on an attached [`obs::Obs`] bus
+//!   ([`Sim::attach_obs`]), and built only when one is attached;
 //! - an **interposition hook** ([`Ctx::intercept`]) that lets a wrapper
 //!   actor capture and rewrite the actions of a wrapped application — the
 //!   simulation analog of the paper's Win32 API interception, used by the

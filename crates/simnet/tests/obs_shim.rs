@@ -42,11 +42,9 @@ fn faulted_bus() -> Obs {
     let hb = sim.add_host("b", 1.0, 1 << 30);
     sim.set_link(ha, hb, 1_000_000.0, 150);
     let echo = sim.spawn(hb, Box::new(Echo));
-    let burst = sim.spawn(ha, Box::new(Burst { dst: echo, left: 25 }));
+    sim.spawn(ha, Box::new(Burst { dst: echo, left: 25 }));
 
     sim.attach_obs(&obs);
-    sim.at(SimTime::from_ms(20), move |s| s.set_cpu_cap(burst, Some(0.5)));
-    sim.at(SimTime::from_ms(30), move |s| s.set_cpu_cap(burst, None));
     FaultPlan::new(5)
         .with_loss(ha, hb, 0.2)
         .with_link_down(ha, hb, SimTime::from_ms(40), SimTime::from_ms(60))
@@ -109,7 +107,6 @@ fn faulted_workload_bus_is_pinned() {
         v.dedup();
     }
     let want_counts: BTreeMap<&str, usize> = [
-        ("cap_change", 2),
         ("compute_end", 1),
         ("compute_start", 1),
         ("host_crash", 1),
@@ -125,8 +122,7 @@ fn faulted_workload_bus_is_pinned() {
     .collect();
     assert_eq!(per_kind, want_counts);
     let want_shapes: BTreeMap<&str, Vec<String>> = [
-        ("cap_change", &["actor:u64", "actor:u64 cap:f64"][..]),
-        ("compute_end", &["actor:u64"]),
+        ("compute_end", &["actor:u64"][..]),
         ("compute_start", &["actor:u64 work:f64"]),
         ("host_crash", &["host:u64"]),
         ("host_restart", &["host:u64"]),
@@ -143,5 +139,5 @@ fn faulted_workload_bus_is_pinned() {
     assert_eq!(shapes, want_shapes);
     let mut h = Fnv64::new();
     h.write_str(&obs.render());
-    assert_eq!(format!("{:016x}", h.finish()), "dac5bc43ddbad71c");
+    assert_eq!(format!("{:016x}", h.finish()), "09c28f27fb3e78c3");
 }

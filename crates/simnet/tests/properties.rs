@@ -5,13 +5,12 @@ use proptest::prelude::*;
 use simnet::cpu::CpuSched;
 use simnet::{Actor, ActorId, Ctx, Message, Sim, SimTime};
 
-/// CPU scheduler: arbitrary runs with weights and caps.
-fn arb_runs() -> impl Strategy<Value = Vec<(f64, f64, Option<f64>)>> {
+/// CPU scheduler: arbitrary runs with weights.
+fn arb_runs() -> impl Strategy<Value = Vec<(f64, f64)>> {
     proptest::collection::vec(
         (
-            1.0f64..1e6,                        // work
-            0.1f64..10.0,                       // weight
-            proptest::option::of(0.05f64..1.0), // cap
+            1.0f64..1e6,  // work
+            0.1f64..10.0, // weight
         ),
         1..8,
     )
@@ -23,35 +22,29 @@ proptest! {
     #[test]
     fn rates_never_exceed_capacity_or_caps(runs in arb_runs(), speed in 0.1f64..4.0) {
         let mut s = CpuSched::new(speed);
-        for (i, &(work, weight, cap)) in runs.iter().enumerate() {
-            s.start(ActorId(i), work, weight, cap);
+        for (i, &(work, weight)) in runs.iter().enumerate() {
+            s.start(ActorId(i), work, weight);
         }
         let total: f64 = (0..runs.len()).map(|i| s.rate_of(ActorId(i))).sum();
         prop_assert!(total <= speed * (1.0 + 1e-9), "total rate {} > speed {}", total, speed);
-        for (i, &(_, _, cap)) in runs.iter().enumerate() {
-            if let Some(c) = cap {
-                prop_assert!(
-                    s.rate_of(ActorId(i)) <= c * speed * (1.0 + 1e-9),
-                    "run {} exceeds its cap",
-                    i
-                );
-            }
-            prop_assert!(s.rate_of(ActorId(i)) >= 0.0);
+        prop_assert!(total >= speed * (1.0 - 1e-9), "total rate {} < speed {}", total, speed);
+        for i in 0..runs.len() {
+            prop_assert!(s.rate_of(ActorId(i)) > 0.0);
         }
     }
 
     #[test]
     fn uncapped_single_run_gets_full_speed(work in 1.0f64..1e6, speed in 0.1f64..4.0) {
         let mut s = CpuSched::new(speed);
-        s.start(ActorId(0), work, 1.0, None);
+        s.start(ActorId(0), work, 1.0);
         prop_assert!((s.rate_of(ActorId(0)) - speed).abs() < 1e-9);
     }
 
     #[test]
     fn work_conservation(runs in arb_runs(), dt in 1u64..1_000_000) {
         let mut s = CpuSched::new(1.0);
-        for (i, &(work, weight, cap)) in runs.iter().enumerate() {
-            s.start(ActorId(i), work, weight, cap);
+        for (i, &(work, weight)) in runs.iter().enumerate() {
+            s.start(ActorId(i), work, weight);
         }
         let mut cpu = Vec::new();
         s.advance(SimTime::from_us(dt), |_, cpu_us| cpu.push(cpu_us), &mut Vec::new());
@@ -59,9 +52,9 @@ proptest! {
         let total_work: f64 = runs
             .iter()
             .enumerate()
-            .map(|(i, &(work, _, _))| work - s.abort(ActorId(i)).unwrap_or(0.0))
+            .map(|(i, &(work, _))| work - s.abort(ActorId(i)).unwrap_or(0.0))
             .sum();
-        let total_requested: f64 = runs.iter().map(|(w, _, _)| w).sum();
+        let total_requested: f64 = runs.iter().map(|(w, _)| w).sum();
         // Can't do more work than requested, nor more than capacity * time.
         prop_assert!(total_work <= total_requested + 1e-6);
         prop_assert!(total_work <= dt as f64 * (1.0 + 1e-6));
@@ -75,29 +68,11 @@ proptest! {
     #[test]
     fn weighted_shares_are_proportional(w1 in 0.1f64..10.0, w2 in 0.1f64..10.0) {
         let mut s = CpuSched::new(1.0);
-        s.start(ActorId(0), 1e9, w1, None);
-        s.start(ActorId(1), 1e9, w2, None);
+        s.start(ActorId(0), 1e9, w1);
+        s.start(ActorId(1), 1e9, w2);
         let (r1, r2) = (s.rate_of(ActorId(0)), s.rate_of(ActorId(1)));
         prop_assert!((r1 / r2 - w1 / w2).abs() < 1e-6);
-        prop_assert!((r1 + r2 - 1.0).abs() < 1e-9, "work-conserving when uncapped");
-    }
-
-    #[test]
-    fn completion_times_scale_with_cap(cap in 0.05f64..1.0) {
-        let mut sim = Sim::new();
-        let h = sim.add_host("h", 1.0, 1 << 30);
-        struct W;
-        impl Actor for W {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.compute(100_000.0);
-            }
-        }
-        let a = sim.spawn(h, Box::new(W));
-        sim.set_cpu_cap(a, Some(cap));
-        sim.run_until_idle();
-        let expected = 100_000.0 / cap;
-        let got = sim.now().as_us() as f64;
-        prop_assert!((got - expected).abs() / expected < 0.01, "{} vs {}", got, expected);
+        prop_assert!((r1 + r2 - 1.0).abs() < 1e-9, "work-conserving");
     }
 
     #[test]

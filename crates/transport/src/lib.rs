@@ -5,10 +5,10 @@
 //! channel connects the components. This crate carries typed
 //! [`Envelope`]s (destination + payload + optional deadline) over a
 //! [`SocketTransport`]: real loopback I/O over TCP (or a Unix domain
-//! socket where available) with length-prefixed [`frame`]s, a pluggable [`WireCodec`] that reconstructs
-//! typed `simnet::Message` payloads so `Message::decode` keeps working on
-//! the receiving side, per-connection obs counters, and
-//! reconnect-with-backoff driven by [`RetryPolicy`].
+//! socket where available) with length-prefixed [`frame`]s and a
+//! pluggable [`WireCodec`] that reconstructs typed `simnet::Message`
+//! payloads so `Message::decode` keeps working on the receiving side. A
+//! transport connects once and never re-dials.
 //!
 //! Inside the simulator the actors send through `simnet::Ctx` directly
 //! (`send`, or `send_now` for control-plane traffic); the socket mirror in
@@ -21,12 +21,10 @@
 
 pub mod codec;
 pub mod frame;
-pub mod retry;
 pub mod socket;
 
 pub use codec::{ByteReader, ByteWriter, CodecError, WireCodec};
 pub use frame::{decode_frame, encode_frame, Frame, FrameError, HEADER_BYTES};
-pub use retry::RetryPolicy;
 pub use socket::{SocketAddrSpec, SocketListener, SocketTransport};
 
 use simnet::{ActorId, Message};
@@ -63,7 +61,8 @@ impl Envelope {
 /// Why a transport operation failed.
 #[derive(Debug)]
 pub enum TransportError {
-    /// The transport has no live connection (and reconnect is not due yet).
+    /// The transport's connection is gone (closed, or dropped after an
+    /// error or the peer's close).
     NotConnected,
     /// The peer closed the connection cleanly.
     Closed,

@@ -1,13 +1,15 @@
 //! Real-socket integration tests: an echo peer over loopback TCP (and
-//! UDS where the platform supports it), plus reconnect-with-backoff.
+//! UDS where the platform supports it), and how a connection ends: a
+//! peer's close, garbage on the wire, a peer that closes mid-frame.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use adapt_transport::{
-    ByteReader, ByteWriter, CodecError, Envelope, SocketAddrSpec, SocketListener, SocketTransport,
-    TransportError, WireCodec,
+    encode_frame, ByteReader, ByteWriter, CodecError, Envelope, Frame, SocketAddrSpec,
+    SocketListener, SocketTransport, TransportError, WireCodec,
 };
 use simnet::{ActorId, Message};
 
@@ -52,17 +54,18 @@ fn recv_within(t: &mut SocketTransport, window: Duration) -> Option<Envelope> {
     None
 }
 
-/// Accept one connection and echo `n` envelopes back verbatim.
-fn echo_once(listener: &SocketListener, n: usize) -> thread::JoinHandle<()> {
+/// Accept one connection and echo `n` envelopes back verbatim; the
+/// thread returns the framed bytes it sent back.
+fn echo_once(listener: &SocketListener, n: usize) -> thread::JoinHandle<usize> {
     let codec: Arc<dyn WireCodec> = Arc::new(RawCodec);
     let mut server = listener.accept(codec).expect("accept");
     thread::spawn(move || {
-        let mut echoed = 0;
+        let (mut echoed, mut bytes) = (0, 0);
         let deadline = Instant::now() + Duration::from_secs(10);
         while echoed < n && Instant::now() < deadline {
             match server.try_recv() {
                 Ok(Some(env)) => {
-                    server.send(env).expect("echo send");
+                    bytes += server.send(env).expect("echo send");
                     echoed += 1;
                 }
                 Ok(None) => thread::sleep(Duration::from_millis(1)),
@@ -70,6 +73,7 @@ fn echo_once(listener: &SocketListener, n: usize) -> thread::JoinHandle<()> {
                 Err(e) => panic!("server recv failed: {e}"),
             }
         }
+        bytes
     })
 }
 
@@ -77,15 +81,8 @@ fn run_echo_session(listener: SocketListener) {
     let spec = listener.local_spec().expect("local spec");
     let handle = thread::spawn(move || echo_once(&listener, 3).join().unwrap());
 
-    let obs = obs::Obs::new();
     let codec: Arc<dyn WireCodec> = Arc::new(RawCodec);
-    let mut client = SocketTransport::dial(spec, codec).with_obs(&obs);
-    assert!(!client.is_connected());
-    assert!(matches!(
-        client.send(Envelope::to(ActorId(0), Message::signal(1, 8))),
-        Err(TransportError::NotConnected)
-    ));
-    client.connect().expect("connect");
+    let mut client = SocketTransport::connect(&spec, codec).expect("connect");
     assert!(client.is_connected());
 
     // One signal, one small body, one body big enough to span several
@@ -95,9 +92,10 @@ fn run_echo_session(listener: SocketListener) {
         Message::new(11, 256, vec![7u8; 100]),
         Message::new(12, 1 << 16, (0..40_000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
     ];
+    let mut sent = 0;
     for (i, msg) in bodies.iter().enumerate() {
         let env = Envelope::to(ActorId(5), msg.clone()).with_deadline(1_000 + i as u64);
-        client.send(env).expect("send");
+        sent += client.send(env).expect("send");
     }
     for (i, sent) in bodies.iter().enumerate() {
         let env = recv_within(&mut client, Duration::from_secs(10)).expect("echo reply");
@@ -107,19 +105,19 @@ fn run_echo_session(listener: SocketListener) {
         assert_eq!(env.msg.wire_bytes, sent.wire_bytes);
         assert_eq!(env.msg.body::<Vec<u8>>(), sent.body::<Vec<u8>>());
     }
-    handle.join().unwrap();
+    let echoed = handle.join().unwrap();
 
-    // Counters saw real traffic in both directions, and no decode errors.
-    let bytes = obs.counter_value(obs.lookup("transport.bytes").unwrap());
-    let sent = obs.counter_value(obs.lookup("transport.bytes_sent").unwrap());
-    let recv = obs.counter_value(obs.lookup("transport.bytes_recv").unwrap());
+    // `send` counted real framed bytes, and the echo returned exactly
+    // what was sent.
     assert!(sent > 40_000, "sent {sent}");
-    assert_eq!(recv, sent, "echo returns exactly what was sent");
-    assert_eq!(bytes, sent + recv);
-    assert_eq!(obs.counter_value(obs.lookup("transport.decode_errors").unwrap()), 0);
+    assert_eq!(echoed, sent, "echo returns exactly what was sent");
 
     client.close();
     assert!(!client.is_connected());
+    assert!(matches!(
+        client.send(Envelope::to(ActorId(0), Message::signal(1, 8))),
+        Err(TransportError::NotConnected)
+    ));
 }
 
 #[test]
@@ -141,107 +139,106 @@ fn uds_echo_roundtrip_or_graceful_skip() {
     eprintln!("skipping UDS echo test: not a unix platform");
 }
 
-#[test]
-fn reconnect_with_backoff_after_peer_drop() {
-    let listener = SocketListener::bind_tcp().expect("bind tcp");
-    let spec = listener.local_spec().expect("local spec");
-
-    let obs = obs::Obs::new();
-    let codec: Arc<dyn WireCodec> = Arc::new(RawCodec);
-    let retry = adapt_transport::RetryPolicy {
-        multiplier: 2.0,
-        max_timeout_us: 50_000,
-        jitter_frac: 0.0,
-        seed: 1,
-    };
-    let mut client = SocketTransport::dial(spec, codec).with_obs(&obs).with_retry(retry);
-
-    // First connection: dial (the kernel backlog completes the handshake
-    // before accept), accept it, then slam it shut server-side.
-    {
-        client.connect().expect("connect");
-        let server = listener.accept(Arc::new(RawCodec)).expect("accept");
-        drop(server);
-    }
-    // The client discovers the drop on its next recv...
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match client.try_recv() {
-            Err(TransportError::Closed) | Err(TransportError::Io(_)) => break,
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "never observed the drop");
-                thread::sleep(Duration::from_millis(1));
-            }
-            other => panic!("unexpected recv outcome: {other:?}"),
+/// Poll `t.try_recv()` until it fails or `window` passes; the error, or
+/// `None` on a timeout. Envelopes received on the way are pushed to `got`.
+fn recv_until_err(
+    t: &mut SocketTransport,
+    window: Duration,
+    got: &mut Vec<Envelope>,
+) -> Option<TransportError> {
+    let deadline = Instant::now() + window;
+    while Instant::now() < deadline {
+        match t.try_recv() {
+            Ok(Some(env)) => got.push(env),
+            Ok(None) => thread::sleep(Duration::from_millis(1)),
+            Err(e) => return Some(e),
         }
     }
-    assert!(!client.is_connected());
-    assert!(client.reconnect_attempts() > 0, "backoff armed");
-
-    // ...and reconnects once the backoff window elapses.
-    let accepter = thread::spawn(move || listener.accept(Arc::new(RawCodec)).expect("re-accept"));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match client.poll_reconnect() {
-            Ok(true) => break,
-            Ok(false) | Err(TransportError::Io(_)) => {
-                assert!(Instant::now() < deadline, "never reconnected");
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => panic!("reconnect failed hard: {e}"),
-        }
-    }
-    assert!(client.is_connected());
-    assert_eq!(client.reconnect_attempts(), 0, "attempt counter reset on success");
-    assert_eq!(obs.counter_value(obs.lookup("transport.reconnects").unwrap()), 1);
-
-    // The revived link carries traffic.
-    let mut server = accepter.join().unwrap();
-    client.send(Envelope::to(ActorId(1), Message::signal(99, 8))).expect("send after reconnect");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match server.try_recv() {
-            Ok(Some(env)) => {
-                assert_eq!(env.msg.tag, 99);
-                break;
-            }
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "message never arrived");
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => panic!("server recv failed: {e}"),
-        }
-    }
+    None
 }
 
-#[test]
-fn garbage_on_the_wire_tears_the_connection_down() {
-    use std::io::Write;
-
+/// Connect a transport to a raw TCP peer that writes `bytes` and closes.
+fn raw_peer_writes_then_closes(bytes: Vec<u8>) -> SocketTransport {
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().unwrap();
     let writer = thread::spawn(move || {
         let (mut s, _) = listener.accept().expect("accept");
-        s.write_all(b"definitely not a frame header").unwrap();
+        s.write_all(&bytes).unwrap();
     });
-
-    let obs = obs::Obs::new();
     let codec: Arc<dyn WireCodec> = Arc::new(RawCodec);
-    let mut client = SocketTransport::dial(SocketAddrSpec::Tcp(addr), codec).with_obs(&obs);
-    client.connect().expect("connect");
+    let client = SocketTransport::connect(&SocketAddrSpec::Tcp(addr), codec).expect("connect");
     writer.join().unwrap();
+    client
+}
 
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match client.try_recv() {
-            Err(TransportError::Frame(_)) => break,
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "garbage never rejected");
-                thread::sleep(Duration::from_millis(1));
-            }
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-    }
+/// One valid frame carrying a 100-byte body, as the wire holds it.
+fn frame_bytes(tag: u64) -> Vec<u8> {
+    let msg = Message::new(tag, 256, vec![9u8; 100]);
+    let frame = Frame {
+        to: 3,
+        tag,
+        wire_bytes: msg.wire_bytes,
+        deadline_us: None,
+        payload: RawCodec.encode(&msg).unwrap(),
+    };
+    let mut out = Vec::new();
+    encode_frame(&frame, &mut out);
+    out
+}
+
+#[test]
+fn a_dropped_connection_stays_down() {
+    let listener = SocketListener::bind_tcp().expect("bind tcp");
+    let spec = listener.local_spec().expect("local spec");
+    let codec: Arc<dyn WireCodec> = Arc::new(RawCodec);
+    let mut client = SocketTransport::connect(&spec, codec).expect("connect");
+    // The kernel backlog completes the handshake before accept; accept
+    // it, then slam it shut server-side.
+    drop(listener.accept(Arc::new(RawCodec)).expect("accept"));
+
+    let err = recv_until_err(&mut client, Duration::from_secs(5), &mut Vec::new());
+    assert!(
+        matches!(err, Some(TransportError::Closed) | Some(TransportError::Io(_))),
+        "never observed the drop: {err:?}"
+    );
+    assert!(!client.is_connected());
+    // Nothing re-dials: every later call reports the connection gone.
+    assert!(matches!(client.try_recv(), Err(TransportError::NotConnected)));
+    assert!(matches!(
+        client.send(Envelope::to(ActorId(1), Message::signal(99, 8))),
+        Err(TransportError::NotConnected)
+    ));
+}
+
+#[test]
+fn garbage_on_the_wire_tears_the_connection_down() {
+    let mut client = raw_peer_writes_then_closes(b"definitely not a frame header".to_vec());
+    let err = recv_until_err(&mut client, Duration::from_secs(5), &mut Vec::new());
+    assert!(matches!(err, Some(TransportError::Frame(_))), "garbage never rejected: {err:?}");
     assert!(!client.is_connected(), "framing errors are fatal to the connection");
-    assert_eq!(obs.counter_value(obs.lookup("transport.decode_errors").unwrap()), 1);
+}
+
+#[test]
+fn a_peer_that_closes_mid_frame_is_reported_closed() {
+    let mut client = raw_peer_writes_then_closes(frame_bytes(4)[..20].to_vec());
+    let mut got = Vec::new();
+    let err = recv_until_err(&mut client, Duration::from_secs(5), &mut got);
+    assert!(err.is_some(), "a close after a partial frame was never reported");
+    assert!(matches!(err, Some(TransportError::Closed)), "{err:?}");
+    assert!(got.is_empty(), "a partial frame is not a message");
+    assert!(!client.is_connected());
+}
+
+#[test]
+fn frames_buffered_before_a_close_are_delivered_first() {
+    let mut bytes = frame_bytes(5);
+    bytes.extend_from_slice(&frame_bytes(6)[..30]);
+    let mut client = raw_peer_writes_then_closes(bytes);
+    let mut got = Vec::new();
+    let err = recv_until_err(&mut client, Duration::from_secs(5), &mut got);
+    assert!(matches!(err, Some(TransportError::Closed)), "{err:?}");
+    assert_eq!(got.len(), 1, "the complete frame, then the close");
+    assert_eq!(got[0].msg.tag, 5);
+    assert_eq!(got[0].to, ActorId(3));
+    assert_eq!(got[0].msg.body::<Vec<u8>>(), Some(&vec![9u8; 100]));
 }

@@ -240,7 +240,7 @@ impl ClientOpts {
         self
     }
 
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }

@@ -22,9 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use adapt_transport::{
-    Envelope, SocketAddrSpec, SocketListener, SocketTransport, TransportError, WireCodec,
-};
+use adapt_transport::{Envelope, SocketAddrSpec, SocketListener, SocketTransport, WireCodec};
 use simnet::WireHook;
 
 use crate::stats::RunStats;
@@ -144,19 +142,14 @@ pub fn socket_mirror_hook(backend: MirrorBackend) -> io::Result<(WireHook, Mirro
         }
     });
 
-    let mut client = SocketTransport::dial(spec, codec);
-    client.connect().map_err(|e| match e {
-        TransportError::Io(io) => io,
-        other => io::Error::other(other.to_string()),
-    })?;
+    let client = SocketTransport::connect(&spec, codec)?;
 
     let counters = Arc::new(MirrorCounters::default());
     let hook_counters = counters.clone();
     let client = Mutex::new(client);
     let hook: WireHook = Arc::new(move |_src, dst, msg| {
         let mut t = client.lock().expect("mirror transport poisoned");
-        let sent_bytes = adapt_transport::HEADER_BYTES as u64; // header; payload added below
-        t.send(Envelope::to(dst, msg.clone())).expect("mirror send failed");
+        let framed = t.send(Envelope::to(dst, msg.clone())).expect("mirror send failed");
         // Synchronous round trip: exactly one envelope is in flight, so
         // the next received envelope is ours.
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -177,10 +170,7 @@ pub fn socket_mirror_hook(backend: MirrorBackend) -> io::Result<(WireHook, Mirro
             msg.tag
         );
         hook_counters.messages.fetch_add(1, Ordering::SeqCst);
-        hook_counters.wire_bytes.fetch_add(
-            sent_bytes + VizCodec.encode(&msg).map_or(0, |p| p.len() as u64),
-            Ordering::SeqCst,
-        );
+        hook_counters.wire_bytes.fetch_add(framed as u64, Ordering::SeqCst);
         // Deliver the *reconstructed* message: every byte the simulation
         // acts on truly crossed the socket.
         echoed.msg
