@@ -148,23 +148,6 @@ impl StreamKind {
     }
 }
 
-fn dial(spec: &SocketAddrSpec) -> io::Result<StreamKind> {
-    match spec {
-        SocketAddrSpec::Tcp(addr) => {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true)?;
-            s.set_nonblocking(true)?;
-            Ok(StreamKind::Tcp(s))
-        }
-        #[cfg(unix)]
-        SocketAddrSpec::Uds(path) => {
-            let s = UnixStream::connect(path)?;
-            s.set_nonblocking(true)?;
-            Ok(StreamKind::Uds(s))
-        }
-    }
-}
-
 /// A connection-oriented, non-blocking message transport over one real
 /// socket connection.
 ///
@@ -193,17 +176,21 @@ impl SocketTransport {
 
     /// Dial `peer` and wrap the connection in a transport.
     pub fn connect(peer: &SocketAddrSpec, codec: Arc<dyn WireCodec>) -> io::Result<Self> {
-        Ok(Self::from_stream(dial(peer)?, codec))
-    }
-
-    /// Drop the connection and everything buffered for it.
-    fn mark_disconnected(&mut self) {
-        if let Some(mut s) = self.stream.take() {
-            s.shutdown();
-        }
-        self.wbuf.clear();
-        self.rbuf.clear();
-        self.eof = false;
+        let stream = match peer {
+            SocketAddrSpec::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                StreamKind::Tcp(s)
+            }
+            #[cfg(unix)]
+            SocketAddrSpec::Uds(path) => {
+                let s = UnixStream::connect(path)?;
+                s.set_nonblocking(true)?;
+                StreamKind::Uds(s)
+            }
+        };
+        Ok(Self::from_stream(stream, codec))
     }
 
     /// Push buffered outbound bytes into the socket until it would block.
@@ -213,7 +200,7 @@ impl SocketTransport {
             let stream = self.stream.as_mut().ok_or(TransportError::NotConnected)?;
             match stream.write(head) {
                 Ok(0) => {
-                    self.mark_disconnected();
+                    self.close();
                     return Err(TransportError::Closed);
                 }
                 Ok(n) => {
@@ -222,7 +209,7 @@ impl SocketTransport {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    self.mark_disconnected();
+                    self.close();
                     return Err(TransportError::Io(e));
                 }
             }
@@ -242,7 +229,7 @@ impl SocketTransport {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    self.mark_disconnected();
+                    self.close();
                     return Err(TransportError::Io(e));
                 }
             }
@@ -287,7 +274,7 @@ impl SocketTransport {
         self.fill_rbuf()?;
         match decode_frame(&self.rbuf) {
             Ok(None) if self.eof => {
-                self.mark_disconnected();
+                self.close();
                 Err(TransportError::Closed)
             }
             Ok(None) => Ok(None),
@@ -301,7 +288,7 @@ impl SocketTransport {
             Err(e) => {
                 // Byte-stream framing cannot resynchronize after garbage:
                 // drop the connection.
-                self.mark_disconnected();
+                self.close();
                 Err(TransportError::Frame(e))
             }
         }
@@ -312,8 +299,14 @@ impl SocketTransport {
         self.stream.is_some()
     }
 
-    /// Tear the channel down; queued inbound envelopes are discarded.
+    /// Tear the channel down; bytes queued in either direction are
+    /// discarded.
     pub fn close(&mut self) {
-        self.mark_disconnected();
+        if let Some(mut s) = self.stream.take() {
+            s.shutdown();
+        }
+        self.wbuf.clear();
+        self.rbuf.clear();
+        self.eof = false;
     }
 }

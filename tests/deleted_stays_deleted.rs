@@ -488,6 +488,28 @@ static GUARDS: &[Guard] = &[
         check: None,
     },
     Guard {
+        name: "one CPU limiter, one connect",
+        reason: "the sandbox is the one way to cap an actor's CPU share (its tests compare it \
+                 with work / share), so the kernel's ideal cap and its bus kind went; a \
+                 SocketTransport connects once, so the wall-clock reconnect backoff and its \
+                 counters went, and resets belong at the wire hook in simulated time",
+        deleted_in: "81e705b",
+        searches: &[Search {
+            tokens: &[
+                "set_cpu_cap",
+                r"\bcap_change\b",
+                "poll_reconnect",
+                "reconnect_attempts",
+                "\"transport.reconnects\"",
+                "RECONNECT_BASE_US",
+            ],
+            roots: SOURCE,
+            files: ALL,
+            allowed: &[],
+        }],
+        check: None,
+    },
+    Guard {
         name: "pub means another crate uses it",
         reason: "a library pub fn or constant that only its own crate names is pub(crate), so \
                  rustc's dead-code lint sees it; a documented entry point has an UNCALLED_ALLOWED \
